@@ -17,9 +17,7 @@
 
 use sbs_core::objective::HierarchicalObjective;
 use sbs_core::{Branching, ObjectiveCost, PolicySpec, ScheduleProblem, SearchAlgo};
-use sbs_dsearch::{
-    dds, dds_sharded, lds, lds_sharded, portfolio, SearchConfig, SearchOutcome, DEFAULT_MEMBERS,
-};
+use sbs_dsearch::{dds, lds, portfolio, SearchConfig, SearchOutcome, DEFAULT_MEMBERS};
 use sbs_obs::{TimeMode, TraceMeta, TraceRecorder};
 use sbs_sim::avail::AvailabilityProfile;
 use sbs_sim::engine::{simulate, simulate_traced, SimConfig};
@@ -33,9 +31,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema identifier stamped into every emitted document.  `v2` adds
-/// the `threads` matrix dimension (deterministic sharded search) and
-/// the portfolio rows; `v1` cell ids carry no `/t{N}` suffix, so
-/// [`check`] treats the two schemas as disjoint.
+/// the `threads` dimension and the portfolio rows; `v1` cell ids carry
+/// no `/t{N}` suffix, so [`check`] treats the two schemas as disjoint.
+/// DDS/LDS cells are sequential and always `/t1`; only the portfolio
+/// rows sweep worker counts.
 pub const SCHEMA: &str = "sbs-bench-perf/v2";
 
 /// The pinned months decision points are captured from: one from each
@@ -45,9 +44,9 @@ pub const MONTHS: [Month; 3] = [Month::Jun03, Month::Oct03, Month::Feb04];
 /// The pinned per-decision node budgets (the paper's `L` sweep).
 pub const BUDGETS: [u64; 3] = [1_000, 10_000, 100_000];
 
-/// The pinned worker-thread counts.  Every cell runs at each count and
-/// the outcomes must be bit-identical — the timing columns are the only
-/// thing sharding is allowed to change.
+/// The pinned worker-thread counts of the portfolio rows.  Every PORT
+/// cell runs at each count and the outcomes must be bit-identical — the
+/// timing columns are the only thing the worker count may change.
 pub const THREADS: [usize; 2] = [1, 4];
 
 /// Workload seed used for every capture (arbitrary but frozen).
@@ -71,7 +70,7 @@ pub struct PerfOpts {
     pub quick: bool,
     /// Timing repeats per cell (the fastest is reported).
     pub repeats: u32,
-    /// Worker-thread counts swept per cell.
+    /// Worker-thread counts swept per portfolio cell.
     pub threads: Vec<usize>,
     /// Also run the portfolio rows (LDS+DDS+beam8+greedy race).
     pub portfolio: bool,
@@ -90,7 +89,7 @@ impl Default for PerfOpts {
 
 impl PerfOpts {
     /// The smoke configuration used by `--quick` and CI: smaller budget
-    /// column, one repeat, same thread sweep, no portfolio rows.
+    /// column, one repeat, no portfolio rows (every cell sequential).
     pub fn quick() -> Self {
         PerfOpts {
             quick: true,
@@ -260,61 +259,57 @@ impl CellResult {
     }
 }
 
-/// Runs one cell: `repeats` timed searches on a fresh problem each time.
-/// Searches are pure, so the outcome must be identical across repeats —
-/// asserted here as a sanity check on the harness itself.  `threads > 1`
-/// runs the deterministic sharded search; its outcome must still equal
-/// the sequential one bit-for-bit (asserted across cells by
-/// [`run_matrix`]).
+/// Runs `search` `repeats` times (at least once) and returns its
+/// outcome with the fastest elapsed time.  Searches are pure, so the
+/// outcome must be identical across repeats — asserted here as a sanity
+/// check on the harness itself.
+fn fastest_of(
+    repeats: u32,
+    mut search: impl FnMut() -> (SearchOutcome<u32, ObjectiveCost>, u128),
+) -> (SearchOutcome<u32, ObjectiveCost>, u128) {
+    let (mut outcome, mut best_elapsed) = search();
+    for _ in 1..repeats {
+        let (out, elapsed) = search();
+        assert_outcomes_agree(&outcome, &out);
+        best_elapsed = best_elapsed.min(elapsed);
+        outcome = out;
+    }
+    (outcome, best_elapsed)
+}
+
+/// Runs one sequential DDS/LDS cell: `repeats` timed searches on a
+/// fresh problem each time.
 pub fn run_cell(
     snapshot: &DecisionSnapshot,
     algo: SearchAlgo,
     branching: Branching,
     budget: u64,
-    threads: usize,
     repeats: u32,
 ) -> CellResult {
     let cfg = SearchConfig::with_limit(budget);
-    let mut best_elapsed: Option<u128> = None;
-    let mut outcome = None;
-    for _ in 0..repeats.max(1) {
-        let (out, elapsed) = if threads > 1 {
-            let factory = || snapshot.problem(branching);
-            let t0 = Instant::now();
-            let out = match algo {
-                SearchAlgo::Lds => lds_sharded(factory, cfg, threads).outcome,
-                SearchAlgo::Dds => dds_sharded(factory, cfg, threads).outcome,
-                _ => unreachable!("the perf matrix pins LDS and DDS only"),
-            };
-            (out, t0.elapsed().as_nanos())
-        } else {
-            let mut problem = snapshot.problem(branching);
-            let t0 = Instant::now();
-            let out = match algo {
-                SearchAlgo::Lds => lds(&mut problem, cfg),
-                SearchAlgo::Dds => dds(&mut problem, cfg),
-                _ => unreachable!("the perf matrix pins LDS and DDS only"),
-            };
-            (out, t0.elapsed().as_nanos())
+    let (outcome, elapsed_ns) = fastest_of(repeats, || {
+        let mut problem = snapshot.problem(branching);
+        let t0 = Instant::now();
+        let out = match algo {
+            SearchAlgo::Lds => lds(&mut problem, cfg),
+            SearchAlgo::Dds => dds(&mut problem, cfg),
+            _ => unreachable!("the perf matrix pins LDS and DDS only"),
         };
-        best_elapsed = Some(best_elapsed.map_or(elapsed, |b: u128| b.min(elapsed)));
-        if let Some(prev) = &outcome {
-            assert_outcomes_agree(prev, &out);
-        }
-        outcome = Some(out);
-    }
+        (out, t0.elapsed().as_nanos())
+    });
     CellResult {
         month: snapshot.month,
         algo: algo.label(),
         branching,
         budget,
-        threads,
-        outcome: outcome.expect("at least one repeat"),
-        elapsed_ns: best_elapsed.expect("at least one repeat"),
+        threads: 1,
+        outcome,
+        elapsed_ns,
     }
 }
 
-/// Runs one portfolio cell (LDS+DDS+beam8+greedy race, no deadline).
+/// Runs one portfolio cell (LDS+DDS+beam8+greedy race, no deadline)
+/// across `threads` workers.
 pub fn run_portfolio_cell(
     snapshot: &DecisionSnapshot,
     branching: Branching,
@@ -323,27 +318,20 @@ pub fn run_portfolio_cell(
     repeats: u32,
 ) -> CellResult {
     let cfg = SearchConfig::with_limit(budget);
-    let mut best_elapsed: Option<u128> = None;
-    let mut outcome = None;
-    for _ in 0..repeats.max(1) {
+    let (outcome, elapsed_ns) = fastest_of(repeats, || {
         let factory = || snapshot.problem(branching);
         let t0 = Instant::now();
         let out = portfolio(factory, &DEFAULT_MEMBERS, cfg, threads).outcome;
-        let elapsed = t0.elapsed().as_nanos();
-        best_elapsed = Some(best_elapsed.map_or(elapsed, |b: u128| b.min(elapsed)));
-        if let Some(prev) = &outcome {
-            assert_outcomes_agree(prev, &out);
-        }
-        outcome = Some(out);
-    }
+        (out, t0.elapsed().as_nanos())
+    });
     CellResult {
         month: snapshot.month,
-        algo: "PORT".to_string(),
+        algo: SearchAlgo::Portfolio.label(),
         branching,
         budget,
         threads,
-        outcome: outcome.expect("at least one repeat"),
-        elapsed_ns: best_elapsed.expect("at least one repeat"),
+        outcome,
+        elapsed_ns,
     }
 }
 
@@ -365,9 +353,9 @@ fn assert_outcomes_agree(
 }
 
 /// Runs the full pinned matrix and collects the report.  Every
-/// (month, algo, branching, budget) group runs once per thread count,
-/// and all outcomes within a group are asserted bit-identical — the
-/// sharded search may only change the timing columns.
+/// portfolio (month, budget) group runs once per thread count, and all
+/// outcomes within a group are asserted bit-identical — the worker
+/// count may only change the timing columns.
 pub fn run_matrix(opts: &PerfOpts) -> PerfReport {
     let snapshots: Vec<DecisionSnapshot> = MONTHS.iter().map(|&m| capture(m)).collect();
     let threads = if opts.threads.is_empty() {
@@ -375,20 +363,12 @@ pub fn run_matrix(opts: &PerfOpts) -> PerfReport {
     } else {
         opts.threads.clone()
     };
-    let mut cells = Vec::new();
+    let mut cells: Vec<CellResult> = Vec::new();
     for snapshot in &snapshots {
         for algo in [SearchAlgo::Dds, SearchAlgo::Lds] {
             for branching in [Branching::Fcfs, Branching::Lxf] {
                 for &budget in opts.budgets() {
-                    let group_start = cells.len();
-                    for &t in &threads {
-                        let cell = run_cell(snapshot, algo, branching, budget, t, opts.repeats);
-                        if let Some(first) = cells.get(group_start) {
-                            let first: &CellResult = first;
-                            assert_outcomes_agree(&first.outcome, &cell.outcome);
-                        }
-                        cells.push(cell);
-                    }
+                    cells.push(run_cell(snapshot, algo, branching, budget, opts.repeats));
                 }
             }
         }
@@ -399,7 +379,6 @@ pub fn run_matrix(opts: &PerfOpts) -> PerfReport {
                     let cell =
                         run_portfolio_cell(snapshot, Branching::Lxf, budget, t, opts.repeats);
                     if let Some(first) = cells.get(group_start) {
-                        let first: &CellResult = first;
                         assert_outcomes_agree(&first.outcome, &cell.outcome);
                     }
                     cells.push(cell);
@@ -604,6 +583,7 @@ impl PerfReport {
                 "branchings": json!(["fcfs", "lxf"]),
                 "budgets": budgets,
                 "threads": threads,
+                "cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
                 "capture_seed": CAPTURE_SEED,
                 "capture_scale": CAPTURE_SCALE,
             }),
@@ -719,37 +699,13 @@ mod tests {
     #[test]
     fn cell_outcomes_are_repeatable_and_budget_bounded() {
         let snap = capture(Month::Jun03);
-        let a = run_cell(&snap, SearchAlgo::Dds, Branching::Lxf, 1_000, 1, 2);
-        let b = run_cell(&snap, SearchAlgo::Dds, Branching::Lxf, 1_000, 1, 1);
+        let a = run_cell(&snap, SearchAlgo::Dds, Branching::Lxf, 1_000, 2);
+        let b = run_cell(&snap, SearchAlgo::Dds, Branching::Lxf, 1_000, 1);
         assert!(a.outcome.stats.nodes <= 1_000);
         assert_eq!(a.outcome.stats.nodes, b.outcome.stats.nodes);
         assert_eq!(a.outcome.stats.leaves, b.outcome.stats.leaves);
         assert!(a.nodes_per_sec() > 0.0);
         assert_eq!(a.id(), "6/03/DDS/lxf/L1000/t1");
-    }
-
-    #[test]
-    fn sharded_cells_match_the_sequential_outcome_bit_for_bit() {
-        let snap = capture(Month::Jun03);
-        for algo in [SearchAlgo::Dds, SearchAlgo::Lds] {
-            let seq = run_cell(&snap, algo, Branching::Lxf, 10_000, 1, 1);
-            for threads in [2usize, 4, 8] {
-                let par = run_cell(&snap, algo, Branching::Lxf, 10_000, threads, 1);
-                assert_eq!(seq.outcome.stats, par.outcome.stats, "threads={threads}");
-                assert_eq!(
-                    seq.outcome
-                        .best_cost()
-                        .map(|c| (c.excess, c.bsld_sum.to_bits())),
-                    par.outcome
-                        .best_cost()
-                        .map(|c| (c.excess, c.bsld_sum.to_bits())),
-                );
-                assert_eq!(
-                    seq.outcome.best.as_ref().map(|(_, p)| p),
-                    par.outcome.best.as_ref().map(|(_, p)| p),
-                );
-            }
-        }
     }
 
     #[test]

@@ -49,10 +49,6 @@ OPTIONS (simulate):
   --knowledge K       actual | requested | predicted (default: actual
                       for --month, requested for --trace)
   --seed N            workload RNG seed
-  --threads N         shard each search across N workers (LDS/DDS
-                      policies; decisions stay bit-identical to N=1)
-  --portfolio         race lds/dds/beam8/greedy per decision with
-                      first-best-wins (replaces --policy)
   --timeline          print an ASCII utilization timeline
   --json              machine-readable output
   --trace-log FILE    write an sbs-trace/v1 JSONL decision log
@@ -64,10 +60,6 @@ OPTIONS (serve):
   --policy NAME       scheduling policy (default dds-lxf-dynb)
   --budget L          search node budget per decision (default 1000)
   --deadline-ms D     per-decision wall-clock search deadline
-  --threads N         shard each search across N workers (LDS/DDS
-                      policies; decisions stay bit-identical to N=1)
-  --portfolio         race lds/dds/beam8/greedy per decision with
-                      first-best-wins (replaces --policy)
   --snapshot FILE     snapshot state to FILE (recovers from it on start)
   --snapshot-every N  auto-snapshot every N decisions (default 16)
   --virtual-clock     time advances only with submitted events (testing)
@@ -134,7 +126,8 @@ OPTIONS (lint):
 OPTIONS (bench-perf):
   --quick             smoke mode: drop the 100K budget, 1 timing repeat
   --repeats N         timed repeats per cell, fastest wins (default 3)
-  --threads N         sweep thread counts {1, N} instead of {1, 4}
+  --threads N         time the portfolio rows at {1, N} workers
+                      instead of {1, 4}
   --portfolio         force the portfolio rows (on by default; --quick
                       drops them)
   --out FILE          where to write the JSON document (default
@@ -208,10 +201,6 @@ pub struct ServeArgs {
     pub budget: u64,
     /// Per-decision wall-clock search deadline, in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Worker threads sharding each search (1 = sequential).
-    pub threads: usize,
-    /// Race the algorithm portfolio instead of a single policy.
-    pub portfolio: bool,
     /// Snapshot file path.
     pub snapshot: Option<String>,
     /// Auto-snapshot cadence in decisions.
@@ -498,10 +487,6 @@ pub struct SimulateArgs {
     pub knowledge: Knowledge,
     /// Workload seed.
     pub seed: Option<u64>,
-    /// Worker threads sharding each search (1 = sequential).
-    pub threads: usize,
-    /// Race the algorithm portfolio instead of a single policy.
-    pub portfolio: bool,
     /// Print the utilization timeline.
     pub timeline: bool,
     /// Emit JSON instead of tables.
@@ -524,7 +509,7 @@ pub enum Knowledge {
 }
 
 /// The policy names `sbs` accepts, with descriptions.
-pub const POLICY_NAMES: [(&str, &str); 12] = [
+pub const POLICY_NAMES: [(&str, &str); 13] = [
     (
         "fcfs-bf",
         "FCFS-backfill (1 reservation) — the max-wait envelope",
@@ -549,6 +534,10 @@ pub const POLICY_NAMES: [(&str, &str); 12] = [
         "DDS + hill-climbing hybrid (30% local budget)",
     ),
     ("beam-lxf-dynb", "beam search (width 16) baseline"),
+    (
+        "port-lxf-dynb",
+        "portfolio race: lds/dds/beam8/greedy per decision, first-best-wins",
+    ),
 ];
 
 /// Resolves a policy name to a buildable spec.
@@ -576,55 +565,16 @@ pub fn policy_by_name(name: &str, budget: u64) -> Option<PolicySpec> {
             local_frac: 0.3,
         },
         "beam-lxf-dynb" => PolicySpec::search_dynb(SearchAlgo::Beam(16), Branching::Lxf, budget),
+        "port-lxf-dynb" => PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, budget),
         _ => return None,
     })
 }
 
-/// Resolves the `--policy`/`--threads`/`--portfolio` flag triple into a
-/// buildable spec.
-///
-/// `--portfolio` replaces the named policy with the lxf/dynB algorithm
-/// race. `--threads N` (N > 1) upgrades the plain LDS/DDS searches to
-/// the deterministic sharded execution — decisions stay bit-identical
-/// to the sequential run — and is rejected for policies whose search
-/// cannot be sharded that way (backfill, beam, hybrids, pruning).
-pub fn resolve_spec(
-    policy: &str,
-    budget: u64,
-    threads: usize,
-    portfolio: bool,
-) -> Result<PolicySpec, String> {
-    if portfolio {
-        return Ok(PolicySpec::Portfolio {
-            branching: Branching::Lxf,
-            bound: TargetBound::Dynamic,
-            node_limit: budget,
-            threads: threads.max(1),
-        });
-    }
-    let spec = policy_by_name(policy, budget)
-        .ok_or_else(|| format!("unknown policy {policy:?} (try `sbs policies`)"))?;
-    if threads <= 1 {
-        return Ok(spec);
-    }
-    match spec {
-        PolicySpec::Search {
-            algo: algo @ (SearchAlgo::Lds | SearchAlgo::Dds),
-            branching,
-            bound,
-            node_limit,
-            prune: false,
-        } => Ok(PolicySpec::ShardedSearch {
-            algo,
-            branching,
-            bound,
-            node_limit,
-            threads,
-        }),
-        _ => Err(format!(
-            "policy {policy:?} does not support --threads (only plain lds/dds searches shard)"
-        )),
-    }
+/// Resolves `--policy NAME` into a buildable spec, or the usage error
+/// naming the unknown policy.
+pub fn resolve_spec(policy: &str, budget: u64) -> Result<PolicySpec, String> {
+    policy_by_name(policy, budget)
+        .ok_or_else(|| format!("unknown policy {policy:?} (try `sbs policies`)"))
 }
 
 /// Parses a raw argument vector.
@@ -648,8 +598,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 scale: 1.0,
                 knowledge: Knowledge::Default,
                 seed: None,
-                threads: 1,
-                portfolio: false,
                 timeline: false,
                 json: false,
                 trace_log: None,
@@ -692,14 +640,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--seed" => {
                         parsed.seed = Some(value()?.parse().map_err(|_| "bad --seed".to_string())?)
                     }
-                    "--threads" => {
-                        parsed.threads =
-                            value()?.parse().map_err(|_| "bad --threads".to_string())?;
-                        if parsed.threads == 0 {
-                            return Err("--threads must be positive".to_string());
-                        }
-                    }
-                    "--portfolio" => parsed.portfolio = true,
                     "--timeline" => parsed.timeline = true,
                     "--json" => parsed.json = true,
                     "--trace-log" => parsed.trace_log = Some(value()?),
@@ -712,12 +652,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if parsed.month.is_some() && parsed.trace.is_some() {
                 return Err("--month and --trace are mutually exclusive".to_string());
             }
-            resolve_spec(
-                &parsed.policy,
-                parsed.budget,
-                parsed.threads,
-                parsed.portfolio,
-            )?;
+            resolve_spec(&parsed.policy, parsed.budget)?;
             Ok(Command::Simulate(parsed))
         }
         "serve" => {
@@ -727,8 +662,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 policy: "dds-lxf-dynb".to_string(),
                 budget: 1_000,
                 deadline_ms: None,
-                threads: 1,
-                portfolio: false,
                 snapshot: None,
                 snapshot_every: 16,
                 virtual_clock: false,
@@ -763,14 +696,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                                 .map_err(|_| "bad --deadline-ms".to_string())?,
                         )
                     }
-                    "--threads" => {
-                        parsed.threads =
-                            value()?.parse().map_err(|_| "bad --threads".to_string())?;
-                        if parsed.threads == 0 {
-                            return Err("--threads must be positive".to_string());
-                        }
-                    }
-                    "--portfolio" => parsed.portfolio = true,
                     "--snapshot" => parsed.snapshot = Some(value()?),
                     "--snapshot-every" => {
                         parsed.snapshot_every = value()?
@@ -795,12 +720,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown flag {other:?}")),
                 }
             }
-            resolve_spec(
-                &parsed.policy,
-                parsed.budget,
-                parsed.threads,
-                parsed.portfolio,
-            )?;
+            resolve_spec(&parsed.policy, parsed.budget)?;
             Ok(Command::Serve(parsed))
         }
         "trace" => {
@@ -1070,12 +990,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown flag {other:?}")),
                 }
             }
-            if policy_by_name(&parsed.policy, parsed.budget).is_none() {
-                return Err(format!(
-                    "unknown policy {:?} (try `sbs policies`)",
-                    parsed.policy
-                ));
-            }
+            resolve_spec(&parsed.policy, parsed.budget)?;
             Ok(Command::ServeFleet(parsed))
         }
         "loadgen" => {
@@ -1585,10 +1500,7 @@ fn trace_cmd(args: TraceArgs) -> Result<String, String> {
 
 fn serve_cmd(args: ServeArgs) -> Result<String, String> {
     use sbs_service::{Daemon, Server, ServiceConfig, VirtualClock, WallClock};
-    let spec = resolve_spec(&args.policy, args.budget, args.threads, args.portfolio)
-        .expect("validated by parse_args");
-    // The banner names the policy actually built: `--portfolio` and
-    // `--threads` change the spec away from the bare `--policy` string.
+    let spec = resolve_spec(&args.policy, args.budget).expect("validated by parse_args");
     let banner = spec.name();
     let mut cfg = ServiceConfig::new(args.capacity, spec);
     if let Some(ms) = args.deadline_ms {
@@ -1752,8 +1664,7 @@ fn load_workload(args: &SimulateArgs) -> Result<Workload, String> {
 
 fn simulate_cmd(args: SimulateArgs) -> Result<String, String> {
     let workload = load_workload(&args)?;
-    let spec =
-        resolve_spec(&args.policy, args.budget, args.threads, args.portfolio).expect("validated");
+    let spec = resolve_spec(&args.policy, args.budget).expect("validated");
     let knowledge = match (args.knowledge, args.trace.is_some()) {
         (Knowledge::Actual, _) => RuntimeKnowledge::Actual,
         (Knowledge::Requested, _) => RuntimeKnowledge::Requested,
@@ -2079,74 +1990,25 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_upgrades_shardable_policies_only() {
-        // threads == 1 leaves every policy untouched.
-        for (name, _) in POLICY_NAMES {
-            assert_eq!(
-                resolve_spec(name, 100, 1, false).expect(name),
-                policy_by_name(name, 100).expect(name),
-            );
+    fn thread_and_portfolio_flags_are_gone_from_sim_and_serve() {
+        // A policy has no worker-count knob (SBS_THREADS pins the
+        // process), and the race is a policy name like any other.
+        for line in [
+            "sim --month 9/03 --threads 4",
+            "serve --threads 2",
+            "sim --month 9/03 --portfolio",
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains("unknown flag"), "{line}: {err}");
         }
-        // Plain LDS/DDS searches shard; the spec keeps the budget and
-        // branching and only records the thread count.
-        let spec = resolve_spec("dds-lxf-dynb", 500, 4, false).expect("shardable");
         assert_eq!(
-            spec,
-            PolicySpec::ShardedSearch {
-                algo: SearchAlgo::Dds,
-                branching: Branching::Lxf,
-                bound: TargetBound::Dynamic,
-                node_limit: 500,
-                threads: 4,
-            }
+            resolve_spec("port-lxf-dynb", 700).expect("listed"),
+            PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, 700),
         );
-        assert!(matches!(
-            resolve_spec("lds-fcfs-dynb", 100, 2, false),
-            Ok(PolicySpec::ShardedSearch {
-                algo: SearchAlgo::Lds,
-                ..
-            })
-        ));
-        // Backfill, beam and hybrid policies refuse --threads rather
-        // than silently running sequentially.
-        for name in ["fcfs-bf", "beam-lxf-dynb", "dds-lxf-dynb-hc"] {
-            let err = resolve_spec(name, 100, 4, false).expect_err(name);
-            assert!(err.contains("--threads"), "{err}");
-        }
-        assert!(resolve_spec("bogus", 100, 1, false).is_err());
-    }
+        assert!(parse("serve --policy port-lxf-dynb").is_ok());
+        assert!(resolve_spec("bogus", 100).is_err());
 
-    #[test]
-    fn portfolio_flag_overrides_the_policy_name() {
-        let spec = resolve_spec("fcfs-bf", 700, 4, true).expect("portfolio");
-        assert_eq!(
-            spec,
-            PolicySpec::Portfolio {
-                branching: Branching::Lxf,
-                bound: TargetBound::Dynamic,
-                node_limit: 700,
-                threads: 4,
-            }
-        );
-        assert_eq!(spec.name(), "PORT/lxf/dynB");
-    }
-
-    #[test]
-    fn parses_threads_and_portfolio_flags() {
-        let Command::Simulate(a) =
-            parse("sim --month 9/03 --threads 4 --portfolio").expect("parse")
-        else {
-            panic!("not simulate")
-        };
-        assert_eq!(a.threads, 4);
-        assert!(a.portfolio);
-
-        let Command::Serve(s) = parse("serve --threads 2").expect("parse") else {
-            panic!("not serve")
-        };
-        assert_eq!(s.threads, 2);
-        assert!(!s.portfolio);
-
+        // bench-perf keeps both: they size its portfolio rows.
         let Command::BenchPerf(b) =
             parse("bench-perf --quick --threads 8 --portfolio").expect("parse")
         else {
@@ -2154,51 +2016,24 @@ mod tests {
         };
         assert_eq!(b.threads, Some(8));
         assert!(b.portfolio);
-
-        assert!(parse("sim --month 9/03 --threads 0").is_err());
-        assert!(parse("serve --threads 0").is_err());
         assert!(parse("bench-perf --threads 0").is_err());
-        assert!(
-            parse("sim --month 9/03 --policy fcfs-bf --threads 4").is_err(),
-            "backfill cannot shard"
-        );
-        assert!(
-            parse("serve --policy fcfs-bf --portfolio").is_ok(),
-            "--portfolio replaces the policy, so any name passes"
-        );
     }
 
     #[test]
-    fn simulate_runs_sharded_and_portfolio_end_to_end() {
-        let base = parse("sim --month 9/03 --scale 0.03 --budget 200 --json").expect("parse");
-        let sharded =
-            parse("sim --month 9/03 --scale 0.03 --budget 200 --threads 4 --json").expect("parse");
-        let a: serde_json::Value =
-            serde_json::from_str(&run(base).expect("sequential")).expect("json");
-        let b: serde_json::Value =
-            serde_json::from_str(&run(sharded).expect("sharded")).expect("json");
-        // Every outcome field is identical; only the wall-clock timing
-        // field (policy_ms_per_decision) may differ between runs.
-        for key in [
-            "policy",
-            "jobs",
-            "utilization",
-            "avg_wait_h",
-            "max_wait_h",
-            "avg_bounded_slowdown",
-            "avg_queue_length",
-            "p98_wait_h",
-            "excess_vs_p98_total_h",
-            "decisions",
-        ] {
-            assert_eq!(a[key], b[key], "sharded simulate differs on {key}");
-        }
-
+    fn simulate_runs_the_portfolio_policy_end_to_end() {
         let port =
-            parse("sim --month 9/03 --scale 0.03 --budget 200 --portfolio --json").expect("parse");
-        let out = run(port).expect("portfolio");
-        let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
+            parse("sim --month 9/03 --scale 0.03 --budget 200 --policy port-lxf-dynb --json")
+                .expect("parse");
+        let v: serde_json::Value =
+            serde_json::from_str(&run(port).expect("portfolio")).expect("valid json");
+        // The race is deterministic at any worker count, so its
+        // schedule on this slice is pinned outright.
         assert_eq!(v["policy"], "PORT/lxf/dynB");
+        assert_eq!(v["jobs"].as_u64(), Some(90));
+        assert_eq!(v["decisions"].as_u64(), Some(267));
+        assert_eq!(v["avg_wait_h"].as_f64(), Some(1.0195617283950618));
+        assert_eq!(v["max_wait_h"].as_f64(), Some(10.552222222222222));
+        assert_eq!(v["avg_bounded_slowdown"].as_f64(), Some(3.12960704293012));
     }
 
     #[test]

@@ -55,15 +55,12 @@
 
 pub mod experiment;
 pub mod objective;
-pub mod parallel;
 pub mod policy;
-pub mod portfolio;
 pub mod schedule;
 pub mod spec;
 
 pub use objective::{FairshareObjective, Objective, ObjectiveCost, TargetBound};
 pub use policy::{Branching, SearchAlgo, SearchPolicy, SearchTotals};
-pub use portfolio::PortfolioPolicy;
 pub use schedule::ScheduleProblem;
 pub use spec::PolicySpec;
 
@@ -72,7 +69,6 @@ pub mod prelude {
     pub use crate::experiment::{LoadLevel, RunResult, Scenario};
     pub use crate::objective::{Objective, ObjectiveCost, TargetBound};
     pub use crate::policy::{Branching, SearchAlgo, SearchPolicy};
-    pub use crate::portfolio::PortfolioPolicy;
     pub use crate::spec::PolicySpec;
     pub use sbs_backfill::{
         fcfs_backfill, lxf_backfill, sjf_backfill, BackfillPolicy, PriorityOrder,

@@ -10,8 +10,8 @@ use crate::objective::{HierarchicalObjective, Objective, TargetBound};
 use crate::schedule::ScheduleProblem;
 use sbs_backfill::PriorityOrder;
 use sbs_dsearch::{
-    beam, dds, dds_sharded, greedy, hill_climb, lds, lds_sharded, random_sampling, SearchConfig,
-    ShardSpan,
+    beam, dds, greedy, hill_climb, lds, portfolio, random_sampling, SearchConfig, SearchStats,
+    DEFAULT_MEMBERS,
 };
 use sbs_obs::{PolicyTrace, SearchTrace, SpanStack};
 use sbs_sim::policy::{Policy, SchedContext};
@@ -22,7 +22,9 @@ use std::sync::Arc;
 ///
 /// The paper's policies use the two complete discrepancy searches; the
 /// incomplete `Random` and `Beam` baselines exist for the
-/// `ablate-random` comparison ("is systematic search worth it?").
+/// `ablate-random` comparison ("is systematic search worth it?"), and
+/// `Portfolio` is the one parallel mechanism: whole searches raced on
+/// whole threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchAlgo {
     /// Limited discrepancy search (exactly-k iterations).
@@ -33,16 +35,23 @@ pub enum SearchAlgo {
     Random,
     /// Width-bounded beam search (incomplete baseline).
     Beam(u32),
+    /// Race of [`DEFAULT_MEMBERS`] (LDS, DDS, beam-8, greedy) — `L`
+    /// nodes each, one shared deadline, first-best-wins — one member
+    /// per worker thread up to `rayon::max_threads()` (`SBS_THREADS`
+    /// pins it).  The decision is the same at any worker count.
+    Portfolio,
 }
 
 impl SearchAlgo {
-    /// Paper-style label (`LDS`/`DDS`; `RND`/`BEAMw` for the baselines).
+    /// Paper-style label (`LDS`/`DDS`; `RND`/`BEAMw` for the baselines,
+    /// `PORT` for the portfolio race).
     pub fn label(&self) -> String {
         match self {
             SearchAlgo::Lds => "LDS".into(),
             SearchAlgo::Dds => "DDS".into(),
             SearchAlgo::Random => "RND".into(),
             SearchAlgo::Beam(w) => format!("BEAM{w}"),
+            SearchAlgo::Portfolio => "PORT".into(),
         }
     }
 }
@@ -122,16 +131,9 @@ pub struct SearchPolicy {
     /// Optional per-decision wall-clock deadline (anytime stop); used by
     /// the online daemon where decisions must land in bounded real time.
     pub deadline: Option<std::time::Duration>,
-    /// Worker threads for the deterministic sharded search (LDS/DDS
-    /// only).  The result is **bit-identical to the sequential search at
-    /// any thread count**; 1 = run sequentially.  Pruning depends on the
-    /// global incumbent, so `prune` + `threads > 1` silently runs
-    /// sequentially.
-    pub threads: usize,
     objective: Arc<dyn Objective>,
     totals: SearchTotals,
     tracing: bool,
-    shard_spans: bool,
     last_trace: Option<PolicyTrace>,
     /// Correlation id handed down by the engine before each decision
     /// (`0` in batch simulation, so offline traces are unchanged).
@@ -155,11 +157,9 @@ impl SearchPolicy {
             prune: false,
             local_frac: 0.0,
             deadline: None,
-            threads: 1,
             objective: Arc::new(HierarchicalObjective),
             totals: SearchTotals::default(),
             tracing: false,
-            shard_spans: false,
             last_trace: None,
             corr: 0,
         }
@@ -207,25 +207,6 @@ impl SearchPolicy {
         self
     }
 
-    /// Shards each decision's LDS/DDS iteration across `threads` workers
-    /// ([`sbs_dsearch::parallel`]).  Deterministic: starts, metrics and
-    /// traces are bit-identical to the sequential policy at any thread
-    /// count.  Ignored (sequential) for the incomplete baselines and
-    /// when pruning is on.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "thread count must be positive");
-        self.threads = threads;
-        self
-    }
-
-    /// Adds one span per executed shard to [`PolicyTrace::spans`]
-    /// (`decide;search;w<wave>s<shard>`).  Off by default so trace logs
-    /// stay byte-identical to the sequential policy's.
-    pub fn with_shard_spans(mut self, on: bool) -> Self {
-        self.shard_spans = on;
-        self
-    }
-
     /// Cumulative search statistics so far.
     pub fn totals(&self) -> SearchTotals {
         self.totals
@@ -255,14 +236,18 @@ impl Policy for SearchPolicy {
         let omega = self.bound.resolve(ctx);
         let order = self.branching.order(ctx);
         let profile = ctx.profile();
-        let mut problem = ScheduleProblem::new(
-            ctx.queue,
-            ctx.now,
-            profile.clone(),
-            order.clone(),
-            omega,
-            Arc::clone(&self.objective),
-        );
+        let objective = &self.objective;
+        let make = || {
+            ScheduleProblem::new(
+                ctx.queue,
+                ctx.now,
+                profile.clone(),
+                order.clone(),
+                omega,
+                Arc::clone(objective),
+            )
+        };
+        let mut problem = make();
         let tree_budget = ((self.node_limit as f64) * (1.0 - self.local_frac))
             .round()
             .max(1.0) as u64;
@@ -271,46 +256,24 @@ impl Policy for SearchPolicy {
             deadline: self.deadline,
             prune: self.prune,
             record_leaves: false,
-            record_improvements: false,
         };
-        // Pruning consults the global incumbent mid-iteration, which the
-        // bit-identical shard decomposition cannot reproduce, so `prune`
-        // keeps the search sequential.
-        let use_sharded = self.threads > 1
-            && !self.prune
-            && matches!(self.algo, SearchAlgo::Lds | SearchAlgo::Dds);
-        let mut shard_spans: Vec<ShardSpan> = Vec::new();
-        let outcome = if use_sharded {
-            let queue = ctx.queue;
-            let now = ctx.now;
-            let objective = &self.objective;
-            let factory = || {
-                ScheduleProblem::new(
-                    queue,
-                    now,
-                    profile.clone(),
-                    order.clone(),
-                    omega,
-                    Arc::clone(objective),
-                )
-            };
-            let sharded = match self.algo {
-                SearchAlgo::Lds => lds_sharded(factory, cfg, self.threads),
-                _ => dds_sharded(factory, cfg, self.threads),
-            };
-            shard_spans = sharded.spans;
-            sharded.outcome
-        } else {
-            match self.algo {
-                SearchAlgo::Lds => lds(&mut problem, cfg),
-                SearchAlgo::Dds => dds(&mut problem, cfg),
-                SearchAlgo::Random => {
-                    // Deterministic per-decision seed: mix the decision index
-                    // so repeated runs of a workload are identical.
-                    let seed = 0x5eed ^ (self.totals.decisions.wrapping_mul(0x9e37_79b9));
-                    random_sampling(&mut problem, cfg, seed)
-                }
-                SearchAlgo::Beam(w) => beam(&mut problem, w as usize, cfg),
+        // Set by the portfolio arm only, for the trace: the winner's
+        // index and every member's label and stats.
+        let mut race: Option<(usize, Vec<(String, SearchStats)>)> = None;
+        let outcome = match self.algo {
+            SearchAlgo::Lds => lds(&mut problem, cfg),
+            SearchAlgo::Dds => dds(&mut problem, cfg),
+            SearchAlgo::Random => {
+                // Deterministic per-decision seed: mix the decision index
+                // so repeated runs of a workload are identical.
+                let seed = 0x5eed ^ (self.totals.decisions.wrapping_mul(0x9e37_79b9));
+                random_sampling(&mut problem, cfg, seed)
+            }
+            SearchAlgo::Beam(w) => beam(&mut problem, w as usize, cfg),
+            SearchAlgo::Portfolio => {
+                let raced = portfolio(make, &DEFAULT_MEMBERS, cfg, rayon::max_threads());
+                race = Some((raced.winner, raced.member_stats));
+                raced.outcome
             }
         };
         let mut stats = outcome.stats;
@@ -368,11 +331,9 @@ impl Policy for SearchPolicy {
             let mut spans = SpanStack::new();
             spans.enter("decide");
             spans.enter("search");
-            if self.shard_spans {
-                for s in &shard_spans {
-                    spans.enter(format!("w{}s{}", s.wave, s.shard));
-                    spans.exit(s.nodes);
-                }
+            for (label, member) in race.iter().flat_map(|(_, members)| members) {
+                spans.enter(label.clone());
+                spans.exit(member.nodes);
             }
             if local_nodes > 0 {
                 spans.enter("local");
@@ -388,9 +349,13 @@ impl Policy for SearchPolicy {
             while leaf_iters.last() == Some(&0) {
                 leaf_iters.pop();
             }
+            let algo = match &race {
+                Some((winner, members)) => format!("PORT[{}]", members[*winner].0),
+                None => self.algo.label(),
+            };
             self.last_trace = Some(PolicyTrace {
                 search: Some(SearchTrace {
-                    algo: self.algo.label(),
+                    algo,
                     branching: self.branching.label().to_string(),
                     omega,
                     budget: tree_budget,
@@ -661,6 +626,94 @@ mod tests {
             "fallback span recorded: {:?}",
             trace.spans
         );
+    }
+
+    fn port(node_limit: u64) -> SearchPolicy {
+        SearchPolicy::new(
+            SearchAlgo::Portfolio,
+            Branching::Lxf,
+            TargetBound::Dynamic,
+            node_limit,
+        )
+    }
+
+    #[test]
+    fn portfolio_name_encodes_configuration() {
+        assert_eq!(port(1_000).name(), "PORT/lxf/dynB");
+    }
+
+    #[test]
+    fn portfolio_tracing_reports_winner_and_member_spans() {
+        let q = [
+            waiting(0, 0, 4, 4 * HOUR),
+            waiting(1, 0, 1, HOUR),
+            waiting(2, 0, 1, HOUR),
+        ];
+        let ctx = SchedContext {
+            now: 0,
+            capacity: 4,
+            free_nodes: 4,
+            queue: &q,
+            running: &[],
+        };
+        let mut p = port(5_000);
+        p.set_tracing(true);
+        let _ = p.decide(&ctx);
+        let trace = p.take_trace().expect("trace recorded while tracing");
+        let search = trace.search.expect("the race records a search");
+        assert!(search.algo.starts_with("PORT["), "algo = {}", search.algo);
+        assert_eq!(search.branching, "lxf");
+        assert!(search.nodes > 0 && search.leaves > 0);
+        // One child span per member inside decide;search, then the
+        // search span itself carrying the merged node count.
+        let member_spans: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|(path, _)| path.starts_with("decide;search;"))
+            .collect();
+        assert_eq!(member_spans.len(), DEFAULT_MEMBERS.len());
+        let member_total: u64 = member_spans.iter().map(|(_, w)| w).sum();
+        assert_eq!(member_total, search.nodes);
+        assert!(trace
+            .spans
+            .iter()
+            .any(|(path, w)| path == "decide;search" && *w == search.nodes));
+        assert_eq!(p.totals().decisions, 1);
+        assert_eq!(p.totals().nodes, search.nodes);
+    }
+
+    #[test]
+    fn portfolio_tiny_budget_falls_back_to_greedy() {
+        let q: Vec<WaitingJob> = (0..6).map(|i| waiting(i, 0, 1, HOUR)).collect();
+        let mut p = port(2); // < queue length: not even greedy completes
+        let ctx = SchedContext {
+            now: 0,
+            capacity: 8,
+            free_nodes: 8,
+            queue: &q,
+            running: &[],
+        };
+        let starts = p.decide(&ctx);
+        assert_eq!(starts.len(), 6, "greedy fallback still schedules");
+        assert_eq!(p.totals().fallbacks, 1);
+    }
+
+    #[test]
+    fn portfolio_policy_completes_and_is_run_to_run_identical() {
+        let w = random_workload(
+            RandomWorkloadCfg {
+                jobs: 120,
+                ..Default::default()
+            },
+            11,
+        );
+        let starts = |r: &sbs_sim::SimResult| -> Vec<_> {
+            r.records.iter().map(|r| (r.id, r.start)).collect()
+        };
+        let a = run(port(800), &w);
+        assert_eq!(a.records.len(), w.jobs.len());
+        let b = run(port(800), &w);
+        assert_eq!(starts(&a), starts(&b));
     }
 
     #[test]

@@ -43,9 +43,6 @@ pub struct ScheduleProblem<'a> {
     objective: Arc<dyn Objective>,
     /// Queue indices in branching-heuristic order (best first).
     order: Vec<u32>,
-    /// Restrict the root decision to this subset of `order` (used by the
-    /// parallel root-split search); deeper decisions are unrestricted.
-    root_subset: Option<Vec<u32>>,
     used: Vec<bool>,
     /// Doubly-linked list over *positions in `order`* of the unplaced
     /// jobs, with sentinel `order.len()`.  Gives O(1) heuristic-branch
@@ -119,7 +116,6 @@ impl<'a> ScheduleProblem<'a> {
             omega,
             objective,
             order,
-            root_subset: None,
             used: vec![false; n],
             next,
             prev,
@@ -137,13 +133,6 @@ impl<'a> ScheduleProblem<'a> {
     /// u32 in [`Self::new`], so the fallback never triggers).
     fn sentinel(&self) -> u32 {
         u32::try_from(self.order.len()).unwrap_or(u32::MAX)
-    }
-
-    /// Restricts the root branch set (parallel root-splitting); `subset`
-    /// must be a subsequence of the heuristic order.
-    pub fn with_root_subset(mut self, subset: Vec<u32>) -> Self {
-        self.root_subset = Some(subset);
-        self
     }
 
     /// The placements of the current path, in consideration order.
@@ -176,12 +165,6 @@ impl SearchProblem for ScheduleProblem<'_> {
     type Cost = ObjectiveCost;
 
     fn branches(&self, out: &mut Vec<u32>) {
-        if self.placed.is_empty() {
-            if let Some(subset) = &self.root_subset {
-                out.extend(subset.iter().copied().filter(|&j| !self.used[j as usize]));
-                return;
-            }
-        }
         // Walk the unplaced linked list in heuristic order.
         let sentinel = self.sentinel();
         let mut pos = self.next[sentinel as usize];
@@ -251,34 +234,13 @@ impl SearchProblem for ScheduleProblem<'_> {
     }
 
     fn branch_count(&self) -> usize {
-        if self.placed.is_empty() {
-            if let Some(subset) = &self.root_subset {
-                return subset.iter().filter(|&&j| !self.used[j as usize]).count();
-            }
-        }
         self.order.len() - self.placed.len()
     }
 
     fn heuristic_branch(&self) -> Option<u32> {
-        if self.placed.is_empty() {
-            if let Some(subset) = &self.root_subset {
-                return subset.iter().copied().find(|&j| !self.used[j as usize]);
-            }
-        }
         let sentinel = self.sentinel();
         let first = self.next[sentinel as usize];
         (first != sentinel).then(|| self.order[first as usize])
-    }
-
-    /// The ordering tree is a uniform permutation tree (every node at a
-    /// depth has the same branch count, one fewer per level) — except
-    /// under a root subset, which breaks uniformity at the root, so the
-    /// parallel driver must fall back to its conservative plan there.
-    fn uniform_arity(&self) -> Option<usize> {
-        if self.root_subset.is_some() {
-            return None;
-        }
-        Some(self.order.len() - self.placed.len())
     }
 }
 
@@ -437,25 +399,6 @@ mod tests {
         assert!((full_best.bsld_sum - pruned_best.bsld_sum).abs() < 1e-9);
         assert!(pruned.stats.pruned > 0, "bound never fired");
         assert!(pruned.stats.nodes < full.stats.nodes);
-    }
-
-    #[test]
-    fn root_subset_restricts_only_the_root() {
-        let jobs = [
-            waiting(0, 0, 1, HOUR),
-            waiting(1, 0, 1, HOUR),
-            waiting(2, 0, 1, HOUR),
-        ];
-        let mut p = problem(&jobs, 0, 4, 0).with_root_subset(vec![2]);
-        let out = dfs(
-            &mut p,
-            SearchConfig {
-                record_leaves: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.leaves.len(), 2); // 2 orderings below root=2
-        assert!(out.leaves.iter().all(|l| l[0] == 2));
     }
 
     proptest! {

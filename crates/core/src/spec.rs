@@ -6,9 +6,7 @@
 //! driven by plain data.
 
 use crate::objective::TargetBound;
-use crate::parallel::ParallelSearchPolicy;
 use crate::policy::{Branching, SearchAlgo, SearchPolicy};
-use crate::portfolio::PortfolioPolicy;
 use sbs_backfill::{BackfillPolicy, PriorityOrder, SelectiveBackfill};
 use sbs_sim::Policy;
 use sbs_workload::time::Time;
@@ -36,7 +34,8 @@ pub enum PolicySpec {
     },
     /// A search-based policy (Section 2.3).
     Search {
-        /// LDS or DDS.
+        /// LDS or DDS; an incomplete baseline or the portfolio race
+        /// (extensions).
         algo: SearchAlgo,
         /// fcfs or lxf branching.
         branching: Branching,
@@ -61,47 +60,6 @@ pub enum PolicySpec {
         node_limit: u64,
         /// Fraction of the budget reserved for hill climbing.
         local_frac: f64,
-    },
-    /// Root-split parallel search (extension).
-    ParallelSearch {
-        /// LDS or DDS.
-        algo: SearchAlgo,
-        /// fcfs or lxf branching.
-        branching: Branching,
-        /// Fixed or dynamic target bound.
-        bound: TargetBound,
-        /// Total node budget per decision point.
-        node_limit: u64,
-        /// Worker thread count.
-        workers: usize,
-    },
-    /// Deterministic sharded search (extension): same decisions as
-    /// [`PolicySpec::Search`] bit-for-bit, the discrepancy tree of each
-    /// iteration sharded across `threads` workers.
-    ShardedSearch {
-        /// LDS or DDS (the sharded decomposition covers the complete
-        /// discrepancy searches).
-        algo: SearchAlgo,
-        /// fcfs or lxf branching.
-        branching: Branching,
-        /// Fixed or dynamic target bound.
-        bound: TargetBound,
-        /// Node budget per decision point.
-        node_limit: u64,
-        /// Worker thread count (1 = sequential).
-        threads: usize,
-    },
-    /// Algorithm portfolio (extension): race LDS, DDS, beam-8 and
-    /// greedy per decision under first-best-wins.
-    Portfolio {
-        /// fcfs or lxf branching.
-        branching: Branching,
-        /// Fixed or dynamic target bound.
-        bound: TargetBound,
-        /// Node budget per member per decision point.
-        node_limit: u64,
-        /// Worker thread count racing the members.
-        threads: usize,
     },
 }
 
@@ -159,13 +117,6 @@ impl PolicySpec {
             } => Some(
                 SearchPolicy::new(algo, branching, bound, node_limit).with_local_search(local_frac),
             ),
-            PolicySpec::ShardedSearch {
-                algo,
-                branching,
-                bound,
-                node_limit,
-                threads,
-            } => Some(SearchPolicy::new(algo, branching, bound, node_limit).with_threads(threads)),
             _ => None,
         }
     }
@@ -190,24 +141,7 @@ impl PolicySpec {
                 order,
                 reservations,
             } => Box::new(BackfillPolicy::new(order, reservations)),
-            PolicySpec::ParallelSearch {
-                algo,
-                branching,
-                bound,
-                node_limit,
-                workers,
-            } => Box::new(ParallelSearchPolicy::new(
-                algo, branching, bound, node_limit, workers,
-            )),
-            PolicySpec::Portfolio {
-                branching,
-                bound,
-                node_limit,
-                threads,
-            } => Box::new(PortfolioPolicy::new(branching, bound, node_limit, threads)),
-            PolicySpec::Search { .. }
-            | PolicySpec::HybridSearch { .. }
-            | PolicySpec::ShardedSearch { .. } => {
+            PolicySpec::Search { .. } | PolicySpec::HybridSearch { .. } => {
                 unreachable!("handled by build_search")
             }
         }
@@ -263,34 +197,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_search_builds_the_same_policy_name_as_sequential() {
-        // Sharding is an execution detail, not a different policy: the
-        // name (and, per the determinism suite, every decision) matches
-        // the sequential spec.
-        let sharded = PolicySpec::ShardedSearch {
-            algo: SearchAlgo::Dds,
-            branching: Branching::Lxf,
-            bound: TargetBound::Dynamic,
-            node_limit: 1_000,
-            threads: 4,
-        };
-        assert_eq!(sharded.name(), "DDS/lxf/dynB");
-        let policy = sharded.build_search().expect("sharded is a search spec");
-        assert_eq!(policy.threads, 4);
-    }
-
-    #[test]
     fn portfolio_spec_builds() {
-        let spec = PolicySpec::Portfolio {
-            branching: Branching::Lxf,
-            bound: TargetBound::Dynamic,
-            node_limit: 1_000,
-            threads: 4,
-        };
+        let spec = PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, 1_000);
         assert_eq!(spec.name(), "PORT/lxf/dynB");
         assert!(
-            spec.build_search().is_none(),
-            "portfolio is not a SearchPolicy"
+            spec.build_search().is_some(),
+            "the portfolio race is a SearchPolicy, so callers can read its totals"
         );
     }
 

@@ -72,10 +72,7 @@ pub(crate) fn dds_with_timer<P: SearchProblem>(
 
 /// Explores the iteration-`i` paths below the cursor; `decision` is the
 /// 1-based index of the next decision on the current path.
-///
-/// `pub(crate)` so the parallel driver can run the same probe at a
-/// shard's prefix node.
-pub(crate) fn probe<P: SearchProblem>(
+fn probe<P: SearchProblem>(
     driver: &mut Driver<'_, P>,
     decision: usize,
     i: usize,

@@ -133,13 +133,7 @@ fn probe_at_most<P: SearchProblem>(
 
 /// Explores all paths below the cursor that consume exactly `k` more
 /// discrepancies.
-///
-/// `pub(crate)` so the parallel driver can run the same probe at a
-/// shard's prefix node.
-pub(crate) fn probe<P: SearchProblem>(
-    driver: &mut Driver<'_, P>,
-    k: usize,
-) -> Result<(), BudgetExhausted> {
+fn probe<P: SearchProblem>(driver: &mut Driver<'_, P>, k: usize) -> Result<(), BudgetExhausted> {
     if k == 0 {
         // No discrepancies left: follow the heuristic branch straight to
         // the leaf.  O(1) per node for problems with fast accessors —
@@ -186,9 +180,7 @@ pub(crate) fn probe<P: SearchProblem>(
 
 /// Follows the heuristic branch to the leaf below the cursor, visits it,
 /// and unwinds.
-pub(crate) fn heuristic_tail<P: SearchProblem>(
-    driver: &mut Driver<'_, P>,
-) -> Result<(), BudgetExhausted> {
+fn heuristic_tail<P: SearchProblem>(driver: &mut Driver<'_, P>) -> Result<(), BudgetExhausted> {
     let mut depth = 0usize;
     let mut result = Ok(());
     loop {

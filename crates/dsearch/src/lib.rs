@@ -38,7 +38,6 @@ pub mod deadline;
 pub mod dfs;
 pub mod lds;
 pub mod local;
-pub mod parallel;
 pub mod permutation;
 pub mod portfolio;
 pub mod problem;
@@ -50,10 +49,9 @@ pub use dds::dds;
 pub use dfs::{dfs, greedy};
 pub use lds::{lds, lds_original};
 pub use local::hill_climb;
-pub use parallel::{dds_sharded, lds_sharded, ShardSpan, ShardedOutcome};
 pub use portfolio::{portfolio, PortfolioMember, PortfolioOutcome, DEFAULT_MEMBERS};
 pub use problem::{
-    Budget, Improvement, SearchConfig, SearchOutcome, SearchProblem, SearchStats,
-    DEADLINE_CHECK_INTERVAL, LEAF_ITER_BUCKETS,
+    Budget, SearchConfig, SearchOutcome, SearchProblem, SearchStats, DEADLINE_CHECK_INTERVAL,
+    LEAF_ITER_BUCKETS,
 };
 pub use random::random_sampling;

@@ -94,7 +94,6 @@ pub fn hill_climb<P: SearchProblem>(
         best: Some((best_cost, best)),
         stats,
         leaves: Vec::new(),
-        improvement_log: Vec::new(),
     }
 }
 

@@ -229,12 +229,6 @@ impl SearchProblem for PermutationProblem {
     fn heuristic_branch(&self) -> Option<usize> {
         self.remaining.first().copied()
     }
-
-    /// Permutation trees are uniform by construction: every node at a
-    /// given depth has the same number of branches, one fewer per level.
-    fn uniform_arity(&self) -> Option<usize> {
-        Some(self.remaining.len())
-    }
 }
 
 #[cfg(test)]

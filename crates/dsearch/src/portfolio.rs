@@ -304,6 +304,23 @@ mod tests {
     }
 
     #[test]
+    fn single_member_portfolio_matches_the_plain_search() {
+        // With the member list pinned to [Dds] the race *is* plain DDS:
+        // same incumbent, same counters, at any worker count.
+        let cfg = SearchConfig::with_limit(600);
+        let plain = dds(&mut mk(), cfg);
+        for threads in [1usize, 4] {
+            let out = portfolio(mk, &[PortfolioMember::Dds], cfg, threads);
+            assert_eq!(out.winner, 0);
+            assert_eq!(out.outcome.stats, plain.stats, "threads={threads}");
+            let (pc, pp) = plain.best.as_ref().expect("plain leaf");
+            let (oc, op) = out.outcome.best.as_ref().expect("portfolio leaf");
+            assert_eq!(pc.to_bits(), oc.to_bits());
+            assert_eq!(pp, op);
+        }
+    }
+
+    #[test]
     fn ties_resolve_to_the_earlier_member() {
         // Constant cost: every member finds cost 0; LDS (index 0) wins.
         let flat = || PermutationProblem::constant(5);

@@ -73,22 +73,6 @@ pub trait SearchProblem {
         self.branches(&mut buf);
         buf.first().copied()
     }
-
-    /// For *uniform permutation trees* — every node at the current
-    /// cursor's depth has exactly `branch_count()` branches, every child
-    /// one fewer, down to leaves — returns `Some(branch_count())`; any
-    /// other shape returns `None` (the default).
-    ///
-    /// The parallel driver ([`crate::parallel`]) uses this to compute
-    /// exact shard sizes in closed form, which is what lets it hand each
-    /// shard the same node allowance the sequential search would have
-    /// spent there (bit-identical budget cuts).  When this returns
-    /// `None` the parallel driver falls back to a conservative plan
-    /// that is still deterministic but re-runs one shard on a budget
-    /// cut.
-    fn uniform_arity(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// A per-decision search budget: a node limit, a wall-clock deadline, or
@@ -154,12 +138,6 @@ pub struct SearchConfig {
     /// Enable branch-and-bound pruning via
     /// [`SearchProblem::prune_bound`].
     pub prune: bool,
-    /// Record every incumbent adoption in
-    /// [`SearchOutcome::improvement_log`].  The parallel driver turns
-    /// this on for shard runs so the global merge can replay the exact
-    /// sequential improvement sequence; keep off otherwise (it clones
-    /// the leaf path per improvement).
-    pub record_improvements: bool,
 }
 
 impl SearchConfig {
@@ -236,27 +214,6 @@ pub struct SearchStats {
     pub trace_id: u64,
 }
 
-/// One incumbent adoption, recorded when
-/// [`SearchConfig::record_improvements`] is set.
-///
-/// The fields mirror what [`Driver::visit_leaf`] writes into
-/// [`SearchStats`] on adoption, so a later pass (the shard merge in
-/// [`crate::parallel`]) can reconstruct the sequential stats exactly.
-#[derive(Debug, Clone)]
-pub struct Improvement<B, C> {
-    /// Cost of the adopted leaf.
-    pub cost: C,
-    /// Root-to-leaf branch path of the adopted leaf.
-    pub path: Vec<B>,
-    /// Local node count at the moment of adoption.
-    pub nodes: u64,
-    /// `stats.iterations` at the moment of adoption (the discrepancy
-    /// parameter during an LDS/DDS probe).
-    pub iteration: u32,
-    /// Depth (path length) of the adopted leaf.
-    pub depth: u32,
-}
-
 /// Result of a search: the best leaf found (cost and root-to-leaf branch
 /// path) plus statistics.
 #[derive(Debug, Clone)]
@@ -268,9 +225,6 @@ pub struct SearchOutcome<B, C> {
     /// Paths of all evaluated leaves in visit order, when
     /// [`SearchConfig::record_leaves`] was set.
     pub leaves: Vec<Vec<B>>,
-    /// Every incumbent adoption in visit order, when
-    /// [`SearchConfig::record_improvements`] was set.
-    pub improvement_log: Vec<Improvement<B, C>>,
 }
 
 impl<B, C> SearchOutcome<B, C> {
@@ -279,7 +233,6 @@ impl<B, C> SearchOutcome<B, C> {
             best: None,
             stats: SearchStats::default(),
             leaves: Vec::new(),
-            improvement_log: Vec::new(),
         }
     }
 
@@ -317,10 +270,10 @@ impl<'a, P: SearchProblem> Driver<'a, P> {
 
     /// Like [`Driver::new`] but with an externally armed deadline timer.
     ///
-    /// The parallel and portfolio drivers arm **one** timer at search
-    /// start and inject the same (`Copy`) value into every shard or
-    /// member, so all of them share a single expiry instant instead of
-    /// each restarting the clock.
+    /// The portfolio driver arms **one** timer at search start and
+    /// injects the same (`Copy`) value into every member, so all of
+    /// them share a single expiry instant instead of each restarting
+    /// the clock.
     pub fn with_timer(
         problem: &'a mut P,
         cfg: SearchConfig,
@@ -427,15 +380,6 @@ impl<'a, P: SearchProblem> Driver<'a, P> {
             stats.nodes_to_best = stats.nodes;
             stats.best_iteration = stats.iterations;
             stats.best_depth = u32::try_from(self.path.len()).unwrap_or(u32::MAX);
-            if self.cfg.record_improvements {
-                self.outcome.improvement_log.push(Improvement {
-                    cost: cost.clone(),
-                    path: self.path.clone(),
-                    nodes: stats.nodes,
-                    iteration: stats.iterations,
-                    depth: stats.best_depth,
-                });
-            }
             self.outcome.best = Some((cost, self.path.clone()));
         }
     }

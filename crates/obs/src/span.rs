@@ -21,7 +21,7 @@ impl SpanStack {
     }
 
     /// Opens a nested span named `name`.  Owned names allow dynamic
-    /// labels (e.g. per-shard `w<wave>s<shard>` spans).
+    /// labels (e.g. one span per portfolio member).
     pub fn enter(&mut self, name: impl Into<String>) {
         self.stack.push(name.into());
     }

