@@ -64,7 +64,6 @@ OPTIONS (serve):
   --snapshot-every N  auto-snapshot every N decisions (default 16)
   --virtual-clock     time advances only with submitted events (testing)
   --trace-log FILE    append an sbs-trace/v1 JSONL decision log
-  --compat-metrics    serve the legacy all-gauge /metrics text
   --event-log FILE    append an sbs-events/v1 JSONL operational journal
   --slow-ms D         capture decisions at/over D ms wall time as
                       incidents (also exposed at /statusz?incidents=1)
@@ -188,29 +187,19 @@ pub enum Command {
     Help,
 }
 
-/// Arguments of `sbs serve`.
+/// The flags `sbs serve` and `sbs serve-fleet` share.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
+pub struct DaemonArgs {
     /// TCP port to listen on (0 = ephemeral).
     pub port: u16,
-    /// Machine size in nodes.
+    /// (Per-cluster) machine size in nodes.
     pub capacity: u32,
     /// Policy name (see [`policy_by_name`]).
     pub policy: String,
     /// Search node budget.
     pub budget: u64,
-    /// Per-decision wall-clock search deadline, in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Snapshot file path.
-    pub snapshot: Option<String>,
-    /// Auto-snapshot cadence in decisions.
-    pub snapshot_every: u64,
     /// Drive time from submitted events instead of the wall clock.
     pub virtual_clock: bool,
-    /// Append an `sbs-trace/v1` JSONL decision log here.
-    pub trace_log: Option<String>,
-    /// Serve the legacy all-gauge `/metrics` exposition.
-    pub compat_metrics: bool,
     /// Append an `sbs-events/v1` JSONL operational journal here.
     pub event_log: Option<String>,
     /// Capture decisions at or beyond this wall time (ms) as incidents.
@@ -219,17 +208,41 @@ pub struct ServeArgs {
     pub slow_nodes_left: Option<u64>,
 }
 
+impl Default for DaemonArgs {
+    fn default() -> Self {
+        DaemonArgs {
+            port: 7070,
+            capacity: 128,
+            policy: "dds-lxf-dynb".to_string(),
+            budget: 1_000,
+            virtual_clock: false,
+            event_log: None,
+            slow_ms: None,
+            slow_nodes_left: None,
+        }
+    }
+}
+
+/// Arguments of `sbs serve`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeArgs {
+    /// The flags shared with `sbs serve-fleet`.
+    pub daemon: DaemonArgs,
+    /// Per-decision wall-clock search deadline, in milliseconds.
+    pub deadline_ms: Option<u64>,
+    /// Snapshot file path.
+    pub snapshot: Option<String>,
+    /// Auto-snapshot cadence in decisions.
+    pub snapshot_every: u64,
+    /// Append an `sbs-trace/v1` JSONL decision log here.
+    pub trace_log: Option<String>,
+}
+
 /// Arguments of `sbs serve-fleet`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeFleetArgs {
-    /// TCP port to listen on (0 = ephemeral).
-    pub port: u16,
-    /// Per-cluster machine size in nodes.
-    pub capacity: u32,
-    /// Policy name every tenant runs (see [`policy_by_name`]).
-    pub policy: String,
-    /// Search node budget.
-    pub budget: u64,
+    /// The flags shared with `sbs serve`.
+    pub daemon: DaemonArgs,
     /// Shard locks in the tenant map.
     pub shards: usize,
     /// Tenant cap.
@@ -240,55 +253,15 @@ pub struct ServeFleetArgs {
     pub max_queue: usize,
     /// Per-tenant fairshare slack percent (0 = fairshare off).
     pub fair_slack: u64,
-    /// Drive time from submitted events instead of the wall clock.
-    pub virtual_clock: bool,
-    /// Append the fleet's `sbs-events/v1` JSONL journal here.
-    pub event_log: Option<String>,
-    /// Capture decisions at or beyond this wall time (ms) as incidents.
-    pub slow_ms: Option<u64>,
-    /// Capture decisions with this many `nodes_left_at_deadline`.
-    pub slow_nodes_left: Option<u64>,
-}
-
-impl Default for ServeFleetArgs {
-    fn default() -> Self {
-        ServeFleetArgs {
-            port: 7070,
-            capacity: 128,
-            policy: "dds-lxf-dynb".to_string(),
-            budget: 1_000,
-            shards: 16,
-            max_clusters: 4096,
-            snapshot_dir: None,
-            max_queue: 0,
-            fair_slack: 0,
-            virtual_clock: false,
-            event_log: None,
-            slow_ms: None,
-            slow_nodes_left: None,
-        }
-    }
 }
 
 /// Arguments of `sbs incidents`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IncidentsArgs {
     /// Where the daemon (or fleet) runs.
     pub connect: ConnectArgs,
     /// Restrict to one fleet cluster (fleets only).
     pub cluster: Option<String>,
-}
-
-impl Default for IncidentsArgs {
-    fn default() -> Self {
-        IncidentsArgs {
-            connect: ConnectArgs {
-                host: "127.0.0.1".to_string(),
-                port: 7070,
-            },
-            cluster: None,
-        }
-    }
 }
 
 /// Arguments of `sbs top`.
@@ -305,10 +278,7 @@ pub struct TopArgs {
 impl Default for TopArgs {
     fn default() -> Self {
         TopArgs {
-            connect: ConnectArgs {
-                host: "127.0.0.1".to_string(),
-                port: 7070,
-            },
+            connect: ConnectArgs::default(),
             interval_ms: 2_000,
             iterations: 0,
         }
@@ -449,6 +419,15 @@ pub struct ConnectArgs {
     pub port: u16,
 }
 
+impl Default for ConnectArgs {
+    fn default() -> Self {
+        ConnectArgs {
+            host: "127.0.0.1".to_string(),
+            port: 7070,
+        }
+    }
+}
+
 /// Arguments of `sbs submit`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitArgs {
@@ -577,11 +556,95 @@ pub fn resolve_spec(policy: &str, budget: u64) -> Result<PolicySpec, String> {
         .ok_or_else(|| format!("unknown policy {policy:?} (try `sbs policies`)"))
 }
 
+/// A cursor over one subcommand's arguments.  It remembers the flag it
+/// last yielded, so every "needs a value" / "bad" / "unknown flag"
+/// message is spelled in one place.
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    /// Moves to the next argument and returns it.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value (the next argument).
+    fn value(&mut self) -> Result<String, String> {
+        self.rest
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{} needs a value", self.flag))
+    }
+
+    /// The current flag's value, parsed.
+    fn parsed<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        self.value()?
+            .parse()
+            .map_err(|_| format!("bad {}", self.flag))
+    }
+
+    /// The error for a flag no match arm took.
+    fn unknown(&self) -> String {
+        format!("unknown flag {:?}", self.flag)
+    }
+}
+
+impl ConnectArgs {
+    /// Takes the current flag if it is `--host` or `--port`.
+    fn take(&mut self, f: &mut Flags) -> Result<bool, String> {
+        match f.flag {
+            "--host" => self.host = f.value()?,
+            "--port" => self.port = f.parsed()?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+impl DaemonArgs {
+    /// Takes the current flag if `serve` and `serve-fleet` share it.
+    fn take(&mut self, f: &mut Flags) -> Result<bool, String> {
+        match f.flag {
+            "--port" => self.port = f.parsed()?,
+            "--capacity" => self.capacity = f.parsed()?,
+            "--policy" => self.policy = f.value()?,
+            "--budget" => self.budget = f.parsed()?,
+            "--virtual-clock" => self.virtual_clock = true,
+            "--event-log" => self.event_log = Some(f.value()?),
+            "--slow-ms" => self.slow_ms = Some(f.parsed()?),
+            "--slow-nodes-left" => self.slow_nodes_left = Some(f.parsed()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The journal and slow-decision configuration these flags ask for.
+    fn obs(&self) -> sbs_obs::ObsConfig {
+        let mut obs =
+            sbs_obs::ObsConfig::default().with_slow_thresholds(self.slow_ms, self.slow_nodes_left);
+        if let Some(path) = &self.event_log {
+            obs = obs.with_event_log(path.into(), sbs_obs::DEFAULT_EVENT_LOG_MAX_BYTES);
+        }
+        if self.virtual_clock {
+            // Virtual runs journal virtual timestamps only, keeping the
+            // event log byte-deterministic across identical runs.
+            obs = obs.with_event_mode(sbs_obs::TimeMode::Virtual);
+        }
+        obs
+    }
+}
+
 /// Parses a raw argument vector.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let Some(sub) = it.next() else {
+    let Some((sub, rest)) = args.split_first() else {
         return Ok(Command::Help);
+    };
+    let mut f = Flags {
+        rest: rest.iter(),
+        flag: "",
     };
     match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
@@ -602,48 +665,32 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 json: false,
                 trace_log: None,
             };
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
+            while let Some(flag) = f.next_flag() {
+                match flag {
                     "--month" => {
-                        let v = value()?;
+                        let v = f.value()?;
                         parsed.month =
                             Some(Month::parse(&v).ok_or_else(|| format!("unknown month {v:?}"))?);
                     }
-                    "--trace" => parsed.trace = Some(value()?),
-                    "--capacity" => {
-                        parsed.capacity =
-                            value()?.parse().map_err(|_| "bad --capacity".to_string())?
-                    }
-                    "--policy" => parsed.policy = value()?,
-                    "--budget" => {
-                        parsed.budget = value()?.parse().map_err(|_| "bad --budget".to_string())?
-                    }
-                    "--load" => {
-                        parsed.load = Some(value()?.parse().map_err(|_| "bad --load".to_string())?)
-                    }
-                    "--scale" => {
-                        parsed.scale = value()?.parse().map_err(|_| "bad --scale".to_string())?
-                    }
+                    "--trace" => parsed.trace = Some(f.value()?),
+                    "--capacity" => parsed.capacity = f.parsed()?,
+                    "--policy" => parsed.policy = f.value()?,
+                    "--budget" => parsed.budget = f.parsed()?,
+                    "--load" => parsed.load = Some(f.parsed()?),
+                    "--scale" => parsed.scale = f.parsed()?,
                     "--knowledge" => {
-                        parsed.knowledge = match value()?.as_str() {
+                        parsed.knowledge = match f.value()?.as_str() {
                             "actual" => Knowledge::Actual,
                             "requested" => Knowledge::Requested,
                             "predicted" => Knowledge::Predicted,
                             other => return Err(format!("unknown knowledge {other:?}")),
                         }
                     }
-                    "--seed" => {
-                        parsed.seed = Some(value()?.parse().map_err(|_| "bad --seed".to_string())?)
-                    }
+                    "--seed" => parsed.seed = Some(f.parsed()?),
                     "--timeline" => parsed.timeline = true,
                     "--json" => parsed.json = true,
-                    "--trace-log" => parsed.trace_log = Some(value()?),
-                    other => return Err(format!("unknown flag {other:?}")),
+                    "--trace-log" => parsed.trace_log = Some(f.value()?),
+                    _ => return Err(f.unknown()),
                 }
             }
             if parsed.month.is_none() && parsed.trace.is_none() {
@@ -657,71 +704,47 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "serve" => {
             let mut parsed = ServeArgs {
-                port: 7070,
-                capacity: 128,
-                policy: "dds-lxf-dynb".to_string(),
-                budget: 1_000,
+                daemon: DaemonArgs::default(),
                 deadline_ms: None,
                 snapshot: None,
                 snapshot_every: 16,
-                virtual_clock: false,
                 trace_log: None,
-                compat_metrics: false,
-                event_log: None,
-                slow_ms: None,
-                slow_nodes_left: None,
             };
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
-                    "--port" => {
-                        parsed.port = value()?.parse().map_err(|_| "bad --port".to_string())?
-                    }
-                    "--capacity" => {
-                        parsed.capacity =
-                            value()?.parse().map_err(|_| "bad --capacity".to_string())?
-                    }
-                    "--policy" => parsed.policy = value()?,
-                    "--budget" => {
-                        parsed.budget = value()?.parse().map_err(|_| "bad --budget".to_string())?
-                    }
-                    "--deadline-ms" => {
-                        parsed.deadline_ms = Some(
-                            value()?
-                                .parse()
-                                .map_err(|_| "bad --deadline-ms".to_string())?,
-                        )
-                    }
-                    "--snapshot" => parsed.snapshot = Some(value()?),
-                    "--snapshot-every" => {
-                        parsed.snapshot_every = value()?
-                            .parse()
-                            .map_err(|_| "bad --snapshot-every".to_string())?
-                    }
-                    "--virtual-clock" => parsed.virtual_clock = true,
-                    "--trace-log" => parsed.trace_log = Some(value()?),
-                    "--compat-metrics" => parsed.compat_metrics = true,
-                    "--event-log" => parsed.event_log = Some(value()?),
-                    "--slow-ms" => {
-                        parsed.slow_ms =
-                            Some(value()?.parse().map_err(|_| "bad --slow-ms".to_string())?)
-                    }
-                    "--slow-nodes-left" => {
-                        parsed.slow_nodes_left = Some(
-                            value()?
-                                .parse()
-                                .map_err(|_| "bad --slow-nodes-left".to_string())?,
-                        )
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
+            while let Some(flag) = f.next_flag() {
+                match flag {
+                    "--deadline-ms" => parsed.deadline_ms = Some(f.parsed()?),
+                    "--snapshot" => parsed.snapshot = Some(f.value()?),
+                    "--snapshot-every" => parsed.snapshot_every = f.parsed()?,
+                    "--trace-log" => parsed.trace_log = Some(f.value()?),
+                    _ if parsed.daemon.take(&mut f)? => {}
+                    _ => return Err(f.unknown()),
                 }
             }
-            resolve_spec(&parsed.policy, parsed.budget)?;
+            resolve_spec(&parsed.daemon.policy, parsed.daemon.budget)?;
             Ok(Command::Serve(parsed))
+        }
+        "serve-fleet" => {
+            let mut parsed = ServeFleetArgs {
+                daemon: DaemonArgs::default(),
+                shards: 16,
+                max_clusters: 4096,
+                snapshot_dir: None,
+                max_queue: 0,
+                fair_slack: 0,
+            };
+            while let Some(flag) = f.next_flag() {
+                match flag {
+                    "--shards" => parsed.shards = f.parsed()?,
+                    "--max-clusters" => parsed.max_clusters = f.parsed()?,
+                    "--snapshot-dir" => parsed.snapshot_dir = Some(f.value()?),
+                    "--max-queue" => parsed.max_queue = f.parsed()?,
+                    "--fair-slack" => parsed.fair_slack = f.parsed()?,
+                    _ if parsed.daemon.take(&mut f)? => {}
+                    _ => return Err(f.unknown()),
+                }
+            }
+            resolve_spec(&parsed.daemon.policy, parsed.daemon.budget)?;
+            Ok(Command::ServeFleet(parsed))
         }
         "trace" => {
             let mut file = None;
@@ -729,24 +752,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut json = false;
             let mut last = None;
             let mut since = None;
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
-                    "--collapsed" => collapsed = Some(value()?),
+            while let Some(flag) = f.next_flag() {
+                match flag {
+                    "--collapsed" => collapsed = Some(f.value()?),
                     "--json" => json = true,
-                    "--last" => {
-                        last = Some(value()?.parse().map_err(|_| "bad --last".to_string())?)
-                    }
-                    "--since" => {
-                        since = Some(value()?.parse().map_err(|_| "bad --since".to_string())?)
-                    }
-                    other if other.starts_with('-') => {
-                        return Err(format!("unknown flag {other:?}"))
-                    }
+                    "--last" => last = Some(f.parsed()?),
+                    "--since" => since = Some(f.parsed()?),
+                    other if other.starts_with('-') => return Err(f.unknown()),
                     positional => {
                         if file.replace(positional.to_string()).is_some() {
                             return Err("trace takes exactly one FILE".to_string());
@@ -763,42 +775,21 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }))
         }
         "submit" => {
-            let mut connect = ConnectArgs {
-                host: "127.0.0.1".to_string(),
-                port: 7070,
-            };
+            let mut connect = ConnectArgs::default();
             let mut nodes: Option<u32> = None;
             let mut runtime: Option<u64> = None;
             let mut requested = None;
             let mut user = 0;
             let mut at = None;
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
-                    "--host" => connect.host = value()?,
-                    "--port" => {
-                        connect.port = value()?.parse().map_err(|_| "bad --port".to_string())?
-                    }
-                    "--nodes" => {
-                        nodes = Some(value()?.parse().map_err(|_| "bad --nodes".to_string())?)
-                    }
-                    "--runtime" => {
-                        runtime = Some(value()?.parse().map_err(|_| "bad --runtime".to_string())?)
-                    }
-                    "--requested" => {
-                        requested = Some(
-                            value()?
-                                .parse()
-                                .map_err(|_| "bad --requested".to_string())?,
-                        )
-                    }
-                    "--user" => user = value()?.parse().map_err(|_| "bad --user".to_string())?,
-                    "--at" => at = Some(value()?.parse().map_err(|_| "bad --at".to_string())?),
-                    other => return Err(format!("unknown flag {other:?}")),
+            while let Some(flag) = f.next_flag() {
+                match flag {
+                    "--nodes" => nodes = Some(f.parsed()?),
+                    "--runtime" => runtime = Some(f.parsed()?),
+                    "--requested" => requested = Some(f.parsed()?),
+                    "--user" => user = f.parsed()?,
+                    "--at" => at = Some(f.parsed()?),
+                    _ if connect.take(&mut f)? => {}
+                    _ => return Err(f.unknown()),
                 }
             }
             Ok(Command::Submit(SubmitArgs {
@@ -811,93 +802,49 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }))
         }
         "queue" => {
-            let mut connect = ConnectArgs {
-                host: "127.0.0.1".to_string(),
-                port: 7070,
-            };
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
-                    "--host" => connect.host = value()?,
-                    "--port" => {
-                        connect.port = value()?.parse().map_err(|_| "bad --port".to_string())?
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
+            let mut connect = ConnectArgs::default();
+            while f.next_flag().is_some() {
+                if !connect.take(&mut f)? {
+                    return Err(f.unknown());
                 }
             }
             Ok(Command::Queue(connect))
         }
         "incidents" => {
             let mut parsed = IncidentsArgs::default();
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
-                    "--host" => parsed.connect.host = value()?,
-                    "--port" => {
-                        parsed.connect.port =
-                            value()?.parse().map_err(|_| "bad --port".to_string())?
-                    }
-                    "--cluster" => parsed.cluster = Some(value()?),
-                    other => return Err(format!("unknown flag {other:?}")),
+            while let Some(flag) = f.next_flag() {
+                match flag {
+                    "--cluster" => parsed.cluster = Some(f.value()?),
+                    _ if parsed.connect.take(&mut f)? => {}
+                    _ => return Err(f.unknown()),
                 }
             }
             Ok(Command::Incidents(parsed))
         }
         "top" => {
             let mut parsed = TopArgs::default();
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
-                    "--host" => parsed.connect.host = value()?,
-                    "--port" => {
-                        parsed.connect.port =
-                            value()?.parse().map_err(|_| "bad --port".to_string())?
-                    }
+            while let Some(flag) = f.next_flag() {
+                match flag {
                     "--interval" => {
-                        parsed.interval_ms =
-                            value()?.parse().map_err(|_| "bad --interval".to_string())?;
+                        parsed.interval_ms = f.parsed()?;
                         if parsed.interval_ms == 0 {
                             return Err("--interval must be positive".to_string());
                         }
                     }
-                    "--iterations" => {
-                        parsed.iterations = value()?
-                            .parse()
-                            .map_err(|_| "bad --iterations".to_string())?
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    "--iterations" => parsed.iterations = f.parsed()?,
+                    _ if parsed.connect.take(&mut f)? => {}
+                    _ => return Err(f.unknown()),
                 }
             }
             Ok(Command::Top(parsed))
         }
         "lint" => {
             let mut parsed = LintArgs::default();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--root" => {
-                        parsed.root = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| "--root needs a value".to_string())?,
-                        )
-                    }
+            while let Some(flag) = f.next_flag() {
+                match flag {
+                    "--root" => parsed.root = Some(f.value()?),
                     "--format" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "--format needs a value".to_string())?;
-                        parsed.format = match v.as_str() {
+                        parsed.format = match f.value()?.as_str() {
                             "grep" => LintFormat::Grep,
                             "json" => LintFormat::Json,
                             "sarif" => LintFormat::Sarif,
@@ -907,13 +854,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         };
                     }
                     "--update-baseline" => parsed.update_baseline = true,
-                    "--explain" => {
-                        parsed.explain = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| "--explain needs a rule name".to_string())?,
-                        )
-                    }
+                    "--explain" => parsed.explain = Some(f.value()?),
                     "--changed" => {
                         parsed.changed = Some(sbs_analysis::changed::DEFAULT_BASE.to_string())
                     }
@@ -924,9 +865,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         }
                         parsed.changed = Some(base.to_string());
                     }
-                    other if other.starts_with('-') => {
-                        return Err(format!("unknown flag {other:?}"))
-                    }
+                    other if other.starts_with('-') => return Err(f.unknown()),
                     file => parsed.files.push(file.to_string()),
                 }
             }
@@ -935,142 +874,44 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Lint(parsed))
         }
-        "serve-fleet" => {
-            let mut parsed = ServeFleetArgs::default();
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
-                    "--port" => {
-                        parsed.port = value()?.parse().map_err(|_| "bad --port".to_string())?
-                    }
-                    "--capacity" => {
-                        parsed.capacity =
-                            value()?.parse().map_err(|_| "bad --capacity".to_string())?
-                    }
-                    "--policy" => parsed.policy = value()?,
-                    "--budget" => {
-                        parsed.budget = value()?.parse().map_err(|_| "bad --budget".to_string())?
-                    }
-                    "--shards" => {
-                        parsed.shards = value()?.parse().map_err(|_| "bad --shards".to_string())?
-                    }
-                    "--max-clusters" => {
-                        parsed.max_clusters = value()?
-                            .parse()
-                            .map_err(|_| "bad --max-clusters".to_string())?
-                    }
-                    "--snapshot-dir" => parsed.snapshot_dir = Some(value()?),
-                    "--max-queue" => {
-                        parsed.max_queue = value()?
-                            .parse()
-                            .map_err(|_| "bad --max-queue".to_string())?
-                    }
-                    "--fair-slack" => {
-                        parsed.fair_slack = value()?
-                            .parse()
-                            .map_err(|_| "bad --fair-slack".to_string())?
-                    }
-                    "--virtual-clock" => parsed.virtual_clock = true,
-                    "--event-log" => parsed.event_log = Some(value()?),
-                    "--slow-ms" => {
-                        parsed.slow_ms =
-                            Some(value()?.parse().map_err(|_| "bad --slow-ms".to_string())?)
-                    }
-                    "--slow-nodes-left" => {
-                        parsed.slow_nodes_left = Some(
-                            value()?
-                                .parse()
-                                .map_err(|_| "bad --slow-nodes-left".to_string())?,
-                        )
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            resolve_spec(&parsed.policy, parsed.budget)?;
-            Ok(Command::ServeFleet(parsed))
-        }
         "loadgen" => {
             let mut parsed = LoadgenArgs::default();
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
-                    "--clusters" => {
-                        parsed.clusters =
-                            Some(value()?.parse().map_err(|_| "bad --clusters".to_string())?)
-                    }
-                    "--jobs" => {
-                        parsed.jobs = Some(value()?.parse().map_err(|_| "bad --jobs".to_string())?)
-                    }
-                    "--batch" => {
-                        parsed.batch =
-                            Some(value()?.parse().map_err(|_| "bad --batch".to_string())?)
-                    }
-                    "--threads" => {
-                        parsed.threads =
-                            Some(value()?.parse().map_err(|_| "bad --threads".to_string())?)
-                    }
-                    "--seed" => {
-                        parsed.seed = Some(value()?.parse().map_err(|_| "bad --seed".to_string())?)
-                    }
-                    "--capacity" => {
-                        parsed.capacity =
-                            Some(value()?.parse().map_err(|_| "bad --capacity".to_string())?)
-                    }
-                    "--shards" => {
-                        parsed.shards =
-                            Some(value()?.parse().map_err(|_| "bad --shards".to_string())?)
-                    }
+            while let Some(flag) = f.next_flag() {
+                match flag {
+                    "--clusters" => parsed.clusters = Some(f.parsed()?),
+                    "--jobs" => parsed.jobs = Some(f.parsed()?),
+                    "--batch" => parsed.batch = Some(f.parsed()?),
+                    "--threads" => parsed.threads = Some(f.parsed()?),
+                    "--seed" => parsed.seed = Some(f.parsed()?),
+                    "--capacity" => parsed.capacity = Some(f.parsed()?),
+                    "--shards" => parsed.shards = Some(f.parsed()?),
                     "--tcp" => parsed.tcp = true,
                     "--quick" => parsed.quick = true,
-                    "--min-throughput" => {
-                        parsed.min_throughput = value()?
-                            .parse()
-                            .map_err(|_| "bad --min-throughput".to_string())?
-                    }
-                    "--out" => parsed.out = value()?,
-                    other => return Err(format!("unknown flag {other:?}")),
+                    "--min-throughput" => parsed.min_throughput = f.parsed()?,
+                    "--out" => parsed.out = f.value()?,
+                    _ => return Err(f.unknown()),
                 }
             }
             Ok(Command::Loadgen(parsed))
         }
         "bench-perf" => {
             let mut parsed = BenchPerfArgs::default();
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match flag.as_str() {
+            while let Some(flag) = f.next_flag() {
+                match flag {
                     "--quick" => parsed.quick = true,
-                    "--repeats" => {
-                        parsed.repeats =
-                            Some(value()?.parse().map_err(|_| "bad --repeats".to_string())?)
-                    }
-                    "--out" => parsed.out = value()?,
-                    "--check" => parsed.check = Some(value()?),
-                    "--tolerance" => {
-                        parsed.tolerance = value()?
-                            .parse()
-                            .map_err(|_| "bad --tolerance".to_string())?
-                    }
+                    "--repeats" => parsed.repeats = Some(f.parsed()?),
+                    "--out" => parsed.out = f.value()?,
+                    "--check" => parsed.check = Some(f.value()?),
+                    "--tolerance" => parsed.tolerance = f.parsed()?,
                     "--threads" => {
-                        let n: usize = value()?.parse().map_err(|_| "bad --threads".to_string())?;
+                        let n: usize = f.parsed()?;
                         if n == 0 {
                             return Err("--threads must be positive".to_string());
                         }
                         parsed.threads = Some(n);
                     }
                     "--portfolio" => parsed.portfolio = true,
-                    other => return Err(format!("unknown flag {other:?}")),
+                    _ => return Err(f.unknown()),
                 }
             }
             if !(0.0..1.0).contains(&parsed.tolerance) {
@@ -1498,11 +1339,36 @@ fn trace_cmd(args: TraceArgs) -> Result<String, String> {
     Ok(out)
 }
 
+/// Binds the daemon port and serves `handler`, from the scheduler time
+/// it is at, until shutdown; `label` and `note` frame the "listening
+/// on" line.  Returns the bound address.
+fn serve_until_stopped<H: sbs_service::ServerHandler + 'static>(
+    handler: H,
+    args: &DaemonArgs,
+    label: &str,
+    note: &str,
+) -> Result<std::net::SocketAddr, String> {
+    use sbs_service::{Server, VirtualClock, WallClock};
+    let listener = std::net::TcpListener::bind(("127.0.0.1", args.port))
+        .map_err(|e| format!("cannot bind port {}: {e}", args.port))?;
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
+    eprintln!("{label} listening on {addr}{note}");
+    let origin = handler.now();
+    let server = if args.virtual_clock {
+        Server::new(handler, VirtualClock::starting_at(origin))
+    } else {
+        Server::new(handler, WallClock::starting_at(origin))
+    };
+    server.run(listener).map_err(|e| e.to_string())?;
+    Ok(addr)
+}
+
 fn serve_cmd(args: ServeArgs) -> Result<String, String> {
-    use sbs_service::{Daemon, Server, ServiceConfig, VirtualClock, WallClock};
-    let spec = resolve_spec(&args.policy, args.budget).expect("validated by parse_args");
-    let banner = spec.name();
-    let mut cfg = ServiceConfig::new(args.capacity, spec);
+    use sbs_service::{Daemon, ServiceConfig};
+    let spec =
+        resolve_spec(&args.daemon.policy, args.daemon.budget).expect("validated by parse_args");
+    let label = format!("sbs-service: {}", spec.name());
+    let mut cfg = ServiceConfig::new(args.daemon.capacity, spec).with_obs(args.daemon.obs());
     if let Some(ms) = args.deadline_ms {
         cfg = cfg.with_deadline(std::time::Duration::from_millis(ms));
     }
@@ -1512,81 +1378,30 @@ fn serve_cmd(args: ServeArgs) -> Result<String, String> {
     if let Some(path) = args.trace_log {
         cfg = cfg.with_trace_log(path.into());
     }
-    if args.compat_metrics {
-        cfg = cfg.with_compat_metrics(true);
-    }
-    if let Some(path) = args.event_log {
-        cfg = cfg.with_event_log(
-            path.into(),
-            sbs_service::daemon::DEFAULT_EVENT_LOG_MAX_BYTES,
-        );
-    }
-    if args.slow_ms.is_some() || args.slow_nodes_left.is_some() {
-        cfg = cfg.with_slow_thresholds(args.slow_ms, args.slow_nodes_left);
-    }
-    if args.virtual_clock {
-        // Virtual runs journal virtual timestamps only, keeping the
-        // event log byte-deterministic across identical runs.
-        cfg = cfg.with_event_mode(sbs_obs::TimeMode::Virtual);
-    }
-    let daemon = Daemon::new(cfg)?;
-    let origin = daemon.now();
-    let listener = std::net::TcpListener::bind(("127.0.0.1", args.port))
-        .map_err(|e| format!("cannot bind port {}: {e}", args.port))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    eprintln!("sbs-service: {} listening on {addr}", banner);
-    let server = if args.virtual_clock {
-        Server::new(daemon, VirtualClock::starting_at(origin))
-    } else {
-        Server::new(daemon, WallClock::starting_at(origin))
-    };
-    server.run(listener).map_err(|e| e.to_string())?;
+    let addr = serve_until_stopped(Daemon::new(cfg)?, &args.daemon, &label, "")?;
     Ok(format!("daemon on {addr} stopped\n"))
 }
 
 fn serve_fleet_cmd(args: ServeFleetArgs) -> Result<String, String> {
     use sbs_fleet::{Fleet, FleetConfig, TenantQuota};
-    use sbs_service::{Server, VirtualClock, WallClock};
-    let spec = policy_by_name(&args.policy, args.budget).expect("validated by parse_args");
-    let mut cfg = FleetConfig::new(args.capacity, spec)
+    let spec =
+        resolve_spec(&args.daemon.policy, args.daemon.budget).expect("validated by parse_args");
+    let mut cfg = FleetConfig::new(args.daemon.capacity, spec)
         .with_shards(args.shards)
         .with_max_clusters(args.max_clusters)
         .with_quota(TenantQuota {
             max_queue: args.max_queue,
             fair_slack_percent: args.fair_slack,
             ..Default::default()
-        });
+        })
+        .with_obs(args.daemon.obs());
     if let Some(dir) = args.snapshot_dir {
         cfg = cfg.with_snapshot_dir(dir.into());
     }
-    if let Some(path) = args.event_log {
-        cfg = cfg.with_event_log(
-            path.into(),
-            sbs_service::daemon::DEFAULT_EVENT_LOG_MAX_BYTES,
-        );
-    }
-    if args.slow_ms.is_some() || args.slow_nodes_left.is_some() {
-        cfg = cfg.with_slow_thresholds(args.slow_ms, args.slow_nodes_left);
-    }
-    if args.virtual_clock {
-        cfg = cfg.with_event_mode(sbs_obs::TimeMode::Virtual);
-    }
     let fleet = Fleet::new(cfg)?;
-    let origin = fleet.now();
-    let recovered = fleet.cluster_count();
-    let listener = std::net::TcpListener::bind(("127.0.0.1", args.port))
-        .map_err(|e| format!("cannot bind port {}: {e}", args.port))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    eprintln!(
-        "sbs-fleet: {} listening on {addr} ({recovered} clusters recovered)",
-        args.policy
-    );
-    let server = if args.virtual_clock {
-        Server::new(fleet, VirtualClock::starting_at(origin))
-    } else {
-        Server::new(fleet, WallClock::starting_at(origin))
-    };
-    server.run(listener).map_err(|e| e.to_string())?;
+    let label = format!("sbs-fleet: {}", args.daemon.policy);
+    let note = format!(" ({} clusters recovered)", fleet.cluster_count());
+    let addr = serve_until_stopped(fleet, &args.daemon, &label, &note)?;
     Ok(format!("fleet on {addr} stopped\n"))
 }
 
@@ -1780,6 +1595,59 @@ mod tests {
         parse_args(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
+    /// Every subcommand's flags that take a value: `(subcommand, flags
+    /// whose value is kept as text, flags whose value is parsed)`.
+    const VALUE_FLAGS: [(&str, &str, &str); 11] = [
+        (
+            "simulate",
+            "--month --trace --policy --knowledge --trace-log",
+            "--capacity --budget --load --scale --seed",
+        ),
+        (
+            "serve",
+            "--policy --snapshot --trace-log --event-log",
+            "--port --capacity --budget --deadline-ms --snapshot-every --slow-ms --slow-nodes-left",
+        ),
+        (
+            "serve-fleet",
+            "--policy --snapshot-dir --event-log",
+            "--port --capacity --budget --shards --max-clusters --max-queue --fair-slack --slow-ms \
+             --slow-nodes-left",
+        ),
+        (
+            "loadgen",
+            "--out",
+            "--clusters --jobs --batch --threads --seed --capacity --shards --min-throughput",
+        ),
+        (
+            "submit",
+            "--host",
+            "--port --nodes --runtime --requested --user --at",
+        ),
+        ("queue", "--host", "--port"),
+        ("incidents", "--host --cluster", "--port"),
+        ("top", "--host", "--port --interval --iterations"),
+        ("trace", "--collapsed", "--last --since"),
+        ("lint", "--root --format --explain", ""),
+        ("bench-perf", "--out --check", "--repeats --tolerance --threads"),
+    ];
+
+    #[test]
+    fn every_subcommand_spells_flag_errors_the_same_way() {
+        for (sub, text, numeric) in VALUE_FLAGS {
+            for flag in text.split_whitespace().chain(numeric.split_whitespace()) {
+                let err = parse(&format!("{sub} {flag}")).unwrap_err();
+                assert_eq!(err, format!("{flag} needs a value"), "{sub}");
+            }
+            for flag in numeric.split_whitespace() {
+                let err = parse(&format!("{sub} {flag} x")).unwrap_err();
+                assert_eq!(err, format!("bad {flag}"), "{sub}");
+            }
+            let err = parse(&format!("{sub} --y")).unwrap_err();
+            assert_eq!(err, "unknown flag \"--y\"", "{sub}");
+        }
+    }
+
     #[test]
     fn parses_serve_fleet_flags() {
         let cmd = parse(
@@ -1790,14 +1658,14 @@ mod tests {
         let Command::ServeFleet(a) = cmd else {
             panic!("not serve-fleet")
         };
-        assert_eq!(a.port, 0);
-        assert_eq!(a.capacity, 64);
+        assert_eq!(a.daemon.port, 0);
+        assert_eq!(a.daemon.capacity, 64);
         assert_eq!(a.shards, 8);
         assert_eq!(a.max_clusters, 100);
         assert_eq!(a.snapshot_dir.as_deref(), Some("/tmp/fleet"));
         assert_eq!(a.max_queue, 32);
         assert_eq!(a.fair_slack, 150);
-        assert!(a.virtual_clock);
+        assert!(a.daemon.virtual_clock);
         assert!(parse("serve-fleet --policy nope").is_err());
     }
 
@@ -1809,18 +1677,18 @@ mod tests {
         else {
             panic!("not serve")
         };
-        assert_eq!(s.event_log.as_deref(), Some("events.jsonl"));
-        assert_eq!(s.slow_ms, Some(250));
-        assert_eq!(s.slow_nodes_left, Some(100));
+        assert_eq!(s.daemon.event_log.as_deref(), Some("events.jsonl"));
+        assert_eq!(s.daemon.slow_ms, Some(250));
+        assert_eq!(s.daemon.slow_nodes_left, Some(100));
 
         let Command::ServeFleet(f) =
             parse("serve-fleet --event-log fleet.jsonl --slow-ms 50").expect("parse")
         else {
             panic!("not serve-fleet")
         };
-        assert_eq!(f.event_log.as_deref(), Some("fleet.jsonl"));
-        assert_eq!(f.slow_ms, Some(50));
-        assert_eq!(f.slow_nodes_left, None);
+        assert_eq!(f.daemon.event_log.as_deref(), Some("fleet.jsonl"));
+        assert_eq!(f.daemon.slow_ms, Some(50));
+        assert_eq!(f.daemon.slow_nodes_left, None);
 
         assert!(parse("serve --slow-ms many").is_err());
         assert!(parse("serve-fleet --event-log").is_err(), "needs a value");
@@ -1992,11 +1860,13 @@ mod tests {
     #[test]
     fn thread_and_portfolio_flags_are_gone_from_sim_and_serve() {
         // A policy has no worker-count knob (SBS_THREADS pins the
-        // process), and the race is a policy name like any other.
+        // process), the race is a policy name like any other, and
+        // /metrics has one rendering.
         for line in [
             "sim --month 9/03 --threads 4",
             "serve --threads 2",
             "sim --month 9/03 --portfolio",
+            "serve --compat-metrics",
         ] {
             let err = parse(line).expect_err(line);
             assert!(err.contains("unknown flag"), "{line}: {err}");
@@ -2079,9 +1949,9 @@ mod tests {
         else {
             panic!("not serve")
         };
-        assert_eq!(s.port, 0);
-        assert_eq!(s.capacity, 64);
-        assert!(s.virtual_clock);
+        assert_eq!(s.daemon.port, 0);
+        assert_eq!(s.daemon.capacity, 64);
+        assert!(s.daemon.virtual_clock);
         assert_eq!(s.deadline_ms, Some(50));
 
         let Command::Submit(a) =
@@ -2289,12 +2159,10 @@ mod tests {
         };
         assert_eq!(a.trace_log.as_deref(), Some("out.jsonl"));
 
-        let Command::Serve(s) = parse("serve --trace-log d.jsonl --compat-metrics").expect("parse")
-        else {
+        let Command::Serve(s) = parse("serve --trace-log d.jsonl").expect("parse") else {
             panic!("not serve")
         };
         assert_eq!(s.trace_log.as_deref(), Some("d.jsonl"));
-        assert!(s.compat_metrics);
 
         let Command::Trace(t) =
             parse("trace run.jsonl --collapsed run.collapsed --json").expect("parse")

@@ -1,49 +1,53 @@
 //! The sharded multi-tenant fleet daemon.
 //!
-//! A [`Fleet`] maps `cluster` ids onto independent [`Daemon`]s (one
+//! A [`Fleet`] maps `cluster` ids onto independent [`Cluster`]s (one
 //! scheduler world per tenant) spread across N shard locks.  Routing
 //! hashes the cluster id with FNV-1a — deterministic across runs, so a
 //! given tenant always lands on the same shard — and every operation
 //! acquires **exactly one** shard lock; cross-shard aggregates (pending
-//! demand, tenant count, rejection totals) live in atomics, so there is
-//! no lock-order edge anywhere in the crate.
+//! demand, tenant count) live in atomics, so there is no lock-order edge
+//! anywhere in the crate.
 //!
 //! Admission runs each submit through the tenant's [`TenantQuota`]
 //! (queue depth, pending node-seconds, weighted fairshare) before the
-//! daemon sees it.  `/metrics` renders per-cluster families with a
+//! cluster sees it.  `/metrics` renders per-cluster families with a
 //! bounded label cardinality: the first [`FleetConfig::cluster_label_cap`]
 //! cluster ids (lexicographic) get their own `cluster="..."` series and
 //! everything else aggregates into `cluster="_other"`.
 //!
 //! Snapshots are per-cluster files plus an index manifest
 //! (`sbs-fleet-manifest/v1`); [`Fleet::new`] recovers every tenant
-//! listed in the manifest through the single-daemon snapshot path.
+//! listed in the manifest through the single-cluster snapshot path.
 //!
 //! ## Observability
 //!
-//! The fleet mints one correlation id per routed request
-//! ([`sbs_service::CorrelationSource`]), hands it down to the tenant
-//! daemon so every decision the request triggers carries it, echoes it
-//! back as `"corr"`, and journals the request into a fleet-scoped
-//! `sbs-events/v1` journal.  Tenant daemons keep their own journals
-//! in-memory only — a per-tenant file sink would mean file I/O under
-//! the shard lock.  The journal and the submit-latency histogram live
-//! behind their own mutexes, and those are **only ever taken with no
-//! shard lock held**, preserving the no-lock-order-edge invariant.
-//! `GET /healthz` reports shard availability (poisoned locks) and
-//! `GET /statusz` serves a fleet-wide JSON aggregate, per-cluster rows
-//! under the same cardinality cap as `/metrics`, and (with
-//! `?incidents=1`) every tenant's captured slow decisions.
+//! The fleet is one serving edge in front of many clusters: it mints one
+//! correlation id per routed request
+//! ([`sbs_service::CorrelationSource`]), hands it down to the tenant so
+//! every decision the request triggers carries it, echoes it back as
+//! `"corr"`, and journals the request into the one fleet-scoped
+//! `sbs-events/v1` journal.  Tenants are bare [`Cluster`]s — no journal,
+//! latency histogram or status window of their own — so a tenant's slow
+//! decision is captured as an incident, not journaled.  The fleet's
+//! [`Edge`] (journal, submit-latency histogram, status window) lives
+//! behind one mutex that is **only ever taken with no shard lock held**,
+//! preserving the no-lock-order-edge invariant.  `GET /healthz` reports
+//! shard availability (poisoned locks) and `GET /statusz` serves a
+//! fleet-wide JSON aggregate, per-cluster rows under the same
+//! cardinality cap as `/metrics`, and (with `?incidents=1`) every
+//! tenant's captured slow decisions.
 
 use crate::quota::{FleetDemand, TenantQuota};
 use sbs_core::PolicySpec;
 use sbs_metrics::fairness::jain_index;
 use sbs_obs::expo::Exposition;
-use sbs_obs::{Event, EventJournal, Histogram, RingBuffer, Severity, TimeMode};
-use sbs_service::daemon::{DEFAULT_EVENT_LOG_MAX_BYTES, STATUS_WINDOW_CAPACITY};
+use sbs_obs::status::quantiles_value;
+use sbs_obs::{Histogram, ObsConfig, StatusSample};
+use sbs_service::cluster::{drain_response, incidents_response};
+use sbs_service::edge::op_event;
 use sbs_service::protocol::{error_response, parse_routed, CorrelationSource, Request, SubmitSpec};
-use sbs_service::server::{HttpReply, ServerHandler};
-use sbs_service::{Daemon, ServiceConfig};
+use sbs_service::server::ServerHandler;
+use sbs_service::{Cluster, Edge, ServiceConfig};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
@@ -81,24 +85,9 @@ pub struct FleetConfig {
     pub default_cluster: String,
     /// Wait beyond this threshold counts as excessive in the metrics.
     pub excess_threshold: Time,
-    /// Emit operational events (the fleet journal plus the per-tenant
-    /// in-memory rings and slow-decision capture).
-    pub events: bool,
-    /// Rotating sink for the fleet-scoped `sbs-events/v1` journal;
-    /// `None` keeps events in the in-memory ring.
-    pub event_log: Option<PathBuf>,
-    /// Rotation threshold for the event log, in bytes.
-    pub event_log_max_bytes: u64,
-    /// Journal time mode: `Virtual` omits wall durations so two
-    /// identical virtual-clock runs journal byte-identical files.
-    pub event_mode: TimeMode,
-    /// Per-tenant slow-decision wall-time threshold in milliseconds
-    /// (`Some(0)` captures every decision).
-    pub slow_wall_ms: Option<u64>,
-    /// Per-tenant slow-decision `nodes_left_at_deadline` threshold.
-    pub slow_nodes_left: Option<u64>,
-    /// Self-scrape sampling window length in scheduler seconds.
-    pub status_window: Time,
+    /// The fleet-scoped event journal, and the slow-decision thresholds
+    /// every tenant captures incidents under.
+    pub obs: ObsConfig,
 }
 
 impl FleetConfig {
@@ -114,13 +103,7 @@ impl FleetConfig {
             cluster_label_cap: 32,
             default_cluster: "default".into(),
             excess_threshold: 0,
-            events: true,
-            event_log: None,
-            event_log_max_bytes: DEFAULT_EVENT_LOG_MAX_BYTES,
-            event_mode: TimeMode::Wall,
-            slow_wall_ms: None,
-            slow_nodes_left: None,
-            status_window: 60,
+            obs: ObsConfig::default(),
         }
     }
 
@@ -148,42 +131,39 @@ impl FleetConfig {
         self
     }
 
-    /// Turns the event journal (and tenant instrumentation) on or off.
+    /// Turns the fleet's event journal on or off.
     pub fn with_events(mut self, on: bool) -> Self {
-        self.events = on;
+        self.obs.events = on;
         self
     }
 
-    /// Writes the fleet journal to `path`, rotating at `max_bytes`.
-    pub fn with_event_log(mut self, path: PathBuf, max_bytes: u64) -> Self {
-        self.event_log = Some(path);
-        self.event_log_max_bytes = max_bytes;
-        self
-    }
-
-    /// Sets the journal time mode (virtual-clock fleets pass
-    /// [`TimeMode::Virtual`] to keep journal bytes deterministic).
-    pub fn with_event_mode(mut self, mode: TimeMode) -> Self {
-        self.event_mode = mode;
-        self
-    }
-
-    /// Sets the per-tenant slow-decision capture thresholds.
-    pub fn with_slow_thresholds(mut self, wall_ms: Option<u64>, nodes_left: Option<u64>) -> Self {
-        self.slow_wall_ms = wall_ms;
-        self.slow_nodes_left = nodes_left;
+    /// Sets the event-journal and slow-decision configuration.
+    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
+        self.obs = obs;
         self
     }
 }
 
-/// One tenant: a full single-cluster daemon plus admission bookkeeping.
+/// One tenant: a scheduler world plus admission bookkeeping.
 struct Tenant {
-    daemon: Daemon,
+    cluster: Cluster,
     quota: TenantQuota,
     /// Pending node-seconds as last published into the fleet total.
     pending: u64,
     submitted: u64,
     rejected: u64,
+}
+
+impl Tenant {
+    fn new(cluster: Cluster, quota: TenantQuota) -> Self {
+        Tenant {
+            cluster,
+            quota,
+            pending: 0,
+            submitted: 0,
+            rejected: 0,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -199,43 +179,45 @@ fn lock_shard(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Per-cluster numbers collected for the metrics exposition and the
-/// `/statusz` aggregate.
+/// One cluster's numbers — or, absorbed together, several clusters' —
+/// for the metrics exposition and the `/statusz` aggregate.
+#[derive(Default)]
 struct ClusterStat {
-    submitted: u64,
-    rejected: u64,
-    queue_depth: u64,
+    /// The cluster's counters, with the fleet's admission counts.
+    sample: StatusSample,
     running: u64,
-    decisions: u64,
-    search_nodes: u64,
-    deadline_truncations: u64,
     incidents: u64,
     decision_nanos: Option<Histogram>,
 }
 
-/// Fleet-wide cumulative counters sampled at one status-window
-/// boundary (the `/statusz` self-scrape ring).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct FleetSample {
-    at: Time,
-    submitted: u64,
-    rejected: u64,
-    decisions: u64,
-    queue_depth: u64,
-    search_nodes: u64,
-    deadline_truncations: u64,
-}
+impl ClusterStat {
+    /// Adds `other` in: counters sum, decision-time histograms merge.
+    fn absorb(&mut self, other: &ClusterStat) {
+        self.sample.absorb(&other.sample);
+        self.running += other.running;
+        self.incidents += other.incidents;
+        if let Some(h) = &other.decision_nanos {
+            match &mut self.decision_nanos {
+                // Every cluster records with the same bounds, so the
+                // merge cannot be refused (it would skip, not mis-bin).
+                Some(merged) => {
+                    merged.merge_from(h);
+                }
+                None => self.decision_nanos = Some(h.clone()),
+            }
+        }
+    }
 
-impl FleetSample {
-    fn to_value(self) -> Value {
+    /// One `per_cluster` row of the `/statusz` document.
+    fn row(&self, id: &str) -> Value {
         json!({
-            "at": self.at,
-            "submitted": self.submitted,
-            "rejected": self.rejected,
-            "decisions": self.decisions,
-            "queue_depth": self.queue_depth,
-            "search_nodes": self.search_nodes,
-            "deadline_truncations": self.deadline_truncations,
+            "cluster": id,
+            "queue_depth": self.sample.queue_depth,
+            "running": self.running,
+            "submitted": self.sample.submitted,
+            "rejected": self.sample.rejected,
+            "decisions": self.sample.decisions,
+            "incidents": self.incidents,
         })
     }
 }
@@ -252,21 +234,13 @@ pub struct Fleet {
     latest_now: AtomicU64,
     /// Live tenant count.
     tenant_count: AtomicU64,
-    /// Fleet-wide quota/fairshare rejections.
-    rejected_total: AtomicU64,
     /// Correlation ids, minted once per routed request.
     corr: CorrelationSource,
-    /// The fleet-scoped event journal.  Locked only with **no shard
-    /// lock held** (the protocol edge journals after dispatch returns),
-    /// so it adds no lock-order edge.
-    journal: Mutex<EventJournal>,
-    /// Submit-path request latency measured at the protocol edge.
-    /// Same locking rule as the journal.
-    submit_wall: Mutex<Histogram>,
-    /// Periodic fleet-wide self-scrape samples (server thread only).
-    windows: Mutex<RingBuffer<FleetSample>>,
-    /// Next status-window boundary.
-    next_window: AtomicU64,
+    /// The fleet's one serving edge: journal, submit-latency histogram
+    /// and status window.  Locked only with **no shard lock held** (the
+    /// protocol edge journals after dispatch returns), so it adds no
+    /// lock-order edge.
+    edge: Mutex<Edge>,
 }
 
 impl Fleet {
@@ -276,8 +250,7 @@ impl Fleet {
         let shards = (0..cfg.shards.max(1))
             .map(|_| Mutex::new(Shard::default()))
             .collect();
-        let journal = build_journal(&cfg);
-        let first_window = cfg.status_window.max(1);
+        let edge = Edge::new(&cfg.obs, 0);
         let fleet = Fleet {
             cfg,
             shards,
@@ -285,12 +258,8 @@ impl Fleet {
             total_weight: AtomicU64::new(0),
             latest_now: AtomicU64::new(0),
             tenant_count: AtomicU64::new(0),
-            rejected_total: AtomicU64::new(0),
             corr: CorrelationSource::new(),
-            journal: Mutex::new(journal),
-            submit_wall: Mutex::new(Histogram::exponential(1_000, 10, 7)),
-            windows: Mutex::new(RingBuffer::new(STATUS_WINDOW_CAPACITY)),
-            next_window: AtomicU64::new(first_window),
+            edge: Mutex::new(edge),
         };
         let manifest = fleet
             .cfg
@@ -339,36 +308,28 @@ impl Fleet {
         if let Some(dir) = &self.cfg.snapshot_dir {
             c.snapshot_path = Some(dir.join(format!("cluster-{cluster}.json")));
         }
-        // Tenant journals stay in-memory (event_log None): a per-tenant
-        // file sink would mean file I/O under the shard lock.  The
-        // fleet-scoped journal is the only one with a sink.
-        c.events = self.cfg.events;
-        c.event_mode = self.cfg.event_mode;
-        c.slow_wall_ms = self.cfg.slow_wall_ms;
-        c.slow_nodes_left = self.cfg.slow_nodes_left;
-        c.status_window = self.cfg.status_window;
+        // A cluster reads only the slow-decision thresholds and the time
+        // mode; the journal settings configure the fleet's own edge.
+        c.obs = ObsConfig {
+            event_log: None,
+            ..self.cfg.obs.clone()
+        };
         c
     }
 
-    /// Restores one manifest-listed tenant through the single-daemon
+    /// Restores one manifest-listed tenant through the single-cluster
     /// snapshot recovery path.
     fn recover_tenant(&self, cluster: &str) -> Result<(), String> {
         sbs_service::protocol::validate_cluster_id(cluster)
             .map_err(|e| format!("manifest entry {cluster:?}: {e}"))?;
-        let daemon = Daemon::new(self.tenant_config(cluster))?;
+        let recovered = Cluster::new(self.tenant_config(cluster))?;
         let Some(mut shard) = self.shard_for(cluster) else {
             return Err("internal: no shard for cluster".into());
         };
         if shard.tenants.contains_key(cluster) {
             return Ok(()); // duplicate manifest entry
         }
-        let mut tenant = Tenant {
-            daemon,
-            quota: self.cfg.quota,
-            pending: 0,
-            submitted: 0,
-            rejected: 0,
-        };
+        let mut tenant = Tenant::new(recovered, self.cfg.quota);
         self.tenant_count.fetch_add(1, Ordering::AcqRel);
         self.total_weight
             .fetch_add(self.cfg.quota.weight, Ordering::AcqRel);
@@ -378,10 +339,10 @@ impl Fleet {
     }
 
     /// Re-publishes a tenant's pending demand and scheduler time into
-    /// the fleet-wide atomics (call after any daemon mutation, with the
+    /// the fleet-wide atomics (call after any cluster mutation, with the
     /// tenant's shard lock held).
     fn publish_tenant(&self, t: &mut Tenant) {
-        let (_, pending) = t.daemon.queue_demand();
+        let (_, pending) = t.cluster.queue_demand();
         if pending > t.pending {
             self.total_pending
                 .fetch_add(pending - t.pending, Ordering::AcqRel);
@@ -390,12 +351,12 @@ impl Fleet {
                 .fetch_sub(t.pending - pending, Ordering::AcqRel);
         }
         t.pending = pending;
-        self.latest_now.fetch_max(t.daemon.now(), Ordering::AcqRel);
+        self.latest_now.fetch_max(t.cluster.now(), Ordering::AcqRel);
     }
 
     /// Admits and submits one job into a (locked) tenant.
     fn submit_one(&self, t: &mut Tenant, at: Time, spec: &SubmitSpec) -> Value {
-        let (depth, pending) = t.daemon.queue_demand();
+        let (depth, pending) = t.cluster.queue_demand();
         let requested = spec.requested.unwrap_or(spec.runtime).max(spec.runtime);
         let add = u64::from(spec.nodes).saturating_mul(requested);
         let fleet = FleetDemand {
@@ -404,12 +365,11 @@ impl Fleet {
         };
         if let Err(denied) = t.quota.admit(depth, pending, add, fleet) {
             t.rejected += 1;
-            self.rejected_total.fetch_add(1, Ordering::Relaxed);
             return error_response(&denied.to_string());
         }
         let when = spec.submit.unwrap_or(at);
         match t
-            .daemon
+            .cluster
             .submit_at(when, spec.nodes, spec.runtime, spec.requested, spec.user)
         {
             Ok((id, started)) => {
@@ -418,22 +378,22 @@ impl Fleet {
             }
             Err(e) => {
                 t.rejected += 1;
-                self.rejected_total.fetch_add(1, Ordering::Relaxed);
                 error_response(&e)
             }
         }
     }
 
-    /// Runs `f` on the named tenant, creating it first when `create` is
-    /// set (submissions create tenants; reads on unknown clusters are
-    /// typed errors).
+    /// Runs `f` on the named tenant under correlation id `corr`,
+    /// creating the tenant first when `create` is set (submissions
+    /// create tenants; reads on unknown clusters are typed errors).
     fn with_tenant<R>(
         &self,
         cluster: &str,
         create: bool,
+        corr: u64,
         f: impl FnOnce(&Fleet, &mut Tenant) -> R,
     ) -> Result<R, String> {
-        // Daemon::new replays any on-disk snapshot, and file I/O under
+        // Cluster::new replays any on-disk snapshot, and file I/O under
         // the shard lock would stall every tenant on the shard — so the
         // existence check, the (lock-free) construction, and the insert
         // are three steps, with the insert re-checked under the lock in
@@ -455,42 +415,37 @@ impl Fleet {
                     self.cfg.max_clusters
                 ));
             }
-            fresh = Some(Daemon::new(self.tenant_config(cluster))?);
+            fresh = Some(Cluster::new(self.tenant_config(cluster))?);
         }
         let Some(mut shard) = self.shard_for(cluster) else {
             return Err("internal: no shard for cluster".into());
         };
         if !shard.tenants.contains_key(cluster) {
-            let Some(daemon) = fresh.take() else {
+            let Some(created) = fresh.take() else {
                 return Err(format!("unknown cluster {cluster:?}"));
             };
             self.tenant_count.fetch_add(1, Ordering::AcqRel);
             self.total_weight
                 .fetch_add(self.cfg.quota.weight, Ordering::AcqRel);
-            shard.tenants.insert(
-                cluster.to_string(),
-                Tenant {
-                    daemon,
-                    quota: self.cfg.quota,
-                    pending: 0,
-                    submitted: 0,
-                    rejected: 0,
-                },
-            );
+            shard
+                .tenants
+                .insert(cluster.to_string(), Tenant::new(created, self.cfg.quota));
         }
         let Some(tenant) = shard.tenants.get_mut(cluster) else {
             return Err("internal: tenant vanished under its shard lock".into());
         };
+        tenant.cluster.set_correlation(corr);
         let out = f(self, tenant);
+        tenant.cluster.set_correlation(0);
         self.publish_tenant(tenant);
         Ok(out)
     }
 
     /// Dispatches one routed request at scheduler time `at`, minting a
     /// fresh correlation id at the fleet edge; the id is threaded into
-    /// every decision the request triggers inside the tenant daemon and
-    /// echoed back as `"corr"`.  Returns the response and whether the
-    /// fleet should shut down.
+    /// every decision the request triggers inside the tenant and echoed
+    /// back as `"corr"`.  Returns the response and whether the fleet
+    /// should shut down.  Takes no lock but the tenant's shard lock.
     pub fn handle_routed(&self, cluster: Option<&str>, req: Request, at: Time) -> (Value, bool) {
         let corr = self.corr.mint();
         let (mut v, stop) = self.dispatch_routed(cluster, req, at, corr);
@@ -510,6 +465,7 @@ impl Fleet {
         corr: u64,
     ) -> (Value, bool) {
         let id = cluster.unwrap_or(self.cfg.default_cluster.as_str());
+        let answer = |out: Result<Value, String>| out.unwrap_or_else(|e| error_response(&e));
         match req {
             Request::Submit {
                 nodes,
@@ -525,20 +481,17 @@ impl Fleet {
                     user,
                     submit,
                 };
-                let out = self.with_tenant(id, true, |fleet, t| {
-                    t.daemon.set_correlation(corr);
+                let out = self.with_tenant(id, true, corr, |fleet, t| {
                     let mut v = fleet.submit_one(t, at, &spec);
-                    t.daemon.set_correlation(0);
                     if let Value::Object(map) = &mut v {
-                        map.insert("now".into(), Value::from(t.daemon.now()));
+                        map.insert("now".into(), Value::from(t.cluster.now()));
                     }
                     v
                 });
-                (out.unwrap_or_else(|e| error_response(&e)), false)
+                (answer(out), false)
             }
             Request::SubmitBatch { jobs } => {
-                let out = self.with_tenant(id, true, |fleet, t| {
-                    t.daemon.set_correlation(corr);
+                let out = self.with_tenant(id, true, corr, |fleet, t| {
                     let mut results = Vec::with_capacity(jobs.len());
                     let mut accepted = 0u64;
                     for spec in &jobs {
@@ -548,105 +501,45 @@ impl Fleet {
                         }
                         results.push(v);
                     }
-                    t.daemon.set_correlation(0);
                     json!({
                         "ok": true,
-                        "now": t.daemon.now(),
+                        "now": t.cluster.now(),
                         "accepted": accepted,
                         "results": Value::Array(results),
                     })
                 });
-                (out.unwrap_or_else(|e| error_response(&e)), false)
+                (answer(out), false)
             }
-            Request::Cancel { id: job } => {
-                let out = self.with_tenant(id, false, |_, t| {
-                    t.daemon.set_correlation(corr);
-                    t.daemon.poll_to(at);
-                    let cancelled = t.daemon.cancel(sbs_workload::job::JobId(job));
-                    t.daemon.set_correlation(0);
-                    json!({ "ok": true, "cancelled": cancelled })
-                });
-                (out.unwrap_or_else(|e| error_response(&e)), false)
-            }
-            Request::Queue => {
-                let out = self.with_tenant(id, false, |_, t| {
-                    t.daemon.set_correlation(corr);
-                    t.daemon.poll_to(at);
-                    t.daemon.set_correlation(0);
-                    t.daemon.queue_view()
-                });
-                (out.unwrap_or_else(|e| error_response(&e)), false)
+            // Per-tenant reads are the cluster's own op bodies.
+            req @ (Request::Cancel { .. } | Request::Queue) => {
+                let out = self.with_tenant(id, false, corr, |_, t| t.cluster.dispatch(req, at).0);
+                (answer(out), false)
             }
             Request::Metrics => {
                 self.poll_all(at);
                 (json!({ "ok": true, "text": self.metrics_text() }), false)
             }
             Request::Incidents => {
-                let include_wall = self.cfg.event_mode == TimeMode::Wall;
-                let (items, captured) = if let Some(c) = cluster {
-                    let out = self.with_tenant(c, false, |_, t| {
-                        let items: Vec<Value> = t
-                            .daemon
-                            .incidents()
-                            .iter()
-                            .map(|i| tag_cluster(i.to_value(include_wall), c))
-                            .collect();
-                        (items, t.daemon.incidents_total())
-                    });
-                    match out {
-                        Ok(pair) => pair,
-                        Err(e) => return (error_response(&e), false),
-                    }
-                } else {
-                    let mut items = Vec::new();
-                    let mut captured = 0u64;
-                    for shard in &self.shards {
-                        let s = lock_shard(shard);
-                        for (cid, t) in &s.tenants {
-                            captured += t.daemon.incidents_total();
-                            items.extend(
-                                t.daemon
-                                    .incidents()
-                                    .iter()
-                                    .map(|i| tag_cluster(i.to_value(include_wall), cid)),
-                            );
-                        }
-                    }
-                    (items, captured)
-                };
-                (
-                    json!({
-                        "ok": true,
-                        "captured": captured,
-                        "incidents": Value::Array(items),
+                let out = match cluster {
+                    Some(c) => self.with_tenant(c, false, corr, |_, t| {
+                        t.cluster.poll_to(at);
+                        tenant_incidents(c, &t.cluster)
                     }),
-                    false,
-                )
+                    None => {
+                        self.poll_all(at);
+                        Ok(self.all_incidents())
+                    }
+                };
+                let out = out.map(|(items, captured)| incidents_response(items, captured));
+                (answer(out), false)
             }
             Request::Drain => {
-                let (completed, leftover) = if cluster.is_some() {
-                    let out = self.with_tenant(id, false, |_, t| {
-                        t.daemon.set_correlation(corr);
-                        let pair = t.daemon.drain();
-                        t.daemon.set_correlation(0);
-                        pair
-                    });
-                    match out {
-                        Ok(pair) => pair,
-                        Err(e) => return (error_response(&e), false),
-                    }
-                } else {
-                    self.drain_all_with(corr)
+                let out = match cluster {
+                    Some(c) => self.with_tenant(c, false, corr, |_, t| t.cluster.drain()),
+                    None => Ok(self.drain_all_with(corr)),
                 };
-                (
-                    json!({
-                        "ok": true,
-                        "completed": completed,
-                        "leftover": leftover,
-                        "now": self.now(),
-                    }),
-                    false,
-                )
+                let out = out.map(|(done, left)| drain_response(done, left, self.now()));
+                (answer(out), false)
             }
             Request::Snapshot => match self.save_snapshots() {
                 Ok(Some(path)) => (
@@ -672,7 +565,7 @@ impl Fleet {
         for shard in &self.shards {
             let mut s = lock_shard(shard);
             for t in s.tenants.values_mut() {
-                t.daemon.poll_to(at);
+                t.cluster.poll_to(at);
                 self.publish_tenant(t);
             }
         }
@@ -690,9 +583,9 @@ impl Fleet {
         for shard in &self.shards {
             let mut s = lock_shard(shard);
             for t in s.tenants.values_mut() {
-                t.daemon.set_correlation(corr);
-                let (c, l) = t.daemon.drain();
-                t.daemon.set_correlation(0);
+                t.cluster.set_correlation(corr);
+                let (c, l) = t.cluster.drain();
+                t.cluster.set_correlation(0);
                 completed += c;
                 leftover += l;
                 self.publish_tenant(t);
@@ -701,98 +594,48 @@ impl Fleet {
         (completed, leftover)
     }
 
+    /// Locks the fleet's edge, recovering from poisoning.  A leaf lock:
+    /// never taken with a shard lock held.
+    fn edge(&self) -> MutexGuard<'_, Edge> {
+        self.edge
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// Folds one measured submit-request latency (nanoseconds) into the
     /// fleet histogram.  The TCP edge calls this for submit-shaped
     /// lines; the loadgen harness feeds its exact measurements so
     /// `/statusz` percentiles agree with the bench report.
     pub fn record_submit_latency(&self, ns: u64) {
-        lock_plain(&self.submit_wall).observe(ns);
+        self.edge().submit_wall.observe(ns);
     }
 
     /// A copy of the fleet submit-latency histogram.
     pub fn submit_latency(&self) -> Histogram {
-        lock_plain(&self.submit_wall).clone()
-    }
-
-    /// The fleet journal's `(emitted, filtered)` counters.
-    pub fn journal_counts(&self) -> (u64, u64) {
-        let j = lock_plain(&self.journal);
-        (j.emitted(), j.filtered())
-    }
-
-    /// Journals one request outcome into the fleet journal.  Runs at
-    /// the protocol edge with **no shard lock held**.
-    fn journal_request(
-        &self,
-        cluster: Option<&str>,
-        kind: &str,
-        severity: Severity,
-        response: &Value,
-        at: Time,
-    ) {
-        let clusters = self.cluster_count();
-        let mut j = lock_plain(&self.journal);
-        if !j.enabled() {
-            return;
-        }
-        let ok = response.get("ok") != Some(&Value::Bool(false));
-        let corr = response.get("corr").and_then(Value::as_u64).unwrap_or(0);
-        let severity = if ok { severity } else { Severity::Error };
-        let mut event = Event::new(severity, cluster.unwrap_or("fleet"), kind)
-            .at(at)
-            .corr(corr)
-            .detail("clusters", clusters);
-        if let Some(id) = response.get("id").and_then(Value::as_u64) {
-            event = event.detail("id", id);
-        }
-        if let Some(accepted) = response.get("accepted").and_then(Value::as_u64) {
-            event = event.detail("accepted", accepted);
-        }
-        j.emit(event);
-    }
-
-    /// Fleet-wide cumulative counters computed from one shard sweep.
-    fn sample_from(&self, at: Time, stats: &BTreeMap<String, ClusterStat>) -> FleetSample {
-        FleetSample {
-            at,
-            submitted: stats.values().map(|s| s.submitted).sum(),
-            rejected: self.rejected_total.load(Ordering::Relaxed),
-            decisions: stats.values().map(|s| s.decisions).sum(),
-            queue_depth: stats.values().map(|s| s.queue_depth).sum(),
-            search_nodes: stats.values().map(|s| s.search_nodes).sum(),
-            deadline_truncations: stats.values().map(|s| s.deadline_truncations).sum(),
-        }
+        self.edge().submit_wall.clone()
     }
 
     /// Pushes a self-scrape sample when scheduler time has crossed the
-    /// status-window boundary.  Only the server thread advances the
-    /// clock, so the load/store pair on `next_window` does not race.
+    /// status-window boundary.
     fn maybe_sample(&self, at: Time) {
-        let window = self.cfg.status_window.max(1);
-        if at < self.next_window.load(Ordering::Acquire) {
+        if !self.edge().window.due(at) {
             return;
         }
-        let sample = self.sample_from(at, &self.collect_stats());
-        lock_plain(&self.windows).push(sample);
-        let next = (at / window).saturating_add(1).saturating_mul(window);
-        self.next_window.store(next, Ordering::Release);
+        let (_, total) = self.collect_stats();
+        self.edge().window.push(StatusSample { at, ..total.sample });
     }
 
     /// Every tenant's captured incidents (tagged with their cluster id)
     /// plus the fleet-lifetime capture count.
-    fn all_incidents(&self, include_wall: bool) -> (Vec<Value>, u64) {
+    fn all_incidents(&self) -> (Vec<Value>, u64) {
         let mut items = Vec::new();
         let mut captured = 0u64;
         for shard in &self.shards {
             let s = lock_shard(shard);
-            for (cid, t) in &s.tenants {
-                captured += t.daemon.incidents_total();
-                items.extend(
-                    t.daemon
-                        .incidents()
-                        .iter()
-                        .map(|i| tag_cluster(i.to_value(include_wall), cid)),
-                );
+            for (id, t) in &s.tenants {
+                let (tagged, total) = tenant_incidents(id, &t.cluster);
+                items.extend(tagged);
+                captured += total;
             }
         }
         (items, captured)
@@ -822,134 +665,34 @@ impl Fleet {
     /// rates, per-cluster rows under the metrics cardinality cap, and
     /// (with `include_incidents`) every tenant's captured incidents.
     pub fn statusz_value(&self, include_incidents: bool) -> Value {
-        let include_wall = self.cfg.event_mode == TimeMode::Wall;
-        let stats = self.collect_stats();
-        let live = self.sample_from(Fleet::now(self), &stats);
-        let (oldest, windows) = {
-            let w = lock_plain(&self.windows);
-            let oldest = w.iter().next().copied().unwrap_or_default();
-            let windows: Vec<Value> = w.iter().map(|s| s.to_value()).collect();
-            (oldest, windows)
+        let (stats, total) = self.collect_stats();
+        let live = StatusSample {
+            at: Fleet::now(self),
+            ..total.sample
         };
-        let span = live.at.saturating_sub(oldest.at);
-        let d_decisions = live.decisions.saturating_sub(oldest.decisions);
-        let d_trunc = live
-            .deadline_truncations
-            .saturating_sub(oldest.deadline_truncations);
-        let d_nodes = live.search_nodes.saturating_sub(oldest.search_nodes);
-        let d_submitted = live.submitted.saturating_sub(oldest.submitted);
-        let deadline_hit_rate = if d_decisions > 0 {
-            d_trunc as f64 / d_decisions as f64
-        } else {
-            0.0
-        };
-        let nodes_per_sec = if span > 0 {
-            d_nodes as f64 / span as f64
-        } else {
-            0.0
-        };
-        let submitted_per_sec = if span > 0 {
-            d_submitted as f64 / span as f64
-        } else {
-            0.0
-        };
-        let mut decision_hist: Option<Histogram> = None;
-        for st in stats.values() {
-            if let Some(h) = &st.decision_nanos {
-                match decision_hist.as_mut() {
-                    Some(m) => {
-                        if !m.merge_from(h) {
-                            continue;
-                        }
-                    }
-                    None => decision_hist = Some(h.clone()),
-                }
-            }
-        }
-        let decision_wall = match &decision_hist {
-            Some(h) => json!({
-                "p50": h.quantile(0.50).unwrap_or(0),
-                "p99": h.quantile(0.99).unwrap_or(0),
-                "count": h.count(),
-            }),
-            None => json!({ "p50": 0, "p99": 0, "count": 0 }),
-        };
-        let submit = self.submit_latency();
-        let submit_latency = json!({
-            "p50": submit.quantile(0.50).unwrap_or(0),
-            "p99": submit.quantile(0.99).unwrap_or(0),
-            "p999": submit.quantile(0.999).unwrap_or(0),
-            "count": submit.count(),
-        });
-        let (emitted, filtered) = self.journal_counts();
-        let events = json!({ "emitted": emitted, "filtered": filtered });
-        let running: u64 = stats.values().map(|s| s.running).sum();
-        let incidents_captured: u64 = stats.values().map(|s| s.incidents).sum();
-        // Per-cluster rows under the same lexicographic cardinality cap
-        // as `/metrics`, with the overflow folded into `_other`.
-        let cap = self.cfg.cluster_label_cap.max(1);
         let mut rows = Vec::new();
-        let (mut o_depth, mut o_running, mut o_submitted) = (0u64, 0u64, 0u64);
-        let (mut o_rejected, mut o_decisions, mut o_incidents) = (0u64, 0u64, 0u64);
-        let mut overflowed = false;
-        for (i, (id, st)) in stats.iter().enumerate() {
-            if i < cap {
-                rows.push(json!({
-                    "cluster": id.as_str(),
-                    "queue_depth": st.queue_depth,
-                    "running": st.running,
-                    "submitted": st.submitted,
-                    "rejected": st.rejected,
-                    "decisions": st.decisions,
-                    "incidents": st.incidents,
-                }));
-            } else {
-                overflowed = true;
-                o_depth += st.queue_depth;
-                o_running += st.running;
-                o_submitted += st.submitted;
-                o_rejected += st.rejected;
-                o_decisions += st.decisions;
-                o_incidents += st.incidents;
-            }
-        }
-        if overflowed {
-            rows.push(json!({
-                "cluster": "_other",
-                "queue_depth": o_depth,
-                "running": o_running,
-                "submitted": o_submitted,
-                "rejected": o_rejected,
-                "decisions": o_decisions,
-                "incidents": o_incidents,
-            }));
-        }
+        self.for_each_label(&stats, |id, st| rows.push(st.row(id)));
         let mut v = json!({
             "schema": "sbs-fleet-statusz/v1",
             "now": live.at,
             "shards": self.shards.len() as u64,
             "clusters": stats.len() as u64,
             "queue_depth": live.queue_depth,
-            "running": running,
+            "running": total.running,
             "submitted": live.submitted,
             "rejected": live.rejected,
             "decisions": live.decisions,
             "search_nodes": live.search_nodes,
             "pending_node_seconds": self.total_pending.load(Ordering::Acquire),
-            "deadline_hit_rate": deadline_hit_rate,
-            "search_nodes_per_sec": nodes_per_sec,
-            "submitted_per_sec": submitted_per_sec,
-            "decision_wall_ns": decision_wall,
-            "submit_latency_ns": submit_latency,
-            "events": events,
-            "incidents_captured": incidents_captured,
+            "decision_wall_ns": quantiles_value(total.decision_nanos.as_ref(), false),
+            "incidents_captured": total.incidents,
             "per_cluster": Value::Array(rows),
-            "windows": Value::Array(windows),
         });
-        if include_incidents {
-            let (items, _) = self.all_incidents(include_wall);
-            if let Value::Object(m) = &mut v {
-                m.insert("incidents".into(), Value::Array(items));
+        let rates = self.edge().status_into(&live, &mut v);
+        if let Value::Object(m) = &mut v {
+            m.insert("submitted_per_sec".into(), rates.submitted_per_sec.into());
+            if include_incidents {
+                m.insert("incidents".into(), Value::Array(self.all_incidents().0));
             }
         }
         v
@@ -959,70 +702,61 @@ impl Fleet {
     /// one (the loadgen harness's decision-latency source).  `None`
     /// before any decision anywhere.
     pub fn decision_wall_histogram(&self) -> Option<Histogram> {
-        let mut merged: Option<Histogram> = None;
-        for shard in &self.shards {
-            let s = lock_shard(shard);
-            for t in s.tenants.values() {
-                let found = t
-                    .daemon
-                    .recorder()
-                    .histograms()
-                    .find(|(name, _)| *name == "sbs_decision_wall_nanos");
-                if let Some((_, h)) = found {
-                    match merged.as_mut() {
-                        Some(m) => {
-                            if !m.merge_from(h) {
-                                // Foreign bucket layout cannot happen
-                                // (every daemon uses the same bounds);
-                                // skip rather than mis-bin.
-                                continue;
-                            }
-                        }
-                        None => merged = Some(h.clone()),
-                    }
-                }
-            }
-        }
-        merged
+        self.collect_stats().1.decision_nanos
     }
 
-    /// One pass over every shard: per-cluster counters keyed by id
-    /// (shared by `/metrics` and `/statusz`).
-    fn collect_stats(&self) -> BTreeMap<String, ClusterStat> {
+    /// One pass over every shard: per-cluster numbers keyed by id, and
+    /// their fleet-wide total (shared by `/metrics`, `/statusz` and the
+    /// status window).
+    fn collect_stats(&self) -> (BTreeMap<String, ClusterStat>, ClusterStat) {
         let mut stats: BTreeMap<String, ClusterStat> = BTreeMap::new();
+        let mut total = ClusterStat::default();
         for shard in &self.shards {
             let s = lock_shard(shard);
             for (id, t) in &s.tenants {
-                let m = t.daemon.metrics();
-                let hist = t
-                    .daemon
-                    .recorder()
-                    .histograms()
-                    .find(|(name, _)| *name == "sbs_decision_wall_nanos")
-                    .map(|(_, h)| h.clone());
-                stats.insert(
-                    id.clone(),
-                    ClusterStat {
+                let stat = ClusterStat {
+                    sample: StatusSample {
                         submitted: t.submitted,
                         rejected: t.rejected,
-                        queue_depth: m.queue_depth as u64,
-                        running: m.running_jobs as u64,
-                        decisions: m.decisions,
-                        search_nodes: m.search_nodes,
-                        deadline_truncations: t.daemon.deadline_truncations(),
-                        incidents: t.daemon.incidents_total(),
-                        decision_nanos: hist,
+                        ..t.cluster.status_sample()
                     },
-                );
+                    running: t.cluster.metrics().running_jobs as u64,
+                    incidents: t.cluster.incidents_total(),
+                    decision_nanos: t.cluster.decision_wall().cloned(),
+                };
+                total.absorb(&stat);
+                stats.insert(id.clone(), stat);
             }
         }
-        stats
+        (stats, total)
+    }
+
+    /// Visits per-cluster numbers under the label cap: the first
+    /// `cluster_label_cap` ids (lexicographic, hence deterministic) as
+    /// themselves, everything past the cap folded into one `_other`.
+    fn for_each_label(
+        &self,
+        stats: &BTreeMap<String, ClusterStat>,
+        mut visit: impl FnMut(&str, &ClusterStat),
+    ) {
+        let cap = self.cfg.cluster_label_cap.max(1);
+        let mut other: Option<ClusterStat> = None;
+        for (i, (id, st)) in stats.iter().enumerate() {
+            if i < cap {
+                visit(id, st);
+            } else {
+                other.get_or_insert_with(ClusterStat::default).absorb(st);
+            }
+        }
+        if let Some(folded) = other {
+            visit("_other", &folded);
+        }
     }
 
     /// The fleet `/metrics` exposition: fleet-wide families plus
     /// per-cluster series under the cardinality cap.
     pub fn metrics_text(&self) -> String {
-        let stats = self.collect_stats();
+        let (stats, total) = self.collect_stats();
         let mut e = Exposition::new();
         e.gauge(
             "sbs_fleet_shards",
@@ -1030,88 +764,43 @@ impl Fleet {
             self.shards.len(),
         );
         e.gauge("sbs_fleet_clusters", "Live tenants.", stats.len());
-        let submitted: u64 = stats.values().map(|s| s.submitted).sum();
-        let rejected: u64 = stats.values().map(|s| s.rejected).sum();
-        let decisions: u64 = stats.values().map(|s| s.decisions).sum();
-        let queue_depth: u64 = stats.values().map(|s| s.queue_depth).sum();
-        let running: u64 = stats.values().map(|s| s.running).sum();
         e.counter(
             "sbs_fleet_submitted_total",
             "Jobs admitted across all tenants.",
-            submitted,
+            total.sample.submitted,
         );
         e.counter(
             "sbs_fleet_rejected_total",
             "Submissions refused by quota, fairshare, or the daemon.",
-            rejected,
+            total.sample.rejected,
         );
         e.counter(
             "sbs_fleet_decisions_total",
             "Decision points executed across all tenants.",
-            decisions,
+            total.sample.decisions,
         );
         e.gauge(
             "sbs_fleet_queue_depth",
             "Waiting jobs summed over all tenants.",
-            queue_depth,
+            total.sample.queue_depth,
         );
         e.gauge(
             "sbs_fleet_running_jobs",
             "Running jobs summed over all tenants.",
-            running,
+            total.running,
         );
         e.gauge(
             "sbs_fleet_pending_node_seconds",
             "Pending node-seconds summed over all tenants (fairshare input).",
             self.total_pending.load(Ordering::Acquire),
         );
-        let shares: Vec<f64> = stats.values().map(|s| s.submitted as f64).collect();
+        let shares: Vec<f64> = stats.values().map(|s| s.sample.submitted as f64).collect();
         e.gauge(
             "sbs_fleet_fairness_jain",
             "Jain index over per-tenant admitted-job counts (1 = even).",
             format!("{:.6}", jain_index(&shares)),
         );
-        // Per-cluster series: the first `cluster_label_cap` ids
-        // (lexicographic, hence deterministic) get their own label;
-        // everything past the cap folds into `cluster="_other"`.
-        let cap = self.cfg.cluster_label_cap.max(1);
-        let mut other = ClusterStat {
-            submitted: 0,
-            rejected: 0,
-            queue_depth: 0,
-            running: 0,
-            decisions: 0,
-            search_nodes: 0,
-            deadline_truncations: 0,
-            incidents: 0,
-            decision_nanos: None,
-        };
-        let mut overflowed = false;
-        for (i, (id, st)) in stats.iter().enumerate() {
-            if i < cap {
-                emit_cluster(&mut e, id, st);
-            } else {
-                overflowed = true;
-                other.submitted += st.submitted;
-                other.rejected += st.rejected;
-                other.queue_depth += st.queue_depth;
-                other.running += st.running;
-                other.decisions += st.decisions;
-                if let Some(h) = &st.decision_nanos {
-                    match other.decision_nanos.as_mut() {
-                        Some(m) => {
-                            if !m.merge_from(h) {
-                                continue;
-                            }
-                        }
-                        None => other.decision_nanos = Some(h.clone()),
-                    }
-                }
-            }
-        }
-        if overflowed {
-            emit_cluster(&mut e, "_other", &other);
-        }
+        self.for_each_label(&stats, |id, st| emit_cluster(&mut e, id, st));
         e.render()
     }
 
@@ -1130,7 +819,7 @@ impl Fleet {
                 // Render in memory only: the file writes happen after
                 // the shard lock drops, so a slow disk never stalls
                 // every request routed to this shard.
-                writes.extend(t.daemon.render_snapshot());
+                writes.extend(t.cluster.render_snapshot());
                 ids.push(id.clone());
             }
         }
@@ -1145,56 +834,17 @@ impl Fleet {
     }
 }
 
-/// Builds the fleet-scoped journal from the config (degrades to the
-/// in-memory ring with a note when the sink cannot be opened).
-fn build_journal(cfg: &FleetConfig) -> EventJournal {
-    if !cfg.events {
-        return EventJournal::disabled(cfg.event_mode);
-    }
-    let mut journal = EventJournal::new(cfg.event_mode);
-    if let Some(path) = &cfg.event_log {
-        if let Err(e) = journal.open_rotating(path.clone(), cfg.event_log_max_bytes) {
-            eprintln!("event log {} unavailable: {e}", path.display());
+/// One tenant's captured incidents, tagged with its cluster id, plus
+/// its lifetime capture count.
+fn tenant_incidents(id: &str, cluster: &Cluster) -> (Vec<Value>, u64) {
+    let tag = |mut v: Value| {
+        if let Value::Object(m) = &mut v {
+            m.insert("cluster".into(), Value::from(id));
         }
-    }
-    journal
-}
-
-/// Locks an observability mutex (journal, latency histogram, sample
-/// ring), recovering from poisoning.  These are leaf locks: never taken
-/// with a shard lock held.
-fn lock_plain<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Tags an incident (or any JSON object) with the cluster it came from.
-fn tag_cluster(mut v: Value, cluster: &str) -> Value {
-    if let Value::Object(m) = &mut v {
-        m.insert("cluster".into(), Value::from(cluster));
-    }
-    v
-}
-
-/// Journal event kind and base severity for one request type.
-fn op_event(req: &Request) -> (&'static str, Severity) {
-    match req {
-        Request::Submit { .. } => ("submit", Severity::Debug),
-        Request::SubmitBatch { .. } => ("submit_batch", Severity::Debug),
-        Request::Cancel { .. } => ("cancel", Severity::Debug),
-        Request::Queue => ("queue", Severity::Debug),
-        Request::Metrics => ("metrics", Severity::Debug),
-        Request::Incidents => ("incidents", Severity::Debug),
-        Request::Drain => ("drain", Severity::Info),
-        Request::Snapshot => ("snapshot", Severity::Info),
-        Request::Shutdown => ("shutdown", Severity::Info),
-    }
-}
-
-/// Renders a status document; the fallback cannot fire for the values
-/// built here (no non-finite floats) but keeps the endpoint total.
-fn render_json(v: &Value) -> String {
-    serde_json::to_string(v)
-        .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":{:?}}}", e.to_string()))
+        v
+    };
+    let items = cluster.incidents_value().into_iter().map(tag).collect();
+    (items, cluster.incidents_total())
 }
 
 /// Appends one cluster's labeled series to the exposition.
@@ -1204,25 +854,25 @@ fn emit_cluster(e: &mut Exposition, id: &str, st: &ClusterStat) {
         "sbs_cluster_submitted_total",
         "Jobs admitted, per tenant (capped cardinality; overflow in _other).",
         labels("c"),
-        st.submitted,
+        st.sample.submitted,
     );
     e.counter_with(
         "sbs_cluster_rejected_total",
         "Submissions refused, per tenant.",
         labels("c"),
-        st.rejected,
+        st.sample.rejected,
     );
     e.counter_with(
         "sbs_cluster_decisions_total",
         "Decision points executed, per tenant.",
         labels("c"),
-        st.decisions,
+        st.sample.decisions,
     );
     e.gauge_with(
         "sbs_cluster_queue_depth",
         "Waiting jobs, per tenant.",
         labels("c"),
-        st.queue_depth,
+        st.sample.queue_depth,
     );
     e.gauge_with(
         "sbs_cluster_running_jobs",
@@ -1289,11 +939,18 @@ impl ServerHandler for Fleet {
     fn handle_line(&mut self, line: &str, at: Time) -> (Value, bool) {
         match parse_routed(line) {
             Ok((cluster, req)) => {
-                let (kind, severity) = op_event(&req);
+                let kind = op_event(&req);
                 let out = self.handle_routed(cluster.as_deref(), req, at);
                 // Journal after dispatch: every shard lock is released
-                // by now, so the journal stays a leaf lock.
-                self.journal_request(cluster.as_deref(), kind, severity, &out.0, at);
+                // by now, so the edge stays a leaf lock.
+                let clusters = self.cluster_count();
+                self.edge().journal_request(
+                    cluster.as_deref().unwrap_or("fleet"),
+                    kind,
+                    &out.0,
+                    at,
+                    ("clusters", clusters),
+                );
                 out
             }
             Err(e) => (error_response(&e), false),
@@ -1304,50 +961,43 @@ impl ServerHandler for Fleet {
         Fleet::now(self)
     }
 
-    fn metrics_text_at(&mut self, at: Time) -> String {
-        Fleet::poll_all(self, at);
+    fn metrics_scrape(&mut self) -> String {
         Fleet::metrics_text(self)
     }
 
-    fn http_get(&mut self, path: &str, at: Time) -> HttpReply {
-        Fleet::poll_all(self, at);
-        self.maybe_sample(at);
-        let (route, query) = path.split_once('?').unwrap_or((path, ""));
-        match route {
-            "/healthz" => {
-                let v = self.healthz_value();
-                let ok = v.get("ok") == Some(&Value::Bool(true));
-                HttpReply::json(ok, render_json(&v))
-            }
-            "/statusz" => {
-                let with_incidents = query.split('&').any(|kv| kv == "incidents=1");
-                HttpReply::json(true, render_json(&self.statusz_value(with_incidents)))
-            }
-            _ => HttpReply::metrics(Fleet::metrics_text(self)),
-        }
+    fn healthz(&mut self) -> Value {
+        self.healthz_value()
+    }
+
+    fn statusz(&mut self, with_incidents: bool) -> Value {
+        self.statusz_value(with_incidents)
     }
 
     fn observe_request_ns(&mut self, line: &str, ns: u64) {
-        // Same submit-shaped pre-parse heuristic as the single daemon.
-        if line.contains("\"submit") {
-            self.record_submit_latency(ns);
-        }
+        self.edge().observe_request_ns(line, ns);
     }
 
     fn on_shutdown(&mut self) {
         // sbs-lint: allow(result-dropped): proven best-effort path — shutdown must complete even when the final snapshot write fails
         let _ = self.save_snapshots();
-        lock_plain(&self.journal).flush();
+        self.edge().journal.flush();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbs_obs::TimeMode;
     use sbs_workload::time::HOUR;
 
     fn fleet() -> Fleet {
         Fleet::new(FleetConfig::new(8, PolicySpec::FcfsBackfill)).expect("fleet")
+    }
+
+    /// The fleet journal's `(emitted, filtered)` counters.
+    fn journal_counts(f: &Fleet) -> (u64, u64) {
+        let edge = f.edge();
+        (edge.journal.emitted(), edge.journal.filtered())
     }
 
     fn submit(nodes: u32, at: Time) -> Request {
@@ -1561,7 +1211,8 @@ mod tests {
     #[test]
     fn incidents_aggregate_across_tenants_with_cluster_tags() {
         let f = Fleet::new(
-            FleetConfig::new(8, PolicySpec::FcfsBackfill).with_slow_thresholds(Some(0), None),
+            FleetConfig::new(8, PolicySpec::FcfsBackfill)
+                .with_obs(ObsConfig::default().with_slow_thresholds(Some(0), None)),
         )
         .expect("fleet");
         assert_eq!(
@@ -1596,6 +1247,40 @@ mod tests {
     }
 
     #[test]
+    fn incidents_reads_replay_departures_first() {
+        // Job A fills the machine over [0, 10); job B queues behind it
+        // and starts when A departs.  An `incidents` read at t=100 must
+        // replay both departures first, like every other read (and like
+        // `sbs serve`), routed or not.
+        for routed in [true, false] {
+            let f = Fleet::new(
+                FleetConfig::new(8, PolicySpec::FcfsBackfill)
+                    .with_obs(ObsConfig::default().with_slow_thresholds(Some(0), None)),
+            )
+            .expect("fleet");
+            let job = |at: Time| Request::Submit {
+                nodes: 8,
+                runtime: 10,
+                requested: None,
+                user: 0,
+                submit: Some(at),
+            };
+            assert_eq!(f.handle_routed(Some("c"), job(0), 0).0["started"], true);
+            assert_eq!(f.handle_routed(Some("c"), job(1), 1).0["started"], false);
+            let (v, _) = f.handle_routed(routed.then_some("c"), Request::Incidents, 100);
+            assert_eq!(v["captured"].as_u64(), Some(4), "routed={routed}: {v}");
+            let items = v["incidents"].as_array().expect("incident array");
+            assert!(
+                items.iter().any(|i| {
+                    let d = &i["decision"];
+                    d["now"].as_u64() == Some(10) && d["started"][0].as_u64() == Some(1)
+                }),
+                "routed={routed}: B's start at A's departure is missing: {v}"
+            );
+        }
+    }
+
+    #[test]
     fn healthz_reports_shard_availability() {
         let f = fleet();
         assert_eq!(
@@ -1614,7 +1299,8 @@ mod tests {
     #[test]
     fn statusz_aggregates_rows_rates_and_latency() {
         let mut f = Fleet::new(
-            FleetConfig::new(8, PolicySpec::FcfsBackfill).with_event_mode(TimeMode::Virtual),
+            FleetConfig::new(8, PolicySpec::FcfsBackfill)
+                .with_obs(ObsConfig::default().with_event_mode(TimeMode::Virtual)),
         )
         .expect("fleet");
         for (id, at) in [("alpha", 0), ("beta", 0), ("alpha", 10)] {
@@ -1673,23 +1359,24 @@ mod tests {
     #[test]
     fn fleet_journal_records_requests_by_severity() {
         let mut f = Fleet::new(
-            FleetConfig::new(8, PolicySpec::FcfsBackfill).with_event_mode(TimeMode::Virtual),
+            FleetConfig::new(8, PolicySpec::FcfsBackfill)
+                .with_obs(ObsConfig::default().with_event_mode(TimeMode::Virtual)),
         )
         .expect("fleet");
         let line = r#"{"op":"submit","cluster":"alpha","nodes":2,"runtime":3600,"submit":0}"#;
         let (v, _) = f.handle_line(line, 0);
         assert_eq!(v["ok"], true);
         // Submits journal at Debug, below the default Info floor.
-        let (emitted, filtered) = f.journal_counts();
+        let (emitted, filtered) = journal_counts(&f);
         assert_eq!((emitted, filtered), (0, 1));
         let (v, _) = f.handle_line(r#"{"op":"drain"}"#, 0);
         assert_eq!(v["ok"], true);
-        let (emitted, _) = f.journal_counts();
+        let (emitted, _) = journal_counts(&f);
         assert_eq!(emitted, 1, "drain journals at Info");
         // Failed requests escalate to Error regardless of kind.
         let (v, _) = f.handle_line(r#"{"op":"queue","cluster":"ghost"}"#, 0);
         assert_eq!(v["ok"], false);
-        let (emitted, _) = f.journal_counts();
+        let (emitted, _) = journal_counts(&f);
         assert_eq!(emitted, 2);
     }
 

@@ -180,6 +180,85 @@ impl Event {
     }
 }
 
+/// Rotation threshold for the event log when none is given.
+pub const DEFAULT_EVENT_LOG_MAX_BYTES: u64 = 4 << 20;
+
+/// What a serving edge is told about its journal and its slow-decision
+/// capture.  The single-cluster daemon and the fleet embed the same
+/// struct, so both are configured — and their journal built — one way.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ObsConfig {
+    /// Emit operational events into the edge's `sbs-events/v1` journal.
+    /// (A fleet has one journal, at the fleet edge; its tenants carry
+    /// none, so a tenant's slow decision is an incident, not an event.)
+    pub events: bool,
+    /// Rotating journal sink; `None` keeps events in the in-memory ring.
+    pub event_log: Option<PathBuf>,
+    /// Rotation threshold for the event log, in bytes.
+    pub event_log_max_bytes: u64,
+    /// Journal time mode: `Virtual` omits wall durations so two
+    /// identical virtual-clock runs journal byte-identical files.
+    pub event_mode: TimeMode,
+    /// A decision whose wall time reaches this many milliseconds is
+    /// captured as a slow-decision incident (`Some(0)` captures every
+    /// decision — useful in smoke tests).
+    pub slow_wall_ms: Option<u64>,
+    /// A decision whose `nodes_left_at_deadline` reaches this is
+    /// captured as a slow-decision incident.
+    pub slow_nodes_left: Option<u64>,
+}
+
+impl Default for ObsConfig {
+    fn default() -> Self {
+        ObsConfig {
+            events: true,
+            event_log: None,
+            event_log_max_bytes: DEFAULT_EVENT_LOG_MAX_BYTES,
+            event_mode: TimeMode::Wall,
+            slow_wall_ms: None,
+            slow_nodes_left: None,
+        }
+    }
+}
+
+impl ObsConfig {
+    /// Writes `sbs-events/v1` JSONL to `path`, rotating at `max_bytes`.
+    pub fn with_event_log(mut self, path: PathBuf, max_bytes: u64) -> Self {
+        self.event_log = Some(path);
+        self.event_log_max_bytes = max_bytes;
+        self
+    }
+
+    /// Sets the journal time mode (virtual-clock daemons pass
+    /// [`TimeMode::Virtual`] to keep journal bytes deterministic).
+    pub fn with_event_mode(mut self, mode: TimeMode) -> Self {
+        self.event_mode = mode;
+        self
+    }
+
+    /// Sets the slow-decision capture thresholds.
+    pub fn with_slow_thresholds(mut self, wall_ms: Option<u64>, nodes_left: Option<u64>) -> Self {
+        self.slow_wall_ms = wall_ms;
+        self.slow_nodes_left = nodes_left;
+        self
+    }
+
+    /// Builds the edge's journal.  A bad journal path degrades to the
+    /// in-memory ring with a notice — it never stops the scheduler.
+    pub fn build_journal(&self) -> EventJournal {
+        if !self.events {
+            return EventJournal::disabled(self.event_mode);
+        }
+        let mut journal = EventJournal::new(self.event_mode);
+        if let Some(path) = &self.event_log {
+            if let Err(e) = journal.open_rotating(path.clone(), self.event_log_max_bytes) {
+                eprintln!("event log {} unavailable: {e}", path.display());
+            }
+        }
+        journal
+    }
+}
+
 /// The bounded, rotating, severity-leveled event journal.
 ///
 /// Always holds an in-memory ring of the most recent accepted events

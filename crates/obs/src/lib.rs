@@ -24,7 +24,10 @@
 //! - [`explore`]: offline aggregation of a JSONL log into tables and a
 //!   collapsed-stack file (`sbs trace`).
 //! - [`EventJournal`]: the severity-leveled `sbs-events/v1` operational
-//!   journal — bounded ring plus rotating JSONL sink.
+//!   journal — bounded ring plus rotating JSONL sink, built from the
+//!   [`ObsConfig`] both serving edges embed.
+//! - [`status`]: the self-scrape [`StatusWindow`] behind `/statusz` —
+//!   one sample type, one rate computation, one quantile renderer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,14 +40,18 @@ mod record;
 mod ring;
 mod sink;
 mod span;
+pub mod status;
 
-pub use events::{Event, EventJournal, Severity, EVENT_SCHEMA};
+pub use events::{
+    Event, EventJournal, ObsConfig, Severity, DEFAULT_EVENT_LOG_MAX_BYTES, EVENT_SCHEMA,
+};
 pub use explore::TraceReport;
 pub use hist::Histogram;
 pub use record::{BackfillTrace, DecisionTrace, PolicyTrace, SearchTrace, TraceMeta, TRACE_SCHEMA};
 pub use ring::RingBuffer;
 pub use sink::{TimeMode, TraceRecorder};
 pub use span::{render_collapsed, SpanStack};
+pub use status::{StatusSample, StatusWindow};
 
 /// Per-decision telemetry hook.
 ///

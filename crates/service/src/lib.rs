@@ -18,8 +18,13 @@
 //! * [`protocol`] — the wire format: `submit` / `cancel` / `queue` /
 //!   `metrics` / `drain` / `snapshot` / `shutdown`, one JSON object per
 //!   line;
-//! * [`daemon`] — [`Daemon`]: clock-agnostic request handling on top of
-//!   `SchedulerCore`, including the batch-parity event replay;
+//! * [`cluster`] — [`Cluster`]: one scheduler world — clock-agnostic
+//!   op bodies on top of `SchedulerCore`, including the batch-parity
+//!   event replay, snapshots and the slow-decision incident ring;
+//! * [`edge`] — [`Edge`]: the operator surface of one server (event
+//!   journal, request-latency histogram, `/statusz` window, request
+//!   journaling);
+//! * [`daemon`] — [`Daemon`]: one cluster behind one edge;
 //! * [`clock`] — wall and virtual time sources;
 //! * [`snapshot`] — crash-safe JSON state snapshots and recovery;
 //! * [`metrics`] — Prometheus exposition text;
@@ -32,14 +37,18 @@
 //! schedule when it expires (see `sbs_dsearch`'s deadline budgets).
 
 pub mod clock;
+pub mod cluster;
 pub mod daemon;
+pub mod edge;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
 pub mod snapshot;
 
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use daemon::{Daemon, Incident, ServiceConfig};
+pub use cluster::{Cluster, Incident};
+pub use daemon::{Daemon, ServiceConfig};
+pub use edge::Edge;
 pub use metrics::MetricsView;
 pub use protocol::{parse_request, parse_routed, CorrelationSource, Request, SubmitSpec};
 pub use server::{HttpReply, Server, ServerHandler};

@@ -8,9 +8,7 @@
 //! Series are properly typed: monotone totals are `counter` families
 //! (they used to be mistyped as gauges), distribution families render as
 //! real `histogram`s with `_bucket`/`_sum`/`_count` series, and
-//! point-in-time samples stay gauges.  [`MetricsView::render_compat`]
-//! preserves the pre-typing all-gauge output for scrapers with recording
-//! rules keyed to the old metadata (`--compat-metrics`).
+//! point-in-time samples stay gauges.
 
 use crate::snapshot::CompletedStats;
 use sbs_obs::expo::Exposition;
@@ -132,80 +130,6 @@ impl MetricsView {
         }
         e.render()
     }
-
-    /// The pre-typing output: every series a gauge, exactly as older
-    /// scrape configs expect (`--compat-metrics`).
-    pub fn render_compat(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let mut gauge = |name: &str, help: &str, value: String| {
-            out.push_str(&format!("# HELP {name} {help}\n"));
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        };
-        let c = &self.completed;
-        gauge(
-            "sbs_scheduler_time_seconds",
-            "Scheduler clock at sample time",
-            self.now.to_string(),
-        );
-        gauge(
-            "sbs_queue_depth",
-            "Jobs waiting in the queue",
-            self.queue_depth.to_string(),
-        );
-        gauge(
-            "sbs_running_jobs",
-            "Jobs currently running",
-            self.running_jobs.to_string(),
-        );
-        gauge("sbs_free_nodes", "Idle nodes", self.free_nodes.to_string());
-        gauge(
-            "sbs_capacity_nodes",
-            "Machine size in nodes",
-            self.capacity.to_string(),
-        );
-        gauge(
-            "sbs_decisions_total",
-            "Decision points executed",
-            self.decisions.to_string(),
-        );
-        gauge(
-            "sbs_search_nodes_total",
-            "Search tree nodes expanded",
-            self.search_nodes.to_string(),
-        );
-        gauge(
-            "sbs_policy_seconds_total",
-            "Wall-clock seconds spent inside the policy",
-            format!("{:.6}", self.policy_nanos as f64 / 1e9),
-        );
-        gauge(
-            "sbs_completed_jobs_total",
-            "Jobs completed",
-            c.count.to_string(),
-        );
-        gauge(
-            "sbs_wait_seconds_mean",
-            "Mean wait of completed jobs",
-            format!("{:.3}", self.mean(c.total_wait)),
-        );
-        gauge(
-            "sbs_wait_seconds_max",
-            "Maximum wait of completed jobs",
-            c.max_wait.to_string(),
-        );
-        gauge(
-            "sbs_excess_wait_seconds_mean",
-            "Mean excessive wait of completed jobs",
-            format!("{:.3}", self.mean(c.total_excess)),
-        );
-        gauge(
-            "sbs_excess_wait_seconds_max",
-            "Maximum excessive wait of completed jobs",
-            c.max_excess.to_string(),
-        );
-        out
-    }
 }
 
 /// HELP text for recorder-sourced families.
@@ -321,14 +245,6 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn compat_mode_preserves_the_all_gauge_output() {
-        let text = view().render_compat();
-        assert_eq!(text.matches("# TYPE").count(), 13);
-        assert_eq!(text.matches(" gauge\n").count(), 13);
-        assert!(text.contains("sbs_decisions_total 42\n"));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! One listener serves both protocols on the same port.  A connection
 //! whose first line starts with `GET ` is treated as an HTTP probe —
-//! routed by path to `/metrics` (Prometheus exposition), `/healthz`
-//! (liveness/readiness) or `/statusz` (operational JSON); unknown paths
-//! fall back to the metrics text for compatibility with path-blind
-//! scrapers.  Anything else is the JSON protocol, one request and one
+//! routed by path ([`ServerHandler::http_get`], the one router) to
+//! `/metrics` (Prometheus exposition), `/healthz` (liveness/readiness)
+//! or `/statusz` (operational JSON); unknown paths fall back to the
+//! metrics text for compatibility with path-blind scrapers.  Anything else is the JSON protocol, one request and one
 //! response per line.
 //!
 //! The loop is **event-driven on std only**: a nonblocking listener and
@@ -26,6 +26,7 @@
 //! responses are flushed before the loop exits.
 
 use crate::clock::Clock;
+use crate::cluster::Cluster;
 use crate::daemon::Daemon;
 use crate::protocol::{error_response, parse_request};
 use sbs_workload::time::Time;
@@ -135,21 +136,41 @@ pub trait ServerHandler: Send {
     /// (virtual) clock in step with the scheduler.
     fn now(&self) -> Time;
 
-    /// The `/metrics` text for HTTP probes, current as of `at`.
-    fn metrics_text_at(&mut self, at: Time) -> String;
+    /// The `/metrics` text for HTTP probes, as of the last poll.
+    fn metrics_scrape(&mut self) -> String;
+
+    /// Liveness/readiness JSON for `GET /healthz`; `"ok": false`
+    /// answers `503`.
+    fn healthz(&mut self) -> Value;
+
+    /// Operational JSON for `GET /statusz`, with the captured incidents
+    /// inlined on `?incidents=1`.
+    fn statusz(&mut self, with_incidents: bool) -> Value;
 
     /// Answers one HTTP probe for `path` (including any query string),
-    /// current as of `at`.  The default routes every path to the
-    /// metrics text, preserving the historical path-blind behavior;
-    /// handlers override to add `/healthz` and `/statusz`.
-    fn http_get(&mut self, _path: &str, at: Time) -> HttpReply {
-        HttpReply::metrics(self.metrics_text_at(at))
+    /// current as of `at`: `/healthz`, `/statusz`, and the metrics text
+    /// for every other path (path-blind scrapers keep working).
+    fn http_get(&mut self, path: &str, at: Time) -> HttpReply {
+        self.poll_to(at);
+        let (route, query) = path.split_once('?').unwrap_or((path, ""));
+        match route {
+            "/healthz" => {
+                let v = self.healthz();
+                let ok = v.get("ok") == Some(&Value::Bool(true));
+                HttpReply::json(ok, render_json(&v))
+            }
+            "/statusz" => {
+                let with_incidents = query.split('&').any(|kv| kv == "incidents=1");
+                HttpReply::json(true, render_json(&self.statusz(with_incidents)))
+            }
+            _ => HttpReply::metrics(self.metrics_scrape()),
+        }
     }
 
     /// Reports the measured wall time of one `handle_line` call, along
-    /// with the raw request line that produced it.  Handlers that track
-    /// submit latency filter and record; the default discards.
-    fn observe_request_ns(&mut self, _line: &str, _ns: u64) {}
+    /// with the raw request line that produced it, so the handler can
+    /// track submit latency.
+    fn observe_request_ns(&mut self, line: &str, ns: u64);
 
     /// Best-effort persistence (snapshot, trace flush) at shutdown.
     fn on_shutdown(&mut self);
@@ -168,29 +189,19 @@ impl ServerHandler for Daemon {
     }
 
     fn now(&self) -> Time {
-        Daemon::now(self)
+        Cluster::now(self)
     }
 
-    fn metrics_text_at(&mut self, at: Time) -> String {
-        Daemon::poll_to(self, at);
+    fn metrics_scrape(&mut self) -> String {
         self.metrics_text()
     }
 
-    fn http_get(&mut self, path: &str, at: Time) -> HttpReply {
-        Daemon::poll_to(self, at);
-        let (route, query) = path.split_once('?').unwrap_or((path, ""));
-        match route {
-            "/healthz" => {
-                let v = self.healthz_value();
-                let ok = v.get("ok") == Some(&Value::Bool(true));
-                HttpReply::json(ok, render_json(&v))
-            }
-            "/statusz" => {
-                let with_incidents = query.split('&').any(|kv| kv == "incidents=1");
-                HttpReply::json(true, render_json(&self.statusz_value(with_incidents)))
-            }
-            _ => HttpReply::metrics(self.metrics_text()),
-        }
+    fn healthz(&mut self) -> Value {
+        self.healthz_value()
+    }
+
+    fn statusz(&mut self, with_incidents: bool) -> Value {
+        self.statusz_value(with_incidents)
     }
 
     fn observe_request_ns(&mut self, line: &str, ns: u64) {

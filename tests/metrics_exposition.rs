@@ -122,15 +122,6 @@ fn exposition_roundtrips_through_the_parser() {
 }
 
 #[test]
-fn compat_text_is_all_gauges_and_still_parses() {
-    let (view, _) = deterministic_sample();
-    let text = view.render_compat();
-    let families = validate(&text).expect("compat text still parses");
-    assert!(families.iter().all(|f| f.kind == "gauge"));
-    assert_eq!(families.len(), 13);
-}
-
-#[test]
 fn metrics_text_matches_golden() {
     let (view, recorder) = deterministic_sample();
     assert_matches_golden("metrics.txt", &view.render_with(&recorder));

@@ -22,7 +22,7 @@
 
 use sbs_core::PolicySpec;
 use sbs_fleet::{Fleet, FleetConfig};
-use sbs_obs::TimeMode;
+use sbs_obs::{ObsConfig, TimeMode};
 use sbs_service::{Daemon, ServerHandler, ServiceConfig};
 use serde_json::Value;
 use std::path::PathBuf;
@@ -229,16 +229,14 @@ fn serve_and_serve_fleet_answers_match_golden() {
     let spec = || PolicySpec::dds_lxf_dynb(200);
     let mut out = String::new();
 
-    let mut daemon = Daemon::fresh(
-        ServiceConfig::new(8, spec())
-            .with_slow_thresholds(Some(0), None)
-            .with_event_mode(TimeMode::Virtual),
-    );
-    record("serve", &mut daemon, &daemon_script(), &mut out);
-
-    let mut cfg = FleetConfig::new(8, spec())
+    let obs = ObsConfig::default()
         .with_slow_thresholds(Some(0), None)
         .with_event_mode(TimeMode::Virtual);
+
+    let mut daemon = Daemon::fresh(ServiceConfig::new(8, spec()).with_obs(obs.clone()));
+    record("serve", &mut daemon, &daemon_script(), &mut out);
+
+    let mut cfg = FleetConfig::new(8, spec()).with_obs(obs);
     cfg.cluster_label_cap = 2;
     let mut fleet = Fleet::new(cfg).expect("fleet");
     record("serve-fleet", &mut fleet, &fleet_script(), &mut out);
