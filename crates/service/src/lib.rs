@@ -28,9 +28,10 @@
 //! * [`clock`] — wall and virtual time sources;
 //! * [`snapshot`] — crash-safe JSON state snapshots and recovery;
 //! * [`metrics`] — Prometheus exposition text;
-//! * [`server`] — the std-only event-driven TCP front end (JSON
-//!   protocol and `GET /metrics` on the same port, one readiness loop
-//!   over nonblocking sockets, graceful SIGTERM drain).
+//! * [`server`] — the event-driven TCP front end (JSON protocol and
+//!   `GET /metrics` on the same port; one readiness loop that blocks in
+//!   `poll(2)` over nonblocking sockets and services what is ready;
+//!   bounded per-connection buffers; graceful SIGTERM drain).
 //!
 //! Anytime search: give [`ServiceConfig::with_deadline`] a per-decision
 //! wall-clock budget and search policies return their best-so-far
