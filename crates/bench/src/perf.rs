@@ -6,8 +6,8 @@
 //! search outcome (nodes, leaves, best cost).  The output is written as
 //! `BENCH_search.json` at the repo root in a stable schema so every PR
 //! extends one perf trajectory; [`check`] compares a fresh run against a
-//! committed baseline and fails on throughput regressions beyond a
-//! tolerance.
+//! committed baseline and fails on any change in search behaviour and on
+//! throughput regressions beyond a tolerance.
 //!
 //! Everything except the timings is deterministic: the months, seeds,
 //! capture policy and search configurations are pinned, so `nodes`,
@@ -448,7 +448,7 @@ impl OverheadReport {
 
 /// Runs the recorder-overhead probe: the Jun03 workload at a short span
 /// scale under the headline search policy, fastest of `repeats` per
-/// variant.
+/// variant with the variants' runs interleaved.
 pub fn run_overhead(repeats: u32) -> OverheadReport {
     let workload = WorkloadBuilder::month(Month::Jun03)
         .seed(CAPTURE_SEED)
@@ -456,19 +456,8 @@ pub fn run_overhead(repeats: u32) -> OverheadReport {
         .build();
     let policy =
         || PolicySpec::search_dynb(SearchAlgo::Dds, Branching::Lxf, OVERHEAD_BUDGET).build();
-    let mut decisions = 0u64;
-    let mut time = |run: &mut dyn FnMut() -> u64| -> u128 {
-        let mut best = u128::MAX;
-        for _ in 0..repeats.max(1) {
-            let t0 = Instant::now();
-            let d = run();
-            best = best.min(t0.elapsed().as_nanos());
-            decisions = d;
-        }
-        best
-    };
-    let baseline_ns = time(&mut || simulate(&workload, policy(), SimConfig::default()).decisions);
-    let disabled_ns = time(&mut || {
+    let mut baseline = || simulate(&workload, policy(), SimConfig::default()).decisions;
+    let mut disabled = || {
         simulate_traced(
             &workload,
             policy(),
@@ -476,8 +465,8 @@ pub fn run_overhead(repeats: u32) -> OverheadReport {
             &mut sbs_obs::NullRecorder,
         )
         .decisions
-    });
-    let enabled_ns = time(&mut || {
+    };
+    let mut enabled = || {
         let mut recorder = TraceRecorder::new(
             TimeMode::Virtual,
             TraceMeta {
@@ -488,7 +477,20 @@ pub fn run_overhead(repeats: u32) -> OverheadReport {
             },
         );
         simulate_traced(&workload, policy(), SimConfig::default(), &mut recorder).decisions
-    });
+    };
+    let mut variants: [&mut dyn FnMut() -> u64; 3] = [&mut baseline, &mut disabled, &mut enabled];
+    let mut best = [u128::MAX; 3];
+    let mut decisions = 0u64;
+    // Interleaved, so a burst of machine load slows every variant alike
+    // instead of all the repeats of one.
+    for _ in 0..repeats.max(1) {
+        for (run, best) in variants.iter_mut().zip(&mut best) {
+            let t0 = Instant::now();
+            decisions = run();
+            *best = (*best).min(t0.elapsed().as_nanos());
+        }
+    }
+    let [baseline_ns, disabled_ns, enabled_ns] = best;
     OverheadReport {
         baseline_ns,
         disabled_ns,
@@ -633,48 +635,106 @@ impl PerfReport {
     }
 }
 
-/// One throughput regression found by [`check`].
-#[derive(Debug)]
-pub struct Regression {
-    /// Cell id.
-    pub id: String,
-    /// Baseline nodes/sec.
-    pub baseline: f64,
-    /// Current nodes/sec.
-    pub current: f64,
+/// The cell fields [`check`] compares exactly.  The inputs are pinned,
+/// so these must be equal on every machine: a difference means the
+/// search itself behaved differently.
+const DETERMINISTIC_FIELDS: [&str; 9] = [
+    "nodes",
+    "leaves",
+    "iterations",
+    "exhausted",
+    "budget_hit",
+    "deadline_hit",
+    "nodes_left_at_deadline",
+    "best_excess_s",
+    "best_bsld_sum",
+];
+
+/// One failed comparison found by [`check`].
+#[derive(Debug, PartialEq)]
+pub enum CheckFailure {
+    /// `nodes_per_sec` fell more than the tolerance below the baseline.
+    Slower {
+        /// Cell id.
+        id: String,
+        /// Baseline nodes/sec.
+        baseline: f64,
+        /// Current nodes/sec.
+        current: f64,
+    },
+    /// A deterministic field (nodes, leaves, best cost, ...) differs
+    /// from the baseline.
+    Changed {
+        /// Cell id.
+        id: String,
+        /// The differing field.
+        field: &'static str,
+        /// Baseline value.
+        baseline: Value,
+        /// Current value.
+        current: Value,
+    },
 }
 
-/// Compares `current` against a `baseline` document: every cell id
-/// present in both must keep `nodes_per_sec >= baseline * (1 -
-/// tolerance)`.  Cells present in only one document are ignored (the
-/// matrix may grow).  Returns the regressions; empty = pass.
-pub fn check(current: &Value, baseline: &Value, tolerance: f64) -> Vec<Regression> {
-    let index = |doc: &Value| -> Vec<(String, f64)> {
-        doc["results"]
-            .as_array()
-            .map(|rows| {
-                rows.iter()
-                    .filter_map(|r| {
-                        Some((r["id"].as_str()?.to_string(), r["nodes_per_sec"].as_f64()?))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let base = index(baseline);
-    let mut regressions = Vec::new();
-    for (id, cur) in index(current) {
-        if let Some((_, b)) = base.iter().find(|(bid, _)| *bid == id) {
-            if cur < b * (1.0 - tolerance) {
-                regressions.push(Regression {
-                    id,
-                    baseline: *b,
-                    current: cur,
+impl std::fmt::Display for CheckFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckFailure::Slower {
+                id,
+                baseline,
+                current,
+            } => write!(f, "{id}: {baseline:.0} -> {current:.0} nodes/sec"),
+            CheckFailure::Changed {
+                id,
+                field,
+                baseline,
+                current,
+            } => write!(f, "{id}: {field} changed, {baseline} -> {current}"),
+        }
+    }
+}
+
+/// Compares `current` against a `baseline` document, cell by cell for
+/// every id present in both: each deterministic field must be equal,
+/// and `nodes_per_sec` must stay `>= baseline * (1 - tolerance)`.
+/// Cells present in only one document are ignored (the matrix may
+/// grow).  Returns the failures; empty = pass.
+pub fn check(current: &Value, baseline: &Value, tolerance: f64) -> Vec<CheckFailure> {
+    fn rows(doc: &Value) -> &[Value] {
+        doc["results"].as_array().map_or(&[], Vec::as_slice)
+    }
+    let base = rows(baseline);
+    let mut failures = Vec::new();
+    for cur in rows(current) {
+        let Some(id) = cur["id"].as_str() else {
+            continue;
+        };
+        let Some(old) = base.iter().find(|b| b["id"].as_str() == Some(id)) else {
+            continue;
+        };
+        for field in DETERMINISTIC_FIELDS {
+            if cur[field] != old[field] {
+                failures.push(CheckFailure::Changed {
+                    id: id.to_string(),
+                    field,
+                    baseline: old[field].clone(),
+                    current: cur[field].clone(),
+                });
+            }
+        }
+        if let (Some(now), Some(then)) =
+            (cur["nodes_per_sec"].as_f64(), old["nodes_per_sec"].as_f64())
+        {
+            if now < then * (1.0 - tolerance) {
+                failures.push(CheckFailure::Slower {
+                    id: id.to_string(),
+                    baseline: then,
+                    current: now,
                 });
             }
         }
     }
-    regressions
+    failures
 }
 
 #[cfg(test)]
@@ -755,12 +815,60 @@ mod tests {
         assert!(check(&doc(100.0), &doc(100.0), 0.5).is_empty());
         assert!(check(&doc(51.0), &doc(100.0), 0.5).is_empty());
         let r = check(&doc(49.0), &doc(100.0), 0.5);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].id, "a");
+        assert_eq!(
+            r,
+            vec![CheckFailure::Slower {
+                id: "a".into(),
+                baseline: 100.0,
+                current: 49.0
+            }]
+        );
         // Ids absent from the baseline never fail.
         let fresh = json!({
             "results": vec![json!({"id": "new", "nodes_per_sec": 1.0})],
         });
         assert!(check(&fresh, &doc(100.0), 0.5).is_empty());
+    }
+
+    #[test]
+    fn check_names_the_cell_and_field_whose_search_changed() {
+        let cell = |leaves: u64, bsld: f64| {
+            json!({
+                "id": "6/03/DDS/lxf/L1000/t1",
+                "nodes": 1000,
+                "leaves": leaves,
+                "iterations": 2,
+                "exhausted": false,
+                "budget_hit": true,
+                "deadline_hit": false,
+                "nodes_left_at_deadline": 0,
+                "nodes_per_sec": 5.0e6,
+                "best_excess_s": 3600,
+                "best_bsld_sum": bsld,
+            })
+        };
+        let doc = |leaves: u64, bsld: f64| json!({ "results": vec![cell(leaves, bsld)] });
+        // Equal behaviour passes, however much faster the cell got; the
+        // float field survives a print/parse round trip exactly.
+        let baseline: Value =
+            serde_json::from_str(&serde_json::to_string(&doc(30, 12.345_678_9)).expect("print"))
+                .expect("parse");
+        assert!(check(&doc(30, 12.345_678_9), &baseline, 0.0).is_empty());
+        let failures = check(&doc(31, 12.345_678_900_001), &baseline, 0.0);
+        let fields: Vec<&str> = failures
+            .iter()
+            .map(|f| match f {
+                CheckFailure::Changed { id, field, .. } => {
+                    assert_eq!(id, "6/03/DDS/lxf/L1000/t1");
+                    *field
+                }
+                CheckFailure::Slower { .. } => panic!("no throughput change: {f}"),
+            })
+            .collect();
+        assert_eq!(fields, ["leaves", "best_bsld_sum"]);
+        assert_eq!(
+            failures[0].to_string(),
+            "6/03/DDS/lxf/L1000/t1: leaves changed, 30 -> 31"
+        );
     }
 }

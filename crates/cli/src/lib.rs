@@ -131,8 +131,10 @@ OPTIONS (bench-perf):
                       drops them)
   --out FILE          where to write the JSON document (default
                       BENCH_search.json; \"-\" skips the file)
-  --check BASELINE    compare nodes/sec against a baseline document and
-                      fail on regressions beyond the tolerance
+  --check BASELINE    compare against a baseline document: fail if any
+                      cell's search outcome (nodes, leaves, best cost,
+                      ...) differs, or its nodes/sec regressed beyond
+                      the tolerance
   --tolerance F       allowed fractional slowdown for --check
                       (default 0.5 — generous, CI machines vary)
 
@@ -987,7 +989,8 @@ pub fn run(cmd: Command) -> Result<String, String> {
 }
 
 /// Runs the pinned search-throughput matrix, writes `BENCH_search.json`
-/// and optionally enforces a nodes/sec baseline (`--check`).
+/// and optionally checks it against a baseline (`--check`): identical
+/// search behaviour per cell, nodes/sec within the tolerance.
 fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
     use sbs_bench::perf;
     let mut opts = if args.quick {
@@ -1020,23 +1023,20 @@ fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
             std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
         let baseline: serde_json::Value = serde_json::from_str(&text)
             .map_err(|e| format!("{baseline_path}: malformed baseline: {e}"))?;
-        let regressions = perf::check(&doc, &baseline, args.tolerance);
-        if regressions.is_empty() {
+        let failures = perf::check(&doc, &baseline, args.tolerance);
+        if failures.is_empty() {
             out.push_str(&format!(
-                "check vs {baseline_path}: ok (tolerance {:.0}%)\n",
+                "check vs {baseline_path}: ok (search behaviour identical, nodes/sec tolerance {:.0}%)\n",
                 args.tolerance * 100.0
             ));
         } else {
             let mut msg = format!(
-                "{} nodes/sec regression(s) vs {baseline_path} (tolerance {:.0}%):\n",
-                regressions.len(),
+                "{} check failure(s) vs {baseline_path} (nodes/sec tolerance {:.0}%):\n",
+                failures.len(),
                 args.tolerance * 100.0
             );
-            for r in &regressions {
-                msg.push_str(&format!(
-                    "  {}: {:.0} -> {:.0} nodes/sec\n",
-                    r.id, r.baseline, r.current
-                ));
+            for f in &failures {
+                msg.push_str(&format!("  {f}\n"));
             }
             return Err(msg);
         }

@@ -12,10 +12,15 @@
 //! placement stack), so evaluating a neighbouring path costs only the
 //! path suffix that changed — this is what makes node budgets of 1K-100K
 //! per decision affordable.
+//!
+//! Nodes are undone two ways (see [`sbs_sim::avail`]): probe nodes pop a
+//! journal frame each on `ascend`; a heuristic tail checkpoints the
+//! profile once, places without journalling, and `end_tail` rewinds the
+//! profile, the unplaced list and the cost in one step.
 
 use crate::objective::{Objective, ObjectiveCost};
 use sbs_dsearch::SearchProblem;
-use sbs_sim::avail::{AvailabilityProfile, UndoLog};
+use sbs_sim::avail::{AvailabilityProfile, Checkpoint, UndoLog};
 use sbs_sim::policy::WaitingJob;
 use sbs_workload::job::JobId;
 use sbs_workload::time::Time;
@@ -43,11 +48,12 @@ pub struct ScheduleProblem<'a> {
     objective: Arc<dyn Objective>,
     /// Queue indices in branching-heuristic order (best first).
     order: Vec<u32>,
-    used: Vec<bool>,
     /// Doubly-linked list over *positions in `order`* of the unplaced
     /// jobs, with sentinel `order.len()`.  Gives O(1) heuristic-branch
     /// lookup and O(remaining) branch enumeration — the hot path of the
-    /// discrepancy searches.
+    /// discrepancy searches.  Inside a heuristic tail only the head
+    /// (`next[sentinel]`) moves: a tail places the head each time, so
+    /// restoring the head restores the whole list.
     next: Vec<u32>,
     prev: Vec<u32>,
     /// Position in `order` of each job index.
@@ -56,6 +62,12 @@ pub struct ScheduleProblem<'a> {
     /// Journal of profile edits, one frame per placement; ascend pops a
     /// frame to restore the profile exactly (no re-search, no re-merge).
     undo: UndoLog,
+    /// Placement count where the open heuristic tail began, between
+    /// `begin_tail` and `end_tail`.  Descends inside a tail skip the
+    /// journal; the first one saves `checkpoint`.
+    tail_from: Option<usize>,
+    /// The profile as it was when the open tail first descended.
+    checkpoint: Checkpoint,
     placed: Vec<Placement>,
     cost: ObjectiveCost,
     /// Per-job cost floor `job_cost(w, now, omega)` — every start is at
@@ -116,12 +128,13 @@ impl<'a> ScheduleProblem<'a> {
             omega,
             objective,
             order,
-            used: vec![false; n],
             next,
             prev,
             pos_of,
             profile,
             undo: UndoLog::new(),
+            tail_from: None,
+            checkpoint: Checkpoint::new(),
             placed: Vec::with_capacity(n),
             cost: ObjectiveCost::ZERO,
             base_cost,
@@ -176,16 +189,31 @@ impl SearchProblem for ScheduleProblem<'_> {
 
     fn descend(&mut self, branch: u32) {
         let w = &self.jobs[branch as usize];
-        debug_assert!(!self.used[branch as usize], "job placed twice");
-        let start = self
-            .profile
-            .place(w.job.nodes, w.r_star.max(1), self.now, &mut self.undo);
-        self.used[branch as usize] = true;
-        // Unlink the position from the unplaced list.
+        let (nodes, duration) = (w.job.nodes, w.r_star.max(1));
         let pos = self.pos_of[branch as usize] as usize;
-        let (p, n) = (self.prev[pos], self.next[pos]);
-        self.next[p as usize] = n;
-        self.prev[n as usize] = p;
+        let start = match self.tail_from {
+            None => {
+                debug_assert_eq!(
+                    self.next[self.prev[pos] as usize] as usize, pos,
+                    "job placed twice"
+                );
+                // Unlink the position from the unplaced list.
+                let (p, n) = (self.prev[pos], self.next[pos]);
+                self.next[p as usize] = n;
+                self.prev[n as usize] = p;
+                self.profile
+                    .place(nodes, duration, self.now, &mut self.undo)
+            }
+            Some(from) => {
+                let head = self.sentinel() as usize;
+                debug_assert_eq!(self.next[head] as usize, pos, "a tail places the list head");
+                self.next[head] = self.next[pos];
+                if self.placed.len() == from {
+                    self.profile.checkpoint(&mut self.checkpoint);
+                }
+                self.profile.place_unjournalled(nodes, duration, self.now)
+            }
+        };
         let contribution = self.objective.job_cost(w, start, self.omega);
         self.placed.push(Placement {
             job: branch,
@@ -201,9 +229,9 @@ impl SearchProblem for ScheduleProblem<'_> {
     }
 
     fn ascend(&mut self) {
+        debug_assert!(self.tail_from.is_none(), "ascend inside a tail");
         let p = self.placed.pop().expect("ascend above root");
         self.profile.unplace(&mut self.undo);
-        self.used[p.job as usize] = false;
         // Relink (valid because ascends mirror descends in LIFO order).
         let pos32 = self.pos_of[p.job as usize];
         let pos = pos32 as usize;
@@ -212,6 +240,26 @@ impl SearchProblem for ScheduleProblem<'_> {
         self.prev[nx as usize] = pos32;
         self.cost = p.prev_cost;
         self.remaining_lb = p.prev_lb;
+    }
+
+    fn begin_tail(&mut self) {
+        debug_assert!(self.tail_from.is_none(), "tails do not nest");
+        self.tail_from = Some(self.placed.len());
+    }
+
+    fn end_tail(&mut self, depth: usize) {
+        let from = self.placed.len() - depth;
+        debug_assert_eq!(self.tail_from, Some(from), "end_tail depth mismatch");
+        self.tail_from = None;
+        let Some(&first) = self.placed.get(from) else {
+            return; // nothing was placed, so nothing was checkpointed
+        };
+        self.profile.rewind(&mut self.checkpoint);
+        let head = self.sentinel() as usize;
+        self.next[head] = self.pos_of[first.job as usize];
+        self.placed.truncate(from);
+        self.cost = first.prev_cost;
+        self.remaining_lb = first.prev_lb;
     }
 
     fn leaf_cost(&self) -> ObjectiveCost {
@@ -401,7 +449,127 @@ mod tests {
         assert!(pruned.stats.nodes < full.stats.nodes);
     }
 
+    /// A `ScheduleProblem` that forwards every method except
+    /// `begin_tail`/`end_tail`, so its tails run the trait defaults:
+    /// journalled descends undone one `ascend` at a time.
+    struct PerNodeUndo<'a>(ScheduleProblem<'a>);
+
+    impl SearchProblem for PerNodeUndo<'_> {
+        type Branch = u32;
+        type Cost = ObjectiveCost;
+
+        fn branches(&self, out: &mut Vec<u32>) {
+            self.0.branches(out);
+        }
+        fn descend(&mut self, branch: u32) {
+            self.0.descend(branch);
+        }
+        fn ascend(&mut self) {
+            self.0.ascend();
+        }
+        fn leaf_cost(&self) -> ObjectiveCost {
+            self.0.leaf_cost()
+        }
+        fn max_discrepancies_below_child(&self, m: usize) -> usize {
+            self.0.max_discrepancies_below_child(m)
+        }
+        fn prune_bound(&self) -> Option<ObjectiveCost> {
+            self.0.prune_bound()
+        }
+        fn branch_count(&self) -> usize {
+            self.0.branch_count()
+        }
+        fn heuristic_branch(&self) -> Option<u32> {
+            self.0.heuristic_branch()
+        }
+    }
+
+    type Outcome = sbs_dsearch::SearchOutcome<u32, ObjectiveCost>;
+
+    fn dds_or_lds<P: SearchProblem<Branch = u32, Cost = ObjectiveCost>>(
+        problem: &mut P,
+        dds: bool,
+        cfg: SearchConfig,
+    ) -> Outcome {
+        if dds {
+            sbs_dsearch::dds(problem, cfg)
+        } else {
+            sbs_dsearch::lds(problem, cfg)
+        }
+    }
+
+    /// Everything a search reports, with the float cost as its bits.
+    fn observable(out: &Outcome) -> impl PartialEq + std::fmt::Debug + '_ {
+        let best = out
+            .best
+            .as_ref()
+            .map(|(c, path)| (c.excess, c.bsld_sum.to_bits(), path));
+        (out.stats, &out.leaves, best)
+    }
+
     proptest! {
+        /// Rewinding a heuristic tail in one step (checkpoint, unjournalled
+        /// placements, `end_tail`) is invisible to DDS and LDS: against
+        /// the per-node journal of the trait defaults, every statistic,
+        /// every leaf path in visit order and the best leaf's path and
+        /// cost bits are equal, over random queues, running sets,
+        /// capacities, heuristic orders and budgets.
+        #[test]
+        fn tail_rewind_matches_per_node_undo(
+            specs in proptest::collection::vec((0u64..20_000, 1u32..1_000, 1u64..30_000, 0u32..1_000), 1..13),
+            running in proptest::collection::vec((1u64..40_000, 0u32..1_000), 0..8),
+            capacity in 8u32..129,
+            budget in 1u64..5_001,
+            omega in 0u64..10_000,
+            prune in 0u8..2,
+        ) {
+            let now = 20_000u64;
+            // Widths are drawn per mille of the machine.
+            let width = |permille: u32| (capacity * permille / 1_000).max(1);
+            let jobs: Vec<WaitingJob> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(submit, nodes, r_star, _))| waiting(i as u32, submit, width(nodes), r_star))
+                .collect();
+            let mut free = capacity;
+            let mut held = Vec::new();
+            for &(end, nodes) in &running {
+                let n = (capacity * nodes / 1_000).min(free);
+                if n > 0 {
+                    free -= n;
+                    held.push((now + end, n));
+                }
+            }
+            // A random heuristic order: queue indices sorted by a drawn key.
+            let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
+            order.sort_by_key(|&j| (specs[j as usize].3, j));
+            let build = || {
+                ScheduleProblem::new(
+                    &jobs,
+                    now,
+                    AvailabilityProfile::from_running(now, capacity, held.iter().copied()),
+                    order.clone(),
+                    omega,
+                    Arc::new(HierarchicalObjective),
+                )
+            };
+            let cfg = SearchConfig {
+                node_limit: Some(budget),
+                record_leaves: true,
+                prune: prune == 1,
+                ..Default::default()
+            };
+            for dds in [true, false] {
+                let mut fast = build();
+                let rewound = dds_or_lds(&mut fast, dds, cfg);
+                let per_node = dds_or_lds(&mut PerNodeUndo(build()), dds, cfg);
+                prop_assert_eq!(observable(&rewound), observable(&per_node));
+                // Both cursors are back at the root with a pristine cost.
+                prop_assert!(fast.placements().is_empty());
+                prop_assert_eq!(fast.leaf_cost().bsld_sum.to_bits(), 0.0f64.to_bits());
+            }
+        }
+
         /// The incrementally maintained path cost read by `leaf_cost`
         /// equals a from-scratch recompute via [`Objective::job_cost`]
         /// over the leaf's placements — bit-for-bit — for all three

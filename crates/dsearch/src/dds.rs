@@ -80,9 +80,14 @@ fn probe<P: SearchProblem>(
 ) -> Result<(), BudgetExhausted> {
     // Fast path: below the discrepancy depth only the heuristic branch
     // is taken — avoid materializing the whole branch list (O(1) per
-    // node for problems that override the accessors).
+    // node for problems that override the accessors), and undo the whole
+    // tail in one step.
     if decision > i {
-        return heuristic_tail(driver, decision, deepest_choice);
+        return driver.heuristic_tail(|problem, depth| {
+            if problem.branch_count() >= 2 {
+                *deepest_choice = (*deepest_choice).max(decision + depth);
+            }
+        });
     }
     let branches = driver.take_branches();
     if branches.is_empty() {
@@ -118,37 +123,6 @@ fn probe<P: SearchProblem>(
         }
     }
     driver.put_branches(branches);
-    result
-}
-
-/// Follows the heuristic branch to the leaf below the cursor, visiting
-/// it, then unwinds.  Iterative (no recursion) and `O(1)` per node for
-/// problems with fast [`SearchProblem::heuristic_branch`].
-fn heuristic_tail<P: SearchProblem>(
-    driver: &mut Driver<'_, P>,
-    decision: usize,
-    deepest_choice: &mut usize,
-) -> Result<(), BudgetExhausted> {
-    let mut depth = 0usize;
-    let mut result = Ok(());
-    loop {
-        let m = driver.problem.branch_count();
-        if m >= 2 {
-            *deepest_choice = (*deepest_choice).max(decision + depth);
-        }
-        let Some(branch) = driver.problem.heuristic_branch() else {
-            driver.visit_leaf();
-            break;
-        };
-        if driver.descend(branch).is_err() {
-            result = Err(BudgetExhausted);
-            break;
-        }
-        depth += 1;
-    }
-    for _ in 0..depth {
-        driver.ascend();
-    }
     result
 }
 

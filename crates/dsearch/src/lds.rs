@@ -98,7 +98,7 @@ fn probe_at_most<P: SearchProblem>(
     k: usize,
 ) -> Result<(), BudgetExhausted> {
     if k == 0 {
-        return heuristic_tail(driver);
+        return driver.heuristic_tail(|_, _| {});
     }
     let branches = driver.take_branches();
     if branches.is_empty() {
@@ -138,7 +138,7 @@ fn probe<P: SearchProblem>(driver: &mut Driver<'_, P>, k: usize) -> Result<(), B
         // No discrepancies left: follow the heuristic branch straight to
         // the leaf.  O(1) per node for problems with fast accessors —
         // this is the hot path of the whole search.
-        return heuristic_tail(driver);
+        return driver.heuristic_tail(|_, _| {});
     }
     let branches = driver.take_branches();
     if branches.is_empty() {
@@ -175,28 +175,6 @@ fn probe<P: SearchProblem>(driver: &mut Driver<'_, P>, k: usize) -> Result<(), B
         }
     }
     driver.put_branches(branches);
-    result
-}
-
-/// Follows the heuristic branch to the leaf below the cursor, visits it,
-/// and unwinds.
-fn heuristic_tail<P: SearchProblem>(driver: &mut Driver<'_, P>) -> Result<(), BudgetExhausted> {
-    let mut depth = 0usize;
-    let mut result = Ok(());
-    loop {
-        let Some(branch) = driver.problem.heuristic_branch() else {
-            driver.visit_leaf();
-            break;
-        };
-        if driver.descend(branch).is_err() {
-            result = Err(BudgetExhausted);
-            break;
-        }
-        depth += 1;
-    }
-    for _ in 0..depth {
-        driver.ascend();
-    }
     result
 }
 

@@ -7,7 +7,10 @@
 /// heuristic, best first), [`descend`](Self::descend) to move into a
 /// child and [`ascend`](Self::ascend) to move back up.  `descend` and
 /// `ascend` calls are always properly nested; after a full search the
-/// cursor is back at the root.
+/// cursor is back at the root.  A heuristic tail — the run of
+/// first-branch descends from below the last discrepancy down to a leaf —
+/// is bracketed by [`begin_tail`](Self::begin_tail) and undone as a unit
+/// by [`end_tail`](Self::end_tail) instead of by one `ascend` per node.
 ///
 /// By the discrepancy-search convention, taking the **first** branch
 /// follows the heuristic and taking any other branch is a *discrepancy*.
@@ -72,6 +75,22 @@ pub trait SearchProblem {
         let mut buf = Vec::new();
         self.branches(&mut buf);
         buf.first().copied()
+    }
+
+    /// Opens a heuristic tail at the current node: every `descend` until
+    /// the matching [`end_tail`](Self::end_tail) will be undone together,
+    /// never by `ascend`.  Problems whose per-node undo is costly can
+    /// switch to a cheaper bulk mode here.  The default does nothing.
+    fn begin_tail(&mut self) {}
+
+    /// Closes the tail opened by [`begin_tail`](Self::begin_tail),
+    /// undoing the `depth` descends made since (`depth` may be 0 when the
+    /// budget ran out at once) and leaving the cursor where the tail
+    /// began.  The default ascends once per descend.
+    fn end_tail(&mut self, depth: usize) {
+        for _ in 0..depth {
+            self.ascend();
+        }
     }
 }
 
@@ -355,6 +374,33 @@ impl<'a, P: SearchProblem> Driver<'a, P> {
     pub fn ascend(&mut self) {
         self.problem.ascend();
         self.path.pop();
+    }
+
+    /// Follows the heuristic branch from the cursor down to a leaf,
+    /// visits it, and rewinds to the cursor in one
+    /// [`SearchProblem::end_tail`].  `on_node(problem, depth)` sees every
+    /// node on the way, the leaf included.  Iterative, and `O(1)` per
+    /// node for problems with fast [`SearchProblem::heuristic_branch`].
+    pub fn heuristic_tail(
+        &mut self,
+        mut on_node: impl FnMut(&P, usize),
+    ) -> Result<(), BudgetExhausted> {
+        self.problem.begin_tail();
+        let mut depth = 0usize;
+        let result = loop {
+            on_node(self.problem, depth);
+            let Some(branch) = self.problem.heuristic_branch() else {
+                self.visit_leaf();
+                break Ok(());
+            };
+            if let Err(e) = self.descend(branch) {
+                break Err(e);
+            }
+            depth += 1;
+        };
+        self.problem.end_tail(depth);
+        self.path.truncate(self.path.len() - depth);
+        result
     }
 
     /// Evaluates the current leaf, updating the incumbent.

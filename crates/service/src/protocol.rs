@@ -15,7 +15,8 @@
 //!
 //! `submit` accepts optional `requested` (seconds, defaults to
 //! `runtime`), `user`, and — on virtual-clock daemons only — an explicit
-//! `submit` time.  Unknown fields are ignored; malformed requests get
+//! `submit` time.  `runtime`, `requested` and `submit` are capped at
+//! [`MAX_SECONDS`].  Unknown fields are ignored; malformed requests get
 //! `{"ok":false,"error":"..."}` and the connection stays open.
 //!
 //! Two fleet extensions ride on the same line format:
@@ -35,6 +36,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest number of jobs one `submit_batch` request may carry.
 pub const MAX_BATCH: usize = 1024;
+
+/// Largest `runtime`, `requested` or `submit` a request may carry, in
+/// seconds: 2^40, about 34,800 years.  Far past any real job or clock,
+/// and small enough that what the scheduler adds up from them (a start
+/// plus a runtime, a clock run past millions of such jobs) stays inside
+/// `u64` — an unchecked runtime near `u64::MAX` would wrap its predicted
+/// end to before its start.
+pub const MAX_SECONDS: Time = 1 << 40;
 
 /// Mints correlation ids at the protocol edge.
 ///
@@ -132,22 +141,32 @@ fn require_u64(v: &Value, key: &str) -> Result<u64, String> {
     get_u64(v, key)?.ok_or_else(|| format!("missing field {key:?}"))
 }
 
+/// [`get_u64`] for a time field, bounded by [`MAX_SECONDS`].
+fn get_seconds(v: &Value, key: &str) -> Result<Option<Time>, String> {
+    match get_u64(v, key)? {
+        Some(t) if t > MAX_SECONDS => Err(format!(
+            "field {key:?} must be at most {MAX_SECONDS} seconds (2^40)"
+        )),
+        t => Ok(t),
+    }
+}
+
 /// Parses the submit-shaped fields of `v` into a [`SubmitSpec`].
 fn parse_submit_spec(v: &Value) -> Result<SubmitSpec, String> {
     let nodes = require_u64(v, "nodes")?;
     if nodes == 0 || nodes > u32::MAX as u64 {
         return Err("\"nodes\" must be in 1..=2^32-1".into());
     }
-    let runtime = require_u64(v, "runtime")?;
+    let runtime = get_seconds(v, "runtime")?.ok_or("missing field \"runtime\"")?;
     if runtime == 0 {
         return Err("\"runtime\" must be positive".into());
     }
     Ok(SubmitSpec {
         nodes: nodes as u32,
         runtime,
-        requested: get_u64(v, "requested")?,
+        requested: get_seconds(v, "requested")?,
         user: get_u64(v, "user")?.unwrap_or(0).min(u32::MAX as u64) as u32,
-        submit: get_u64(v, "submit")?,
+        submit: get_seconds(v, "submit")?,
     })
 }
 
@@ -298,6 +317,38 @@ mod tests {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
         }
+    }
+
+    #[test]
+    fn time_fields_beyond_the_bound_are_rejected_by_name() {
+        // Used to be acknowledged: the job started and its predicted end
+        // wrapped to before its start.
+        for field in ["runtime", "requested", "submit"] {
+            for bad in [MAX_SECONDS + 1, 18_446_744_073_709_551_000, u64::MAX] {
+                let line = format!(r#"{{"op":"submit","nodes":4,"runtime":60,"{field}":{bad}}}"#);
+                let err = parse_request(&line).unwrap_err();
+                assert!(err.contains(&format!("{field:?}")), "{line}: {err}");
+                assert!(err.contains("at most"), "{line}: {err}");
+                let batch = format!(
+                    r#"{{"op":"submit_batch","jobs":[{{"nodes":4,"runtime":60,"{field}":{bad}}}]}}"#
+                );
+                let err = parse_request(&batch).unwrap_err();
+                assert!(
+                    err.contains("jobs[0]") && err.contains(field),
+                    "{batch}: {err}"
+                );
+            }
+        }
+        let at_bound = format!(
+            r#"{{"op":"submit","nodes":1,"runtime":{MAX_SECONDS},"requested":{MAX_SECONDS},"submit":{MAX_SECONDS}}}"#
+        );
+        assert!(matches!(
+            parse_request(&at_bound),
+            Ok(Request::Submit {
+                runtime: MAX_SECONDS,
+                ..
+            })
+        ));
     }
 
     #[test]

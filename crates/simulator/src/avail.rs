@@ -11,6 +11,30 @@
 //! arguments restores the previous function, which is what lets the tree
 //! search descend and backtrack without cloning the profile at every
 //! node.
+//!
+//! The search has two undo mechanisms, one per access pattern:
+//!
+//! * **the journal** ([`UndoLog`]): [`AvailabilityProfile::place`] saves
+//!   the segment window it rewrites and [`AvailabilityProfile::unplace`]
+//!   puts it back.  Probe nodes above the discrepancy depth use it,
+//!   because a parent undoes one child to try the next.
+//! * **the checkpoint** ([`Checkpoint`]): one copy of the whole profile,
+//!   then any number of [`AvailabilityProfile::place_unjournalled`]
+//!   edits, undone together by [`AvailabilityProfile::rewind`].  A
+//!   heuristic tail (the leaf-ward run below the last discrepancy) is
+//!   always undone as a unit, so it pays one copy instead of a window
+//!   save and restore per node.
+//!
+//! Copying the whole profile on every descend was measured no faster
+//! than the journal, so neither mechanism replaces the other.
+//!
+//! The first-fit scan relies on one invariant: **the last segment is
+//! all-free** (`free == capacity`).  Every reservation is finite (its end
+//! saturates at `Time::MAX`, which is still a boundary), so past the last
+//! boundary nothing is held, and a scan for a feasible segment always
+//! finds one.  Every edit also keeps the profile canonical:
+//! segment starts strictly increase and no two neighbours share a free
+//! count.
 
 use sbs_workload::time::Time;
 
@@ -27,7 +51,7 @@ struct Segment {
 ///
 /// Each `place` pushes one frame recording the segment window it
 /// rewrote together with the window's previous contents; `unplace` pops
-/// the newest frame and splices the old segments back — an exact,
+/// the newest frame and copies the old segments back — an exact,
 /// allocation-free (steady-state) restore that needs no binary search
 /// and no re-merging.  Frames must be undone in LIFO order against the
 /// same profile, which is precisely the discipline of a backtracking
@@ -58,6 +82,24 @@ impl UndoLog {
     /// Number of un-undone `place` frames.
     pub fn depth(&self) -> usize {
         self.frames.len()
+    }
+}
+
+/// A saved copy of a profile's segments, taken by
+/// [`AvailabilityProfile::checkpoint`] and put back by
+/// [`AvailabilityProfile::rewind`].
+///
+/// Reusable: rewinding swaps buffers instead of copying, so one
+/// checkpoint allocates only while the profile is still growing.
+#[derive(Debug, Default, Clone)]
+pub struct Checkpoint {
+    segs: Vec<Segment>,
+}
+
+impl Checkpoint {
+    /// An empty checkpoint (nothing to rewind to yet).
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -147,7 +189,7 @@ impl AvailabilityProfile {
                 // Enough room within the run of feasible segments?
                 match seg_end {
                     None => return *start, // feasible to infinity
-                    Some(end) if end >= *start + duration => return *start,
+                    Some(end) if end >= start.saturating_add(duration) => return *start,
                     Some(_) => {}
                 }
             } else {
@@ -187,101 +229,176 @@ impl AvailabilityProfile {
     ///
     /// Panics if `nodes` exceeds the capacity or `duration == 0`.
     pub fn place(&mut self, nodes: u32, duration: Time, from: Time, log: &mut UndoLog) -> Time {
-        assert!(nodes <= self.capacity, "request exceeds machine size");
-        assert!(duration > 0, "zero-length reservation");
-        let from = from.max(self.base());
-        // Feasibility scan, identical to `earliest_start` except that it
-        // also yields the index of the run's first segment.
-        let mut candidate: Option<(usize, Time)> = None;
-        let mut found: Option<(usize, Time)> = None;
-        for (i, seg) in self.segs.iter().enumerate() {
-            let seg_end = self.segs.get(i + 1).map(|s| s.start);
-            if let Some(end) = seg_end {
-                if end <= from {
-                    continue;
-                }
-            }
-            if seg.free >= nodes {
-                let (_, start) = *candidate.get_or_insert((i, seg.start.max(from)));
-                match seg_end {
-                    None => {
-                        found = candidate;
-                        break;
-                    }
-                    Some(end) if end >= start + duration => {
-                        found = candidate;
-                        break;
-                    }
-                    Some(_) => {}
-                }
-            } else {
-                candidate = None;
-            }
-        }
-        let Some((a, start)) = found else {
-            unreachable!("final segment always satisfies a feasible request")
-        };
-        let end = start.saturating_add(duration);
-        // Window of segments the edit touches: the one containing
-        // `start` (== the run's first: `start` is inside it by
-        // construction) through the one containing `end`.
-        let mut b = a;
-        while b + 1 < self.segs.len() && self.segs[b + 1].start <= end {
-            b += 1;
-        }
-        let old_len = b - a + 1;
+        let (a, b, start) = self.first_fit(nodes, duration, from);
         log.saved.extend_from_slice(&self.segs[a..=b]);
-        // Split boundaries without re-searching: the indices are known.
-        let lo = if self.segs[a].start == start {
-            a
-        } else {
-            let free = self.segs[a].free;
-            self.segs.insert(a + 1, Segment { start, free });
-            b += 1;
-            a + 1
-        };
-        let hi = if self.segs[b].start == end {
-            b
-        } else {
-            let free = self.segs[b].free;
-            self.segs.insert(b + 1, Segment { start: end, free });
-            b + 1
-        };
-        for seg in &mut self.segs[lo..hi] {
-            debug_assert!(seg.free >= nodes, "over-reserving segment at {}", seg.start);
-            seg.free -= nodes;
-        }
-        // Boundary merges, as in `adjust` (interior pairs stay distinct).
-        let mut new_len = hi - a + 1;
-        if self.segs[hi - 1].free == self.segs[hi].free {
-            self.segs.remove(hi);
-            new_len -= 1;
-        }
-        if lo > 0 && self.segs[lo - 1].free == self.segs[lo].free {
-            self.segs.remove(lo);
-            new_len -= 1;
-        }
+        let new_len = self.carve(a, b, start, start.saturating_add(duration), nodes);
         log.frames.push(UndoFrame {
             lo: a,
-            old_len,
+            old_len: b - a + 1,
             new_len,
         });
         start
     }
 
-    /// Reverses the most recent un-undone [`Self::place`] exactly, by
-    /// splicing the journalled segment window back in.  O(window +
-    /// tail-move), no searches, no merging — and byte-exact: the segment
-    /// list is restored verbatim, not just the free function.
+    /// [`Self::place`] without the journal: the edit can only be undone
+    /// by [`Self::rewind`] to a [`Checkpoint`] taken before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` exceeds the capacity or `duration == 0`.
+    pub fn place_unjournalled(&mut self, nodes: u32, duration: Time, from: Time) -> Time {
+        let (a, b, start) = self.first_fit(nodes, duration, from);
+        self.carve(a, b, start, start.saturating_add(duration), nodes);
+        start
+    }
+
+    /// Reverses the most recent un-undone [`Self::place`] exactly: one
+    /// move of the segments after the window, one copy of the journalled
+    /// window back in.  No searches, no merging — and byte-exact: the
+    /// segment list is restored verbatim, not just the free function.
     ///
     /// # Panics
     ///
     /// Panics if `log` has no frame (more `unplace`s than `place`s).
     pub fn unplace(&mut self, log: &mut UndoLog) {
         let f = log.frames.pop().expect("unplace without a matching place");
-        let tail = log.saved.len() - f.old_len;
-        self.segs
-            .splice(f.lo..f.lo + f.new_len, log.saved.drain(tail..));
+        let saved = log.saved.len() - f.old_len;
+        self.move_tail(f.lo + f.new_len, f.lo + f.old_len);
+        self.segs[f.lo..f.lo + f.old_len].copy_from_slice(&log.saved[saved..]);
+        log.saved.truncate(saved);
+    }
+
+    /// Saves the whole segment list into `into`, for [`Self::rewind`].
+    pub fn checkpoint(&self, into: &mut Checkpoint) {
+        into.segs.clear();
+        into.segs.extend_from_slice(&self.segs);
+    }
+
+    /// Restores the profile saved by the last [`Self::checkpoint`] into
+    /// `from`, undoing every [`Self::place_unjournalled`] since in one
+    /// buffer swap.  Journalled edits made after the checkpoint must have
+    /// been undone first.  Spends the checkpoint: rewinding again needs a
+    /// fresh one.
+    pub fn rewind(&mut self, from: &mut Checkpoint) {
+        debug_assert!(!from.segs.is_empty(), "rewind without a checkpoint");
+        std::mem::swap(&mut self.segs, &mut from.segs);
+        from.segs.clear();
+    }
+
+    /// The first-fit scan behind [`Self::place`]: the earliest start at
+    /// or after `from.max(base)` with `nodes` free for `duration`, and
+    /// the window `a..=b` a reservation there rewrites — `a` holds the
+    /// start, `b` is the last segment starting at or before its end.
+    /// Returns `(a, b, start)`.
+    ///
+    /// One pass: the walk that proves the run of feasible segments long
+    /// enough stops on the segment that closes the window.
+    fn first_fit(&self, nodes: u32, duration: Time, from: Time) -> (usize, usize, Time) {
+        assert!(nodes <= self.capacity, "request exceeds machine size");
+        assert!(duration > 0, "zero-length reservation");
+        let segs = &self.segs[..];
+        let from = from.max(segs[0].start);
+        let mut a = 0;
+        while a + 1 < segs.len() && segs[a + 1].start <= from {
+            a += 1;
+        }
+        loop {
+            a += segs[a..]
+                .iter()
+                .position(|s| s.free >= nodes)
+                .expect("the last segment is all-free");
+            let start = segs[a].start.max(from);
+            let end = start.saturating_add(duration);
+            // Extend the run until a segment begins at or past `end`
+            // (found) or is too full (too short: retry past it).
+            let Some(k) = segs[a + 1..]
+                .iter()
+                .position(|s| s.start >= end || s.free < nodes)
+            else {
+                return (a, segs.len() - 1, start);
+            };
+            let stop = a + 1 + k;
+            if segs[stop].start >= end {
+                let b = if segs[stop].start == end {
+                    stop
+                } else {
+                    stop - 1
+                };
+                return (a, b, start);
+            }
+            a = stop;
+        }
+    }
+
+    /// Subtracts `nodes` over `[start, end)` inside the window `a..=b`
+    /// found by [`Self::first_fit`], in place, and returns the window's
+    /// new length.  Segments before `a` are untouched and those after
+    /// `b` move once.
+    fn carve(&mut self, a: usize, b: usize, start: Time, end: Time, nodes: u32) -> usize {
+        let old_len = b - a + 1;
+        // Nothing to hold: zero nodes, or a start saturated at Time::MAX.
+        if nodes == 0 || start == end {
+            return old_len;
+        }
+        let head = self.segs[a];
+        let end_free = self.segs[b].free;
+        // A boundary is added at `start` if it falls inside segment `a`,
+        // and at `end` if it falls inside segment `b`; otherwise segment
+        // `b` begins at `end` and keeps its count.
+        let front_split = head.start < start;
+        let end_split = self.segs[b].start < end;
+        let reserved = if end_split { a..=b } else { a..=b - 1 };
+        for seg in &mut self.segs[reserved] {
+            debug_assert!(seg.free >= nodes, "over-reserving segment at {}", seg.start);
+            seg.free -= nodes;
+        }
+        // Canonical form, as in `adjust`: every reserved segment moved by
+        // the same delta, so only the two boundary pairs can coincide.
+        let front_merge = !front_split && a > 0 && self.segs[a - 1].free == self.segs[a].free;
+        let end_merge = !end_split && self.segs[b - 1].free == end_free;
+        let new_len = old_len + usize::from(front_split) + usize::from(end_split)
+            - usize::from(front_merge)
+            - usize::from(end_merge);
+        let (old_end, new_end) = (b + 1, a + new_len);
+        if new_end > old_end {
+            self.move_tail(old_end, new_end);
+        }
+        // The window body (through `b`, unless `b` merged away) shifts
+        // one right past a split-off head, or one left over a merged-away
+        // first piece.
+        let body_end = if end_merge { b } else { b + 1 };
+        if front_split {
+            self.segs.copy_within(a..body_end, a + 1);
+            self.segs[a] = head;
+            self.segs[a + 1].start = start;
+        } else if front_merge {
+            self.segs.copy_within(a + 1..body_end, a);
+        }
+        if new_end < old_end {
+            self.move_tail(old_end, new_end);
+        }
+        if end_split {
+            self.segs[new_end - 1] = Segment {
+                start: end,
+                free: end_free,
+            };
+        }
+        new_len
+    }
+
+    /// Moves the segments from index `from` on so they begin at `to`,
+    /// growing or shrinking the list: the one tail move of a
+    /// [`Self::place`] or [`Self::unplace`].
+    fn move_tail(&mut self, from: usize, to: usize) {
+        let len = self.segs.len();
+        if to > from {
+            let filler = self.segs[len - 1];
+            self.segs.resize(len + (to - from), filler);
+            self.segs.copy_within(from..len, to);
+        } else if to < from {
+            self.segs.copy_within(from..len, to);
+            self.segs.truncate(len - (from - to));
+        }
     }
 
     fn adjust(&mut self, start: Time, duration: Time, nodes: u32, take: bool) {
@@ -437,6 +554,34 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    #[test]
+    fn overflowing_durations_saturate_instead_of_wrapping() {
+        // [2000, 2100) fully busy.  A near-u64::MAX duration must wait
+        // for the window to pass, not wrap its end to before its start
+        // (which used to report start 1000 and corrupt the segment free
+        // counts — or panic on the add in debug builds).
+        let mut p = AvailabilityProfile::new(1000, 8);
+        p.reserve(2000, 100, 8);
+        let before = p.clone();
+        let huge = u64::MAX - 500;
+        assert_eq!(p.earliest_start(4, huge, 1000), 2100);
+        let mut log = UndoLog::new();
+        assert_eq!(p.place(4, huge, 1000, &mut log), 2100);
+        assert_eq!(p.free_at(2100), 4);
+        assert_eq!(p.free_at(u64::MAX), 8, "the last segment stays all-free");
+        for w in p.segs.windows(2) {
+            assert!(w[0].start < w[1].start && w[0].free != w[1].free);
+        }
+        assert!(p.segs.iter().all(|s| s.free <= 8));
+        p.unplace(&mut log);
+        assert_eq!(p, before);
+        let mut cp = Checkpoint::new();
+        p.checkpoint(&mut cp);
+        assert_eq!(p.place_unjournalled(4, huge, 1000), 2100);
+        p.rewind(&mut cp);
+        assert_eq!(p, before);
+    }
+
     /// Reference model: free nodes sampled at every second over a small
     /// horizon.
     #[derive(Clone)]
@@ -560,6 +705,44 @@ mod tests {
             }
             prop_assert_eq!(fast, snapshot);
             prop_assert_eq!(log.depth(), 0);
+        }
+
+        /// A checkpoint, then `k` unjournalled placements, then a rewind
+        /// restores the segment list verbatim; every unjournalled start
+        /// equals the start the journalled `place` picks on a twin, and
+        /// the two leave identical profiles at every step.
+        #[test]
+        fn checkpoint_rewind_undoes_unjournalled_placements(
+            setup in proptest::collection::vec((0u64..300, 1u64..50, 1u32..6), 0..6),
+            ops in proptest::collection::vec((0u64..400, 1u64..60, 1u32..8), 1..24),
+            k in 0usize..24,
+        ) {
+            let capacity = 8u32;
+            let mut fast = AvailabilityProfile::new(0, capacity);
+            for (s, d, n) in setup {
+                let at = fast.earliest_start(n, d, s);
+                fast.reserve(at, d, n);
+            }
+            let snapshot = fast.clone();
+            let mut twin = fast.clone();
+            let mut log = UndoLog::new();
+            let mut cp = Checkpoint::new();
+            fast.checkpoint(&mut cp);
+            for &(from, duration, nodes) in ops.iter().take(k) {
+                let at = fast.place_unjournalled(nodes, duration, from);
+                prop_assert_eq!(at, twin.place(nodes, duration, from, &mut log));
+                prop_assert_eq!(&fast, &twin);
+                prop_assert_eq!(fast.segs.last().map(|s| s.free), Some(capacity));
+            }
+            fast.rewind(&mut cp);
+            prop_assert_eq!(&fast, &snapshot);
+            // The spent checkpoint is reusable.
+            fast.checkpoint(&mut cp);
+            for &(from, duration, nodes) in &ops {
+                fast.place_unjournalled(nodes, duration, from);
+            }
+            fast.rewind(&mut cp);
+            prop_assert_eq!(fast, snapshot);
         }
 
         /// reserve followed by release is always the identity.
