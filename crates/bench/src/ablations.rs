@@ -1,7 +1,7 @@
 //! Ablations beyond the paper's figures (DESIGN.md `ablate-*` entries):
 //! branch-and-bound pruning (the paper's stated future work), backfill
-//! reservation counts (the paper's Section 4 claim), and the parallel
-//! portfolio race.
+//! reservation counts (the paper's Section 4 claim), and the paper's
+//! future-work extensions.
 
 use crate::opts::Opts;
 use crate::report::Report;
@@ -135,61 +135,6 @@ pub fn reservations(opts: &Opts) -> Report {
     Report::new(
         "ablate-res",
         "FCFS-backfill with 1/2/4 reservations; rho=0.9 (paper: more reservations don't help)",
-        t.render(),
-        json!(data),
-    )
-}
-
-/// `ablate-par`: sequential DDS/lxf/dynB vs the portfolio race (LDS,
-/// DDS, beam-8 and greedy on whole threads) at the same per-member
-/// budget — solution quality and scheduling overhead.
-pub fn parallel_search(opts: &Opts) -> Report {
-    let month = *opts.months.first().unwrap_or(&Month::Oct03);
-    let scenario = high_load_scenario(opts, month);
-    let workload = scenario.workload();
-    let l = opts.budget(8_000);
-    let specs = [
-        PolicySpec::dds_lxf_dynb(l),
-        PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, l),
-    ];
-    // One after the other: the race fans out by itself, and concurrent
-    // rows would contend for the cores its overhead column is timed on.
-    let runs: Vec<RunResult> = specs
-        .iter()
-        .map(|spec| run_on(&workload, &scenario, spec))
-        .collect();
-
-    let mut t = Table::new([
-        "policy",
-        "avg wait (h)",
-        "max wait (h)",
-        "avg bsld",
-        "sched overhead (ms/decision)",
-    ]);
-    let mut data = Vec::new();
-    for r in &runs {
-        let ms = r.policy_nanos as f64 / 1e6 / r.decisions.max(1) as f64;
-        t.row([
-            r.policy.clone(),
-            num(r.stats.avg_wait_h, 2),
-            num(r.stats.max_wait_h, 1),
-            num(r.stats.avg_bounded_slowdown, 2),
-            num(ms, 3),
-        ]);
-        data.push(json!({
-            "policy": r.policy,
-            "avg_wait_h": r.stats.avg_wait_h,
-            "max_wait_h": r.stats.max_wait_h,
-            "avg_bounded_slowdown": r.stats.avg_bounded_slowdown,
-            "ms_per_decision": ms,
-        }));
-    }
-    Report::new(
-        "ablate-par",
-        format!(
-            "sequential DDS vs the portfolio race on {} worker(s), {month}, rho=0.9, L={l} per member",
-            rayon::max_threads()
-        ),
         t.render(),
         json!(data),
     )
@@ -520,19 +465,5 @@ mod tests {
         assert!(rows
             .iter()
             .all(|x| x["leaves_per_decision"].as_f64().expect("num") > 0.0));
-    }
-
-    #[test]
-    fn parallel_ablation_quality_is_comparable() {
-        let r = parallel_search(&tiny());
-        let rows = r.data.as_array().expect("rows");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1]["policy"].as_str(), Some("PORT/lxf/dynB"));
-        let seq = rows[0]["avg_wait_h"].as_f64().expect("num");
-        let port = rows[1]["avg_wait_h"].as_f64().expect("num");
-        // The race adopts the per-decision best of four searches, DDS
-        // among them; over a run that can move the averages either way,
-        // but it must stay in the same regime.
-        assert!(port <= (seq + 0.5) * 4.0 + 0.5, "port {port} vs seq {seq}");
     }
 }

@@ -24,7 +24,7 @@ pub mod tables;
 use report::Report;
 
 /// All experiment ids, in DESIGN.md order.
-pub const ALL_EXPERIMENTS: [&str; 18] = [
+pub const ALL_EXPERIMENTS: [&str; 17] = [
     "fig1d",
     "table2",
     "table3",
@@ -38,7 +38,6 @@ pub const ALL_EXPERIMENTS: [&str; 18] = [
     "fig8",
     "ablate-bnb",
     "ablate-res",
-    "ablate-par",
     "ablate-hybrid",
     "ablate-random",
     "ablate-predict",
@@ -61,7 +60,6 @@ pub fn run_experiment(id: &str, opts: &opts::Opts) -> Option<Report> {
         "fig8" => figures::fig8(opts),
         "ablate-bnb" => ablations::branch_and_bound(opts),
         "ablate-res" => ablations::reservations(opts),
-        "ablate-par" => ablations::parallel_search(opts),
         "ablate-hybrid" => ablations::hybrid_local(opts),
         "ablate-random" => ablations::random_vs_systematic(opts),
         "ablate-predict" => ablations::prediction(opts),

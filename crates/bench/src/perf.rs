@@ -17,7 +17,7 @@
 
 use sbs_core::objective::HierarchicalObjective;
 use sbs_core::{Branching, ObjectiveCost, PolicySpec, ScheduleProblem, SearchAlgo};
-use sbs_dsearch::{dds, lds, portfolio, SearchConfig, SearchOutcome, DEFAULT_MEMBERS};
+use sbs_dsearch::{dds, lds, SearchConfig, SearchOutcome};
 use sbs_obs::{TimeMode, TraceMeta, TraceRecorder};
 use sbs_sim::avail::AvailabilityProfile;
 use sbs_sim::engine::{simulate, simulate_traced, SimConfig};
@@ -30,12 +30,11 @@ use serde_json::{json, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Schema identifier stamped into every emitted document.  `v2` adds
-/// the `threads` dimension and the portfolio rows; `v1` cell ids carry
-/// no `/t{N}` suffix, so [`check`] treats the two schemas as disjoint.
-/// DDS/LDS cells are sequential and always `/t1`; only the portfolio
-/// rows sweep worker counts.
-pub const SCHEMA: &str = "sbs-bench-perf/v2";
+/// Schema identifier stamped into every emitted document.  `v3` drops
+/// `v2`'s `threads` dimension and portfolio rows, so cell ids lose their
+/// `/t{N}` suffix; [`check`] refuses to compare documents whose schemas
+/// differ.
+pub const SCHEMA: &str = "sbs-bench-perf/v3";
 
 /// The pinned months decision points are captured from: one from each
 /// runtime-limit regime plus the October load peak.
@@ -43,11 +42,6 @@ pub const MONTHS: [Month; 3] = [Month::Jun03, Month::Oct03, Month::Feb04];
 
 /// The pinned per-decision node budgets (the paper's `L` sweep).
 pub const BUDGETS: [u64; 3] = [1_000, 10_000, 100_000];
-
-/// The pinned worker-thread counts of the portfolio rows.  Every PORT
-/// cell runs at each count and the outcomes must be bit-identical — the
-/// timing columns are the only thing the worker count may change.
-pub const THREADS: [usize; 2] = [1, 4];
 
 /// Workload seed used for every capture (arbitrary but frozen).
 const CAPTURE_SEED: u64 = 42;
@@ -70,10 +64,6 @@ pub struct PerfOpts {
     pub quick: bool,
     /// Timing repeats per cell (the fastest is reported).
     pub repeats: u32,
-    /// Worker-thread counts swept per portfolio cell.
-    pub threads: Vec<usize>,
-    /// Also run the portfolio rows (LDS+DDS+beam8+greedy race).
-    pub portfolio: bool,
 }
 
 impl Default for PerfOpts {
@@ -81,21 +71,17 @@ impl Default for PerfOpts {
         PerfOpts {
             quick: false,
             repeats: 3,
-            threads: THREADS.to_vec(),
-            portfolio: true,
         }
     }
 }
 
 impl PerfOpts {
     /// The smoke configuration used by `--quick` and CI: smaller budget
-    /// column, one repeat, no portfolio rows (every cell sequential).
+    /// column, one repeat.
     pub fn quick() -> Self {
         PerfOpts {
             quick: true,
             repeats: 1,
-            threads: THREADS.to_vec(),
-            portfolio: false,
         }
     }
 
@@ -213,14 +199,12 @@ pub fn capture(month: Month) -> DecisionSnapshot {
 pub struct CellResult {
     /// Cell month.
     pub month: Month,
-    /// Algorithm label (`DDS`, `LDS`, or `PORT` for the portfolio row).
+    /// Algorithm label (`DDS` or `LDS`).
     pub algo: String,
     /// Branching heuristic.
     pub branching: Branching,
     /// Node budget `L`.
     pub budget: u64,
-    /// Worker-thread count.
-    pub threads: usize,
     /// Deterministic outcome of the search.
     pub outcome: SearchOutcome<u32, ObjectiveCost>,
     /// Fastest elapsed wall time over the repeats, in nanoseconds.
@@ -231,12 +215,11 @@ impl CellResult {
     /// Stable identifier of the cell inside the document.
     pub fn id(&self) -> String {
         format!(
-            "{}/{}/{}/L{}/t{}",
+            "{}/{}/{}/L{}",
             self.month.label(),
             self.algo,
             self.branching.label(),
-            self.budget,
-            self.threads
+            self.budget
         )
     }
 
@@ -277,8 +260,8 @@ fn fastest_of(
     (outcome, best_elapsed)
 }
 
-/// Runs one sequential DDS/LDS cell: `repeats` timed searches on a
-/// fresh problem each time.
+/// Runs one DDS/LDS cell: `repeats` timed searches on a fresh problem
+/// each time.
 pub fn run_cell(
     snapshot: &DecisionSnapshot,
     algo: SearchAlgo,
@@ -302,34 +285,6 @@ pub fn run_cell(
         algo: algo.label(),
         branching,
         budget,
-        threads: 1,
-        outcome,
-        elapsed_ns,
-    }
-}
-
-/// Runs one portfolio cell (LDS+DDS+beam8+greedy race, no deadline)
-/// across `threads` workers.
-pub fn run_portfolio_cell(
-    snapshot: &DecisionSnapshot,
-    branching: Branching,
-    budget: u64,
-    threads: usize,
-    repeats: u32,
-) -> CellResult {
-    let cfg = SearchConfig::with_limit(budget);
-    let (outcome, elapsed_ns) = fastest_of(repeats, || {
-        let factory = || snapshot.problem(branching);
-        let t0 = Instant::now();
-        let out = portfolio(factory, &DEFAULT_MEMBERS, cfg, threads).outcome;
-        (out, t0.elapsed().as_nanos())
-    });
-    CellResult {
-        month: snapshot.month,
-        algo: SearchAlgo::Portfolio.label(),
-        branching,
-        budget,
-        threads,
         outcome,
         elapsed_ns,
     }
@@ -352,36 +307,15 @@ fn assert_outcomes_agree(
     );
 }
 
-/// Runs the full pinned matrix and collects the report.  Every
-/// portfolio (month, budget) group runs once per thread count, and all
-/// outcomes within a group are asserted bit-identical — the worker
-/// count may only change the timing columns.
+/// Runs the full pinned matrix and collects the report.
 pub fn run_matrix(opts: &PerfOpts) -> PerfReport {
     let snapshots: Vec<DecisionSnapshot> = MONTHS.iter().map(|&m| capture(m)).collect();
-    let threads = if opts.threads.is_empty() {
-        THREADS.to_vec()
-    } else {
-        opts.threads.clone()
-    };
     let mut cells: Vec<CellResult> = Vec::new();
     for snapshot in &snapshots {
         for algo in [SearchAlgo::Dds, SearchAlgo::Lds] {
             for branching in [Branching::Fcfs, Branching::Lxf] {
                 for &budget in opts.budgets() {
                     cells.push(run_cell(snapshot, algo, branching, budget, opts.repeats));
-                }
-            }
-        }
-        if opts.portfolio {
-            for &budget in opts.budgets() {
-                let group_start = cells.len();
-                for &t in &threads {
-                    let cell =
-                        run_portfolio_cell(snapshot, Branching::Lxf, budget, t, opts.repeats);
-                    if let Some(first) = cells.get(group_start) {
-                        assert_outcomes_agree(&first.outcome, &cell.outcome);
-                    }
-                    cells.push(cell);
                 }
             }
         }
@@ -546,7 +480,6 @@ impl PerfReport {
                     "algo": c.algo,
                     "branching": c.branching.label(),
                     "budget": c.budget,
-                    "threads": c.threads,
                     "nodes": c.outcome.stats.nodes,
                     "leaves": c.outcome.stats.leaves,
                     "iterations": c.outcome.stats.iterations,
@@ -563,29 +496,13 @@ impl PerfReport {
                 })
             })
             .collect();
-        let threads =
-            self.cells
-                .iter()
-                .map(|c| c.threads)
-                .fold(Vec::new(), |mut v: Vec<usize>, t| {
-                    if !v.contains(&t) {
-                        v.push(t);
-                    }
-                    v
-                });
-        let mut algos: Vec<&str> = vec!["DDS", "LDS"];
-        if self.cells.iter().any(|c| c.algo == "PORT") {
-            algos.push("PORT");
-        }
         json!({
             "schema": SCHEMA,
             "matrix": json!({
                 "months": months,
-                "algos": algos,
+                "algos": json!(["DDS", "LDS"]),
                 "branchings": json!(["fcfs", "lxf"]),
                 "budgets": budgets,
-                "threads": threads,
-                "cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
                 "capture_seed": CAPTURE_SEED,
                 "capture_scale": CAPTURE_SCALE,
             }),
@@ -674,6 +591,16 @@ pub enum CheckFailure {
         /// Current value.
         current: Value,
     },
+    /// The documents carry different `schema` values, so their cell ids
+    /// name different things and no cell can be compared.
+    SchemaMismatch {
+        /// Baseline schema.
+        baseline: Value,
+        /// Current schema.
+        current: Value,
+    },
+    /// No cell id appears in both documents: the check compared nothing.
+    NothingCompared,
 }
 
 impl std::fmt::Display for CheckFailure {
@@ -690,6 +617,13 @@ impl std::fmt::Display for CheckFailure {
                 baseline,
                 current,
             } => write!(f, "{id}: {field} changed, {baseline} -> {current}"),
+            CheckFailure::SchemaMismatch { baseline, current } => {
+                write!(
+                    f,
+                    "schema differs, baseline {baseline} vs current {current}"
+                )
+            }
+            CheckFailure::NothingCompared => write!(f, "no cell id is shared with the baseline"),
         }
     }
 }
@@ -698,12 +632,24 @@ impl std::fmt::Display for CheckFailure {
 /// every id present in both: each deterministic field must be equal,
 /// and `nodes_per_sec` must stay `>= baseline * (1 - tolerance)`.
 /// Cells present in only one document are ignored (the matrix may
-/// grow).  Returns the failures; empty = pass.
-pub fn check(current: &Value, baseline: &Value, tolerance: f64) -> Vec<CheckFailure> {
+/// grow), but the two `schema` values must match and at least one cell
+/// must be shared.  Returns the number of cells compared on a pass.
+pub fn check(
+    current: &Value,
+    baseline: &Value,
+    tolerance: f64,
+) -> Result<usize, Vec<CheckFailure>> {
     fn rows(doc: &Value) -> &[Value] {
         doc["results"].as_array().map_or(&[], Vec::as_slice)
     }
+    if current["schema"] != baseline["schema"] {
+        return Err(vec![CheckFailure::SchemaMismatch {
+            baseline: baseline["schema"].clone(),
+            current: current["schema"].clone(),
+        }]);
+    }
     let base = rows(baseline);
+    let mut compared = 0usize;
     let mut failures = Vec::new();
     for cur in rows(current) {
         let Some(id) = cur["id"].as_str() else {
@@ -712,6 +658,7 @@ pub fn check(current: &Value, baseline: &Value, tolerance: f64) -> Vec<CheckFail
         let Some(old) = base.iter().find(|b| b["id"].as_str() == Some(id)) else {
             continue;
         };
+        compared += 1;
         for field in DETERMINISTIC_FIELDS {
             if cur[field] != old[field] {
                 failures.push(CheckFailure::Changed {
@@ -734,7 +681,14 @@ pub fn check(current: &Value, baseline: &Value, tolerance: f64) -> Vec<CheckFail
             }
         }
     }
-    failures
+    if compared == 0 {
+        failures.push(CheckFailure::NothingCompared);
+    }
+    if failures.is_empty() {
+        Ok(compared)
+    } else {
+        Err(failures)
+    }
 }
 
 #[cfg(test)]
@@ -765,26 +719,7 @@ mod tests {
         assert_eq!(a.outcome.stats.nodes, b.outcome.stats.nodes);
         assert_eq!(a.outcome.stats.leaves, b.outcome.stats.leaves);
         assert!(a.nodes_per_sec() > 0.0);
-        assert_eq!(a.id(), "6/03/DDS/lxf/L1000/t1");
-    }
-
-    #[test]
-    fn portfolio_cells_are_thread_count_invariant() {
-        let snap = capture(Month::Jun03);
-        let seq = run_portfolio_cell(&snap, Branching::Lxf, 2_000, 1, 1);
-        assert_eq!(seq.id(), "6/03/PORT/lxf/L2000/t1");
-        for threads in [2usize, 4] {
-            let par = run_portfolio_cell(&snap, Branching::Lxf, 2_000, threads, 1);
-            assert_eq!(seq.outcome.stats, par.outcome.stats, "threads={threads}");
-            assert_eq!(
-                seq.outcome
-                    .best_cost()
-                    .map(|c| (c.excess, c.bsld_sum.to_bits())),
-                par.outcome
-                    .best_cost()
-                    .map(|c| (c.excess, c.bsld_sum.to_bits())),
-            );
-        }
+        assert_eq!(a.id(), "6/03/DDS/lxf/L1000");
     }
 
     #[test]
@@ -812,29 +747,58 @@ mod tests {
                 ],
             })
         };
-        assert!(check(&doc(100.0), &doc(100.0), 0.5).is_empty());
-        assert!(check(&doc(51.0), &doc(100.0), 0.5).is_empty());
+        assert_eq!(check(&doc(100.0), &doc(100.0), 0.5), Ok(2));
+        assert_eq!(check(&doc(51.0), &doc(100.0), 0.5), Ok(2));
         let r = check(&doc(49.0), &doc(100.0), 0.5);
         assert_eq!(
             r,
-            vec![CheckFailure::Slower {
+            Err(vec![CheckFailure::Slower {
                 id: "a".into(),
                 baseline: 100.0,
                 current: 49.0
-            }]
+            }])
         );
-        // Ids absent from the baseline never fail.
-        let fresh = json!({
-            "results": vec![json!({"id": "new", "nodes_per_sec": 1.0})],
+        // Ids absent from the baseline never fail, as long as one is shared.
+        let grown = json!({
+            "results": vec![
+                json!({"id": "a", "nodes_per_sec": 100.0}),
+                json!({"id": "new", "nodes_per_sec": 1.0}),
+            ],
         });
-        assert!(check(&fresh, &doc(100.0), 0.5).is_empty());
+        assert_eq!(check(&grown, &doc(100.0), 0.5), Ok(1));
+    }
+
+    #[test]
+    fn check_fails_when_it_compares_nothing() {
+        // A v2 baseline: same cells, every id carrying the `/t1` suffix.
+        let cell = |id: &str| json!({"id": id, "nodes": 1000, "nodes_per_sec": 5.0e6});
+        let v2_cells = || vec![cell("6/03/DDS/lxf/L1000/t1"), cell("6/03/LDS/lxf/L1000/t1")];
+        let v2 = json!({"schema": "sbs-bench-perf/v2", "results": v2_cells()});
+        let v3 = json!({
+            "schema": SCHEMA,
+            "results": vec![cell("6/03/DDS/lxf/L1000"), cell("6/03/LDS/lxf/L1000")],
+        });
+        assert_eq!(check(&v3, &v3, 0.5), Ok(2));
+        assert_eq!(
+            check(&v3, &v2, 0.5),
+            Err(vec![CheckFailure::SchemaMismatch {
+                baseline: json!("sbs-bench-perf/v2"),
+                current: json!(SCHEMA),
+            }])
+        );
+        // Same schema, disjoint ids: nothing to compare is a failure too.
+        let relabelled = json!({"schema": SCHEMA, "results": v2_cells()});
+        assert_eq!(
+            check(&v3, &relabelled, 0.5),
+            Err(vec![CheckFailure::NothingCompared])
+        );
     }
 
     #[test]
     fn check_names_the_cell_and_field_whose_search_changed() {
         let cell = |leaves: u64, bsld: f64| {
             json!({
-                "id": "6/03/DDS/lxf/L1000/t1",
+                "id": "6/03/DDS/lxf/L1000",
                 "nodes": 1000,
                 "leaves": leaves,
                 "iterations": 2,
@@ -853,22 +817,22 @@ mod tests {
         let baseline: Value =
             serde_json::from_str(&serde_json::to_string(&doc(30, 12.345_678_9)).expect("print"))
                 .expect("parse");
-        assert!(check(&doc(30, 12.345_678_9), &baseline, 0.0).is_empty());
-        let failures = check(&doc(31, 12.345_678_900_001), &baseline, 0.0);
+        assert_eq!(check(&doc(30, 12.345_678_9), &baseline, 0.0), Ok(1));
+        let failures = check(&doc(31, 12.345_678_900_001), &baseline, 0.0).expect_err("changed");
         let fields: Vec<&str> = failures
             .iter()
             .map(|f| match f {
                 CheckFailure::Changed { id, field, .. } => {
-                    assert_eq!(id, "6/03/DDS/lxf/L1000/t1");
+                    assert_eq!(id, "6/03/DDS/lxf/L1000");
                     *field
                 }
-                CheckFailure::Slower { .. } => panic!("no throughput change: {f}"),
+                _ => panic!("only the search changed: {f}"),
             })
             .collect();
         assert_eq!(fields, ["leaves", "best_bsld_sum"]);
         assert_eq!(
             failures[0].to_string(),
-            "6/03/DDS/lxf/L1000/t1: leaves changed, 30 -> 31"
+            "6/03/DDS/lxf/L1000: leaves changed, 30 -> 31"
         );
     }
 }

@@ -125,10 +125,6 @@ OPTIONS (lint):
 OPTIONS (bench-perf):
   --quick             smoke mode: drop the 100K budget, 1 timing repeat
   --repeats N         timed repeats per cell, fastest wins (default 3)
-  --threads N         time the portfolio rows at {1, N} workers
-                      instead of {1, 4}
-  --portfolio         force the portfolio rows (on by default; --quick
-                      drops them)
   --out FILE          where to write the JSON document (default
                       BENCH_search.json; \"-\" skips the file)
   --check BASELINE    compare against a baseline document: fail if any
@@ -392,10 +388,6 @@ pub struct BenchPerfArgs {
     pub check: Option<String>,
     /// Allowed fractional nodes/sec slowdown before `--check` fails.
     pub tolerance: f64,
-    /// Sweep thread counts `{1, N}` instead of the default `{1, 4}`.
-    pub threads: Option<usize>,
-    /// Force the portfolio rows on (quick mode drops them by default).
-    pub portfolio: bool,
 }
 
 impl Default for BenchPerfArgs {
@@ -406,8 +398,6 @@ impl Default for BenchPerfArgs {
             out: "BENCH_search.json".to_string(),
             check: None,
             tolerance: 0.5,
-            threads: None,
-            portfolio: false,
         }
     }
 }
@@ -490,7 +480,7 @@ pub enum Knowledge {
 }
 
 /// The policy names `sbs` accepts, with descriptions.
-pub const POLICY_NAMES: [(&str, &str); 13] = [
+pub const POLICY_NAMES: [(&str, &str); 12] = [
     (
         "fcfs-bf",
         "FCFS-backfill (1 reservation) — the max-wait envelope",
@@ -515,10 +505,6 @@ pub const POLICY_NAMES: [(&str, &str); 13] = [
         "DDS + hill-climbing hybrid (30% local budget)",
     ),
     ("beam-lxf-dynb", "beam search (width 16) baseline"),
-    (
-        "port-lxf-dynb",
-        "portfolio race: lds/dds/beam8/greedy per decision, first-best-wins",
-    ),
 ];
 
 /// Resolves a policy name to a buildable spec.
@@ -546,7 +532,6 @@ pub fn policy_by_name(name: &str, budget: u64) -> Option<PolicySpec> {
             local_frac: 0.3,
         },
         "beam-lxf-dynb" => PolicySpec::search_dynb(SearchAlgo::Beam(16), Branching::Lxf, budget),
-        "port-lxf-dynb" => PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, budget),
         _ => return None,
     })
 }
@@ -905,14 +890,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--out" => parsed.out = f.value()?,
                     "--check" => parsed.check = Some(f.value()?),
                     "--tolerance" => parsed.tolerance = f.parsed()?,
-                    "--threads" => {
-                        let n: usize = f.parsed()?;
-                        if n == 0 {
-                            return Err("--threads must be positive".to_string());
-                        }
-                        parsed.threads = Some(n);
-                    }
-                    "--portfolio" => parsed.portfolio = true,
                     _ => return Err(f.unknown()),
                 }
             }
@@ -1001,12 +978,6 @@ fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
     if let Some(r) = args.repeats {
         opts.repeats = r.max(1);
     }
-    if let Some(n) = args.threads {
-        opts.threads = if n == 1 { vec![1] } else { vec![1, n] };
-    }
-    if args.portfolio {
-        opts.portfolio = true;
-    }
     let report = perf::run_matrix(&opts);
     let doc = report.to_json();
     let mut out = report.render();
@@ -1023,14 +994,13 @@ fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
             std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
         let baseline: serde_json::Value = serde_json::from_str(&text)
             .map_err(|e| format!("{baseline_path}: malformed baseline: {e}"))?;
-        let failures = perf::check(&doc, &baseline, args.tolerance);
-        if failures.is_empty() {
-            out.push_str(&format!(
-                "check vs {baseline_path}: ok (search behaviour identical, nodes/sec tolerance {:.0}%)\n",
+        match perf::check(&doc, &baseline, args.tolerance) {
+            Ok(compared) => out.push_str(&format!(
+                "check vs {baseline_path}: ok, {compared} cells compared (search behaviour identical, nodes/sec tolerance {:.0}%)\n",
                 args.tolerance * 100.0
-            ));
-        } else {
-            let mut msg = format!(
+            )),
+            Err(failures) => {
+                let mut msg = format!(
                 "{} check failure(s) vs {baseline_path} (nodes/sec tolerance {:.0}%):\n",
                 failures.len(),
                 args.tolerance * 100.0
@@ -1039,6 +1009,7 @@ fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
                 msg.push_str(&format!("  {f}\n"));
             }
             return Err(msg);
+        }
         }
     }
     Ok(out)
@@ -1629,7 +1600,7 @@ mod tests {
         ("top", "--host", "--port --interval --iterations"),
         ("trace", "--collapsed", "--last --since"),
         ("lint", "--root --format --explain", ""),
-        ("bench-perf", "--out --check", "--repeats --tolerance --threads"),
+        ("bench-perf", "--out --check", "--repeats --tolerance"),
     ];
 
     #[test]
@@ -1859,51 +1830,22 @@ mod tests {
 
     #[test]
     fn thread_and_portfolio_flags_are_gone_from_sim_and_serve() {
-        // A policy has no worker-count knob (SBS_THREADS pins the
-        // process), the race is a policy name like any other, and
-        // /metrics has one rendering.
+        // No command has a worker-count knob, the portfolio race is no
+        // longer a policy, and /metrics has one rendering.
         for line in [
             "sim --month 9/03 --threads 4",
             "serve --threads 2",
             "sim --month 9/03 --portfolio",
             "serve --compat-metrics",
+            "bench-perf --threads 2",
+            "bench-perf --portfolio",
         ] {
             let err = parse(line).expect_err(line);
             assert!(err.contains("unknown flag"), "{line}: {err}");
         }
-        assert_eq!(
-            resolve_spec("port-lxf-dynb", 700).expect("listed"),
-            PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, 700),
-        );
-        assert!(parse("serve --policy port-lxf-dynb").is_ok());
+        let err = resolve_spec("port-lxf-dynb", 700).expect_err("no longer a policy");
+        assert!(err.contains("unknown policy"), "{err}");
         assert!(resolve_spec("bogus", 100).is_err());
-
-        // bench-perf keeps both: they size its portfolio rows.
-        let Command::BenchPerf(b) =
-            parse("bench-perf --quick --threads 8 --portfolio").expect("parse")
-        else {
-            panic!("not bench-perf")
-        };
-        assert_eq!(b.threads, Some(8));
-        assert!(b.portfolio);
-        assert!(parse("bench-perf --threads 0").is_err());
-    }
-
-    #[test]
-    fn simulate_runs_the_portfolio_policy_end_to_end() {
-        let port =
-            parse("sim --month 9/03 --scale 0.03 --budget 200 --policy port-lxf-dynb --json")
-                .expect("parse");
-        let v: serde_json::Value =
-            serde_json::from_str(&run(port).expect("portfolio")).expect("valid json");
-        // The race is deterministic at any worker count, so its
-        // schedule on this slice is pinned outright.
-        assert_eq!(v["policy"], "PORT/lxf/dynB");
-        assert_eq!(v["jobs"].as_u64(), Some(90));
-        assert_eq!(v["decisions"].as_u64(), Some(267));
-        assert_eq!(v["avg_wait_h"].as_f64(), Some(1.0195617283950618));
-        assert_eq!(v["max_wait_h"].as_f64(), Some(10.552222222222222));
-        assert_eq!(v["avg_bounded_slowdown"].as_f64(), Some(3.12960704293012));
     }
 
     #[test]

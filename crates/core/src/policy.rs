@@ -9,10 +9,7 @@
 use crate::objective::{HierarchicalObjective, Objective, TargetBound};
 use crate::schedule::ScheduleProblem;
 use sbs_backfill::PriorityOrder;
-use sbs_dsearch::{
-    beam, dds, greedy, hill_climb, lds, portfolio, random_sampling, SearchConfig, SearchStats,
-    DEFAULT_MEMBERS,
-};
+use sbs_dsearch::{beam, dds, greedy, hill_climb, lds, random_sampling, SearchConfig};
 use sbs_obs::{PolicyTrace, SearchTrace, SpanStack};
 use sbs_sim::policy::{Policy, SchedContext};
 use sbs_workload::job::JobId;
@@ -22,9 +19,7 @@ use std::sync::Arc;
 ///
 /// The paper's policies use the two complete discrepancy searches; the
 /// incomplete `Random` and `Beam` baselines exist for the
-/// `ablate-random` comparison ("is systematic search worth it?"), and
-/// `Portfolio` is the one parallel mechanism: whole searches raced on
-/// whole threads.
+/// `ablate-random` comparison ("is systematic search worth it?").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchAlgo {
     /// Limited discrepancy search (exactly-k iterations).
@@ -35,23 +30,16 @@ pub enum SearchAlgo {
     Random,
     /// Width-bounded beam search (incomplete baseline).
     Beam(u32),
-    /// Race of [`DEFAULT_MEMBERS`] (LDS, DDS, beam-8, greedy) — `L`
-    /// nodes each, one shared deadline, first-best-wins — one member
-    /// per worker thread up to `rayon::max_threads()` (`SBS_THREADS`
-    /// pins it).  The decision is the same at any worker count.
-    Portfolio,
 }
 
 impl SearchAlgo {
-    /// Paper-style label (`LDS`/`DDS`; `RND`/`BEAMw` for the baselines,
-    /// `PORT` for the portfolio race).
+    /// Paper-style label (`LDS`/`DDS`; `RND`/`BEAMw` for the baselines).
     pub fn label(&self) -> String {
         match self {
             SearchAlgo::Lds => "LDS".into(),
             SearchAlgo::Dds => "DDS".into(),
             SearchAlgo::Random => "RND".into(),
             SearchAlgo::Beam(w) => format!("BEAM{w}"),
-            SearchAlgo::Portfolio => "PORT".into(),
         }
     }
 }
@@ -234,20 +222,14 @@ impl Policy for SearchPolicy {
             return Vec::new();
         }
         let omega = self.bound.resolve(ctx);
-        let order = self.branching.order(ctx);
-        let profile = ctx.profile();
-        let objective = &self.objective;
-        let make = || {
-            ScheduleProblem::new(
-                ctx.queue,
-                ctx.now,
-                profile.clone(),
-                order.clone(),
-                omega,
-                Arc::clone(objective),
-            )
-        };
-        let mut problem = make();
+        let mut problem = ScheduleProblem::new(
+            ctx.queue,
+            ctx.now,
+            ctx.profile(),
+            self.branching.order(ctx),
+            omega,
+            Arc::clone(&self.objective),
+        );
         let tree_budget = ((self.node_limit as f64) * (1.0 - self.local_frac))
             .round()
             .max(1.0) as u64;
@@ -257,9 +239,6 @@ impl Policy for SearchPolicy {
             prune: self.prune,
             record_leaves: false,
         };
-        // Set by the portfolio arm only, for the trace: the winner's
-        // index and every member's label and stats.
-        let mut race: Option<(usize, Vec<(String, SearchStats)>)> = None;
         let outcome = match self.algo {
             SearchAlgo::Lds => lds(&mut problem, cfg),
             SearchAlgo::Dds => dds(&mut problem, cfg),
@@ -270,11 +249,6 @@ impl Policy for SearchPolicy {
                 random_sampling(&mut problem, cfg, seed)
             }
             SearchAlgo::Beam(w) => beam(&mut problem, w as usize, cfg),
-            SearchAlgo::Portfolio => {
-                let raced = portfolio(make, &DEFAULT_MEMBERS, cfg, rayon::max_threads());
-                race = Some((raced.winner, raced.member_stats));
-                raced.outcome
-            }
         };
         let mut stats = outcome.stats;
         // The search itself never sees request ids; the policy stamps
@@ -331,10 +305,6 @@ impl Policy for SearchPolicy {
             let mut spans = SpanStack::new();
             spans.enter("decide");
             spans.enter("search");
-            for (label, member) in race.iter().flat_map(|(_, members)| members) {
-                spans.enter(label.clone());
-                spans.exit(member.nodes);
-            }
             if local_nodes > 0 {
                 spans.enter("local");
                 spans.exit(local_nodes);
@@ -349,13 +319,9 @@ impl Policy for SearchPolicy {
             while leaf_iters.last() == Some(&0) {
                 leaf_iters.pop();
             }
-            let algo = match &race {
-                Some((winner, members)) => format!("PORT[{}]", members[*winner].0),
-                None => self.algo.label(),
-            };
             self.last_trace = Some(PolicyTrace {
                 search: Some(SearchTrace {
-                    algo,
+                    algo: self.algo.label(),
                     branching: self.branching.label().to_string(),
                     omega,
                     budget: tree_budget,
@@ -626,94 +592,6 @@ mod tests {
             "fallback span recorded: {:?}",
             trace.spans
         );
-    }
-
-    fn port(node_limit: u64) -> SearchPolicy {
-        SearchPolicy::new(
-            SearchAlgo::Portfolio,
-            Branching::Lxf,
-            TargetBound::Dynamic,
-            node_limit,
-        )
-    }
-
-    #[test]
-    fn portfolio_name_encodes_configuration() {
-        assert_eq!(port(1_000).name(), "PORT/lxf/dynB");
-    }
-
-    #[test]
-    fn portfolio_tracing_reports_winner_and_member_spans() {
-        let q = [
-            waiting(0, 0, 4, 4 * HOUR),
-            waiting(1, 0, 1, HOUR),
-            waiting(2, 0, 1, HOUR),
-        ];
-        let ctx = SchedContext {
-            now: 0,
-            capacity: 4,
-            free_nodes: 4,
-            queue: &q,
-            running: &[],
-        };
-        let mut p = port(5_000);
-        p.set_tracing(true);
-        let _ = p.decide(&ctx);
-        let trace = p.take_trace().expect("trace recorded while tracing");
-        let search = trace.search.expect("the race records a search");
-        assert!(search.algo.starts_with("PORT["), "algo = {}", search.algo);
-        assert_eq!(search.branching, "lxf");
-        assert!(search.nodes > 0 && search.leaves > 0);
-        // One child span per member inside decide;search, then the
-        // search span itself carrying the merged node count.
-        let member_spans: Vec<_> = trace
-            .spans
-            .iter()
-            .filter(|(path, _)| path.starts_with("decide;search;"))
-            .collect();
-        assert_eq!(member_spans.len(), DEFAULT_MEMBERS.len());
-        let member_total: u64 = member_spans.iter().map(|(_, w)| w).sum();
-        assert_eq!(member_total, search.nodes);
-        assert!(trace
-            .spans
-            .iter()
-            .any(|(path, w)| path == "decide;search" && *w == search.nodes));
-        assert_eq!(p.totals().decisions, 1);
-        assert_eq!(p.totals().nodes, search.nodes);
-    }
-
-    #[test]
-    fn portfolio_tiny_budget_falls_back_to_greedy() {
-        let q: Vec<WaitingJob> = (0..6).map(|i| waiting(i, 0, 1, HOUR)).collect();
-        let mut p = port(2); // < queue length: not even greedy completes
-        let ctx = SchedContext {
-            now: 0,
-            capacity: 8,
-            free_nodes: 8,
-            queue: &q,
-            running: &[],
-        };
-        let starts = p.decide(&ctx);
-        assert_eq!(starts.len(), 6, "greedy fallback still schedules");
-        assert_eq!(p.totals().fallbacks, 1);
-    }
-
-    #[test]
-    fn portfolio_policy_completes_and_is_run_to_run_identical() {
-        let w = random_workload(
-            RandomWorkloadCfg {
-                jobs: 120,
-                ..Default::default()
-            },
-            11,
-        );
-        let starts = |r: &sbs_sim::SimResult| -> Vec<_> {
-            r.records.iter().map(|r| (r.id, r.start)).collect()
-        };
-        let a = run(port(800), &w);
-        assert_eq!(a.records.len(), w.jobs.len());
-        let b = run(port(800), &w);
-        assert_eq!(starts(&a), starts(&b));
     }
 
     #[test]

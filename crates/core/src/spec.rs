@@ -34,8 +34,7 @@ pub enum PolicySpec {
     },
     /// A search-based policy (Section 2.3).
     Search {
-        /// LDS or DDS; an incomplete baseline or the portfolio race
-        /// (extensions).
+        /// LDS or DDS; an incomplete baseline (extension).
         algo: SearchAlgo,
         /// fcfs or lxf branching.
         branching: Branching,
@@ -194,16 +193,6 @@ mod tests {
             .map(|s| s.name())
             .collect();
         assert_eq!(names, vec!["FCFS-backfill", "LXF-backfill", "DDS/lxf/dynB"]);
-    }
-
-    #[test]
-    fn portfolio_spec_builds() {
-        let spec = PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, 1_000);
-        assert_eq!(spec.name(), "PORT/lxf/dynB");
-        assert!(
-            spec.build_search().is_some(),
-            "the portfolio race is a SearchPolicy, so callers can read its totals"
-        );
     }
 
     #[test]

@@ -30,25 +30,8 @@ pub fn beam<P: SearchProblem>(
     width: usize,
     cfg: SearchConfig,
 ) -> SearchOutcome<P::Branch, P::Cost> {
-    beam_with_timer(
-        problem,
-        width,
-        cfg,
-        crate::deadline::DeadlineTimer::starting_now(cfg.deadline),
-    )
-}
-
-/// [`beam`] with an externally armed deadline timer (see
-/// [`Driver::with_timer`]); the portfolio driver uses this to share one
-/// expiry instant across members.
-pub(crate) fn beam_with_timer<P: SearchProblem>(
-    problem: &mut P,
-    width: usize,
-    cfg: SearchConfig,
-    timer: crate::deadline::DeadlineTimer,
-) -> SearchOutcome<P::Branch, P::Cost> {
     assert!(width >= 1, "beam width must be at least 1");
-    let mut driver = Driver::with_timer(problem, cfg, timer);
+    let mut driver = Driver::new(problem, cfg);
     let mut frontier: Vec<Vec<P::Branch>> = vec![Vec::new()];
 
     loop {

@@ -20,22 +20,7 @@ pub fn dds<P: SearchProblem>(
     problem: &mut P,
     cfg: SearchConfig,
 ) -> SearchOutcome<P::Branch, P::Cost> {
-    dds_with_timer(
-        problem,
-        cfg,
-        crate::deadline::DeadlineTimer::starting_now(cfg.deadline),
-    )
-}
-
-/// [`dds`] with an externally armed deadline timer (see
-/// [`Driver::with_timer`]); the portfolio driver uses this to share one
-/// expiry instant across members.
-pub(crate) fn dds_with_timer<P: SearchProblem>(
-    problem: &mut P,
-    cfg: SearchConfig,
-    timer: crate::deadline::DeadlineTimer,
-) -> SearchOutcome<P::Branch, P::Cost> {
-    let mut driver = Driver::with_timer(problem, cfg, timer);
+    let mut driver = Driver::new(problem, cfg);
     // Deepest decision index observed (anywhere) to offer >= 2 branches;
     // iteration i can only produce leaves if some decision at depth i has
     // a discrepancy to take.  For uniform-arity-per-depth trees (such as

@@ -59,22 +59,7 @@ pub fn greedy<P: SearchProblem>(
     problem: &mut P,
     cfg: SearchConfig,
 ) -> SearchOutcome<P::Branch, P::Cost> {
-    greedy_with_timer(
-        problem,
-        cfg,
-        crate::deadline::DeadlineTimer::starting_now(cfg.deadline),
-    )
-}
-
-/// [`greedy`] with an externally armed deadline timer (see
-/// [`Driver::with_timer`]); the portfolio driver uses this to share one
-/// expiry instant across members.
-pub(crate) fn greedy_with_timer<P: SearchProblem>(
-    problem: &mut P,
-    cfg: SearchConfig,
-    timer: crate::deadline::DeadlineTimer,
-) -> SearchOutcome<P::Branch, P::Cost> {
-    let mut driver = Driver::with_timer(problem, cfg, timer);
+    let mut driver = Driver::new(problem, cfg);
     let mut depth = 0usize;
     loop {
         // O(1) per node: no need to materialize the full branch list

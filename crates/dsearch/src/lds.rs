@@ -18,22 +18,7 @@ pub fn lds<P: SearchProblem>(
     problem: &mut P,
     cfg: SearchConfig,
 ) -> SearchOutcome<P::Branch, P::Cost> {
-    lds_with_timer(
-        problem,
-        cfg,
-        crate::deadline::DeadlineTimer::starting_now(cfg.deadline),
-    )
-}
-
-/// [`lds`] with an externally armed deadline timer (see
-/// [`Driver::with_timer`]); the portfolio driver uses this to share one
-/// expiry instant across members.
-pub(crate) fn lds_with_timer<P: SearchProblem>(
-    problem: &mut P,
-    cfg: SearchConfig,
-    timer: crate::deadline::DeadlineTimer,
-) -> SearchOutcome<P::Branch, P::Cost> {
-    let mut driver = Driver::with_timer(problem, cfg, timer);
+    let mut driver = Driver::new(problem, cfg);
     let mut k = 0usize;
     loop {
         let leaves_before = driver.outcome.stats.leaves;

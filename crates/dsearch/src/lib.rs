@@ -39,7 +39,6 @@ pub mod dfs;
 pub mod lds;
 pub mod local;
 pub mod permutation;
-pub mod portfolio;
 pub mod problem;
 pub mod random;
 pub mod tree;
@@ -49,7 +48,6 @@ pub use dds::dds;
 pub use dfs::{dfs, greedy};
 pub use lds::{lds, lds_original};
 pub use local::hill_climb;
-pub use portfolio::{portfolio, PortfolioMember, PortfolioOutcome, DEFAULT_MEMBERS};
 pub use problem::{
     Budget, SearchConfig, SearchOutcome, SearchProblem, SearchStats, DEADLINE_CHECK_INTERVAL,
     LEAF_ITER_BUCKETS,

@@ -280,31 +280,13 @@ pub(crate) struct BudgetExhausted;
 
 impl<'a, P: SearchProblem> Driver<'a, P> {
     pub fn new(problem: &'a mut P, cfg: SearchConfig) -> Self {
-        Self::with_timer(
-            problem,
-            cfg,
-            crate::deadline::DeadlineTimer::starting_now(cfg.deadline),
-        )
-    }
-
-    /// Like [`Driver::new`] but with an externally armed deadline timer.
-    ///
-    /// The portfolio driver arms **one** timer at search start and
-    /// injects the same (`Copy`) value into every member, so all of
-    /// them share a single expiry instant instead of each restarting
-    /// the clock.
-    pub fn with_timer(
-        problem: &'a mut P,
-        cfg: SearchConfig,
-        timer: crate::deadline::DeadlineTimer,
-    ) -> Self {
         Driver {
             problem,
             cfg,
             outcome: SearchOutcome::new(),
             path: Vec::new(),
             scratch: Vec::new(),
-            deadline: timer,
+            deadline: crate::deadline::DeadlineTimer::starting_now(cfg.deadline),
         }
     }
 

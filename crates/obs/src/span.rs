@@ -10,7 +10,7 @@
 /// semicolon-joined path with a self-weight.
 #[derive(Debug, Default, Clone)]
 pub struct SpanStack {
-    stack: Vec<String>,
+    stack: Vec<&'static str>,
     recorded: Vec<(String, u64)>,
 }
 
@@ -20,10 +20,10 @@ impl SpanStack {
         SpanStack::default()
     }
 
-    /// Opens a nested span named `name`.  Owned names allow dynamic
-    /// labels (e.g. one span per portfolio member).
-    pub fn enter(&mut self, name: impl Into<String>) {
-        self.stack.push(name.into());
+    /// Opens a nested span named `name` (e.g. `"decide"`, then
+    /// `"search"` inside it).
+    pub fn enter(&mut self, name: &'static str) {
+        self.stack.push(name);
     }
 
     /// Closes the innermost span, attributing `self_weight` units to its

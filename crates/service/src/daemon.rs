@@ -267,7 +267,6 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbs_core::{Branching, SearchAlgo};
     use sbs_obs::TimeMode;
     use sbs_workload::time::HOUR;
 
@@ -435,11 +434,11 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_policy_reports_expanded_nodes_and_deadline_truncations() {
-        // The race is built through `build_search()` like every other
-        // search policy, so /metrics and /statusz see its totals and it
-        // takes the per-decision deadline as its shared budget.
-        let spec = PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, 100_000);
+    fn dds_policy_reports_expanded_nodes_and_deadline_truncations() {
+        // The configured deadline reaches the search policy through
+        // `build_search()`, and the truncations and nodes it counts reach
+        // /statusz and /metrics.
+        let spec = PolicySpec::dds_lxf_dynb(100_000);
         let mut d = Daemon::fresh(ServiceConfig::new(8, spec).with_deadline(Duration::ZERO));
         d.submit_at(0, 8, 2 * HOUR, None, 0).expect("submit");
         for at in 1..=9 {
@@ -454,7 +453,7 @@ mod tests {
             .and_then(|v| v.parse::<u64>().ok());
         assert!(
             scraped > Some(0),
-            "/metrics under-reports the race: {scraped:?}"
+            "/metrics under-reports the search: {scraped:?}"
         );
         let (completed, leftover) = d.drain();
         assert_eq!((completed, leftover), (10, 0));

@@ -15,55 +15,13 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter};
 }
 
-/// Upper bound on worker threads: `SBS_THREADS` when set to a positive
-/// integer (CI pins worker counts with it), otherwise one per logical
-/// CPU; at least one either way.
-pub fn max_threads() -> usize {
-    if let Ok(v) = std::env::var("SBS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Worker count for `items` units of work: capped by [`max_threads`],
-/// at least one.
+/// Worker count for `items` units of work: one per logical CPU, capped
+/// by `items`, at least one.
 fn workers(items: usize) -> usize {
-    max_threads().min(items).max(1)
-}
-
-/// Runs `f(0..threads)` across that many scoped threads and returns the
-/// results indexed by worker id (rayon's `broadcast`, with an explicit
-/// thread count).  `threads` is clamped to at least one; with one
-/// thread `f(0)` runs inline.
-pub fn broadcast<R: Send>(threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return vec![f(0)];
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..threads).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for (id, slot) in slots.iter().enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                *slot.lock().expect("poisoned") = Some(f(id));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("poisoned")
-                .expect("worker filled slot")
-        })
-        .collect()
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(items)
+        .max(1)
 }
 
 /// Applies `f` to every item across scoped threads, preserving order.
@@ -262,14 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_preserves_worker_order() {
-        let out = crate::broadcast(4, |id| id * 10);
-        assert_eq!(out, vec![0, 10, 20, 30]);
-        let one = crate::broadcast(0, |id| id + 7);
-        assert_eq!(one, vec![7]);
-    }
-
-    #[test]
     fn work_actually_fans_out() {
         use std::collections::HashSet;
         use std::sync::Mutex;
@@ -282,9 +232,8 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             })
             .collect();
-        // On a multi-core runner (without an SBS_THREADS=1 pin) more
-        // than one worker participates.
-        if crate::max_threads() > 1 {
+        // On a multi-core runner more than one worker participates.
+        if crate::workers(64) > 1 {
             assert!(seen.lock().unwrap().len() > 1);
         }
     }

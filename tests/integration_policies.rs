@@ -32,7 +32,6 @@ fn all_specs() -> Vec<PolicySpec> {
             node_limit: 500,
             prune: true,
         },
-        PolicySpec::search_dynb(SearchAlgo::Portfolio, Branching::Lxf, 500),
         PolicySpec::HybridSearch {
             algo: SearchAlgo::Dds,
             branching: Branching::Lxf,
