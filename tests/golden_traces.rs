@@ -1,7 +1,8 @@
 //! Golden-trace regression tests: a rendered metric table over the ten
 //! study months under the three headline policies (FCFS-backfill,
-//! LXF-backfill, DDS/lxf/dynB) is compared byte-for-byte against a
-//! committed golden file.
+//! LXF-backfill, DDS/lxf/dynB) and the other backfill variants
+//! (conservative, selective, four reservations) is compared
+//! byte-for-byte against a committed golden file.
 //!
 //! The simulator is deterministic end to end (seeded workloads, ordered
 //! tie-breaks, no wall-clock in the decision path), so any byte of
@@ -66,6 +67,15 @@ fn render_monthly_table() -> String {
             PolicySpec::FcfsBackfill,
             PolicySpec::LxfBackfill,
             PolicySpec::dds_lxf_dynb(BUDGET),
+            PolicySpec::BackfillWithReservations {
+                order: PriorityOrder::Fcfs,
+                reservations: usize::MAX,
+            },
+            PolicySpec::SelectiveBackfill,
+            PolicySpec::BackfillWithReservations {
+                order: PriorityOrder::Fcfs,
+                reservations: 4,
+            },
         ];
         for spec in &specs {
             let r = run_on(&workload, &scenario, spec);
