@@ -25,9 +25,11 @@
 //!   starvation tests and comparisons);
 //! * `LxfW` — LXF plus a small weight on waiting time (Chiang & Vernon).
 //!
-//! [`SelectiveBackfill`] implements Srinivasan et al.'s variant, which
-//! grants reservations only to jobs whose expected slowdown crosses a
+//! [`selective_backfill`] is Srinivasan et al.'s variant, which grants
+//! reservations only to jobs whose expected slowdown crosses a
 //! starvation threshold; the paper found it to behave like LXF-backfill.
+//! Every variant is one [`BackfillPolicy`] loop with a different
+//! reservation rule.
 
 pub mod policy;
 pub mod priority;
@@ -35,7 +37,6 @@ pub mod selective;
 
 pub use policy::BackfillPolicy;
 pub use priority::PriorityOrder;
-pub use selective::SelectiveBackfill;
 
 /// FCFS-backfill with a single reservation — the paper's first baseline.
 pub fn fcfs_backfill() -> BackfillPolicy {
@@ -59,4 +60,9 @@ pub fn sjf_backfill() -> BackfillPolicy {
 /// guarantees).
 pub fn conservative_backfill() -> BackfillPolicy {
     BackfillPolicy::new(PriorityOrder::Fcfs, usize::MAX)
+}
+
+/// Selective backfill whose starvation threshold is an xfactor of 2.
+pub fn selective_backfill() -> BackfillPolicy {
+    BackfillPolicy::selective(2.0)
 }

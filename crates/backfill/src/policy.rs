@@ -5,8 +5,9 @@ use sbs_obs::{BackfillTrace, PolicyTrace, SpanStack};
 use sbs_sim::policy::{Policy, SchedContext};
 use sbs_workload::job::JobId;
 
-/// Priority backfill with `reservations` reservations (the paper's
-/// policies use one).
+/// Priority backfill: EASY (one reservation, the paper's policies),
+/// `k` reservations, conservative (every blocked job), or selective
+/// (every starved job, see [`crate::selective`]).
 ///
 /// At each decision point, waiting jobs are walked in priority order
 /// against the availability profile:
@@ -14,16 +15,25 @@ use sbs_workload::job::JobId;
 /// * a job whose earliest start is *now* starts immediately (this is the
 ///   backfill: any job, however low its priority, may use nodes that
 ///   would otherwise idle);
-/// * the first `reservations` jobs that cannot start now have their
-///   earliest start time reserved in the profile, so no later (lower
-///   priority) job can delay them;
+/// * a job that cannot start now and that the reservation rule picks has
+///   its earliest start time reserved in the profile, so no later (lower
+///   priority) job can delay it;
 /// * remaining blocked jobs are skipped.
 #[derive(Debug, Clone)]
 pub struct BackfillPolicy {
     order: PriorityOrder,
-    reservations: usize,
+    rule: Reserve,
     tracing: bool,
     last_trace: Option<PolicyTrace>,
+}
+
+/// Which blocked jobs get a reservation.
+#[derive(Debug, Clone, Copy)]
+enum Reserve {
+    /// The first `k` in priority order (`usize::MAX`: conservative).
+    First(usize),
+    /// Every one whose xfactor has reached the threshold (selective).
+    Starved(f64),
 }
 
 impl BackfillPolicy {
@@ -32,9 +42,24 @@ impl BackfillPolicy {
     /// of wide jobs and is rejected).
     pub fn new(order: PriorityOrder, reservations: usize) -> Self {
         assert!(reservations >= 1, "backfill needs at least one reservation");
+        Self::with_rule(order, Reserve::First(reservations))
+    }
+
+    /// Selective backfill: LXF order, so the most-starved jobs reserve
+    /// first, and a reservation for every blocked job whose xfactor has
+    /// reached `threshold` (`> 1`).
+    pub fn selective(threshold: f64) -> Self {
+        assert!(
+            threshold > 1.0,
+            "threshold must exceed the minimum slowdown of 1"
+        );
+        Self::with_rule(PriorityOrder::Lxf, Reserve::Starved(threshold))
+    }
+
+    fn with_rule(order: PriorityOrder, rule: Reserve) -> Self {
         BackfillPolicy {
             order,
-            reservations,
+            rule,
             tracing: false,
             last_trace: None,
         }
@@ -44,19 +69,16 @@ impl BackfillPolicy {
     pub fn order(&self) -> PriorityOrder {
         self.order
     }
-
-    /// Number of reservations granted per decision point.
-    pub fn reservations(&self) -> usize {
-        self.reservations
-    }
 }
 
 impl Policy for BackfillPolicy {
     fn name(&self) -> String {
-        match self.reservations {
-            1 => format!("{}-backfill", self.order.label()),
-            usize::MAX => format!("{}-conservative-backfill", self.order.label()),
-            k => format!("{}-backfill/res{k}", self.order.label()),
+        let order = self.order.label();
+        match self.rule {
+            Reserve::First(1) => format!("{order}-backfill"),
+            Reserve::First(usize::MAX) => format!("{order}-conservative-backfill"),
+            Reserve::First(k) => format!("{order}-backfill/res{k}"),
+            Reserve::Starved(threshold) => format!("Selective-backfill(xf>{threshold})"),
         }
     }
 
@@ -67,12 +89,23 @@ impl Policy for BackfillPolicy {
         let mut blocked = 0u32;
         for idx in self.order.order(ctx.queue, ctx.now) {
             let w = &ctx.queue[idx];
-            let start = profile.earliest_start(w.job.nodes, w.r_star, ctx.now);
-            if start == ctx.now {
-                profile.reserve(start, w.r_star, w.job.nodes);
+            let may_reserve = match self.rule {
+                Reserve::First(k) => reserved < k,
+                Reserve::Starved(threshold) => w.xfactor(ctx.now) >= threshold,
+            };
+            // The profile starts at `now`, so a job wider than the nodes
+            // free there cannot start now; if it may not reserve either,
+            // its fit would only say "blocked".
+            if !may_reserve && w.job.nodes > profile.free_at(ctx.now) {
+                blocked += 1;
+                continue;
+            }
+            let fit = profile.fit(w.job.nodes, w.r_star, ctx.now);
+            if fit.start == ctx.now {
+                profile.commit(fit);
                 starts.push(w.job.id);
-            } else if reserved < self.reservations {
-                profile.reserve(start, w.r_star, w.job.nodes);
+            } else if may_reserve {
+                profile.commit(fit);
                 reserved += 1;
             } else {
                 // Blocked and unreserved; may backfill at a later
@@ -118,6 +151,7 @@ impl Policy for BackfillPolicy {
 mod tests {
     use super::*;
     use crate::{fcfs_backfill, lxf_backfill, sjf_backfill};
+    use proptest::prelude::*;
     use sbs_sim::engine::{check_invariants, simulate, SimConfig};
     use sbs_sim::policy::WaitingJob;
     use sbs_sim::SchedContext;
@@ -296,6 +330,101 @@ mod tests {
         );
         assert_eq!(t.spans, vec![("decide;backfill".to_string(), 2)]);
         assert!(p.take_trace().is_none(), "take_trace drains the slot");
+    }
+
+    /// The decide loop as it was before `fit`/`commit` and the skip of
+    /// jobs that can neither start nor reserve: `earliest_start` plus
+    /// `reserve` for every job.  The reference `decide` is checked
+    /// against.
+    fn reference_decide(
+        policy: &BackfillPolicy,
+        ctx: &SchedContext<'_>,
+    ) -> (Vec<JobId>, BackfillTrace) {
+        let mut profile = ctx.profile();
+        let mut starts = Vec::new();
+        let (mut reserved, mut blocked) = (0u32, 0u32);
+        for idx in policy.order.order(ctx.queue, ctx.now) {
+            let w = &ctx.queue[idx];
+            let start = profile.earliest_start(w.job.nodes, w.r_star, ctx.now);
+            let may_reserve = match policy.rule {
+                Reserve::First(k) => (reserved as usize) < k,
+                Reserve::Starved(threshold) => w.xfactor(ctx.now) >= threshold,
+            };
+            if start == ctx.now {
+                profile.reserve(start, w.r_star, w.job.nodes);
+                starts.push(w.job.id);
+            } else if may_reserve {
+                profile.reserve(start, w.r_star, w.job.nodes);
+                reserved += 1;
+            } else {
+                blocked += 1;
+            }
+        }
+        let trace = BackfillTrace {
+            examined: ctx.queue.len() as u32,
+            started: starts.len() as u32,
+            reserved,
+            blocked,
+        };
+        (starts, trace)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every order under every reservation rule (1, 2, 4 and
+        /// unbounded reservations, and selective) starts the same jobs in
+        /// the same order, with the same counters, as the reference loop.
+        /// Running sets include overdue predictions; queued jobs are up
+        /// to machine-wide, so many are wider than the free nodes.
+        #[test]
+        fn decide_matches_the_reference_loop(
+            capacity in 8u32..129,
+            running_raw in proptest::collection::vec((1u32..129, 0u64..8_000), 0..12),
+            queue_raw in proptest::collection::vec((0u64..30_000, 1u32..129, 1u64..6_000), 0..41),
+        ) {
+            let now: Time = 100_000;
+            let mut running_jobs = Vec::new();
+            let mut busy = 0;
+            for (i, &(raw, end)) in running_raw.iter().enumerate() {
+                let nodes = 1 + raw % capacity;
+                if busy + nodes <= capacity {
+                    busy += nodes;
+                    // Ends below `now` are overdue predictions.
+                    let pred_end = now - 1_000 + end;
+                    running_jobs.push(running(1_000 + i as u32, nodes, now - 10_000, pred_end));
+                }
+            }
+            let queue: Vec<WaitingJob> = queue_raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(back, raw, r_star))| {
+                    waiting(i as u32, now - back, 1 + raw % capacity, r_star)
+                })
+                .collect();
+            let c = ctx(now, capacity, capacity - busy, &queue, &running_jobs);
+            let orders = [
+                PriorityOrder::Fcfs,
+                PriorityOrder::Lxf,
+                PriorityOrder::Sjf,
+                PriorityOrder::LxfW {
+                    weight: PriorityOrder::DEFAULT_LXFW_WEIGHT,
+                },
+            ];
+            let mut policies: Vec<BackfillPolicy> = orders
+                .iter()
+                .flat_map(|&o| [1, 2, 4, usize::MAX].map(|k| BackfillPolicy::new(o, k)))
+                .collect();
+            policies.push(crate::selective_backfill());
+            for mut p in policies {
+                let (want, want_trace) = reference_decide(&p, &c);
+                p.set_tracing(true);
+                let got = p.decide(&c);
+                prop_assert_eq!(&got, &want, "{}", p.name());
+                let trace = p.take_trace().and_then(|t| t.backfill);
+                prop_assert_eq!(trace, Some(want_trace), "{}", p.name());
+            }
+        }
     }
 
     fn full_sim(policy: BackfillPolicy, seed: u64) -> (Workload, sbs_sim::SimResult) {

@@ -8,68 +8,17 @@
 //! the NCSA workloads and found it to perform "very similarly to
 //! LXF-backfill" (Section 3.2) — our integration tests check exactly
 //! that relationship.
-
-use crate::priority::PriorityOrder;
-use sbs_sim::policy::{Policy, SchedContext};
-use sbs_workload::job::JobId;
-
-/// Selective backfill with a fixed xfactor starvation threshold.
-#[derive(Debug, Clone)]
-pub struct SelectiveBackfill {
-    threshold: f64,
-}
-
-impl SelectiveBackfill {
-    /// The threshold used by [`Default`]: a job whose bounded slowdown
-    /// exceeds this earns a reservation.
-    pub const DEFAULT_THRESHOLD: f64 = 2.0;
-
-    /// Creates the policy with the given starvation threshold (`> 1`).
-    pub fn new(threshold: f64) -> Self {
-        assert!(
-            threshold > 1.0,
-            "threshold must exceed the minimum slowdown of 1"
-        );
-        SelectiveBackfill { threshold }
-    }
-}
-
-impl Default for SelectiveBackfill {
-    fn default() -> Self {
-        Self::new(Self::DEFAULT_THRESHOLD)
-    }
-}
-
-impl Policy for SelectiveBackfill {
-    fn name(&self) -> String {
-        format!("Selective-backfill(xf>{})", self.threshold)
-    }
-
-    fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<JobId> {
-        let mut profile = ctx.profile();
-        let mut starts = Vec::new();
-        // Walk in LXF order so the most-starved jobs reserve first.
-        for idx in PriorityOrder::Lxf.order(ctx.queue, ctx.now) {
-            let w = &ctx.queue[idx];
-            let start = profile.earliest_start(w.job.nodes, w.r_star, ctx.now);
-            if start == ctx.now {
-                profile.reserve(start, w.r_star, w.job.nodes);
-                starts.push(w.job.id);
-            } else if w.xfactor(ctx.now) >= self.threshold {
-                profile.reserve(start, w.r_star, w.job.nodes);
-            }
-        }
-        starts
-    }
-}
+//!
+//! It is [`BackfillPolicy::selective`](crate::BackfillPolicy::selective):
+//! the one backfill loop with its own reservation rule.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{selective_backfill, BackfillPolicy};
     use sbs_sim::engine::{check_invariants, simulate, SimConfig};
-    use sbs_sim::policy::WaitingJob;
+    use sbs_sim::policy::{Policy, WaitingJob};
     use sbs_workload::generator::{random_workload, RandomWorkloadCfg};
-    use sbs_workload::job::Job;
+    use sbs_workload::job::{Job, JobId};
     use sbs_workload::time::{Time, HOUR};
 
     fn waiting(id: u32, submit: Time, nodes: u32, r_star: Time) -> WaitingJob {
@@ -94,7 +43,7 @@ mod tests {
         // even though it runs past t=1000.
         let run = [running(100, 6, 0, 1_000)];
         let q = [waiting(0, 40, 8, HOUR), waiting(1, 45, 2, 3_000)];
-        let starts = SelectiveBackfill::default().decide(&sbs_sim::SchedContext {
+        let starts = selective_backfill().decide(&sbs_sim::SchedContext {
             now: 50,
             capacity: 8,
             free_nodes: 2,
@@ -111,7 +60,7 @@ mod tests {
         let run = [running(100, 6, 0, 10_000)];
         let q = [waiting(0, 40, 8, HOUR), waiting(1, 45, 2, 30_000)];
         let now = 40 + 2 * HOUR; // wait = 2 h, r* = 1 h -> xfactor = 3
-        let starts = SelectiveBackfill::default().decide(&sbs_sim::SchedContext {
+        let starts = selective_backfill().decide(&sbs_sim::SchedContext {
             now,
             capacity: 8,
             free_nodes: 2,
@@ -125,7 +74,7 @@ mod tests {
     fn completes_random_workloads() {
         for seed in 0..4 {
             let w = random_workload(RandomWorkloadCfg::default(), seed);
-            let r = simulate(&w, SelectiveBackfill::default(), SimConfig::default());
+            let r = simulate(&w, selective_backfill(), SimConfig::default());
             check_invariants(&r);
             assert_eq!(r.records.len(), w.jobs.len());
         }
@@ -134,6 +83,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "threshold")]
     fn trivial_threshold_rejected() {
-        let _ = SelectiveBackfill::new(1.0);
+        let _ = BackfillPolicy::selective(1.0);
     }
 }

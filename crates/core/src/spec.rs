@@ -7,7 +7,7 @@
 
 use crate::objective::TargetBound;
 use crate::policy::{Branching, SearchAlgo, SearchPolicy};
-use sbs_backfill::{BackfillPolicy, PriorityOrder, SelectiveBackfill};
+use sbs_backfill::{BackfillPolicy, PriorityOrder};
 use sbs_sim::Policy;
 use sbs_workload::time::Time;
 
@@ -135,7 +135,7 @@ impl PolicySpec {
                 },
                 1,
             )),
-            PolicySpec::SelectiveBackfill => Box::new(SelectiveBackfill::default()),
+            PolicySpec::SelectiveBackfill => Box::new(sbs_backfill::selective_backfill()),
             PolicySpec::BackfillWithReservations {
                 order,
                 reservations,
@@ -193,6 +193,48 @@ mod tests {
             .map(|s| s.name())
             .collect();
         assert_eq!(names, vec!["FCFS-backfill", "LXF-backfill", "DDS/lxf/dynB"]);
+    }
+
+    #[test]
+    fn selective_backfill_records_its_trace() {
+        use sbs_sim::{RunningJob, SchedContext, WaitingJob};
+        use sbs_workload::job::{Job, JobId};
+        // 6 of 8 nodes busy until t=10,000.  The starved wide job
+        // (xfactor 3) reserves; the fresh one (xfactor ~1) and the
+        // narrow job that would delay the reservation are blocked.
+        let now = 40 + 2 * HOUR;
+        let waiting = |id, submit, nodes, r_star| WaitingJob {
+            job: Job::new(JobId(id), submit, nodes, r_star, r_star),
+            r_star,
+        };
+        let queue = [
+            waiting(0, 40, 8, HOUR),
+            waiting(1, now - 60, 8, HOUR),
+            waiting(2, 45, 2, 30_000),
+        ];
+        let running = [RunningJob {
+            job: Job::new(JobId(100), 0, 6, 10_000, 10_000),
+            start: 0,
+            pred_end: 10_000,
+        }];
+        let mut p = PolicySpec::SelectiveBackfill.build();
+        p.set_tracing(true);
+        let starts = p.decide(&SchedContext {
+            now,
+            capacity: 8,
+            free_nodes: 2,
+            queue: &queue,
+            running: &running,
+        });
+        assert!(starts.is_empty());
+        let bf = p
+            .take_trace()
+            .and_then(|t| t.backfill)
+            .expect("selective backfill records a backfill trace");
+        assert_eq!(
+            (bf.examined, bf.started, bf.reserved, bf.blocked),
+            (3, 0, 1, 2)
+        );
     }
 
     #[test]

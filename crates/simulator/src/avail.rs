@@ -2,15 +2,13 @@
 //!
 //! A piecewise-constant function from future time to the number of free
 //! nodes, built from the predicted completion times of running jobs and
-//! any planned reservations.  This is the planning substrate shared by
-//! backfill (compute a priority job's reservation, test whether a
-//! backfill candidate delays it) and by the search policies (place jobs
-//! of a candidate ordering one by one, undo on backtrack).
-//!
-//! Reservations are exactly reversible: `release` with the same
-//! arguments restores the previous function, which is what lets the tree
-//! search descend and backtrack without cloning the profile at every
-//! node.
+//! any planned reservations.  Backfill (a priority job's reservation, a
+//! candidate's start) and the search policies (place the jobs of an
+//! ordering one by one, undo on backtrack) share one first-fit scan:
+//! [`AvailabilityProfile::fit`] finds the earliest feasible start and the
+//! segment window a reservation there rewrites, and
+//! [`AvailabilityProfile::commit`] carves that window in place.
+//! `reserve`/`release` are left for starts the caller already knows.
 //!
 //! The search has two undo mechanisms, one per access pattern:
 //!
@@ -103,6 +101,24 @@ impl Checkpoint {
     }
 }
 
+/// The answer of [`AvailabilityProfile::fit`]: the earliest feasible
+/// start, and the segment window a reservation there rewrites.  Valid
+/// only against the unedited profile it came from: any edit in between
+/// may move the window ([`AvailabilityProfile::commit`] checks this in
+/// debug builds).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use]
+pub struct Fit {
+    /// The earliest feasible start.
+    pub start: Time,
+    /// `start + duration`, saturated.
+    end: Time,
+    nodes: u32,
+    /// The window: segment `a` holds `start`, segment `b` holds `end`.
+    a: usize,
+    b: usize,
+}
+
 /// Piecewise-constant free-node profile over `[base, infinity)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvailabilityProfile {
@@ -156,47 +172,82 @@ impl AvailabilityProfile {
     /// Free nodes at time `t` (`t >= base`).
     pub fn free_at(&self, t: Time) -> u32 {
         debug_assert!(t >= self.base());
-        let idx = match self.segs.binary_search_by_key(&t, |s| s.start) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        self.segs[idx].free
+        self.segs[self.segs.partition_point(|s| s.start <= t) - 1].free
     }
 
     /// Earliest time `t >= from.max(base)` at which `nodes` nodes are
-    /// continuously free for `duration` seconds.
-    ///
-    /// Always succeeds because every reservation is finite, so the final
-    /// segment has at least as many free nodes as any feasible request.
+    /// continuously free for `duration` seconds: [`Self::fit`]'s start.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` exceeds the capacity or `duration == 0`.
     pub fn earliest_start(&self, nodes: u32, duration: Time, from: Time) -> Time {
+        self.fit(nodes, duration, from).start
+    }
+
+    /// The first-fit scan: the earliest start at or after
+    /// `from.max(base)` with `nodes` free for `duration`, and the segment
+    /// window a reservation there rewrites, for [`Self::commit`].  One
+    /// pass: the walk that proves the run of feasible segments long
+    /// enough stops on the segment that closes the window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` exceeds the capacity or `duration == 0`.
+    pub fn fit(&self, nodes: u32, duration: Time, from: Time) -> Fit {
         assert!(nodes <= self.capacity, "request exceeds machine size");
         assert!(duration > 0, "zero-length reservation");
-        let from = from.max(self.base());
-        let mut candidate: Option<Time> = None;
-        for (i, seg) in self.segs.iter().enumerate() {
-            let seg_end = self.segs.get(i + 1).map(|s| s.start);
-            if let Some(end) = seg_end {
-                if end <= from {
+        let segs = &self.segs[..];
+        let from = from.max(segs[0].start);
+        let mut a = 0;
+        while a + 1 < segs.len() && segs[a + 1].start <= from {
+            a += 1;
+        }
+        loop {
+            a += segs[a..]
+                .iter()
+                .position(|s| s.free >= nodes)
+                .expect("the last segment is all-free");
+            let start = segs[a].start.max(from);
+            let end = start.saturating_add(duration);
+            // Extend the run until a segment begins at or past `end`
+            // (found) or is too full (too short: retry past it).
+            let b = match segs[a + 1..]
+                .iter()
+                .position(|s| s.start >= end || s.free < nodes)
+            {
+                None => segs.len() - 1,
+                Some(k) if segs[a + 1 + k].start == end => a + 1 + k,
+                Some(k) if segs[a + 1 + k].start > end => a + k,
+                Some(k) => {
+                    a += 1 + k;
                     continue;
                 }
-            }
-            if seg.free >= nodes {
-                let start = candidate.get_or_insert(seg.start.max(from));
-                // Enough room within the run of feasible segments?
-                match seg_end {
-                    None => return *start, // feasible to infinity
-                    Some(end) if end >= start.saturating_add(duration) => return *start,
-                    Some(_) => {}
-                }
-            } else {
-                candidate = None;
-            }
+            };
+            break Fit {
+                start,
+                end,
+                nodes,
+                a,
+                b,
+            };
         }
-        unreachable!("final segment always satisfies a feasible request")
+    }
+
+    /// Reserves what `fit` found, rewriting only its window in place.
+    /// `fit` must come from [`Self::fit`] on this profile with no edit
+    /// since; debug builds check that its window still matches.
+    pub fn commit(&mut self, fit: Fit) {
+        // Segment `a` still holds the start and segment `b` the end.
+        let holds = |i: usize, t: Time| {
+            self.segs.get(i).is_some_and(|s| s.start <= t)
+                && self.segs.get(i + 1).is_none_or(|s| s.start > t)
+        };
+        debug_assert!(
+            holds(fit.a, fit.start) && holds(fit.b, fit.end),
+            "stale fit: the profile changed"
+        );
+        self.carve(fit.a, fit.b, fit.start, fit.end, fit.nodes);
     }
 
     /// Subtracts `nodes` free nodes over `[start, start + duration)`.
@@ -219,9 +270,8 @@ impl AvailabilityProfile {
     /// or after `from`, journalling the edit to `log`; returns the start.
     ///
     /// Equivalent to [`Self::earliest_start`] followed by
-    /// [`Self::reserve`], but in a single pass: the feasibility scan
-    /// already locates the segment window the reservation rewrites, so
-    /// no binary search or second traversal is needed.  This is the tree
+    /// [`Self::reserve`], but in a single pass: [`Self::fit`] then
+    /// [`Self::commit`], saving the window in between.  This is the tree
     /// search's descend primitive; [`Self::unplace`] is its exact
     /// inverse.
     ///
@@ -229,15 +279,15 @@ impl AvailabilityProfile {
     ///
     /// Panics if `nodes` exceeds the capacity or `duration == 0`.
     pub fn place(&mut self, nodes: u32, duration: Time, from: Time, log: &mut UndoLog) -> Time {
-        let (a, b, start) = self.first_fit(nodes, duration, from);
-        log.saved.extend_from_slice(&self.segs[a..=b]);
-        let new_len = self.carve(a, b, start, start.saturating_add(duration), nodes);
+        let fit = self.fit(nodes, duration, from);
+        log.saved.extend_from_slice(&self.segs[fit.a..=fit.b]);
+        let new_len = self.carve(fit.a, fit.b, fit.start, fit.end, fit.nodes);
         log.frames.push(UndoFrame {
-            lo: a,
-            old_len: b - a + 1,
+            lo: fit.a,
+            old_len: fit.b - fit.a + 1,
             new_len,
         });
-        start
+        fit.start
     }
 
     /// [`Self::place`] without the journal: the edit can only be undone
@@ -247,9 +297,9 @@ impl AvailabilityProfile {
     ///
     /// Panics if `nodes` exceeds the capacity or `duration == 0`.
     pub fn place_unjournalled(&mut self, nodes: u32, duration: Time, from: Time) -> Time {
-        let (a, b, start) = self.first_fit(nodes, duration, from);
-        self.carve(a, b, start, start.saturating_add(duration), nodes);
-        start
+        let fit = self.fit(nodes, duration, from);
+        self.commit(fit);
+        fit.start
     }
 
     /// Reverses the most recent un-undone [`Self::place`] exactly: one
@@ -285,55 +335,10 @@ impl AvailabilityProfile {
         from.segs.clear();
     }
 
-    /// The first-fit scan behind [`Self::place`]: the earliest start at
-    /// or after `from.max(base)` with `nodes` free for `duration`, and
-    /// the window `a..=b` a reservation there rewrites — `a` holds the
-    /// start, `b` is the last segment starting at or before its end.
-    /// Returns `(a, b, start)`.
-    ///
-    /// One pass: the walk that proves the run of feasible segments long
-    /// enough stops on the segment that closes the window.
-    fn first_fit(&self, nodes: u32, duration: Time, from: Time) -> (usize, usize, Time) {
-        assert!(nodes <= self.capacity, "request exceeds machine size");
-        assert!(duration > 0, "zero-length reservation");
-        let segs = &self.segs[..];
-        let from = from.max(segs[0].start);
-        let mut a = 0;
-        while a + 1 < segs.len() && segs[a + 1].start <= from {
-            a += 1;
-        }
-        loop {
-            a += segs[a..]
-                .iter()
-                .position(|s| s.free >= nodes)
-                .expect("the last segment is all-free");
-            let start = segs[a].start.max(from);
-            let end = start.saturating_add(duration);
-            // Extend the run until a segment begins at or past `end`
-            // (found) or is too full (too short: retry past it).
-            let Some(k) = segs[a + 1..]
-                .iter()
-                .position(|s| s.start >= end || s.free < nodes)
-            else {
-                return (a, segs.len() - 1, start);
-            };
-            let stop = a + 1 + k;
-            if segs[stop].start >= end {
-                let b = if segs[stop].start == end {
-                    stop
-                } else {
-                    stop - 1
-                };
-                return (a, b, start);
-            }
-            a = stop;
-        }
-    }
-
     /// Subtracts `nodes` over `[start, end)` inside the window `a..=b`
-    /// found by [`Self::first_fit`], in place, and returns the window's
-    /// new length.  Segments before `a` are untouched and those after
-    /// `b` move once.
+    /// found by [`Self::fit`], in place, and returns the window's new
+    /// length.  Segments before `a` are untouched and those after `b`
+    /// move once.
     fn carve(&mut self, a: usize, b: usize, start: Time, end: Time, nodes: u32) -> usize {
         let old_len = b - a + 1;
         // Nothing to hold: zero nodes, or a start saturated at Time::MAX.
@@ -448,11 +453,6 @@ impl AvailabilityProfile {
             }
         }
     }
-
-    /// Number of internal segments (diagnostics/benchmarks).
-    pub fn segments(&self) -> usize {
-        self.segs.len()
-    }
 }
 
 #[cfg(test)]
@@ -548,7 +548,7 @@ mod tests {
         b.reserve(100, 50, 3);
         assert_eq!(a, b);
         // [0,150) at 5 free merged into one segment, then all-free tail.
-        assert_eq!(a.segments(), 2);
+        assert_eq!(a.segs.len(), 2);
         a.unplace(&mut log);
         b.release(100, 50, 3);
         assert_eq!(a, b);
@@ -580,6 +580,16 @@ mod tests {
         assert_eq!(p.place_unjournalled(4, huge, 1000), 2100);
         p.rewind(&mut cp);
         assert_eq!(p, before);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale fit")]
+    fn committing_a_stale_fit_is_caught() {
+        let mut p = AvailabilityProfile::new(0, 8);
+        let stale = p.fit(4, 100, 50);
+        p.reserve(0, 10, 2);
+        p.commit(stale);
     }
 
     /// Reference model: free nodes sampled at every second over a small
@@ -665,7 +675,8 @@ mod tests {
         }
 
         /// `place` picks the same start as `earliest_start` + `reserve`
-        /// and leaves an identical profile; a LIFO sequence of
+        /// and as `commit(fit(..))`, and all three leave identical
+        /// segment lists; a LIFO sequence of
         /// `unplace`s then restores the starting profile *verbatim*
         /// (segment-list equality, not just the free function), and the
         /// canonical-form invariants hold at every step: segment starts
@@ -684,6 +695,7 @@ mod tests {
                 fast.reserve(at, d, n);
             }
             let mut twin = fast.clone();
+            let mut committed = fast.clone();
             let snapshot = fast.clone();
             let mut log = UndoLog::new();
             for &(from, duration, nodes) in &ops {
@@ -692,6 +704,10 @@ mod tests {
                 prop_assert_eq!(at, expect);
                 twin.reserve(at, duration, nodes);
                 prop_assert_eq!(&fast, &twin);
+                let fit = committed.fit(nodes, duration, from);
+                prop_assert_eq!(fit.start, at);
+                committed.commit(fit);
+                prop_assert_eq!(&committed.segs, &fast.segs);
                 for w in fast.segs.windows(2) {
                     prop_assert!(w[0].start < w[1].start, "segments out of order");
                     prop_assert!(w[0].free != w[1].free, "profile not canonical");
