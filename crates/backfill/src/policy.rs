@@ -88,7 +88,7 @@ impl Policy for BackfillPolicy {
         let mut reserved = 0usize;
         let mut blocked = 0u32;
         for idx in self.order.order(ctx.queue, ctx.now) {
-            let w = &ctx.queue[idx];
+            let w = &ctx.queue[idx as usize];
             let may_reserve = match self.rule {
                 Reserve::First(k) => reserved < k,
                 Reserve::Starved(threshold) => w.xfactor(ctx.now) >= threshold,
@@ -344,7 +344,7 @@ mod tests {
         let mut starts = Vec::new();
         let (mut reserved, mut blocked) = (0u32, 0u32);
         for idx in policy.order.order(ctx.queue, ctx.now) {
-            let w = &ctx.queue[idx];
+            let w = &ctx.queue[idx as usize];
             let start = profile.earliest_start(w.job.nodes, w.r_star, ctx.now);
             let may_reserve = match policy.rule {
                 Reserve::First(k) => (reserved as usize) < k,

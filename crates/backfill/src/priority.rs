@@ -37,17 +37,19 @@ impl PriorityOrder {
     }
 
     /// Returns indices into `queue` sorted by descending priority, ties
-    /// broken by submission time then id (fully deterministic).
-    pub fn order(&self, queue: &[WaitingJob], now: Time) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..queue.len()).collect();
-        let keys: Vec<f64> = queue.iter().map(|w| self.value(w, now)).collect();
-        idx.sort_by(|&a, &b| {
-            keys[b]
-                .total_cmp(&keys[a])
-                .then(queue[a].job.submit.cmp(&queue[b].job.submit))
-                .then(queue[a].job.id.cmp(&queue[b].job.id))
-        });
-        idx
+    /// broken by submission time, then id, then queue position (fully
+    /// deterministic).
+    pub fn order(&self, queue: &[WaitingJob], now: Time) -> Vec<u32> {
+        // One packed integer key per job, compared in place.  The trailing
+        // queue index makes every key distinct, so the unstable sort
+        // returns what a stable sort on the first three fields would.
+        let mut keyed: Vec<(u64, Time, u32, u32)> = queue
+            .iter()
+            .zip(0..)
+            .map(|(w, i)| (descending(self.value(w, now)), w.job.submit, w.job.id.0, i))
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(.., i)| i).collect()
     }
 
     /// Short name used in policy display names (`fcfs`, `lxf`, ...).
@@ -61,9 +63,24 @@ impl PriorityOrder {
     }
 }
 
+/// An integer whose ascending order is `x`'s descending
+/// [`f64::total_cmp`] order, `-0.0` ranking after `+0.0` as there.
+fn descending(x: f64) -> u64 {
+    let bits = x.to_bits();
+    // `total_cmp`'s ascending key: a negative flips every bit, a
+    // non-negative only its sign bit.
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sbs_workload::job::{Job, JobId};
 
     fn waiting(id: u32, submit: Time, nodes: u32, r_star: Time) -> WaitingJob {
@@ -124,5 +141,60 @@ mod tests {
     fn ties_fall_back_to_submit_then_id() {
         let q = [waiting(5, 100, 1, HOUR), waiting(2, 100, 1, HOUR)];
         assert_eq!(PriorityOrder::Lxf.order(&q, 200), vec![1, 0]);
+    }
+
+    /// `order` as it was before the packed sort: a stable sort of indices
+    /// by the three-way comparator.  The reference `order` is checked
+    /// against.
+    fn reference_order(order: PriorityOrder, queue: &[WaitingJob], now: Time) -> Vec<u32> {
+        let mut idx: Vec<usize> = (0..queue.len()).collect();
+        let keys: Vec<f64> = queue.iter().map(|w| order.value(w, now)).collect();
+        idx.sort_by(|&a, &b| {
+            keys[b]
+                .total_cmp(&keys[a])
+                .then(queue[a].job.submit.cmp(&queue[b].job.submit))
+                .then(queue[a].job.id.cmp(&queue[b].job.id))
+        });
+        idx.into_iter().map(|i| i as u32).collect()
+    }
+
+    proptest! {
+        /// Every order sorts exactly as the old comparator did.  Values
+        /// and submits tie often, `submit = 0` makes FCFS's key `-0.0`,
+        /// and ids repeat, so only the queue position breaks some ties.
+        #[test]
+        fn order_matches_the_comparator_sort(
+            raw in proptest::collection::vec((0u64..4, 0u32..6, 1u64..4), 0..40),
+            now in 0u64..4,
+        ) {
+            let queue: Vec<WaitingJob> = raw
+                .iter()
+                .map(|&(submit, id, r_star)| waiting(id, submit * HOUR, 1, r_star * HOUR / 2))
+                .collect();
+            let now = now * HOUR;
+            for order in [
+                PriorityOrder::Fcfs,
+                PriorityOrder::Lxf,
+                PriorityOrder::Sjf,
+                PriorityOrder::LxfW { weight: PriorityOrder::DEFAULT_LXFW_WEIGHT },
+            ] {
+                prop_assert_eq!(order.order(&queue, now), reference_order(order, &queue, now));
+            }
+        }
+
+        /// The packed key orders any two floats, infinities, NaNs and
+        /// both zeros included, exactly as descending `total_cmp` does.
+        #[test]
+        fn descending_key_is_reversed_total_cmp(
+            a in (0usize..12, 0u64..u64::MAX),
+            b in (0usize..12, 0u64..u64::MAX),
+        ) {
+            let special = [0.0, -0.0, 1.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+            let float = |(pick, bits): (usize, u64)| {
+                special.get(pick).copied().unwrap_or(f64::from_bits(bits))
+            };
+            let (a, b) = (float(a), float(b));
+            prop_assert_eq!(descending(a).cmp(&descending(b)), b.total_cmp(&a));
+        }
     }
 }

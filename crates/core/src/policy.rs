@@ -70,11 +70,7 @@ impl Branching {
             Branching::Fcfs => PriorityOrder::Fcfs,
             Branching::Lxf => PriorityOrder::Lxf,
         };
-        priority
-            .order(ctx.queue, ctx.now)
-            .into_iter()
-            .map(|i| i as u32)
-            .collect()
+        priority.order(ctx.queue, ctx.now)
     }
 }
 

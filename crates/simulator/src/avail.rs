@@ -146,17 +146,63 @@ impl AvailabilityProfile {
     /// possible when the scheduler plans with requested runtimes) are
     /// treated as "frees at `base + 1`": the scheduler knows the job must
     /// end imminently but cannot use its nodes *now*.
+    ///
+    /// Cost: one pass, O(R) for R jobs, when the pairs come in
+    /// non-decreasing end order (as [`crate::SchedContext::running`] and
+    /// [`crate::Cluster::profile`] hand them over); any other order pays
+    /// one `sort_unstable` of the segment list.  Either way the result is
+    /// the same canonical profile, built in the one `Vec` it returns.
     pub fn from_running(
         base: Time,
         capacity: u32,
         running: impl IntoIterator<Item = (Time, u32)>,
     ) -> Self {
-        let mut p = Self::new(base, capacity);
+        let running = running.into_iter();
+        let floor = base.saturating_add(1);
+        // First the nodes each distinct end releases (segment 0 releases
+        // none), then one prefix sum turns releases into free counts.
+        let mut segs = Vec::with_capacity(1 + running.size_hint().0);
+        segs.push(Segment {
+            start: base,
+            free: 0,
+        });
+        let (mut held, mut sorted) = (0u32, true);
         for (pred_end, nodes) in running {
-            let end = pred_end.max(base.saturating_add(1));
-            p.reserve(base, end.saturating_sub(base), nodes);
+            if nodes == 0 {
+                continue;
+            }
+            held += nodes;
+            let end = pred_end.max(floor);
+            let last = segs.last_mut().expect("segment 0 is always present");
+            if end == last.start {
+                last.free += nodes;
+            } else {
+                sorted &= end > last.start;
+                segs.push(Segment {
+                    start: end,
+                    free: nodes,
+                });
+            }
         }
-        p
+        if !sorted {
+            segs[1..].sort_unstable_by_key(|s| s.start);
+            segs.dedup_by(|later, kept| {
+                let same = later.start == kept.start;
+                if same {
+                    kept.free += later.free;
+                }
+                same
+            });
+        }
+        debug_assert!(held <= capacity, "running set exceeds the machine");
+        // Every later segment releases at least one node, so neighbours
+        // differ (canonical) and the last segment is all-free.
+        let mut free = capacity - held;
+        for seg in &mut segs {
+            free += seg.free;
+            seg.free = free;
+        }
+        AvailabilityProfile { capacity, segs }
     }
 
     /// The machine size.
@@ -169,10 +215,16 @@ impl AvailabilityProfile {
         self.segs[0].start
     }
 
-    /// Free nodes at time `t` (`t >= base`).
+    /// Free nodes at time `t` (`t >= base`).  O(1) when `t` lies in the
+    /// first segment, which holds the base (backfill asks at `now`).
     pub fn free_at(&self, t: Time) -> u32 {
         debug_assert!(t >= self.base());
-        self.segs[self.segs.partition_point(|s| s.start <= t) - 1].free
+        match self.segs.get(1) {
+            Some(next) if next.start <= t => {
+                self.segs[self.segs.partition_point(|s| s.start <= t) - 1].free
+            }
+            _ => self.segs[0].free,
+        }
     }
 
     /// Earliest time `t >= from.max(base)` at which `nodes` nodes are
@@ -637,6 +689,66 @@ mod tests {
                     None => return t,
                 }
             }
+        }
+    }
+
+    /// `from_running` as it was before the one-pass build: one `reserve`
+    /// per running job.  The reference the build is checked against.
+    fn reference_from_running(
+        base: Time,
+        capacity: u32,
+        running: &[(Time, u32)],
+    ) -> AvailabilityProfile {
+        let mut p = AvailabilityProfile::new(base, capacity);
+        for &(pred_end, nodes) in running {
+            let end = pred_end.max(base.saturating_add(1));
+            p.reserve(base, end.saturating_sub(base), nodes);
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass build leaves exactly the segment list the old
+        /// reserve loop did, whatever the order of its input: sorted by
+        /// end (the core's order), reversed, or shuffled.  Ends include
+        /// overdue ones (clamped to `base + 1`), ties, `base + 1` itself
+        /// and `Time::MAX`; some entries hold zero nodes, and a drawn set
+        /// can fill the machine.
+        #[test]
+        fn from_running_matches_the_reserve_loop(
+            capacity in 1u32..65,
+            raw in proptest::collection::vec((0u64..24, 0u32..65), 0..24),
+            order in 0u8..3,
+            shuffle in proptest::collection::vec(0u32..1_000, 24..25),
+        ) {
+            let base: Time = 1_000;
+            let mut busy = 0;
+            let mut running: Vec<(Time, u32)> = Vec::new();
+            for &(slot, raw_nodes) in &raw {
+                let nodes = (raw_nodes % (capacity + 1)).min(capacity - busy);
+                busy += nodes;
+                let end = match slot {
+                    0 => Time::MAX,
+                    1..=4 => base - 5 + slot, // 996..=999: overdue
+                    5 | 6 => base + slot - 5, // base (overdue) and base + 1
+                    _ => base + 100 * (slot / 3), // coarse, so ends tie
+                };
+                running.push((end, nodes));
+            }
+            match order {
+                0 => running.sort_by_key(|&(end, _)| end),
+                1 => running.sort_by_key(|&(end, _)| std::cmp::Reverse(end)),
+                _ => {
+                    let mut keyed: Vec<_> = running.iter().copied().zip(&shuffle).collect();
+                    keyed.sort_by_key(|&(_, &k)| k);
+                    running = keyed.into_iter().map(|(r, _)| r).collect();
+                }
+            }
+            let want = reference_from_running(base, capacity, &running);
+            let got = AvailabilityProfile::from_running(base, capacity, running.iter().copied());
+            prop_assert_eq!(got, want);
         }
     }
 

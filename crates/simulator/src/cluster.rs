@@ -24,15 +24,23 @@ impl RunningJob {
     pub fn end(&self) -> Time {
         self.start.saturating_add(self.job.runtime)
     }
+
+    /// The order of [`Cluster::by_predicted_end`].
+    fn end_key(&self) -> (Time, JobId) {
+        (self.pred_end, self.job.id)
+    }
 }
 
 /// The space-shared machine: a counter of free nodes plus the running
-/// set.
+/// set, kept in two orders.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     capacity: u32,
     free: u32,
     running: Vec<RunningJob>,
+    /// The same jobs sorted by `(pred_end, id)`, so a decision's skyline
+    /// is built in one pass without sorting.
+    by_end: Vec<RunningJob>,
     /// Busy node-seconds accumulated so far (for utilization reporting).
     busy_node_seconds: u64,
     last_advance: Time,
@@ -46,6 +54,7 @@ impl Cluster {
             capacity,
             free: capacity,
             running: Vec::new(),
+            by_end: Vec::new(),
             busy_node_seconds: 0,
             last_advance: 0,
         }
@@ -61,9 +70,28 @@ impl Cluster {
         self.free
     }
 
-    /// The running set, in start order.
+    /// The running set, in the order of a `Vec` that each start or
+    /// re-admission pushes onto and each [`Self::finish`] `swap_remove`s
+    /// from: start order only until the first completion.  This order is
+    /// observable and must not change: queue answers render it,
+    /// snapshots store it, and the benchmark's pinned `fleet-steady`
+    /// digest hashes those answers.
     pub fn running(&self) -> &[RunningJob] {
         &self.running
+    }
+
+    /// The running set sorted by predicted end, then id: the order
+    /// policies see as [`crate::SchedContext::running`].
+    pub(crate) fn by_predicted_end(&self) -> &[RunningJob] {
+        &self.by_end
+    }
+
+    /// Adds `r` to both orders.
+    fn insert(&mut self, r: RunningJob) {
+        self.free -= r.job.nodes;
+        self.running.push(r);
+        let at = self.by_end.partition_point(|x| x.end_key() < r.end_key());
+        self.by_end.insert(at, r);
     }
 
     /// Accounts busy node-time up to `now` (called by the engine before
@@ -94,8 +122,7 @@ impl Cluster {
             job.nodes,
             self.free
         );
-        self.free -= job.nodes;
-        self.running.push(RunningJob {
+        self.insert(RunningJob {
             job,
             start: now,
             pred_end: now.saturating_add(r_star),
@@ -122,8 +149,7 @@ impl Cluster {
             "{} re-admitted twice",
             job.id
         );
-        self.free -= job.nodes;
-        self.running.push(RunningJob {
+        self.insert(RunningJob {
             job,
             start,
             pred_end,
@@ -142,6 +168,12 @@ impl Cluster {
             .position(|r| r.job.id == id)
             .unwrap_or_else(|| panic!("{id} is not running"));
         let r = self.running.swap_remove(idx);
+        let first = self.by_end.partition_point(|x| x.end_key() < r.end_key());
+        let at = self.by_end[first..]
+            .iter()
+            .position(|x| *x == r)
+            .expect("every running job is in the predicted-end index");
+        self.by_end.remove(first + at);
         self.free += r.job.nodes;
         r
     }
@@ -152,7 +184,7 @@ impl Cluster {
         AvailabilityProfile::from_running(
             now,
             self.capacity,
-            self.running.iter().map(|r| (r.pred_end, r.job.nodes)),
+            self.by_end.iter().map(|r| (r.pred_end, r.job.nodes)),
         )
     }
 }
@@ -160,6 +192,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sbs_workload::time::HOUR;
 
     fn job(id: u32, nodes: u32, runtime: Time) -> Job {
@@ -205,5 +238,46 @@ mod tests {
         c.finish(JobId(1));
         c.advance_to(200);
         assert_eq!(c.busy_node_seconds(), 1000);
+    }
+
+    proptest! {
+        /// Under random start/admit/finish sequences `running()` keeps
+        /// the order of a plain push/`swap_remove` `Vec`, and the
+        /// predicted-end index is exactly that set sorted by
+        /// `(pred_end, id)`.  Predicted ends are coarse so they tie, and
+        /// ids arrive out of order.
+        #[test]
+        fn predicted_end_index_tracks_the_running_set(
+            ops in proptest::collection::vec((0u8..3, 0u32..40, 1u32..9, 0u64..6), 1..60),
+        ) {
+            let mut c = Cluster::new(32);
+            let mut model: Vec<RunningJob> = Vec::new();
+            for (kind, id, nodes, t) in ops {
+                let fresh = model.iter().all(|r| r.job.id.0 != id);
+                match kind {
+                    0 | 1 if fresh && nodes <= c.free_nodes() => {
+                        let j = job(id, nodes, 100 * t + 1);
+                        let (start, pred_end) = (500 - 100 * t, 500 + 100 * t);
+                        if kind == 0 {
+                            c.start(j, start, pred_end - start);
+                        } else {
+                            c.admit(j, start, pred_end);
+                        }
+                        model.push(RunningJob { job: j, start, pred_end });
+                    }
+                    2 if !model.is_empty() => {
+                        let gone = model.swap_remove(id as usize % model.len());
+                        prop_assert_eq!(c.finish(gone.job.id), gone);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(c.running(), &model[..]);
+                let mut sorted = model.clone();
+                sorted.sort_by_key(RunningJob::end_key);
+                prop_assert_eq!(c.by_predicted_end(), &sorted[..]);
+                let busy: u32 = model.iter().map(|r| r.job.nodes).sum();
+                prop_assert_eq!(c.free_nodes(), 32 - busy);
+            }
+        }
     }
 }

@@ -225,7 +225,7 @@ impl SchedulerCore {
             capacity: self.cluster.capacity(),
             free_nodes: self.cluster.free_nodes(),
             queue: &self.queue,
-            running: self.cluster.running(),
+            running: self.cluster.by_predicted_end(),
         };
         // sbs-lint: allow(wall-clock): policy-latency telemetry only; the measurement is reported, never read back into a scheduling decision
         let t0 = std::time::Instant::now();

@@ -41,13 +41,15 @@ pub struct SchedContext<'a> {
     pub free_nodes: u32,
     /// Waiting jobs in arrival order (FCFS order).
     pub queue: &'a [WaitingJob],
-    /// Running jobs.
+    /// Running jobs, ordered by predicted end, then id, as
+    /// [`crate::SchedulerCore`] hands them over; [`Self::profile`] then
+    /// needs no sort.  Any other order gives the same profile.
     pub running: &'a [RunningJob],
 }
 
 impl SchedContext<'_> {
     /// Availability profile from the running set's predicted completion
-    /// times.
+    /// times: one pass over [`Self::running`].
     pub fn profile(&self) -> AvailabilityProfile {
         AvailabilityProfile::from_running(
             self.now,
