@@ -15,7 +15,6 @@
 
 pub mod ablations;
 pub mod figures;
-pub mod loadgen;
 pub mod opts;
 pub mod perf;
 pub mod report;

@@ -26,7 +26,6 @@ USAGE:
                           (alias: sbs sim)
   sbs serve [options]     run the online scheduler daemon
   sbs serve-fleet [opts]  run the multi-tenant fleet daemon
-  sbs loadgen [options]   drive a fleet with synthetic submit streams
   sbs submit [options]    submit a job to a running daemon
   sbs queue [options]     show a running daemon's queue
   sbs incidents [opts]    list captured slow-decision incidents
@@ -85,20 +84,6 @@ OPTIONS (serve-fleet):
   --slow-ms D         capture slow decisions (ms) as incidents
   --slow-nodes-left N capture deadline-truncated decisions as incidents
 
-OPTIONS (loadgen):
-  --clusters N        tenant clusters driven (default 1000)
-  --jobs N            jobs submitted per cluster (default 32)
-  --batch N           jobs per batched submit request (default 16)
-  --threads N         worker threads, cluster-disjoint (default 8)
-  --seed N            stream seed (default 42)
-  --capacity N        per-cluster machine size (default 64)
-  --shards N          fleet shard locks (default 64)
-  --tcp               drive over TCP sockets instead of in-process
-  --quick             smoke mode: 64 clusters x 8 jobs on 4 threads
-  --min-throughput R  fail below R sustained submits/sec (default: off)
-  --out FILE          where to write the sbs-loadgen/v1 document
-                      (default BENCH_service.json; \"-\" skips the file)
-
 OPTIONS (trace):
   --collapsed OUT     also write a collapsed-stack span-weight file
                       (flamegraph.pl / speedscope input)
@@ -130,7 +115,7 @@ OPTIONS (bench-perf):
   --check BASELINE    compare against a baseline document: fail if any
                       cell's search outcome (nodes, leaves, best cost,
                       ...) differs, or its nodes/sec regressed beyond
-                      the tolerance
+                      the tolerance; BASELINE may not be the --out file
   --tolerance F       allowed fractional slowdown for --check
                       (default 0.5 — generous, CI machines vary)
 
@@ -161,8 +146,6 @@ pub enum Command {
     Serve(ServeArgs),
     /// Run the multi-tenant fleet daemon.
     ServeFleet(ServeFleetArgs),
-    /// Drive a fleet with synthetic submit streams.
-    Loadgen(LoadgenArgs),
     /// Submit a job to a running daemon.
     Submit(SubmitArgs),
     /// Show a running daemon's queue.
@@ -279,51 +262,6 @@ impl Default for TopArgs {
             connect: ConnectArgs::default(),
             interval_ms: 2_000,
             iterations: 0,
-        }
-    }
-}
-
-/// Arguments of `sbs loadgen`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadgenArgs {
-    /// Tenant clusters driven.
-    pub clusters: Option<usize>,
-    /// Jobs per cluster.
-    pub jobs: Option<usize>,
-    /// Jobs per batched submit request.
-    pub batch: Option<usize>,
-    /// Worker threads.
-    pub threads: Option<usize>,
-    /// Stream seed.
-    pub seed: Option<u64>,
-    /// Per-cluster machine size.
-    pub capacity: Option<u32>,
-    /// Fleet shard locks.
-    pub shards: Option<usize>,
-    /// Drive over TCP sockets instead of in-process.
-    pub tcp: bool,
-    /// Smoke mode.
-    pub quick: bool,
-    /// Fail below this sustained submits/sec (0 = off).
-    pub min_throughput: f64,
-    /// Output path for the JSON document; `"-"` = don't write a file.
-    pub out: String,
-}
-
-impl Default for LoadgenArgs {
-    fn default() -> Self {
-        LoadgenArgs {
-            clusters: None,
-            jobs: None,
-            batch: None,
-            threads: None,
-            seed: None,
-            capacity: None,
-            shards: None,
-            tcp: false,
-            quick: false,
-            min_throughput: 0.0,
-            out: "BENCH_service.json".to_string(),
         }
     }
 }
@@ -861,26 +799,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Lint(parsed))
         }
-        "loadgen" => {
-            let mut parsed = LoadgenArgs::default();
-            while let Some(flag) = f.next_flag() {
-                match flag {
-                    "--clusters" => parsed.clusters = Some(f.parsed()?),
-                    "--jobs" => parsed.jobs = Some(f.parsed()?),
-                    "--batch" => parsed.batch = Some(f.parsed()?),
-                    "--threads" => parsed.threads = Some(f.parsed()?),
-                    "--seed" => parsed.seed = Some(f.parsed()?),
-                    "--capacity" => parsed.capacity = Some(f.parsed()?),
-                    "--shards" => parsed.shards = Some(f.parsed()?),
-                    "--tcp" => parsed.tcp = true,
-                    "--quick" => parsed.quick = true,
-                    "--min-throughput" => parsed.min_throughput = f.parsed()?,
-                    "--out" => parsed.out = f.value()?,
-                    _ => return Err(f.unknown()),
-                }
-            }
-            Ok(Command::Loadgen(parsed))
-        }
         "bench-perf" => {
             let mut parsed = BenchPerfArgs::default();
             while let Some(flag) = f.next_flag() {
@@ -896,10 +814,30 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if !(0.0..1.0).contains(&parsed.tolerance) {
                 return Err("--tolerance must be in [0, 1)".to_string());
             }
+            if let Some(check) = &parsed.check {
+                if same_path(check, &parsed.out) {
+                    return Err(format!(
+                        "--check {check} is also the --out file: the run would overwrite its \
+                         baseline before comparing (pass --out - or another path)"
+                    ));
+                }
+            }
             Ok(Command::BenchPerf(parsed))
         }
         other => Err(format!("unknown command {other:?}")),
     }
+}
+
+/// Whether two command-line paths name the same file, up to `.`
+/// components (`./BENCH_search.json` is `BENCH_search.json`).
+fn same_path(a: &str, b: &str) -> bool {
+    use std::path::{Component, Path};
+    fn parts(p: &str) -> impl Iterator<Item = Component<'_>> {
+        Path::new(p)
+            .components()
+            .filter(|c| *c != Component::CurDir)
+    }
+    parts(a).eq(parts(b))
 }
 
 /// Executes a parsed command, returning its stdout text.
@@ -929,7 +867,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
         Command::Simulate(args) => simulate_cmd(args),
         Command::Serve(args) => serve_cmd(args),
         Command::ServeFleet(args) => serve_fleet_cmd(args),
-        Command::Loadgen(args) => loadgen_cmd(args),
         Command::Submit(args) => {
             let mut req = format!(
                 r#"{{"op":"submit","nodes":{},"runtime":{}"#,
@@ -967,9 +904,20 @@ pub fn run(cmd: Command) -> Result<String, String> {
 
 /// Runs the pinned search-throughput matrix, writes `BENCH_search.json`
 /// and optionally checks it against a baseline (`--check`): identical
-/// search behaviour per cell, nodes/sec within the tolerance.
+/// search behaviour per cell, nodes/sec within the tolerance.  The
+/// baseline is read before the matrix runs, so a missing or malformed
+/// one fails at once.
 fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
     use sbs_bench::perf;
+    let baseline = match &args.check {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            let doc: serde_json::Value = serde_json::from_str(&text)
+                .map_err(|e| format!("{path}: malformed baseline: {e}"))?;
+            Some((path, doc))
+        }
+        None => None,
+    };
     let mut opts = if args.quick {
         perf::PerfOpts::quick()
     } else {
@@ -989,11 +937,7 @@ fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
         std::fs::write(&args.out, text).map_err(|e| format!("{}: {e}", args.out))?;
         out.push_str(&format!("\nwrote {}\n", args.out));
     }
-    if let Some(baseline_path) = &args.check {
-        let text =
-            std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
-        let baseline: serde_json::Value = serde_json::from_str(&text)
-            .map_err(|e| format!("{baseline_path}: malformed baseline: {e}"))?;
+    if let Some((baseline_path, baseline)) = baseline {
         match perf::check(&doc, &baseline, args.tolerance) {
             Ok(compared) => out.push_str(&format!(
                 "check vs {baseline_path}: ok, {compared} cells compared (search behaviour identical, nodes/sec tolerance {:.0}%)\n",
@@ -1001,15 +945,15 @@ fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
             )),
             Err(failures) => {
                 let mut msg = format!(
-                "{} check failure(s) vs {baseline_path} (nodes/sec tolerance {:.0}%):\n",
-                failures.len(),
-                args.tolerance * 100.0
-            );
-            for f in &failures {
-                msg.push_str(&format!("  {f}\n"));
+                    "{} check failure(s) vs {baseline_path} (nodes/sec tolerance {:.0}%):\n",
+                    failures.len(),
+                    args.tolerance * 100.0
+                );
+                for f in &failures {
+                    msg.push_str(&format!("  {f}\n"));
+                }
+                return Err(msg);
             }
-            return Err(msg);
-        }
         }
     }
     Ok(out)
@@ -1376,53 +1320,6 @@ fn serve_fleet_cmd(args: ServeFleetArgs) -> Result<String, String> {
     Ok(format!("fleet on {addr} stopped\n"))
 }
 
-/// Runs the fleet load generator, writes `BENCH_service.json`, and
-/// optionally enforces a sustained-throughput floor.
-fn loadgen_cmd(args: LoadgenArgs) -> Result<String, String> {
-    use sbs_bench::loadgen::{self, DriveMode, LoadgenOpts};
-    let mut opts = if args.quick {
-        LoadgenOpts::quick()
-    } else {
-        LoadgenOpts::default()
-    };
-    if let Some(v) = args.clusters {
-        opts.clusters = v.max(1);
-    }
-    if let Some(v) = args.jobs {
-        opts.jobs_per_cluster = v.max(1);
-    }
-    if let Some(v) = args.batch {
-        opts.batch = v.max(1);
-    }
-    if let Some(v) = args.threads {
-        opts.threads = v.max(1);
-    }
-    if let Some(v) = args.seed {
-        opts.seed = v;
-    }
-    if let Some(v) = args.capacity {
-        opts.capacity = v.max(1);
-    }
-    if let Some(v) = args.shards {
-        opts.shards = v.max(1);
-    }
-    if args.tcp {
-        opts.mode = DriveMode::Tcp;
-    }
-    opts.min_throughput = args.min_throughput;
-    let report = loadgen::run(&opts)?;
-    let mut out = report.text;
-    if args.out != "-" {
-        let text = format!(
-            "{}\n",
-            serde_json::to_string_pretty(&report.doc).expect("serialize")
-        );
-        std::fs::write(&args.out, text).map_err(|e| format!("{}: {e}", args.out))?;
-        out.push_str(&format!("wrote {}\n", args.out));
-    }
-    Ok(out)
-}
-
 fn load_workload(args: &SimulateArgs) -> Result<Workload, String> {
     if let Some(path) = &args.trace {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -1568,7 +1465,7 @@ mod tests {
 
     /// Every subcommand's flags that take a value: `(subcommand, flags
     /// whose value is kept as text, flags whose value is parsed)`.
-    const VALUE_FLAGS: [(&str, &str, &str); 11] = [
+    const VALUE_FLAGS: [(&str, &str, &str); 10] = [
         (
             "simulate",
             "--month --trace --policy --knowledge --trace-log",
@@ -1584,11 +1481,6 @@ mod tests {
             "--policy --snapshot-dir --event-log",
             "--port --capacity --budget --shards --max-clusters --max-queue --fair-slack --slow-ms \
              --slow-nodes-left",
-        ),
-        (
-            "loadgen",
-            "--out",
-            "--clusters --jobs --batch --threads --seed --capacity --shards --min-throughput",
         ),
         (
             "submit",
@@ -1775,31 +1667,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_loadgen_flags() {
-        let cmd = parse(
-            "loadgen --clusters 1000 --jobs 16 --batch 8 --threads 2 --seed 7 \
-             --tcp --quick --min-throughput 10000 --out -",
-        )
-        .expect("parse");
-        let Command::Loadgen(a) = cmd else {
-            panic!("not loadgen")
-        };
-        assert_eq!(a.clusters, Some(1_000));
-        assert_eq!(a.jobs, Some(16));
-        assert_eq!(a.batch, Some(8));
-        assert_eq!(a.threads, Some(2));
-        assert_eq!(a.seed, Some(7));
-        assert!(a.tcp);
-        assert!(a.quick);
-        assert_eq!(a.min_throughput, 10_000.0);
-        assert_eq!(a.out, "-");
-        assert_eq!(
-            parse("loadgen").expect("defaults"),
-            Command::Loadgen(LoadgenArgs::default())
-        );
-    }
-
-    #[test]
     fn parses_month_simulation() {
         let cmd =
             parse("simulate --month 10/03 --policy lxf-bf --load 0.9 --scale 0.1").expect("parse");
@@ -1831,7 +1698,8 @@ mod tests {
     #[test]
     fn thread_and_portfolio_flags_are_gone_from_sim_and_serve() {
         // No command has a worker-count knob, the portfolio race is no
-        // longer a policy, and /metrics has one rendering.
+        // longer a policy, /metrics has one rendering, and the fleet is
+        // timed by the benchmark alone (no load-generator subcommand).
         for line in [
             "sim --month 9/03 --threads 4",
             "serve --threads 2",
@@ -1843,9 +1711,36 @@ mod tests {
             let err = parse(line).expect_err(line);
             assert!(err.contains("unknown flag"), "{line}: {err}");
         }
+        let err = parse("loadgen --quick --threads 4").expect_err("no longer a command");
+        assert_eq!(err, "unknown command \"loadgen\"");
+        assert!(!USAGE.contains("loadgen"), "{USAGE}");
         let err = resolve_spec("port-lxf-dynb", 700).expect_err("no longer a policy");
         assert!(err.contains("unknown policy"), "{err}");
         assert!(resolve_spec("bogus", 100).is_err());
+    }
+
+    #[test]
+    fn bench_perf_refuses_to_check_against_its_own_output() {
+        // The default --out is BENCH_search.json: writing it first would
+        // make the check compare the run against itself.
+        for line in [
+            "bench-perf --quick --check BENCH_search.json",
+            "bench-perf --check ./BENCH_search.json",
+            "bench-perf --out base.json --check base.json",
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(
+                err.contains("--check") && err.contains("--out"),
+                "{line}: {err}"
+            );
+        }
+        for line in [
+            "bench-perf --out - --check BENCH_search.json",
+            "bench-perf --out smoke.json --check BENCH_search.json",
+            "bench-perf",
+        ] {
+            assert!(parse(line).is_ok(), "{line}");
+        }
     }
 
     #[test]

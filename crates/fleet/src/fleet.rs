@@ -602,19 +602,6 @@ impl Fleet {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Folds one measured submit-request latency (nanoseconds) into the
-    /// fleet histogram.  The TCP edge calls this for submit-shaped
-    /// lines; the loadgen harness feeds its exact measurements so
-    /// `/statusz` percentiles agree with the bench report.
-    pub fn record_submit_latency(&self, ns: u64) {
-        self.edge().submit_wall.observe(ns);
-    }
-
-    /// A copy of the fleet submit-latency histogram.
-    pub fn submit_latency(&self) -> Histogram {
-        self.edge().submit_wall.clone()
-    }
-
     /// Pushes a self-scrape sample when scheduler time has crossed the
     /// status-window boundary.
     fn maybe_sample(&self, at: Time) {
@@ -696,13 +683,6 @@ impl Fleet {
             }
         }
         v
-    }
-
-    /// All tenants' `sbs_decision_wall_nanos` histograms merged into
-    /// one (the loadgen harness's decision-latency source).  `None`
-    /// before any decision anywhere.
-    pub fn decision_wall_histogram(&self) -> Option<Histogram> {
-        self.collect_stats().1.decision_nanos
     }
 
     /// One pass over every shard: per-cluster numbers keyed by id, and
@@ -1306,8 +1286,21 @@ mod tests {
         for (id, at) in [("alpha", 0), ("beta", 0), ("alpha", 10)] {
             assert_eq!(f.handle_routed(Some(id), submit(2, at), at).0["ok"], true);
         }
-        f.record_submit_latency(5_000);
-        f.record_submit_latency(90_000);
+        // The TCP edge times every request line; only submit-shaped
+        // ones reach the latency histogram.  200 samples put the exact
+        // nearest-rank p50, p99 and p999 in three different buckets.
+        let samples: Vec<u64> = (0..197)
+            .map(|i| 700 + 311 * i)
+            .chain([450_000, 2_000_000, 40_000_000])
+            .collect();
+        let lines = [
+            r#"{"op":"submit","cluster":"alpha","nodes":2,"runtime":60}"#,
+            r#"{"op":"submit_batch","cluster":"beta","jobs":[{"nodes":1,"runtime":60}]}"#,
+        ];
+        for (i, &ns) in samples.iter().enumerate() {
+            ServerHandler::observe_request_ns(&mut f, lines[i % 2], ns);
+        }
+        ServerHandler::observe_request_ns(&mut f, r#"{"op":"queue","cluster":"alpha"}"#, 7);
         // Cross a window boundary so a sample lands in the ring.
         ServerHandler::poll_to(&mut f, 61);
         let v = f.statusz_value(false);
@@ -1321,8 +1314,23 @@ mod tests {
         assert_eq!(rows[0]["submitted"].as_u64(), Some(2));
         assert_eq!(rows[1]["cluster"], "beta");
         let lat = &v["submit_latency_ns"];
-        assert_eq!(lat["count"].as_u64(), Some(2));
-        assert!(lat["p99"].as_u64().unwrap_or(0) >= 90_000, "{lat}");
+        assert_eq!(
+            lat["count"].as_u64(),
+            Some(200),
+            "the queue line is not a submit"
+        );
+        // Each reported percentile is the upper bound of the bucket that
+        // holds the exact nearest-rank value (the samples ascend).
+        let exact = |q: f64| samples[((q * samples.len() as f64).ceil() as usize).max(1) - 1];
+        let bucket = |ns: u64| (3..=9).map(|e| 10u64.pow(e)).find(|&b| b >= ns);
+        for (key, q, bound) in [
+            ("p50", 0.50, 100_000),
+            ("p99", 0.99, 1_000_000),
+            ("p999", 0.999, 100_000_000),
+        ] {
+            assert_eq!(bucket(exact(q)), Some(bound), "{key}");
+            assert_eq!(lat[key].as_u64(), Some(bound), "{key}: {lat}");
+        }
         assert_eq!(v["windows"].as_array().map(Vec::len), Some(1));
         assert!(v.get("incidents").is_none(), "incidents only on request");
         let v = f.statusz_value(true);

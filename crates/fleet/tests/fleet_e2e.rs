@@ -6,11 +6,14 @@
 //!    serves the fleet exposition with per-cluster labels.
 //! 2. **Kill and restart** — a fleet killed after snapshotting recovers
 //!    every tenant from the manifest with queues intact.
+//! 3. **Concurrent callers** — tenants driven from several threads at
+//!    once end in exactly the state one thread leaves.
 
 use sbs_core::PolicySpec;
 use sbs_fleet::{Fleet, FleetConfig, TenantQuota, MANIFEST_SCHEMA};
 use sbs_service::protocol::Request;
-use sbs_service::{Server, VirtualClock};
+use sbs_service::{Server, SubmitSpec, VirtualClock};
+use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -207,4 +210,74 @@ fn killed_fleet_recovers_every_tenant_from_the_manifest() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+const TENANTS: usize = 16;
+
+/// Submits every tenant's fixed eight-job stream (two batches of four)
+/// through `handle_routed`, the tenants split cluster-disjoint over
+/// `threads` callers.  Returns each tenant's `queue` answer and the
+/// fleet's `/statusz` `[submitted, rejected]`.
+fn drive_concurrently(threads: usize) -> (Vec<Value>, [u64; 2]) {
+    let quota = TenantQuota {
+        max_queue: 2,
+        ..Default::default()
+    };
+    let cfg = FleetConfig::new(8, PolicySpec::FcfsBackfill).with_quota(quota);
+    let fleet = Fleet::new(cfg).expect("fleet");
+    let cluster = |i: usize| format!("c{i:02}");
+    let job = |i: usize, j: u64| SubmitSpec {
+        nodes: 1 + (3 * i as u32 + 5 * j as u32) % 8,
+        runtime: 600 * (1 + (i as u64 + j) % 5),
+        requested: None,
+        user: 0,
+        submit: Some(300 * j),
+    };
+    std::thread::scope(|scope| {
+        for tid in 0..threads {
+            let fleet = &fleet;
+            scope.spawn(move || {
+                for i in (tid..TENANTS).step_by(threads) {
+                    for batch in [0..4, 4..8] {
+                        let at = 300 * (batch.end - 1);
+                        let jobs = batch.map(|j| job(i, j)).collect();
+                        let req = Request::SubmitBatch { jobs };
+                        let (v, _) = fleet.handle_routed(Some(&cluster(i)), req, at);
+                        assert_eq!(v["ok"], true, "{v}");
+                    }
+                }
+            });
+        }
+    });
+    let queues = (0..TENANTS)
+        .map(|i| {
+            // A read at time 0 advances no clock: it shows what the
+            // submits left.  Correlation ids follow call order, so drop it.
+            let (mut v, _) = fleet.handle_routed(Some(&cluster(i)), Request::Queue, 0);
+            if let Value::Object(m) = &mut v {
+                m.remove("corr");
+            }
+            v
+        })
+        .collect();
+    let status = fleet.statusz_value(false);
+    let count = |key: &str| status[key].as_u64().expect(key);
+    (queues, [count("submitted"), count("rejected")])
+}
+
+#[test]
+fn concurrent_callers_leave_every_tenant_as_one_caller_does() {
+    let (single, totals) = drive_concurrently(1);
+    let (shared, shared_totals) = drive_concurrently(4);
+    for (i, (one, four)) in single.iter().zip(&shared).enumerate() {
+        assert_eq!(one, four, "tenant {i}");
+    }
+    assert_eq!(totals, shared_totals);
+    // Both admission outcomes occur, and some tenant is left with waiters.
+    let [admitted, rejected] = totals;
+    assert!(admitted > 0 && rejected > 0, "{totals:?}");
+    assert_eq!(admitted + rejected, (TENANTS * 8) as u64);
+    assert!(single
+        .iter()
+        .any(|q| q["queue"].as_array().is_some_and(|a| !a.is_empty())));
 }

@@ -22,7 +22,7 @@ pub struct Edge {
     pub journal: EventJournal,
     /// Wall nanoseconds per submit-shaped request, measured at the
     /// protocol edge.
-    pub submit_wall: Histogram,
+    submit_wall: Histogram,
     /// Self-scrape samples at status-window boundaries.
     pub window: StatusWindow,
 }
