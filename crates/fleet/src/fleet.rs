@@ -1287,19 +1287,9 @@ mod tests {
             assert_eq!(f.handle_routed(Some(id), submit(2, at), at).0["ok"], true);
         }
         // The TCP edge times every request line; only submit-shaped
-        // ones reach the latency histogram.  200 samples put the exact
-        // nearest-rank p50, p99 and p999 in three different buckets.
-        let samples: Vec<u64> = (0..197)
-            .map(|i| 700 + 311 * i)
-            .chain([450_000, 2_000_000, 40_000_000])
-            .collect();
-        let lines = [
-            r#"{"op":"submit","cluster":"alpha","nodes":2,"runtime":60}"#,
-            r#"{"op":"submit_batch","cluster":"beta","jobs":[{"nodes":1,"runtime":60}]}"#,
-        ];
-        for (i, &ns) in samples.iter().enumerate() {
-            ServerHandler::observe_request_ns(&mut f, lines[i % 2], ns);
-        }
+        // ones reach the latency histogram.
+        let line = r#"{"op":"submit","cluster":"alpha","nodes":2,"runtime":60}"#;
+        ServerHandler::observe_request_ns(&mut f, line, 5_000);
         ServerHandler::observe_request_ns(&mut f, r#"{"op":"queue","cluster":"alpha"}"#, 7);
         // Cross a window boundary so a sample lands in the ring.
         ServerHandler::poll_to(&mut f, 61);
@@ -1313,12 +1303,36 @@ mod tests {
         assert_eq!(rows[0]["cluster"], "alpha");
         assert_eq!(rows[0]["submitted"].as_u64(), Some(2));
         assert_eq!(rows[1]["cluster"], "beta");
-        let lat = &v["submit_latency_ns"];
         assert_eq!(
-            lat["count"].as_u64(),
-            Some(200),
+            v["submit_latency_ns"]["count"].as_u64(),
+            Some(1),
             "the queue line is not a submit"
         );
+        assert_eq!(v["windows"].as_array().map(Vec::len), Some(1));
+        assert!(v.get("incidents").is_none(), "incidents only on request");
+        let v = f.statusz_value(true);
+        assert!(v.get("incidents").is_some());
+    }
+
+    #[test]
+    fn statusz_scrape_agrees_with_the_exact_percentiles() {
+        let mut f = Fleet::new(FleetConfig::new(8, PolicySpec::FcfsBackfill)).expect("fleet");
+        // 200 samples, fed through the TCP edge's timing hook, put the
+        // exact nearest-rank p50, p99 and p999 in three different buckets.
+        let samples: Vec<u64> = (0..197)
+            .map(|i| 700 + 311 * i)
+            .chain([450_000, 2_000_000, 40_000_000])
+            .collect();
+        let lines = [
+            r#"{"op":"submit","cluster":"alpha","nodes":2,"runtime":60}"#,
+            r#"{"op":"submit_batch","cluster":"beta","jobs":[{"nodes":1,"runtime":60}]}"#,
+        ];
+        for (i, &ns) in samples.iter().enumerate() {
+            ServerHandler::observe_request_ns(&mut f, lines[i % 2], ns);
+        }
+        let v = f.statusz_value(false);
+        let lat = &v["submit_latency_ns"];
+        assert_eq!(lat["count"].as_u64(), Some(200), "{lat}");
         // Each reported percentile is the upper bound of the bucket that
         // holds the exact nearest-rank value (the samples ascend).
         let exact = |q: f64| samples[((q * samples.len() as f64).ceil() as usize).max(1) - 1];
@@ -1331,10 +1345,6 @@ mod tests {
             assert_eq!(bucket(exact(q)), Some(bound), "{key}");
             assert_eq!(lat[key].as_u64(), Some(bound), "{key}: {lat}");
         }
-        assert_eq!(v["windows"].as_array().map(Vec::len), Some(1));
-        assert!(v.get("incidents").is_none(), "incidents only on request");
-        let v = f.statusz_value(true);
-        assert!(v.get("incidents").is_some());
     }
 
     #[test]
