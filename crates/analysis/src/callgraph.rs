@@ -19,7 +19,7 @@
 //! degrades to false negatives, never noise.  Edges made from inside a
 //! closure body are flagged [`Edge::in_closure`]; a closure may run on
 //! another thread or not at all, so effect summaries do not propagate
-//! through them (the `--changed` expansion still does).
+//! through them.
 //!
 //! [`CallGraph::sccs`] holds the strongly connected components in
 //! reverse topological order (callees before callers) — exactly the
@@ -39,10 +39,6 @@ pub struct FnNode<'a> {
     /// Base name of the impl target type for methods (`None` for free
     /// functions).
     pub owner: Option<String>,
-    /// The trait being implemented, for trait-impl methods.
-    pub trait_of: Option<String>,
-    /// True when the function takes a `self` receiver.
-    pub has_self: bool,
     /// The parsed item (signature and body).
     pub item: &'a Item,
 }
@@ -54,10 +50,6 @@ pub struct Edge {
     pub to: usize,
     /// True when the call site is inside a closure body.
     pub in_closure: bool,
-    /// Call site line.
-    pub line: u32,
-    /// Call site column.
-    pub col: u32,
 }
 
 /// The resolved workspace call graph.
@@ -95,7 +87,7 @@ impl<'a> CallGraph<'a> {
         };
         for pf in files {
             for item in &pf.ast.items {
-                collect_fns(&pf.rel, item, None, None, &mut cg.fns);
+                collect_fns(&pf.rel, item, None, &mut cg.fns);
             }
         }
         cg.edges = vec![Vec::new(); cg.fns.len()];
@@ -140,12 +132,7 @@ impl<'a> CallGraph<'a> {
                     _ => return,
                 };
                 if let Some((to, span)) = resolved {
-                    let edge = Edge {
-                        to,
-                        in_closure,
-                        line: span.line,
-                        col: span.col,
-                    };
+                    let edge = Edge { to, in_closure };
                     add.push((edge, (file.to_string(), span.line, span.col), to));
                 }
             });
@@ -163,37 +150,6 @@ impl<'a> CallGraph<'a> {
         self.site_callees
             .get(&(file.to_string(), line, col))
             .copied()
-    }
-
-    /// Node indexes of every function defined in `file`.
-    pub fn fns_in_file(&self, file: &str) -> Vec<usize> {
-        (0..self.fns.len())
-            .filter(|&i| self.fns[i].file == file)
-            .collect()
-    }
-
-    /// Renders the graph in GraphViz DOT form (closure-body edges
-    /// dashed).  Deterministic: nodes in collection order.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box];\n");
-        for (i, f) in self.fns.iter().enumerate() {
-            let label = match &f.owner {
-                Some(o) => format!("{}\\n{}::{}", f.file, o, f.name),
-                None => format!("{}\\n{}", f.file, f.name),
-            };
-            out.push_str(&format!("  n{i} [label=\"{label}\"];\n"));
-        }
-        for (i, edges) in self.edges.iter().enumerate() {
-            for e in edges {
-                if e.in_closure {
-                    out.push_str(&format!("  n{i} -> n{} [style=dashed];\n", e.to));
-                } else {
-                    out.push_str(&format!("  n{i} -> n{};\n", e.to));
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -233,13 +189,7 @@ fn resolve_path(
 }
 
 /// Collects function nodes, tracking the owning impl's target type.
-fn collect_fns<'a>(
-    file: &'a str,
-    item: &'a Item,
-    owner: Option<&str>,
-    trait_of: Option<&str>,
-    out: &mut Vec<FnNode<'a>>,
-) {
+fn collect_fns<'a>(file: &'a str, item: &'a Item, owner: Option<&str>, out: &mut Vec<FnNode<'a>>) {
     match item.kind {
         ItemKind::Fn => {
             if let Some(name) = &item.name {
@@ -247,8 +197,6 @@ fn collect_fns<'a>(
                     file,
                     name,
                     owner: owner.map(str::to_string),
-                    trait_of: trait_of.map(str::to_string),
-                    has_self: item.self_param.is_some(),
                     item,
                 });
             }
@@ -256,12 +204,12 @@ fn collect_fns<'a>(
         ItemKind::Impl => {
             let base = item.impl_ty.as_deref().map(base_type_name);
             for child in &item.items {
-                collect_fns(file, child, base.as_deref(), item.trait_of.as_deref(), out);
+                collect_fns(file, child, base.as_deref(), out);
             }
         }
         ItemKind::Mod => {
             for child in &item.items {
-                collect_fns(file, child, owner, trait_of, out);
+                collect_fns(file, child, owner, out);
             }
         }
         // Trait *declarations* are skipped: a default body belongs to
@@ -554,7 +502,7 @@ mod tests {
     }
 
     fn graph(files: &[ParsedFile]) -> (CallGraph<'_>, Workspace) {
-        let ws = Workspace::build(files, files.len() > 1);
+        let ws = Workspace::build(files);
         let cg = CallGraph::build(files, &ws);
         (cg, ws)
     }
@@ -616,7 +564,6 @@ mod tests {
         let edges = &cg.edges[idx(&cg, "f")];
         assert_eq!(edges.len(), 1, "{edges:?}");
         assert_eq!(edges[0].to, a_go, "resolved to A's impl, not B's");
-        assert_eq!(cg.fns[a_go].trait_of.as_deref(), Some("Runner"));
     }
 
     #[test]
@@ -682,17 +629,10 @@ mod tests {
     }
 
     #[test]
-    fn site_lookup_and_dot_export() {
+    fn site_lookup_finds_the_callee() {
         let files = [pf("a.rs", "fn callee() {}\nfn caller() { callee(); }\n")];
         let (cg, _) = graph(&files);
-        let e = cg.edges[idx(&cg, "caller")][0];
-        assert_eq!(
-            cg.callee_at("a.rs", e.line, e.col),
-            Some(idx(&cg, "callee"))
-        );
+        assert_eq!(cg.callee_at("a.rs", 2, 15), Some(idx(&cg, "callee")));
         assert_eq!(cg.callee_at("a.rs", 999, 1), None);
-        let dot = cg.to_dot();
-        assert!(dot.starts_with("digraph callgraph {"), "{dot}");
-        assert!(dot.contains("->"), "{dot}");
     }
 }

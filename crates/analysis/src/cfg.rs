@@ -15,13 +15,13 @@
 //! to false negatives, matching the engine-wide silence-on-ambiguity
 //! rule.
 
-use crate::parse::{Block, Expr, Item, ItemKind, Span, Stmt};
+use crate::parse::{Block, Expr, Item, ItemKind, Stmt};
 
 /// One atomic unit of a CFG node, in evaluation order.
 #[derive(Debug)]
 pub struct Step<'a> {
-    /// Global ordinal, monotone in lowering order; used by analyses to
-    /// relate gen sites to loop regions.
+    /// Global ordinal, monotone in lowering order; indexes a dataflow
+    /// problem's gen/kill tables.
     pub ord: u32,
     /// What this step does.
     pub kind: StepKind<'a>,
@@ -46,9 +46,6 @@ pub enum StepKind<'a> {
     },
     /// The named `let` bindings of a block going out of scope.
     ScopeEnd(Vec<String>),
-    /// A loop back-edge leaves this node (either the natural end of the
-    /// body or a `continue`); the payload indexes [`Cfg::loops`].
-    LoopBack(usize),
 }
 
 /// One CFG node: a straight-line step sequence plus successor edges.
@@ -58,23 +55,6 @@ pub struct Node<'a> {
     pub steps: Vec<Step<'a>>,
     /// Successor node ids.
     pub succs: Vec<usize>,
-}
-
-/// A loop region, for back-edge analyses.
-#[derive(Debug)]
-pub struct LoopInfo<'a> {
-    /// `"loop"`, `"while"`, or `"for"`.
-    pub kw: String,
-    /// Position of the loop keyword.
-    pub span: Span,
-    /// Node id of the loop head.
-    pub head: usize,
-    /// The loop's iterable (`for`) or condition (`while`), if any.
-    pub cond: Option<&'a Expr>,
-    /// First step ordinal belonging to the loop (its condition).
-    pub first_ord: u32,
-    /// Last step ordinal belonging to the loop body.
-    pub last_ord: u32,
 }
 
 /// An intraprocedural control-flow graph.
@@ -87,8 +67,6 @@ pub struct Cfg<'a> {
     /// Synthetic exit node; `return` and the body's fall-through edge
     /// here.
     pub exit: usize,
-    /// Loop regions in lowering order.
-    pub loops: Vec<LoopInfo<'a>>,
     /// Total number of step ordinals handed out.
     pub n_ords: u32,
 }
@@ -98,7 +76,6 @@ impl<'a> Cfg<'a> {
     pub fn build(body: &'a Block) -> Cfg<'a> {
         let mut b = Builder {
             nodes: vec![Node::default(), Node::default()],
-            loops: Vec::new(),
             loop_stack: Vec::new(),
             next_ord: 0,
         };
@@ -111,7 +88,6 @@ impl<'a> Cfg<'a> {
             nodes: b.nodes,
             entry,
             exit,
-            loops: b.loops,
             n_ords: b.next_ord,
         }
     }
@@ -198,7 +174,6 @@ pub fn walk_flat<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
 }
 
 struct LoopFrame {
-    idx: usize,
     head: usize,
     exit: usize,
     label: Option<String>,
@@ -206,7 +181,6 @@ struct LoopFrame {
 
 struct Builder<'a> {
     nodes: Vec<Node<'a>>,
-    loops: Vec<LoopInfo<'a>>,
     loop_stack: Vec<LoopFrame>,
     next_ord: u32,
 }
@@ -312,7 +286,7 @@ impl<'a> Builder<'a> {
             }
             Expr::Control {
                 kw, parts, label, ..
-            } => self.lower_control(e, kw, parts, label.as_deref(), cur, fn_exit),
+            } => self.lower_control(kw, parts, label.as_deref(), cur, fn_exit),
             Expr::Jump {
                 kw, value, label, ..
             } => {
@@ -329,16 +303,10 @@ impl<'a> Builder<'a> {
                         // function region entirely".
                         self.edge(cur, target.unwrap_or(fn_exit));
                     }
-                    "continue" => match self.resolve_frame(label.as_deref()) {
-                        Some(f) => {
-                            let (idx, head) = (f.idx, f.head);
-                            self.push(cur, StepKind::LoopBack(idx));
-                            self.edge(cur, head);
-                        }
-                        None => {
-                            self.edge(cur, fn_exit);
-                        }
-                    },
+                    "continue" => {
+                        let target = self.resolve_frame(label.as_deref()).map(|f| f.head);
+                        self.edge(cur, target.unwrap_or(fn_exit));
+                    }
                     _ => {}
                 }
                 None
@@ -363,7 +331,6 @@ impl<'a> Builder<'a> {
 
     fn lower_control(
         &mut self,
-        e: &'a Expr,
         kw: &'a str,
         parts: &'a [Expr],
         label: Option<&str>,
@@ -407,7 +374,7 @@ impl<'a> Builder<'a> {
                     None
                 }
             }
-            "while" | "for" | "loop" => self.lower_loop(e, kw, parts, label, cur, fn_exit),
+            "while" | "for" | "loop" => self.lower_loop(kw, parts, label, cur, fn_exit),
             // `unsafe { .. }` and anything else block-like: inline.
             _ => {
                 let mut cur = Some(cur);
@@ -477,7 +444,6 @@ impl<'a> Builder<'a> {
 
     fn lower_loop(
         &mut self,
-        e: &'a Expr,
         kw: &'a str,
         parts: &'a [Expr],
         label: Option<&str>,
@@ -487,8 +453,6 @@ impl<'a> Builder<'a> {
         let head = self.new_node();
         let exit = self.new_node();
         self.edge(cur, head);
-        let loop_idx = self.loops.len();
-        let first_ord = self.next_ord;
 
         // Condition / iterable evaluates at the head on every trip.
         let (cond, body) = match kw {
@@ -513,16 +477,7 @@ impl<'a> Builder<'a> {
             self.edge(head, exit);
         }
 
-        self.loops.push(LoopInfo {
-            kw: kw.to_string(),
-            span: e.span(),
-            head,
-            cond,
-            first_ord,
-            last_ord: first_ord,
-        });
         self.loop_stack.push(LoopFrame {
-            idx: loop_idx,
             head,
             exit,
             label: label.map(str::to_string),
@@ -537,14 +492,9 @@ impl<'a> Builder<'a> {
             None => Some(head),
         };
         if let Some(t) = tail {
-            if t != head {
-                self.push(t, StepKind::LoopBack(loop_idx));
-            }
             self.edge(t, head);
         }
-
         self.loop_stack.pop();
-        self.loops[loop_idx].last_ord = self.next_ord.saturating_sub(1);
 
         // A `loop` whose exit collected no `break` edge diverges.
         let reachable = kw != "loop"
@@ -625,34 +575,21 @@ mod tests {
     }
 
     #[test]
-    fn while_loop_has_back_edge_and_region_ords() {
+    fn while_loop_has_a_back_edge() {
         first_cfg(
             "fn f(n: u32) { let g = pre(); while n > 0 { step(); } post(); }",
             |cfg| {
-                assert_eq!(cfg.loops.len(), 1);
-                let li = &cfg.loops[0];
-                assert_eq!(li.kw, "while");
-                // The body's LoopBack step exists and the head is its succ.
-                let mut saw_back = false;
-                for (nid, s) in cfg.steps_in_order() {
-                    if let StepKind::LoopBack(i) = s.kind {
-                        assert_eq!(i, 0);
-                        assert!(cfg.nodes[nid].succs.contains(&li.head));
-                        assert!(s.ord >= li.first_ord && s.ord <= li.last_ord);
-                        saw_back = true;
-                    }
-                }
-                assert!(saw_back, "back edge lowered");
-                // The pre-loop binding's ord is outside the loop region.
-                let let_ord = cfg
-                    .steps_in_order()
-                    .iter()
-                    .find_map(|(_, s)| match s.kind {
-                        StepKind::Let(_) => Some(s.ord),
-                        _ => None,
-                    })
-                    .expect("let step");
-                assert!(let_ord < li.first_ord);
+                let steps = cfg.steps_in_order();
+                let node_of = |want: &dyn Fn(&StepKind) -> bool| {
+                    steps.iter().find(|(_, s)| want(&s.kind)).expect("step").0
+                };
+                let head = node_of(&|k| matches!(k, StepKind::Cond { kw: "while", .. }));
+                let body = node_of(&|k| {
+                    matches!(k, StepKind::Eval(Expr::Call { callee, .. })
+                        if matches!(&**callee, Expr::Path { segs, .. } if segs[0] == "step"))
+                });
+                assert!(cfg.nodes[body].succs.contains(&head), "back edge lowered");
+                assert_eq!(cfg.nodes[head].succs.len(), 2, "head enters body or exits");
             },
         );
     }

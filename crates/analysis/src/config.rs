@@ -1,6 +1,6 @@
 //! `lint.toml` — the workspace lint configuration.
 //!
-//! The build environment has no crates.io access, so this module ships a
+//! The crate is dependency-free, so this module ships a
 //! tiny TOML-subset reader sufficient for the lint config: `[section]`
 //! headers (dotted names allowed), `key = "string"` and
 //! `key = ["a", "b"]` entries, `#` comments, blank lines.  Anything
@@ -10,46 +10,6 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Rule-specific list keys the flow rules read (anything else in a
-/// `[rules.*]` section is still a hard error).
-pub const RULE_LIST_KEYS: &[&str] = &[
-    "blocking_calls",
-    "taint_sources",
-    "relaxed",
-    "acquire_release",
-    "order",
-    "shared_types",
-    "spawn_fns",
-];
-
-/// Per-rule configuration.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RuleConfig {
-    /// Path prefixes (workspace-relative, `/`-separated) the rule is
-    /// limited to.  Empty = the whole scanned tree.
-    pub scope: Vec<String>,
-    /// Path prefixes exempt from the rule even inside its scope.
-    pub allow_paths: Vec<String>,
-    /// Rule-specific list knobs, keyed by one of [`RULE_LIST_KEYS`]
-    /// (e.g. `blocking_calls` for `lock-across-blocking`, `relaxed` /
-    /// `acquire_release` for `atomic-ordering`).
-    pub extra: BTreeMap<String, Vec<String>>,
-}
-
-impl RuleConfig {
-    /// True when the rule applies to `rel_path`.
-    pub fn applies_to(&self, rel_path: &str) -> bool {
-        let in_scope = self.scope.is_empty() || self.scope.iter().any(|p| rel_path.starts_with(p));
-        in_scope && !self.allow_paths.iter().any(|p| rel_path.starts_with(p))
-    }
-
-    /// The configured list for `key`, or `None` when the config leaves
-    /// the rule's built-in default in force.
-    pub fn list(&self, key: &str) -> Option<&[String]> {
-        self.extra.get(key).map(Vec::as_slice)
-    }
-}
-
 /// The whole lint configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintConfig {
@@ -58,9 +18,13 @@ pub struct LintConfig {
     /// Directory *names* skipped wherever they appear (test trees,
     /// fixtures, build output).
     pub skip_dirs: Vec<String>,
-    /// Per-rule settings keyed by rule name; rules without an entry run
-    /// everywhere with no exemptions.
-    pub rules: BTreeMap<String, RuleConfig>,
+    /// Path prefixes (workspace-relative, `/`-separated) each rule is
+    /// limited to, keyed by rule name.  A rule without an entry runs on
+    /// the whole scanned tree.
+    pub scopes: BTreeMap<String, Vec<String>>,
+    /// `lock-across-blocking`'s call list; `None` keeps the built-in
+    /// [`crate::flowrules::DEFAULT_BLOCKING`].
+    pub blocking_calls: Option<Vec<String>>,
 }
 
 impl Default for LintConfig {
@@ -70,16 +34,18 @@ impl Default for LintConfig {
             skip_dirs: ["tests", "benches", "examples", "fixtures", "target"]
                 .map(String::from)
                 .to_vec(),
-            rules: BTreeMap::new(),
+            scopes: BTreeMap::new(),
+            blocking_calls: None,
         }
     }
 }
 
 impl LintConfig {
-    /// Settings for `rule` (a default, apply-everywhere config when the
-    /// file has no section for it).
-    pub fn rule(&self, name: &str) -> RuleConfig {
-        self.rules.get(name).cloned().unwrap_or_default()
+    /// True when `rule` applies to `rel_path`.
+    pub fn applies(&self, rule: &str, rel_path: &str) -> bool {
+        self.scopes
+            .get(rule)
+            .is_none_or(|scope| scope.iter().any(|p| rel_path.starts_with(p)))
     }
 
     /// Reads and parses `path`.
@@ -101,6 +67,10 @@ impl LintConfig {
             }
             if let Some(name) = line.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
                 section = name.trim().to_string();
+                let rule = section.strip_prefix("rules.");
+                if section != "scan" && rule.is_none_or(|r| crate::rule_by_name(r).is_none()) {
+                    return Err(format!("line {lineno}: unknown section {section:?}"));
+                }
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -111,27 +81,13 @@ impl LintConfig {
             match (section.as_str(), key) {
                 ("scan", "roots") => cfg.roots = values,
                 ("scan", "skip_dirs") => cfg.skip_dirs = values,
-                ("scan", other) => {
-                    return Err(format!("line {lineno}: unknown scan key {other:?}"))
+                ("rules.lock-across-blocking", "blocking_calls") => {
+                    cfg.blocking_calls = Some(values)
                 }
-                (s, k) => {
-                    let Some(rule) = s.strip_prefix("rules.") else {
-                        return Err(format!("line {lineno}: unknown section {s:?}"));
-                    };
-                    let entry = cfg.rules.entry(rule.to_string()).or_default();
-                    match k {
-                        "scope" => entry.scope = values,
-                        "allow_paths" => entry.allow_paths = values,
-                        k if RULE_LIST_KEYS.contains(&k) => {
-                            entry.extra.insert(k.to_string(), values);
-                        }
-                        other => {
-                            return Err(format!(
-                                "line {lineno}: unknown rule key {other:?} in [{s}]"
-                            ))
-                        }
-                    }
+                (s, "scope") if s.starts_with("rules.") => {
+                    cfg.scopes.insert(s["rules.".len()..].to_string(), values);
                 }
+                (s, other) => return Err(format!("line {lineno}: unknown key {other:?} in [{s}]")),
             }
         }
         Ok(cfg)
@@ -187,57 +143,31 @@ mod tests {
 roots = ["crates"]          # only first-party code
 skip_dirs = ["tests", "fixtures"]
 
-[rules.wall-clock]
-allow_paths = ["crates/service/src/clock.rs", "crates/bench/"]
-
-[rules.unordered-map]
-scope = ["crates/core/src/"]
-allow_paths = []
+[rules.float-ordering]
+scope = ["crates/core/src/", "crates/dsearch/src/"]
 "#,
         )
         .expect("parse");
         assert_eq!(cfg.roots, ["crates"]);
         assert_eq!(cfg.skip_dirs, ["tests", "fixtures"]);
-        assert_eq!(
-            cfg.rule("wall-clock").allow_paths,
-            ["crates/service/src/clock.rs", "crates/bench/"]
-        );
-        assert_eq!(cfg.rule("unordered-map").scope, ["crates/core/src/"]);
-        assert!(cfg.rule("unconfigured").applies_to("anything/x.rs"));
-    }
-
-    #[test]
-    fn scoping_and_allowlists_compose() {
-        let r = RuleConfig {
-            scope: vec!["crates/core/".into()],
-            allow_paths: vec!["crates/core/src/special.rs".into()],
-            ..RuleConfig::default()
-        };
-        assert!(r.applies_to("crates/core/src/lib.rs"));
-        assert!(!r.applies_to("crates/cli/src/lib.rs"));
-        assert!(!r.applies_to("crates/core/src/special.rs"));
+        assert!(cfg.applies("float-ordering", "crates/core/src/lib.rs"));
+        assert!(!cfg.applies("float-ordering", "crates/cli/src/lib.rs"));
+        assert!(cfg.applies("double-lock", "anything/x.rs"), "unscoped");
     }
 
     #[test]
     fn rule_list_knobs_parse_and_unknown_keys_still_fail() {
         let cfg = LintConfig::parse(
-            "[rules.atomic-ordering]\n\
-             relaxed = [\"submitted_total\"]\n\
-             acquire_release = [\"active_jobs\", \"admitted\"]\n\
-             [rules.double-lock]\n\
-             order = [\"tenants\", \"shard\"]\n",
+            "[rules.lock-across-blocking]\n\
+             blocking_calls = [\"recv\", \"write_all\"]\n",
         )
         .expect("parse");
-        let ao = cfg.rule("atomic-ordering");
-        assert_eq!(ao.list("relaxed").unwrap(), ["submitted_total"]);
-        assert_eq!(
-            ao.list("acquire_release").unwrap(),
-            ["active_jobs", "admitted"]
-        );
-        assert!(ao.list("blocking_calls").is_none(), "unset knob = default");
-        assert_eq!(
-            cfg.rule("double-lock").list("order").unwrap(),
-            ["tenants", "shard"]
+        assert_eq!(cfg.blocking_calls.unwrap(), ["recv", "write_all"]);
+        assert!(LintConfig::default().blocking_calls.is_none());
+        assert!(
+            LintConfig::parse("[rules.double-lock]\nblocking_calls = []\n")
+                .unwrap_err()
+                .contains("unknown key")
         );
     }
 
@@ -249,9 +179,9 @@ allow_paths = []
         assert!(LintConfig::parse("[mystery]\nx = \"1\"\n")
             .unwrap_err()
             .contains("unknown section"));
-        assert!(LintConfig::parse("[rules.x]\nbad = \"1\"\n")
+        assert!(LintConfig::parse("[rules.wall-clock]\nscope = []\n")
             .unwrap_err()
-            .contains("unknown rule key"));
+            .contains("unknown section"));
         assert!(LintConfig::parse("loose = \"1\"\n").is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! A small forward dataflow framework over [`crate::cfg::Cfg`].
 //!
 //! Facts are sets of *sites* (small integers a client assigns to gen
-//! points: a lock acquisition, a tainted binding).  A [`Problem`] maps
+//! points, e.g. a lock guard's binding).  A [`Problem`] maps
 //! each step to its gen and kill sets; [`solve`] runs the classic
 //! worklist fixpoint and returns the fact at every node entry, from
 //! which clients replay transfer functions step by step to query the
@@ -9,7 +9,7 @@
 //!
 //! Two lattice modes:
 //!
-//! * [`Mode::May`] — union at joins ("holds on some path"): taint.
+//! * [`Mode::May`] — union at joins ("holds on some path").
 //! * [`Mode::Must`] — intersection at joins ("holds on every path"):
 //!   guard liveness.  Unreached predecessors contribute the full set
 //!   (top), so a fact only survives a join if every *executed* path
@@ -36,30 +36,30 @@ impl SiteSet {
     pub fn full(n: usize) -> SiteSet {
         let mut s = SiteSet::empty(n);
         for i in 0..n {
-            s.insert(i as u32);
+            s.insert(i);
         }
         s
     }
 
     /// Adds a site.
-    pub fn insert(&mut self, i: u32) {
-        let (w, b) = (i as usize / 64, i % 64);
+    pub fn insert(&mut self, i: usize) {
+        let (w, b) = (i / 64, i % 64);
         if w < self.words.len() {
             self.words[w] |= 1u64 << b;
         }
     }
 
     /// Removes a site.
-    pub fn remove(&mut self, i: u32) {
-        let (w, b) = (i as usize / 64, i % 64);
+    pub fn remove(&mut self, i: usize) {
+        let (w, b) = (i / 64, i % 64);
         if w < self.words.len() {
             self.words[w] &= !(1u64 << b);
         }
     }
 
     /// Membership test.
-    pub fn contains(&self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i % 64);
+    pub fn contains(&self, i: usize) -> bool {
+        let (w, b) = (i / 64, i % 64);
         self.words.get(w).is_some_and(|x| x & (1u64 << b) != 0)
     }
 
@@ -69,11 +69,11 @@ impl SiteSet {
     }
 
     /// The member sites, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(w, bits)| {
             (0..64)
                 .filter(move |b| bits & (1u64 << b) != 0)
-                .map(move |b| (w * 64 + b) as u32)
+                .map(move |b| w * 64 + b)
         })
     }
 
@@ -106,10 +106,10 @@ pub struct Problem {
     /// Join mode.
     pub mode: Mode,
     /// `gen[ord]` — sites generated by the step with that ordinal.
-    pub gen: Vec<Vec<u32>>,
+    pub gen: Vec<Vec<usize>>,
     /// `kill[ord]` — sites killed by the step with that ordinal
     /// (applied before its gens).
-    pub kill: Vec<Vec<u32>>,
+    pub kill: Vec<Vec<usize>>,
 }
 
 impl Problem {
@@ -237,7 +237,7 @@ mod tests {
                     line: u32,
                 }
                 let mut sites: Vec<Site> = Vec::new();
-                let mut gen_of_ord: Vec<(u32, u32)> = Vec::new(); // (ord, site)
+                let mut gen_of_ord: Vec<(u32, usize)> = Vec::new(); // (ord, site)
                 for (_, s) in cfg.steps_in_order() {
                     if let StepKind::Let(Stmt::Let {
                         name: Some(n),
@@ -257,7 +257,7 @@ mod tests {
                         // Propagation through `let y = x` is resolved in
                         // pass 2 (it depends on the incoming fact).
                         if is_src {
-                            gen_of_ord.push((s.ord, sites.len() as u32));
+                            gen_of_ord.push((s.ord, sites.len()));
                             sites.push(Site {
                                 name: n.clone(),
                                 line: span.line,
@@ -275,18 +275,17 @@ mod tests {
                     match &s.kind {
                         StepKind::Let(Stmt::Let { name: Some(n), .. }) => {
                             for (i, site) in sites.iter().enumerate() {
-                                let regen = gen_of_ord
-                                    .iter()
-                                    .any(|(o, st)| *o == s.ord && *st == i as u32);
+                                let regen =
+                                    gen_of_ord.iter().any(|(o, st)| *o == s.ord && *st == i);
                                 if site.name == *n && !regen {
-                                    p.kill[s.ord as usize].push(i as u32);
+                                    p.kill[s.ord as usize].push(i);
                                 }
                             }
                         }
                         StepKind::ScopeEnd(names) => {
                             for (i, site) in sites.iter().enumerate() {
                                 if names.contains(&site.name) {
-                                    p.kill[s.ord as usize].push(i as u32);
+                                    p.kill[s.ord as usize].push(i);
                                 }
                             }
                         }
@@ -307,7 +306,7 @@ mod tests {
                             });
                             for (i, site) in sites.iter().enumerate() {
                                 if cleared.contains(&site.name) {
-                                    p.kill[s.ord as usize].push(i as u32);
+                                    p.kill[s.ord as usize].push(i);
                                 }
                             }
                         }
@@ -334,7 +333,7 @@ mod tests {
                             }
                         });
                         if is_sink {
-                            out.push(fact.iter().map(|i| sites[i as usize].line).collect());
+                            out.push(fact.iter().map(|i| sites[i].line).collect());
                         }
                     });
                 }

@@ -4,14 +4,15 @@
 //! ## Suppressions
 //!
 //! ```text
-//! // sbs-lint: allow(wall-clock): telemetry only, never feeds a decision
-//! let t0 = Instant::now();
+//! // sbs-lint: allow(float-ordering): generic PartialOrd key, stable sort
+//! xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
 //! ```
 //!
 //! A suppression names one or more rules and **must** carry a
 //! justification after the closing parenthesis (separated by `:`); a
-//! bare `allow(...)` is itself a diagnostic.  A trailing suppression
-//! applies to its own line, a standalone one to the next line with code.
+//! bare `allow(...)`, or one naming an unknown rule, is itself a
+//! diagnostic.  A trailing suppression applies to its own line, a
+//! standalone one to the next line with code.
 //!
 //! ## Test code
 //!
@@ -21,13 +22,11 @@
 //! `examples/`, `fixtures/`).
 
 use crate::config::LintConfig;
-use crate::flowrules::{flow_rule_by_name, FlowCtx, FLOW_RULES};
 use crate::lexer::{mask, tokenize, Comment, Token, TokenKind};
 use crate::parse::parse_file;
-use crate::rules::{rule_by_name, RelatedSite, RULES};
-use crate::semrules::{sem_rule_by_name, SemCtx, SEM_RULES};
+use crate::rules::{rule_by_name, Ctx, RULES};
 use crate::summaries::Interp;
-use crate::workspace::{ParsedFile, Workspace};
+use crate::workspace::ParsedFile;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -44,9 +43,6 @@ pub struct Diagnostic {
     pub rule: String,
     /// What went wrong and what to do instead.
     pub message: String,
-    /// Secondary sites (other lock site, blocking callee, first access);
-    /// rendered as SARIF `relatedLocations`.
-    pub related: Vec<RelatedSite>,
 }
 
 impl std::fmt::Display for Diagnostic {
@@ -77,17 +73,6 @@ pub struct SourceFile {
     pub source: String,
 }
 
-/// Wall-clock time spent in one rule across the whole run.
-#[derive(Debug, Clone)]
-pub struct RuleTiming {
-    /// The rule name.
-    pub name: String,
-    /// Accumulated microseconds across all files.
-    pub micros: u128,
-    /// Findings produced (pre-suppression, pre-baseline).
-    pub findings: usize,
-}
-
 /// Per-file suppression/test-range state shared by all rules.
 struct FileState {
     test_ranges: Vec<(u32, u32)>,
@@ -98,6 +83,46 @@ struct FileState {
 }
 
 impl FileState {
+    fn new(rel_path: &str, comments: &[Comment], tokens: &[Token]) -> FileState {
+        let mut fs = FileState {
+            test_ranges: cfg_test_ranges(tokens),
+            allowed: BTreeMap::new(),
+            supp_diags: Vec::new(),
+        };
+        // Suppression syntax problems are diagnostics themselves (outside
+        // test code): an unjustified or unknown allow must not pass
+        // silently.
+        for s in parse_suppressions(comments, tokens) {
+            if fs.in_test(s.comment_line) {
+                continue;
+            }
+            let mut problems = Vec::new();
+            if !s.justified {
+                problems.push(
+                    "allow(...) without a justification; write \
+                     `sbs-lint: allow(<rule>): <why this is sound>`"
+                        .to_string(),
+                );
+            }
+            for r in s.rules.iter().filter(|r| rule_by_name(r).is_none()) {
+                problems.push(format!("allow({r}) names an unknown rule"));
+            }
+            for message in problems {
+                fs.supp_diags.push(Diagnostic {
+                    path: rel_path.to_string(),
+                    line: s.comment_line,
+                    col: 1,
+                    rule: "invalid-suppression".to_string(),
+                    message,
+                });
+            }
+            if let (true, Some(line)) = (s.justified, s.target_line) {
+                fs.allowed.entry(line).or_default().extend(s.rules);
+            }
+        }
+        fs
+    }
+
     fn in_test(&self, line: u32) -> bool {
         self.test_ranges
             .iter()
@@ -111,65 +136,8 @@ impl FileState {
     }
 }
 
-fn prepare_file_state(rel_path: &str, masked_comments: &[Comment], tokens: &[Token]) -> FileState {
-    let test_ranges = cfg_test_ranges(tokens);
-    let in_test = |line: u32| test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
-    let suppressions = parse_suppressions(masked_comments, tokens);
-
-    // Suppression syntax problems are diagnostics themselves (outside
-    // test code): an unjustified or unknown allow must not pass silently.
-    let mut supp_diags = Vec::new();
-    for s in &suppressions {
-        if in_test(s.comment_line) {
-            continue;
-        }
-        if !s.justified {
-            supp_diags.push(Diagnostic {
-                related: Vec::new(),
-                path: rel_path.to_string(),
-                line: s.comment_line,
-                col: 1,
-                rule: "invalid-suppression".to_string(),
-                message: "allow(...) without a justification; write \
-                          `sbs-lint: allow(<rule>): <why this is sound>`"
-                    .to_string(),
-            });
-        }
-        for r in &s.rules {
-            if rule_by_name(r).is_none()
-                && sem_rule_by_name(r).is_none()
-                && flow_rule_by_name(r).is_none()
-            {
-                supp_diags.push(Diagnostic {
-                    related: Vec::new(),
-                    path: rel_path.to_string(),
-                    line: s.comment_line,
-                    col: 1,
-                    rule: "invalid-suppression".to_string(),
-                    message: format!("allow({r}) names an unknown rule"),
-                });
-            }
-        }
-    }
-
-    let mut allowed: BTreeMap<u32, Vec<String>> = BTreeMap::new();
-    for s in &suppressions {
-        if let (true, Some(line)) = (s.justified, s.target_line) {
-            allowed.entry(line).or_default().extend(s.rules.clone());
-        }
-    }
-    FileState {
-        test_ranges,
-        allowed,
-        supp_diags,
-    }
-}
-
 /// Lints one file's source text under `cfg`.  `rel_path` is the
 /// workspace-relative path used for rule scoping and reporting.
-///
-/// Single-file mode: the workspace index covers only this file, and
-/// cross-file rules (`pub-dead-item`) stay silent.
 pub fn lint_source(rel_path: &str, source: &str, cfg: &LintConfig) -> Vec<Diagnostic> {
     lint_sources(
         &[SourceFile {
@@ -177,34 +145,19 @@ pub fn lint_source(rel_path: &str, source: &str, cfg: &LintConfig) -> Vec<Diagno
             source: source.to_string(),
         }],
         cfg,
-        false,
     )
 }
 
-/// Lints a set of in-memory sources as one workspace.  `cross_file`
-/// enables the rules that only mean something over the whole workspace
-/// (`pub-dead-item`).
-pub fn lint_sources(files: &[SourceFile], cfg: &LintConfig, cross_file: bool) -> Vec<Diagnostic> {
-    lint_sources_timed(files, &[], cfg, cross_file).0
-}
-
-/// The full-control variant: `reference` files feed the workspace
-/// mention index (so test-only usage keeps a pub item alive) without
-/// being linted themselves.  Returns diagnostics plus per-rule wall
-/// time.
-pub fn lint_sources_timed(
-    files: &[SourceFile],
-    reference: &[SourceFile],
-    cfg: &LintConfig,
-    cross_file: bool,
-) -> (Vec<Diagnostic>, Vec<RuleTiming>) {
+/// Lints a set of in-memory sources as one workspace: the call graph,
+/// the summaries and the lock-order graph span all of them.
+pub fn lint_sources(files: &[SourceFile], cfg: &LintConfig) -> Vec<Diagnostic> {
     // Parse every file once.
     let mut parsed = Vec::with_capacity(files.len());
     let mut states = Vec::with_capacity(files.len());
     for f in files {
         let masked = mask(&f.source);
         let tokens = tokenize(&masked.text);
-        states.push(prepare_file_state(&f.rel, &masked.comments, &tokens));
+        states.push(FileState::new(&f.rel, &masked.comments, &tokens));
         let ast = parse_file(&tokens);
         parsed.push(ParsedFile {
             rel: f.rel.clone(),
@@ -212,155 +165,37 @@ pub fn lint_sources_timed(
             ast,
         });
     }
-    // With a single lintable file "referenced by no other file" is
-    // vacuously true for everything, so cross-file rules need at least
-    // two files to mean anything.
-    let mut ws = Workspace::build(&parsed, cross_file && parsed.len() > 1);
-    for r in reference {
-        let masked = mask(&r.source);
-        ws.add_reference_tokens(&r.rel, &tokenize(&masked.text));
-    }
-
-    let mut timings: BTreeMap<&'static str, (u128, usize)> = BTreeMap::new();
-
-    // Interprocedural layer: call graph + per-fn summaries, built once
-    // and shared by every flow rule.  Timed under its own row so the CI
-    // timing gate covers it like any rule.
-    // sbs-lint: allow(wall-clock): rule-timing telemetry only; findings never depend on it
-    let t0 = std::time::Instant::now();
-    let interp = Interp::build(&parsed, &ws, cfg);
-    timings.insert("interproc", (t0.elapsed().as_micros(), 0));
-
-    // Findings per file index, so output stays grouped by file.
-    let mut per_file: Vec<Vec<Diagnostic>> = (0..files.len())
-        .map(|i| states[i].supp_diags.clone())
-        .collect();
-
-    for rule in RULES {
-        // sbs-lint: allow(wall-clock): rule-timing telemetry only; findings never depend on it
-        let t0 = std::time::Instant::now();
-        let mut found = 0usize;
-        for (i, pf) in parsed.iter().enumerate() {
-            if !cfg.rule(rule.name).applies_to(&pf.rel) {
-                continue;
-            }
-            let fs = &states[i];
-            for f in (rule.check)(&pf.tokens) {
-                found += 1;
-                if fs.in_test(f.line) || fs.is_allowed(f.line, rule.name) {
-                    continue;
-                }
-                per_file[i].push(Diagnostic {
-                    path: pf.rel.clone(),
-                    line: f.line,
-                    col: f.col,
-                    rule: rule.name.to_string(),
-                    message: f.message,
-                    related: fill_related(f.related, &pf.rel),
-                });
-            }
-        }
-        let e = timings.entry(rule.name).or_default();
-        e.0 += t0.elapsed().as_micros();
-        e.1 += found;
-    }
-
-    for rule in SEM_RULES {
-        // sbs-lint: allow(wall-clock): rule-timing telemetry only; findings never depend on it
-        let t0 = std::time::Instant::now();
-        let mut found = 0usize;
-        for (i, pf) in parsed.iter().enumerate() {
-            if !cfg.rule(rule.name).applies_to(&pf.rel) {
-                continue;
-            }
-            let fs = &states[i];
-            let ctx = SemCtx {
-                rel_path: &pf.rel,
-                ast: &pf.ast,
-                ws: &ws,
-            };
-            for f in (rule.check)(&ctx) {
-                found += 1;
-                if fs.in_test(f.line) || fs.is_allowed(f.line, rule.name) {
-                    continue;
-                }
-                per_file[i].push(Diagnostic {
-                    path: pf.rel.clone(),
-                    line: f.line,
-                    col: f.col,
-                    rule: rule.name.to_string(),
-                    message: f.message,
-                    related: fill_related(f.related, &pf.rel),
-                });
-            }
-        }
-        let e = timings.entry(rule.name).or_default();
-        e.0 += t0.elapsed().as_micros();
-        e.1 += found;
-    }
-
-    for rule in FLOW_RULES {
-        // sbs-lint: allow(wall-clock): rule-timing telemetry only; findings never depend on it
-        let t0 = std::time::Instant::now();
-        let mut found = 0usize;
-        for (i, pf) in parsed.iter().enumerate() {
-            let rc = cfg.rule(rule.name);
-            if !rc.applies_to(&pf.rel) {
-                continue;
-            }
-            let fs = &states[i];
-            let ctx = FlowCtx {
-                rel_path: &pf.rel,
-                ast: &pf.ast,
-                ws: &ws,
-                rule_cfg: &rc,
-                interp: &interp,
-            };
-            for f in (rule.check)(&ctx) {
-                found += 1;
-                if fs.in_test(f.line) || fs.is_allowed(f.line, rule.name) {
-                    continue;
-                }
-                per_file[i].push(Diagnostic {
-                    path: pf.rel.clone(),
-                    line: f.line,
-                    col: f.col,
-                    rule: rule.name.to_string(),
-                    message: f.message,
-                    related: fill_related(f.related, &pf.rel),
-                });
-            }
-        }
-        let e = timings.entry(rule.name).or_default();
-        e.0 += t0.elapsed().as_micros();
-        e.1 += found;
-    }
+    let interp = Interp::build(&parsed, cfg);
+    let lock_edges = crate::flowrules::lock_edges(&parsed, &interp);
 
     let mut out = Vec::new();
-    for mut diags in per_file {
+    for (pf, fs) in parsed.iter().zip(states) {
+        let mut diags = fs.supp_diags.clone();
+        let ctx = Ctx {
+            rel_path: &pf.rel,
+            tokens: &pf.tokens,
+            ast: &pf.ast,
+            interp: &interp,
+            lock_edges: &lock_edges,
+        };
+        for rule in RULES.iter().filter(|r| cfg.applies(r.name, &pf.rel)) {
+            for f in (rule.check)(&ctx) {
+                if fs.in_test(f.line) || fs.is_allowed(f.line, rule.name) {
+                    continue;
+                }
+                diags.push(Diagnostic {
+                    path: pf.rel.clone(),
+                    line: f.line,
+                    col: f.col,
+                    rule: rule.name.to_string(),
+                    message: f.message,
+                });
+            }
+        }
         diags.sort_by(|a, b| (a.line, a.col, &a.rule).cmp(&(b.line, b.col, &b.rule)));
         out.extend(diags);
     }
-    let timings = timings
-        .into_iter()
-        .map(|(name, (micros, findings))| RuleTiming {
-            name: name.to_string(),
-            micros,
-            findings,
-        })
-        .collect();
-    (out, timings)
-}
-
-/// Fills the "same file" shorthand (empty path) in related sites with
-/// the finding's own path so emitted documents are self-contained.
-fn fill_related(mut related: Vec<RelatedSite>, rel: &str) -> Vec<RelatedSite> {
-    for r in &mut related {
-        if r.path.is_empty() {
-            r.path = rel.to_string();
-        }
-    }
-    related
+    out
 }
 
 /// Extracts `sbs-lint: allow(...)` suppressions from comments and
@@ -546,59 +381,21 @@ fn read_as_source(root: &Path, path: &Path) -> Result<SourceFile, String> {
     Ok(SourceFile { rel, source })
 }
 
-/// Collects the lint set and the reference-only set (tests, benches,
-/// examples — they feed the mention index but are not linted;
-/// fixtures and build output stay excluded from both).
-fn collect_workspace_sources(
-    root: &Path,
-    cfg: &LintConfig,
-) -> Result<(Vec<SourceFile>, Vec<SourceFile>), String> {
-    let mut lint_paths = Vec::new();
-    let reference_skip: Vec<String> = cfg
-        .skip_dirs
-        .iter()
-        .filter(|d| !matches!(d.as_str(), "tests" | "benches" | "examples"))
-        .cloned()
-        .collect();
-    let mut all_paths = Vec::new();
+/// Lints the whole workspace rooted at `root` under `cfg`: every `.rs`
+/// file under `[scan] roots` outside `skip_dirs`.
+pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Vec<Diagnostic>, String> {
+    let mut paths = Vec::new();
     for r in &cfg.roots {
         let dir = root.join(r);
         if dir.is_dir() {
-            collect_rs_files(&dir, &cfg.skip_dirs, &mut lint_paths)?;
-            collect_rs_files(&dir, &reference_skip, &mut all_paths)?;
+            collect_rs_files(&dir, &cfg.skip_dirs, &mut paths)?;
         }
     }
-    let mut lint = Vec::with_capacity(lint_paths.len());
-    for p in &lint_paths {
-        lint.push(read_as_source(root, p)?);
-    }
-    let mut reference = Vec::new();
-    for p in all_paths {
-        if !lint_paths.contains(&p) {
-            reference.push(read_as_source(root, &p)?);
-        }
-    }
-    Ok((lint, reference))
-}
-
-/// Lints the whole workspace rooted at `root` under `cfg`.
-pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Vec<Diagnostic>, String> {
-    lint_workspace_timed(root, cfg).map(|(d, _)| d)
-}
-
-/// [`lint_workspace`], also returning per-rule wall time for the CI
-/// timing report.
-pub fn lint_workspace_timed(
-    root: &Path,
-    cfg: &LintConfig,
-) -> Result<(Vec<Diagnostic>, Vec<RuleTiming>), String> {
-    let (lint, reference) = collect_workspace_sources(root, cfg)?;
-    Ok(lint_sources_timed(&lint, &reference, cfg, true))
+    lint_files(root, &paths, cfg)
 }
 
 /// Lints explicit files (workspace-relative or absolute) under `cfg`.
-/// The workspace index covers only the named files, so cross-file rules
-/// stay silent.
+/// The call graph and the lock-order graph cover only the named files.
 pub fn lint_files(
     root: &Path,
     files: &[PathBuf],
@@ -606,122 +403,31 @@ pub fn lint_files(
 ) -> Result<Vec<Diagnostic>, String> {
     let mut sources = Vec::with_capacity(files.len());
     for f in files {
-        let abs = if f.is_absolute() {
-            f.clone()
-        } else {
-            root.join(f)
-        };
-        sources.push(read_as_source(root, &abs)?);
+        sources.push(read_as_source(root, &root.join(f))?);
     }
-    Ok(lint_sources(&sources, cfg, false))
-}
-
-/// Call-graph-aware expansion for `--changed`: starting from the
-/// functions defined in the changed files, walks call edges in both
-/// directions to a transitive closure — callers can newly break through
-/// a changed callee's summary (may-block, acquires, taint), and a
-/// changed caller can newly combine its callees' effects — and returns
-/// the changed list plus every file defining a reached function.
-/// Closure-body edges count: a changed closure still runs inside its
-/// spawner's callers.  Paths are workspace-relative, sorted, deduped.
-pub fn expand_changed(
-    root: &Path,
-    changed: &[PathBuf],
-    cfg: &LintConfig,
-) -> Result<Vec<PathBuf>, String> {
-    let (lint, _) = collect_workspace_sources(root, cfg)?;
-    let mut parsed = Vec::with_capacity(lint.len());
-    for f in &lint {
-        let masked = mask(&f.source);
-        let tokens = tokenize(&masked.text);
-        let ast = parse_file(&tokens);
-        parsed.push(ParsedFile {
-            rel: f.rel.clone(),
-            tokens,
-            ast,
-        });
-    }
-    let ws = Workspace::build(&parsed, false);
-    let cg = crate::callgraph::CallGraph::build(&parsed, &ws);
-
-    let mut out: std::collections::BTreeSet<String> = changed
-        .iter()
-        .map(|p| p.to_string_lossy().replace('\\', "/"))
-        .collect();
-
-    // Undirected adjacency: a changed callee re-lints its callers and a
-    // changed caller re-lints its callees.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); cg.fns.len()];
-    for (from, edges) in cg.edges.iter().enumerate() {
-        for e in edges {
-            adj[from].push(e.to);
-            adj[e.to].push(from);
-        }
-    }
-    let mut reached: Vec<bool> = cg.fns.iter().map(|f| out.contains(f.file)).collect();
-    let mut queue: Vec<usize> = (0..cg.fns.len()).filter(|&i| reached[i]).collect();
-    while let Some(v) = queue.pop() {
-        for &w in &adj[v] {
-            if !reached[w] {
-                reached[w] = true;
-                queue.push(w);
-            }
-        }
-    }
-    for (i, f) in cg.fns.iter().enumerate() {
-        if reached[i] {
-            out.insert(f.file.to_string());
-        }
-    }
-    Ok(out.into_iter().map(PathBuf::from).collect())
-}
-
-/// Renders the workspace call graph as Graphviz DOT (`--callgraph`,
-/// uploaded as a CI artifact for auditing resolution coverage).
-pub fn workspace_callgraph_dot(root: &Path, cfg: &LintConfig) -> Result<String, String> {
-    let (lint, _) = collect_workspace_sources(root, cfg)?;
-    let mut parsed = Vec::with_capacity(lint.len());
-    for f in &lint {
-        let masked = mask(&f.source);
-        let tokens = tokenize(&masked.text);
-        let ast = parse_file(&tokens);
-        parsed.push(ParsedFile {
-            rel: f.rel.clone(),
-            tokens,
-            ast,
-        });
-    }
-    let ws = Workspace::build(&parsed, false);
-    Ok(crate::callgraph::CallGraph::build(&parsed, &ws).to_dot())
+    Ok(lint_sources(&sources, cfg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn bare_cfg() -> LintConfig {
-        LintConfig {
-            rules: BTreeMap::new(),
-            ..LintConfig::default()
-        }
-    }
-
     fn diags(src: &str) -> Vec<Diagnostic> {
-        lint_source("x/src/lib.rs", src, &bare_cfg())
+        lint_source("x/src/lib.rs", src, &LintConfig::default())
     }
 
     #[test]
     fn fires_and_reports_position() {
-        let d = diags("fn f() {\n    let t = Instant::now();\n}\n");
+        let d = diags("fn f() {\n    let o = a.partial_cmp(&b);\n}\n");
         assert_eq!(d.len(), 1);
-        assert_eq!((d[0].line, d[0].rule.as_str()), (2, "wall-clock"));
-        assert_eq!(d[0].col, 13);
+        assert_eq!((d[0].line, d[0].rule.as_str()), (2, "float-ordering"));
+        assert_eq!(d[0].col, 15);
     }
 
     #[test]
     fn trailing_suppression_covers_its_line() {
         let d = diags(
-            "let t = Instant::now(); // sbs-lint: allow(wall-clock): boot-time banner only\n",
+            "let o = a.partial_cmp(&b); // sbs-lint: allow(float-ordering): integer keys only\n",
         );
         assert!(d.is_empty(), "{d:?}");
     }
@@ -729,61 +435,64 @@ mod tests {
     #[test]
     fn standalone_suppression_covers_the_next_code_line() {
         let d = diags(
-            "// sbs-lint: allow(wall-clock): telemetry, never feeds a decision\nlet t = Instant::now();\n",
+            "// sbs-lint: allow(float-ordering): integer keys only\nlet o = a.partial_cmp(&b);\n",
         );
         assert!(d.is_empty(), "{d:?}");
         // ... but not the line after it.
         let d = diags(
-            "// sbs-lint: allow(wall-clock): telemetry\nlet a = 1;\nlet t = Instant::now();\n",
+            "// sbs-lint: allow(float-ordering): integer keys\nlet x = 1;\nlet o = a.partial_cmp(&b);\n",
         );
         assert_eq!(d.len(), 1);
     }
 
     #[test]
     fn suppression_without_justification_is_a_diagnostic() {
-        let d = diags("// sbs-lint: allow(wall-clock)\nlet t = Instant::now();\n");
+        let d = diags("// sbs-lint: allow(float-ordering)\nlet o = a.partial_cmp(&b);\n");
         assert_eq!(d.len(), 2, "{d:?}");
         assert!(d.iter().any(|x| x.rule == "invalid-suppression"));
-        assert!(d.iter().any(|x| x.rule == "wall-clock"));
+        assert!(d.iter().any(|x| x.rule == "float-ordering"));
     }
 
     #[test]
     fn suppression_of_unknown_rule_is_a_diagnostic() {
-        let d = diags("// sbs-lint: allow(wall-clok): typo\nlet x = 1;\n");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "invalid-suppression");
-        assert!(d[0].message.contains("unknown rule"));
+        // A typo, and a rule that has moved to clippy.
+        for rule in ["float-ordring", "wall-clock"] {
+            let d = diags(&format!("// sbs-lint: allow({rule}): reason\nlet x = 1;\n"));
+            assert_eq!(d.len(), 1, "{d:?}");
+            assert_eq!(d[0].rule, "invalid-suppression");
+            assert!(d[0].message.contains("unknown rule"));
+        }
     }
 
     #[test]
     fn suppressions_only_silence_the_named_rule() {
         let d = diags(
-            "// sbs-lint: allow(unordered-map): scratch only, drained sorted\nlet t = Instant::now();\n",
+            "// sbs-lint: allow(double-lock): single-threaded setup\nlet o = a.partial_cmp(&b);\n",
         );
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "wall-clock");
+        assert_eq!(d[0].rule, "float-ordering");
     }
 
     #[test]
     fn multi_rule_allows_work() {
         let d = diags(
-            "// sbs-lint: allow(wall-clock, unordered-map): test harness shim\nlet t = (Instant::now(), HashMap::new());\n",
+            "fn f() {\n// sbs-lint: allow(float-ordering, double-lock): test harness shim\nlet t = (a.partial_cmp(&b), m.lock(), m.lock());\n}\n",
         );
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn cfg_test_modules_are_exempt() {
-        let src = "fn real() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        x.unwrap();\n        let m = HashMap::new();\n    }\n}\n";
+        let src = "fn real() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        a.partial_cmp(&b);\n    }\n}\n";
         assert!(diags(src).is_empty());
         // The same code outside the module fires.
-        let src2 = "fn real() { x.unwrap(); }\n";
+        let src2 = "fn real() { a.partial_cmp(&b); }\n";
         assert_eq!(diags(src2).len(), 1);
     }
 
     #[test]
     fn code_after_a_test_module_is_still_linted() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { a.unwrap(); }\n}\n\nfn late() { b.unwrap(); }\n";
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { a.partial_cmp(&b); }\n}\n\nfn late() { c.partial_cmp(&d); }\n";
         let d = diags(src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 6);
@@ -791,76 +500,21 @@ mod tests {
 
     #[test]
     fn scoping_by_path_prefix() {
-        let mut cfg = bare_cfg();
-        cfg.rules.insert(
-            "unordered-map".to_string(),
-            crate::config::RuleConfig {
-                scope: vec!["crates/core/".to_string()],
-                ..Default::default()
-            },
+        let mut cfg = LintConfig::default();
+        cfg.scopes.insert(
+            "float-ordering".to_string(),
+            vec!["crates/core/".to_string()],
         );
-        let src = "use std::collections::HashMap;\n";
+        let src = "fn f() { a.partial_cmp(&b); }\n";
         assert_eq!(lint_source("crates/core/src/lib.rs", src, &cfg).len(), 1);
         assert!(lint_source("crates/cli/src/lib.rs", src, &cfg).is_empty());
     }
 
     #[test]
     fn diagnostics_render_grep_style() {
-        let d = diags("fn f() { q.unwrap() }\n");
+        let d = diags("fn f() { a.partial_cmp(&b) }\n");
         let line = d[0].to_string();
         assert!(line.starts_with("x/src/lib.rs:1:"), "{line}");
-        assert!(line.contains("panic-in-daemon"));
-    }
-
-    #[test]
-    fn expand_changed_walks_the_call_graph_both_ways() {
-        let dir = std::env::temp_dir().join(format!("sbs-expand-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("crates/x/src")).unwrap();
-        std::fs::write(
-            dir.join("crates/x/src/a.rs"),
-            "pub fn alpha() { beta(); }\n",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("crates/x/src/b.rs"),
-            "pub fn beta() { delta(); }\n",
-        )
-        .unwrap();
-        std::fs::write(dir.join("crates/x/src/c.rs"), "pub fn gamma() {}\n").unwrap();
-        std::fs::write(dir.join("crates/x/src/d.rs"), "pub fn delta() {}\n").unwrap();
-        let cfg = bare_cfg();
-
-        // Changing b.rs reaches its caller (a.rs) and its callee (d.rs);
-        // the isolated c.rs stays out.
-        let got = expand_changed(&dir, &[PathBuf::from("crates/x/src/b.rs")], &cfg).unwrap();
-        let names: Vec<String> = got
-            .iter()
-            .map(|p| p.to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            names.contains(&"crates/x/src/a.rs".to_string()),
-            "{names:?}"
-        );
-        assert!(
-            names.contains(&"crates/x/src/b.rs".to_string()),
-            "{names:?}"
-        );
-        assert!(
-            names.contains(&"crates/x/src/d.rs".to_string()),
-            "{names:?}"
-        );
-        assert!(
-            !names.contains(&"crates/x/src/c.rs".to_string()),
-            "{names:?}"
-        );
-
-        // An isolated change expands to nothing extra.
-        let got = expand_changed(&dir, &[PathBuf::from("crates/x/src/c.rs")], &cfg).unwrap();
-        assert_eq!(got, vec![PathBuf::from("crates/x/src/c.rs")]);
-
-        // An empty change list stays empty.
-        assert!(expand_changed(&dir, &[], &cfg).unwrap().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(line.contains("float-ordering"));
     }
 }

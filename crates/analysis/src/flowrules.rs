@@ -1,187 +1,126 @@
-//! The flow-sensitive rule set: lock-region and tainted-input analysis.
+//! The flow-sensitive lock rules, `lock-across-blocking` and
+//! `double-lock`, and the nested-acquisition edges `lock-ordering`
+//! reads.
 //!
-//! These rules run the [`crate::dataflow`] fixpoint over each
-//! function's [`crate::cfg::Cfg`], so they reason about *paths* — which
-//! guards are live at a call, which values reach an allocation — where
-//! the per-statement rules of [`crate::semrules`] cannot.  Since PR 8
-//! they are also *interprocedural*: [`crate::summaries`] gives every
-//! rule a per-function effect summary (may-block, locks acquired,
-//! guard-returning, taint-in/taint-out), so a blocking call two hops
-//! down the call graph is found at the caller's critical section, with
-//! the ultimate blocking site attached as a related location.
-//! `atomic-ordering` stays intentionally site-local: the policy is
-//! per-field and every op names its field, so summaries add nothing.
+//! Both run the [`crate::dataflow`] fixpoint over each function's
+//! [`crate::cfg::Cfg`], so they reason about *paths* — which guards are
+//! live at a call — where a per-statement view cannot.  They are also
+//! *interprocedural*: [`crate::summaries`] gives every function an
+//! effect summary (may-block, locks acquired, guard-returning), so a
+//! blocking call two hops down the call graph is found at the caller's
+//! critical section, with the ultimate blocking site named in the
+//! message.
 //!
-//! Guard liveness uses [`Mode::Must`] (a guard counts as held only when
-//! every executed path agrees) and taint uses [`Mode::May`] (tainted if
-//! any path taints it) with sanitizer kills; both directions, plus the
-//! CFG's policy of dropping anything it cannot model, keep the engine's
-//! contract: ambiguity degrades to false negatives, never noise.
-//!
-//! Per-rule knobs come from `lint.toml` list keys (see
-//! [`crate::config::RuleConfig::list`]): `blocking_calls` and
-//! `taint_sources` override the built-in call lists, `order` declares a
-//! lock order for `double-lock`, and `relaxed` / `acquire_release`
-//! declare the atomic-ordering policy.
+//! Guard liveness uses [`Mode::Must`]: a guard counts as held only when
+//! every executed path agrees.  That, plus the CFG's policy of dropping
+//! anything it cannot model, keeps the engine's contract: ambiguity
+//! degrades to false negatives, never noise.
 
 use crate::cfg::{for_each_fn_cfg, walk_flat, Cfg, Step, StepKind};
-use crate::config::RuleConfig;
 use crate::dataflow::{solve, Mode, Problem, SiteSet, Solution};
-use crate::parse::{Expr, File, Item, ItemKind, Stmt};
-use crate::rules::{Finding, RelatedSite};
+use crate::parse::{Expr, Stmt};
+use crate::rules::{Ctx, Finding};
 use crate::summaries::Interp;
-use crate::workspace::{acquisition_of, receiver_key, Workspace};
+use crate::workspace::{acquisition_of, ParsedFile};
 use std::collections::BTreeSet;
 
-/// Everything a flow rule sees for one file.
-pub struct FlowCtx<'a> {
-    /// Workspace-relative path of the file under analysis.
-    pub rel_path: &'a str,
-    /// The file's parse tree.
-    pub ast: &'a File,
-    /// The cross-crate index.
-    pub ws: &'a Workspace,
-    /// This rule's `lint.toml` section (scoping already applied by the
-    /// engine; rules read their list knobs from it).
-    pub rule_cfg: &'a RuleConfig,
-    /// The interprocedural layer: call graph plus per-function effect
-    /// summaries, built once per lint run.
-    pub interp: &'a Interp<'a>,
+/// One nested lock acquisition: lock `inner` taken at `file:line:col`
+/// (there, or inside the callee called there) while `outer` was held.
+/// `double-lock` reads the edges with `outer == inner`, `lock-ordering`
+/// the rest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LockEdge {
+    /// The lock already held.
+    pub outer: String,
+    /// The lock acquired while holding it.
+    pub inner: String,
+    /// What holds `outer`, message-ready (``"guard `g` since line 4"``).
+    pub holder: String,
+    /// For an acquisition inside a callee: which callee, and where it
+    /// locks, message-ready.
+    pub via: Option<String>,
+    /// File of the acquisition (or of the call that makes it).
+    pub file: String,
+    /// Line of the acquisition.
+    pub line: u32,
+    /// Column of the acquisition.
+    pub col: u32,
 }
 
-/// A flow-sensitive rule: its identity plus its checker.
-pub struct FlowRuleDef {
-    /// The name used in `lint.toml` sections and `allow(...)`.
-    pub name: &'static str,
-    /// One-line description for `--list-rules` and docs.
-    pub summary: &'static str,
-    /// A paragraph for `--explain`: what the rule models and why.
-    pub doc: &'static str,
-    /// A minimal firing example for `--explain`.
-    pub example: &'static str,
-    /// Scans one file (with workspace context) for violations.
-    pub check: fn(&FlowCtx) -> Vec<Finding>,
-}
-
-/// Every flow rule, in reporting order.
-pub const FLOW_RULES: &[FlowRuleDef] = &[
-    FlowRuleDef {
-        name: "lock-across-blocking",
-        summary: "a lock guard is live across a blocking call (I/O, accept, channel wait)",
-        doc: "Holding a mutex across a call that can block (file or socket I/O, `accept`, \
-              channel `recv`, `sleep`) stalls every other thread contending for that lock \
-              for the blocking call's full latency. Guard liveness is MUST dataflow: a \
-              guard counts as held only where every executed path holds it, so `drop(g)` \
-              on each branch silences the rule. The check is interprocedural: a call to a \
-              function whose summary says it may block fires too, with the ultimate \
-              blocking site attached as a related location. The blocking list comes from \
-              the rule's `blocking_calls` key in lint.toml.",
-        example: "let g = self.state.lock().unwrap();\n\
-                  self.file.write_all(&g.bytes()); // blocks while `g` is held",
-        check: check_lock_across_blocking,
-    },
-    FlowRuleDef {
-        name: "double-lock",
-        summary: "a second .lock() is reachable while a guard for the same (or order-earlier) \
-                  lock is live",
-        doc: "Re-locking a std::sync::Mutex on the same thread self-deadlocks; acquiring \
-              locks against the order declared in lint.toml (`order` key) risks an \
-              ABBA deadlock between threads. Lock identity is the receiver's field/path \
-              key; an unresolvable receiver (`\"?\"`) never matches, so ambiguity stays \
-              silent. Interprocedural: calling a function whose summary acquires a \
-              currently-held lock fires at the call, with the callee's acquisition site \
-              as a related location.",
-        example: "let a = self.jobs.lock().unwrap();\n\
-                  let b = self.jobs.lock().unwrap(); // same mutex, same thread",
-        check: check_double_lock,
-    },
-    FlowRuleDef {
-        name: "guard-across-loop",
-        summary: "a guard bound outside a loop/while is still held at the loop's back-edge",
-        doc: "A guard acquired before a `while`/`loop` and still live at the back-edge \
-              keeps the lock for the loop's whole lifetime — often the daemon's main \
-              loop, which starves every other thread. `for` loops are exempt: iterating \
-              the locked collection is routinely intentional. Guards returned by helper \
-              functions (summary `returns_guard`) are tracked the same as direct \
-              `.lock()` bindings.",
-        example: "let g = self.state.lock().unwrap();\n\
-                  while self.running() { g.step(); } // every iteration under the lock",
-        check: check_guard_across_loop,
-    },
-    FlowRuleDef {
-        name: "tainted-alloc",
-        summary: "an untrusted length reaches with_capacity/reserve or bounds a growing loop \
-                  without a cap check",
-        doc: "A length parsed from untrusted input that reaches `with_capacity`/`reserve` \
-              or bounds a `push`/`extend` loop lets a client allocate attacker-chosen \
-              memory. Taint is MAY dataflow from the sources in the rule's \
-              `taint_sources` key; `.min(..)`/`.clamp(..)` and comparison guards \
-              sanitize. Interprocedural: functions returning unsanitized source data \
-              become sources themselves, and a callee that caps its return sanitizes.",
-        example: "let n = parse_request(buf).count;\n\
-                  let v: Vec<u8> = Vec::with_capacity(n); // attacker-sized",
-        check: check_tainted_alloc,
-    },
-    FlowRuleDef {
-        name: "atomic-ordering",
-        summary: "atomic ops must match the per-field ordering policy declared in lint.toml",
-        doc: "Every atomic field gets a declared policy in lint.toml: `relaxed` (pure \
-              counters — stats that nothing reads for decisions) or `acquire_release` \
-              (values whose reads justify actions elsewhere). Loads of acquire_release \
-              fields must use Acquire/SeqCst, stores Release/SeqCst, RMWs AcqRel/SeqCst; \
-              an undeclared field is itself a finding. Site-local by design: the policy \
-              is per-field and every op names its field, so call-graph context adds \
-              nothing.",
-        example: "self.active_jobs.load(Ordering::Relaxed) // declared acquire_release",
-        check: check_atomic_ordering,
-    },
-    FlowRuleDef {
-        name: "shared-field-race",
-        summary: "a field of a thread-shared type is accessed without the lockset that \
-                  guarded its earlier accesses",
-        doc: "Eraser-style lockset checking. A type is thread-shared when a method \
-              passes a self-capturing closure to a spawn-like call (`spawn_fns` key, \
-              default spawn/scope) or when lint.toml declares it (`shared_types` key). \
-              Each mutable non-sync field's access sites are collected across all \
-              `&self` methods with the MUST-held lockset at each; the rule fires where \
-              the running intersection goes from non-empty to empty — discipline was \
-              established, then broken. Atomic fields must instead appear in the \
-              atomic-ordering policy lists. `&mut self` methods, never-mutated fields, \
-              and sites under unresolvable guards are all skipped: silence over noise.",
-        example: "fn work(&self) { let g = self.jobs.lock().unwrap(); self.pending += ..; }\n\
-                  fn peek(&self) -> usize { self.pending } // no lock here",
-        check: check_shared_field_race,
-    },
-    FlowRuleDef {
-        name: "guard-passed-to-fn",
-        summary: "a live lock guard is passed into a callee that can block",
-        doc: "Passing a guard into a function hides the critical section from the \
-              caller: the lock is held for the callee's whole execution. When the \
-              callee's summary says it may block, that is lock-across-blocking split \
-              across two functions — fired at the call site, with the callee's \
-              blocking site as a related location. An unresolvable callee stays \
-              silent (it may be trivial); the plain move-into-a-call case is still \
-              treated as a drop by guard liveness.",
-        example: "let g = self.state.lock().unwrap();\n\
-                  self.flush_under(g); // flush_under() writes to disk",
-        check: check_guard_passed_to_fn,
-    },
-];
-
-/// Looks a flow rule up by name.
-pub fn flow_rule_by_name(name: &str) -> Option<&'static FlowRuleDef> {
-    FLOW_RULES.iter().find(|r| r.name == name)
-}
-
-/// Resolves a list knob: the rule's `lint.toml` value, else `default`.
-pub(crate) fn knob(rc: &RuleConfig, key: &str, default: &[&str]) -> Vec<String> {
-    rc.list(key)
-        .map(<[String]>::to_vec)
-        .unwrap_or_else(|| default.iter().map(|s| (*s).to_string()).collect())
+/// Every nested acquisition in `files`, from guard liveness: a
+/// `.lock()`, or a call whose summary acquires, while a guard is live
+/// (or while the same lock was already taken earlier in the same
+/// expression).  Unresolvable locks (`"?"`) never form an edge.
+pub fn lock_edges(files: &[ParsedFile], interp: &Interp) -> Vec<LockEdge> {
+    let mut out = Vec::new();
+    for pf in files {
+        for item in &pf.ast.items {
+            for_each_fn_cfg(item, &mut |_, cfg| {
+                let (sites, p, sol) = guard_analysis(&pf.rel, interp, cfg);
+                for node in 0..cfg.nodes.len() {
+                    sol.for_each_step(cfg, &p, node, &mut |s: &Step, fact| {
+                        let Some(e) = step_expr(&s.kind) else { return };
+                        let mut in_expr: Vec<String> = Vec::new();
+                        walk_flat(e, &mut |x| {
+                            let (Expr::Call { span, .. } | Expr::MethodCall { span, .. }) = x
+                            else {
+                                return;
+                            };
+                            let mut taken: Vec<(String, Option<String>)> = Vec::new();
+                            if let Some(a) = acquisition_of(x) {
+                                taken.push((a.key, None));
+                            } else if let Some((idx, sum)) =
+                                interp.callee_summary(&pf.rel, span.line, span.col)
+                            {
+                                for (key, w) in &sum.acquires {
+                                    let via = format!(
+                                        "`{}` acquires it at {}:{}",
+                                        interp.fn_display(idx),
+                                        w.file,
+                                        w.line
+                                    );
+                                    taken.push((key.clone(), Some(via)));
+                                }
+                            }
+                            let mut edge = |outer: &str, inner: &str, holder: String, via| {
+                                out.push(LockEdge {
+                                    outer: outer.to_string(),
+                                    inner: inner.to_string(),
+                                    holder,
+                                    via,
+                                    file: pf.rel.clone(),
+                                    line: span.line,
+                                    col: span.col,
+                                });
+                            };
+                            for (key, via) in taken.into_iter().filter(|(k, _)| k != "?") {
+                                for g in fact.iter().map(|i| &sites[i]) {
+                                    if g.key != "?" {
+                                        let holder =
+                                            format!("guard `{}` since line {}", g.name, g.line);
+                                        edge(&g.key, &key, holder, via.clone());
+                                    }
+                                }
+                                if via.is_none() {
+                                    if in_expr.contains(&key) {
+                                        let holder =
+                                            "by an earlier `.lock()` in this expression".into();
+                                        edge(&key, &key, holder, None);
+                                    }
+                                    in_expr.push(key);
+                                }
+                            }
+                        });
+                    });
+                }
+            });
+        }
+    }
+    out
 }
 
 /// The expression a step evaluates, if any.
-pub(crate) fn step_expr<'a>(kind: &StepKind<'a>) -> Option<&'a Expr> {
+fn step_expr<'a>(kind: &StepKind<'a>) -> Option<&'a Expr> {
     match kind {
         StepKind::Let(Stmt::Let {
             init: Some(init), ..
@@ -192,31 +131,17 @@ pub(crate) fn step_expr<'a>(kind: &StepKind<'a>) -> Option<&'a Expr> {
     }
 }
 
-/// Local names mentioned (as path expressions) anywhere in `e`'s flat
-/// walk.
-fn mentions(e: &Expr, out: &mut BTreeSet<String>) {
-    walk_flat(e, &mut |x| {
-        if let Expr::Path { segs, .. } = x {
-            if let Some(last) = segs.last() {
-                out.insert(last.clone());
-            }
-        }
-    });
-}
-
-// ----- guard liveness (rules 1–3) ------------------------------------
-
 /// One tracked lock guard: a `let`-bound acquisition.
-pub(crate) struct GuardSite {
+struct GuardSite {
     /// The binding's name (kill target for rebinding / scope end).
-    pub(crate) name: String,
+    name: String,
     /// The lock's identity key (see [`acquisition_of`]); `"?"` when the
     /// source is unresolvable — still a guard, just unmatchable.
-    pub(crate) key: String,
+    key: String,
     /// Line of the acquisition (for messages).
-    pub(crate) line: u32,
-    /// The gen step's ordinal (relates the guard to loop regions).
-    pub(crate) ord: u32,
+    line: u32,
+    /// The gen step's ordinal (orders guards by acquisition).
+    ord: u32,
 }
 
 /// Builds the guard-liveness problem for one function: sites are
@@ -225,7 +150,7 @@ pub(crate) struct GuardSite {
 /// rebinding, scope end, and the guard's bare name moving into a call
 /// (which covers `drop(g)`).  MUST mode: a guard only counts as held
 /// where every executed path holds it.
-pub(crate) fn guard_analysis<'a>(
+fn guard_analysis<'a>(
     rel_path: &str,
     interp: &Interp,
     cfg: &Cfg<'a>,
@@ -288,13 +213,13 @@ pub(crate) fn guard_analysis<'a>(
     }
     let mut p = Problem::new(cfg, sites.len(), Mode::Must);
     for (i, site) in sites.iter().enumerate() {
-        p.gen[site.ord as usize].push(i as u32);
+        p.gen[site.ord as usize].push(i);
     }
     for (_, s) in cfg.steps_in_order() {
         if let StepKind::ScopeEnd(names) = &s.kind {
             for (i, site) in sites.iter().enumerate() {
                 if names.contains(&site.name) {
-                    p.kill[s.ord as usize].push(i as u32);
+                    p.kill[s.ord as usize].push(i);
                 }
             }
             continue;
@@ -304,7 +229,7 @@ pub(crate) fn guard_analysis<'a>(
             // this step's own gen).
             for (i, site) in sites.iter().enumerate() {
                 if site.name == *n && site.ord != s.ord {
-                    p.kill[s.ord as usize].push(i as u32);
+                    p.kill[s.ord as usize].push(i);
                 }
             }
         }
@@ -327,7 +252,7 @@ pub(crate) fn guard_analysis<'a>(
             });
             for (i, site) in sites.iter().enumerate() {
                 if moved.contains(&site.name) && site.ord != s.ord {
-                    p.kill[s.ord as usize].push(i as u32);
+                    p.kill[s.ord as usize].push(i);
                 }
             }
         }
@@ -338,14 +263,12 @@ pub(crate) fn guard_analysis<'a>(
 
 /// The innermost (most recently acquired) live guard.
 fn innermost<'a>(sites: &'a [GuardSite], fact: &SiteSet) -> Option<&'a GuardSite> {
-    fact.iter()
-        .map(|i| &sites[i as usize])
-        .max_by_key(|g| g.ord)
+    fact.iter().map(|i| &sites[i]).max_by_key(|g| g.ord)
 }
 
 /// Built-in blocking-call list for `lock-across-blocking`; override
 /// with the rule's `blocking_calls` key in `lint.toml`.
-pub(crate) const DEFAULT_BLOCKING: &[&str] = &[
+pub const DEFAULT_BLOCKING: &[&str] = &[
     "accept",
     "flush",
     "read",
@@ -364,8 +287,8 @@ pub(crate) const DEFAULT_BLOCKING: &[&str] = &[
     "write_all",
 ];
 
-fn check_lock_across_blocking(ctx: &FlowCtx) -> Vec<Finding> {
-    let blocking = knob(ctx.rule_cfg, "blocking_calls", DEFAULT_BLOCKING);
+pub(crate) fn check_lock_across_blocking(ctx: &Ctx) -> Vec<Finding> {
+    let blocking = &ctx.interp.blocking;
     let mut out = Vec::new();
     for item in &ctx.ast.items {
         for_each_fn_cfg(item, &mut |_, cfg| {
@@ -375,30 +298,24 @@ fn check_lock_across_blocking(ctx: &FlowCtx) -> Vec<Finding> {
             }
             for node in 0..cfg.nodes.len() {
                 sol.for_each_step(cfg, &p, node, &mut |s: &Step, fact| {
-                    if fact.is_empty() {
+                    let Some(g) = innermost(&sites, fact) else {
                         return;
-                    }
+                    };
                     let Some(e) = step_expr(&s.kind) else { return };
                     walk_flat(e, &mut |x| {
-                        let (name, args, span) = match x {
-                            Expr::MethodCall {
-                                name, args, span, ..
-                            } => (name.as_str(), args, span),
-                            Expr::Call { callee, args, span } => {
+                        let (name, span) = match x {
+                            Expr::MethodCall { name, span, .. } => (name.as_str(), span),
+                            Expr::Call { callee, span, .. } => {
                                 let Expr::Path { segs, .. } = callee.as_ref() else {
                                     return;
                                 };
                                 let Some(last) = segs.last() else { return };
-                                (last.as_str(), args, span)
+                                (last.as_str(), span)
                             }
                             _ => return,
                         };
-                        let Some(g) = innermost(&sites, fact) else {
-                            return;
-                        };
                         if blocking.iter().any(|b| b == name) {
                             out.push(Finding {
-                                related: Vec::new(),
                                 line: span.line,
                                 col: span.col,
                                 message: format!(
@@ -411,17 +328,8 @@ fn check_lock_across_blocking(ctx: &FlowCtx) -> Vec<Finding> {
                             return;
                         }
                         // Interprocedural: the callee's summary may
-                        // carry a blocking witness.  A live guard passed
-                        // as an argument is guard-passed-to-fn's case,
-                        // not this rule's.
-                        let passes_guard = args.iter().any(|a| {
-                            matches!(a, Expr::Path { segs, .. }
-                                if segs.len() == 1
-                                    && fact.iter().any(|i| sites[i as usize].name == segs[0]))
-                        });
-                        if passes_guard {
-                            return;
-                        }
+                        // carry a blocking witness (a live guard moved
+                        // into it is held for the callee's whole run).
                         let Some((idx, sum)) =
                             ctx.interp.callee_summary(ctx.rel_path, span.line, span.col)
                         else {
@@ -429,12 +337,6 @@ fn check_lock_across_blocking(ctx: &FlowCtx) -> Vec<Finding> {
                         };
                         if let Some(w) = &sum.may_block {
                             out.push(Finding {
-                                related: vec![RelatedSite {
-                                    path: w.file.clone(),
-                                    line: w.line,
-                                    col: w.col,
-                                    note: format!("the blocking call {} reached here", w.what),
-                                }],
                                 line: span.line,
                                 col: span.col,
                                 message: format!(
@@ -459,673 +361,41 @@ fn check_lock_across_blocking(ctx: &FlowCtx) -> Vec<Finding> {
     out
 }
 
-fn check_double_lock(ctx: &FlowCtx) -> Vec<Finding> {
-    let order = knob(ctx.rule_cfg, "order", &[]);
-    let pos = |key: &str| order.iter().position(|o| o == key);
-    let mut out = Vec::new();
-    for item in &ctx.ast.items {
-        for_each_fn_cfg(item, &mut |_, cfg| {
-            let (sites, p, sol) = guard_analysis(ctx.rel_path, ctx.interp, cfg);
-            for node in 0..cfg.nodes.len() {
-                sol.for_each_step(cfg, &p, node, &mut |s: &Step, fact| {
-                    let Some(e) = step_expr(&s.kind) else { return };
-                    // Interprocedural: calling a function whose summary
-                    // acquires a currently-held lock deadlocks inside
-                    // the callee.
-                    walk_flat(e, &mut |x| {
-                        let span = match x {
-                            Expr::Call { span, .. } | Expr::MethodCall { span, .. } => span,
-                            _ => return,
-                        };
-                        let Some((idx, sum)) =
-                            ctx.interp.callee_summary(ctx.rel_path, span.line, span.col)
-                        else {
-                            return;
-                        };
-                        for li in fact.iter() {
-                            let live = &sites[li as usize];
-                            if live.key == "?" {
-                                continue;
-                            }
-                            if let Some(w) = sum.acquires.get(&live.key) {
-                                out.push(Finding {
-                                    related: vec![RelatedSite {
-                                        path: w.file.clone(),
-                                        line: w.line,
-                                        col: w.col,
-                                        note: format!("the callee acquires `{}` here", live.key),
-                                    }],
-                                    line: span.line,
-                                    col: span.col,
-                                    message: format!(
-                                        "`{}` acquires lock `{}` (at {}:{}) which is already \
-                                         held here (guard `{}` since line {}); the nested \
-                                         `.lock()` self-deadlocks",
-                                        ctx.interp.fn_display(idx),
-                                        live.key,
-                                        w.file,
-                                        w.line,
-                                        live.name,
-                                        live.line
-                                    ),
-                                });
-                            }
-                        }
-                    });
-                    let mut acqs = Vec::new();
-                    walk_flat(e, &mut |x| acqs.extend(acquisition_of(x)));
-                    for (i, a) in acqs.iter().enumerate() {
-                        if a.key == "?" {
-                            continue;
-                        }
-                        // Two acquisitions of one lock inside a single
-                        // expression deadlock regardless of bindings.
-                        if acqs[..i].iter().any(|b| b.key == a.key) {
-                            out.push(Finding {
-                                related: Vec::new(),
-                                line: a.line,
-                                col: a.col,
-                                message: format!(
-                                    "lock `{}` is acquired twice in one expression; the first \
-                                     guard is still alive when the second `.lock()` blocks",
-                                    a.key
-                                ),
-                            });
-                            continue;
-                        }
-                        for li in fact.iter() {
-                            let live = &sites[li as usize];
-                            if live.key == a.key {
-                                out.push(Finding {
-                                    related: Vec::new(),
-                                    line: a.line,
-                                    col: a.col,
-                                    message: format!(
-                                        "lock `{}` is already held here (guard `{}` since line \
-                                         {}); a second `.lock()` on the same mutex self-deadlocks",
-                                        a.key, live.name, live.line
-                                    ),
-                                });
-                            } else if let (Some(pa), Some(pl)) = (pos(&a.key), pos(&live.key)) {
-                                if pa < pl {
-                                    out.push(Finding {
-                                        related: Vec::new(),
-                                        line: a.line,
-                                        col: a.col,
-                                        message: format!(
-                                            "acquiring `{}` while `{}` (line {}) is held inverts \
-                                             the declared lock order in lint.toml \
-                                             [rules.double-lock] `order`",
-                                            a.key, live.key, live.line
-                                        ),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-    out
-}
-
-fn check_guard_across_loop(ctx: &FlowCtx) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for item in &ctx.ast.items {
-        for_each_fn_cfg(item, &mut |_, cfg| {
-            let (sites, p, sol) = guard_analysis(ctx.rel_path, ctx.interp, cfg);
-            if sites.is_empty() {
-                return;
-            }
-            let mut seen: BTreeSet<(u32, u32, usize)> = BTreeSet::new();
-            for node in 0..cfg.nodes.len() {
-                sol.for_each_step(cfg, &p, node, &mut |s: &Step, fact| {
-                    let StepKind::LoopBack(idx) = s.kind else {
-                        return;
-                    };
-                    let li = &cfg.loops[idx];
-                    // `for` iterates a fixed collection; holding a
-                    // guard over it is routinely intentional (iterating
-                    // the locked data).  Stay silent there.
-                    if li.kw == "for" {
-                        return;
-                    }
-                    for i in fact.iter() {
-                        let g = &sites[i as usize];
-                        if g.ord < li.first_ord
-                            && seen.insert((li.span.line, li.span.col, i as usize))
-                        {
-                            out.push(Finding {
-                                related: Vec::new(),
-                                line: li.span.line,
-                                col: li.span.col,
-                                message: format!(
-                                    "lock guard `{}` (acquired line {}) is still held at this \
-                                     `{}` loop's back-edge, so every iteration runs under the \
-                                     lock; acquire it inside the loop or drop it before",
-                                    g.name, g.line, li.kw
-                                ),
-                            });
-                        }
-                    }
-                });
-            }
-        });
-    }
-    out
-}
-
-// ----- tainted-length allocation (rule 4) ----------------------------
-
-/// Built-in taint sources for `tainted-alloc`; override with the rule's
-/// `taint_sources` key in `lint.toml`.
-pub(crate) const DEFAULT_TAINT_SOURCES: &[&str] = &["parse_request", "parse_routed"];
-
-/// A binding event: a `let` or a plain `name = value` assignment.
-struct TaintBind<'a> {
-    ord: u32,
-    name: String,
-    line: u32,
-    init: &'a Expr,
-}
-
-/// True when `e` contains a call to one of `sources`.
-pub(crate) fn calls_source(e: &Expr, sources: &[String]) -> bool {
-    let mut hit = false;
-    walk_flat(e, &mut |x| match x {
-        Expr::Call { callee, .. } => {
-            if let Expr::Path { segs, .. } = callee.as_ref() {
-                hit |= segs.last().is_some_and(|s| sources.iter().any(|t| t == s));
-            }
-        }
-        Expr::MethodCall { name, .. } => {
-            hit |= sources.iter().any(|t| t == name);
-        }
-        _ => {}
-    });
-    hit
-}
-
-/// True when `e` caps its value (`.min(..)` / `.clamp(..)`).
-pub(crate) fn is_capped(e: &Expr) -> bool {
-    let mut hit = false;
-    walk_flat(e, &mut |x| {
-        if let Expr::MethodCall { name, .. } = x {
-            hit |= name == "min" || name == "clamp";
-        }
-    });
-    hit
-}
-
-/// Names compared against something in `e` (a bounds check sanitizes
-/// them).
-fn compared_names(e: &Expr, out: &mut BTreeSet<String>) {
-    walk_flat(e, &mut |x| {
-        if let Expr::Binary { op, lhs, rhs, .. } = x {
-            if matches!(op.as_str(), "<" | "<=" | ">" | ">=" | "==" | "!=") {
-                mentions(lhs, out);
-                mentions(rhs, out);
-            }
-        }
-    });
-}
-
-fn check_tainted_alloc(ctx: &FlowCtx) -> Vec<Finding> {
-    let mut sources = knob(ctx.rule_cfg, "taint_sources", DEFAULT_TAINT_SOURCES);
-    // Interprocedural: functions whose summary returns unsanitized
-    // source data are sources themselves.
-    sources.extend(ctx.interp.taint_return_names());
-    let mut out = Vec::new();
-    for item in &ctx.ast.items {
-        for_each_fn_cfg(item, &mut |_, cfg| {
-            taint_one_fn(ctx, cfg, &sources, &mut out);
-        });
-    }
-    out
-}
-
-fn taint_one_fn(ctx: &FlowCtx, cfg: &Cfg, sources: &[String], out: &mut Vec<Finding>) {
-    // A value is capped syntactically (`.min`/`.clamp`) or through a
-    // resolved callee whose summary sanitizes its return.
-    let capped = |e: &Expr| is_capped(e) || ctx.interp.call_sanitizes(ctx.rel_path, e);
-    // Binding events: `let name = init` and `name = value`.
-    let mut binds: Vec<TaintBind> = Vec::new();
-    for (_, s) in cfg.steps_in_order() {
-        match &s.kind {
-            StepKind::Let(Stmt::Let {
-                name: Some(n),
-                init: Some(init),
-                span,
-                ..
-            }) => binds.push(TaintBind {
-                ord: s.ord,
-                name: n.clone(),
-                line: span.line,
-                init,
-            }),
-            StepKind::Eval(Expr::Binary {
-                op, lhs, rhs, span, ..
-            }) if op == "=" => {
-                if let Expr::Path { segs, .. } = lhs.as_ref() {
-                    if segs.len() == 1 {
-                        binds.push(TaintBind {
-                            ord: s.ord,
-                            name: segs[0].clone(),
-                            line: span.line,
-                            init: rhs,
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    if binds.is_empty() {
-        return;
-    }
-
-    // Static kills: rebinding, scope end, and bounds comparisons in
-    // `if` conditions or binding initializers (a cap check sanitizes
-    // the compared name on every outgoing path — the silence-leaning
-    // over-approximation).
-    let mut p = Problem::new(cfg, binds.len(), Mode::May);
-    for (_, s) in cfg.steps_in_order() {
-        match &s.kind {
-            StepKind::ScopeEnd(names) => {
-                for (i, b) in binds.iter().enumerate() {
-                    if names.contains(&b.name) {
-                        p.kill[s.ord as usize].push(i as u32);
-                    }
-                }
-                continue;
-            }
-            StepKind::Cond { expr, kw: "if" } => {
-                let mut cmp = BTreeSet::new();
-                compared_names(expr, &mut cmp);
-                for (i, b) in binds.iter().enumerate() {
-                    if cmp.contains(&b.name) {
-                        p.kill[s.ord as usize].push(i as u32);
-                    }
-                }
-            }
-            _ => {}
-        }
-        if let Some(bind) = binds.iter().find(|b| b.ord == s.ord) {
-            let mut cmp = BTreeSet::new();
-            compared_names(bind.init, &mut cmp);
-            for (i, b) in binds.iter().enumerate() {
-                // The new binding supersedes same-name sites (own gen
-                // runs after the kill), and a comparison inside the
-                // initializer sanitizes the compared names.
-                if b.name == bind.name || cmp.contains(&b.name) {
-                    p.kill[s.ord as usize].push(i as u32);
-                }
-            }
-        }
-    }
-
-    // Gens, to a fixpoint: a bind is tainted when its initializer calls
-    // a source, or mentions a name that is tainted just before it —
-    // which depends on the solution, so iterate (monotone: gens only
-    // get added; bounded by the bind count).
-    let mut tainted = vec![false; binds.len()];
-    for (i, b) in binds.iter().enumerate() {
-        if calls_source(b.init, sources) && !capped(b.init) {
-            tainted[i] = true;
-            p.gen[b.ord as usize].push(i as u32);
-        }
-    }
-    let mut sol = solve(cfg, &p);
-    for _ in 0..=binds.len() {
-        let mut changed = false;
-        for node in 0..cfg.nodes.len() {
-            let mut new_gens: Vec<(usize, u32)> = Vec::new();
-            sol.for_each_step(cfg, &p, node, &mut |s: &Step, fact| {
-                let Some((i, b)) = binds.iter().enumerate().find(|(_, b)| b.ord == s.ord) else {
-                    return;
-                };
-                if tainted[i] || capped(b.init) {
-                    return;
-                }
-                let mut used = BTreeSet::new();
-                mentions(b.init, &mut used);
-                let from_tainted = fact
-                    .iter()
-                    .any(|si| used.contains(&binds[si as usize].name));
-                if from_tainted {
-                    new_gens.push((i, s.ord));
-                }
-            });
-            for (i, ord) in new_gens {
-                tainted[i] = true;
-                p.gen[ord as usize].push(i as u32);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        sol = solve(cfg, &p);
-    }
-
-    // Sinks: with_capacity / reserve fed by a live tainted name, and
-    // collection growth inside a loop bounded by one.
-    let live_tainted = |fact: &SiteSet, e: &Expr| -> Option<(String, u32)> {
-        let mut used = BTreeSet::new();
-        mentions(e, &mut used);
-        fact.iter()
-            .map(|i| &binds[i as usize])
-            .find(|b| used.contains(&b.name))
-            .map(|b| (b.name.clone(), b.line))
-    };
-    let mut grow_seen: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for node in 0..cfg.nodes.len() {
-        sol.for_each_step(cfg, &p, node, &mut |s: &Step, fact| {
-            if fact.is_empty() {
-                return;
-            }
-            if let Some(e) = step_expr(&s.kind) {
-                walk_flat(e, &mut |x| {
-                    let (args, span, what) = match x {
-                        Expr::Call { callee, args, span } => {
-                            let Expr::Path { segs, .. } = callee.as_ref() else {
-                                return;
-                            };
-                            if segs.last().is_none_or(|s| s != "with_capacity") {
-                                return;
-                            }
-                            (args, span, "with_capacity")
-                        }
-                        Expr::MethodCall {
-                            name, args, span, ..
-                        } if matches!(
-                            name.as_str(),
-                            "with_capacity" | "reserve" | "reserve_exact"
-                        ) =>
-                        {
-                            (args, span, name.as_str())
-                        }
-                        _ => return,
-                    };
-                    for a in args {
-                        if let Some((name, line)) = live_tainted(fact, a) {
-                            out.push(Finding {
-                                related: Vec::new(),
-                                line: span.line,
-                                col: span.col,
-                                message: format!(
-                                    "`{what}` is sized by `{name}`, untrusted input tainted at \
-                                     line {line}; cap it first (`.min(LIMIT)`) or reject \
-                                     oversized requests before allocating"
-                                ),
-                            });
-                            return;
-                        }
-                    }
-                });
-            }
-            // A loop whose condition/iterable is tainted: growth calls
-            // inside its region are attacker-proportional.
-            let StepKind::Cond { expr, kw } = s.kind else {
-                return;
-            };
-            if !matches!(kw, "while" | "for") {
-                return;
-            }
-            let Some(li) = cfg
-                .loops
-                .iter()
-                .find(|l| l.kw == kw && l.cond.is_some_and(|c| std::ptr::eq(c, expr)))
-            else {
-                return;
-            };
-            let Some((name, line)) = live_tainted(fact, expr) else {
-                return;
-            };
-            for (_, inner) in cfg.steps_in_order() {
-                if inner.ord < li.first_ord || inner.ord > li.last_ord {
-                    continue;
-                }
-                let Some(ie) = step_expr(&inner.kind) else {
-                    continue;
-                };
-                walk_flat(ie, &mut |x| {
-                    if let Expr::MethodCall { name: m, span, .. } = x {
-                        if matches!(m.as_str(), "push" | "extend" | "append")
-                            && grow_seen.insert((span.line, span.col))
-                        {
-                            out.push(Finding {
-                                related: Vec::new(),
-                                line: span.line,
-                                col: span.col,
-                                message: format!(
-                                    "`{m}` grows a collection inside a loop bounded by `{name}`, \
-                                     untrusted input tainted at line {line}; check it against a \
-                                     limit before the loop"
-                                ),
-                            });
-                        }
-                    }
-                });
-            }
-        });
-    }
-}
-
-// ----- atomic ordering policy (rule 5) -------------------------------
-
-const ATOMIC_OPS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-];
-const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-fn check_atomic_ordering(ctx: &FlowCtx) -> Vec<Finding> {
-    let relaxed = knob(ctx.rule_cfg, "relaxed", &[]);
-    let acqrel = knob(ctx.rule_cfg, "acquire_release", &[]);
-    let mut out = Vec::new();
-    let mut stack: Vec<&Item> = ctx.ast.items.iter().collect();
-    while let Some(item) = stack.pop() {
-        stack.extend(&item.items);
-        if item.kind != ItemKind::Fn {
-            continue;
-        }
-        let Some(body) = &item.body else { continue };
-        body.walk_exprs(&mut |e| {
-            let Expr::MethodCall {
-                recv,
-                name,
-                args,
-                span,
-            } = e
-            else {
-                return;
-            };
-            if !ATOMIC_OPS.contains(&name.as_str()) {
-                return;
-            }
-            // The ordering argument: exactly one `Ordering::X` path.
-            // Zero means this isn't an atomic op (`Vec::swap`, a map
-            // `load`); more than one (compare_exchange-like) is out of
-            // this rule's model — silence.
-            let mut ords: Vec<&str> = Vec::new();
-            for a in args {
-                a.walk(&mut |x| {
-                    if let Expr::Path { segs, .. } = x {
-                        if let Some(last) = segs.last() {
-                            if let Some(o) = ORDERINGS.iter().find(|o| *o == last) {
-                                ords.push(o);
-                            }
-                        }
-                    }
-                });
-            }
-            let [ord] = ords[..] else { return };
-            let key = receiver_key(recv);
-            if key == "?" {
-                return;
-            }
-            if acqrel.contains(&key) {
-                let (ok, want) = match name.as_str() {
-                    "load" => (matches!(ord, "Acquire" | "SeqCst"), "Acquire"),
-                    "store" => (matches!(ord, "Release" | "SeqCst"), "Release"),
-                    _ => (matches!(ord, "AcqRel" | "SeqCst"), "AcqRel"),
-                };
-                if !ok {
-                    out.push(Finding {
-                        related: Vec::new(),
-                        line: span.line,
-                        col: span.col,
-                        message: format!(
-                            "atomic `{key}` is declared acquire_release in lint.toml but \
-                             `{name}` uses `{ord}`; use `{want}` (or `SeqCst`) so admission \
-                             reads pair with the writes they observe"
-                        ),
-                    });
-                }
-            } else if !relaxed.contains(&key) {
-                out.push(Finding {
-                    related: Vec::new(),
-                    line: span.line,
-                    col: span.col,
-                    message: format!(
-                        "atomic `{key}` has no declared ordering policy; add it to `relaxed` \
-                         (pure counters) or `acquire_release` (read for decisions) under \
-                         [rules.atomic-ordering] in lint.toml"
-                    ),
-                });
-            }
-        });
-    }
-    out
-}
-
-// ----- thread-shared field lockset (rule 6) --------------------------
-
-/// The workspace-level Eraser analysis runs once in
-/// [`crate::sharedstate::analyze`] (during [`Interp::build`]); this
-/// check just surfaces the findings whose firing site is in this file,
-/// so they flow through the normal suppression/baseline pipeline.
-fn check_shared_field_race(ctx: &FlowCtx) -> Vec<Finding> {
-    ctx.interp.shared_race_in(ctx.rel_path).to_vec()
-}
-
-// ----- guard escaping into a blocking callee (rule 7) ----------------
-
-fn check_guard_passed_to_fn(ctx: &FlowCtx) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for item in &ctx.ast.items {
-        for_each_fn_cfg(item, &mut |_, cfg| {
-            let (sites, p, sol) = guard_analysis(ctx.rel_path, ctx.interp, cfg);
-            if sites.is_empty() {
-                return;
-            }
-            for node in 0..cfg.nodes.len() {
-                sol.for_each_step(cfg, &p, node, &mut |s: &Step, fact| {
-                    if fact.is_empty() {
-                        return;
-                    }
-                    let Some(e) = step_expr(&s.kind) else { return };
-                    walk_flat(e, &mut |x| {
-                        let (args, span) = match x {
-                            Expr::Call { args, span, .. } | Expr::MethodCall { args, span, .. } => {
-                                (args, span)
-                            }
-                            _ => return,
-                        };
-                        // Which live guards move into this call?  (The
-                        // fact is pre-step, so the move itself is still
-                        // visible here even though it kills the guard.)
-                        let Some(g) = fact.iter().map(|i| &sites[i as usize]).find(|g| {
-                            args.iter().any(|a| {
-                                matches!(a, Expr::Path { segs, .. }
-                                    if segs.len() == 1 && segs[0] == g.name)
-                            })
-                        }) else {
-                            return;
-                        };
-                        let Some((idx, sum)) =
-                            ctx.interp.callee_summary(ctx.rel_path, span.line, span.col)
-                        else {
-                            return; // unresolved callee: silence
-                        };
-                        if let Some(w) = &sum.may_block {
-                            out.push(Finding {
-                                related: vec![RelatedSite {
-                                    path: w.file.clone(),
-                                    line: w.line,
-                                    col: w.col,
-                                    note: format!(
-                                        "the callee blocks here, with `{}` still held",
-                                        g.name
-                                    ),
-                                }],
-                                line: span.line,
-                                col: span.col,
-                                message: format!(
-                                    "lock guard `{}` (acquired line {}) is passed into `{}`, \
-                                     which can block ({} at {}:{}); the lock is held for the \
-                                     callee's whole execution — do the blocking work before \
-                                     locking, or pass the data instead of the guard",
-                                    g.name,
-                                    g.line,
-                                    ctx.interp.fn_display(idx),
-                                    w.what,
-                                    w.file,
-                                    w.line
-                                ),
-                            });
-                        }
-                    });
-                });
-            }
-        });
-    }
-    out
+pub(crate) fn check_double_lock(ctx: &Ctx) -> Vec<Finding> {
+    ctx.lock_edges
+        .iter()
+        .filter(|e| e.file == ctx.rel_path && e.outer == e.inner)
+        .map(|e| Finding {
+            line: e.line,
+            col: e.col,
+            message: match &e.via {
+                None => format!(
+                    "lock `{}` is already held here ({}); a second `.lock()` on the same \
+                     mutex self-deadlocks",
+                    e.inner, e.holder
+                ),
+                Some(via) => format!(
+                    "{via}, but lock `{}` is already held here ({}); the nested `.lock()` \
+                     self-deadlocks",
+                    e.inner, e.holder
+                ),
+            },
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{mask, tokenize};
-    use crate::parse::parse_file;
 
-    fn run_rule(rule: &str, src: &str, rc: &RuleConfig) -> Vec<(u32, String)> {
-        let tokens = tokenize(&mask(src).text);
-        let ast = parse_file(&tokens);
-        let parsed = vec![crate::workspace::ParsedFile {
-            rel: "x/src/lib.rs".to_string(),
-            tokens,
-            ast,
-        }];
-        let ws = Workspace::build(&parsed, false);
-        let lint_cfg = crate::config::LintConfig::default();
-        let interp = Interp::build(&parsed, &ws, &lint_cfg);
-        let ctx = FlowCtx {
-            rel_path: "x/src/lib.rs",
-            ast: &parsed[0].ast,
-            ws: &ws,
-            rule_cfg: rc,
-            interp: &interp,
-        };
-        let def = flow_rule_by_name(rule).expect("rule");
-        (def.check)(&ctx)
-            .into_iter()
-            .map(|f| (f.line, f.message))
-            .collect()
-    }
-
+    /// Lints `src` as one file and returns `rule`'s findings as
+    /// (line, message) pairs.
     fn run(rule: &str, src: &str) -> Vec<(u32, String)> {
-        run_rule(rule, src, &RuleConfig::default())
+        crate::engine::lint_source("x/src/lib.rs", src, &crate::LintConfig::default())
+            .into_iter()
+            .filter(|d| d.rule == rule)
+            .map(|d| (d.line, d.message))
+            .collect()
     }
 
     #[test]
@@ -1177,130 +447,6 @@ mod tests {
                    let b = self.stats.lock().unwrap();\n\
                    }";
         assert!(run("double-lock", src).is_empty());
-    }
-
-    #[test]
-    fn double_lock_declared_order_inversion_fires() {
-        let mut rc = RuleConfig::default();
-        rc.extra.insert(
-            "order".to_string(),
-            vec!["jobs".to_string(), "stats".to_string()],
-        );
-        let inverted = "fn f(&self) {\n\
-                        let s = self.stats.lock().unwrap();\n\
-                        let j = self.jobs.lock().unwrap();\n\
-                        }";
-        let hits = run_rule("double-lock", inverted, &rc);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].1.contains("inverts"), "{}", hits[0].1);
-
-        let declared = "fn f(&self) {\n\
-                        let j = self.jobs.lock().unwrap();\n\
-                        let s = self.stats.lock().unwrap();\n\
-                        }";
-        assert!(run_rule("double-lock", declared, &rc).is_empty());
-    }
-
-    #[test]
-    fn guard_across_loop_fires_only_for_outside_acquisitions() {
-        let src = "fn f(&self) {\n\
-                   let g = self.state.lock().unwrap();\n\
-                   while self.running() {\n\
-                   g.step();\n\
-                   }\n\
-                   }";
-        let hits = run("guard-across-loop", src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].0, 3, "reported at the loop");
-
-        // Re-acquired every iteration: fine.
-        let src = "fn f(&self) {\n\
-                   while self.running() {\n\
-                   let g = self.state.lock().unwrap();\n\
-                   g.step();\n\
-                   }\n\
-                   }";
-        assert!(run("guard-across-loop", src).is_empty());
-    }
-
-    #[test]
-    fn tainted_capacity_fires_and_cap_silences() {
-        let src = "fn f(buf: &[u8]) {\n\
-                   let req = parse_request(buf);\n\
-                   let n = req.count;\n\
-                   let v: Vec<u8> = Vec::with_capacity(n);\n\
-                   }";
-        let hits = run("tainted-alloc", src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].0, 4);
-        assert!(hits[0].1.contains("`n`"), "{}", hits[0].1);
-
-        // .min() caps the derived value.
-        let src = "fn f(buf: &[u8]) {\n\
-                   let req = parse_request(buf);\n\
-                   let n = req.count.min(1024);\n\
-                   let v: Vec<u8> = Vec::with_capacity(n);\n\
-                   }";
-        assert!(run("tainted-alloc", src).is_empty());
-
-        // An if-guard comparison sanitizes on every outgoing path.
-        let src = "fn f(buf: &[u8]) {\n\
-                   let req = parse_request(buf);\n\
-                   let n = req.count;\n\
-                   if n > 1024 { return; }\n\
-                   let v: Vec<u8> = Vec::with_capacity(n);\n\
-                   }";
-        assert!(run("tainted-alloc", src).is_empty());
-    }
-
-    #[test]
-    fn tainted_push_in_loop_fires() {
-        let src = "fn f(buf: &[u8]) {\n\
-                   let n = parse_request(buf);\n\
-                   let mut v = Vec::new();\n\
-                   let mut i = 0;\n\
-                   while i < n {\n\
-                   v.push(i);\n\
-                   i += 1;\n\
-                   }\n\
-                   }";
-        let hits = run("tainted-alloc", src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].0, 6);
-        assert!(hits[0].1.contains("loop"), "{}", hits[0].1);
-    }
-
-    #[test]
-    fn atomic_policy_checks_declared_and_undeclared_fields() {
-        let mut rc = RuleConfig::default();
-        rc.extra
-            .insert("relaxed".to_string(), vec!["submitted_total".to_string()]);
-        rc.extra.insert(
-            "acquire_release".to_string(),
-            vec!["active_jobs".to_string()],
-        );
-        let src = "fn f(&self) {\n\
-                   self.submitted_total.fetch_add(1, Ordering::Relaxed);\n\
-                   let a = self.active_jobs.load(Ordering::Acquire);\n\
-                   let b = self.active_jobs.load(Ordering::Relaxed);\n\
-                   self.mystery.store(0, Ordering::SeqCst);\n\
-                   }";
-        let hits = run_rule("atomic-ordering", src, &rc);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert_eq!(hits[0].0, 4, "{hits:?}");
-        assert!(hits[0].1.contains("Acquire"), "{}", hits[0].1);
-        assert_eq!(hits[1].0, 5);
-        assert!(hits[1].1.contains("no declared ordering"), "{}", hits[1].1);
-    }
-
-    #[test]
-    fn non_atomic_swap_and_load_stay_silent() {
-        // No Ordering argument: not an atomic op.
-        let src = "fn f(&mut self) {\n\
-                   self.items.swap(0, 1);\n\
-                   let x = self.map.load(key);\n\
-                   }";
-        assert!(run("atomic-ordering", src).is_empty());
     }
 
     #[test]
@@ -1357,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn guard_passed_to_blocking_callee_fires_there_and_only_there() {
+    fn guard_passed_to_a_blocking_callee_fires_at_the_call() {
         let src = "struct S { state: Mutex<u32>, file: F }\n\
                    impl S {\n\
                    fn flush_under(&self, g: MutexGuard<u32>) {\n\
@@ -1368,103 +514,89 @@ mod tests {
                    self.flush_under(g);\n\
                    }\n\
                    }";
-        let hits = run("guard-passed-to-fn", src);
+        let hits = run("lock-across-blocking", src);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].0, 8);
         assert!(hits[0].1.contains("flush_under"), "{}", hits[0].1);
-        // The same site is guard-passed-to-fn's, not lock-across-blocking's.
-        assert!(run("lock-across-blocking", src).is_empty());
         // An unresolvable callee stays silent.
         let src = "fn f(&self) {\n\
                    let g = self.state.lock().unwrap();\n\
                    consume(g);\n\
                    }";
-        assert!(run("guard-passed-to-fn", src).is_empty());
+        assert!(run("lock-across-blocking", src).is_empty());
+    }
+
+    /// The nested-acquisition edges of one file.
+    fn edges_of(rel: &str, src: &str) -> Vec<LockEdge> {
+        let tokens = crate::lexer::tokenize(&crate::lexer::mask(src).text);
+        let ast = crate::parse::parse_file(&tokens);
+        let files = [ParsedFile {
+            rel: rel.to_string(),
+            tokens,
+            ast,
+        }];
+        let interp = Interp::build(&files, &crate::LintConfig::default());
+        lock_edges(&files, &interp)
     }
 
     #[test]
-    fn shared_field_race_fires_when_lock_discipline_breaks() {
-        let src = "struct Hub { jobs: Mutex<u32>, pending: usize }\n\
-                   impl Hub {\n\
-                   fn start(&self) { spawn(|| self.work()); }\n\
-                   fn work(&self) {\n\
-                   let g = self.jobs.lock().unwrap();\n\
-                   let n = self.pending;\n\
-                   }\n\
-                   fn peek(&self) -> usize { self.pending }\n\
-                   fn grow(&mut self) { self.pending += 1; }\n\
-                   }";
-        let hits = run("shared-field-race", src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].0, 8, "fires at the unlocked access");
-        assert!(hits[0].1.contains("`pending`"), "{}", hits[0].1);
-        assert!(hits[0].1.contains("`jobs`"), "{}", hits[0].1);
-
-        // Never-mutated fields stay silent (reads cannot race).
-        let src = "struct Hub { jobs: Mutex<u32>, pending: usize }\n\
-                   impl Hub {\n\
-                   fn start(&self) { spawn(|| self.work()); }\n\
-                   fn work(&self) {\n\
-                   let g = self.jobs.lock().unwrap();\n\
-                   let n = self.pending;\n\
-                   }\n\
-                   fn peek(&self) -> usize { self.pending }\n\
-                   }";
-        assert!(run("shared-field-race", src).is_empty());
-
-        // No spawn: the type never crosses a thread boundary.
-        let src = "struct Hub { jobs: Mutex<u32>, pending: usize }\n\
-                   impl Hub {\n\
-                   fn work(&self) {\n\
-                   let g = self.jobs.lock().unwrap();\n\
-                   let n = self.pending;\n\
-                   }\n\
-                   fn peek(&self) -> usize { self.pending }\n\
-                   fn grow(&mut self) { self.pending += 1; }\n\
-                   }";
-        assert!(run("shared-field-race", src).is_empty());
+    fn nested_acquisitions_build_edges() {
+        let edges = edges_of(
+            "svc.rs",
+            "fn f(a: M, b: M) {\n    let g1 = a.lock();\n    let g2 = b.lock();\n}\n",
+        );
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].outer, "a");
+        assert_eq!(edges[0].inner, "b");
+        assert_eq!(edges[0].line, 3);
     }
 
     #[test]
-    fn taint_flows_through_helper_returns_and_sanitizing_callees() {
-        // A helper returning raw source data becomes a source.
-        let src = "fn len_of(buf: &[u8]) -> usize {\n\
-                   parse_request(buf)\n\
-                   }\n\
-                   fn f(buf: &[u8]) {\n\
-                   let n = len_of(buf);\n\
-                   let v: Vec<u8> = Vec::with_capacity(n);\n\
-                   }";
-        let hits = run("tainted-alloc", src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].0, 6);
-
-        // A helper that caps its return is not a source.
-        let src = "fn len_of(buf: &[u8]) -> usize {\n\
-                   parse_request(buf).min(64)\n\
-                   }\n\
-                   fn f(buf: &[u8]) {\n\
-                   let n = len_of(buf);\n\
-                   let v: Vec<u8> = Vec::with_capacity(n);\n\
-                   }";
-        assert!(run("tainted-alloc", src).is_empty());
-
-        // A capping callee sanitizes a raw source at the call site.
-        let src = "fn cap(x: usize) -> usize {\n\
-                   x.min(64)\n\
-                   }\n\
-                   fn f(buf: &[u8]) {\n\
-                   let n = cap(parse_request(buf));\n\
-                   let v: Vec<u8> = Vec::with_capacity(n);\n\
-                   }";
-        assert!(run("tainted-alloc", src).is_empty());
+    fn guards_expire_at_block_end() {
+        let edges = edges_of(
+            "svc.rs",
+            "fn f(a: M, b: M) {\n    { let g1 = a.lock(); }\n    let g2 = b.lock();\n}\n",
+        );
+        assert!(edges.is_empty(), "{:?}", edges);
     }
 
     #[test]
-    fn every_flow_rule_has_explain_content() {
-        for r in FLOW_RULES {
-            assert!(!r.doc.is_empty(), "{} has no doc", r.name);
-            assert!(!r.example.is_empty(), "{} has no example", r.name);
-        }
+    fn lock_helper_functions_key_on_their_argument() {
+        let edges = edges_of(
+            "svc.rs",
+            "fn f(m: M, n: M) {\n    let g = lock_daemon(&m);\n    let h = n.lock();\n}\n",
+        );
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].outer, "m");
+        assert_eq!(edges[0].inner, "n");
+    }
+
+    #[test]
+    fn receiver_keys_normalize_through_self() {
+        let edges = edges_of(
+                "svc.rs",
+                "impl S { fn f(&self) {\n    let g = self.daemon.lock();\n    let h = self.jobs.lock();\n} }\n",
+            );
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].outer, "daemon");
+        assert_eq!(edges[0].inner, "jobs");
+    }
+
+    #[test]
+    fn an_acquisition_inside_a_callee_is_an_edge_at_the_call() {
+        let edges = edges_of(
+            "svc.rs",
+            "struct S { a: M, b: M }\n\
+             impl S {\n\
+             fn f(&self) {\n    let g = self.a.lock();\n    self.take_b();\n}\n\
+             fn take_b(&self) { let h = self.b.lock(); }\n\
+             }\n",
+        );
+        assert_eq!(edges.len(), 1, "{edges:?}");
+        assert_eq!(
+            (edges[0].outer.as_str(), edges[0].inner.as_str()),
+            ("a", "b")
+        );
+        assert_eq!(edges[0].line, 5, "reported at the call");
     }
 }

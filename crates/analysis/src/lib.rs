@@ -1,133 +1,62 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! `sbs-analysis` — the workspace's in-repo static analysis pass.
+//! `sbs-analysis` — the workspace checks clippy cannot express.
 //!
-//! The paper's headline result (DDS/lxf/dynB matching FCFS-backfill's
-//! max wait *and* LXF-backfill's average slowdown) is only reproducible
-//! when every scheduling decision is bit-deterministic.  Three classes
-//! of bugs silently destroy that:
+//! The paper's headline result only reproduces when every scheduling
+//! decision is bit-deterministic, and the daemon's concurrency design
+//! rests on one rule: one shard lock per operation, never held across
+//! I/O.  The token-level determinism and robustness bans (HashMap,
+//! wall-clock reads, panics in the daemon, `unsafe`, dropped results,
+//! truncating casts) are clippy and rustc lints, configured in the
+//! workspace `clippy.toml` and `[workspace.lints]`.  This crate keeps
+//! the four rules that need more than a token or a type:
 //!
-//! * **wall-clock reads** in decision-path code make runs
-//!   time-dependent;
-//! * **`HashMap`/`HashSet` iteration** is randomized per process, so any
-//!   decision influenced by iteration order differs run to run;
-//! * **`partial_cmp` on float keys** mis-orders (or panics on) NaN,
-//!   breaking the exact tie-breaking semantics discrepancy search
-//!   depends on.
+//! * `lock-across-blocking` — a lock guard live across a blocking call,
+//!   directly or through any resolved callee ([`flowrules`]);
+//! * `double-lock` — a lock re-acquired while its guard is live,
+//!   directly or inside a callee ([`flowrules`]);
+//! * `lock-ordering` — two locks taken in both orders somewhere in the
+//!   workspace ([`semrules`]);
+//! * `float-ordering` — `.partial_cmp(` on search keys ([`rules`]).
 //!
-//! A fourth class — `unwrap`/`expect`/`panic!`/bare indexing in the
-//! long-running daemon — trades an error message for a dead scheduler.
+//! The pipeline: a small real Rust lexer ([`lexer`]) so nothing fires
+//! inside strings or comments, a tolerant parser ([`parse`]), a
+//! workspace index ([`workspace`]), a call graph ([`callgraph`]) with
+//! per-function effect summaries ([`summaries`]), and per-function
+//! CFGs ([`cfg`]) with a dataflow solver ([`dataflow`]).  Scoping comes
+//! from the workspace-root `lint.toml` ([`config`]); justified inline
+//! suppressions and the test-code exemption live in [`engine`].
 //!
-//! The container this workspace builds in has no crates.io access, so
-//! miri/loom/cargo-deny/clippy-plugins are unavailable; this crate is a
-//! dependency-free replacement sized to the workspace's actual needs: a
-//! small real Rust lexer ([`lexer`]) so rules never fire inside strings
-//! or comments, a rule set ([`rules`]), per-crate scoping via the
-//! workspace-root `lint.toml` ([`config`]), and justified inline
-//! suppressions ([`engine`]).
-//!
-//! Run it as `sbs lint` or `cargo run -p sbs-analysis -- --workspace`.
+//! Run it as `cargo run --release -p sbs-analysis`.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod cfg;
-pub mod changed;
 pub mod config;
 pub mod dataflow;
-pub mod emit;
 pub mod engine;
 pub mod flowrules;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
 pub mod semrules;
-pub mod sharedstate;
 pub mod summaries;
 pub mod workspace;
 
-pub use baseline::Baseline;
-pub use changed::changed_files;
-pub use config::{LintConfig, RuleConfig};
-pub use engine::{
-    expand_changed, lint_files, lint_source, lint_sources, lint_sources_timed, lint_workspace,
-    lint_workspace_timed, workspace_callgraph_dot, Diagnostic, RuleTiming, SourceFile,
-};
-pub use flowrules::{flow_rule_by_name, FlowRuleDef, FLOW_RULES};
-pub use rules::{rule_by_name, Finding, RuleDef, RULES};
-pub use semrules::{sem_rule_by_name, SemRuleDef, SEM_RULES};
+pub use config::LintConfig;
+pub use engine::{lint_files, lint_source, lint_sources, lint_workspace, Diagnostic, SourceFile};
+pub use rules::{rule_by_name, Finding, RULES};
 
 use std::path::{Path, PathBuf};
 
 /// Name of the workspace configuration file.
 pub const CONFIG_FILE: &str = "lint.toml";
 
-/// Name of the committed findings-ratchet file.
-pub const BASELINE_FILE: &str = "lint-baseline.toml";
-
 /// Walks upward from `start` to the first directory containing
 /// `lint.toml`.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start);
-    while let Some(d) = dir {
-        if d.join(CONFIG_FILE).is_file() {
-            return Some(d.to_path_buf());
-        }
-        dir = d.parent();
-    }
-    None
-}
-
-/// Loads the config at `root` and lints the whole workspace: the
-/// one-call entry point used by `sbs lint` and the CI job.
-pub fn run_workspace_lint(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let cfg = LintConfig::load(&root.join(CONFIG_FILE))?;
-    lint_workspace(root, &cfg)
-}
-
-/// Applies the committed findings ratchet at `root` to a workspace
-/// run's diagnostics and returns the ones not covered by a pin.
-///
-/// Tightening hints (a pin whose count dropped, a pin with zero
-/// findings) go to stderr; with `update` the baseline file is rewritten
-/// to today's lower counts — pins only shrink or disappear, they are
-/// never added or grown.  Shared by the `sbs-analysis` binary and
-/// `sbs lint`.
-pub fn apply_workspace_ratchet(
-    root: &Path,
-    diags: &[Diagnostic],
-    update: bool,
-) -> Result<Vec<Diagnostic>, String> {
-    let baseline_path = root.join(BASELINE_FILE);
-    let baseline = Baseline::load(&baseline_path)?;
-    let outcome = baseline.apply(diags);
-    for (rule, file, pinned, found) in &outcome.improved {
-        eprintln!(
-            "ratchet: {rule} in {file} is down to {found} (pinned {pinned}); \
-             run `sbs lint --update-baseline` to lock it in"
-        );
-    }
-    for p in &outcome.stale {
-        eprintln!(
-            "ratchet: pin for {} in {} is stale (0 findings); \
-             run `sbs lint --update-baseline` to drop it",
-            p.rule, p.file
-        );
-    }
-    if update {
-        let shrunk = baseline.shrunk_to(diags);
-        if shrunk != baseline {
-            std::fs::write(&baseline_path, shrunk.render())
-                .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-            eprintln!(
-                "ratchet: {} rewritten ({} -> {} pin(s))",
-                baseline_path.display(),
-                baseline.pins.len(),
-                shrunk.pins.len()
-            );
-        } else {
-            eprintln!("ratchet: baseline already tight");
-        }
-    }
-    Ok(outcome.new)
+    start
+        .ancestors()
+        .find(|d| d.join(CONFIG_FILE).is_file())
+        .map(Path::to_path_buf)
 }

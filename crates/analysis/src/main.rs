@@ -1,75 +1,30 @@
-//! The standalone `sbs-analysis` binary.
+//! The `sbs-analysis` binary.
 //!
 //! ```text
-//! sbs-analysis --workspace            lint everything lint.toml names
-//! sbs-analysis FILE...                lint specific files
-//! sbs-analysis --list-rules           show the rule set
+//! sbs-analysis [--root DIR] [FILE...]
 //! ```
 //!
-//! Exits 0 when clean (modulo the committed `lint-baseline.toml`
-//! ratchet), 1 on any non-baselined diagnostic, 2 on usage/config
-//! errors.  The default output is grep-style `file:line:col rule
-//! message` lines on stdout; `--format json` and `--format sarif`
-//! switch to machine-readable layers (SARIF feeds the CI code-scanning
-//! upload).  `--update-baseline` rewrites the ratchet file with today's
-//! lower counts — it never adds or grows a pin.
+//! Without FILE arguments it lints every file `lint.toml` names; with
+//! them, just those files (relative to the root).  Prints one
+//! `file:line:col rule message` line per finding.  Exits 0 when clean,
+//! 1 on any finding, 2 on usage or config errors.
 
-use sbs_analysis::{
-    find_workspace_root, lint_files, Diagnostic, LintConfig, CONFIG_FILE, FLOW_RULES, RULES,
-    SEM_RULES,
-};
+use sbs_analysis::{find_workspace_root, lint_files, lint_workspace, LintConfig, CONFIG_FILE};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "\
-sbs-analysis — static analysis for determinism, panic-freedom and float ordering
-
-USAGE:
-  sbs-analysis --workspace [--root DIR]     lint the whole workspace
-  sbs-analysis --changed[=BASE] [--root DIR]  lint files changed vs a git
-                                            base (default origin/main) plus
-                                            their call-graph neighbors
-  sbs-analysis [--root DIR] FILE...         lint specific files
-  sbs-analysis --list-rules                 describe every rule
-  sbs-analysis --explain RULE               rule doc, example, suppression
-  sbs-analysis --callgraph FILE             write the call graph as DOT
-
-OPTIONS:
-  --format grep|json|sarif   output layer (default: grep)
-  --update-baseline          shrink lint-baseline.toml to today's counts
-  --timings                  print per-rule wall time to stderr
-  --timings-gate[=MS]        fail if any rule exceeds MS ms (default 300)
-  --root DIR                 workspace root (default: nearest lint.toml)
+const USAGE: &str = "usage: sbs-analysis [--root DIR] [FILE...]
+  lints the workspace (or just FILEs) for the lock and float-ordering rules;
+  DIR defaults to the nearest ancestor holding lint.toml
 ";
 
-/// Per-rule wall-time ceiling for `--timings-gate` without a value.
-const DEFAULT_GATE_MS: u128 = 300;
-
-struct Options {
-    workspace: bool,
-    list_rules: bool,
-    update_baseline: bool,
-    timings: bool,
-    timings_gate: Option<u128>,
-    explain: Option<String>,
-    callgraph: Option<PathBuf>,
-    changed: Option<String>,
-    format: Format,
-    root: Option<PathBuf>,
-    files: Vec<PathBuf>,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Grep,
-    Json,
-    Sarif,
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
+    match run(std::env::args().skip(1).collect()) {
+        Ok(0) => ExitCode::SUCCESS,
+        Ok(n) => {
+            eprintln!("sbs-analysis: {n} finding(s)");
+            ExitCode::FAILURE
+        }
         Err(e) => {
             eprintln!("sbs-analysis: {e}");
             eprint!("{USAGE}");
@@ -78,231 +33,35 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut o = Options {
-        workspace: false,
-        list_rules: false,
-        update_baseline: false,
-        timings: false,
-        timings_gate: None,
-        explain: None,
-        callgraph: None,
-        changed: None,
-        format: Format::Grep,
-        root: None,
-        files: Vec::new(),
-    };
-    let mut it = args.iter();
+/// Lints what `args` name and returns the number of findings printed.
+fn run(args: Vec<String>) -> Result<usize, String> {
+    let mut root = None;
+    let mut files = Vec::new();
+    let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workspace" => o.workspace = true,
-            "--list-rules" => o.list_rules = true,
-            "--update-baseline" => o.update_baseline = true,
-            "--timings" => o.timings = true,
-            "--timings-gate" => o.timings_gate = Some(DEFAULT_GATE_MS),
-            other if other.starts_with("--timings-gate=") => {
-                let ms = &other["--timings-gate=".len()..];
-                o.timings_gate = Some(
-                    ms.parse()
-                        .map_err(|_| format!("--timings-gate={ms}: not a millisecond count"))?,
-                );
-            }
-            "--explain" => {
-                o.explain = Some(it.next().ok_or("--explain needs a rule name")?.clone())
-            }
-            "--callgraph" => {
-                o.callgraph = Some(PathBuf::from(
-                    it.next().ok_or("--callgraph needs a file path")?.clone(),
-                ))
-            }
-            "--changed" => o.changed = Some(sbs_analysis::changed::DEFAULT_BASE.to_string()),
-            other if other.starts_with("--changed=") => {
-                let base = &other["--changed=".len()..];
-                if base.is_empty() {
-                    return Err("--changed= needs a ref (or drop the `=`)".to_string());
-                }
-                o.changed = Some(base.to_string());
-            }
-            "--format" => {
-                o.format = match it.next().ok_or("--format needs a value")?.as_str() {
-                    "grep" => Format::Grep,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format {other:?} (grep|json|sarif)")),
-                }
-            }
-            "--root" => {
-                o.root = Some(PathBuf::from(
-                    it.next().ok_or("--root needs a value")?.clone(),
-                ))
-            }
+            "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
             "--help" | "-h" => return Err("help requested".to_string()),
-            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
-            other => o.files.push(PathBuf::from(other)),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            _ => files.push(PathBuf::from(a)),
         }
     }
-    Ok(o)
-}
-
-/// The `--explain` card for one rule, from whichever registry holds it.
-fn explain_rule(name: &str) -> Option<(String, String, String)> {
-    if let Some(r) = RULES.iter().find(|r| r.name == name) {
-        return Some((
-            r.summary.to_string(),
-            r.doc.to_string(),
-            r.example.to_string(),
-        ));
-    }
-    if let Some(r) = SEM_RULES.iter().find(|r| r.name == name) {
-        return Some((
-            r.summary.to_string(),
-            r.doc.to_string(),
-            r.example.to_string(),
-        ));
-    }
-    FLOW_RULES.iter().find(|r| r.name == name).map(|r| {
-        (
-            r.summary.to_string(),
-            r.doc.to_string(),
-            r.example.to_string(),
-        )
-    })
-}
-
-fn print_explain(name: &str) -> Result<(), String> {
-    let Some((summary, doc, example)) = explain_rule(name) else {
-        let known: Vec<&str> = RULES
-            .iter()
-            .map(|r| r.name)
-            .chain(SEM_RULES.iter().map(|r| r.name))
-            .chain(FLOW_RULES.iter().map(|r| r.name))
-            .collect();
-        return Err(format!(
-            "unknown rule {name:?}; known rules: {}",
-            known.join(", ")
-        ));
-    };
-    println!("{name} — {summary}\n");
-    println!("{doc}\n");
-    println!("Example (fires):");
-    for line in example.lines() {
-        println!("    {line}");
-    }
-    println!("\nSuppress one site with a justification:");
-    println!("    // sbs-lint: allow({name}): <why this site is safe>");
-    println!("Scope or configure it in lint.toml under [rules.{name}].");
-    Ok(())
-}
-
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let o = parse_options(args)?;
-    if o.list_rules {
-        for r in RULES {
-            println!("{:<20} {}", r.name, r.summary);
+    let root = match root {
+        Some(r) => r,
+        None => {
+            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
+            find_workspace_root(&cwd)
+                .ok_or_else(|| format!("no {CONFIG_FILE} found above {}", cwd.display()))?
         }
-        for r in SEM_RULES {
-            println!("{:<20} {}", r.name, r.summary);
-        }
-        for r in FLOW_RULES {
-            println!("{:<20} {}", r.name, r.summary);
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-    if let Some(name) = &o.explain {
-        print_explain(name)?;
-        return Ok(ExitCode::SUCCESS);
-    }
-    if o.workspace && o.changed.is_some() {
-        return Err("--workspace and --changed are mutually exclusive".to_string());
-    }
-    if !o.workspace && o.changed.is_none() && o.files.is_empty() && o.callgraph.is_none() {
-        return Err("nothing to lint: pass --workspace, --changed or file paths".to_string());
-    }
-    if o.changed.is_some() && !o.files.is_empty() {
-        return Err("--changed and explicit files are mutually exclusive".to_string());
-    }
-
-    let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-    let root = match &o.root {
-        Some(r) => r.clone(),
-        None => find_workspace_root(&cwd)
-            .ok_or_else(|| format!("no {CONFIG_FILE} found above {}", cwd.display()))?,
     };
     let cfg = LintConfig::load(&root.join(CONFIG_FILE))?;
-
-    if let Some(path) = &o.callgraph {
-        let dot = sbs_analysis::workspace_callgraph_dot(&root, &cfg)?;
-        std::fs::write(path, dot).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("sbs-analysis: call graph written to {}", path.display());
-        if !o.workspace && o.changed.is_none() && o.files.is_empty() {
-            return Ok(ExitCode::SUCCESS);
-        }
-    }
-
-    let (diags, timings) = if o.workspace {
-        sbs_analysis::lint_workspace_timed(&root, &cfg)?
-    } else if let Some(base) = &o.changed {
-        let files = sbs_analysis::changed_files(&root, base, &cfg)?;
-        let expanded = sbs_analysis::expand_changed(&root, &files, &cfg)?;
-        eprintln!(
-            "sbs-analysis: {} changed file(s) vs {base}, {} after call-graph expansion",
-            files.len(),
-            expanded.len()
-        );
-        (lint_files(&root, &expanded, &cfg)?, Vec::new())
+    let diags = if files.is_empty() {
+        lint_workspace(&root, &cfg)?
     } else {
-        (lint_files(&root, &o.files, &cfg)?, Vec::new())
+        lint_files(&root, &files, &cfg)?
     };
-
-    if o.timings {
-        let mut sorted = timings.clone();
-        sorted.sort_by_key(|t| std::cmp::Reverse(t.micros));
-        for t in &sorted {
-            eprintln!(
-                "timing: {:<20} {:>8.1} ms  {:>4} finding(s)",
-                t.name,
-                t.micros as f64 / 1000.0,
-                t.findings
-            );
-        }
+    for d in &diags {
+        println!("{d}");
     }
-    if let Some(gate_ms) = o.timings_gate {
-        let mut breached = false;
-        for t in &timings {
-            if t.micros > gate_ms * 1000 {
-                breached = true;
-                eprintln!(
-                    "sbs-analysis: timing gate breach: {} took {:.1} ms (gate {gate_ms} ms)",
-                    t.name,
-                    t.micros as f64 / 1000.0
-                );
-            }
-        }
-        if breached {
-            return Ok(ExitCode::FAILURE);
-        }
-    }
-
-    // The ratchet applies in workspace mode; ad-hoc file runs report raw.
-    let reported: Vec<Diagnostic> = if o.workspace {
-        sbs_analysis::apply_workspace_ratchet(&root, &diags, o.update_baseline)?
-    } else {
-        diags
-    };
-
-    match o.format {
-        Format::Grep => {
-            for d in &reported {
-                println!("{d}");
-            }
-        }
-        Format::Json => print!("{}", sbs_analysis::emit::to_json(&reported)),
-        Format::Sarif => print!("{}", sbs_analysis::emit::to_sarif(&reported)),
-    }
-    if reported.is_empty() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("sbs-analysis: {} diagnostic(s)", reported.len());
-        Ok(ExitCode::FAILURE)
-    }
+    Ok(diags.len())
 }

@@ -1,17 +1,15 @@
 //! A tolerant recursive-descent parser: masked token stream → parse
 //! tree (items, blocks, expressions) with source spans.
 //!
-//! The lexer-level rules of [`crate::rules`] see a flat token stream and
-//! therefore cannot reason about *expressions* — which cast feeds which
-//! operator, which statement drops which call's return value, which lock
-//! guard is still live when a second lock is taken.  This parser builds
-//! the tree those rules need, under the same constraints as the rest of
-//! the crate: **no rustc, no external dependencies**, and **never
-//! panic** — unparseable constructs degrade to [`Expr::Opaque`] spanning
-//! a balanced token run, so a syntax novelty can hide a finding but can
-//! never abort the pass.
+//! A flat token stream cannot say which lock guard is still live when a
+//! call blocks or a second lock is taken.  This parser builds the tree
+//! the CFG, call graph and lock rules need, under the same constraints
+//! as the rest of the crate: **no rustc, no external dependencies**,
+//! and **never panic** — unparseable constructs degrade to
+//! [`Expr::Opaque`] spanning a balanced token run, so a syntax novelty
+//! can hide a finding but can never abort the pass.
 //!
-//! The grammar is the pragmatic subset the semantic rules consume:
+//! The grammar is the pragmatic subset those consumers need:
 //!
 //! * items: `fn` (params, return type, body), `struct` (named fields),
 //!   `enum`, `trait`, `impl` (nested items), `mod` (nested items),
@@ -24,7 +22,7 @@
 //!   closures, references, try (`?`), ranges and assignments.
 //!
 //! Spans are `(line, col)` of the defining token, matching the
-//! diagnostics of the lexer-level rules byte for byte.
+//! diagnostics of the token-level rule byte for byte.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -89,20 +87,12 @@ pub struct Item {
     pub kind: ItemKind,
     /// Item name (`None` for impls and use declarations).
     pub name: Option<String>,
-    /// True for plain `pub` visibility (not `pub(crate)`/`pub(super)`).
-    pub is_pub: bool,
     /// Position of the item's first token.
     pub span: Span,
-    /// 1-based line of the item's last token.
-    pub end_line: u32,
     /// Function parameters as `(name, type)`; `self` receivers omitted.
     pub params: Vec<(String, String)>,
     /// Function return type text (`None` = unit).
     pub ret: Option<String>,
-    /// Alias target for `type` items, rendered as text.
-    pub alias_of: Option<String>,
-    /// Declared type of `const`/`static` items.
-    pub const_ty: Option<String>,
     /// Function body / const initializer.
     pub body: Option<Block>,
     /// Nested items (mods, impls, traits).
@@ -125,13 +115,9 @@ impl Item {
         Item {
             kind,
             name: None,
-            is_pub: false,
             span,
-            end_line: span.line,
             params: Vec::new(),
             ret: None,
-            alias_of: None,
-            const_ty: None,
             body: None,
             items: Vec::new(),
             fields: Vec::new(),
@@ -150,8 +136,6 @@ pub struct Block {
     pub stmts: Vec<Stmt>,
     /// Position of the opening brace.
     pub span: Span,
-    /// Line of the closing brace.
-    pub end_line: u32,
 }
 
 /// One statement.
@@ -365,103 +349,6 @@ impl Expr {
             Expr::Block(b) => b.span,
         }
     }
-
-    /// Depth-first pre-order walk over this expression and every nested
-    /// expression, including those inside nested blocks.
-    pub fn walk(&self, f: &mut dyn FnMut(&Expr)) {
-        f(self);
-        match self {
-            Expr::Call { callee, args, .. } => {
-                callee.walk(f);
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            Expr::MethodCall { recv, args, .. } => {
-                recv.walk(f);
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            Expr::Field { base, .. } => base.walk(f),
-            Expr::Index { base, index, .. } => {
-                base.walk(f);
-                index.walk(f);
-            }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::Try { expr, .. } => {
-                expr.walk(f)
-            }
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
-            }
-            Expr::Block(b) => b.walk_exprs(f),
-            Expr::Control { parts, .. } => {
-                for p in parts {
-                    p.walk(f);
-                }
-            }
-            Expr::Closure { body, .. } => body.walk(f),
-            Expr::Group { items, .. } => {
-                for i in items {
-                    i.walk(f);
-                }
-            }
-            Expr::StructLit { fields, .. } => {
-                for (_, e) in fields {
-                    e.walk(f);
-                }
-            }
-            Expr::Jump { value, .. } => {
-                if let Some(v) = value {
-                    v.walk(f);
-                }
-            }
-            Expr::Path { .. } | Expr::Lit { .. } | Expr::Macro { .. } | Expr::Opaque { .. } => {}
-        }
-    }
-}
-
-impl Block {
-    /// Walks every expression in the block, recursively.
-    pub fn walk_exprs(&self, f: &mut dyn FnMut(&Expr)) {
-        for s in &self.stmts {
-            match s {
-                Stmt::Let {
-                    init, else_block, ..
-                } => {
-                    if let Some(init) = init {
-                        init.walk(f);
-                    }
-                    if let Some(b) = else_block {
-                        b.walk_exprs(f);
-                    }
-                }
-                Stmt::Expr { expr, .. } => expr.walk(f),
-                Stmt::Item(item) => item.walk_exprs(f),
-            }
-        }
-    }
-}
-
-impl Item {
-    /// Walks every expression in the item's body and nested items.
-    pub fn walk_exprs(&self, f: &mut dyn FnMut(&Expr)) {
-        if let Some(b) = &self.body {
-            b.walk_exprs(f);
-        }
-        for i in &self.items {
-            i.walk_exprs(f);
-        }
-    }
-
-    /// Depth-first walk over this item and all nested items.
-    pub fn walk_items<'a>(&'a self, f: &mut dyn FnMut(&'a Item)) {
-        f(self);
-        for i in &self.items {
-            i.walk_items(f);
-        }
-    }
 }
 
 /// A parsed file: its top-level items.
@@ -469,15 +356,6 @@ impl Item {
 pub struct File {
     /// Top-level items in source order.
     pub items: Vec<Item>,
-}
-
-impl File {
-    /// Walks every item, depth first.
-    pub fn walk_items<'a>(&'a self, f: &mut dyn FnMut(&'a Item)) {
-        for i in &self.items {
-            i.walk_items(f);
-        }
-    }
 }
 
 /// Parses a masked token stream into a [`File`].
@@ -570,12 +448,6 @@ impl<'a> Parser<'a> {
         self.peek()
             .map(Span::of)
             .unwrap_or(Span { line: 0, col: 0 })
-    }
-
-    fn last_line(&self) -> u32 {
-        self.toks
-            .get(self.pos.saturating_sub(1))
-            .map_or(0, |t| t.line)
     }
 
     /// Skips one balanced token group starting at an opening delimiter,
@@ -686,9 +558,7 @@ impl<'a> Parser<'a> {
         if self.is_ident(0, "pub") {
             self.bump();
             if self.is_punct(0, b'(') {
-                self.skip_balanced(); // pub(crate) etc: not workspace-pub
-            } else {
-                item.is_pub = true;
+                self.skip_balanced(); // pub(crate) etc.
             }
         }
         // `unsafe fn` / `unsafe impl` / `async fn` / `extern "C" fn`.
@@ -700,7 +570,6 @@ impl<'a> Parser<'a> {
             // handled below as Other.
             if was_extern && self.is_ident(0, "crate") {
                 self.skip_to_semi_or_block();
-                item.end_line = self.last_line();
                 return Some(item);
             }
         }
@@ -798,7 +667,7 @@ impl<'a> Parser<'a> {
                 self.skip_generics();
                 if self.is_punct(0, b'=') {
                     self.bump();
-                    item.alias_of = Some(self.parse_type_text(b";"));
+                    self.parse_type_text(b";");
                 }
                 if self.is_punct(0, b';') {
                     self.bump();
@@ -814,7 +683,7 @@ impl<'a> Parser<'a> {
                 self.bump();
                 if self.is_punct(0, b':') {
                     self.bump();
-                    item.const_ty = Some(self.parse_type_text(b"=;"));
+                    self.parse_type_text(b"=;");
                 }
                 if self.is_punct(0, b'=') {
                     self.bump();
@@ -825,7 +694,6 @@ impl<'a> Parser<'a> {
                             semi: false,
                         }],
                         span: start,
-                        end_line: self.last_line(),
                     });
                 }
                 if self.is_punct(0, b';') {
@@ -838,7 +706,6 @@ impl<'a> Parser<'a> {
                 self.skip_to_semi_or_block();
             }
         }
-        item.end_line = self.last_line();
         Some(item)
     }
 
@@ -1145,7 +1012,6 @@ impl<'a> Parser<'a> {
             return Block {
                 stmts: Vec::new(),
                 span,
-                end_line: self.last_line(),
             };
         }
         self.depth += 1;
@@ -1168,11 +1034,7 @@ impl<'a> Parser<'a> {
             }
         }
         self.depth -= 1;
-        Block {
-            stmts,
-            span,
-            end_line: self.last_line(),
-        }
+        Block { stmts, span }
     }
 
     fn parse_stmt(&mut self) -> Option<Stmt> {
@@ -2270,26 +2132,29 @@ mod tests {
     }
 
     fn first_fn(file: &File) -> &Item {
-        let mut found = None;
-        file.walk_items(&mut |i| {
-            if found.is_none() && i.kind == ItemKind::Fn {
-                found = Some(i as *const Item);
-            }
-        });
-        // Safe: pointer comes from the borrow above and file outlives it.
         file.items
             .iter()
             .flat_map(|i| std::iter::once(i).chain(i.items.iter()))
             .find(|i| i.kind == ItemKind::Fn)
-            .or(None)
-            .unwrap_or_else(|| panic!("no fn parsed (found={:?})", found.is_some()))
+            .expect("no fn parsed")
+    }
+
+    /// Every expression in `item`'s body and nested items, closures
+    /// included.
+    fn walk_exprs<'a>(item: &'a Item, f: &mut dyn FnMut(&'a Expr)) {
+        if let Some(b) = &item.body {
+            crate::callgraph::walk_body(b, false, &mut |e, _| f(e));
+        }
+        for i in &item.items {
+            walk_exprs(i, f);
+        }
     }
 
     fn exprs_of(src: &str) -> Vec<String> {
         let file = parse(src);
         let mut out = Vec::new();
         for i in &file.items {
-            i.walk_exprs(&mut |e| out.push(kind_name(e)));
+            walk_exprs(i, &mut |e| out.push(kind_name(e)));
         }
         out
     }
@@ -2322,7 +2187,6 @@ mod tests {
         let f = parse("pub fn add(a: u64, b: Time) -> u64 { a + b }\n");
         let item = first_fn(&f);
         assert_eq!(item.name.as_deref(), Some("add"));
-        assert!(item.is_pub);
         assert_eq!(
             item.params,
             vec![
@@ -2434,9 +2298,8 @@ mod tests {
         let f = parse("pub type Time = u64;\npub const HOUR: Time = 3_600;\n");
         assert_eq!(f.items[0].kind, ItemKind::TypeAlias);
         assert_eq!(f.items[0].name.as_deref(), Some("Time"));
-        assert_eq!(f.items[0].alias_of.as_deref(), Some("u64"));
         assert_eq!(f.items[1].kind, ItemKind::Const);
-        assert_eq!(f.items[1].const_ty.as_deref(), Some("Time"));
+        assert_eq!(f.items[1].name.as_deref(), Some("HOUR"));
     }
 
     #[test]
@@ -2482,7 +2345,7 @@ mod tests {
             let f = parse(src);
             let mut ifs = 0usize;
             let mut opaques = 0usize;
-            f.items[0].walk_exprs(&mut |e| match e {
+            walk_exprs(&f.items[0], &mut |e| match e {
                 Expr::Control { kw, parts, .. } if kw == "if" => {
                     ifs += 1;
                     assert!(parts.len() >= 2, "if without cond+block: {src}");
@@ -2536,7 +2399,7 @@ mod tests {
         let mut saw_loop_label = None;
         let mut jump_labels = Vec::new();
         let mut opaques = 0usize;
-        f.items[0].walk_exprs(&mut |e| match e {
+        walk_exprs(&f.items[0], &mut |e| match e {
             Expr::Control { kw, label, .. } if kw == "loop" => {
                 saw_loop_label = label.clone();
             }
@@ -2591,7 +2454,7 @@ mod tests {
             f.items[0].use_path.as_deref(),
             Some("std::collections::BTreeMap")
         );
-        assert!(f.items[1].is_pub);
+        assert_eq!(f.items[1].kind, ItemKind::Use);
     }
 
     #[test]
@@ -2614,7 +2477,7 @@ mod tests {
     fn spans_point_at_defining_tokens() {
         let f = parse("fn f(t: Time) -> Time {\n    t + 1\n}\n");
         let mut cast_span = None;
-        f.items[0].walk_exprs(&mut |e| {
+        walk_exprs(&f.items[0], &mut |e| {
             if let Expr::Binary { op, span, .. } = e {
                 if op == "+" {
                     cast_span = Some(*span);
@@ -2654,12 +2517,12 @@ mod tests {
             "fn a() { log(\"msg\", 1); }\nfn b() {}\n",
         ] {
             let f = parse(src);
-            let mut fns = Vec::new();
-            f.walk_items(&mut |i| {
-                if i.kind == ItemKind::Fn {
-                    fns.push(i.name.clone().unwrap_or_default());
-                }
-            });
+            let fns: Vec<String> = f
+                .items
+                .iter()
+                .filter(|i| i.kind == ItemKind::Fn)
+                .map(|i| i.name.clone().unwrap_or_default())
+                .collect();
             assert_eq!(fns, ["a", "b"], "item list desynced for:\n{src}");
         }
     }

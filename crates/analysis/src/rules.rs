@@ -1,30 +1,15 @@
-//! The rule set.
+//! The rule registry and the one token-level rule.
 //!
-//! Every rule is a pure function over the masked token stream (see
-//! [`crate::lexer`]); rules therefore never fire inside comments or
-//! string literals by construction.  Scoping (which crates a rule
-//! polices) lives in `lint.toml`, not here — rules only know how to
-//! recognize a violation.
+//! Every rule sees the same per-file [`Ctx`]: the masked token stream
+//! (so a token rule never fires inside a comment or string literal),
+//! the parse tree, the interprocedural layer and the lock-order edges.
+//! Scoping (which crates a rule polices) lives in `lint.toml`, not here
+//! — rules only know how to recognize a violation.
 
+use crate::flowrules::LockEdge;
 use crate::lexer::{Token, TokenKind};
-
-/// A secondary source position that participates in a finding (the
-/// other lock site in `double-lock`, the ultimate blocking call in a
-/// lifted `lock-across-blocking`, the first access establishing the
-/// lockset in `shared-field-race`).  Rendered as SARIF
-/// `relatedLocations`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RelatedSite {
-    /// Repo-relative path; empty means "same file as the finding" and
-    /// is filled in by the engine before emission.
-    pub path: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based byte column.
-    pub col: u32,
-    /// Short explanation of why this site matters.
-    pub note: String,
-}
+use crate::parse::File;
+use crate::summaries::Interp;
 
 /// One rule violation at a source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,77 +20,49 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable description of the violation.
     pub message: String,
-    /// Secondary sites that make the finding a multi-site story.
-    pub related: Vec<RelatedSite>,
+}
+
+/// Everything a rule sees for one file.
+pub struct Ctx<'a> {
+    /// Workspace-relative path of the file under analysis.
+    pub rel_path: &'a str,
+    /// The file's masked token stream.
+    pub tokens: &'a [Token],
+    /// The file's parse tree.
+    pub ast: &'a File,
+    /// The call graph plus per-function effect summaries, built once
+    /// per lint run.
+    pub interp: &'a Interp<'a>,
+    /// Every nested lock acquisition in the linted files.
+    pub lock_edges: &'a [LockEdge],
 }
 
 /// A rule: its identity plus its checker.
 pub struct RuleDef {
     /// The name used in `lint.toml` sections and `allow(...)`.
     pub name: &'static str,
-    /// One-line description for `--list-rules` and docs.
-    pub summary: &'static str,
-    /// One-paragraph explanation for `--explain`.
-    pub doc: &'static str,
-    /// A minimal firing example for `--explain`.
-    pub example: &'static str,
-    /// Scans a masked token stream for violations.
-    pub check: fn(&[Token]) -> Vec<Finding>,
+    /// Scans one file (with workspace context) for violations.
+    pub check: fn(&Ctx) -> Vec<Finding>,
 }
 
-/// Every rule the analyzer knows, in reporting order.
+/// Every rule the analyzer knows, in reporting order.  DESIGN.md
+/// "Static checks" says which invariant each one guards.
 pub const RULES: &[RuleDef] = &[
     RuleDef {
-        name: "wall-clock",
-        summary: "Instant::now()/SystemTime::now() forbidden in deterministic code",
-        doc: "Scheduling decisions must be bit-deterministic: the paper's \
-              discrepancy-search results only reproduce when the same trace \
-              yields the same schedule every run.  A wall-clock read in a \
-              decision path makes runs time-dependent.  Route time through \
-              an injectable clock (service::Clock) or move the read into an \
-              allowlisted module.",
-        example: "let t = Instant::now();",
-        check: check_wall_clock,
-    },
-    RuleDef {
-        name: "unordered-map",
-        summary: "HashMap/HashSet forbidden in decision-path crates (iteration order is random)",
-        doc: "HashMap/HashSet iteration order is randomized per process, so \
-              any scheduling decision influenced by iteration order differs \
-              run to run.  Use BTreeMap/BTreeSet, or collect and sort keys \
-              before iterating.",
-        example: "use std::collections::HashMap;",
-        check: check_unordered_map,
-    },
-    RuleDef {
-        name: "panic-in-daemon",
-        summary: "unwrap/expect/panic!/bare indexing forbidden in long-running daemon code",
-        doc: "The fleet daemon is long-running; a panic trades an error \
-              message for a dead scheduler.  Return typed errors, use \
-              unwrap_or_else/match, and replace bare indexing with .get(..) \
-              so a bad input logs and the scheduler keeps running.",
-        example: "let job = queue[0]; job.id.unwrap();",
-        check: check_panic,
-    },
-    RuleDef {
         name: "float-ordering",
-        summary: "partial_cmp on float keys must be total_cmp (NaN breaks tie-breaking)",
-        doc: "partial_cmp on search/decision keys mis-orders (or panics via \
-              unwrap) on NaN, breaking the exact tie-breaking semantics the \
-              discrepancy search depends on.  Use f64::total_cmp or a \
-              hand-written total Ord.",
-        example: "jobs.sort_by(|a, b| a.slowdown.partial_cmp(&b.slowdown).unwrap());",
         check: check_float_ordering,
     },
     RuleDef {
-        name: "forbid-unsafe",
-        summary: "no unsafe blocks without an explicit justified allow",
-        doc: "The workspace compiles with #![forbid(unsafe_code)] per crate; \
-              any unsafe block needs a justified inline allow explaining why \
-              the invariant holds, so reviewers can audit every escape \
-              hatch.",
-        example: "let v = unsafe { *ptr };",
-        check: check_unsafe,
+        name: "lock-ordering",
+        check: crate::semrules::check_lock_ordering,
+    },
+    RuleDef {
+        name: "lock-across-blocking",
+        check: crate::flowrules::check_lock_across_blocking,
+    },
+    RuleDef {
+        name: "double-lock",
+        check: crate::flowrules::check_double_lock,
     },
 ];
 
@@ -114,143 +71,23 @@ pub fn rule_by_name(name: &str) -> Option<&'static RuleDef> {
     RULES.iter().find(|r| r.name == name)
 }
 
-fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
-    match tokens.get(i) {
-        Some(t) if t.kind == TokenKind::Ident => Some(&t.text),
-        _ => None,
-    }
-}
-
 fn punct_at(tokens: &[Token], i: usize, b: u8) -> bool {
     matches!(tokens.get(i), Some(t) if t.kind == TokenKind::Punct(b))
 }
 
-/// `Instant::now` / `SystemTime::now` as a token sequence.
-fn check_wall_clock(tokens: &[Token]) -> Vec<Finding> {
+/// `.partial_cmp(` — float keys must use a total order.  A token rule
+/// because a clippy `disallowed-methods` ban on `PartialOrd::partial_cmp`
+/// also fires inside every `#[derive(PartialOrd)]`.
+fn check_float_ordering(ctx: &Ctx) -> Vec<Finding> {
+    let tokens = ctx.tokens;
     let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        let Some(ty) = ident_at(tokens, i) else {
-            continue;
-        };
-        if ty != "Instant" && ty != "SystemTime" {
-            continue;
-        }
-        if punct_at(tokens, i + 1, b':')
-            && punct_at(tokens, i + 2, b':')
-            && ident_at(tokens, i + 3) == Some("now")
-        {
-            out.push(Finding {
-                related: Vec::new(),
-                line: tokens[i].line,
-                col: tokens[i].col,
-                message: format!(
-                    "{ty}::now() reads the wall clock in deterministic code; \
-                     route time through an injectable clock (see service::Clock) \
-                     or move the read into an allowlisted module"
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Any `HashMap` / `HashSet` mention (type position, construction, or
-/// import) inside the configured decision-path crates.
-fn check_unordered_map(tokens: &[Token]) -> Vec<Finding> {
-    tokens
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident && (t.text == "HashMap" || t.text == "HashSet"))
-        .map(|t| Finding {
-            related: Vec::new(),
-            line: t.line,
-            col: t.col,
-            message: format!(
-                "{} has per-process-randomized iteration order, which leaks \
-                 nondeterminism into scheduling decisions; use BTreeMap/BTreeSet \
-                 or sort keys before iterating",
-                t.text
-            ),
-        })
-        .collect()
-}
-
-/// Keywords that can legitimately precede `[` without it being an index
-/// expression (`let [a, b] = ...`, `for [x, y] in ...`, `return [..]`).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "in", "return", "break", "continue", "match", "if", "else", "mut", "ref", "move", "as",
-    "const", "static", "type", "where", "dyn", "impl", "fn", "pub", "use", "mod", "box", "yield",
-];
-
-/// `.unwrap(` / `.expect(` / `panic!` / bare `expr[...]` indexing.
-fn check_panic(tokens: &[Token]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        match &t.kind {
-            TokenKind::Ident
-                if (t.text == "unwrap" || t.text == "expect")
-                    && i > 0
-                    && punct_at(tokens, i - 1, b'.')
-                    && punct_at(tokens, i + 1, b'(') =>
-            {
-                out.push(Finding {
-                    related: Vec::new(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        ".{}() can panic and take the daemon down; return a typed \
-                         error (or use unwrap_or_else/match) so a bad input logs \
-                         and the scheduler keeps running",
-                        t.text
-                    ),
-                });
-            }
-            TokenKind::Ident if t.text == "panic" && punct_at(tokens, i + 1, b'!') => {
-                out.push(Finding {
-                    related: Vec::new(),
-                    line: t.line,
-                    col: t.col,
-                    message: "panic!() in daemon code kills the scheduler; degrade \
-                              gracefully with an error path instead"
-                        .to_string(),
-                });
-            }
-            TokenKind::Punct(b'[') if i > 0 => {
-                let prev = &tokens[i - 1];
-                let is_index_base = match &prev.kind {
-                    TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-                    TokenKind::Punct(b')') | TokenKind::Punct(b']') => true,
-                    _ => false,
-                };
-                if is_index_base {
-                    out.push(Finding {
-                        related: Vec::new(),
-                        line: t.line,
-                        col: t.col,
-                        message: "bare indexing/slicing panics when out of bounds; use \
-                                  .get(..) and handle the None"
-                            .to_string(),
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// `.partial_cmp(` — float keys must use a total order.
-fn check_float_ordering(tokens: &[Token]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for i in 1..tokens.len() {
-        let t = &tokens[i];
+    for (i, t) in tokens.iter().enumerate().skip(1) {
         if t.kind == TokenKind::Ident
             && t.text == "partial_cmp"
             && punct_at(tokens, i - 1, b'.')
             && punct_at(tokens, i + 1, b'(')
         {
             out.push(Finding {
-                related: Vec::new(),
                 line: t.line,
                 col: t.col,
                 message: "partial_cmp on search/decision keys mis-orders or panics on \
@@ -263,93 +100,20 @@ fn check_float_ordering(tokens: &[Token]) -> Vec<Finding> {
     out
 }
 
-/// The `unsafe` keyword anywhere.
-fn check_unsafe(tokens: &[Token]) -> Vec<Finding> {
-    tokens
-        .iter()
-        .filter(|t| t.kind == TokenKind::Ident && t.text == "unsafe")
-        .map(|t| Finding {
-            related: Vec::new(),
-            line: t.line,
-            col: t.col,
-            message: "unsafe code needs an explicit justified allow (and prefer \
-                      #![forbid(unsafe_code)] crates)"
-                .to_string(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::lexer::{mask, tokenize};
+    use crate::engine::lint_source;
+    use crate::LintConfig;
 
-    fn findings(rule: &str, src: &str) -> Vec<Finding> {
-        let def = rule_by_name(rule).expect("known rule");
-        (def.check)(&tokenize(&mask(src).text))
-    }
-
-    #[test]
-    fn wall_clock_fires_on_both_clocks_and_spaced_paths() {
-        assert_eq!(findings("wall-clock", "let t = Instant::now();").len(), 1);
-        assert_eq!(
-            findings("wall-clock", "let t = std::time::SystemTime::now();").len(),
-            1
-        );
-        assert_eq!(findings("wall-clock", "Instant :: now()").len(), 1);
-        assert!(findings("wall-clock", "let now = compute_now();").is_empty());
-        assert!(findings("wall-clock", "instant.elapsed()").is_empty());
-    }
-
-    #[test]
-    fn unordered_map_fires_on_types_and_imports() {
-        assert_eq!(
-            findings("unordered-map", "use std::collections::HashMap;").len(),
-            1
-        );
-        assert_eq!(
-            findings("unordered-map", "let s: HashSet<u32> = HashSet::new();").len(),
-            2
-        );
-        assert!(findings("unordered-map", "let m = BTreeMap::new();").is_empty());
-    }
-
-    #[test]
-    fn panic_rule_catches_the_four_forms() {
-        assert_eq!(findings("panic-in-daemon", "x.unwrap()").len(), 1);
-        assert_eq!(findings("panic-in-daemon", "x.expect(\"msg\")").len(), 1);
-        assert_eq!(findings("panic-in-daemon", "panic!(\"boom\")").len(), 1);
-        assert_eq!(findings("panic-in-daemon", "let y = xs[0];").len(), 1);
-        assert_eq!(findings("panic-in-daemon", "let y = &xs[1..n];").len(), 1);
-        assert_eq!(findings("panic-in-daemon", "f(a)[0]").len(), 1);
-    }
-
-    #[test]
-    fn panic_rule_skips_non_panicking_lookalikes() {
-        assert!(findings("panic-in-daemon", "x.unwrap_or(0)").is_empty());
-        assert!(findings("panic-in-daemon", "x.unwrap_or_else(|| 0)").is_empty());
-        assert!(findings("panic-in-daemon", "xs.get(0)").is_empty());
-        assert!(findings("panic-in-daemon", "#[derive(Debug)] struct X;").is_empty());
-        assert!(findings("panic-in-daemon", "#![forbid(unsafe_code)]").is_empty());
-        assert!(findings("panic-in-daemon", "let v = vec![1, 2];").is_empty());
-        assert!(findings("panic-in-daemon", "let [a, b] = pair;").is_empty());
-        assert!(findings("panic-in-daemon", "fn f(x: [u8; 4]) -> [u8; 4] { x }").is_empty());
-        assert!(findings("panic-in-daemon", "let x: &[u8] = &buf;").is_empty());
-        assert!(findings("panic-in-daemon", "let v: Vec<[u8; 2]> = Vec::new();").is_empty());
+    fn findings(src: &str) -> usize {
+        lint_source("x/src/lib.rs", src, &LintConfig::default()).len()
     }
 
     #[test]
     fn float_ordering_fires_on_partial_cmp_calls_only() {
-        assert_eq!(findings("float-ordering", "a.partial_cmp(&b)").len(), 1);
-        assert!(findings("float-ordering", "a.total_cmp(&b)").is_empty());
-        assert!(findings("float-ordering", "fn partial_cmp() {}").is_empty());
-        assert!(findings("float-ordering", "use std::cmp::PartialOrd;").is_empty());
-    }
-
-    #[test]
-    fn unsafe_rule_fires_on_the_keyword() {
-        assert_eq!(findings("forbid-unsafe", "unsafe { *p }").len(), 1);
-        assert!(findings("forbid-unsafe", "let unsafety = 1;").is_empty());
-        assert!(findings("forbid-unsafe", "// unsafe in a comment").is_empty());
+        assert_eq!(findings("fn f() { a.partial_cmp(&b); }"), 1);
+        assert_eq!(findings("fn f() { a.total_cmp(&b); }"), 0);
+        assert_eq!(findings("fn partial_cmp() {}"), 0);
+        assert_eq!(findings("use std::cmp::PartialOrd;"), 0);
     }
 }

@@ -1,468 +1,32 @@
-//! The semantic (parse-tree) rule set.
+//! `lock-ordering`: nested acquisitions that invert an order observed
+//! elsewhere in the workspace.
 //!
-//! These five rules run over the [`crate::parse`] tree with the
-//! [`crate::workspace::Workspace`] index in hand, so they can reason
-//! about *expressions* — which cast feeds which operand, which
-//! statement drops which call's result — where the token-stream rules
-//! of [`crate::rules`] cannot.
-//!
-//! Type knowledge comes from a deliberately conservative inference
-//! ([`infer`]): parameter annotations, explicitly-typed `let`s,
-//! unambiguous workspace function returns, unambiguous struct field
-//! types, constants, cast targets and literal suffixes.  Anything the
-//! inference cannot prove has an *unknown* type, and every rule treats
-//! unknown as "stay silent" — ambiguity degrades to false negatives,
-//! never noise.
+//! If one function locks A then B and another locks B then A, two
+//! threads can deadlock.  [`crate::flowrules::lock_edges`] collects
+//! every nested acquisition the workspace makes, from the same guard
+//! liveness and call summaries the other lock rules use; this rule flags
+//! an edge whose reverse also exists, at the inner acquisition of each
+//! side.  The fleet relies on it for the leaf `Edge` lock: no code path
+//! may take a shard lock while holding it.  Lock identity is the
+//! receiver's field/path key; unresolvable receivers never match.
 
-use crate::parse::{Block, Expr, File, Item, ItemKind, Stmt};
-use crate::rules::Finding;
-use crate::workspace::{normalize_ty, Workspace};
-use std::collections::BTreeMap;
+use crate::rules::{Ctx, Finding};
 
-/// Everything a semantic rule sees for one file.
-pub struct SemCtx<'a> {
-    /// Workspace-relative path of the file under analysis.
-    pub rel_path: &'a str,
-    /// The file's parse tree.
-    pub ast: &'a File,
-    /// The cross-crate index.
-    pub ws: &'a Workspace,
-}
-
-/// A semantic rule: its identity plus its checker.
-pub struct SemRuleDef {
-    /// The name used in `lint.toml` sections and `allow(...)`.
-    pub name: &'static str,
-    /// One-line description for `--list-rules` and docs.
-    pub summary: &'static str,
-    /// A paragraph for `--explain`: what the rule models and why.
-    pub doc: &'static str,
-    /// A minimal firing example for `--explain`.
-    pub example: &'static str,
-    /// Scans one file (with workspace context) for violations.
-    pub check: fn(&SemCtx) -> Vec<Finding>,
-}
-
-/// Every semantic rule, in reporting order.
-pub const SEM_RULES: &[SemRuleDef] = &[
-    SemRuleDef {
-        name: "cast-truncation",
-        summary:
-            "lossy `as` casts on scheduling quantities; use try_into/From or a justified allow",
-        doc: "An `as` cast that narrows, drops a sign, or floors a float silently corrupts \
-              scheduling quantities (queue depths, weights, timestamps). The rule resolves \
-              binding and alias types through the workspace index and flags only casts it \
-              can prove lossy; unknown source types stay silent. Use `try_into()`, a wider \
-              target, or a justified allow for intentional truncation.",
-        example: "let slots: u16 = total_nodes as u16; // u64 → u16 narrows",
-        check: check_cast_truncation,
-    },
-    SemRuleDef {
-        name: "unchecked-time-arith",
-        summary: "+/-/* on Time-typed expressions can wrap silently; use checked_*/saturating_*",
-        doc: "Raw `+`/`-`/`*` on simulation-time values wraps on overflow and panics in \
-              debug, corrupting event ordering. The rule tracks Time-typed expressions \
-              through lets, fields, and function returns via the workspace index; \
-              `checked_*`/`saturating_*` calls and const-only arithmetic are exempt.",
-        example: "let deadline = now + job.runtime; // Time + Time, unchecked",
-        check: check_time_arith,
-    },
-    SemRuleDef {
-        name: "lock-ordering",
-        summary:
-            "nested lock acquisitions that invert an order observed elsewhere (deadlock precursor)",
-        doc: "If one function locks A then B and another locks B then A, two threads can \
-              deadlock. The rule collects every nested acquisition order across the whole \
-              workspace and flags pairs observed in both directions, pointing at the later \
-              occurrence. Lock identity is the receiver's field/path key; unresolvable \
-              receivers never match.",
-        example: "fn a(&self) { let j = self.jobs.lock(); let s = self.stats.lock(); }\n\
-                  fn b(&self) { let s = self.stats.lock(); let j = self.jobs.lock(); }",
-        check: check_lock_ordering,
-    },
-    SemRuleDef {
-        name: "result-dropped",
-        summary: "let _ = / bare-semicolon discards a Result from a workspace function",
-        doc: "Discarding a `Result` from a workspace function with `let _ =` or a bare \
-              semicolon swallows scheduler errors (failed submissions, I/O) that the \
-              caller was supposed to handle. Return types come from the workspace index, \
-              so only calls the analysis can prove Result-returning fire; `?`, `match`, \
-              and any use of the value silence it.",
-        example: "self.submit(job); // submit() -> Result<..>, discarded",
-        check: check_result_dropped,
-    },
-    SemRuleDef {
-        name: "pub-dead-item",
-        summary: "pub item referenced by no other file in the workspace",
-        doc: "A `pub` item no other workspace file mentions is either dead API surface or \
-              a missing integration — both worth a look in a growing codebase. Mentions \
-              are tracked across all files (tests and reference corpora count as usage); \
-              `main`, trait-impl methods, and private items are exempt.",
-        example: "pub fn unused_helper() {} // nothing else names it",
-        check: check_pub_dead,
-    },
-];
-
-/// Looks a semantic rule up by name.
-pub fn sem_rule_by_name(name: &str) -> Option<&'static SemRuleDef> {
-    SEM_RULES.iter().find(|r| r.name == name)
-}
-
-// ----- type inference ------------------------------------------------
-
-/// Integer width/signedness; `usize`/`isize` are treated as 64-bit (the
-/// workspace only targets 64-bit hosts; see DESIGN.md).
-fn int_info(ty: &str) -> Option<(u32, bool)> {
-    Some(match ty {
-        "u8" => (8, false),
-        "u16" => (16, false),
-        "u32" => (32, false),
-        "u64" | "usize" => (64, false),
-        "u128" => (128, false),
-        "i8" => (8, true),
-        "i16" => (16, true),
-        "i32" => (32, true),
-        "i64" | "isize" => (64, true),
-        "i128" => (128, true),
-        _ => return None,
-    })
-}
-
-fn is_float(ty: &str) -> bool {
-    ty == "f32" || ty == "f64"
-}
-
-/// A lexical scope: name → nominal type text.
-type Env = BTreeMap<String, String>;
-
-/// Methods whose result has the same nominal type as their receiver.
-const TYPE_PRESERVING_METHODS: &[&str] = &[
-    "min",
-    "max",
-    "clamp",
-    "abs",
-    "pow",
-    "saturating_add",
-    "saturating_sub",
-    "saturating_mul",
-    "wrapping_add",
-    "wrapping_sub",
-    "wrapping_mul",
-    "clone",
-    "to_owned",
-];
-
-/// Infers the nominal type of `e`, or `None` when unprovable.  Nominal
-/// means alias names are preserved: `t + 1` where `t: Time` infers
-/// `Time`, not `u64` — the time rule keys on exactly that.
-fn infer(e: &Expr, env: &Env, ws: &Workspace) -> Option<String> {
-    match e {
-        Expr::Lit { text, .. } => literal_suffix(text),
-        Expr::Path { segs, .. } => {
-            if segs.len() == 1 {
-                if let Some(t) = env.get(&segs[0]) {
-                    return Some(t.clone());
-                }
-            }
-            ws.const_type(segs.last()?).map(str::to_string)
-        }
-        Expr::Field { name, .. } => ws.field_type(name).map(str::to_string),
-        Expr::Call { callee, .. } => {
-            let Expr::Path { segs, .. } = callee.as_ref() else {
-                return None;
-            };
-            // Only bare-name calls consult the workspace fn table: a
-            // qualified path (`Instant::now()`) may name a foreign item
-            // that merely shares its last segment with a workspace fn.
-            if segs.len() != 1 {
-                return None;
-            }
-            ws.fn_ret(&segs[0]).map(str::to_string)
-        }
-        Expr::MethodCall { recv, name, .. } => {
-            if TYPE_PRESERVING_METHODS.contains(&name.as_str()) {
-                infer(recv, env, ws)
-            } else if name == "len" || name == "count" {
-                Some("usize".to_string())
-            } else {
-                None
-            }
-        }
-        Expr::Cast { ty, .. } => Some(normalize_ty(ty)),
-        Expr::Unary {
-            op: '-' | '!' | '&',
-            expr,
-            ..
-        } => infer(expr, env, ws),
-        Expr::Binary { op, lhs, rhs, .. } => match op.as_str() {
-            "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^" | "<<" | ">>" => {
-                infer(lhs, env, ws).or_else(|| infer(rhs, env, ws))
-            }
-            "==" | "!=" | "<" | ">" | "<=" | ">=" | "&&" | "||" => Some("bool".to_string()),
-            _ => None,
-        },
-        Expr::Group { items, .. } if items.len() == 1 => infer(&items[0], env, ws),
-        Expr::StructLit { path, .. } => Some(normalize_ty(path)),
-        _ => None,
-    }
-}
-
-/// Type suffix of a numeric literal (`300u32` → `u32`, `1.5` → `f64`).
-fn literal_suffix(text: &str) -> Option<String> {
-    for s in [
-        "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-        "f32", "f64",
-    ] {
-        if text.ends_with(s) {
-            return Some(s.to_string());
-        }
-    }
-    // An unsuffixed literal with a decimal point or exponent is f64 by
-    // default; unsuffixed integers stay unknown (their type is whatever
-    // the context demands, which is exactly what we cannot prove).
-    if text.contains('.') {
-        return Some("f64".to_string());
-    }
-    None
-}
-
-/// Walks every expression in a function body, threading the lexical
-/// environment (params + typed/inferred lets, with block scoping).
-fn walk_fn_exprs(item: &Item, ws: &Workspace, f: &mut dyn FnMut(&Expr, &Env)) {
-    if item.kind == ItemKind::Fn {
-        if let Some(body) = &item.body {
-            let mut env = Env::new();
-            for (name, ty) in &item.params {
-                if !name.is_empty() {
-                    env.insert(name.clone(), normalize_ty(ty));
-                }
-            }
-            walk_block(body, &env, ws, f);
-        }
-    }
-    for child in &item.items {
-        walk_fn_exprs(child, ws, f);
-    }
-}
-
-fn walk_block(block: &Block, outer: &Env, ws: &Workspace, f: &mut dyn FnMut(&Expr, &Env)) {
-    let mut env = outer.clone();
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { name, ty, init, .. } => {
-                if let Some(init) = init {
-                    walk_expr(init, &env, ws, f);
-                }
-                if let Some(n) = name {
-                    let t = ty
-                        .as_deref()
-                        .map(normalize_ty)
-                        .or_else(|| init.as_ref().and_then(|i| infer(i, &env, ws)));
-                    match t {
-                        Some(t) => env.insert(n.clone(), t),
-                        None => env.remove(n), // shadowed by an unknown
-                    };
-                }
-            }
-            Stmt::Expr { expr, .. } => walk_expr(expr, &env, ws, f),
-            Stmt::Item(item) => walk_fn_exprs(item, ws, f),
-        }
-    }
-}
-
-/// Visits `e` and its children with `env`, recursing into nested blocks
-/// with proper scoping.
-fn walk_expr(e: &Expr, env: &Env, ws: &Workspace, f: &mut dyn FnMut(&Expr, &Env)) {
-    f(e, env);
-    match e {
-        Expr::Call { callee, args, .. } => {
-            walk_expr(callee, env, ws, f);
-            for a in args {
-                walk_expr(a, env, ws, f);
-            }
-        }
-        Expr::MethodCall { recv, args, .. } => {
-            walk_expr(recv, env, ws, f);
-            for a in args {
-                walk_expr(a, env, ws, f);
-            }
-        }
-        Expr::Field { base, .. } => walk_expr(base, env, ws, f),
-        Expr::Index { base, index, .. } => {
-            walk_expr(base, env, ws, f);
-            walk_expr(index, env, ws, f);
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::Try { expr, .. } => {
-            walk_expr(expr, env, ws, f)
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, env, ws, f);
-            walk_expr(rhs, env, ws, f);
-        }
-        Expr::Block(b) => walk_block(b, env, ws, f),
-        Expr::Control { parts, .. } => {
-            for p in parts {
-                walk_expr(p, env, ws, f);
-            }
-        }
-        Expr::Closure { body, .. } => walk_expr(body, env, ws, f),
-        Expr::Group { items, .. } => {
-            for i in items {
-                walk_expr(i, env, ws, f);
-            }
-        }
-        Expr::StructLit { fields, .. } => {
-            for (_, v) in fields {
-                walk_expr(v, env, ws, f);
-            }
-        }
-        Expr::Jump { value, .. } => {
-            if let Some(v) = value {
-                walk_expr(v, env, ws, f);
-            }
-        }
-        Expr::Path { .. } | Expr::Lit { .. } | Expr::Macro { .. } | Expr::Opaque { .. } => {}
-    }
-}
-
-// ----- rule: cast-truncation -----------------------------------------
-
-/// Is `src as dst` lossy?  Integer narrowing or sign changes, and any
-/// float precision loss, are; widening (and int→float, the conventional
-/// metrics path) are not.
-fn cast_is_lossy(src: &str, dst: &str) -> bool {
-    match (int_info(src), int_info(dst)) {
-        (Some((sb, ss)), Some((db, ds))) => {
-            let widening_ok = sb < db && (ss == ds || (!ss && ds));
-            let identity = sb == db && ss == ds;
-            !(widening_ok || identity)
-        }
-        _ => {
-            if is_float(src) && int_info(dst).is_some() {
-                return true; // float → int truncates
-            }
-            if src == "f64" && dst == "f32" {
-                return true;
-            }
-            false // int → float, f32 → f64, or unknown
-        }
-    }
-}
-
-fn check_cast_truncation(ctx: &SemCtx) -> Vec<Finding> {
+/// Flags each nested acquisition in this file whose reverse order is
+/// observed anywhere in the workspace.
+pub(crate) fn check_lock_ordering(ctx: &Ctx) -> Vec<Finding> {
     let mut out = Vec::new();
-    for item in &ctx.ast.items {
-        walk_fn_exprs(item, ctx.ws, &mut |e, env| {
-            let Expr::Cast { expr, ty, span } = e else {
-                return;
-            };
-            let dst_nominal = normalize_ty(ty);
-            let dst = ctx.ws.resolve_alias(&dst_nominal).to_string();
-            let Some(src_nominal) = infer(expr, env, ctx.ws) else {
-                return;
-            };
-            let src = ctx.ws.resolve_alias(&src_nominal).to_string();
-            if cast_is_lossy(&src, &dst) {
-                out.push(Finding {
-                    related: Vec::new(),
-                    line: span.line,
-                    col: span.col,
-                    message: format!(
-                        "`as {dst_nominal}` on a {src_nominal} value silently {}; \
-                         use try_into() (handle the Err) or From, or add a \
-                         justified allow if the range is proven",
-                        if is_float(&src) && !is_float(&dst) {
-                            "truncates the fraction and saturates"
-                        } else {
-                            "truncates or wraps out-of-range values"
-                        }
-                    ),
-                });
-            }
-        });
-    }
-    out
-}
-
-// ----- rule: unchecked-time-arith ------------------------------------
-
-/// Alias names the time rule keys on: any workspace alias whose name is
-/// (or ends with) `Time` and resolves to an integer.
-fn is_time_type(ty: &str, ws: &Workspace) -> bool {
-    (ty == "Time" || ty == "SimTime" || ty.ends_with("Time"))
-        && int_info(ws.resolve_alias(ty)).is_some()
-}
-
-/// A compile-time-evaluable operand (literal or named constant): pairs
-/// of these are excluded — `2 * HOUR` cannot overflow at runtime any
-/// more than it does in the source.
-fn is_constish(e: &Expr, ws: &Workspace) -> bool {
-    match e {
-        Expr::Lit { .. } => true,
-        Expr::Path { segs, .. } => segs.last().is_some_and(|s| ws.is_const(s)),
-        Expr::Unary { op: '-', expr, .. } => is_constish(expr, ws),
-        Expr::Binary { lhs, rhs, .. } => is_constish(lhs, ws) && is_constish(rhs, ws),
-        Expr::Group { items, .. } => items.iter().all(|i| is_constish(i, ws)),
-        Expr::Cast { expr, .. } => is_constish(expr, ws),
-        _ => false,
-    }
-}
-
-fn check_time_arith(ctx: &SemCtx) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for item in &ctx.ast.items {
-        walk_fn_exprs(item, ctx.ws, &mut |e, env| {
-            let Expr::Binary { op, lhs, rhs, span } = e else {
-                return;
-            };
-            if !matches!(op.as_str(), "+" | "-" | "*" | "+=" | "-=" | "*=") {
-                return;
-            }
-            if is_constish(lhs, ctx.ws) && is_constish(rhs, ctx.ws) {
-                return;
-            }
-            let time_side = [lhs, rhs]
-                .into_iter()
-                .filter_map(|s| infer(s, env, ctx.ws))
-                .find(|t| is_time_type(t, ctx.ws));
-            let Some(ty) = time_side else { return };
-            let method = match op.as_str() {
-                "+" | "+=" => "checked_add/saturating_add",
-                "-" | "-=" => "checked_sub/saturating_sub",
-                _ => "checked_mul/saturating_mul",
-            };
-            out.push(Finding {
-                related: Vec::new(),
-                line: span.line,
-                col: span.col,
-                message: format!(
-                    "`{op}` on {ty} values wraps silently on overflow in release \
-                     builds, corrupting the simulated clock; use {method} (or a \
-                     justified allow if bounds are proven)"
-                ),
-            });
-        });
-    }
-    out
-}
-
-// ----- rule: lock-ordering -------------------------------------------
-
-fn check_lock_ordering(ctx: &SemCtx) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for e in &ctx.ws.lock_edges {
-        if e.file != ctx.rel_path {
+    for e in ctx.lock_edges {
+        if e.file != ctx.rel_path || e.outer == e.inner {
             continue;
         }
         // This nested acquisition inverts an order observed elsewhere?
         let inverted = ctx
-            .ws
             .lock_edges
             .iter()
             .find(|o| o.outer == e.inner && o.inner == e.outer);
         if let Some(other) = inverted {
             out.push(Finding {
-                related: Vec::new(),
                 line: e.line,
                 col: e.col,
                 message: format!(
@@ -477,285 +41,40 @@ fn check_lock_ordering(ctx: &SemCtx) -> Vec<Finding> {
     out
 }
 
-// ----- rule: result-dropped ------------------------------------------
-
-/// The name through which a call would resolve in the workspace index:
-/// the method name, or a path callee's last segment.
-fn called_name(e: &Expr) -> Option<&str> {
-    match e {
-        Expr::Call { callee, .. } => match callee.as_ref() {
-            Expr::Path { segs, .. } => segs.last().map(String::as_str),
-            _ => None,
-        },
-        Expr::MethodCall { name, .. } => Some(name),
-        _ => None,
-    }
-}
-
-fn check_result_dropped(ctx: &SemCtx) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for item in &ctx.ast.items {
-        check_result_dropped_item(item, ctx, &mut out);
-    }
-    out
-}
-
-fn check_result_dropped_item(item: &Item, ctx: &SemCtx, out: &mut Vec<Finding>) {
-    if item.kind == ItemKind::Fn {
-        if let Some(body) = &item.body {
-            check_result_dropped_block(body, ctx, out);
-        }
-    }
-    for child in &item.items {
-        check_result_dropped_item(child, ctx, out);
-    }
-}
-
-fn check_result_dropped_block(block: &Block, ctx: &SemCtx, out: &mut Vec<Finding>) {
-    for stmt in &block.stmts {
-        let (dropped, how) = match stmt {
-            Stmt::Let {
-                underscore: true,
-                init: Some(init),
-                ..
-            } => (Some(init), "`let _ =`"),
-            Stmt::Expr { expr, semi: true } => (Some(expr), "a bare `;`"),
-            _ => (None, ""),
-        };
-        if let Some(e) = dropped {
-            if let Some(name) = called_name(e) {
-                if ctx.ws.result_fns.contains(name) {
-                    let span = e.span();
-                    out.push(Finding {
-                        related: Vec::new(),
-                        line: span.line,
-                        col: span.col,
-                        message: format!(
-                            "{how} discards the Result of `{name}`; match on it, \
-                             propagate with `?`, or log the Err (add a justified \
-                             allow only for proven best-effort paths)"
-                        ),
-                    });
-                }
-            }
-        }
-        // Recurse into nested blocks (if/match/loop bodies, closures).
-        match stmt {
-            Stmt::Let {
-                init: Some(init), ..
-            } => recurse_blocks(init, ctx, out),
-            Stmt::Expr { expr, .. } => recurse_blocks(expr, ctx, out),
-            Stmt::Item(item) => check_result_dropped_item(item, ctx, out),
-            Stmt::Let { .. } => {}
-        }
-    }
-}
-
-fn recurse_blocks(e: &Expr, ctx: &SemCtx, out: &mut Vec<Finding>) {
-    e.walk(&mut |x| {
-        if let Expr::Block(b) = x {
-            check_result_dropped_block(b, ctx, out);
-        }
-    });
-}
-
-// ----- rule: pub-dead-item -------------------------------------------
-
-fn check_pub_dead(ctx: &SemCtx) -> Vec<Finding> {
-    if !ctx.ws.cross_file {
-        return Vec::new(); // needs the whole workspace to mean anything
-    }
-    let mut out = Vec::new();
-    for item in &ctx.ws.pub_items {
-        if item.file != ctx.rel_path || ctx.ws.is_referenced_outside(item) {
-            continue;
-        }
-        out.push(Finding {
-            related: Vec::new(),
-            line: item.line,
-            col: item.col,
-            message: format!(
-                "pub {} `{}` is referenced by no other file in the workspace; \
-                 drop it, narrow it to pub(crate), or add a justified allow if \
-                 it is deliberate API surface",
-                kind_word(item.kind),
-                item.name
-            ),
-        });
-    }
-    out
-}
-
-fn kind_word(kind: ItemKind) -> &'static str {
-    match kind {
-        ItemKind::Fn => "fn",
-        ItemKind::Struct => "struct",
-        ItemKind::Enum => "enum",
-        ItemKind::Trait => "trait",
-        ItemKind::TypeAlias => "type alias",
-        ItemKind::Const => "const",
-        _ => "item",
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::lexer::{mask, tokenize};
-    use crate::parse::parse_file;
-    use crate::workspace::ParsedFile;
+    use crate::engine::{lint_sources, SourceFile};
+    use crate::LintConfig;
 
-    /// Builds a workspace from (path, src) pairs and runs `rule` on the
-    /// first file, returning (line, message) pairs.
-    fn run(rule: &str, files: &[(&str, &str)]) -> Vec<(u32, String)> {
-        let parsed: Vec<ParsedFile> = files
+    /// Lints (path, src) pairs as one workspace and returns the
+    /// lock-ordering findings in the first file as (line, message).
+    fn run(files: &[(&str, &str)]) -> Vec<(u32, String)> {
+        let sources: Vec<SourceFile> = files
             .iter()
-            .map(|(rel, src)| {
-                let tokens = tokenize(&mask(src).text);
-                let ast = parse_file(&tokens);
-                ParsedFile {
-                    rel: rel.to_string(),
-                    tokens,
-                    ast,
-                }
+            .map(|(rel, src)| SourceFile {
+                rel: rel.to_string(),
+                source: src.to_string(),
             })
             .collect();
-        let ws = Workspace::build(&parsed, files.len() > 1);
-        let def = sem_rule_by_name(rule).expect("known rule");
-        (def.check)(&SemCtx {
-            rel_path: &parsed[0].rel,
-            ast: &parsed[0].ast,
-            ws: &ws,
-        })
-        .into_iter()
-        .map(|f| (f.line, f.message))
-        .collect()
-    }
-
-    const TIME_DEF: &str = "pub type Time = u64;\npub const HOUR: Time = 3600;\n";
-
-    #[test]
-    fn cast_truncation_fires_on_narrowing_and_sign_change() {
-        let hits = run(
-            "cast-truncation",
-            &[(
-                "a.rs",
-                "fn f(t: u64, s: i64, x: u32) {\n\
-                 let a = t as u32;\n\
-                 let b = s as u64;\n\
-                 let c = x as u16;\n\
-                 let d = x as i32;\n\
-                 }\n",
-            )],
-        );
-        let lines: Vec<u32> = hits.iter().map(|h| h.0).collect();
-        assert_eq!(lines, vec![2, 3, 4, 5], "{hits:?}");
-    }
-
-    #[test]
-    fn cast_truncation_stays_silent_on_widening_and_int_to_float() {
-        let hits = run(
-            "cast-truncation",
-            &[(
-                "a.rs",
-                "fn f(t: u32, y: f32, n: usize) {\n\
-                 let a = t as u64;\n\
-                 let b = t as i64;\n\
-                 let c = t as f64;\n\
-                 let d = y as f64;\n\
-                 let e = n as u64;\n\
-                 }\n",
-            )],
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn cast_truncation_fires_on_float_to_int_and_resolves_aliases() {
-        let src = format!(
-            "{TIME_DEF}fn f(h: f64, t: Time) {{\n let a = h as u64;\n let b = t as u32;\n let c = t as Time;\n }}\n"
-        );
-        let hits = run("cast-truncation", &[("a.rs", &src)]);
-        let lines: Vec<u32> = hits.iter().map(|h| h.0).collect();
-        assert_eq!(lines, vec![4, 5], "{hits:?}");
-    }
-
-    #[test]
-    fn cast_truncation_silent_on_unknown_source_types() {
-        let hits = run(
-            "cast-truncation",
-            &[("a.rs", "fn f(x: Mystery) { let a = x.weird() as u8; }\n")],
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn time_arith_fires_on_plus_minus_star_and_compounds() {
-        let src = format!(
-            "{TIME_DEF}fn f(t: Time, u: Time, mut acc: Time) -> Time {{\n\
-             let a = t + u;\n\
-             let b = t - u;\n\
-             acc += u;\n\
-             let c = t * 2;\n\
-             t / u;\n\
-             a\n}}\n"
-        );
-        let hits = run("unchecked-time-arith", &[("a.rs", &src)]);
-        let lines: Vec<u32> = hits.iter().map(|h| h.0).collect();
-        assert_eq!(lines, vec![4, 5, 6, 7], "{hits:?}");
-    }
-
-    #[test]
-    fn time_arith_silent_on_const_pairs_and_checked_calls() {
-        let src = format!(
-            "{TIME_DEF}fn f(t: Time, u: Time) -> Time {{\n\
-             let week = 7 * HOUR;\n\
-             let a = t.saturating_add(u);\n\
-             let b = t.checked_sub(u);\n\
-             a\n}}\n"
-        );
-        let hits = run("unchecked-time-arith", &[("a.rs", &src)]);
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn time_arith_tracks_inferred_lets_and_fn_returns() {
-        let src = format!(
-            "{TIME_DEF}pub fn now() -> Time {{ 0 }}\n\
-             fn f() {{\n\
-             let t = now();\n\
-             let u = t + 1;\n\
-             }}\n"
-        );
-        let hits = run("unchecked-time-arith", &[("a.rs", &src)]);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].0, 6);
-    }
-
-    #[test]
-    fn time_arith_ignores_plain_integers() {
-        let hits = run(
-            "unchecked-time-arith",
-            &[("a.rs", "fn f(a: u64, b: u64) -> u64 { a + b }\n")],
-        );
-        assert!(hits.is_empty(), "{hits:?}");
+        lint_sources(&sources, &LintConfig::default())
+            .into_iter()
+            .filter(|d| d.path == files[0].0 && d.rule == "lock-ordering")
+            .map(|d| (d.line, d.message))
+            .collect()
     }
 
     #[test]
     fn lock_ordering_flags_inversions_across_files() {
-        let hits = run(
-            "lock-ordering",
-            &[
-                (
-                    "svc/a.rs",
-                    "fn f(a: M, b: M) {\n let g = a.lock();\n let h = b.lock();\n}\n",
-                ),
-                (
-                    "svc/b.rs",
-                    "fn g(a: M, b: M) {\n let h = b.lock();\n let g = a.lock();\n}\n",
-                ),
-            ],
-        );
+        let hits = run(&[
+            (
+                "svc/a.rs",
+                "fn f(a: M, b: M) {\n let g = a.lock();\n let h = b.lock();\n}\n",
+            ),
+            (
+                "svc/b.rs",
+                "fn g(a: M, b: M) {\n let h = b.lock();\n let g = a.lock();\n}\n",
+            ),
+        ]);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].0, 3);
         assert!(hits[0].1.contains("svc/b.rs:3"), "{}", hits[0].1);
@@ -763,105 +82,16 @@ mod tests {
 
     #[test]
     fn lock_ordering_silent_on_consistent_order() {
-        let hits = run(
-            "lock-ordering",
-            &[
-                (
-                    "svc/a.rs",
-                    "fn f(a: M, b: M) {\n let g = a.lock();\n let h = b.lock();\n}\n",
-                ),
-                (
-                    "svc/b.rs",
-                    "fn g(a: M, b: M) {\n let g = a.lock();\n let h = b.lock();\n}\n",
-                ),
-            ],
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn result_dropped_fires_on_let_underscore_and_bare_semi() {
-        let hits = run(
-            "result-dropped",
-            &[(
-                "a.rs",
-                "pub fn save() -> Result<(), String> { Ok(()) }\n\
-                 fn f() {\n\
-                 let _ = save();\n\
-                 save();\n\
-                 let r = save();\n\
-                 }\n",
-            )],
-        );
-        let lines: Vec<u32> = hits.iter().map(|h| h.0).collect();
-        assert_eq!(lines, vec![3, 4], "{hits:?}");
-    }
-
-    #[test]
-    fn result_dropped_silent_on_non_result_and_handled_calls() {
-        let hits = run(
-            "result-dropped",
-            &[(
-                "a.rs",
-                "pub fn ping() {}\n\
-                 pub fn save() -> Result<(), String> { Ok(()) }\n\
-                 fn f() -> Result<(), String> {\n\
-                 ping();\n\
-                 save()?;\n\
-                 if save().is_err() { ping(); }\n\
-                 Ok(())\n}\n",
-            )],
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn result_dropped_sees_method_calls_in_nested_blocks() {
-        let hits = run(
-            "result-dropped",
-            &[(
-                "a.rs",
-                "impl S { pub fn save_snapshot(&self) -> Result<(), E> { Ok(()) } }\n\
-                 fn f(s: S, cond: bool) {\n\
-                 if cond {\n\
-                 let _ = s.save_snapshot();\n\
-                 }\n}\n",
-            )],
-        );
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].0, 4);
-    }
-
-    #[test]
-    fn pub_dead_item_fires_only_cross_file() {
-        let files = [
+        let hits = run(&[
             (
-                "a.rs",
-                "pub fn orphan() {}\npub fn used() {}\npub const UNSEEN: u32 = 1;\n",
+                "svc/a.rs",
+                "fn f(a: M, b: M) {\n let g = a.lock();\n let h = b.lock();\n}\n",
             ),
-            ("b.rs", "fn f() { used(); }\n"),
-        ];
-        let hits = run("pub-dead-item", &files);
-        let lines: Vec<u32> = hits.iter().map(|h| h.0).collect();
-        assert_eq!(lines, vec![1, 3], "{hits:?}");
-        // Single-file mode: the rule disables itself.
-        let hits = run("pub-dead-item", &files[..1]);
-        assert!(hits.is_empty(), "{hits:?}");
-    }
-
-    #[test]
-    fn pub_dead_item_skips_main_methods_and_private_items() {
-        let hits = run(
-            "pub-dead-item",
-            &[
-                (
-                    "a.rs",
-                    "pub fn main() {}\nfn private_orphan() {}\n\
-                     impl S { pub fn method_orphan(&self) {} }\n",
-                ),
-                ("b.rs", "fn f() {}\n"),
-            ],
-        );
+            (
+                "svc/b.rs",
+                "fn g(a: M, b: M) {\n let g = a.lock();\n let h = b.lock();\n}\n",
+            ),
+        ]);
         assert!(hits.is_empty(), "{hits:?}");
     }
 }

@@ -1,18 +1,16 @@
 //! Per-function effect summaries, propagated bottom-up over the call
 //! graph's SCC condensation.
 //!
-//! A summary records what calling a function *does* that the flow rules
-//! care about: can it block, which locks does it acquire (and leave to
-//! the caller via a returned guard), does it return attacker-controlled
-//! data, does it cap what it returns, which atomics does it touch.
+//! A summary records what calling a function *does* that the lock rules
+//! care about: can it block, and which locks does it acquire (and leave
+//! to the caller via a returned guard).
 //! [`Interp::build`] extracts direct facts from each body, then runs a
 //! fixed-point over every SCC in callees-first order, so by the time a
 //! caller is summarized its callees are final.
 //!
 //! Propagation crosses only *non-closure* call edges: a closure may run
 //! on another thread or never, so its effects are not the spawning
-//! function's effects (the `--changed` expansion still follows those
-//! edges — see [`crate::changed`]).
+//! function's effects.
 //!
 //! Recursive SCCs iterate to a fixed point with a per-SCC round budget
 //! (mirroring the dataflow engine's budget): `2·|SCC| + 4` rounds,
@@ -24,11 +22,10 @@
 use crate::callgraph::{walk_body, CallGraph};
 use crate::cfg::walk_flat;
 use crate::config::LintConfig;
-use crate::flowrules::{calls_source, is_capped, knob, DEFAULT_BLOCKING, DEFAULT_TAINT_SOURCES};
+use crate::flowrules::DEFAULT_BLOCKING;
 use crate::parse::{Block, Expr, Stmt};
-use crate::rules::Finding;
-use crate::workspace::{acquisition_of, receiver_key, ParsedFile, Workspace};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::workspace::{acquisition_of, ParsedFile, Workspace};
+use std::collections::BTreeMap;
 
 /// A concrete source position justifying a summary fact — the ultimate
 /// blocking call, the `.lock()` site — carried through propagation so a
@@ -57,68 +54,35 @@ pub struct FnSummary {
     /// The function returns a live lock guard; the payload is the lock
     /// key (`"?"` when the guard's lock is unresolvable).
     pub returns_guard: Option<String>,
-    /// The function's return value derives from a taint source.
-    pub taint_return: bool,
-    /// The function caps its return value (`.min(..)`/`.clamp(..)`),
-    /// so callers may treat the result as sanitized.
-    pub sanitizes: bool,
-    /// Atomic fields the function operates on directly (receiver keys
-    /// of `load`/`store`/`fetch_*` calls).
-    pub atomics: BTreeSet<String>,
 }
 
-/// The interprocedural analysis state shared by every flow rule: the
-/// call graph, one [`FnSummary`] per node, and the precomputed
-/// `shared-field-race` findings (grouped by primary-site file).
+/// The interprocedural analysis state shared by the lock rules: the
+/// call graph, one [`FnSummary`] per node, and the blocking-call list
+/// the summaries were built from.
 pub struct Interp<'a> {
     /// The resolved call graph.
     pub cg: CallGraph<'a>,
     /// `summaries[i]` describes `cg.fns[i]`.
     pub summaries: Vec<FnSummary>,
-    /// `shared-field-race` findings keyed by the firing site's file.
-    shared_race: BTreeMap<String, Vec<Finding>>,
+    /// Call names that block (`lint.toml`'s `blocking_calls`, else
+    /// [`DEFAULT_BLOCKING`]).
+    pub blocking: Vec<String>,
 }
 
-/// Method names that perform an atomic operation (when called with an
-/// `Ordering` argument; the summary records them unconditionally —
-/// receiver keys disambiguate well enough for a per-fn inventory).
-const ATOMIC_METHODS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-];
-
 impl<'a> Interp<'a> {
-    /// Builds the call graph, computes summaries bottom-up, and runs the
-    /// workspace-level `shared-field-race` analysis.  Knob lists come
-    /// from the relevant rules' `lint.toml` sections.
-    pub fn build(files: &'a [ParsedFile], ws: &Workspace, cfg: &LintConfig) -> Interp<'a> {
-        let blocking = knob(
-            &cfg.rule("lock-across-blocking"),
-            "blocking_calls",
-            DEFAULT_BLOCKING,
-        );
-        let sources = knob(
-            &cfg.rule("tainted-alloc"),
-            "taint_sources",
-            DEFAULT_TAINT_SOURCES,
-        );
-        let cg = CallGraph::build(files, ws);
+    /// Builds the workspace index and the call graph, and computes
+    /// summaries bottom-up.
+    pub fn build(files: &'a [ParsedFile], cfg: &LintConfig) -> Interp<'a> {
+        let blocking: Vec<String> = cfg
+            .blocking_calls
+            .clone()
+            .unwrap_or_else(|| DEFAULT_BLOCKING.iter().map(|s| (*s).to_string()).collect());
+        let cg = CallGraph::build(files, &Workspace::build(files));
         let n = cg.fns.len();
 
         // Direct (intraprocedural) facts, one pass per body.
         let mut summaries: Vec<FnSummary> = Vec::with_capacity(n);
-        // Resolved callees appearing in return-position expressions, for
-        // taint-return propagation.
-        let mut ret_calls: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, node) in cg.fns.iter().enumerate() {
+        for node in &cg.fns {
             let mut s = FnSummary::default();
             let Some(body) = &node.item.body else {
                 summaries.push(s);
@@ -128,40 +92,23 @@ impl<'a> Interp<'a> {
                 if in_closure {
                     return;
                 }
-                match e {
-                    Expr::MethodCall {
-                        recv, name, span, ..
-                    } => {
-                        if s.may_block.is_none() && blocking.iter().any(|b| b == name) {
-                            s.may_block = Some(Witness {
-                                file: node.file.to_string(),
-                                line: span.line,
-                                col: span.col,
-                                what: format!("`{name}()`"),
-                            });
-                        }
-                        if ATOMIC_METHODS.contains(&name.as_str()) {
-                            let key = receiver_key(recv);
-                            if key != "?" {
-                                s.atomics.insert(key);
-                            }
-                        }
+                let called = match e {
+                    Expr::MethodCall { name, span, .. } => Some((name, span)),
+                    Expr::Call { callee, span, .. } => match callee.as_ref() {
+                        Expr::Path { segs, .. } => segs.last().map(|last| (last, span)),
+                        _ => None,
+                    },
+                    _ => None,
+                };
+                if let Some((name, span)) = called {
+                    if s.may_block.is_none() && blocking.contains(name) {
+                        s.may_block = Some(Witness {
+                            file: node.file.to_string(),
+                            line: span.line,
+                            col: span.col,
+                            what: format!("`{name}()`"),
+                        });
                     }
-                    Expr::Call { callee, span, .. } => {
-                        if let Expr::Path { segs, .. } = callee.as_ref() {
-                            if let Some(last) = segs.last() {
-                                if s.may_block.is_none() && blocking.iter().any(|b| b == last) {
-                                    s.may_block = Some(Witness {
-                                        file: node.file.to_string(),
-                                        line: span.line,
-                                        col: span.col,
-                                        what: format!("`{last}()`"),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
                 }
                 if let Some(a) = acquisition_of(e) {
                     if a.key != "?" {
@@ -175,37 +122,21 @@ impl<'a> Interp<'a> {
                 }
             });
 
-            if node.item.ret.is_some() {
-                let rets = return_exprs(body);
-                s.sanitizes = rets.iter().any(|e| is_capped(e));
-                s.taint_return = !s.sanitizes && rets.iter().any(|e| calls_source(e, &sources));
-                for re in &rets {
+            if node
+                .item
+                .ret
+                .as_deref()
+                .is_some_and(|r| r.contains("Guard"))
+            {
+                let mut key = None;
+                for re in return_exprs(body) {
                     walk_flat(re, &mut |x| {
-                        let span = match x {
-                            Expr::Call { span, .. } | Expr::MethodCall { span, .. } => span,
-                            _ => return,
-                        };
-                        if let Some(c) = cg.callee_at(node.file, span.line, span.col) {
-                            ret_calls[i].push(c);
+                        if key.is_none() {
+                            key = acquisition_of(x).map(|a| a.key);
                         }
                     });
                 }
-                if node
-                    .item
-                    .ret
-                    .as_deref()
-                    .is_some_and(|r| r.contains("Guard"))
-                {
-                    let mut key = None;
-                    for re in &rets {
-                        walk_flat(re, &mut |x| {
-                            if key.is_none() {
-                                key = acquisition_of(x).map(|a| a.key);
-                            }
-                        });
-                    }
-                    s.returns_guard = Some(key.unwrap_or_else(|| "?".to_string()));
-                }
+                s.returns_guard = Some(key.unwrap_or_else(|| "?".to_string()));
             }
             summaries.push(s);
         }
@@ -238,9 +169,6 @@ impl<'a> Interp<'a> {
                             }
                         }
                     }
-                    let new_taint = !summaries[v].taint_return
-                        && !summaries[v].sanitizes
-                        && ret_calls[v].iter().any(|&c| summaries[c].taint_return);
                     let sv = &mut summaries[v];
                     if sv.may_block.is_none() && new_block.is_some() {
                         sv.may_block = new_block;
@@ -248,10 +176,6 @@ impl<'a> Interp<'a> {
                     }
                     for (k, w) in new_acq {
                         sv.acquires.insert(k, w);
-                        changed = true;
-                    }
-                    if new_taint {
-                        sv.taint_return = true;
                         changed = true;
                     }
                 }
@@ -271,13 +195,11 @@ impl<'a> Interp<'a> {
             }
         }
 
-        let mut interp = Interp {
+        Interp {
             cg,
             summaries,
-            shared_race: BTreeMap::new(),
-        };
-        interp.shared_race = crate::sharedstate::analyze(&interp, files, ws, cfg);
-        interp
+            blocking,
+        }
     }
 
     /// The summary of the callee resolved at a call site, if any.
@@ -293,48 +215,6 @@ impl<'a> Interp<'a> {
             Some(o) => format!("{o}::{}", f.name),
             None => f.name.to_string(),
         }
-    }
-
-    /// Function names safe to treat as extra taint sources: every
-    /// function of that name (free or method — call sites match by
-    /// name) has a taint-carrying return.  A name collision with one
-    /// clean homonym disqualifies the name; ambiguity → silence.
-    pub fn taint_return_names(&self) -> Vec<String> {
-        let mut by_name: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-        for (i, f) in self.cg.fns.iter().enumerate() {
-            let e = by_name.entry(f.name).or_default();
-            e.0 += 1;
-            if self.summaries[i].taint_return {
-                e.1 += 1;
-            }
-        }
-        by_name
-            .into_iter()
-            .filter(|(_, (total, tainted))| total == tainted && *tainted > 0)
-            .map(|(n, _)| n.to_string())
-            .collect()
-    }
-
-    /// True when `e` contains a resolved call (in `file`) to a function
-    /// whose summary says it caps its return value.
-    pub fn call_sanitizes(&self, file: &str, e: &Expr) -> bool {
-        let mut hit = false;
-        walk_flat(e, &mut |x| {
-            let span = match x {
-                Expr::Call { span, .. } | Expr::MethodCall { span, .. } => span,
-                _ => return,
-            };
-            if let Some((_, s)) = self.callee_summary(file, span.line, span.col) {
-                hit |= s.sanitizes;
-            }
-        });
-        hit
-    }
-
-    /// The precomputed `shared-field-race` findings whose firing site
-    /// is in `file`.
-    pub fn shared_race_in(&self, file: &str) -> &[Finding] {
-        self.shared_race.get(file).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -377,8 +257,8 @@ mod tests {
         }
     }
 
-    fn build<'a>(files: &'a [ParsedFile], ws: &Workspace) -> Interp<'a> {
-        Interp::build(files, ws, &LintConfig::default())
+    fn build(files: &[ParsedFile]) -> Interp<'_> {
+        Interp::build(files, &LintConfig::default())
     }
 
     fn s<'a, 'b>(interp: &'b Interp<'a>, name: &str) -> &'b FnSummary {
@@ -396,8 +276,7 @@ mod tests {
              fn mid() { deep(&rx()); }\n\
              fn top() { mid(); }\n",
         )];
-        let ws = Workspace::build(&files, false);
-        let interp = build(&files, &ws);
+        let interp = build(&files);
         let w = s(&interp, "top").may_block.as_ref().expect("top may block");
         assert_eq!((w.line, w.what.as_str()), (1, "`recv()`"));
         assert_eq!(w.file, "a.rs");
@@ -410,31 +289,25 @@ mod tests {
             "fn blocker(rx: &R) { rx.recv(); }\n\
              fn spawns() { go(move || { blocker(&r()); }); }\n",
         )];
-        let ws = Workspace::build(&files, false);
-        let interp = build(&files, &ws);
+        let interp = build(&files);
         assert!(s(&interp, "spawns").may_block.is_none());
     }
 
     #[test]
-    fn acquisitions_and_atomics_are_recorded() {
+    fn acquisitions_are_recorded_and_flow_to_callers() {
         let files = [pf(
             "a.rs",
             "struct T;\n\
              impl T {\n\
              fn tick(&self) {\n\
              let g = self.jobs.lock().unwrap();\n\
-             self.count.fetch_add(1, Ordering::Relaxed);\n\
              }\n\
              fn outer(&self) { self.tick(); }\n\
              }\n",
         )];
-        let ws = Workspace::build(&files, false);
-        let interp = build(&files, &ws);
+        let interp = build(&files);
         assert!(s(&interp, "tick").acquires.contains_key("jobs"));
-        assert!(s(&interp, "tick").atomics.contains("count"));
-        // Acquisitions flow to callers; direct-only atomics do not.
         assert!(s(&interp, "outer").acquires.contains_key("jobs"));
-        assert!(s(&interp, "outer").atomics.is_empty());
     }
 
     #[test]
@@ -447,32 +320,11 @@ mod tests {
              fn plain(&self) -> u32 { 0 }\n\
              }\n",
         )];
-        let ws = Workspace::build(&files, false);
-        let interp = build(&files, &ws);
+        let interp = build(&files);
         assert_eq!(s(&interp, "state").returns_guard.as_deref(), Some("state"));
         // No acquisition in return position, but a unique acquire pins it.
         assert_eq!(s(&interp, "opaque").returns_guard.as_deref(), Some("state"));
         assert!(s(&interp, "plain").returns_guard.is_none());
-    }
-
-    #[test]
-    fn taint_and_sanitize_summaries_and_name_filter() {
-        let files = [pf(
-            "a.rs",
-            "fn raw(buf: &[u8]) -> usize { parse_request(buf).count }\n\
-             fn wrapped(buf: &[u8]) -> usize { raw(buf) }\n\
-             fn capped(buf: &[u8]) -> usize { raw(buf).min(64) }\n",
-        )];
-        let ws = Workspace::build(&files, false);
-        let interp = build(&files, &ws);
-        assert!(s(&interp, "raw").taint_return);
-        assert!(s(&interp, "wrapped").taint_return, "propagates via return");
-        assert!(s(&interp, "capped").sanitizes);
-        assert!(!s(&interp, "capped").taint_return);
-        let names = interp.taint_return_names();
-        assert!(names.contains(&"raw".to_string()), "{names:?}");
-        assert!(names.contains(&"wrapped".to_string()), "{names:?}");
-        assert!(!names.contains(&"capped".to_string()), "{names:?}");
     }
 
     #[test]
@@ -482,8 +334,7 @@ mod tests {
             "fn a(n: u32) { if n > 0 { b(n - 1); } }\n\
              fn b(n: u32) { sink.recv(); a(n); }\n",
         )];
-        let ws = Workspace::build(&files, false);
-        let interp = build(&files, &ws);
+        let interp = build(&files);
         assert!(s(&interp, "a").may_block.is_some(), "a blocks via b");
         assert!(s(&interp, "b").may_block.is_some());
     }

@@ -1,22 +1,19 @@
 //! The workspace model: a cross-crate index built from every parsed
-//! file *before* the semantic rules run.
+//! file *before* the rules run.
 //!
-//! The semantic rules of [`crate::semrules`] need answers a single file
-//! cannot give: is `Time` an integer alias (defined in `sbs-workload`,
-//! used everywhere)?  does `save_snapshot` return `Result` (defined in
-//! one crate, dropped in another)?  is this `pub` item referenced by any
-//! other file?  in what order does the rest of the workspace acquire
-//! these two locks?  This module walks all parsed files once and builds
-//! those indexes.
+//! The call graph needs answers a single file cannot give: what type
+//! does `load_state()` return, what type is the field `shards`?  This
+//! module walks all parsed files once and builds those indexes, and
+//! names the lock an acquisition takes ([`acquisition_of`]).
 //!
 //! Everything here is deliberately *conservative*: a name is only
 //! indexed when its meaning is unambiguous across the workspace (one
-//! return type, one field type).  Rules treat "not in the index" as
+//! return type, one field type).  Consumers treat "not in the index" as
 //! "unknown — stay silent", so ambiguity degrades to false negatives,
 //! never false positives.
 
-use crate::lexer::{Token, TokenKind};
-use crate::parse::{Expr, File, Item, ItemKind, Stmt};
+use crate::lexer::Token;
+use crate::parse::{Expr, File, Item, ItemKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One file's parse products, as handed to [`Workspace::build`].
@@ -29,78 +26,27 @@ pub struct ParsedFile {
     pub ast: File,
 }
 
-/// A `pub` item eligible for dead-item analysis.
-#[derive(Debug, Clone)]
-pub struct PubItem {
-    /// Defining file.
-    pub file: String,
-    /// Item name.
-    pub name: String,
-    /// Item kind.
-    pub kind: ItemKind,
-    /// Definition line.
-    pub line: u32,
-    /// Definition column.
-    pub col: u32,
-}
-
-/// One observed nested lock acquisition: while `outer` was held,
-/// `inner` was taken at `file:line:col`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockEdge {
-    /// The lock already held.
-    pub outer: String,
-    /// The lock acquired while holding it.
-    pub inner: String,
-    /// File of the inner acquisition.
-    pub file: String,
-    /// Line of the inner acquisition.
-    pub line: u32,
-    /// Column of the inner acquisition.
-    pub col: u32,
-}
-
 /// The cross-crate index.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Type aliases: name → target type text (e.g. `Time` → `u64`).
-    pub aliases: BTreeMap<String, String>,
     /// Function name → return type, only when every workspace function
     /// of that name agrees (`()` for no return type).
     fn_returns: BTreeMap<String, Option<String>>,
-    /// Function names whose every workspace definition returns `Result`.
-    pub result_fns: BTreeSet<String>,
     /// Struct field name → type, only when unambiguous workspace-wide.
     field_types: BTreeMap<String, Option<String>>,
     /// Struct name → its field list, only when exactly one struct of
     /// that name exists workspace-wide (`None` marks a name clash).
     struct_fields: BTreeMap<String, Option<Vec<crate::parse::FieldDef>>>,
-    /// `const`/`static` name → declared type (unambiguous only).
-    const_types: BTreeMap<String, Option<String>>,
-    /// `pub` items eligible for dead-item analysis.
-    pub pub_items: Vec<PubItem>,
-    /// For each pub-item name: file → mention count in that file's
-    /// token stream (reference files included).
-    pub mention_files: BTreeMap<String, BTreeMap<String, u32>>,
-    /// Every nested lock acquisition observed anywhere.
-    pub lock_edges: Vec<LockEdge>,
-    /// True when built from the whole workspace (multiple files); the
-    /// cross-file rules (`pub-dead-item`) disable themselves otherwise.
-    pub cross_file: bool,
 }
 
 impl Workspace {
-    /// Builds the index from parsed files.  `cross_file` should be true
-    /// only for genuine multi-file (workspace) runs.
-    pub fn build(files: &[ParsedFile], cross_file: bool) -> Workspace {
-        let mut ws = Workspace {
-            cross_file,
-            ..Workspace::default()
-        };
+    /// Builds the index from parsed files.
+    pub fn build(files: &[ParsedFile]) -> Workspace {
+        let mut ws = Workspace::default();
         let mut ret_sets: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for pf in files {
             for item in &pf.ast.items {
-                ws.index_item(pf, item, true, &mut ret_sets);
+                ws.index_item(item, &mut ret_sets);
             }
         }
         // Collapse ambiguity: a name means something only if every
@@ -113,40 +59,11 @@ impl Workspace {
             } else {
                 ws.fn_returns.insert(name.clone(), None);
             }
-            if !rets.is_empty() && rets.iter().all(|r| r.starts_with("Result")) {
-                ws.result_fns.insert(name.clone());
-            }
-        }
-        // Mention scan over the indexed files themselves.
-        let names: BTreeSet<&str> = ws.pub_items.iter().map(|p| p.name.as_str()).collect();
-        for pf in files {
-            scan_mentions(&names, &pf.rel, &pf.tokens, &mut ws.mention_files);
-        }
-        // Lock-acquisition edges.
-        for pf in files {
-            for item in &pf.ast.items {
-                collect_lock_edges(&pf.rel, item, &mut ws.lock_edges);
-            }
         }
         ws
     }
 
-    /// Adds a reference-only file (tests, examples, benches) to the
-    /// mention index so items used only from tests are not "dead".
-    pub fn add_reference_tokens(&mut self, rel: &str, tokens: &[Token]) {
-        let names: BTreeSet<&str> = self.pub_items.iter().map(|p| p.name.as_str()).collect();
-        let mut mentions = std::mem::take(&mut self.mention_files);
-        scan_mentions(&names, rel, tokens, &mut mentions);
-        self.mention_files = mentions;
-    }
-
-    fn index_item(
-        &mut self,
-        pf: &ParsedFile,
-        item: &Item,
-        top_level: bool,
-        ret_sets: &mut BTreeMap<String, BTreeSet<String>>,
-    ) {
+    fn index_item(&mut self, item: &Item, ret_sets: &mut BTreeMap<String, BTreeSet<String>>) {
         match item.kind {
             ItemKind::Fn => {
                 if let Some(name) = &item.name {
@@ -182,58 +99,10 @@ impl Workspace {
                     }
                 }
             }
-            ItemKind::TypeAlias => {
-                if let (Some(name), Some(target)) = (&item.name, &item.alias_of) {
-                    self.aliases.insert(name.clone(), normalize_ty(target));
-                }
-            }
-            ItemKind::Const => {
-                if let (Some(name), Some(ty)) = (&item.name, &item.const_ty) {
-                    let ty = normalize_ty(ty);
-                    match self.const_types.get(name) {
-                        None => {
-                            self.const_types.insert(name.clone(), Some(ty));
-                        }
-                        Some(Some(prev)) if *prev != ty => {
-                            self.const_types.insert(name.clone(), None);
-                        }
-                        _ => {}
-                    }
-                }
-            }
             _ => {}
         }
-        // Dead-item candidates: pub items at module level.  Impl/trait
-        // methods are excluded — they are reached through their type or
-        // trait, which the plain mention scan cannot attribute.
-        let in_container = matches!(item.kind, ItemKind::Impl | ItemKind::Trait);
-        if item.is_pub && top_level {
-            if let Some(name) = &item.name {
-                let eligible = matches!(
-                    item.kind,
-                    ItemKind::Fn
-                        | ItemKind::Struct
-                        | ItemKind::Enum
-                        | ItemKind::Trait
-                        | ItemKind::TypeAlias
-                        | ItemKind::Const
-                ) && name != "main"
-                    && !name.starts_with('_');
-                if eligible {
-                    self.pub_items.push(PubItem {
-                        file: pf.rel.clone(),
-                        name: name.clone(),
-                        kind: item.kind,
-                        line: item.span.line,
-                        col: item.span.col,
-                    });
-                }
-            }
-        }
         for child in &item.items {
-            // Items nested in mods stay "top level" for dead analysis;
-            // impl/trait members do not.
-            self.index_item(pf, child, top_level && !in_container, ret_sets);
+            self.index_item(child, ret_sets);
         }
     }
 
@@ -264,199 +133,15 @@ impl Workspace {
         }
         self.field_type(field).map(str::to_string)
     }
-
-    /// Declared type of the `const`/`static` `name`, when unambiguous.
-    pub fn const_type(&self, name: &str) -> Option<&str> {
-        self.const_types.get(name)?.as_deref()
-    }
-
-    /// True when `name` names a workspace constant.
-    pub fn is_const(&self, name: &str) -> bool {
-        self.const_types.contains_key(name)
-    }
-
-    /// Resolves a type name through the alias chain to a primitive (or
-    /// returns it unchanged).  Cycle-guarded.
-    pub fn resolve_alias<'a>(&'a self, ty: &'a str) -> &'a str {
-        let mut cur = ty;
-        for _ in 0..8 {
-            match self.aliases.get(cur) {
-                Some(next) if next != cur => cur = next,
-                _ => return cur,
-            }
-        }
-        cur
-    }
-
-    /// True when any *other* file mentions the pub item, or its own
-    /// file mentions it beyond the single definition token (a sibling
-    /// item's signature, an impl block, a local call).
-    pub fn is_referenced_outside(&self, item: &PubItem) -> bool {
-        match self.mention_files.get(&item.name) {
-            None => false,
-            Some(files) => files.iter().any(|(f, &n)| *f != item.file || n > 1),
-        }
-    }
 }
 
-/// Counts how often each of `names` appears in `tokens`.
-fn scan_mentions(
-    names: &BTreeSet<&str>,
-    rel: &str,
-    tokens: &[Token],
-    out: &mut BTreeMap<String, BTreeMap<String, u32>>,
-) {
-    for t in tokens {
-        if t.kind == TokenKind::Ident && names.contains(t.text.as_str()) {
-            *out.entry(t.text.clone())
-                .or_default()
-                .entry(rel.to_string())
-                .or_insert(0) += 1;
-        }
-    }
-}
-
-// ----- lock acquisition graph ----------------------------------------
+// ----- lock acquisitions ---------------------------------------------
 
 /// A lock acquisition found in an expression.
 pub(crate) struct Acquisition {
     pub(crate) key: String,
     pub(crate) line: u32,
     pub(crate) col: u32,
-}
-
-fn collect_lock_edges(rel: &str, item: &Item, edges: &mut Vec<LockEdge>) {
-    if item.kind == ItemKind::Fn {
-        if let Some(body) = &item.body {
-            let mut held: Vec<String> = Vec::new();
-            scan_block_for_locks(rel, body, &mut held, edges);
-        }
-    }
-    for child in &item.items {
-        collect_lock_edges(rel, child, edges);
-    }
-}
-
-/// Walks a block tracking which lock guards are live.  A `let`-bound
-/// guard stays held to the end of the block; an unbound acquisition is
-/// a statement-scoped temporary.
-fn scan_block_for_locks(
-    rel: &str,
-    block: &crate::parse::Block,
-    held: &mut Vec<String>,
-    edges: &mut Vec<LockEdge>,
-) {
-    let depth_at_entry = held.len();
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let {
-                init: Some(init), ..
-            } => {
-                let acqs = record_expr(rel, init, held, edges);
-                // The binding keeps every lock acquired in the
-                // initializer held for the rest of the block.
-                for a in acqs {
-                    held.push(a.key);
-                }
-            }
-            Stmt::Expr { expr, .. } => {
-                // Temporaries drop at the end of the statement.
-                let _acqs = record_expr(rel, expr, held, edges);
-            }
-            Stmt::Item(item) => collect_lock_edges(rel, item, edges),
-            Stmt::Let { .. } => {}
-        }
-    }
-    held.truncate(depth_at_entry);
-}
-
-/// Records edges for every acquisition in `expr` (shallow — nested
-/// blocks are scanned recursively with the current held set) and
-/// returns the acquisitions made directly by this expression.
-fn record_expr(
-    rel: &str,
-    expr: &Expr,
-    held: &mut Vec<String>,
-    edges: &mut Vec<LockEdge>,
-) -> Vec<Acquisition> {
-    let mut acqs = Vec::new();
-    visit(rel, expr, held, edges, &mut acqs);
-    return acqs;
-
-    fn visit(
-        rel: &str,
-        e: &Expr,
-        held: &mut Vec<String>,
-        edges: &mut Vec<LockEdge>,
-        acqs: &mut Vec<Acquisition>,
-    ) {
-        if let Some(a) = acquisition_of(e) {
-            for outer in held.iter() {
-                if *outer != a.key {
-                    edges.push(LockEdge {
-                        outer: outer.clone(),
-                        inner: a.key.clone(),
-                        file: rel.to_string(),
-                        line: a.line,
-                        col: a.col,
-                    });
-                }
-            }
-            acqs.push(a);
-        }
-        match e {
-            Expr::Block(b) => scan_block_for_locks(rel, b, held, edges),
-            Expr::Control { parts, .. } => {
-                for p in parts {
-                    match p {
-                        Expr::Block(b) => scan_block_for_locks(rel, b, held, edges),
-                        other => visit(rel, other, held, edges, acqs),
-                    }
-                }
-            }
-            Expr::Closure { body, .. } => visit(rel, body, held, edges, acqs),
-            Expr::Call { callee, args, .. } => {
-                visit(rel, callee, held, edges, acqs);
-                for a in args {
-                    visit(rel, a, held, edges, acqs);
-                }
-            }
-            Expr::MethodCall { recv, args, .. } => {
-                visit(rel, recv, held, edges, acqs);
-                for a in args {
-                    visit(rel, a, held, edges, acqs);
-                }
-            }
-            Expr::Field { base, .. } => visit(rel, base, held, edges, acqs),
-            Expr::Index { base, index, .. } => {
-                visit(rel, base, held, edges, acqs);
-                visit(rel, index, held, edges, acqs);
-            }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::Try { expr, .. } => {
-                visit(rel, expr, held, edges, acqs)
-            }
-            Expr::Binary { lhs, rhs, .. } => {
-                visit(rel, lhs, held, edges, acqs);
-                visit(rel, rhs, held, edges, acqs);
-            }
-            Expr::Group { items, .. } => {
-                for i in items {
-                    visit(rel, i, held, edges, acqs);
-                }
-            }
-            Expr::StructLit { fields, .. } => {
-                for (_, v) in fields {
-                    visit(rel, v, held, edges, acqs);
-                }
-            }
-            Expr::Jump { value, .. } => {
-                if let Some(v) = value {
-                    visit(rel, v, held, edges, acqs);
-                }
-            }
-            Expr::Path { .. } | Expr::Lit { .. } | Expr::Macro { .. } | Expr::Opaque { .. } => {}
-        }
-    }
 }
 
 /// Recognizes a lock acquisition and names the lock: `recv.lock()` keys
@@ -548,119 +233,28 @@ mod tests {
     }
 
     #[test]
-    fn indexes_aliases_consts_fields_and_returns() {
-        let ws = Workspace::build(
-            &[
-                pf(
-                    "a/src/time.rs",
-                    "pub type Time = u64;\npub const HOUR: Time = 3600;\n\
-                     pub fn hours(h: f64) -> Time { 0 }\n",
-                ),
-                pf(
-                    "b/src/job.rs",
-                    "pub struct Job { pub submit: Time, pub nodes: u32 }\n\
-                     pub fn load() -> Result<Job, String> { todo!() }\n",
-                ),
-            ],
-            true,
-        );
-        assert_eq!(ws.resolve_alias("Time"), "u64");
-        assert_eq!(ws.const_type("HOUR"), Some("Time"));
+    fn indexes_fields_and_returns() {
+        let ws = Workspace::build(&[
+            pf("a/src/time.rs", "pub fn hours(h: f64) -> Time { 0 }\n"),
+            pf(
+                "b/src/job.rs",
+                "pub struct Job { pub submit: Time, pub nodes: u32 }\n\
+                 pub fn load() -> Result<Job, String> { todo!() }\n",
+            ),
+        ]);
         assert_eq!(ws.fn_ret("hours"), Some("Time"));
+        assert_eq!(ws.fn_ret("load"), Some("Result<Job,String>"));
         assert_eq!(ws.field_type("submit"), Some("Time"));
-        assert!(ws.result_fns.contains("load"));
-        assert!(!ws.result_fns.contains("hours"));
+        assert_eq!(ws.field_type_on("Job", "nodes").as_deref(), Some("u32"));
     }
 
     #[test]
     fn ambiguous_names_drop_out_of_the_index() {
-        let ws = Workspace::build(
-            &[
-                pf("a.rs", "pub fn get() -> u32 { 0 }\nstruct A { x: u32 }\n"),
-                pf("b.rs", "pub fn get() -> u64 { 0 }\nstruct B { x: f64 }\n"),
-            ],
-            true,
-        );
+        let ws = Workspace::build(&[
+            pf("a.rs", "pub fn get() -> u32 { 0 }\nstruct A { x: u32 }\n"),
+            pf("b.rs", "pub fn get() -> u64 { 0 }\nstruct B { x: f64 }\n"),
+        ]);
         assert_eq!(ws.fn_ret("get"), None);
         assert_eq!(ws.field_type("x"), None);
-    }
-
-    #[test]
-    fn mentions_track_cross_file_references() {
-        let ws = Workspace::build(
-            &[
-                pf("a.rs", "pub fn used() {}\npub fn orphan() {}\n"),
-                pf("b.rs", "fn f() { used(); }\n"),
-            ],
-            true,
-        );
-        let used = ws.pub_items.iter().find(|p| p.name == "used").unwrap();
-        let orphan = ws.pub_items.iter().find(|p| p.name == "orphan").unwrap();
-        assert!(ws.is_referenced_outside(used));
-        assert!(!ws.is_referenced_outside(orphan));
-    }
-
-    #[test]
-    fn reference_files_count_as_usage() {
-        let mut ws = Workspace::build(&[pf("a.rs", "pub fn helper() {}\n")], true);
-        let toks = tokenize(&mask("fn t() { helper(); }").text);
-        ws.add_reference_tokens("tests/t.rs", &toks);
-        let item = ws.pub_items.first().unwrap();
-        assert!(ws.is_referenced_outside(item));
-    }
-
-    #[test]
-    fn nested_acquisitions_build_edges() {
-        let ws = Workspace::build(
-            &[pf(
-                "svc.rs",
-                "fn f(a: M, b: M) {\n    let g1 = a.lock();\n    let g2 = b.lock();\n}\n",
-            )],
-            true,
-        );
-        assert_eq!(ws.lock_edges.len(), 1);
-        assert_eq!(ws.lock_edges[0].outer, "a");
-        assert_eq!(ws.lock_edges[0].inner, "b");
-        assert_eq!(ws.lock_edges[0].line, 3);
-    }
-
-    #[test]
-    fn guards_expire_at_block_end() {
-        let ws = Workspace::build(
-            &[pf(
-                "svc.rs",
-                "fn f(a: M, b: M) {\n    { let g1 = a.lock(); }\n    let g2 = b.lock();\n}\n",
-            )],
-            true,
-        );
-        assert!(ws.lock_edges.is_empty(), "{:?}", ws.lock_edges);
-    }
-
-    #[test]
-    fn lock_helper_functions_key_on_their_argument() {
-        let ws = Workspace::build(
-            &[pf(
-                "svc.rs",
-                "fn f(m: M, n: M) {\n    let g = lock_daemon(&m);\n    let h = n.lock();\n}\n",
-            )],
-            true,
-        );
-        assert_eq!(ws.lock_edges.len(), 1);
-        assert_eq!(ws.lock_edges[0].outer, "m");
-        assert_eq!(ws.lock_edges[0].inner, "n");
-    }
-
-    #[test]
-    fn receiver_keys_normalize_through_self() {
-        let ws = Workspace::build(
-            &[pf(
-                "svc.rs",
-                "impl S { fn f(&self) {\n    let g = self.daemon.lock();\n    let h = self.jobs.lock();\n} }\n",
-            )],
-            true,
-        );
-        assert_eq!(ws.lock_edges.len(), 1);
-        assert_eq!(ws.lock_edges[0].outer, "daemon");
-        assert_eq!(ws.lock_edges[0].inner, "jobs");
     }
 }

@@ -1,20 +1,20 @@
 // Fixture: rule-trigger text inside strings and comments must never
 // produce diagnostics.  Expected: no diagnostics.
 
-/* A block comment mentioning Instant::now() and HashMap. */
+/* A block comment mentioning a.partial_cmp(&b) and m.lock(); m.lock(). */
 
-/* nested /* block /* comments */ with x.unwrap() inside */ stay comments */
+/* nested /* block /* comments */ with x.partial_cmp(&y) inside */ stay comments */
 
 pub fn docs() -> Vec<String> {
     vec![
         // Plain strings with trigger text and a fake line comment marker.
-        "call Instant::now() // not a comment, still in the string".to_string(),
-        "HashMap::new() and q.unwrap() and panic!(\"no\")".to_string(),
+        "call a.partial_cmp(&b) // not a comment, still in the string".to_string(),
+        "let g = m.lock(); out.flush(); m.lock()".to_string(),
         // Raw strings: hashes guard embedded quotes and trigger text.
-        r#"SystemTime::now() says "hello" unsafe { }"#.to_string(),
-        r##"outer r#"inner Instant::now()"# still raw"##.to_string(),
+        r#"x.partial_cmp(&y) says "hello" m.lock()"#.to_string(),
+        r##"outer r#"inner a.partial_cmp(&b)"# still raw"##.to_string(),
         // Byte strings and chars.
-        String::from_utf8_lossy(b"HashSet::from([1])").to_string(),
+        String::from_utf8_lossy(b"m.lock(); m.lock()").to_string(),
         // A char literal that looks like a quote opener, and lifetimes
         // that must not be mistaken for char literals.
         '"'.to_string(),

@@ -360,6 +360,10 @@ mod tests {
                 blocked += 1;
             }
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a queue longer than u32::MAX jobs cannot be held in memory"
+        )]
         let trace = BackfillTrace {
             examined: ctx.queue.len() as u32,
             started: starts.len() as u32,
@@ -378,6 +382,7 @@ mod tests {
         /// Running sets include overdue predictions; queued jobs are up
         /// to machine-wide, so many are wider than the free nodes.
         #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "test queues hold at most forty jobs")]
         fn decide_matches_the_reference_loop(
             capacity in 8u32..129,
             running_raw in proptest::collection::vec((1u32..129, 0u64..8_000), 0..12),

@@ -146,6 +146,7 @@ mod tests {
     /// `order` as it was before the packed sort: a stable sort of indices
     /// by the three-way comparator.  The reference `order` is checked
     /// against.
+    #[expect(clippy::cast_possible_truncation, reason = "test queues are small")]
     fn reference_order(order: PriorityOrder, queue: &[WaitingJob], now: Time) -> Vec<u32> {
         let mut idx: Vec<usize> = (0..queue.len()).collect();
         let keys: Vec<f64> = queue.iter().map(|w| order.value(w, now)).collect();

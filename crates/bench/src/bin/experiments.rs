@@ -80,6 +80,10 @@ fn main() {
     }
 
     for id in &ids {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the harness reports how long each experiment took; nothing reads it back"
+        )]
         let started = std::time::Instant::now();
         let Some(report) = run_experiment(id, &opts) else {
             eprintln!("unknown experiment: {id}");

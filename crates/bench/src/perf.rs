@@ -269,6 +269,10 @@ pub fn run_cell(
     let cfg = SearchConfig::with_limit(budget);
     let (outcome, elapsed_ns) = fastest_of(repeats, || {
         let mut problem = snapshot.problem(branching);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the perf matrix measures search speed in wall time by definition"
+        )]
         let t0 = Instant::now();
         let out = match algo {
             SearchAlgo::Lds => lds(&mut problem, cfg),
@@ -372,8 +376,7 @@ impl PerfReport {
                     "budget_hit": c.outcome.stats.budget_hit,
                     "deadline_hit": c.outcome.stats.deadline_hit,
                     "nodes_left_at_deadline": c.outcome.stats.nodes_left_at_deadline,
-                    // sbs-lint: allow(cast-truncation): nanoseconds of one search fit u64
-                    "elapsed_ns": c.elapsed_ns as u64,
+                    "elapsed_ns": u64::try_from(c.elapsed_ns).unwrap_or(u64::MAX),
                     "nodes_per_sec": c.nodes_per_sec(),
                     "ns_per_node": c.ns_per_node(),
                     "best_excess_s": best.map(|b| b.excess),

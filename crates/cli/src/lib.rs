@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Implementation of the `sbs` command-line tool (kept in a library so
@@ -31,7 +32,6 @@ USAGE:
   sbs incidents [opts]    list captured slow-decision incidents
   sbs top [options]       poll /statusz into a terminal dashboard
   sbs trace FILE [opts]   explore an sbs-trace/v1 JSONL decision log
-  sbs lint [FILE...]      run the workspace static-analysis pass
   sbs bench-perf          run the search hot-path perf matrix
   sbs policies            list available policy names
   sbs months              list the study months
@@ -91,22 +91,6 @@ OPTIONS (trace):
   --last N            aggregate only the final N decisions
   --since DECISION    aggregate only decisions with seq >= DECISION
 
-OPTIONS (lint):
-  --root DIR          workspace root (default: nearest parent directory
-                      containing lint.toml); FILE arguments restrict the
-                      pass to those files
-  --format F          grep (default) | json | sarif; the machine formats
-                      print the document to stdout and keep the findings
-                      verdict in the exit code
-  --update-baseline   shrink lint-baseline.toml pins to today's counts
-                      (the ratchet never adds or grows a pin)
-  --changed[=BASE]    lint .rs files that differ from the git base
-                      (default origin/main) plus transitive call-graph
-                      callers/callees of their functions; untracked
-                      files included, ratchet not applied
-  --explain RULE      print a rule's doc, firing example and
-                      suppression syntax, then exit
-
 OPTIONS (bench-perf):
   --quick             smoke mode: drop the 100K budget, 1 timing repeat
   --repeats N         timed repeats per cell, fastest wins (default 3)
@@ -156,8 +140,6 @@ pub enum Command {
     Top(TopArgs),
     /// Explore an `sbs-trace/v1` decision log offline.
     Trace(TraceArgs),
-    /// Run the static-analysis pass.
-    Lint(LintArgs),
     /// Run the search hot-path performance matrix.
     BenchPerf(BenchPerfArgs),
     /// List policy names.
@@ -279,38 +261,6 @@ pub struct TraceArgs {
     pub last: Option<usize>,
     /// Keep only decisions with `seq >= since`.
     pub since: Option<u64>,
-}
-
-/// Arguments of `sbs lint`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LintArgs {
-    /// Explicit workspace root; `None` = walk up to the nearest
-    /// `lint.toml`.
-    pub root: Option<String>,
-    /// Specific files to lint; empty = the whole workspace.
-    pub files: Vec<String>,
-    /// Lint only files that differ from this git base
-    /// (`--changed[=BASE]`; the bare flag uses `origin/main`), expanded
-    /// along the call graph.
-    pub changed: Option<String>,
-    /// Output layer.
-    pub format: LintFormat,
-    /// Rewrite `lint-baseline.toml` with today's lower counts.
-    pub update_baseline: bool,
-    /// Print one rule's documentation card and exit (`--explain RULE`).
-    pub explain: Option<String>,
-}
-
-/// Output layer of `sbs lint`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintFormat {
-    /// `file:line:col rule message` lines (the default).
-    #[default]
-    Grep,
-    /// A JSON array of finding objects.
-    Json,
-    /// SARIF 2.1.0, as consumed by code-scanning CI uploads.
-    Sarif,
 }
 
 /// Arguments of `sbs bench-perf`.
@@ -763,42 +713,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Top(parsed))
         }
-        "lint" => {
-            let mut parsed = LintArgs::default();
-            while let Some(flag) = f.next_flag() {
-                match flag {
-                    "--root" => parsed.root = Some(f.value()?),
-                    "--format" => {
-                        parsed.format = match f.value()?.as_str() {
-                            "grep" => LintFormat::Grep,
-                            "json" => LintFormat::Json,
-                            "sarif" => LintFormat::Sarif,
-                            other => {
-                                return Err(format!("unknown format {other:?} (grep|json|sarif)"))
-                            }
-                        };
-                    }
-                    "--update-baseline" => parsed.update_baseline = true,
-                    "--explain" => parsed.explain = Some(f.value()?),
-                    "--changed" => {
-                        parsed.changed = Some(sbs_analysis::changed::DEFAULT_BASE.to_string())
-                    }
-                    other if other.starts_with("--changed=") => {
-                        let base = &other["--changed=".len()..];
-                        if base.is_empty() {
-                            return Err("--changed= needs a ref (or drop the `=`)".to_string());
-                        }
-                        parsed.changed = Some(base.to_string());
-                    }
-                    other if other.starts_with('-') => return Err(f.unknown()),
-                    file => parsed.files.push(file.to_string()),
-                }
-            }
-            if parsed.changed.is_some() && !parsed.files.is_empty() {
-                return Err("--changed and explicit files are mutually exclusive".to_string());
-            }
-            Ok(Command::Lint(parsed))
-        }
         "bench-perf" => {
             let mut parsed = BenchPerfArgs::default();
             while let Some(flag) = f.next_flag() {
@@ -897,7 +811,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
         }
         Command::Top(args) => top_cmd(args),
         Command::Trace(args) => trace_cmd(args),
-        Command::Lint(args) => lint_cmd(args),
         Command::BenchPerf(args) => bench_perf_cmd(args),
     }
 }
@@ -957,119 +870,6 @@ fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
         }
     }
     Ok(out)
-}
-
-/// Runs the static-analysis pass; violations are an error (non-zero
-/// exit) whose text carries the grep-style diagnostics.
-///
-/// Whole-workspace runs apply the `lint-baseline.toml` ratchet:
-/// baselined findings are swallowed, anything beyond a pin fails, and
-/// `--update-baseline` rewrites the file with today's lower counts.
-/// With `--format json|sarif` the machine-readable document goes to
-/// stdout even when findings fail the run (CI captures the document
-/// and the exit code independently); grep stays the default.
-/// Builds the `--explain` card for one rule from the three registries.
-fn explain_card(name: &str) -> Result<String, String> {
-    let found = sbs_analysis::RULES
-        .iter()
-        .map(|r| (r.name, r.summary, r.doc, r.example))
-        .chain(
-            sbs_analysis::SEM_RULES
-                .iter()
-                .map(|r| (r.name, r.summary, r.doc, r.example)),
-        )
-        .chain(
-            sbs_analysis::FLOW_RULES
-                .iter()
-                .map(|r| (r.name, r.summary, r.doc, r.example)),
-        )
-        .find(|(n, ..)| *n == name);
-    let Some((name, summary, doc, example)) = found else {
-        return Err(format!(
-            "unknown rule {name:?}; `sbs lint --root . --explain` takes one of the names \
-             from sbs-analysis --list-rules"
-        ));
-    };
-    let mut out = format!("{name} — {summary}\n\n{doc}\n\nExample (fires):\n");
-    for line in example.lines() {
-        out.push_str("    ");
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "\nSuppress one site with a justification:\n    \
-         // sbs-lint: allow({name}): <why this site is safe>\n\
-         Scope or configure it in lint.toml under [rules.{name}].\n"
-    ));
-    Ok(out)
-}
-
-fn lint_cmd(args: LintArgs) -> Result<String, String> {
-    if let Some(name) = &args.explain {
-        return explain_card(name);
-    }
-    let root = match &args.root {
-        Some(r) => std::path::PathBuf::from(r),
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-            sbs_analysis::find_workspace_root(&cwd).ok_or_else(|| {
-                format!(
-                    "no {} found above {} (pass --root)",
-                    sbs_analysis::CONFIG_FILE,
-                    cwd.display()
-                )
-            })?
-        }
-    };
-    let diags = if let Some(base) = &args.changed {
-        // Diff-scoped mode: lint files changed against the base ref
-        // (plus untracked ones), expanded to their transitive
-        // call-graph callers/callees — a changed callee's new effects
-        // surface in callers the diff never touched.  The ratchet does
-        // not apply — a shrunken file set would read pinned counts as
-        // improvements.
-        let cfg = sbs_analysis::LintConfig::load(&root.join(sbs_analysis::CONFIG_FILE))?;
-        let files = sbs_analysis::changed_files(&root, base, &cfg)?;
-        let expanded = sbs_analysis::expand_changed(&root, &files, &cfg)?;
-        sbs_analysis::lint_files(&root, &expanded, &cfg)?
-    } else if args.files.is_empty() {
-        // Workspace mode: the committed ratchet applies.
-        let raw = sbs_analysis::run_workspace_lint(&root)?;
-        sbs_analysis::apply_workspace_ratchet(&root, &raw, args.update_baseline)?
-    } else {
-        let cfg = sbs_analysis::LintConfig::load(&root.join(sbs_analysis::CONFIG_FILE))?;
-        let files: Vec<std::path::PathBuf> =
-            args.files.iter().map(std::path::PathBuf::from).collect();
-        sbs_analysis::lint_files(&root, &files, &cfg)?
-    };
-    match args.format {
-        LintFormat::Grep => {
-            if diags.is_empty() {
-                Ok("lint clean\n".to_string())
-            } else {
-                let mut msg = format!("{} lint finding(s)\n", diags.len());
-                for d in &diags {
-                    msg.push_str(&d.to_string());
-                    msg.push('\n');
-                }
-                Err(msg)
-            }
-        }
-        LintFormat::Json | LintFormat::Sarif => {
-            let doc = match args.format {
-                LintFormat::Json => sbs_analysis::emit::to_json(&diags),
-                _ => sbs_analysis::emit::to_sarif(&diags),
-            };
-            if diags.is_empty() {
-                Ok(doc)
-            } else {
-                // The document still goes to stdout; the error text (and
-                // exit code) carries the verdict.
-                print!("{doc}");
-                Err(format!("{} lint finding(s)", diags.len()))
-            }
-        }
-    }
 }
 
 /// Sends one protocol line to a running daemon and pretty-prints the
@@ -1223,6 +1023,10 @@ fn top_cmd(args: TopArgs) -> Result<String, String> {
         // Home-then-clear so each poll repaints the same screen.
         print!("\x1b[H\x1b[2J{frame}");
         use std::io::Write as _;
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a failed flush only delays this frame; the next poll repaints the screen"
+        )]
         let _ = std::io::stdout().flush();
         polled += 1;
         if args.iterations != 0 && polled >= args.iterations {
@@ -1465,7 +1269,7 @@ mod tests {
 
     /// Every subcommand's flags that take a value: `(subcommand, flags
     /// whose value is kept as text, flags whose value is parsed)`.
-    const VALUE_FLAGS: [(&str, &str, &str); 10] = [
+    const VALUE_FLAGS: [(&str, &str, &str); 9] = [
         (
             "simulate",
             "--month --trace --policy --knowledge --trace-log",
@@ -1491,7 +1295,6 @@ mod tests {
         ("incidents", "--host --cluster", "--port"),
         ("top", "--host", "--port --interval --iterations"),
         ("trace", "--collapsed", "--last --since"),
-        ("lint", "--root --format --explain", ""),
         ("bench-perf", "--out --check", "--repeats --tolerance"),
     ];
 
@@ -1846,149 +1649,6 @@ mod tests {
     }
 
     #[test]
-    fn lint_subcommand_parses() {
-        let Command::Lint(a) = parse("lint --root /tmp/ws crates/core/src/lib.rs").expect("parse")
-        else {
-            panic!("not lint")
-        };
-        assert_eq!(a.root.as_deref(), Some("/tmp/ws"));
-        assert_eq!(a.files, ["crates/core/src/lib.rs"]);
-        assert!(parse("lint --bogus").is_err());
-    }
-
-    #[test]
-    fn lint_runs_clean_on_this_workspace() {
-        let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
-        let out = run(Command::Lint(LintArgs {
-            root: Some(root),
-            ..LintArgs::default()
-        }))
-        .expect("the workspace must lint clean");
-        assert_eq!(out, "lint clean\n");
-    }
-
-    #[test]
-    fn lint_format_flags_parse_and_emit_sarif() {
-        let Command::Lint(a) = parse("lint --format sarif --update-baseline").expect("parse")
-        else {
-            panic!("not lint")
-        };
-        assert_eq!(a.format, LintFormat::Sarif);
-        assert!(a.update_baseline);
-        assert!(parse("lint --format bogus").is_err());
-
-        // A clean workspace in sarif mode returns the (empty-results)
-        // document on stdout with a zero exit.
-        let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
-        let out = run(Command::Lint(LintArgs {
-            root: Some(root.clone()),
-            format: LintFormat::Sarif,
-            ..LintArgs::default()
-        }))
-        .expect("clean workspace");
-        assert!(out.contains("\"version\": \"2.1.0\""), "{out}");
-        assert!(out.contains("sbs-analysis"), "{out}");
-
-        let out = run(Command::Lint(LintArgs {
-            root: Some(root),
-            format: LintFormat::Json,
-            ..LintArgs::default()
-        }))
-        .expect("clean workspace");
-        assert!(out.trim() == "[]", "{out}");
-    }
-
-    #[test]
-    fn lint_changed_flag_parses_with_and_without_base() {
-        let Command::Lint(a) = parse("lint --changed").expect("parse") else {
-            panic!("not lint")
-        };
-        assert_eq!(a.changed.as_deref(), Some("origin/main"));
-        let Command::Lint(a) = parse("lint --changed=HEAD~3").expect("parse") else {
-            panic!("not lint")
-        };
-        assert_eq!(a.changed.as_deref(), Some("HEAD~3"));
-        assert!(parse("lint --changed=").is_err());
-        assert!(
-            parse("lint --changed foo.rs").is_err(),
-            "explicit files conflict with --changed"
-        );
-
-        // Against this repo's own HEAD: the diff-scoped run must accept
-        // the base and report findings only from changed files (clean
-        // when the working tree lints clean).
-        let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
-        let out = run(Command::Lint(LintArgs {
-            root: Some(root),
-            changed: Some("HEAD".to_string()),
-            ..LintArgs::default()
-        }))
-        .expect("changed-vs-HEAD must lint clean");
-        assert_eq!(out, "lint clean\n");
-    }
-
-    #[test]
-    fn lint_explain_prints_a_card_for_every_rule() {
-        let Command::Lint(a) = parse("lint --explain double-lock").expect("parse") else {
-            panic!("not lint")
-        };
-        assert_eq!(a.explain.as_deref(), Some("double-lock"));
-        assert!(parse("lint --explain").is_err(), "needs a rule name");
-
-        let all: Vec<&str> = sbs_analysis::RULES
-            .iter()
-            .map(|r| r.name)
-            .chain(sbs_analysis::SEM_RULES.iter().map(|r| r.name))
-            .chain(sbs_analysis::FLOW_RULES.iter().map(|r| r.name))
-            .collect();
-        assert_eq!(all.len(), 17, "{all:?}");
-        for name in all {
-            let out = run(Command::Lint(LintArgs {
-                explain: Some(name.to_string()),
-                ..LintArgs::default()
-            }))
-            .unwrap_or_else(|e| panic!("--explain {name}: {e}"));
-            assert!(out.starts_with(&format!("{name} — ")), "{out}");
-            assert!(out.contains("Example (fires):"), "{name}: no example");
-            assert!(
-                out.contains(&format!("// sbs-lint: allow({name}):")),
-                "{name}: no suppression syntax"
-            );
-            assert!(
-                out.contains(&format!("[rules.{name}]")),
-                "{name}: no config pointer"
-            );
-        }
-        let err = run(Command::Lint(LintArgs {
-            explain: Some("no-such-rule".to_string()),
-            ..LintArgs::default()
-        }))
-        .expect_err("unknown rule must fail");
-        assert!(err.contains("unknown rule"), "{err}");
-    }
-
-    #[test]
-    fn lint_reports_reintroduced_violations_with_positions() {
-        // Reintroduce a wall-clock read in a scratch "workspace" and
-        // check the diagnostic carries the exact file:line back.
-        let dir = std::env::temp_dir().join("sbs_cli_lint_test");
-        std::fs::create_dir_all(dir.join("crates/x/src")).expect("mkdir");
-        std::fs::write(dir.join("lint.toml"), "[scan]\nroots = [\"crates\"]\n").expect("config");
-        std::fs::write(
-            dir.join("crates/x/src/lib.rs"),
-            "pub fn t() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
-        )
-        .expect("source");
-        let err = run(Command::Lint(LintArgs {
-            root: Some(dir.to_string_lossy().to_string()),
-            ..LintArgs::default()
-        }))
-        .expect_err("violation must fail the lint");
-        assert!(err.contains("1 lint finding(s)"), "{err}");
-        assert!(err.contains("crates/x/src/lib.rs:2:16 wall-clock"), "{err}");
-    }
-
-    #[test]
     fn sim_alias_and_trace_flags_parse() {
         let Command::Simulate(a) = parse("sim --month 9/03 --trace-log out.jsonl").expect("parse")
         else {
@@ -2067,9 +1727,15 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
         assert_eq!(v["decisions"].as_u64(), Some(1), "{out}");
 
-        // sbs-lint: allow(result-dropped): proven best-effort path — temp-file cleanup
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "proven best-effort path — temp-file cleanup"
+        )]
         let _ = std::fs::remove_file(&log);
-        // sbs-lint: allow(result-dropped): proven best-effort path — temp-file cleanup
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "proven best-effort path — temp-file cleanup"
+        )]
         let _ = std::fs::remove_file(&collapsed);
     }
 

@@ -65,6 +65,10 @@ fn sigterm_stops_the_daemon_cleanly_and_leaves_a_readable_snapshot() {
         .status()
         .expect("run kill");
     assert!(killed.success());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounds how long the test waits for the daemon to exit"
+    )]
     let sent = Instant::now();
     let status = loop {
         if let Some(status) = daemon.try_wait().expect("wait") {

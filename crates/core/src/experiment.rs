@@ -220,8 +220,8 @@ pub fn run_matrix(scenarios: &[Scenario], specs: &[PolicySpec]) -> Vec<RunResult
 }
 
 /// Convenience: all ten months under `mk` against `specs`, in
-/// month-major order.
-// sbs-lint: allow(pub-dead-item): deliberate API surface — the full-paper replication entry point for downstream experiment drivers
+/// month-major order.  Deliberate API surface: the full-paper
+/// replication entry point for downstream experiment drivers.
 pub fn run_all_months(
     mk: impl Fn(Month) -> Scenario + Sync,
     specs: &[PolicySpec],
@@ -287,6 +287,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "2% of a month of jobs is a small count"
+    )]
     fn excess_and_percentiles_are_consistent() {
         let s = quick(Month::Sep03);
         let r = run(&s, &PolicySpec::LxfBackfill);

@@ -134,7 +134,10 @@ pub struct RuntimeScaledBound {
 impl Objective for RuntimeScaledBound {
     fn job_cost(&self, job: &WaitingJob, start: Time, omega: Time) -> ObjectiveCost {
         let wait = start.saturating_sub(job.job.submit);
-        // sbs-lint: allow(cast-truncation): float-to-int `as` saturates deterministically; a saturated bound is the intended "effectively unbounded" behaviour
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "float-to-int `as` saturates deterministically; a saturated bound is the intended \"effectively unbounded\" behaviour"
+        )]
         let per_job = omega.max((self.factor * job.r_star as f64) as Time);
         ObjectiveCost {
             excess: wait.saturating_sub(per_job),
@@ -156,8 +159,8 @@ impl Objective for RuntimeScaledBound {
 pub struct FairshareObjective {
     /// Ordered so that any iteration over users (serialization, debug
     /// output, future aggregate terms) is deterministic; lookups by key
-    /// never depended on order, but the determinism lint bans HashMap in
-    /// decision-path crates wholesale.
+    /// never depended on order, but `clippy.toml` bans HashMap
+    /// workspace-wide.
     weights: BTreeMap<u32, f64>,
 }
 
@@ -199,6 +202,10 @@ impl FairshareObjective {
 }
 
 impl Objective for FairshareObjective {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates deterministically; a weighted excess beyond u64 is unbounded in effect"
+    )]
     fn job_cost(&self, job: &WaitingJob, start: Time, omega: Time) -> ObjectiveCost {
         let wait = start.saturating_sub(job.job.submit);
         let raw = wait.saturating_sub(omega) as f64;

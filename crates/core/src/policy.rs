@@ -226,6 +226,10 @@ impl Policy for SearchPolicy {
             omega,
             Arc::clone(&self.objective),
         );
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "float-to-int `as` saturates deterministically; the tree share is at most node_limit"
+        )]
         let tree_budget = ((self.node_limit as f64) * (1.0 - self.local_frac))
             .round()
             .max(1.0) as u64;
@@ -267,7 +271,7 @@ impl Policy for SearchPolicy {
         if self.local_frac > 0.0 {
             if let Some((cost, path)) = outcome.best.clone() {
                 let leftover = self.node_limit.saturating_sub(stats.nodes);
-                if leftover as usize >= path.len() && !stats.exhausted {
+                if leftover >= path.len() as u64 && !stats.exhausted {
                     let climbed =
                         hill_climb(&mut problem, path, cost, SearchConfig::with_limit(leftover));
                     if let Some((_, best_path)) = climbed.best {

@@ -86,6 +86,10 @@ impl<'a> ScheduleProblem<'a> {
     ///   choice at every node);
     /// * `profile` — availability from the running set at `now`;
     /// * `omega` — the resolved target wait bound.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "list indices are at most n, which fits u32 (checked by `sentinel`)"
+    )]
     pub fn new(
         jobs: &'a [WaitingJob],
         now: Time,
@@ -315,7 +319,7 @@ mod tests {
         capacity: u32,
         omega: Time,
     ) -> ScheduleProblem<'a> {
-        let order: Vec<u32> = (0..jobs.len() as u32).collect();
+        let order: Vec<u32> = (0..).take(jobs.len()).collect();
         ScheduleProblem::new(
             jobs,
             now,
@@ -515,6 +519,7 @@ mod tests {
         /// cost bits are equal, over random queues, running sets,
         /// capacities, heuristic orders and budgets.
         #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "test queues hold at most twelve jobs")]
         fn tail_rewind_matches_per_node_undo(
             specs in proptest::collection::vec((0u64..20_000, 1u32..1_000, 1u64..30_000, 0u32..1_000), 1..13),
             running in proptest::collection::vec((1u64..40_000, 0u32..1_000), 0..8),
@@ -577,6 +582,7 @@ mod tests {
         /// the dynamic bound resolved to the longest current wait), and
         /// the cost returns exactly to zero after unwinding to the root.
         #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "test queues hold at most four jobs")]
         fn incremental_leaf_cost_matches_from_scratch(
             specs in proptest::collection::vec(
                 (0u64..7200, 1u32..5, 1u64..(4 * 3600)), 1..5,

@@ -24,9 +24,12 @@ pub struct DeadlineTimer {
 
 impl DeadlineTimer {
     /// A timer expiring `deadline` from now; `None` never expires.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the anytime deadline is real time by definition; this module is the crate's single sanctioned read site"
+    )]
     pub fn starting_now(deadline: Option<Duration>) -> Self {
         DeadlineTimer {
-            // sbs-lint: allow(wall-clock): the anytime deadline is real time by definition; this module is the crate's single sanctioned read site
             expires_at: deadline.map(|d| Instant::now() + d),
         }
     }
@@ -38,9 +41,12 @@ impl DeadlineTimer {
 
     /// True once the deadline has passed.  Costs a clock read; callers
     /// amortize it over many search nodes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the expiry check is the deadline feature itself, isolated here so search logic stays clock-free"
+    )]
     pub fn expired(&self) -> bool {
         match self.expires_at {
-            // sbs-lint: allow(wall-clock): the expiry check is the deadline feature itself, isolated here so search logic stays clock-free
             Some(at) => Instant::now() >= at,
             None => false,
         }

@@ -101,6 +101,7 @@ fn dfs_enumerates_all_binary_strings_in_order() {
 }
 
 #[test]
+#[expect(clippy::cast_possible_truncation, reason = "C(7, k) is at most 35")]
 fn lds_iterations_follow_binomial_counts() {
     for depth in 1..=7usize {
         let cfg = SearchConfig {

@@ -227,12 +227,16 @@ pub struct Fleet {
     cfg: FleetConfig,
     shards: Vec<Mutex<Shard>>,
     /// Pending node-seconds summed over every tenant (fairshare input).
+    /// Orderings: DESIGN.md, "Fleet atomics".
     total_pending: AtomicU64,
     /// Sum of live tenants' quota weights (fairshare input).
+    /// Orderings: DESIGN.md, "Fleet atomics".
     total_weight: AtomicU64,
     /// Latest scheduler time observed anywhere (steers virtual clocks).
+    /// Orderings: DESIGN.md, "Fleet atomics".
     latest_now: AtomicU64,
-    /// Live tenant count.
+    /// Live tenant count (the cluster cap).
+    /// Orderings: DESIGN.md, "Fleet atomics".
     tenant_count: AtomicU64,
     /// Correlation ids, minted once per routed request.
     corr: CorrelationSource,
@@ -285,6 +289,10 @@ impl Fleet {
         self.latest_now.load(Ordering::Acquire)
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below shards.len(), a usize"
+    )]
     fn shard_index(&self, cluster: &str) -> usize {
         // FNV-1a: deterministic across runs and processes, unlike the
         // std hasher, so a tenant always maps to the same shard.
@@ -958,7 +966,10 @@ impl ServerHandler for Fleet {
     }
 
     fn on_shutdown(&mut self) {
-        // sbs-lint: allow(result-dropped): proven best-effort path — shutdown must complete even when the final snapshot write fails
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "proven best-effort path — shutdown must complete even when the final snapshot write fails"
+        )]
         let _ = self.save_snapshots();
         self.edge().journal.flush();
     }
@@ -1315,6 +1326,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a nearest rank is at most the sample count"
+    )]
     fn statusz_scrape_agrees_with_the_exact_percentiles() {
         let mut f = Fleet::new(FleetConfig::new(8, PolicySpec::FcfsBackfill)).expect("fleet");
         // 200 samples, fed through the TCP edge's timing hook, put the
@@ -1399,6 +1414,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "exposition sample values here are small integer counts"
+    )]
     fn thousand_tenant_overflow_round_trips_through_the_parser() {
         let f = Fleet::new(FleetConfig::new(8, PolicySpec::FcfsBackfill)).expect("fleet");
         let total = 1_100usize;

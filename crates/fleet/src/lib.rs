@@ -22,6 +22,15 @@
 //! event-driven readiness loop serves one daemon or a thousand-tenant
 //! fleet unchanged.
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    reason = "one panic takes every tenant down: bad input must become an error response, never a dead scheduler"
+)]
+
 pub mod fleet;
 pub mod quota;
 

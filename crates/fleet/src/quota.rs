@@ -131,6 +131,10 @@ impl TenantQuota {
         {
             let entitlement = (u128::from(fleet.total_pending) * u128::from(self.weight))
                 / u128::from(fleet.total_weight);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "saturated at u64::MAX just above"
+            )]
             let entitled = (entitlement * u128::from(self.fair_slack_percent) / 100)
                 .min(u128::from(u64::MAX)) as u64;
             if pending.saturating_add(add) > entitled {

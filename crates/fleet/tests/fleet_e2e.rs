@@ -218,6 +218,10 @@ const TENANTS: usize = 16;
 /// through `handle_routed`, the tenants split cluster-disjoint over
 /// `threads` callers.  Returns each tenant's `queue` answer and the
 /// fleet's `/statusz` `[submitted, rejected]`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "tenant and job indices here are small"
+)]
 fn drive_concurrently(threads: usize) -> (Vec<Value>, [u64; 2]) {
     let quota = TenantQuota {
         max_queue: 2,

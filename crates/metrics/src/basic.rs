@@ -58,6 +58,10 @@ impl WaitStats {
 /// The `p`-th percentile wait (0 < p <= 100) over `records`, in seconds,
 /// using the nearest-rank definition (the paper's 98th-percentile
 /// threshold).  Returns 0 for an empty set.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the nearest rank is clamped to the sample count below"
+)]
 pub fn percentile_wait<'a>(records: impl IntoIterator<Item = &'a JobRecord>, p: f64) -> Time {
     assert!(p > 0.0 && p <= 100.0, "percentile out of range: {p}");
     let mut waits: Vec<Time> = records.into_iter().map(|r| r.wait()).collect();

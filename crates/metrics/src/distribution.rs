@@ -45,6 +45,10 @@ impl WaitDistribution {
     }
 
     /// Nearest-rank quantile, `0 < q <= 1`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the nearest rank is clamped to the sample count below"
+    )]
     pub fn quantile(&self, q: f64) -> Time {
         assert!(q > 0.0 && q <= 1.0, "quantile out of range: {q}");
         if self.sorted.is_empty() {
@@ -136,11 +140,7 @@ mod tests {
     #[test]
     fn histogram_buckets_are_exhaustive() {
         let waits: [Time; 6] = [0, 30, 5 * MINUTE, 2 * HOUR, 24 * HOUR, 100 * HOUR];
-        let rs: Vec<JobRecord> = waits
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| record(i as u32, w))
-            .collect();
+        let rs: Vec<JobRecord> = waits.iter().zip(0..).map(|(&w, i)| record(i, w)).collect();
         let hist = WaitDistribution::over(&rs).histogram();
         assert_eq!(hist.iter().sum::<usize>(), 6);
         assert_eq!(hist[0], 1); // zero
@@ -173,7 +173,7 @@ mod tests {
         #[test]
         fn cdf_quantile_duality(waits in proptest::collection::vec(0u64..1_000_000, 1..80)) {
             let rs: Vec<JobRecord> =
-                waits.iter().enumerate().map(|(i, &w)| record(i as u32, w)).collect();
+                waits.iter().zip(0..).map(|(&w, i)| record(i, w)).collect();
             let d = WaitDistribution::over(&rs);
             // Monotone CDF.
             let ts: Vec<Time> = (0..10).map(|i| i * 120_000).collect();

@@ -106,7 +106,7 @@ mod tests {
         fn identities(waits in proptest::collection::vec(0u64..500_000, 1..50),
                       t1 in 0u64..300_000, dt in 0u64..300_000) {
             let rs: Vec<JobRecord> =
-                waits.iter().enumerate().map(|(i, &w)| record(i as u32, w)).collect();
+                waits.iter().zip(0..).map(|(&w, i)| record(i, w)).collect();
             let a = ExcessStats::over(&rs, t1);
             let b = ExcessStats::over(&rs, t1 + dt);
             prop_assert!((a.total_h - a.avg_h * a.jobs_with_excess as f64).abs() < 1e-9);

@@ -70,6 +70,10 @@ pub fn utilization_sparkline(
         } else {
             0.0
         };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the level index is clamped to the table length"
+        )]
         let idx = ((frac * (LEVELS.len() - 1) as f64).round() as usize).min(LEVELS.len() - 1);
         out.push(LEVELS[idx] as char);
     }

@@ -359,7 +359,10 @@ impl EventJournal {
         m.insert("min_severity".into(), self.min_severity.as_str().into());
         let line = serde_json::to_string(&Value::Object(m)).unwrap_or_default();
         if let Some(w) = &mut self.sink {
-            // sbs-lint: allow(result-dropped): telemetry writes are best-effort by contract — a failing disk degrades the journal, never the scheduler
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "telemetry writes are best-effort by contract — a failing disk degrades the journal, never the scheduler"
+            )]
             let _ = writeln!(w, "{line}");
             self.written += line.len() as u64 + 1;
         }
@@ -380,7 +383,10 @@ impl EventJournal {
             let include_wall = self.mode == TimeMode::Wall;
             let line = serde_json::to_string(&event.to_value(include_wall)).unwrap_or_default();
             if let Some(w) = &mut self.sink {
-                // sbs-lint: allow(result-dropped): telemetry writes are best-effort by contract — a failing disk degrades the journal, never the scheduler
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "telemetry writes are best-effort by contract — a failing disk degrades the journal, never the scheduler"
+                )]
                 let _ = writeln!(w, "{line}");
                 self.written += line.len() as u64 + 1;
             }
@@ -404,7 +410,10 @@ impl EventJournal {
         self.sink = None;
         let mut rotated = path.clone().into_os_string();
         rotated.push(".1");
-        // sbs-lint: allow(result-dropped): telemetry rotation is best-effort — losing the history file is preferable to losing the daemon
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "telemetry rotation is best-effort — losing the history file is preferable to losing the daemon"
+        )]
         let _ = std::fs::rename(&path, &rotated);
         if let Ok(file) = std::fs::File::create(&path) {
             self.attach_sink(Box::new(std::io::BufWriter::new(file)));
@@ -414,7 +423,10 @@ impl EventJournal {
     /// Flushes the sink (best-effort).
     pub fn flush(&mut self) {
         if let Some(w) = &mut self.sink {
-            // sbs-lint: allow(result-dropped): telemetry writes are best-effort by contract
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "telemetry writes are best-effort by contract"
+            )]
             let _ = w.flush();
         }
     }
@@ -582,7 +594,10 @@ mod tests {
                 .contains(EVENT_SCHEMA),
             "fresh file restates the meta line: {head}"
         );
-        // sbs-lint: allow(result-dropped): test cleanup is best-effort
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "test cleanup is best-effort"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

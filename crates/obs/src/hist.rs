@@ -74,6 +74,10 @@ impl Histogram {
         if self.count == 0 {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "q is clamped to [0, 1], so the rank is at most count"
+        )]
         let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut acc = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {

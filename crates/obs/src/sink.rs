@@ -199,7 +199,10 @@ impl Recorder for TraceRecorder {
             // Telemetry is best-effort: a full disk must not abort the
             // scheduler, so sink errors are swallowed here and surface
             // as a short log (and a missing tail) instead.
-            // sbs-lint: allow(result-dropped): best-effort trace sink; scheduling must not fail on I/O
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort trace sink; scheduling must not fail on I/O"
+            )]
             let _ = writeln!(sink, "{line}");
         }
         self.ring.push(decision.clone());

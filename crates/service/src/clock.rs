@@ -31,6 +31,10 @@ pub struct WallClock {
 
 impl WallClock {
     /// A wall clock whose current reading is `origin`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the daemon's injectable wall clock is the one sanctioned real-time source"
+    )]
     pub fn starting_at(origin: Time) -> Self {
         WallClock {
             epoch: Instant::now(),

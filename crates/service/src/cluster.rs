@@ -289,7 +289,10 @@ impl Cluster {
         if self.cfg.snapshot_every > 0 && self.unsnapshotted >= self.cfg.snapshot_every {
             // Best effort: an unwritable snapshot path must not take the
             // scheduler down mid-decision.
-            // sbs-lint: allow(result-dropped): proven best-effort path — a failed periodic snapshot must not abort the decision loop; the next interval retries
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "proven best-effort path — a failed periodic snapshot must not abort the decision loop; the next interval retries"
+            )]
             let _ = self.save_snapshot();
         }
     }

@@ -148,7 +148,8 @@ impl Daemon {
     /// crossed a window boundary.
     fn settle(&mut self) {
         let total = self.cluster.incidents_total();
-        let fresh = total.saturating_sub(self.incidents_journaled) as usize;
+        let fresh =
+            usize::try_from(total.saturating_sub(self.incidents_journaled)).unwrap_or(usize::MAX);
         self.incidents_journaled = total;
         if fresh > 0 && self.edge.journal.enabled() {
             let ring = self.cluster.incidents();
@@ -524,7 +525,7 @@ mod tests {
         assert_eq!(v["ok"], true);
         assert!(v["captured"].as_u64().unwrap_or(0) >= 2);
         let items = v["incidents"].as_array().expect("incident array");
-        assert_eq!(items.len(), v["captured"].as_u64().unwrap() as usize);
+        assert_eq!(items.len() as u64, v["captured"].as_u64().unwrap());
         assert!(items[0]["reason"].as_str().unwrap().contains("nodes_left"));
         assert!(items[0]["decision"]["seq"].as_u64().is_some());
         // A journal Warn event was emitted per incident.
@@ -565,7 +566,10 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let run = |name: &str| -> String {
             let path = dir.join(name);
-            // sbs-lint: allow(result-dropped): best-effort cleanup of a prior run's fixture
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort cleanup of a prior run's fixture"
+            )]
             let _ = std::fs::remove_file(&path);
             let cfg = ServiceConfig::new(8, PolicySpec::dds_lxf_dynb(500)).with_obs(
                 ObsConfig::default()
@@ -593,7 +597,7 @@ mod tests {
             assert_eq!(v["ok"], true);
             d.flush_events();
             let text = std::fs::read_to_string(&path).expect("journal file");
-            // sbs-lint: allow(result-dropped): best-effort cleanup
+            #[expect(clippy::let_underscore_must_use, reason = "best-effort cleanup")]
             let _ = std::fs::remove_file(&path);
             text
         };
@@ -620,7 +624,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sbs-daemon-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("daemon-trace.jsonl");
-        // sbs-lint: allow(result-dropped): best-effort cleanup of a prior run's fixture
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup of a prior run's fixture"
+        )]
         let _ = std::fs::remove_file(&path);
         let mut d = Daemon::fresh(
             ServiceConfig::new(8, PolicySpec::dds_lxf_dynb(1_000)).with_trace_log(path.clone()),
@@ -641,7 +648,7 @@ mod tests {
             text.lines().nth(1).expect("decision").contains("wall_ns"),
             "wall mode serializes wall_ns"
         );
-        // sbs-lint: allow(result-dropped): best-effort cleanup
+        #[expect(clippy::let_underscore_must_use, reason = "best-effort cleanup")]
         let _ = std::fs::remove_file(&path);
     }
 }

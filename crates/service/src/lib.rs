@@ -1,3 +1,11 @@
+#![deny(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    reason = "the daemon runs unattended: bad input must become an error response, never a dead scheduler"
+)]
 #![warn(missing_docs)]
 
 //! # sbs-service

@@ -153,19 +153,19 @@ fn get_seconds(v: &Value, key: &str) -> Result<Option<Time>, String> {
 
 /// Parses the submit-shaped fields of `v` into a [`SubmitSpec`].
 fn parse_submit_spec(v: &Value) -> Result<SubmitSpec, String> {
-    let nodes = require_u64(v, "nodes")?;
-    if nodes == 0 || nodes > u32::MAX as u64 {
-        return Err("\"nodes\" must be in 1..=2^32-1".into());
-    }
+    let nodes = u32::try_from(require_u64(v, "nodes")?)
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or("\"nodes\" must be in 1..=2^32-1")?;
     let runtime = get_seconds(v, "runtime")?.ok_or("missing field \"runtime\"")?;
     if runtime == 0 {
         return Err("\"runtime\" must be positive".into());
     }
     Ok(SubmitSpec {
-        nodes: nodes as u32,
+        nodes,
         runtime,
         requested: get_seconds(v, "requested")?,
-        user: get_u64(v, "user")?.unwrap_or(0).min(u32::MAX as u64) as u32,
+        user: u32::try_from(get_u64(v, "user")?.unwrap_or(0)).unwrap_or(u32::MAX),
         submit: get_seconds(v, "submit")?,
     })
 }
@@ -207,11 +207,8 @@ fn parse_value(v: &Value) -> Result<Request, String> {
             Ok(Request::SubmitBatch { jobs: specs })
         }
         "cancel" => {
-            let id = require_u64(v, "id")?;
-            if id > u32::MAX as u64 {
-                return Err("\"id\" out of range".into());
-            }
-            Ok(Request::Cancel { id: id as u32 })
+            let id = u32::try_from(require_u64(v, "id")?).map_err(|_| "\"id\" out of range")?;
+            Ok(Request::Cancel { id })
         }
         "queue" => Ok(Request::Queue),
         "metrics" => Ok(Request::Metrics),

@@ -140,6 +140,10 @@ mod sys {
     }
 
     /// Latches `SIGTERM` into [`super::TERM`].
+    #[expect(
+        unsafe_code,
+        reason = "libc signal(2) registration has no safe std equivalent; the handler only stores an atomic flag"
+    )]
     pub fn install_sigterm() {
         extern "C" fn on_term(_signum: c_int) {
             super::TERM.store(true, Ordering::SeqCst);
@@ -147,7 +151,6 @@ mod sys {
         const SIGTERM: c_int = 15;
         // SAFETY: `on_term` has the signature signal(2) expects and only
         // stores a SeqCst atomic flag, which is async-signal-safe.
-        // sbs-lint: allow(forbid-unsafe): libc signal(2) registration has no safe std equivalent; the handler only stores an atomic flag
         unsafe {
             signal(SIGTERM, on_term);
         }
@@ -156,6 +159,10 @@ mod sys {
     /// Blocks until a descriptor in `fds` is ready, a signal arrives
     /// (`EINTR` is a normal wake-up: nothing is reported ready and the
     /// caller looks at its stop flags), or `timeout` passes.
+    #[expect(
+        unsafe_code,
+        reason = "std has no readiness wait; poll(2) touches only the slice passed to it"
+    )]
     pub fn wait_ready(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<()> {
         let nfds = NfdsT::try_from(fds.len()).map_err(|_| Error::from(ErrorKind::InvalidInput))?;
         let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
@@ -163,7 +170,6 @@ mod sys {
         // pollfd records and `nfds` is its length, so poll(2) reads and
         // writes only memory this call owns; a descriptor that has been
         // closed is reported as POLLNVAL, not dereferenced.
-        // sbs-lint: allow(forbid-unsafe): std has no readiness wait; poll(2) touches only the slice passed to it
         let reported = unsafe { poll(fds.as_mut_ptr(), nfds, timeout_ms) };
         if reported < 0 {
             let e = Error::last_os_error();
@@ -206,6 +212,10 @@ mod sys {
 
     pub fn install_sigterm() {}
 
+    #[expect(
+        unsafe_code,
+        reason = "std has no readiness wait; poll(2) touches only the slice passed to it"
+    )]
     pub fn wait_ready(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<()> {
         std::thread::sleep(timeout);
         for fd in fds.iter_mut() {
@@ -337,9 +347,15 @@ impl ServerHandler for Daemon {
     }
 
     fn on_shutdown(&mut self) {
-        // sbs-lint: allow(result-dropped): proven best-effort path — shutdown must complete even when the final snapshot write fails
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "proven best-effort path — shutdown must complete even when the final snapshot write fails"
+        )]
         let _ = self.save_snapshot();
-        // sbs-lint: allow(result-dropped): proven best-effort path — a trace-sink flush failure must not block shutdown
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "proven best-effort path — a trace-sink flush failure must not block shutdown"
+        )]
         let _ = self.flush_traces();
         self.flush_events();
     }
@@ -516,13 +532,22 @@ impl<H: ServerHandler> Server<H> {
             if conn.outbuf.is_empty() {
                 continue;
             }
-            // sbs-lint: allow(result-dropped): proven best-effort path — a client gone at shutdown must not fail the drain
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "proven best-effort path — a client gone at shutdown must not fail the drain"
+            )]
             let _ = conn.stream.set_nonblocking(false);
-            // sbs-lint: allow(result-dropped): proven best-effort path — see above
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "proven best-effort path — a client gone at shutdown must not fail the drain"
+            )]
             let _ = conn
                 .stream
                 .set_write_timeout(Some(Duration::from_millis(250)));
-            // sbs-lint: allow(result-dropped): proven best-effort path — see above
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "proven best-effort path — a client gone at shutdown must not fail the drain"
+            )]
             let _ = conn.stream.write_all(&conn.outbuf);
         }
         Ok(())
@@ -543,7 +568,10 @@ impl<H: ServerHandler> Server<H> {
                     if stream.set_nonblocking(true).is_ok() {
                         // One-line request/response: Nagle + delayed ACK
                         // would add ~40ms per round trip.
-                        // sbs-lint: allow(result-dropped): nodelay is a latency hint; serving without it is still correct
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "nodelay is a latency hint; serving without it is still correct"
+                        )]
                         let _ = stream.set_nodelay(true);
                         conns.push(Conn::new(stream));
                     }
@@ -625,10 +653,13 @@ impl<H: ServerHandler> Server<H> {
             }
             let (response, stop) = {
                 let mut h = lock_handler(&self.handler);
-                // sbs-lint: allow(wall-clock): request latency measurement at the protocol edge; the duration feeds an operator histogram, never scheduler state
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "request latency measurement at the protocol edge; the duration feeds an operator histogram, never scheduler state"
+                )]
                 let began = std::time::Instant::now();
                 let out = h.handle_line(text, self.clock.now());
-                let spent = began.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                let spent = u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 h.observe_request_ns(text, spent);
                 // Keep a steered (virtual) clock in step with the
                 // scheduler so later requests see consistent time.
@@ -705,10 +736,12 @@ fn flush_out(conn: &mut Conn) -> bool {
 
 /// Answers an over-capacity connection with a typed error, blocking at
 /// most briefly, then drops it.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "proven best-effort path — the overload notice is a courtesy; dropping the connection is the point"
+)]
 fn reject_overloaded(mut stream: TcpStream) {
-    // sbs-lint: allow(result-dropped): proven best-effort path — the overload notice is a courtesy; dropping the connection is the point
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    // sbs-lint: allow(result-dropped): proven best-effort path — see above
     let _ = stream.write_all(b"{\"ok\":false,\"error\":\"server at connection capacity\"}\n");
 }
 

@@ -105,15 +105,20 @@ fn field(v: &Value, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("snapshot field {key:?} missing or not an integer"))
 }
 
+/// [`field`] for a `u32` quantity; out of range is an error, not a wrap.
+fn field_u32(v: &Value, key: &str) -> Result<u32, String> {
+    u32::try_from(field(v, key)?).map_err(|_| format!("snapshot field {key:?} out of range"))
+}
+
 fn job_from_value(v: &Value) -> Result<Job, String> {
     let job = Job::new(
-        JobId(field(v, "id")? as u32),
+        JobId(field_u32(v, "id")?),
         field(v, "submit")?,
-        field(v, "nodes")? as u32,
+        field_u32(v, "nodes")?,
         field(v, "runtime")?,
         field(v, "requested")?,
     )
-    .with_user(field(v, "user")? as u32);
+    .with_user(field_u32(v, "user")?);
     Ok(job)
 }
 
@@ -195,8 +200,8 @@ impl Snapshot {
             .ok_or("snapshot field \"completed\" missing")?;
         Ok(Snapshot {
             now: field(v, "now")?,
-            capacity: field(v, "capacity")? as u32,
-            next_id: field(v, "next_id")? as u32,
+            capacity: field_u32(v, "capacity")?,
+            next_id: field_u32(v, "next_id")?,
             policy: v
                 .get("policy")
                 .and_then(Value::as_str)

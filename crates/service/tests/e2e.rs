@@ -180,7 +180,7 @@ fn kill_and_restart_resumes_with_the_same_queue() {
     let mut all: Vec<JobId> = completed_before;
     all.extend(second.records().iter().map(|r| r.id));
     all.sort();
-    let expected: Vec<JobId> = (0..w.jobs.len() as u32).map(JobId).collect();
+    let expected: Vec<JobId> = (0..).take(w.jobs.len()).map(JobId).collect();
     assert_eq!(all, expected, "every job completed exactly once");
 
     std::fs::remove_dir_all(&dir).ok();

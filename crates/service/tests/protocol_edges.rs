@@ -294,6 +294,10 @@ fn a_quiet_server_answers_when_the_request_arrives() {
         .map(|_| {
             // Each request finds the loop with nothing to do.
             std::thread::sleep(Duration::from_millis(3));
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test measures wake-up latency in wall time"
+            )]
             let sent = Instant::now();
             assert_eq!(client.round_trip(r#"{"op":"queue"}"#)["ok"], true);
             sent.elapsed()

@@ -653,6 +653,10 @@ mod tests {
         capacity: u32,
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the reference model spans a few thousand seconds"
+    )]
     impl NaiveProfile {
         fn new(base: Time, capacity: u32, horizon: usize) -> Self {
             NaiveProfile {
@@ -756,6 +760,7 @@ mod tests {
         /// The skyline agrees with a second-by-second reference model
         /// under random feasible reserve/release/query sequences.
         #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "the reference model spans a few thousand seconds")]
         fn matches_naive_model(ops in proptest::collection::vec(
             (0u64..400, 1u64..80, 1u32..8, 0u64..400), 1..40,
         )) {

@@ -227,9 +227,16 @@ impl SchedulerCore {
             queue: &self.queue,
             running: self.cluster.by_predicted_end(),
         };
-        // sbs-lint: allow(wall-clock): policy-latency telemetry only; the measurement is reported, never read back into a scheduling decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "policy-latency telemetry only; the measurement is reported, never read back into a scheduling decision"
+        )]
         let t0 = std::time::Instant::now();
         let starts = policy.decide(&ctx);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "one decision takes far less than 584 years of nanoseconds"
+        )]
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         self.policy_nanos += elapsed_ns;
         if let Some(log) = log {

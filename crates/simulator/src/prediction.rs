@@ -70,6 +70,10 @@ impl Default for RecentUserAverage {
 }
 
 impl RuntimePredictor for RecentUserAverage {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates deterministically and the result is clamped to [1, requested] below"
+    )]
     fn predict(&mut self, job: &Job) -> Time {
         let prediction = match self.history.get(&job.user) {
             Some(recent) if !recent.is_empty() => {
@@ -77,7 +81,6 @@ impl RuntimePredictor for RecentUserAverage {
                 // A mean of u64 samples always fits back in u64.
                 Time::try_from(sum / recent.len() as u128).unwrap_or(Time::MAX)
             }
-            // sbs-lint: allow(cast-truncation): float-to-int `as` saturates deterministically and the result is clamped to [1, requested] below
             _ => (job.requested as f64 * self.fallback_frac) as Time,
         };
         prediction.clamp(1, job.requested)

@@ -57,6 +57,10 @@ pub fn sample_requested<R: Rng + ?Sized>(rng: &mut R, runtime: Time, limit: Time
         // factors with a heavy tail, matching published estimate studies.
         MAX_FACTOR.powf(rng.gen::<f64>())
     };
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates deterministically; the estimate is rounded onto the menu below"
+    )]
     let raw = ((runtime as f64 * factor).ceil() as Time).max(runtime);
     round_to_menu(raw, runtime, limit)
 }

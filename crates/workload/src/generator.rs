@@ -194,6 +194,10 @@ impl WorkloadBuilder {
     /// way to build fast test workloads that keep the month's contention
     /// character — unlike [`MonthProfile::scaled`], which keeps the span
     /// and therefore dilutes the load.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "scaled spans are at most the unscaled ones (frac <= 1)"
+    )]
     pub fn span_scale(mut self, frac: f64) -> Self {
         assert!(frac > 0.0 && frac <= 1.0, "span fraction must be in (0, 1]");
         self.span_scale = frac;
@@ -206,6 +210,10 @@ impl WorkloadBuilder {
     pub fn build(&self) -> Workload {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let p = &self.profile;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a scaled month is at most a month of seconds"
+        )]
         let month_secs = ((p.month.seconds() as f64) * self.span_scale).round() as Time;
         let monthly_jobs = ((p.total_jobs as f64) * self.span_scale).round().max(1.0);
         let limit = p.month.runtime_limit();
@@ -215,6 +223,10 @@ impl WorkloadBuilder {
             .saturating_add(self.cooldown);
 
         // Total job count over the whole span at the month's arrival rate.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a few months of jobs at the profile rate"
+        )]
         let n_total = (monthly_jobs * (span as f64 / month_secs as f64)).round() as usize;
 
         // -- 1. apportion jobs to node ranges (largest remainder) --------
@@ -262,6 +274,10 @@ impl WorkloadBuilder {
             Some(rho) => p.load / rho,
             None => 1.0,
         };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "compression scales arrival times by at most a small factor"
+        )]
         let scale = |t: Time| (t as f64 * compress).round() as Time;
         let window = (
             scale(self.warmup),
@@ -285,11 +301,12 @@ impl WorkloadBuilder {
                 for (k, w) in user_weights.iter().enumerate() {
                     pick -= w;
                     if pick <= 0.0 {
-                        user = k as u32 + 1;
+                        user = u32::try_from(k + 1).unwrap_or(u32::MAX);
                         break;
                     }
                 }
-                Job::new(JobId(i as u32), scale(arrival), nodes, runtime, requested).with_user(user)
+                let id = JobId(u32::try_from(i).unwrap_or(u32::MAX));
+                Job::new(id, scale(arrival), nodes, runtime, requested).with_user(user)
             })
             .collect();
 
@@ -306,6 +323,10 @@ impl WorkloadBuilder {
 
     /// Generates `(nodes, runtime)` templates for `n_jobs` jobs in node
     /// range `r`, calibrated toward `target` node-seconds of demand.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "fitted runtimes and node counts are clamped to their class bounds"
+    )]
     fn range_templates(
         &self,
         rng: &mut StdRng,
@@ -441,6 +462,10 @@ fn sample_diurnal_arrival<R: Rng + ?Sized>(rng: &mut R, span: Time) -> Time {
 }
 
 /// Log-uniform sample over an inclusive integer interval.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the sample is clamped to [lo, hi] below"
+)]
 fn log_uniform<R: Rng + ?Sized>(rng: &mut R, (lo, hi): (Time, Time)) -> Time {
     if lo >= hi {
         return lo;
@@ -454,6 +479,10 @@ fn log_uniform<R: Rng + ?Sized>(rng: &mut R, (lo, hi): (Time, Time)) -> Time {
 /// remainder method, guaranteeing the counts sum to `total`.
 fn largest_remainder(total: usize, weights: &[f64]) -> Vec<usize> {
     let raw: Vec<f64> = weights.iter().map(|w| w * total as f64).collect();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "each share is at most total, a usize"
+    )]
     let mut counts: Vec<usize> = raw.iter().map(|x| x.floor() as usize).collect();
     let assigned: usize = counts.iter().sum();
     let mut order: Vec<usize> = (0..weights.len()).collect();
@@ -511,8 +540,14 @@ pub fn random_workload(cfg: RandomWorkloadCfg, seed: u64) -> Workload {
             let nodes = rng.gen_range(1..=cfg.capacity);
             let runtime = log_uniform(&mut rng, (cfg.min_runtime, cfg.max_runtime));
             let requested = sample_requested(&mut rng, runtime, cfg.max_runtime);
-            Job::new(JobId(i as u32), submit, nodes, runtime, requested)
-                .with_user(rng.gen_range(1..=8))
+            Job::new(
+                JobId(u32::try_from(i).unwrap_or(u32::MAX)),
+                submit,
+                nodes,
+                runtime,
+                requested,
+            )
+            .with_user(rng.gen_range(1..=8))
         })
         .collect();
     Workload {
@@ -578,6 +613,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a month of seconds fits u64"
+    )]
     fn high_load_variant_scales_offered_load() {
         let w = WorkloadBuilder::month(Month::Oct03)
             .target_load(0.9)
@@ -649,6 +688,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a month of seconds fits u64"
+    )]
     fn span_scaling_preserves_load_and_rate() {
         let full = WorkloadBuilder::month(Month::Oct03).build();
         let scaled = WorkloadBuilder::month(Month::Oct03).span_scale(0.1).build();
@@ -699,6 +742,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "17 minutes of seconds fits usize"
+    )]
     fn diurnal_intensity_is_a_valid_rejection_envelope() {
         use crate::time::{DAY, MINUTE};
         for t in (0..14 * DAY).step_by((17 * MINUTE) as usize) {

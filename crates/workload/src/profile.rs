@@ -151,6 +151,10 @@ impl MonthProfile {
     /// [`Self::load`] (runtime calibration clamps at the class bounds).
     /// For fast workloads that preserve the month's contention, use
     /// [`crate::WorkloadBuilder::span_scale`] instead.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a scaled job count is at most the unscaled one (frac <= 1)"
+    )]
     pub fn scaled(&self, frac: f64) -> MonthProfile {
         assert!(
             frac > 0.0 && frac <= 1.0,

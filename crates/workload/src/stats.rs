@@ -29,6 +29,10 @@ pub struct WorkloadStats {
 
 fn percentile_of<T: Copy + Ord>(sorted: &[T], p: f64) -> T {
     debug_assert!(!sorted.is_empty());
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the nearest rank is clamped to the slice length below"
+    )]
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }

@@ -105,6 +105,10 @@ pub fn parse(text: &str, capacity: u32) -> Result<Workload, SwfError> {
                 message: format!("expected >= 9 fields, found {}", fields.len()),
             });
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SWF fields are integers written as decimals; float-to-int `as` saturates deterministically"
+        )]
         let field = |i: usize| -> Result<i64, SwfError> {
             fields[i - 1]
                 .parse::<f64>()
@@ -140,16 +144,16 @@ pub fn parse(text: &str, capacity: u32) -> Result<Workload, SwfError> {
             Job::new(
                 JobId(u32::try_from(jobs.len()).unwrap_or(u32::MAX)),
                 submit as Time,
-                (procs as u32).min(capacity),
+                u32::try_from(procs).unwrap_or(u32::MAX).min(capacity),
                 runtime,
                 requested,
             )
-            .with_user(user.max(0) as u32),
+            .with_user(u32::try_from(user.max(0)).unwrap_or(u32::MAX)),
         );
     }
     jobs.sort_by_key(|j| j.submit);
     for (i, j) in jobs.iter_mut().enumerate() {
-        j.id = JobId(i as u32);
+        j.id = JobId(u32::try_from(i).unwrap_or(u32::MAX));
     }
     let window = match (jobs.first(), jobs.last()) {
         (Some(a), Some(b)) => (a.submit, b.submit.saturating_add(1)),

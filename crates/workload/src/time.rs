@@ -25,6 +25,10 @@ pub const WEEK: Time = 7 * DAY;
 /// assert_eq!(hours(2.0), 2 * HOUR);
 /// assert_eq!(hours(0.5), 1_800);
 /// ```
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float-to-int `as` saturates deterministically; durations here are hours, not epochs"
+)]
 pub fn hours(h: f64) -> Time {
     debug_assert!(h >= 0.0, "negative duration");
     (h * HOUR as f64).round() as Time

@@ -65,6 +65,7 @@ proptest! {
     /// Arbitrary (non-SWF) text never panics the parser.
     #[test]
     fn swf_parser_is_total(text in "[ -~\n]{0,400}") {
+        #[expect(clippy::let_underscore_must_use, reason = "only totality is under test")]
         let _ = swf::parse(&text, 128);
     }
 

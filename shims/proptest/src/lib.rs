@@ -7,6 +7,12 @@
 //! are generated from a fixed per-test seed, so failures reproduce
 //! deterministically across runs.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "stands in for an upstream crate; the workspace determinism bans do not apply to it"
+)]
+
 /// Deterministic generator handed to strategies (SplitMix64).
 #[derive(Debug, Clone)]
 pub struct TestRng {

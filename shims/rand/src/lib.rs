@@ -9,6 +9,12 @@
 //! this workspace does; all consumers treat the RNG as an opaque seeded
 //! source.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "stands in for an upstream crate; the workspace determinism bans do not apply to it"
+)]
+
 /// A source of 64-bit random words.
 pub trait RngCore {
     /// The next word of the stream.

@@ -7,6 +7,12 @@
 //! closures straight into `collect`, so the observable behavior (results
 //! in input order, work spread across cores) is identical.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "stands in for an upstream crate; the workspace determinism bans do not apply to it"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

@@ -5,6 +5,12 @@
 //! unchanged; serialization itself is done by the value-based
 //! `serde_json` shim, which does not use these traits.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "stands in for an upstream crate; the workspace determinism bans do not apply to it"
+)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 /// Marker trait mirroring `serde::Serialize` (never required by the

@@ -5,6 +5,12 @@
 //! derive attributes on workspace types only need to parse, not to
 //! generate code.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "stands in for an upstream crate; the workspace determinism bans do not apply to it"
+)]
+
 use proc_macro::TokenStream;
 
 /// No-op `#[derive(Serialize)]`.

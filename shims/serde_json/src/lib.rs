@@ -7,6 +7,12 @@
 //! rendering is deterministic (sorted keys), which the scheduler daemon
 //! relies on for reproducible snapshots.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "stands in for an upstream crate; the workspace determinism bans do not apply to it"
+)]
+
 use std::fmt;
 
 pub mod value;

@@ -1,5 +1,6 @@
-//! Determinism regression: the invariants the `sbs-analysis` pass
-//! enforces statically, verified dynamically.
+//! Determinism regression: the invariants the clippy bans and the
+//! `sbs-analysis` float-ordering rule enforce statically, verified
+//! dynamically.
 //!
 //! Two identical `simulate()` runs must be *byte-identical* — same
 //! per-job start times, same rendered metric tables.  This is what the

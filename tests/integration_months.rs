@@ -132,8 +132,9 @@ fn decisions_scale_with_jobs() {
     let r = run_on(&workload, &scenario, &PolicySpec::FcfsBackfill);
     // Every job contributes one arrival and one departure decision point
     // (some coincide).
-    assert!(r.decisions as usize <= 2 * workload.jobs.len());
-    assert!(r.decisions as usize >= workload.jobs.len());
+    let jobs = workload.jobs.len() as u64;
+    assert!(r.decisions <= 2 * jobs);
+    assert!(r.decisions >= jobs);
 }
 
 #[test]

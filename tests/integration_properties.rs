@@ -57,6 +57,7 @@ proptest! {
     /// achieve the brute-force-optimal objective cost for that decision
     /// point.
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "test queues hold at most five jobs")]
     fn search_is_optimal_per_decision_on_tiny_queues(
         seed in 0u64..2_000,
         n in 1usize..6,
@@ -156,6 +157,10 @@ fn naive_placements(
     let mut starts = Vec::with_capacity(order.len());
     for &j in order {
         let w = &queue[j as usize];
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "test runtimes are at most 120 s"
+        )]
         let dur = w.r_star.max(1) as usize;
         let mut t = 0usize;
         let start = loop {
@@ -180,6 +185,7 @@ proptest! {
     /// the naive second-by-second reference does, for any queue and any
     /// consideration order.
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "test queues hold at most six jobs")]
     fn schedule_builder_matches_naive_reference(
         seed in 0u64..5_000,
         n in 1usize..7,
