@@ -575,21 +575,30 @@ mod tests {
     }
 
     #[test]
-    fn while_loop_has_a_back_edge() {
+    fn while_loop_has_back_edge_and_region_ords() {
         first_cfg(
             "fn f(n: u32) { let g = pre(); while n > 0 { step(); } post(); }",
             |cfg| {
                 let steps = cfg.steps_in_order();
-                let node_of = |want: &dyn Fn(&StepKind) -> bool| {
-                    steps.iter().find(|(_, s)| want(&s.kind)).expect("step").0
+                let find = |want: &dyn Fn(&StepKind) -> bool| {
+                    let (node, step) = steps.iter().find(|(_, s)| want(&s.kind)).expect("step");
+                    (*node, step.ord)
                 };
-                let head = node_of(&|k| matches!(k, StepKind::Cond { kw: "while", .. }));
-                let body = node_of(&|k| {
-                    matches!(k, StepKind::Eval(Expr::Call { callee, .. })
-                        if matches!(&**callee, Expr::Path { segs, .. } if segs[0] == "step"))
-                });
+                let call = |name: &'static str| {
+                    move |k: &StepKind| {
+                        matches!(k, StepKind::Eval(Expr::Call { callee, .. })
+                            if matches!(&**callee, Expr::Path { segs, .. } if segs[0] == name))
+                    }
+                };
+                let (head, head_ord) = find(&|k| matches!(k, StepKind::Cond { kw: "while", .. }));
+                let (body, body_ord) = find(&call("step"));
                 assert!(cfg.nodes[body].succs.contains(&head), "back edge lowered");
                 assert_eq!(cfg.nodes[head].succs.len(), 2, "head enters body or exits");
+                // Ords follow lowering order, so the loop's steps form one
+                // region between the pre-loop binding and the exit.
+                let (_, let_ord) = find(&|k| matches!(k, StepKind::Let(_)));
+                let (_, post_ord) = find(&call("post"));
+                assert!(let_ord < head_ord && head_ord < body_ord && body_ord < post_ord);
             },
         );
     }

@@ -386,8 +386,6 @@ pub(crate) fn check_double_lock(ctx: &Ctx) -> Vec<Finding> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     /// Lints `src` as one file and returns `rule`'s findings as
     /// (line, message) pairs.
     fn run(rule: &str, src: &str) -> Vec<(u32, String)> {
@@ -441,7 +439,7 @@ mod tests {
         assert_eq!(hits[0].0, 3);
         assert!(hits[0].1.contains("self-deadlock"), "{}", hits[0].1);
 
-        // Different keys: silent without a declared order.
+        // Different keys are lock-ordering's concern, not double-lock's.
         let src = "fn f(&self) {\n\
                    let a = self.jobs.lock().unwrap();\n\
                    let b = self.stats.lock().unwrap();\n\
@@ -503,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn guard_passed_to_a_blocking_callee_fires_at_the_call() {
+    fn guard_passed_to_blocking_callee_fires_there_and_only_there() {
         let src = "struct S { state: Mutex<u32>, file: F }\n\
                    impl S {\n\
                    fn flush_under(&self, g: MutexGuard<u32>) {\n\
@@ -524,79 +522,5 @@ mod tests {
                    consume(g);\n\
                    }";
         assert!(run("lock-across-blocking", src).is_empty());
-    }
-
-    /// The nested-acquisition edges of one file.
-    fn edges_of(rel: &str, src: &str) -> Vec<LockEdge> {
-        let tokens = crate::lexer::tokenize(&crate::lexer::mask(src).text);
-        let ast = crate::parse::parse_file(&tokens);
-        let files = [ParsedFile {
-            rel: rel.to_string(),
-            tokens,
-            ast,
-        }];
-        let interp = Interp::build(&files, &crate::LintConfig::default());
-        lock_edges(&files, &interp)
-    }
-
-    #[test]
-    fn nested_acquisitions_build_edges() {
-        let edges = edges_of(
-            "svc.rs",
-            "fn f(a: M, b: M) {\n    let g1 = a.lock();\n    let g2 = b.lock();\n}\n",
-        );
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].outer, "a");
-        assert_eq!(edges[0].inner, "b");
-        assert_eq!(edges[0].line, 3);
-    }
-
-    #[test]
-    fn guards_expire_at_block_end() {
-        let edges = edges_of(
-            "svc.rs",
-            "fn f(a: M, b: M) {\n    { let g1 = a.lock(); }\n    let g2 = b.lock();\n}\n",
-        );
-        assert!(edges.is_empty(), "{:?}", edges);
-    }
-
-    #[test]
-    fn lock_helper_functions_key_on_their_argument() {
-        let edges = edges_of(
-            "svc.rs",
-            "fn f(m: M, n: M) {\n    let g = lock_daemon(&m);\n    let h = n.lock();\n}\n",
-        );
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].outer, "m");
-        assert_eq!(edges[0].inner, "n");
-    }
-
-    #[test]
-    fn receiver_keys_normalize_through_self() {
-        let edges = edges_of(
-                "svc.rs",
-                "impl S { fn f(&self) {\n    let g = self.daemon.lock();\n    let h = self.jobs.lock();\n} }\n",
-            );
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].outer, "daemon");
-        assert_eq!(edges[0].inner, "jobs");
-    }
-
-    #[test]
-    fn an_acquisition_inside_a_callee_is_an_edge_at_the_call() {
-        let edges = edges_of(
-            "svc.rs",
-            "struct S { a: M, b: M }\n\
-             impl S {\n\
-             fn f(&self) {\n    let g = self.a.lock();\n    self.take_b();\n}\n\
-             fn take_b(&self) { let h = self.b.lock(); }\n\
-             }\n",
-        );
-        assert_eq!(edges.len(), 1, "{edges:?}");
-        assert_eq!(
-            (edges[0].outer.as_str(), edges[0].inner.as_str()),
-            ("a", "b")
-        );
-        assert_eq!(edges[0].line, 5, "reported at the call");
     }
 }

@@ -60,3 +60,81 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
         .find(|d| d.join(CONFIG_FILE).is_file())
         .map(Path::to_path_buf)
 }
+
+/// The `sbs-analysis [--root DIR] [FILE...]` command line.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct LintArgs {
+    /// `--root DIR`; `None` means the nearest ancestor holding
+    /// `lint.toml`.
+    pub root: Option<PathBuf>,
+    /// Files to lint, relative to the root; empty means the workspace.
+    pub files: Vec<PathBuf>,
+}
+
+/// Parses the command line (without the program name).  `--help` is an
+/// error too, so the caller prints the usage either way.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<LintArgs, String> {
+    let mut out = LintArgs::default();
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--root" => out.root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
+            "--help" | "-h" => return Err("help requested".to_string()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            _ => out.files.push(PathBuf::from(a)),
+        }
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lint_subcommand_parses() {
+        let args = |s: &str| parse_args(s.split_whitespace().map(String::from));
+        let a = args("--root /tmp/ws crates/core/src/lib.rs").expect("parse");
+        assert_eq!(a.root.as_deref(), Some(Path::new("/tmp/ws")));
+        assert_eq!(a.files, [PathBuf::from("crates/core/src/lib.rs")]);
+        assert_eq!(args("").expect("parse"), LintArgs::default());
+        assert!(args("--bogus").is_err());
+        assert!(args("--root").is_err());
+    }
+
+    #[test]
+    fn lint_runs_clean_on_this_workspace() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let cfg = LintConfig::load(&root.join(CONFIG_FILE)).expect("lint.toml loads");
+        let diags = lint_workspace(&root, &cfg).expect("workspace walk");
+        let rendered: Vec<String> = diags.iter().map(ToString::to_string).collect();
+        assert!(
+            rendered.is_empty(),
+            "the workspace must lint clean:\n{}",
+            rendered.join("\n")
+        );
+    }
+
+    #[test]
+    fn lint_reports_reintroduced_violations_with_positions() {
+        // Reintroduce a NaN-unaware comparison in a scratch workspace
+        // and check the diagnostic carries the exact file:line:col back.
+        let dir = std::env::temp_dir().join(format!("sbs_analysis_lint_{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("crates/x/src")).expect("mkdir");
+        std::fs::write(dir.join(CONFIG_FILE), "[scan]\nroots = [\"crates\"]\n").expect("config");
+        std::fs::write(
+            dir.join("crates/x/src/lib.rs"),
+            "pub fn cmp(a: f64, b: f64) -> bool {\n    a.partial_cmp(&b).is_some()\n}\n",
+        )
+        .expect("source");
+        let cfg = LintConfig::load(&dir.join(CONFIG_FILE)).expect("config loads");
+        let diags = lint_workspace(&dir, &cfg).expect("walk");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        let rendered: Vec<String> = diags.iter().map(ToString::to_string).collect();
+        assert_eq!(rendered.len(), 1, "{rendered:?}");
+        assert!(
+            rendered[0].starts_with("crates/x/src/lib.rs:2:7 float-ordering"),
+            "{rendered:?}"
+        );
+    }
+}

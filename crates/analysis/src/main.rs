@@ -9,8 +9,9 @@
 //! `file:line:col rule message` line per finding.  Exits 0 when clean,
 //! 1 on any finding, 2 on usage or config errors.
 
-use sbs_analysis::{find_workspace_root, lint_files, lint_workspace, LintConfig, CONFIG_FILE};
-use std::path::PathBuf;
+use sbs_analysis::{
+    find_workspace_root, lint_files, lint_workspace, parse_args, LintArgs, LintConfig, CONFIG_FILE,
+};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: sbs-analysis [--root DIR] [FILE...]
@@ -35,17 +36,7 @@ fn main() -> ExitCode {
 
 /// Lints what `args` name and returns the number of findings printed.
 fn run(args: Vec<String>) -> Result<usize, String> {
-    let mut root = None;
-    let mut files = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
-            "--help" | "-h" => return Err("help requested".to_string()),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            _ => files.push(PathBuf::from(a)),
-        }
-    }
+    let LintArgs { root, files } = parse_args(args)?;
     let root = match root {
         Some(r) => r,
         None => {

@@ -257,4 +257,74 @@ mod tests {
         assert_eq!(ws.fn_ret("get"), None);
         assert_eq!(ws.field_type("x"), None);
     }
+
+    /// The nested-acquisition edges of one file: the lock keys come
+    /// from [`acquisition_of`] and [`receiver_key`], the liveness from
+    /// [`crate::flowrules::lock_edges`].
+    fn edges_of(rel: &str, src: &str) -> Vec<crate::flowrules::LockEdge> {
+        let files = [pf(rel, src)];
+        let interp = crate::summaries::Interp::build(&files, &crate::LintConfig::default());
+        crate::flowrules::lock_edges(&files, &interp)
+    }
+
+    #[test]
+    fn nested_acquisitions_build_edges() {
+        let edges = edges_of(
+            "svc.rs",
+            "fn f(a: M, b: M) {\n    let g1 = a.lock();\n    let g2 = b.lock();\n}\n",
+        );
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].outer, "a");
+        assert_eq!(edges[0].inner, "b");
+        assert_eq!(edges[0].line, 3);
+    }
+
+    #[test]
+    fn guards_expire_at_block_end() {
+        let edges = edges_of(
+            "svc.rs",
+            "fn f(a: M, b: M) {\n    { let g1 = a.lock(); }\n    let g2 = b.lock();\n}\n",
+        );
+        assert!(edges.is_empty(), "{:?}", edges);
+    }
+
+    #[test]
+    fn lock_helper_functions_key_on_their_argument() {
+        let edges = edges_of(
+            "svc.rs",
+            "fn f(m: M, n: M) {\n    let g = lock_daemon(&m);\n    let h = n.lock();\n}\n",
+        );
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].outer, "m");
+        assert_eq!(edges[0].inner, "n");
+    }
+
+    #[test]
+    fn receiver_keys_normalize_through_self() {
+        let edges = edges_of(
+                "svc.rs",
+                "impl S { fn f(&self) {\n    let g = self.daemon.lock();\n    let h = self.jobs.lock();\n} }\n",
+            );
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].outer, "daemon");
+        assert_eq!(edges[0].inner, "jobs");
+    }
+
+    #[test]
+    fn an_acquisition_inside_a_callee_is_an_edge_at_the_call() {
+        let edges = edges_of(
+            "svc.rs",
+            "struct S { a: M, b: M }\n\
+             impl S {\n\
+             fn f(&self) {\n    let g = self.a.lock();\n    self.take_b();\n}\n\
+             fn take_b(&self) { let h = self.b.lock(); }\n\
+             }\n",
+        );
+        assert_eq!(edges.len(), 1, "{edges:?}");
+        assert_eq!(
+            (edges[0].outer.as_str(), edges[0].inner.as_str()),
+            ("a", "b")
+        );
+        assert_eq!(edges[0].line, 5, "reported at the call");
+    }
 }

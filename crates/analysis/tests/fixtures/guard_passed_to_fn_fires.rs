@@ -1,5 +1,6 @@
 //! guard-passed-to-fn firing fixture: a live guard moves into a
-//! callee whose summary says it blocks before releasing it.
+//! callee whose summary says it blocks before releasing it.  The
+//! finding is `lock-across-blocking`'s, at the passing call.
 use std::io::Write;
 use std::sync::{Mutex, MutexGuard};
 

@@ -14,7 +14,7 @@ impl S {
     }
     pub fn hot(&self, out: &mut std::fs::File) {
         let g = self.state.lock();
-        // sbs-lint: allow(guard-passed-to-fn): shutdown path; the flush must observe the locked state
+        // sbs-lint: allow(lock-across-blocking): shutdown path; the flush must observe the locked state
         self.flush_under(g, out);
     }
 }
