@@ -26,7 +26,6 @@ USAGE:
   sbs simulate (--month M | --trace FILE) [options]
                           (alias: sbs sim)
   sbs serve [options]     run the online scheduler daemon
-  sbs serve-fleet [opts]  run the multi-tenant fleet daemon
   sbs submit [options]    submit a job to a running daemon
   sbs queue [options]     show a running daemon's queue
   sbs incidents [opts]    list captured slow-decision incidents
@@ -54,35 +53,27 @@ OPTIONS (simulate):
                       (identical runs produce byte-identical files)
 
 OPTIONS (serve):
+  Requests may name a \"cluster\" (tenant); without one they go to the
+  tenant \"default\", so a single-cluster client never names one.
   --port P            TCP port (default 7070; 0 picks a free port)
-  --capacity N        machine size in nodes (default 128)
+  --capacity N        per-cluster machine size in nodes (default 128)
   --policy NAME       scheduling policy (default dds-lxf-dynb)
   --budget L          search node budget per decision (default 1000)
   --deadline-ms D     per-decision wall-clock search deadline
-  --snapshot FILE     snapshot state to FILE (recovers from it on start)
+  --snapshot-dir DIR  per-cluster snapshots + manifest (recovers on start)
   --snapshot-every N  auto-snapshot every N decisions (default 16)
   --virtual-clock     time advances only with submitted events (testing)
-  --trace-log FILE    append an sbs-trace/v1 JSONL decision log
+  --trace-dir DIR     append one sbs-trace/v1 JSONL decision log per
+                      cluster, DIR/trace-<cluster>.jsonl
   --event-log FILE    append an sbs-events/v1 JSONL operational journal
   --slow-ms D         capture decisions at/over D ms wall time as
                       incidents (also exposed at /statusz?incidents=1)
   --slow-nodes-left N capture deadline-truncated decisions that left N+
                       nodes unexplored
-
-OPTIONS (serve-fleet):
-  --port P            TCP port (default 7070; 0 picks a free port)
-  --capacity N        per-cluster machine size in nodes (default 128)
-  --policy NAME       scheduling policy for every tenant
-  --budget L          search node budget per decision (default 1000)
   --shards N          shard locks in the tenant map (default 16)
   --max-clusters N    tenant cap (default 4096)
-  --snapshot-dir DIR  per-cluster snapshots + manifest (recovers on start)
   --max-queue N       per-tenant queue-depth quota (default: unlimited)
   --fair-slack PCT    per-tenant fairshare slack percent (default: off)
-  --virtual-clock     time advances only with submitted events (testing)
-  --event-log FILE    append the fleet's sbs-events/v1 JSONL journal
-  --slow-ms D         capture slow decisions (ms) as incidents
-  --slow-nodes-left N capture deadline-truncated decisions as incidents
 
 OPTIONS (trace):
   --collapsed OUT     also write a collapsed-stack span-weight file
@@ -106,7 +97,7 @@ OPTIONS (bench-perf):
 OPTIONS (submit / queue / incidents / top):
   --host H            daemon host (default 127.0.0.1)
   --port P            daemon port (default 7070)
-  --cluster C         (incidents) restrict to one fleet cluster
+  --cluster C         (incidents) restrict to one cluster
   --interval MS       (top) milliseconds between polls (default 2000)
   --iterations N      (top) stop after N polls; 1 prints a single
                       frame to stdout (default 0 = until interrupted)
@@ -118,7 +109,8 @@ OPTIONS (submit / queue / incidents / top):
 
 The daemon speaks newline-delimited JSON on its port and answers plain
 HTTP `GET /metrics`, `GET /healthz` and `GET /statusz` probes on the
-same port (`/statusz?incidents=1` inlines the captured incidents).
+same port (`/statusz?incidents=1` inlines the captured incidents;
+`/metrics?cluster=ID` is one cluster's own exposition).
 ";
 
 /// A parsed command line.
@@ -128,8 +120,6 @@ pub enum Command {
     Simulate(SimulateArgs),
     /// Run the online scheduler daemon.
     Serve(ServeArgs),
-    /// Run the multi-tenant fleet daemon.
-    ServeFleet(ServeFleetArgs),
     /// Submit a job to a running daemon.
     Submit(SubmitArgs),
     /// Show a running daemon's queue.
@@ -150,72 +140,64 @@ pub enum Command {
     Help,
 }
 
-/// The flags `sbs serve` and `sbs serve-fleet` share.
+/// Arguments of `sbs serve`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DaemonArgs {
+pub struct ServeArgs {
     /// TCP port to listen on (0 = ephemeral).
     pub port: u16,
-    /// (Per-cluster) machine size in nodes.
+    /// Per-cluster machine size in nodes.
     pub capacity: u32,
     /// Policy name (see [`policy_by_name`]).
     pub policy: String,
     /// Search node budget.
     pub budget: u64,
+    /// Per-decision wall-clock search deadline, in milliseconds.
+    pub deadline_ms: Option<u64>,
+    /// Directory for per-cluster snapshots and the index manifest.
+    pub snapshot_dir: Option<String>,
+    /// Auto-snapshot cadence in decisions.
+    pub snapshot_every: u64,
     /// Drive time from submitted events instead of the wall clock.
     pub virtual_clock: bool,
+    /// Directory for per-cluster `sbs-trace/v1` JSONL decision logs.
+    pub trace_dir: Option<String>,
     /// Append an `sbs-events/v1` JSONL operational journal here.
     pub event_log: Option<String>,
     /// Capture decisions at or beyond this wall time (ms) as incidents.
     pub slow_ms: Option<u64>,
     /// Capture decisions with this many `nodes_left_at_deadline`.
     pub slow_nodes_left: Option<u64>,
-}
-
-impl Default for DaemonArgs {
-    fn default() -> Self {
-        DaemonArgs {
-            port: 7070,
-            capacity: 128,
-            policy: "dds-lxf-dynb".to_string(),
-            budget: 1_000,
-            virtual_clock: false,
-            event_log: None,
-            slow_ms: None,
-            slow_nodes_left: None,
-        }
-    }
-}
-
-/// Arguments of `sbs serve`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    /// The flags shared with `sbs serve-fleet`.
-    pub daemon: DaemonArgs,
-    /// Per-decision wall-clock search deadline, in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Snapshot file path.
-    pub snapshot: Option<String>,
-    /// Auto-snapshot cadence in decisions.
-    pub snapshot_every: u64,
-    /// Append an `sbs-trace/v1` JSONL decision log here.
-    pub trace_log: Option<String>,
-}
-
-/// Arguments of `sbs serve-fleet`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeFleetArgs {
-    /// The flags shared with `sbs serve`.
-    pub daemon: DaemonArgs,
     /// Shard locks in the tenant map.
     pub shards: usize,
     /// Tenant cap.
     pub max_clusters: usize,
-    /// Directory for per-cluster snapshots and the index manifest.
-    pub snapshot_dir: Option<String>,
     /// Per-tenant queue-depth quota (0 = unlimited).
     pub max_queue: usize,
     /// Per-tenant fairshare slack percent (0 = fairshare off).
     pub fair_slack: u64,
+}
+
+impl Default for ServeArgs {
+    fn default() -> Self {
+        ServeArgs {
+            port: 7070,
+            capacity: 128,
+            policy: "dds-lxf-dynb".to_string(),
+            budget: 1_000,
+            deadline_ms: None,
+            snapshot_dir: None,
+            snapshot_every: 16,
+            virtual_clock: false,
+            trace_dir: None,
+            event_log: None,
+            slow_ms: None,
+            slow_nodes_left: None,
+            shards: 16,
+            max_clusters: 4096,
+            max_queue: 0,
+            fair_slack: 0,
+        }
+    }
 }
 
 /// Arguments of `sbs incidents`.
@@ -479,23 +461,7 @@ impl ConnectArgs {
     }
 }
 
-impl DaemonArgs {
-    /// Takes the current flag if `serve` and `serve-fleet` share it.
-    fn take(&mut self, f: &mut Flags) -> Result<bool, String> {
-        match f.flag {
-            "--port" => self.port = f.parsed()?,
-            "--capacity" => self.capacity = f.parsed()?,
-            "--policy" => self.policy = f.value()?,
-            "--budget" => self.budget = f.parsed()?,
-            "--virtual-clock" => self.virtual_clock = true,
-            "--event-log" => self.event_log = Some(f.value()?),
-            "--slow-ms" => self.slow_ms = Some(f.parsed()?),
-            "--slow-nodes-left" => self.slow_nodes_left = Some(f.parsed()?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
+impl ServeArgs {
     /// The journal and slow-decision configuration these flags ask for.
     fn obs(&self) -> sbs_obs::ObsConfig {
         let mut obs =
@@ -578,48 +544,30 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             Ok(Command::Simulate(parsed))
         }
         "serve" => {
-            let mut parsed = ServeArgs {
-                daemon: DaemonArgs::default(),
-                deadline_ms: None,
-                snapshot: None,
-                snapshot_every: 16,
-                trace_log: None,
-            };
+            let mut parsed = ServeArgs::default();
             while let Some(flag) = f.next_flag() {
                 match flag {
+                    "--port" => parsed.port = f.parsed()?,
+                    "--capacity" => parsed.capacity = f.parsed()?,
+                    "--policy" => parsed.policy = f.value()?,
+                    "--budget" => parsed.budget = f.parsed()?,
                     "--deadline-ms" => parsed.deadline_ms = Some(f.parsed()?),
-                    "--snapshot" => parsed.snapshot = Some(f.value()?),
+                    "--snapshot-dir" => parsed.snapshot_dir = Some(f.value()?),
                     "--snapshot-every" => parsed.snapshot_every = f.parsed()?,
-                    "--trace-log" => parsed.trace_log = Some(f.value()?),
-                    _ if parsed.daemon.take(&mut f)? => {}
-                    _ => return Err(f.unknown()),
-                }
-            }
-            resolve_spec(&parsed.daemon.policy, parsed.daemon.budget)?;
-            Ok(Command::Serve(parsed))
-        }
-        "serve-fleet" => {
-            let mut parsed = ServeFleetArgs {
-                daemon: DaemonArgs::default(),
-                shards: 16,
-                max_clusters: 4096,
-                snapshot_dir: None,
-                max_queue: 0,
-                fair_slack: 0,
-            };
-            while let Some(flag) = f.next_flag() {
-                match flag {
+                    "--virtual-clock" => parsed.virtual_clock = true,
+                    "--trace-dir" => parsed.trace_dir = Some(f.value()?),
+                    "--event-log" => parsed.event_log = Some(f.value()?),
+                    "--slow-ms" => parsed.slow_ms = Some(f.parsed()?),
+                    "--slow-nodes-left" => parsed.slow_nodes_left = Some(f.parsed()?),
                     "--shards" => parsed.shards = f.parsed()?,
                     "--max-clusters" => parsed.max_clusters = f.parsed()?,
-                    "--snapshot-dir" => parsed.snapshot_dir = Some(f.value()?),
                     "--max-queue" => parsed.max_queue = f.parsed()?,
                     "--fair-slack" => parsed.fair_slack = f.parsed()?,
-                    _ if parsed.daemon.take(&mut f)? => {}
                     _ => return Err(f.unknown()),
                 }
             }
-            resolve_spec(&parsed.daemon.policy, parsed.daemon.budget)?;
-            Ok(Command::ServeFleet(parsed))
+            resolve_spec(&parsed.policy, parsed.budget)?;
+            Ok(Command::Serve(parsed))
         }
         "trace" => {
             let mut file = None;
@@ -780,7 +728,6 @@ pub fn run(cmd: Command) -> Result<String, String> {
         }
         Command::Simulate(args) => simulate_cmd(args),
         Command::Serve(args) => serve_cmd(args),
-        Command::ServeFleet(args) => serve_fleet_cmd(args),
         Command::Submit(args) => {
             let mut req = format!(
                 r#"{{"op":"submit","nodes":{},"runtime":{}"#,
@@ -929,30 +876,22 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Renders one `/statusz` document as a dashboard frame. Both the
-/// daemon (`sbs-statusz/v1`) and fleet (`sbs-fleet-statusz/v1`)
-/// schemas render; fleets additionally get the per-cluster table.
+/// Renders one `sbs-fleet-statusz/v1` document as a dashboard frame:
+/// the header, then one table row per cluster.
 pub fn render_top(doc: &serde_json::Value) -> String {
     let n = |k: &str| doc[k].as_u64().unwrap_or(0);
     let f = |k: &str| doc[k].as_f64().unwrap_or(0.0);
-    let fleet = doc["schema"].as_str() == Some("sbs-fleet-statusz/v1");
-    let mut out = String::new();
-    if fleet {
-        out.push_str(&format!(
-            "sbs top — fleet  t={}  clusters={}  shards={}\n",
-            n("now"),
-            n("clusters"),
-            n("shards"),
-        ));
-    } else {
-        out.push_str(&format!(
-            "sbs top — daemon  t={}  policy={}  free {}/{} nodes\n",
-            n("now"),
-            doc["policy"].as_str().unwrap_or("?"),
-            n("free_nodes"),
-            n("capacity"),
-        ));
-    }
+    let rows = doc["per_cluster"].as_array().map_or(&[][..], Vec::as_slice);
+    let free: u64 = rows.iter().filter_map(|r| r["free_nodes"].as_u64()).sum();
+    let mut out = format!(
+        "sbs top  t={}  policy={}  free {}/{} nodes  clusters={}  shards={}\n",
+        n("now"),
+        doc["policy"].as_str().unwrap_or("?"),
+        free,
+        n("capacity") * n("clusters"),
+        n("clusters"),
+        n("shards"),
+    );
     out.push_str(&format!(
         "queue {}   running {}   submitted {}   decisions {}\n",
         n("queue_depth"),
@@ -980,33 +919,23 @@ pub fn render_top(doc: &serde_json::Value) -> String {
         doc["events"]["filtered"].as_u64().unwrap_or(0),
         n("incidents_captured"),
     ));
-    if fleet {
-        if let Some(rows) = doc["per_cluster"].as_array() {
-            let mut t = Table::new([
-                "cluster",
-                "queue",
-                "running",
-                "submitted",
-                "rejected",
-                "decisions",
-                "incidents",
-            ]);
-            for r in rows {
-                let cell = |k: &str| r[k].as_u64().unwrap_or(0).to_string();
-                t.row([
-                    r["cluster"].as_str().unwrap_or("?").to_string(),
-                    cell("queue_depth"),
-                    cell("running"),
-                    cell("submitted"),
-                    cell("rejected"),
-                    cell("decisions"),
-                    cell("incidents"),
-                ]);
-            }
-            out.push('\n');
-            out.push_str(&t.render());
-        }
+    let columns = [
+        ("queue", "queue_depth"),
+        ("running", "running"),
+        ("free", "free_nodes"),
+        ("submitted", "submitted"),
+        ("rejected", "rejected"),
+        ("decisions", "decisions"),
+        ("incidents", "incidents"),
+    ];
+    let mut t = Table::new(std::iter::once("cluster").chain(columns.map(|(title, _)| title)));
+    for r in rows {
+        let cell = |key: &str| r[key].as_u64().unwrap_or(0).to_string();
+        let id = r["cluster"].as_str().unwrap_or("?").to_string();
+        t.row(std::iter::once(id).chain(columns.map(|(_, key)| cell(key))));
     }
+    out.push('\n');
+    out.push_str(&t.render());
     out
 }
 
@@ -1058,54 +987,14 @@ fn trace_cmd(args: TraceArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// Binds the daemon port and serves `handler`, from the scheduler time
-/// it is at, until shutdown; `label` and `note` frame the "listening
-/// on" line.  Returns the bound address.
-fn serve_until_stopped<H: sbs_service::ServerHandler + 'static>(
-    handler: H,
-    args: &DaemonArgs,
-    label: &str,
-    note: &str,
-) -> Result<std::net::SocketAddr, String> {
-    use sbs_service::{Server, VirtualClock, WallClock};
-    let listener = std::net::TcpListener::bind(("127.0.0.1", args.port))
-        .map_err(|e| format!("cannot bind port {}: {e}", args.port))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    eprintln!("{label} listening on {addr}{note}");
-    let origin = handler.now();
-    let server = if args.virtual_clock {
-        Server::new(handler, VirtualClock::starting_at(origin))
-    } else {
-        Server::new(handler, WallClock::starting_at(origin))
-    };
-    server.run(listener).map_err(|e| e.to_string())?;
-    Ok(addr)
-}
-
+/// Serves a fleet — normally of one tenant, `default` — on the daemon
+/// port until shutdown.
 fn serve_cmd(args: ServeArgs) -> Result<String, String> {
-    use sbs_service::{Daemon, ServiceConfig};
-    let spec =
-        resolve_spec(&args.daemon.policy, args.daemon.budget).expect("validated by parse_args");
-    let label = format!("sbs-service: {}", spec.name());
-    let mut cfg = ServiceConfig::new(args.daemon.capacity, spec).with_obs(args.daemon.obs());
-    if let Some(ms) = args.deadline_ms {
-        cfg = cfg.with_deadline(std::time::Duration::from_millis(ms));
-    }
-    if let Some(path) = args.snapshot {
-        cfg = cfg.with_snapshots(path.into(), args.snapshot_every);
-    }
-    if let Some(path) = args.trace_log {
-        cfg = cfg.with_trace_log(path.into());
-    }
-    let addr = serve_until_stopped(Daemon::new(cfg)?, &args.daemon, &label, "")?;
-    Ok(format!("daemon on {addr} stopped\n"))
-}
-
-fn serve_fleet_cmd(args: ServeFleetArgs) -> Result<String, String> {
     use sbs_fleet::{Fleet, FleetConfig, TenantQuota};
-    let spec =
-        resolve_spec(&args.daemon.policy, args.daemon.budget).expect("validated by parse_args");
-    let mut cfg = FleetConfig::new(args.daemon.capacity, spec)
+    use sbs_service::{Server, VirtualClock, WallClock};
+    let spec = resolve_spec(&args.policy, args.budget).expect("validated by parse_args");
+    let label = format!("sbs serve: {}", spec.name());
+    let mut cfg = FleetConfig::new(args.capacity, spec)
         .with_shards(args.shards)
         .with_max_clusters(args.max_clusters)
         .with_quota(TenantQuota {
@@ -1113,15 +1002,27 @@ fn serve_fleet_cmd(args: ServeFleetArgs) -> Result<String, String> {
             fair_slack_percent: args.fair_slack,
             ..Default::default()
         })
-        .with_obs(args.daemon.obs());
-    if let Some(dir) = args.snapshot_dir {
-        cfg = cfg.with_snapshot_dir(dir.into());
-    }
+        .with_obs(args.obs());
+    cfg.snapshot_dir = args.snapshot_dir.map(Into::into);
+    cfg.snapshot_every = args.snapshot_every;
+    cfg.deadline = args.deadline_ms.map(std::time::Duration::from_millis);
+    cfg.trace_dir = args.trace_dir.map(Into::into);
     let fleet = Fleet::new(cfg)?;
-    let label = format!("sbs-fleet: {}", args.daemon.policy);
-    let note = format!(" ({} clusters recovered)", fleet.cluster_count());
-    let addr = serve_until_stopped(fleet, &args.daemon, &label, &note)?;
-    Ok(format!("fleet on {addr} stopped\n"))
+    let listener = std::net::TcpListener::bind(("127.0.0.1", args.port))
+        .map_err(|e| format!("cannot bind port {}: {e}", args.port))?;
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
+    eprintln!(
+        "{label} ({} clusters recovered) listening on {addr}",
+        fleet.cluster_count()
+    );
+    let origin = fleet.now();
+    let server = if args.virtual_clock {
+        Server::new(fleet, VirtualClock::starting_at(origin))
+    } else {
+        Server::new(fleet, WallClock::starting_at(origin))
+    };
+    server.run(listener).map_err(|e| e.to_string())?;
+    Ok(format!("daemon on {addr} stopped\n"))
 }
 
 fn load_workload(args: &SimulateArgs) -> Result<Workload, String> {
@@ -1269,7 +1170,7 @@ mod tests {
 
     /// Every subcommand's flags that take a value: `(subcommand, flags
     /// whose value is kept as text, flags whose value is parsed)`.
-    const VALUE_FLAGS: [(&str, &str, &str); 9] = [
+    const VALUE_FLAGS: [(&str, &str, &str); 8] = [
         (
             "simulate",
             "--month --trace --policy --knowledge --trace-log",
@@ -1277,14 +1178,9 @@ mod tests {
         ),
         (
             "serve",
-            "--policy --snapshot --trace-log --event-log",
-            "--port --capacity --budget --deadline-ms --snapshot-every --slow-ms --slow-nodes-left",
-        ),
-        (
-            "serve-fleet",
-            "--policy --snapshot-dir --event-log",
-            "--port --capacity --budget --shards --max-clusters --max-queue --fair-slack --slow-ms \
-             --slow-nodes-left",
+            "--policy --snapshot-dir --trace-dir --event-log",
+            "--port --capacity --budget --deadline-ms --snapshot-every --slow-ms --slow-nodes-left \
+             --shards --max-clusters --max-queue --fair-slack",
         ),
         (
             "submit",
@@ -1316,23 +1212,30 @@ mod tests {
 
     #[test]
     fn parses_serve_fleet_flags() {
+        // The fleet's flags live on `serve`; `serve-fleet` is gone.
         let cmd = parse(
-            "serve-fleet --port 0 --capacity 64 --shards 8 --max-clusters 100 \
+            "serve --port 0 --capacity 64 --shards 8 --max-clusters 100 \
              --snapshot-dir /tmp/fleet --max-queue 32 --fair-slack 150 --virtual-clock",
         )
         .expect("parse");
-        let Command::ServeFleet(a) = cmd else {
-            panic!("not serve-fleet")
+        let Command::Serve(a) = cmd else {
+            panic!("not serve")
         };
-        assert_eq!(a.daemon.port, 0);
-        assert_eq!(a.daemon.capacity, 64);
+        assert_eq!(a.port, 0);
+        assert_eq!(a.capacity, 64);
         assert_eq!(a.shards, 8);
         assert_eq!(a.max_clusters, 100);
         assert_eq!(a.snapshot_dir.as_deref(), Some("/tmp/fleet"));
         assert_eq!(a.max_queue, 32);
         assert_eq!(a.fair_slack, 150);
-        assert!(a.daemon.virtual_clock);
-        assert!(parse("serve-fleet --policy nope").is_err());
+        assert!(a.virtual_clock);
+        let err = parse("serve-fleet --port 0").expect_err("no longer a command");
+        assert_eq!(err, "unknown command \"serve-fleet\"");
+        assert!(!USAGE.contains("serve-fleet"), "{USAGE}");
+        for gone in ["--snapshot state.json", "--trace-log t.jsonl"] {
+            let err = parse(&format!("serve {gone}")).expect_err(gone);
+            assert!(err.contains("unknown flag"), "{gone}: {err}");
+        }
     }
 
     #[test]
@@ -1343,21 +1246,19 @@ mod tests {
         else {
             panic!("not serve")
         };
-        assert_eq!(s.daemon.event_log.as_deref(), Some("events.jsonl"));
-        assert_eq!(s.daemon.slow_ms, Some(250));
-        assert_eq!(s.daemon.slow_nodes_left, Some(100));
+        assert_eq!(s.event_log.as_deref(), Some("events.jsonl"));
+        assert_eq!(s.slow_ms, Some(250));
+        assert_eq!(s.slow_nodes_left, Some(100));
 
-        let Command::ServeFleet(f) =
-            parse("serve-fleet --event-log fleet.jsonl --slow-ms 50").expect("parse")
-        else {
-            panic!("not serve-fleet")
+        let Command::Serve(f) = parse("serve --slow-ms 50").expect("parse") else {
+            panic!("not serve")
         };
-        assert_eq!(f.daemon.event_log.as_deref(), Some("fleet.jsonl"));
-        assert_eq!(f.daemon.slow_ms, Some(50));
-        assert_eq!(f.daemon.slow_nodes_left, None);
+        assert_eq!(f.event_log, None);
+        assert_eq!(f.slow_ms, Some(50));
+        assert_eq!(f.slow_nodes_left, None);
 
         assert!(parse("serve --slow-ms many").is_err());
-        assert!(parse("serve-fleet --event-log").is_err(), "needs a value");
+        assert!(parse("serve --event-log").is_err(), "needs a value");
     }
 
     #[test]
@@ -1403,70 +1304,65 @@ mod tests {
 
     #[test]
     fn top_renders_daemon_and_fleet_status_documents() {
-        let lat = json!({"p50": 1_500, "p99": 2_000_000, "p999": 3_000_000_000u64, "count": 7});
-        let events = json!({"emitted": 4, "filtered": 9});
-        let mut daemon = json!({
-            "schema": "sbs-statusz/v1",
-            "now": 120,
-            "policy": "DDS/lxf/dynB",
-            "capacity": 128,
-            "free_nodes": 96,
-            "queue_depth": 3,
-            "running": 2,
-            "submitted": 11,
-            "decisions": 6,
-            "search_nodes": 4_200,
-            "deadline_hit_rate": 0.25,
-            "search_nodes_per_sec": 1_000.0,
-            "incidents_captured": 1,
-        });
-        if let serde_json::Value::Object(m) = &mut daemon {
-            m.insert("submit_latency_ns".into(), lat.clone());
-            m.insert("events".into(), events.clone());
-        }
-        let frame = render_top(&daemon);
-        assert!(frame.contains("daemon"), "{frame}");
+        // One schema: a one-tenant `sbs serve` and a multi-tenant one
+        // render the same header and per-cluster table.
+        let status = |rows: Vec<serde_json::Value>| {
+            let mut doc = json!({
+                "schema": "sbs-fleet-statusz/v1",
+                "now": 120,
+                "policy": "DDS/lxf/dynB",
+                "capacity": 128,
+                "clusters": rows.len() as u64,
+                "shards": 16,
+                "queue_depth": 3,
+                "running": 2,
+                "submitted": 11,
+                "decisions": 6,
+                "search_nodes": 4_200,
+                "deadline_hit_rate": 0.25,
+                "search_nodes_per_sec": 1_000.0,
+                "incidents_captured": 1,
+            });
+            if let serde_json::Value::Object(m) = &mut doc {
+                let lat =
+                    json!({"p50": 1_500, "p99": 2_000_000, "p999": 3_000_000_000u64, "count": 7});
+                m.insert("submit_latency_ns".into(), lat);
+                m.insert("events".into(), json!({"emitted": 4, "filtered": 9}));
+                m.insert("per_cluster".into(), serde_json::Value::Array(rows));
+            }
+            render_top(&doc)
+        };
+        let row = |id: &str, free: u64| {
+            json!({
+                "cluster": id,
+                "queue_depth": 1,
+                "running": 2,
+                "free_nodes": free,
+                "submitted": 3,
+                "rejected": 0,
+                "decisions": 4,
+                "incidents": 0,
+            })
+        };
+
+        let frame = status(vec![row("default", 96)]);
         assert!(frame.contains("policy=DDS/lxf/dynB"), "{frame}");
         assert!(frame.contains("free 96/128 nodes"), "{frame}");
+        assert!(frame.contains("clusters=1"), "{frame}");
         assert!(frame.contains("deadline-hit 25.0%"), "{frame}");
         assert!(frame.contains("p50 1.5us"), "{frame}");
         assert!(frame.contains("p99 2.0ms"), "{frame}");
         assert!(frame.contains("p999 3.00s"), "{frame}");
         assert!(frame.contains("4 emitted / 9 filtered"), "{frame}");
+        let header = frame.lines().find(|l| l.starts_with("cluster")).unwrap();
+        assert!(header.contains("free"), "{frame}");
+        assert!(frame.lines().any(|l| l.starts_with("default")), "{frame}");
 
-        let row = json!({
-            "cluster": "alpha",
-            "queue_depth": 1,
-            "running": 2,
-            "submitted": 3,
-            "rejected": 0,
-            "decisions": 4,
-            "incidents": 0,
-        });
-        let mut fleet = json!({
-            "schema": "sbs-fleet-statusz/v1",
-            "now": 60,
-            "clusters": 1,
-            "shards": 16,
-            "queue_depth": 1,
-            "running": 2,
-            "submitted": 3,
-            "decisions": 4,
-            "search_nodes": 0,
-            "deadline_hit_rate": 0.0,
-            "search_nodes_per_sec": 0.0,
-            "incidents_captured": 0,
-        });
-        if let serde_json::Value::Object(m) = &mut fleet {
-            m.insert("submit_latency_ns".into(), lat);
-            m.insert("events".into(), events);
-            m.insert("per_cluster".into(), serde_json::Value::Array(vec![row]));
-        }
-        let frame = render_top(&fleet);
-        assert!(frame.contains("fleet"), "{frame}");
-        assert!(frame.contains("clusters=1"), "{frame}");
-        assert!(frame.contains("alpha"), "{frame}");
-        assert!(frame.contains("cluster"), "{frame}");
+        let frame = status(vec![row("alpha", 100), row("beta", 28)]);
+        assert!(frame.contains("free 128/256 nodes"), "{frame}");
+        assert!(frame.contains("clusters=2"), "{frame}");
+        assert!(frame.lines().any(|l| l.starts_with("alpha")), "{frame}");
+        assert!(frame.lines().any(|l| l.starts_with("beta")), "{frame}");
     }
 
     #[test]
@@ -1589,10 +1485,11 @@ mod tests {
         else {
             panic!("not serve")
         };
-        assert_eq!(s.daemon.port, 0);
-        assert_eq!(s.daemon.capacity, 64);
-        assert!(s.daemon.virtual_clock);
+        assert_eq!(s.port, 0);
+        assert_eq!(s.capacity, 64);
+        assert!(s.virtual_clock);
         assert_eq!(s.deadline_ms, Some(50));
+        assert_eq!(s.snapshot_every, 16, "auto-snapshot cadence default");
 
         let Command::Submit(a) =
             parse("submit --port 9999 --nodes 4 --runtime 3600 --user 2 --at 100").expect("parse")
@@ -1612,10 +1509,11 @@ mod tests {
 
     #[test]
     fn submit_and_queue_round_trip_against_a_live_daemon() {
-        use sbs_service::{Daemon, Server, ServiceConfig, VirtualClock};
+        use sbs_fleet::{Fleet, FleetConfig};
+        use sbs_service::{Server, VirtualClock};
         let spec = policy_by_name("fcfs-bf", 100).expect("known policy");
-        let daemon = Daemon::fresh(ServiceConfig::new(8, spec));
-        let server = Server::new(daemon, VirtualClock::default());
+        let fleet = Fleet::new(FleetConfig::new(8, spec)).expect("fleet");
+        let server = Server::new(fleet, VirtualClock::default());
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let port = listener.local_addr().expect("addr").port();
         let stop = server.shutdown_flag();
@@ -1656,10 +1554,10 @@ mod tests {
         };
         assert_eq!(a.trace_log.as_deref(), Some("out.jsonl"));
 
-        let Command::Serve(s) = parse("serve --trace-log d.jsonl").expect("parse") else {
+        let Command::Serve(s) = parse("serve --trace-dir traces").expect("parse") else {
             panic!("not serve")
         };
-        assert_eq!(s.trace_log.as_deref(), Some("d.jsonl"));
+        assert_eq!(s.trace_dir.as_deref(), Some("traces"));
 
         let Command::Trace(t) =
             parse("trace run.jsonl --collapsed run.collapsed --json").expect("parse")

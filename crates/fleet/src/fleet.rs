@@ -17,7 +17,14 @@
 //!
 //! Snapshots are per-cluster files plus an index manifest
 //! (`sbs-fleet-manifest/v1`); [`Fleet::new`] recovers every tenant
-//! listed in the manifest through the single-cluster snapshot path.
+//! listed in the manifest through the single-cluster snapshot path.  The
+//! manifest is rewritten whenever a request creates a tenant, so a
+//! tenant that auto-snapshots (`snapshot_every`) is recoverable before
+//! the next explicit save.
+//!
+//! `sbs serve` is a fleet that normally has one tenant: requests without
+//! a `cluster` field go to `default`, which the first such request
+//! creates, reads included.
 //!
 //! ## Observability
 //!
@@ -32,10 +39,11 @@
 //! [`Edge`] (journal, submit-latency histogram, status window) lives
 //! behind one mutex that is **only ever taken with no shard lock held**,
 //! preserving the no-lock-order-edge invariant.  `GET /healthz` reports
-//! shard availability (poisoned locks) and `GET /statusz` serves a
-//! fleet-wide JSON aggregate, per-cluster rows under the same
-//! cardinality cap as `/metrics`, and (with `?incidents=1`) every
-//! tenant's captured slow decisions.
+//! readiness (no poisoned shard lock, not every tenant draining, not
+//! overloaded), `GET /statusz` serves a fleet-wide JSON aggregate,
+//! per-cluster rows under the same cardinality cap as `/metrics`, and
+//! (with `?incidents=1`) every tenant's captured slow decisions, and
+//! `GET /metrics?cluster=ID` serves one tenant's own exposition.
 
 use crate::quota::{FleetDemand, TenantQuota};
 use sbs_core::PolicySpec;
@@ -46,18 +54,23 @@ use sbs_obs::{Histogram, ObsConfig, StatusSample};
 use sbs_service::cluster::{drain_response, incidents_response};
 use sbs_service::edge::op_event;
 use sbs_service::protocol::{error_response, parse_routed, CorrelationSource, Request, SubmitSpec};
-use sbs_service::server::ServerHandler;
+use sbs_service::server::{HttpReply, ServerHandler};
+use sbs_service::snapshot::write_atomic;
 use sbs_service::{Cluster, Edge, ServiceConfig};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Schema tag stamped into every fleet snapshot manifest.
 pub const MANIFEST_SCHEMA: &str = "sbs-fleet-manifest/v1";
+
+/// Tenant a request with no `cluster` field goes to, so single-cluster
+/// clients never name one.
+const DEFAULT_CLUSTER: &str = "default";
 
 /// Fleet-wide configuration; every tenant shares the machine shape,
 /// policy, and default quota.
@@ -77,12 +90,18 @@ pub struct FleetConfig {
     /// Directory for per-cluster snapshots and the index manifest;
     /// `None` disables persistence.
     pub snapshot_dir: Option<PathBuf>,
+    /// Each tenant auto-snapshots every N decision points (0 = only on
+    /// demand and at shutdown).
+    pub snapshot_every: u64,
+    /// Per-decision wall-clock deadline for search policies (anytime
+    /// search); ignored by heuristic policies.
+    pub deadline: Option<Duration>,
+    /// Directory for per-tenant `sbs-trace/v1` decision logs
+    /// (`trace-<cluster>.jsonl`); `None` keeps telemetry in memory.
+    pub trace_dir: Option<PathBuf>,
     /// Most cluster ids that get their own `cluster="..."` metric
     /// label; the rest aggregate into `cluster="_other"`.
     pub cluster_label_cap: usize,
-    /// Tenant used when a request carries no `cluster` field, so
-    /// single-cluster clients speak the unextended protocol unchanged.
-    pub default_cluster: String,
     /// Wait beyond this threshold counts as excessive in the metrics.
     pub excess_threshold: Time,
     /// The fleet-scoped event journal, and the slow-decision thresholds
@@ -100,8 +119,10 @@ impl FleetConfig {
             max_clusters: 4096,
             quota: TenantQuota::default(),
             snapshot_dir: None,
+            snapshot_every: 0,
+            deadline: None,
+            trace_dir: None,
             cluster_label_cap: 32,
-            default_cluster: "default".into(),
             excess_threshold: 0,
             obs: ObsConfig::default(),
         }
@@ -186,6 +207,7 @@ struct ClusterStat {
     /// The cluster's counters, with the fleet's admission counts.
     sample: StatusSample,
     running: u64,
+    free_nodes: u64,
     incidents: u64,
     decision_nanos: Option<Histogram>,
 }
@@ -195,6 +217,7 @@ impl ClusterStat {
     fn absorb(&mut self, other: &ClusterStat) {
         self.sample.absorb(&other.sample);
         self.running += other.running;
+        self.free_nodes += other.free_nodes;
         self.incidents += other.incidents;
         if let Some(h) = &other.decision_nanos {
             match &mut self.decision_nanos {
@@ -214,6 +237,7 @@ impl ClusterStat {
             "cluster": id,
             "queue_depth": self.sample.queue_depth,
             "running": self.running,
+            "free_nodes": self.free_nodes,
             "submitted": self.sample.submitted,
             "rejected": self.sample.rejected,
             "decisions": self.sample.decisions,
@@ -225,6 +249,8 @@ impl ClusterStat {
 /// The multi-tenant fleet daemon.
 pub struct Fleet {
     cfg: FleetConfig,
+    /// Display name of the policy every tenant runs.
+    policy: String,
     shards: Vec<Mutex<Shard>>,
     /// Pending node-seconds summed over every tenant (fairshare input).
     /// Orderings: DESIGN.md, "Fleet atomics".
@@ -256,6 +282,7 @@ impl Fleet {
             .collect();
         let edge = Edge::new(&cfg.obs, 0);
         let fleet = Fleet {
+            policy: cfg.spec.name(),
             cfg,
             shards,
             total_pending: AtomicU64::new(0),
@@ -265,6 +292,13 @@ impl Fleet {
             corr: CorrelationSource::new(),
             edge: Mutex::new(edge),
         };
+        // Tenants write snapshots and traces from their first decision.
+        for dir in [&fleet.cfg.snapshot_dir, &fleet.cfg.trace_dir]
+            .into_iter()
+            .flatten()
+        {
+            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        }
         let manifest = fleet
             .cfg
             .snapshot_dir
@@ -313,8 +347,13 @@ impl Fleet {
     fn tenant_config(&self, cluster: &str) -> ServiceConfig {
         let mut c = ServiceConfig::new(self.cfg.capacity, self.cfg.spec.clone());
         c.excess_threshold = self.cfg.excess_threshold;
+        c.deadline = self.cfg.deadline;
+        c.snapshot_every = self.cfg.snapshot_every;
         if let Some(dir) = &self.cfg.snapshot_dir {
             c.snapshot_path = Some(dir.join(format!("cluster-{cluster}.json")));
+        }
+        if let Some(dir) = &self.cfg.trace_dir {
+            c.trace_log = Some(dir.join(format!("trace-{cluster}.jsonl")));
         }
         // A cluster reads only the slow-decision thresholds and the time
         // mode; the journal settings configure the fleet's own edge.
@@ -362,38 +401,25 @@ impl Fleet {
         self.latest_now.fetch_max(t.cluster.now(), Ordering::AcqRel);
     }
 
-    /// Admits and submits one job into a (locked) tenant.
-    fn submit_one(&self, t: &mut Tenant, at: Time, spec: &SubmitSpec) -> Value {
-        let (depth, pending) = t.cluster.queue_demand();
+    /// The tenant quota's verdict on one job, against the cluster's
+    /// current queue and the fleet-wide pending demand.
+    fn admit(&self, quota: &TenantQuota, c: &Cluster, spec: &SubmitSpec) -> Result<(), String> {
+        let (depth, pending) = c.queue_demand();
         let requested = spec.requested.unwrap_or(spec.runtime).max(spec.runtime);
         let add = u64::from(spec.nodes).saturating_mul(requested);
         let fleet = FleetDemand {
             total_pending: self.total_pending.load(Ordering::Acquire),
             total_weight: self.total_weight.load(Ordering::Acquire),
         };
-        if let Err(denied) = t.quota.admit(depth, pending, add, fleet) {
-            t.rejected += 1;
-            return error_response(&denied.to_string());
-        }
-        let when = spec.submit.unwrap_or(at);
-        match t
-            .cluster
-            .submit_at(when, spec.nodes, spec.runtime, spec.requested, spec.user)
-        {
-            Ok((id, started)) => {
-                t.submitted += 1;
-                json!({ "ok": true, "id": id.0, "started": started })
-            }
-            Err(e) => {
-                t.rejected += 1;
-                error_response(&e)
-            }
-        }
+        quota
+            .admit(depth, pending, add, fleet)
+            .map_err(|denied| denied.to_string())
     }
 
     /// Runs `f` on the named tenant under correlation id `corr`,
-    /// creating the tenant first when `create` is set (submissions
-    /// create tenants; reads on unknown clusters are typed errors).
+    /// creating the tenant first when `create` is set (submissions and
+    /// un-routed reads create tenants; routed reads on unknown clusters
+    /// are typed errors).
     fn with_tenant<R>(
         &self,
         cluster: &str,
@@ -472,82 +498,48 @@ impl Fleet {
         at: Time,
         corr: u64,
     ) -> (Value, bool) {
-        let id = cluster.unwrap_or(self.cfg.default_cluster.as_str());
+        let id = cluster.unwrap_or(DEFAULT_CLUSTER);
         let answer = |out: Result<Value, String>| out.unwrap_or_else(|e| error_response(&e));
         match req {
-            Request::Submit {
-                nodes,
-                runtime,
-                requested,
-                user,
-                submit,
-            } => {
-                let spec = SubmitSpec {
-                    nodes,
-                    runtime,
-                    requested,
-                    user,
-                    submit,
+            // Tenant-scoped ops are the cluster's own bodies; the fleet
+            // adds quota admission and its per-tenant counters.
+            req @ (Request::Submit { .. } | Request::SubmitBatch { .. }) => {
+                let offered = match &req {
+                    Request::SubmitBatch { jobs } => jobs.len() as u64,
+                    _ => 1,
                 };
                 let out = self.with_tenant(id, true, corr, |fleet, t| {
-                    let mut v = fleet.submit_one(t, at, &spec);
-                    if let Value::Object(map) = &mut v {
-                        map.insert("now".into(), Value::from(t.cluster.now()));
-                    }
+                    let (v, admitted) = t
+                        .cluster
+                        .handle_admitted(req, at, |c, spec| fleet.admit(&t.quota, c, spec));
+                    t.submitted += admitted;
+                    t.rejected += offered - admitted;
                     v
                 });
                 (answer(out), false)
             }
-            Request::SubmitBatch { jobs } => {
-                let out = self.with_tenant(id, true, corr, |fleet, t| {
-                    let mut results = Vec::with_capacity(jobs.len());
-                    let mut accepted = 0u64;
-                    for spec in &jobs {
-                        let v = fleet.submit_one(t, at, spec);
-                        if v.get("ok") == Some(&Value::Bool(true)) {
-                            accepted += 1;
-                        }
-                        results.push(v);
-                    }
-                    json!({
-                        "ok": true,
-                        "now": t.cluster.now(),
-                        "accepted": accepted,
-                        "results": Value::Array(results),
-                    })
+            req @ (Request::Cancel { .. } | Request::Queue) => {
+                let out = self.with_tenant(id, cluster.is_none(), corr, |_, t| {
+                    t.cluster.handle(req, at).0
                 });
                 (answer(out), false)
             }
-            // Per-tenant reads are the cluster's own op bodies.
-            req @ (Request::Cancel { .. } | Request::Queue) => {
-                let out = self.with_tenant(id, false, corr, |_, t| t.cluster.dispatch(req, at).0);
-                (answer(out), false)
+            req @ (Request::Drain | Request::Incidents) if cluster.is_some() => {
+                let out = self.with_tenant(id, false, corr, |_, t| t.cluster.handle(req, at).0);
+                (answer(out.map(|v| tag_incidents(v, id))), false)
             }
             Request::Metrics => {
                 self.poll_all(at);
                 (json!({ "ok": true, "text": self.metrics_text() }), false)
             }
             Request::Incidents => {
-                let out = match cluster {
-                    Some(c) => self.with_tenant(c, false, corr, |_, t| {
-                        t.cluster.poll_to(at);
-                        tenant_incidents(c, &t.cluster)
-                    }),
-                    None => {
-                        self.poll_all(at);
-                        Ok(self.all_incidents())
-                    }
-                };
-                let out = out.map(|(items, captured)| incidents_response(items, captured));
-                (answer(out), false)
+                self.poll_all(at);
+                let (items, captured) = self.all_incidents();
+                (incidents_response(items, captured), false)
             }
             Request::Drain => {
-                let out = match cluster {
-                    Some(c) => self.with_tenant(c, false, corr, |_, t| t.cluster.drain()),
-                    None => Ok(self.drain_all_with(corr)),
-                };
-                let out = out.map(|(done, left)| drain_response(done, left, self.now()));
-                (answer(out), false)
+                let (done, left) = self.drain_all(corr);
+                (drain_response(done, left, self.now()), false)
             }
             Request::Snapshot => match self.save_snapshots() {
                 Ok(Some(path)) => (
@@ -580,13 +572,9 @@ impl Fleet {
         self.latest_now.fetch_max(at, Ordering::AcqRel);
     }
 
-    /// Drains every tenant; returns summed `(completed, leftover)`.
-    pub fn drain_all(&self) -> (usize, usize) {
-        self.drain_all_with(0)
-    }
-
-    /// Drain-everything under a request correlation id.
-    fn drain_all_with(&self, corr: u64) -> (usize, usize) {
+    /// Drains every tenant under request correlation id `corr`; returns
+    /// summed `(completed, leftover)`.
+    pub fn drain_all(&self, corr: u64) -> (usize, usize) {
         let (mut completed, mut leftover) = (0usize, 0usize);
         for shard in &self.shards {
             let mut s = lock_shard(shard);
@@ -628,26 +616,48 @@ impl Fleet {
         for shard in &self.shards {
             let s = lock_shard(shard);
             for (id, t) in &s.tenants {
-                let (tagged, total) = tenant_incidents(id, &t.cluster);
+                let mut tagged = t.cluster.incidents_value();
+                tagged.iter_mut().for_each(|i| tag(i, id));
                 items.extend(tagged);
-                captured += total;
+                captured += t.cluster.incidents_total();
             }
         }
         (items, captured)
     }
 
-    /// Liveness/readiness JSON for `GET /healthz`.  Readiness means
-    /// every shard lock is healthy: [`lock_shard`] recovers from
-    /// poisoning, so a poisoned shard still serves, but it signals a
-    /// panic mid-update and flips readiness (HTTP 503) so an operator
-    /// or balancer can rotate the instance out.
+    /// Liveness/readiness JSON for `GET /healthz`.  Ready means all
+    /// three of:
+    ///
+    /// - every shard lock is healthy: [`lock_shard`] recovers from
+    ///   poisoning, so a poisoned shard still serves, but it signals a
+    ///   panic mid-update;
+    /// - not `draining`: some tenant still admits work (a fleet with no
+    ///   tenant yet admits the first);
+    /// - not `overloaded`: the summed queue depth is at most 8 ×
+    ///   capacity × tenants.
+    ///
+    /// Not ready answers HTTP 503, so an operator or balancer can
+    /// rotate the instance out.
     pub fn healthz_value(&self) -> Value {
         let shards = self.shards.len() as u64;
         let poisoned = self.shards.iter().filter(|s| s.is_poisoned()).count() as u64;
-        let ready = poisoned == 0;
+        let (mut tenants, mut draining, mut depth) = (0u64, 0u64, 0u64);
+        for shard in &self.shards {
+            let s = lock_shard(shard);
+            for t in s.tenants.values() {
+                tenants += 1;
+                draining += u64::from(t.cluster.draining());
+                depth += t.cluster.queue_demand().0 as u64;
+            }
+        }
+        let draining = tenants > 0 && draining == tenants;
+        let overloaded = depth > 8 * u64::from(self.cfg.capacity) * tenants;
+        let ready = poisoned == 0 && !draining && !overloaded;
         json!({
             "ok": ready,
             "ready": ready,
+            "draining": draining,
+            "overloaded": overloaded,
             "shards": shards,
             "shards_poisoned": poisoned,
             "clusters": self.cluster_count(),
@@ -670,6 +680,8 @@ impl Fleet {
         let mut v = json!({
             "schema": "sbs-fleet-statusz/v1",
             "now": live.at,
+            "policy": self.policy.as_str(),
+            "capacity": self.cfg.capacity,
             "shards": self.shards.len() as u64,
             "clusters": stats.len() as u64,
             "queue_depth": live.queue_depth,
@@ -702,13 +714,15 @@ impl Fleet {
         for shard in &self.shards {
             let s = lock_shard(shard);
             for (id, t) in &s.tenants {
+                let m = t.cluster.metrics();
                 let stat = ClusterStat {
                     sample: StatusSample {
                         submitted: t.submitted,
                         rejected: t.rejected,
                         ..t.cluster.status_sample()
                     },
-                    running: t.cluster.metrics().running_jobs as u64,
+                    running: m.running_jobs as u64,
+                    free_nodes: u64::from(m.free_nodes),
                     incidents: t.cluster.incidents_total(),
                     decision_nanos: t.cluster.decision_wall().cloned(),
                 };
@@ -799,40 +813,68 @@ impl Fleet {
             return Ok(None);
         };
         std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let mut ids = Vec::new();
         let mut writes = Vec::new();
         for shard in &self.shards {
             let mut s = lock_shard(shard);
-            for (id, t) in s.tenants.iter_mut() {
+            for t in s.tenants.values_mut() {
                 // Render in memory only: the file writes happen after
                 // the shard lock drops, so a slow disk never stalls
                 // every request routed to this shard.
                 writes.extend(t.cluster.render_snapshot());
-                ids.push(id.clone());
             }
         }
         for (snap, path) in writes {
             snap.save(&path)
                 .map_err(|e| format!("snapshot write failed: {e}"))?;
         }
+        self.save_manifest(&dir).map(Some)
+    }
+
+    /// Writes the index manifest listing every live tenant under `dir`;
+    /// returns its path.
+    fn save_manifest(&self, dir: &Path) -> Result<PathBuf, String> {
+        let mut ids: Vec<String> = Vec::new();
+        for shard in &self.shards {
+            ids.extend(lock_shard(shard).tenants.keys().cloned());
+        }
         ids.sort();
-        let manifest = dir.join("manifest.json");
-        write_manifest(&manifest, &ids)?;
-        Ok(Some(manifest))
+        let doc = json!({ "schema": MANIFEST_SCHEMA, "clusters": ids });
+        let mut text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
+        text.push('\n');
+        let path = dir.join("manifest.json");
+        write_atomic(&path, text.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))?;
+        Ok(path)
+    }
+
+    /// One tenant's own `/metrics` exposition (`GET /metrics?cluster=ID`).
+    pub(crate) fn cluster_metrics_text(&self, cluster: &str) -> Result<String, String> {
+        let shard = self
+            .shard_for(cluster)
+            .ok_or("internal: no shard for cluster")?;
+        shard
+            .tenants
+            .get(cluster)
+            .map(|t| t.cluster.metrics_text())
+            .ok_or_else(|| format!("unknown cluster {cluster:?}"))
     }
 }
 
-/// One tenant's captured incidents, tagged with its cluster id, plus
-/// its lifetime capture count.
-fn tenant_incidents(id: &str, cluster: &Cluster) -> (Vec<Value>, u64) {
-    let tag = |mut v: Value| {
-        if let Value::Object(m) = &mut v {
-            m.insert("cluster".into(), Value::from(id));
+/// Tags one captured incident with the cluster id it came from.
+fn tag(incident: &mut Value, id: &str) {
+    if let Value::Object(m) = incident {
+        m.insert("cluster".into(), Value::from(id));
+    }
+}
+
+/// Tags every incident in a tenant's answer with its cluster id (an
+/// answer without incidents passes through).
+fn tag_incidents(mut answer: Value, id: &str) -> Value {
+    if let Value::Object(m) = &mut answer {
+        if let Some(Value::Array(items)) = m.get_mut("incidents") {
+            items.iter_mut().for_each(|i| tag(i, id));
         }
-        v
-    };
-    let items = cluster.incidents_value().into_iter().map(tag).collect();
-    (items, cluster.incidents_total())
+    }
+    answer
 }
 
 /// Appends one cluster's labeled series to the exposition.
@@ -901,23 +943,6 @@ fn read_manifest(path: &Path) -> Result<Vec<String>, String> {
     Ok(ids)
 }
 
-/// Writes the manifest atomically (temp file + rename), like the
-/// per-daemon snapshot writer.
-fn write_manifest(path: &Path, ids: &[String]) -> Result<(), String> {
-    let ids: Vec<Value> = ids.iter().map(|s| Value::from(s.as_str())).collect();
-    let doc = json!({ "schema": MANIFEST_SCHEMA, "clusters": Value::Array(ids) });
-    let text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-    let tmp = path.with_extension("tmp");
-    let write = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    };
-    write().map_err(|e| format!("{}: {e}", path.display()))
-}
-
 impl ServerHandler for Fleet {
     fn poll_to(&mut self, at: Time) {
         Fleet::poll_all(self, at);
@@ -928,10 +953,20 @@ impl ServerHandler for Fleet {
         match parse_routed(line) {
             Ok((cluster, req)) => {
                 let kind = op_event(&req);
+                let before = self.cluster_count();
                 let out = self.handle_routed(cluster.as_deref(), req, at);
                 // Journal after dispatch: every shard lock is released
                 // by now, so the edge stays a leaf lock.
                 let clusters = self.cluster_count();
+                if let (true, Some(dir)) = (clusters > before, &self.cfg.snapshot_dir) {
+                    // List the new tenant now: its own auto-snapshots
+                    // are recoverable only through the manifest.
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "proven best-effort path — the next tenant creation or save rewrites the manifest"
+                    )]
+                    let _ = self.save_manifest(dir);
+                }
                 self.edge().journal_request(
                     cluster.as_deref().unwrap_or("fleet"),
                     kind,
@@ -949,16 +984,31 @@ impl ServerHandler for Fleet {
         Fleet::now(self)
     }
 
-    fn metrics_scrape(&mut self) -> String {
-        Fleet::metrics_text(self)
-    }
-
-    fn healthz(&mut self) -> Value {
-        self.healthz_value()
-    }
-
-    fn statusz(&mut self, with_incidents: bool) -> Value {
-        self.statusz_value(with_incidents)
+    /// `/healthz` answers 503 when not ready; `/statusz?incidents=1`
+    /// inlines the incidents; `/metrics?cluster=ID` is that tenant's
+    /// own exposition (404 for an unknown one).
+    fn http_get(&mut self, path: &str, at: Time) -> HttpReply {
+        ServerHandler::poll_to(self, at);
+        let (route, query) = path.split_once('?').unwrap_or((path, ""));
+        let mut params = query.split('&');
+        match route {
+            "/healthz" => {
+                let v = self.healthz_value();
+                let ready = v.get("ok") == Some(&Value::Bool(true));
+                HttpReply::json(if ready { 200 } else { 503 }, &v)
+            }
+            "/statusz" => {
+                let with_incidents = params.any(|kv| kv == "incidents=1");
+                HttpReply::json(200, &self.statusz_value(with_incidents))
+            }
+            _ => match params.find_map(|kv| kv.strip_prefix("cluster=")) {
+                None => HttpReply::metrics(self.metrics_text()),
+                Some(id) => match self.cluster_metrics_text(id) {
+                    Ok(text) => HttpReply::metrics(text),
+                    Err(e) => HttpReply::json(404, &error_response(&e)),
+                },
+            },
+        }
     }
 
     fn observe_request_ns(&mut self, line: &str, ns: u64) {
@@ -971,6 +1021,15 @@ impl ServerHandler for Fleet {
             reason = "proven best-effort path — shutdown must complete even when the final snapshot write fails"
         )]
         let _ = self.save_snapshots();
+        for shard in &self.shards {
+            for t in lock_shard(shard).tenants.values_mut() {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "proven best-effort path — a trace-sink flush failure must not block shutdown"
+                )]
+                let _ = t.cluster.flush_traces();
+            }
+        }
         self.edge().journal.flush();
     }
 }
@@ -989,6 +1048,12 @@ mod tests {
     fn journal_counts(f: &Fleet) -> (u64, u64) {
         let edge = f.edge();
         (edge.journal.emitted(), edge.journal.filtered())
+    }
+
+    /// Submits an hour-long job into `cluster`, asserting it is admitted.
+    fn admitted(f: &Fleet, cluster: &str, nodes: u32, at: Time) {
+        let (v, _) = f.handle_routed(Some(cluster), submit(nodes, at), at);
+        assert_eq!(v["ok"], true, "{v}");
     }
 
     fn submit(nodes: u32, at: Time) -> Request {
@@ -1050,8 +1115,8 @@ mod tests {
     fn cluster_cap_rejects_new_tenants() {
         let f = Fleet::new(FleetConfig::new(8, PolicySpec::FcfsBackfill).with_max_clusters(2))
             .expect("fleet");
-        assert_eq!(f.handle_routed(Some("a"), submit(1, 0), 0).0["ok"], true);
-        assert_eq!(f.handle_routed(Some("b"), submit(1, 0), 0).0["ok"], true);
+        admitted(&f, "a", 1, 0);
+        admitted(&f, "b", 1, 0);
         let (v, _) = f.handle_routed(Some("c"), submit(1, 0), 0);
         assert_eq!(v["ok"], false);
         assert!(v["error"]
@@ -1059,7 +1124,7 @@ mod tests {
             .unwrap_or_default()
             .contains("cluster cap"));
         // Existing tenants keep working.
-        assert_eq!(f.handle_routed(Some("a"), submit(1, 5), 5).0["ok"], true);
+        admitted(&f, "a", 1, 5);
     }
 
     #[test]
@@ -1071,8 +1136,8 @@ mod tests {
         let f = Fleet::new(FleetConfig::new(8, PolicySpec::FcfsBackfill).with_quota(quota))
             .expect("fleet");
         // Fill the machine, then one waiter is allowed, the next is not.
-        assert_eq!(f.handle_routed(Some("a"), submit(8, 0), 0).0["ok"], true);
-        assert_eq!(f.handle_routed(Some("a"), submit(8, 1), 1).0["ok"], true);
+        admitted(&f, "a", 8, 0);
+        admitted(&f, "a", 8, 1);
         let (v, _) = f.handle_routed(Some("a"), submit(8, 2), 2);
         assert_eq!(v["ok"], false);
         assert!(v["error"]
@@ -1095,18 +1160,9 @@ mod tests {
         // Tenant "greedy" stacks waiting demand; tenant "modest" holds a
         // little.  With two equal weights, greedy's entitlement is half
         // the fleet's pending demand (×1.5 slack).
-        assert_eq!(
-            f.handle_routed(Some("modest"), submit(8, 0), 0).0["ok"],
-            true
-        );
-        assert_eq!(
-            f.handle_routed(Some("modest"), submit(4, 0), 0).0["ok"],
-            true
-        );
-        assert_eq!(
-            f.handle_routed(Some("greedy"), submit(8, 0), 0).0["ok"],
-            true
-        );
+        admitted(&f, "modest", 8, 0);
+        admitted(&f, "modest", 4, 0);
+        admitted(&f, "greedy", 8, 0);
         let mut rejected = false;
         for _ in 0..8 {
             let (v, _) = f.handle_routed(Some("greedy"), submit(8, 0), 0);
@@ -1124,10 +1180,7 @@ mod tests {
         }
         assert!(rejected, "the hog was never capped");
         // The modest tenant still submits fine.
-        assert_eq!(
-            f.handle_routed(Some("modest"), submit(1, 1), 1).0["ok"],
-            true
-        );
+        admitted(&f, "modest", 1, 1);
     }
 
     #[test]
@@ -1165,7 +1218,7 @@ mod tests {
             })
             .expect("fleet");
         for id in ["a", "b", "c", "d"] {
-            assert_eq!(f.handle_routed(Some(id), submit(2, 0), 0).0["ok"], true);
+            admitted(&f, id, 2, 0);
         }
         let text = f.metrics_text();
         sbs_obs::expo::validate(&text).expect("fleet exposition validates");
@@ -1206,11 +1259,8 @@ mod tests {
                 .with_obs(ObsConfig::default().with_slow_thresholds(Some(0), None)),
         )
         .expect("fleet");
-        assert_eq!(
-            f.handle_routed(Some("alpha"), submit(4, 0), 0).0["ok"],
-            true
-        );
-        assert_eq!(f.handle_routed(Some("beta"), submit(2, 0), 0).0["ok"], true);
+        admitted(&f, "alpha", 4, 0);
+        admitted(&f, "beta", 2, 0);
         // Fleet-wide: both tenants' captures, tagged.
         let (v, _) = f.handle_routed(None, Request::Incidents, 0);
         assert_eq!(v["ok"], true);
@@ -1274,10 +1324,7 @@ mod tests {
     #[test]
     fn healthz_reports_shard_availability() {
         let f = fleet();
-        assert_eq!(
-            f.handle_routed(Some("alpha"), submit(4, 7), 7).0["ok"],
-            true
-        );
+        admitted(&f, "alpha", 4, 7);
         let v = f.healthz_value();
         assert_eq!(v["ok"], true);
         assert_eq!(v["ready"], true);
@@ -1295,7 +1342,7 @@ mod tests {
         )
         .expect("fleet");
         for (id, at) in [("alpha", 0), ("beta", 0), ("alpha", 10)] {
-            assert_eq!(f.handle_routed(Some(id), submit(2, at), at).0["ok"], true);
+            admitted(&f, id, 2, at);
         }
         // The TCP edge times every request line; only submit-shaped
         // ones reach the latency histogram.
@@ -1365,10 +1412,7 @@ mod tests {
     #[test]
     fn http_get_routes_health_status_and_metrics() {
         let mut f = fleet();
-        assert_eq!(
-            f.handle_routed(Some("alpha"), submit(4, 0), 0).0["ok"],
-            true
-        );
+        admitted(&f, "alpha", 4, 0);
         let reply = f.http_get("/healthz", 1);
         assert_eq!(reply.status, 200);
         assert_eq!(reply.content_type, "application/json");
@@ -1461,14 +1505,14 @@ mod tests {
     fn drain_all_and_pending_accounting_settle_to_zero() {
         let f = fleet();
         for id in ["a", "b", "c"] {
-            assert_eq!(f.handle_routed(Some(id), submit(8, 0), 0).0["ok"], true);
-            assert_eq!(f.handle_routed(Some(id), submit(8, 1), 1).0["ok"], true);
+            admitted(&f, id, 8, 0);
+            admitted(&f, id, 8, 1);
         }
         assert!(
             f.total_pending.load(Ordering::SeqCst) > 0,
             "waiters pending"
         );
-        let (completed, leftover) = f.drain_all();
+        let (completed, leftover) = f.drain_all(0);
         assert_eq!((completed, leftover), (6, 0));
         assert_eq!(f.total_pending.load(Ordering::SeqCst), 0);
     }

@@ -1,10 +1,12 @@
-//! # sbs-fleet — the multi-tenant sharded scheduler daemon
+//! # sbs-fleet — the sharded scheduler daemon behind `sbs serve`
 //!
-//! Hosts many independent scheduler worlds ("clusters") behind one
+//! Hosts independent scheduler worlds ("clusters") behind one
 //! newline-JSON endpoint.  Requests carry an optional `cluster` field;
-//! the [`Fleet`] routes each one to its tenant's [`sbs_service::Daemon`]
-//! through a deterministic FNV-1a shard hash, holding exactly one shard
-//! lock per operation.
+//! the [`Fleet`] routes each one to its tenant's
+//! [`sbs_service::Cluster`] through a deterministic FNV-1a shard hash,
+//! holding exactly one shard lock per operation.  A request without a
+//! `cluster` goes to the `default` tenant, so `sbs serve` is normally a
+//! one-tenant fleet and single-cluster clients never name a cluster.
 //!
 //! On top of plain routing the fleet adds:
 //!
@@ -18,9 +20,8 @@
 //!   index manifest ([`MANIFEST_SCHEMA`]); [`Fleet::new`] recovers the
 //!   whole fleet from the manifest after a crash.
 //!
-//! The fleet implements [`sbs_service::ServerHandler`], so the same
-//! event-driven readiness loop serves one daemon or a thousand-tenant
-//! fleet unchanged.
+//! The fleet is the one [`sbs_service::ServerHandler`]: the same
+//! event-driven readiness loop serves one tenant or a thousand.
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -36,3 +37,10 @@ pub mod quota;
 
 pub use fleet::{Fleet, FleetConfig, MANIFEST_SCHEMA};
 pub use quota::{FleetDemand, QuotaDenied, TenantQuota};
+
+/// Tests of what `sbs serve` runs by default: one tenant, reached by
+/// requests that name no cluster, over one [`sbs_service::Cluster`].
+#[cfg(test)]
+mod daemon {
+    mod tests;
+}

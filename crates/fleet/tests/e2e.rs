@@ -1,17 +1,19 @@
-//! End-to-end suites for the scheduler daemon:
+//! End-to-end suites for what `sbs serve` runs:
 //!
-//! 1. **Batch parity** — a virtual-clock daemon fed a workload one job
+//! 1. **Batch parity** — a virtual-clock cluster fed a workload one job
 //!    at a time produces exactly the per-job start times of
 //!    [`sbs_sim::simulate`], because both drive the same
-//!    [`sbs_sim::SchedulerCore`].
-//! 2. **Kill and restart** — a daemon killed mid-stream and recovered
+//!    [`sbs_sim::SchedulerCore`]; so does a one-tenant fleet fed the
+//!    same jobs as un-routed protocol requests.
+//! 2. **Kill and restart** — a cluster killed mid-stream and recovered
 //!    from its snapshot resumes with the same queue contents and loses
 //!    or duplicates no job.
 //! 3. **TCP front end** — submit / queue / metrics / `GET /metrics` /
-//!    shutdown over a real socket.
+//!    shutdown over a real socket, without naming a cluster.
 
 use sbs_core::PolicySpec;
-use sbs_service::{Daemon, Server, ServiceConfig, VirtualClock};
+use sbs_fleet::{Fleet, FleetConfig};
+use sbs_service::{Cluster, Request, Server, ServerHandler, ServiceConfig, VirtualClock};
 use sbs_sim::engine::{simulate, SimConfig};
 use sbs_workload::generator::{random_workload, RandomWorkloadCfg, Workload};
 use sbs_workload::job::{JobId, RuntimeKnowledge};
@@ -22,7 +24,7 @@ use std::net::TcpStream;
 /// A small workload with *strictly increasing* submit times.
 ///
 /// The batch engine groups all arrivals at one timestamp into a single
-/// decision point; a live daemon necessarily decides per submission.
+/// decision point; a live cluster necessarily decides per submission.
 /// The two are byte-identical whenever timestamps are unique, so parity
 /// is asserted on that (realistic) class of workloads.
 fn staggered_workload(seed: u64) -> Workload {
@@ -46,18 +48,18 @@ fn staggered_workload(seed: u64) -> Workload {
     w
 }
 
-/// Replays `workload` through a fresh virtual-clock daemon and returns
+/// Replays `workload` through a fresh virtual-clock cluster and returns
 /// each job's start time.
-fn daemon_starts(
+fn cluster_starts(
     workload: &Workload,
     spec: PolicySpec,
     knowledge: RuntimeKnowledge,
 ) -> BTreeMap<u32, u64> {
     let mut cfg = ServiceConfig::new(workload.capacity, spec);
     cfg.knowledge = knowledge;
-    let mut daemon = Daemon::fresh(cfg);
+    let mut cluster = Cluster::fresh(cfg);
     for job in &workload.jobs {
-        let (id, _) = daemon
+        let (id, _) = cluster
             .submit_at(
                 job.submit,
                 job.nodes,
@@ -66,12 +68,53 @@ fn daemon_starts(
                 job.user,
             )
             .expect("submit");
-        assert_eq!(id, job.id, "daemon assigns ids in submission order");
+        assert_eq!(id, job.id, "the cluster assigns ids in submission order");
     }
-    let (_, leftover) = daemon.drain();
+    let (_, leftover) = cluster.drain();
     assert_eq!(leftover, 0, "drain left jobs waiting");
-    assert_eq!(daemon.records().len(), workload.jobs.len());
-    daemon.records().iter().map(|r| (r.id.0, r.start)).collect()
+    assert_eq!(cluster.records().len(), workload.jobs.len());
+    cluster
+        .records()
+        .iter()
+        .map(|r| (r.id.0, r.start))
+        .collect()
+}
+
+/// Replays `workload` through a one-tenant fleet, one un-routed
+/// `submit` request per job, and returns each job's start time as the
+/// tenant's decision log (`--trace-dir`) records it.
+fn fleet_starts(workload: &Workload, spec: PolicySpec, tag: &str) -> BTreeMap<u32, u64> {
+    let dir = std::env::temp_dir().join(format!("sbs-parity-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut cfg = FleetConfig::new(workload.capacity, spec);
+    cfg.trace_dir = Some(dir.clone());
+    let mut fleet = Fleet::new(cfg).expect("fleet");
+    for job in &workload.jobs {
+        let req = Request::Submit {
+            nodes: job.nodes,
+            runtime: job.runtime,
+            requested: Some(job.requested),
+            user: job.user,
+            submit: Some(job.submit),
+        };
+        let (v, _) = fleet.handle_routed(None, req, job.submit);
+        assert_eq!(v["id"].as_u64(), Some(u64::from(job.id.0)), "{v}");
+    }
+    let (v, _) = fleet.handle_routed(None, Request::Drain, 0);
+    assert_eq!(v["leftover"].as_u64(), Some(0), "{v}");
+    fleet.on_shutdown();
+    let log = std::fs::read_to_string(dir.join("trace-default.jsonl")).expect("decision log");
+    let mut starts = BTreeMap::new();
+    for line in log.lines().skip(1) {
+        let d: serde_json::Value = serde_json::from_str(line).expect("decision line");
+        for id in d["started"].as_array().expect("started ids") {
+            let id = u32::try_from(id.as_u64().expect("job id")).expect("u32 id");
+            starts.insert(id, d["now"].as_u64().expect("decision time"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(starts.len(), workload.jobs.len(), "every job started once");
+    starts
 }
 
 /// Runs the batch simulator and returns each job's start time.
@@ -96,8 +139,10 @@ fn daemon_matches_batch_simulator_for_backfill() {
     for seed in [1, 7] {
         let w = staggered_workload(seed);
         let batch = batch_starts(&w, PolicySpec::FcfsBackfill, RuntimeKnowledge::Actual);
-        let live = daemon_starts(&w, PolicySpec::FcfsBackfill, RuntimeKnowledge::Actual);
+        let live = cluster_starts(&w, PolicySpec::FcfsBackfill, RuntimeKnowledge::Actual);
         assert_eq!(batch, live, "seed {seed}: FCFS-backfill starts diverge");
+        let served = fleet_starts(&w, PolicySpec::FcfsBackfill, &format!("bf{seed}"));
+        assert_eq!(batch, served, "seed {seed}: the one-tenant fleet diverges");
     }
 }
 
@@ -109,8 +154,13 @@ fn daemon_matches_batch_simulator_for_search() {
         let w = staggered_workload(3);
         let spec = PolicySpec::dds_lxf_dynb(300);
         let batch = batch_starts(&w, spec.clone(), knowledge);
-        let live = daemon_starts(&w, spec, knowledge);
+        let live = cluster_starts(&w, spec.clone(), knowledge);
         assert_eq!(batch, live, "{knowledge:?}: DDS/lxf/dynB starts diverge");
+        // The fleet runs the paper's default knowledge mode only.
+        if knowledge == RuntimeKnowledge::Actual {
+            let served = fleet_starts(&w, spec, "dds");
+            assert_eq!(batch, served, "the one-tenant fleet diverges");
+        }
     }
 }
 
@@ -122,9 +172,10 @@ fn kill_and_restart_resumes_with_the_same_queue() {
     std::fs::remove_file(&path).ok();
 
     let w = staggered_workload(11);
-    let cfg =
-        ServiceConfig::new(w.capacity, PolicySpec::LxfBackfill).with_snapshots(path.clone(), 4);
-    let mut first = Daemon::new(cfg.clone()).expect("fresh daemon");
+    let mut cfg = ServiceConfig::new(w.capacity, PolicySpec::LxfBackfill);
+    cfg.snapshot_path = Some(path.clone());
+    cfg.snapshot_every = 4;
+    let mut first = Cluster::new(cfg.clone()).expect("fresh cluster");
     let killed_after = 60;
     for job in &w.jobs[..killed_after] {
         first
@@ -147,8 +198,8 @@ fn kill_and_restart_resumes_with_the_same_queue() {
     );
     drop(first); // the "kill": no drain, no further writes
 
-    // Restart from disk: Daemon::new finds the snapshot at the path.
-    let mut second = Daemon::new(cfg).expect("recovered daemon");
+    // Restart from disk: Cluster::new finds the snapshot at the path.
+    let mut second = Cluster::new(cfg).expect("recovered cluster");
     let resumed = second.snapshot();
     assert_eq!(resumed, pre_kill, "restart reproduces the exact state");
     assert_eq!(
@@ -188,8 +239,8 @@ fn kill_and_restart_resumes_with_the_same_queue() {
 
 #[test]
 fn tcp_server_speaks_json_and_http() {
-    let daemon = Daemon::fresh(ServiceConfig::new(8, PolicySpec::FcfsBackfill));
-    let server = Server::new(daemon, VirtualClock::default());
+    let fleet = Fleet::new(FleetConfig::new(8, PolicySpec::FcfsBackfill)).expect("fleet");
+    let server = Server::new(fleet, VirtualClock::default());
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
     let addr = listener.local_addr().expect("addr");
     let handle = std::thread::spawn(move || server.run(listener));
@@ -219,14 +270,26 @@ fn tcp_server_speaks_json_and_http() {
     let v = send(r#"{"op":"nonsense"}"#);
     assert_eq!(v["ok"], false);
 
-    // Plain HTTP probe on the same port.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET /metrics HTTP/1.0\r\n\r\n").expect("write");
-    let mut body = String::new();
-    stream.read_to_string(&mut body).expect("read http");
+    // Plain HTTP probes on the same port: the server's exposition, and
+    // the tenant's own.
+    let get = |path: &str| -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write!(stream, "GET {path} HTTP/1.0\r\n\r\n").expect("write");
+        let mut body = String::new();
+        stream.read_to_string(&mut body).expect("read http");
+        body
+    };
+    let body = get("/metrics");
+    assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
+    assert!(body.contains("sbs_fleet_queue_depth 1"), "{body}");
+    assert!(body.contains("sbs_fleet_running_jobs 1"), "{body}");
+    let body = get("/metrics?cluster=default");
     assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
     assert!(body.contains("sbs_queue_depth 1"), "{body}");
     assert!(body.contains("sbs_running_jobs 1"), "{body}");
+    let body = get("/metrics?cluster=ghost");
+    assert!(body.starts_with("HTTP/1.0 404 Not Found"), "{body}");
+    assert!(body.contains("unknown cluster"), "{body}");
 
     let v = send(r#"{"op":"drain"}"#);
     assert_eq!(v["completed"].as_u64(), Some(2));

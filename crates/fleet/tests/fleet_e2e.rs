@@ -202,7 +202,7 @@ fn killed_fleet_recovers_every_tenant_from_the_manifest() {
             "{cluster}: {v}"
         );
     }
-    let (completed, leftover) = recovered.drain_all();
+    let (completed, leftover) = recovered.drain_all(0);
     assert_eq!(
         (completed, leftover),
         (6, 0),

@@ -6,7 +6,8 @@
 //! buffer; and the loop wakes on an arrival, not on a timer.
 
 use sbs_core::PolicySpec;
-use sbs_service::{Daemon, Server, ServiceConfig, VirtualClock};
+use sbs_fleet::{Fleet, FleetConfig};
+use sbs_service::{Server, VirtualClock};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -25,8 +26,8 @@ fn start_server_with(
     std::net::SocketAddr,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let daemon = Daemon::fresh(ServiceConfig::new(capacity, PolicySpec::FcfsBackfill));
-    let server = Server::new(daemon, VirtualClock::default());
+    let fleet = Fleet::new(FleetConfig::new(capacity, PolicySpec::FcfsBackfill)).expect("fleet");
+    let server = Server::new(fleet, VirtualClock::default());
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
     let addr = listener.local_addr().expect("addr");
     let handle = std::thread::spawn(move || server.run(listener));

@@ -3,7 +3,7 @@
 //! [`Cluster`] wraps a [`SchedulerCore`] and any [`PolicySpec`]: the
 //! state machine, the policy, the decision recorder, completed-job
 //! aggregates, snapshots, and the slow-decision incident ring — and the
-//! body of every protocol op ([`Cluster::dispatch`]).  It is
+//! body of every tenant-scoped protocol op ([`Cluster::handle`]).  It is
 //! deliberately clock-agnostic: every entry point takes the current
 //! scheduler time as an argument, so the same code runs under a wall
 //! clock (production) and a virtual clock (tests, and the
@@ -11,8 +11,8 @@
 //!
 //! A cluster owns nothing of the *serving edge* — no event journal, no
 //! correlation source, no request-latency histogram, no status window
-//! (see [`crate::edge`]).  [`crate::Daemon`] is one cluster behind one
-//! edge; a fleet shard stores bare clusters behind the fleet's edge.
+//! (see [`crate::edge`]).  The fleet front end (`sbs-fleet`, which is
+//! what `sbs serve` runs) stores bare clusters behind its one edge.
 //!
 //! ## Parity with the batch simulator
 //!
@@ -23,13 +23,13 @@
 //! pending departure strictly before `t` (each its own decision point),
 //! then advances to `t`, completes departures due at `t`, enqueues the
 //! job, and runs one decision.  Because both drivers execute
-//! [`SchedulerCore`] for every transition, a virtual-clock daemon fed a
+//! [`SchedulerCore`] for every transition, a virtual-clock cluster fed a
 //! workload one job at a time produces byte-identical schedules to
-//! [`sbs_sim::simulate`] (see the crate's e2e tests).
+//! [`sbs_sim::simulate`] (see the fleet crate's e2e tests).
 
-use crate::daemon::ServiceConfig;
+use crate::edge::op_event;
 use crate::metrics::MetricsView;
-use crate::protocol::{error_response, Request};
+use crate::protocol::{error_response, Request, SubmitSpec};
 use crate::snapshot::{CompletedStats, RunningEntry, Snapshot, WaitingEntry};
 use sbs_core::{PolicySpec, SearchPolicy};
 use sbs_obs::{
@@ -37,11 +37,59 @@ use sbs_obs::{
     TraceRecorder,
 };
 use sbs_sim::{Policy, SchedulerCore};
-use sbs_workload::job::{Job, JobId};
+use sbs_workload::job::{Job, JobId, RuntimeKnowledge};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// One cluster's configuration.  The fleet builds one per tenant from
+/// its own config (`tenant_config`).
+#[derive(Debug, Clone)]
+pub struct ServiceConfig {
+    /// Machine size in nodes.
+    pub capacity: u32,
+    /// The scheduling policy to run.
+    pub spec: PolicySpec,
+    /// Runtime-knowledge mode for deriving `R*` (paper default: actual).
+    pub knowledge: RuntimeKnowledge,
+    /// Per-decision wall-clock deadline for search policies (anytime
+    /// search); ignored by heuristic policies.
+    pub deadline: Option<Duration>,
+    /// Wait beyond this threshold counts as excessive in the metrics.
+    pub excess_threshold: Time,
+    /// Where to write snapshots; `None` disables persistence.
+    pub snapshot_path: Option<PathBuf>,
+    /// Auto-snapshot every N decision points (0 = only on demand and at
+    /// shutdown).
+    pub snapshot_every: u64,
+    /// Append `sbs-trace/v1` JSONL decision traces here; `None` keeps
+    /// telemetry in memory only.
+    pub trace_log: Option<PathBuf>,
+    /// Slow-decision thresholds and the time mode incidents render in.
+    pub obs: ObsConfig,
+}
+
+impl ServiceConfig {
+    /// A config with the workspace defaults.
+    pub fn new(capacity: u32, spec: PolicySpec) -> Self {
+        ServiceConfig {
+            capacity,
+            spec,
+            knowledge: RuntimeKnowledge::Actual,
+            deadline: None,
+            excess_threshold: 0,
+            snapshot_path: None,
+            snapshot_every: 0,
+            trace_log: None,
+            obs: ObsConfig::default(),
+        }
+    }
+}
+
+/// The former name of [`Cluster`], kept for its one user: the
+/// `service.daemon.*` probe in `benchmark/src/fleet_steady.rs`.
+pub type Daemon = Cluster;
 
 /// Captured slow-decision incidents kept in memory (oldest evicted).
 pub const INCIDENT_RING_CAPACITY: usize = 64;
@@ -241,12 +289,6 @@ impl Cluster {
             incidents_total: 0,
             incident_checked: 0,
         }
-    }
-
-    /// The journal and slow-decision configuration the cluster was
-    /// built with (its edge is built from the same).
-    pub fn obs(&self) -> &ObsConfig {
-        &self.cfg.obs
     }
 
     /// Current scheduler time.
@@ -542,19 +584,9 @@ impl Cluster {
         self.metrics().render_with(&self.recorder)
     }
 
-    /// The cluster's telemetry recorder (read-only).
-    pub fn recorder(&self) -> &TraceRecorder {
-        &self.recorder
-    }
-
     /// Flushes the trace sink, if one is attached.
     pub fn flush_traces(&mut self) -> std::io::Result<()> {
         self.recorder.flush()
-    }
-
-    /// Captured slow-decision incidents, oldest first.
-    pub fn incidents(&self) -> &RingBuffer<Incident> {
-        &self.incidents
     }
 
     /// Incidents captured over the cluster's lifetime, ring evictions
@@ -582,37 +614,11 @@ impl Cluster {
             .map(|(_, h)| h)
     }
 
-    /// The running policy's display name.
-    pub fn policy_name(&mut self) -> String {
-        self.policy.name()
-    }
-
-    /// Deadline-truncated decisions so far (0 for non-search policies).
-    pub fn deadline_truncations(&self) -> u64 {
-        self.policy.deadline_truncations()
-    }
-
     /// Stamps `corr` as the correlation id for the operations that
     /// follow (the fleet front end mints at its own edge and hands the
     /// id down through this).
     pub fn set_correlation(&mut self, corr: u64) {
         self.core.set_correlation(corr);
-    }
-
-    /// Liveness/readiness JSON for `GET /healthz`.  `ok` (and the HTTP
-    /// status) reports readiness: not draining and not overloaded.
-    pub fn healthz_value(&self) -> Value {
-        let queue_depth = self.core.queue().len() as u64;
-        let overloaded = queue_depth > 8 * u64::from(self.core.capacity());
-        let ready = !self.draining && !overloaded;
-        json!({
-            "ok": ready,
-            "ready": ready,
-            "draining": self.draining,
-            "overloaded": overloaded,
-            "now": self.core.now(),
-            "queue_depth": queue_depth,
-        })
     }
 
     /// The cluster's complete state as a snapshot.
@@ -671,10 +677,24 @@ impl Cluster {
         Ok(Some(path))
     }
 
-    /// Runs one protocol request at scheduler time `at` under whatever
-    /// correlation id is stamped on the core.  Returns the response and
-    /// whether the server should shut down.
-    pub fn dispatch(&mut self, req: Request, at: Time) -> (Value, bool) {
+    /// Runs one tenant-scoped protocol request at scheduler time `at`
+    /// under whatever correlation id is stamped on the core, admitting
+    /// every job.  Returns the answer and how many jobs it admitted.
+    pub fn handle(&mut self, req: Request, at: Time) -> (Value, u64) {
+        self.handle_admitted(req, at, |_, _| Ok(()))
+    }
+
+    /// [`Cluster::handle`] behind an admission check: `admit` sees the
+    /// cluster and each job before it is submitted, and a job it refuses
+    /// is answered with its error (the fleet's quotas plug in here).
+    /// `metrics`, `snapshot` and `shutdown` speak for the whole server,
+    /// so a cluster answers them with a typed error.
+    pub fn handle_admitted(
+        &mut self,
+        req: Request,
+        at: Time,
+        mut admit: impl FnMut(&Cluster, &SubmitSpec) -> Result<(), String>,
+    ) -> (Value, u64) {
         match req {
             Request::Submit {
                 nodes,
@@ -683,93 +703,84 @@ impl Cluster {
                 user,
                 submit,
             } => {
-                let t = submit.unwrap_or(at);
-                match self.submit_at(t, nodes, runtime, requested, user) {
-                    Ok((id, started)) => (
-                        json!({
-                            "ok": true,
-                            "id": id.0,
-                            "now": self.core.now(),
-                            "started": started,
-                        }),
-                        false,
-                    ),
-                    Err(e) => (error_response(&e), false),
+                let spec = SubmitSpec {
+                    nodes,
+                    runtime,
+                    requested,
+                    user,
+                    submit,
+                };
+                let out = self.admit_one(&spec, at, &mut admit);
+                let admitted = u64::from(out.is_ok());
+                let mut v = job_answer(out);
+                if let Value::Object(map) = &mut v {
+                    map.insert("now".into(), Value::from(self.core.now()));
                 }
+                (v, admitted)
             }
             Request::SubmitBatch { jobs } => {
                 let mut results = Vec::with_capacity(jobs.len());
                 let mut accepted = 0u64;
-                for spec in jobs {
-                    let t = spec.submit.unwrap_or(at);
-                    match self.submit_at(t, spec.nodes, spec.runtime, spec.requested, spec.user) {
-                        Ok((id, started)) => {
-                            accepted += 1;
-                            results.push(json!({
-                                "ok": true,
-                                "id": id.0,
-                                "started": started,
-                            }));
-                        }
-                        Err(e) => results.push(error_response(&e)),
-                    }
+                for spec in &jobs {
+                    let out = self.admit_one(spec, at, &mut admit);
+                    accepted += u64::from(out.is_ok());
+                    results.push(job_answer(out));
                 }
-                (
-                    json!({
-                        "ok": true,
-                        "now": self.core.now(),
-                        "accepted": accepted,
-                        "results": Value::Array(results),
-                    }),
-                    false,
-                )
+                let v = json!({
+                    "ok": true,
+                    "now": self.core.now(),
+                    "accepted": accepted,
+                    "results": Value::Array(results),
+                });
+                (v, accepted)
             }
             Request::Cancel { id } => {
                 self.poll_to(at);
                 let cancelled = self.cancel(JobId(id));
-                (json!({ "ok": true, "cancelled": cancelled }), false)
+                (json!({ "ok": true, "cancelled": cancelled }), 0)
             }
             Request::Queue => {
                 self.poll_to(at);
-                (self.queue_view(), false)
-            }
-            Request::Metrics => {
-                self.poll_to(at);
-                (json!({ "ok": true, "text": self.metrics_text() }), false)
+                (self.queue_view(), 0)
             }
             Request::Drain => {
                 self.poll_to(at);
                 let (completed, leftover) = self.drain();
-                (drain_response(completed, leftover, self.core.now()), false)
-            }
-            Request::Snapshot => {
-                self.poll_to(at);
-                match self.save_snapshot() {
-                    Ok(Some(path)) => (
-                        json!({ "ok": true, "path": path.display().to_string() }),
-                        false,
-                    ),
-                    Ok(None) => (error_response("no snapshot path configured"), false),
-                    Err(e) => (error_response(&e), false),
-                }
+                (drain_response(completed, leftover, self.core.now()), 0)
             }
             Request::Incidents => {
                 self.poll_to(at);
+                let v = incidents_response(self.incidents_value(), self.incidents_total);
+                (v, 0)
+            }
+            Request::Metrics | Request::Snapshot | Request::Shutdown => {
+                let op = op_event(&req).0;
                 (
-                    incidents_response(self.incidents_value(), self.incidents_total),
-                    false,
+                    error_response(&format!("{op:?} is a server op, not a cluster op")),
+                    0,
                 )
             }
-            Request::Shutdown => {
-                self.poll_to(at);
-                let saved = self.save_snapshot();
-                let mut v = json!({ "ok": true });
-                if let (Value::Object(map), Ok(Some(path))) = (&mut v, saved) {
-                    map.insert("snapshot".into(), Value::from(path.display().to_string()));
-                }
-                (v, true)
-            }
         }
+    }
+
+    /// Runs `admit`, then submits the job at its own time or `at`.
+    fn admit_one(
+        &mut self,
+        spec: &SubmitSpec,
+        at: Time,
+        admit: &mut impl FnMut(&Cluster, &SubmitSpec) -> Result<(), String>,
+    ) -> Result<(JobId, bool), String> {
+        admit(self, spec)?;
+        let t = spec.submit.unwrap_or(at);
+        self.submit_at(t, spec.nodes, spec.runtime, spec.requested, spec.user)
+    }
+}
+
+/// One submitted job's answer, inside a `submit` or a `submit_batch`.
+fn job_answer(out: Result<(JobId, bool), String>) -> Value {
+    match out {
+        Ok((id, started)) => json!({ "ok": true, "id": id.0, "started": started }),
+        Err(e) => error_response(&e),
     }
 }
 

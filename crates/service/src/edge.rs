@@ -3,11 +3,11 @@
 //! An [`Edge`] is the operator surface of one server — the
 //! `sbs-events/v1` journal, the request-latency histogram and the
 //! `/statusz` self-scrape window — plus the one request-kind → severity
-//! table and the one request-journaling function.  [`crate::Daemon`]
-//! holds an edge by value in front of its single cluster; the fleet
-//! holds one (behind a leaf mutex) in front of all its tenants.  Request
-//! correlation ids come from a [`crate::CorrelationSource`] each server
-//! keeps beside its edge, so minting never takes the edge's lock.
+//! table and the one request-journaling function.  The fleet front end
+//! (`sbs-fleet`) holds one, behind a leaf mutex, in front of all its
+//! tenants.  Request correlation ids come from a
+//! [`crate::CorrelationSource`] the fleet keeps beside its edge, so
+//! minting never takes the edge's lock.
 
 use crate::protocol::Request;
 use sbs_obs::status::{quantiles_value, Rates};

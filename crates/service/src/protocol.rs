@@ -27,8 +27,8 @@
 //! ```
 //!
 //! Any request may carry a `"cluster"` routing field (extracted by
-//! [`parse_routed`]); single-tenant daemons ignore it.  Batches are
-//! capped at [`MAX_BATCH`] jobs per request.
+//! [`parse_routed`]); a request without one goes to the `default`
+//! tenant.  Batches are capped at [`MAX_BATCH`] jobs per request.
 
 use sbs_workload::time::Time;
 use serde_json::Value;
@@ -220,16 +220,9 @@ fn parse_value(v: &Value) -> Result<Request, String> {
     }
 }
 
-/// Parses one request line.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-    parse_value(&v)
-}
-
 /// Parses one request line plus its optional `"cluster"` routing field.
 ///
-/// Single-tenant daemons use [`parse_request`] (which ignores routing);
-/// the fleet daemon uses this to pick a tenant before dispatch.
+/// The fleet picks a tenant by the routing field before dispatch.
 pub fn parse_routed(line: &str) -> Result<(Option<String>, Request), String> {
     let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
     let cluster = match v.get("cluster") {
@@ -269,6 +262,11 @@ pub fn error_response(message: &str) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The request a line carries, its routing field set aside.
+    fn parse_request(line: &str) -> Result<Request, String> {
+        parse_routed(line).map(|(_, req)| req)
+    }
 
     #[test]
     fn submit_accepts_minimal_and_full_forms() {
@@ -420,7 +418,5 @@ mod tests {
         }
         let long = format!(r#"{{"op":"queue","cluster":"{}"}}"#, "x".repeat(65));
         assert!(parse_routed(&long).is_err());
-        // parse_request keeps ignoring the routing field.
-        assert!(parse_request(r#"{"op":"queue","cluster":"alpha"}"#).is_ok());
     }
 }

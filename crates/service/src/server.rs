@@ -3,10 +3,11 @@
 //! One listener serves both protocols on the same port.  A connection
 //! whose first line starts with `GET ` is treated as an HTTP probe —
 //! routed by path ([`ServerHandler::http_get`], the one router) to
-//! `/metrics` (Prometheus exposition), `/healthz` (liveness/readiness)
-//! or `/statusz` (operational JSON); unknown paths fall back to the
-//! metrics text for compatibility with path-blind scrapers.  Anything else is the JSON protocol, one request and one
-//! response per line.
+//! `/metrics` (Prometheus exposition; `?cluster=ID` for one tenant's),
+//! `/healthz` (liveness/readiness) or `/statusz` (operational JSON);
+//! unknown paths fall back to the metrics text for compatibility with
+//! path-blind scrapers.  Anything else is the JSON protocol, one request
+//! and one response per line.
 //!
 //! The loop is **one readiness loop on one thread**: every sweep
 //! starts by blocking in a single `poll(2)` over the nonblocking
@@ -24,18 +25,16 @@
 //! client drains it).  Connections idle for too many timed-out waits are
 //! dropped, so one stuck client cannot wedge the daemon.
 //!
-//! The loop serves anything implementing [`ServerHandler`]: the
-//! single-tenant [`Daemon`] here, or the multi-tenant fleet front end in
-//! `sbs-fleet`.
+//! The loop serves anything implementing [`ServerHandler`]; the one
+//! implementation is the fleet front end in `sbs-fleet`, which is what
+//! `sbs serve` runs.
 //!
 //! `SIGTERM` (and the in-protocol `shutdown` op) drains gracefully:
 //! admissions stop, the handler persists its state, and pending
 //! responses are flushed before the loop exits.
 
 use crate::clock::Clock;
-use crate::cluster::Cluster;
-use crate::daemon::Daemon;
-use crate::protocol::{error_response, parse_request};
+use crate::protocol::error_response;
 use sbs_workload::time::Time;
 use serde_json::Value;
 use std::io::{Read, Write};
@@ -228,7 +227,7 @@ mod sys {
 /// One HTTP probe answer: status line, content type and body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpReply {
-    /// HTTP status code (`200` or `503`).
+    /// HTTP status code (`200`, `404` or `503`).
     pub status: u16,
     /// `Content-Type` header value.
     pub content_type: &'static str,
@@ -246,22 +245,24 @@ impl HttpReply {
         }
     }
 
-    /// A JSON reply; `ok = false` answers `503 Service Unavailable`
-    /// so load balancers treat the endpoint as not ready.
-    pub fn json(ok: bool, body: String) -> Self {
+    /// A JSON reply with `status`, degrading to an error object rather
+    /// than panicking inside the serve loop.
+    pub fn json(status: u16, v: &Value) -> Self {
         HttpReply {
-            status: if ok { 200 } else { 503 },
+            status,
             content_type: "application/json",
-            body,
+            body: serde_json::to_string(v).unwrap_or_else(|_| {
+                r#"{"ok":false,"error":"internal: render failed"}"#.to_string()
+            }),
         }
     }
 }
 
 /// What the readiness loop needs from the thing it serves.
 ///
-/// [`Daemon`] implements this for the single-tenant protocol; the fleet
-/// daemon implements it with `cluster`-routed dispatch.  All methods
-/// run under the server's handler lock.
+/// The fleet front end in `sbs-fleet` implements it with
+/// `cluster`-routed dispatch.  All methods run under the server's
+/// handler lock.
 pub trait ServerHandler: Send {
     /// Advances background state (departure replay) to time `at`.
     fn poll_to(&mut self, at: Time);
@@ -274,36 +275,11 @@ pub trait ServerHandler: Send {
     /// (virtual) clock in step with the scheduler.
     fn now(&self) -> Time;
 
-    /// The `/metrics` text for HTTP probes, as of the last poll.
-    fn metrics_scrape(&mut self) -> String;
-
-    /// Liveness/readiness JSON for `GET /healthz`; `"ok": false`
-    /// answers `503`.
-    fn healthz(&mut self) -> Value;
-
-    /// Operational JSON for `GET /statusz`, with the captured incidents
-    /// inlined on `?incidents=1`.
-    fn statusz(&mut self, with_incidents: bool) -> Value;
-
     /// Answers one HTTP probe for `path` (including any query string),
-    /// current as of `at`: `/healthz`, `/statusz`, and the metrics text
-    /// for every other path (path-blind scrapers keep working).
-    fn http_get(&mut self, path: &str, at: Time) -> HttpReply {
-        self.poll_to(at);
-        let (route, query) = path.split_once('?').unwrap_or((path, ""));
-        match route {
-            "/healthz" => {
-                let v = self.healthz();
-                let ok = v.get("ok") == Some(&Value::Bool(true));
-                HttpReply::json(ok, render_json(&v))
-            }
-            "/statusz" => {
-                let with_incidents = query.split('&').any(|kv| kv == "incidents=1");
-                HttpReply::json(true, render_json(&self.statusz(with_incidents)))
-            }
-            _ => HttpReply::metrics(self.metrics_scrape()),
-        }
-    }
+    /// current as of `at`: the one router for `/healthz`, `/statusz`
+    /// and the metrics text, which every other path gets (path-blind
+    /// scrapers keep working).
+    fn http_get(&mut self, path: &str, at: Time) -> HttpReply;
 
     /// Reports the measured wall time of one `handle_line` call, along
     /// with the raw request line that produced it, so the handler can
@@ -312,60 +288,6 @@ pub trait ServerHandler: Send {
 
     /// Best-effort persistence (snapshot, trace flush) at shutdown.
     fn on_shutdown(&mut self);
-}
-
-impl ServerHandler for Daemon {
-    fn poll_to(&mut self, at: Time) {
-        Daemon::poll_to(self, at);
-    }
-
-    fn handle_line(&mut self, line: &str, at: Time) -> (Value, bool) {
-        match parse_request(line) {
-            Ok(req) => self.handle(req, at),
-            Err(e) => (error_response(&e), false),
-        }
-    }
-
-    fn now(&self) -> Time {
-        Cluster::now(self)
-    }
-
-    fn metrics_scrape(&mut self) -> String {
-        self.metrics_text()
-    }
-
-    fn healthz(&mut self) -> Value {
-        self.healthz_value()
-    }
-
-    fn statusz(&mut self, with_incidents: bool) -> Value {
-        self.statusz_value(with_incidents)
-    }
-
-    fn observe_request_ns(&mut self, line: &str, ns: u64) {
-        self.observe_submit_ns(line, ns);
-    }
-
-    fn on_shutdown(&mut self) {
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "proven best-effort path — shutdown must complete even when the final snapshot write fails"
-        )]
-        let _ = self.save_snapshot();
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "proven best-effort path — a trace-sink flush failure must not block shutdown"
-        )]
-        let _ = self.flush_traces();
-        self.flush_events();
-    }
-}
-
-/// Renders a probe body, degrading to an error object rather than
-/// panicking inside the serve loop.
-fn render_json(v: &Value) -> String {
-    serde_json::to_string(v)
-        .unwrap_or_else(|_| r#"{"ok":false,"error":"internal: render failed"}"#.to_string())
 }
 
 /// One client connection's readiness-loop state.
@@ -447,7 +369,7 @@ fn retriable(e: &std::io::Error) -> bool {
 }
 
 /// The daemon's TCP server: one readiness loop over a [`ServerHandler`].
-pub struct Server<H: ServerHandler = Daemon> {
+pub struct Server<H: ServerHandler> {
     handler: Arc<Mutex<H>>,
     clock: Arc<dyn Clock + Sync>,
     shutdown: Arc<AtomicBool>,
@@ -749,6 +671,7 @@ fn reject_overloaded(mut stream: TcpStream) {
 fn http_response(reply: &HttpReply) -> String {
     let status = match reply.status {
         200 => "200 OK",
+        404 => "404 Not Found",
         _ => "503 Service Unavailable",
     };
     format!(

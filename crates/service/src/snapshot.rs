@@ -9,7 +9,7 @@
 //!
 //! Rendering uses the workspace JSON layer's sorted object keys, so a
 //! snapshot of a given state is byte-identical no matter which code path
-//! wrote it.  Files are written atomically (temp file + rename): a crash
+//! wrote it.  Files are written through [`write_atomic`]: a crash
 //! mid-write leaves the previous snapshot intact.
 
 use sbs_workload::job::{Job, JobId};
@@ -122,6 +122,26 @@ fn job_from_value(v: &Value) -> Result<Job, String> {
     Ok(job)
 }
 
+/// Replaces `path` with `bytes` so that a crash leaves either the old
+/// file or the new one, never a torn mix: write a `.tmp` sibling, sync
+/// it, rename it over `path`, then sync the directory so the rename
+/// itself survives a power failure.  Snapshots and the fleet manifest
+/// are both written through here.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
+
 impl Snapshot {
     /// Renders the snapshot as a JSON value.
     pub fn to_value(&self) -> Value {
@@ -220,22 +240,16 @@ impl Snapshot {
         })
     }
 
-    /// Writes the snapshot to `path` atomically (temp file + rename).
+    /// Writes the snapshot to `path` atomically (see [`write_atomic`]).
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         // Snapshot values are built from plain scheduler state and cannot
         // fail to serialize today; if that ever changes, surface it as an
         // io::Error on this best-effort path instead of panicking the
         // daemon mid-decision.
-        let text = serde_json::to_string_pretty(&self.to_value())
+        let mut text = serde_json::to_string_pretty(&self.to_value())
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        text.push('\n');
+        write_atomic(path, text.as_bytes())
     }
 
     /// Loads a snapshot from `path`.
@@ -293,6 +307,23 @@ mod tests {
             "temp file left behind"
         );
         assert_eq!(Snapshot::load(&path).expect("load"), s);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_writes_replace_whole_files_and_leave_no_temp_behind() {
+        let dir = std::env::temp_dir().join(format!("sbs-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        write_atomic(&path, b"first, and longer\n").expect("first write");
+        write_atomic(&path, b"second\n").expect("second write");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "temp file left behind"
+        );
+        let missing = dir.join("no-such-dir").join("doc.json");
+        assert!(write_atomic(&missing, b"x").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,9 +1,12 @@
 //! Pins every answer of the serving edge, byte for byte.
 //!
-//! One scripted virtual-time session runs in-process against a
-//! single-cluster [`Daemon`] and against a three-tenant [`Fleet`]; every
-//! protocol response plus `/healthz`, `/statusz?incidents=1` and
-//! `/metrics` is recorded into `tests/golden/serve_answers.txt`.  Only
+//! Two scripted virtual-time sessions run in-process against what
+//! `sbs serve` runs, a [`Fleet`]: one whose requests name no cluster (the
+//! one-tenant session) and one over three named tenants.  The sections
+//! keep the names of the two commands that served them before `serve`
+//! became a fleet: `serve` and `serve-fleet`.  Every protocol response
+//! plus `/healthz`, `/statusz?incidents=1` and `/metrics` is recorded
+//! into `tests/golden/serve_answers.txt`.  Only
 //! wall-derived values are masked (`wall_ns`, also where an incident's
 //! `reason` quotes it, the `decision_wall_ns` quantiles, `sbs_*_nanos*`
 //! and `sbs_policy_seconds_total` samples); submit latencies are fed as
@@ -23,7 +26,7 @@
 use sbs_core::PolicySpec;
 use sbs_fleet::{Fleet, FleetConfig};
 use sbs_obs::{ObsConfig, TimeMode};
-use sbs_service::{Daemon, ServerHandler, ServiceConfig};
+use sbs_service::ServerHandler;
 use serde_json::Value;
 use std::path::PathBuf;
 
@@ -34,7 +37,7 @@ enum Step {
 }
 use Step::{Get, Line};
 
-fn daemon_script() -> Vec<Step> {
+fn one_tenant_script() -> Vec<Step> {
     vec![
         Line(0, r#"{"op":"submit","nodes":8,"runtime":10,"submit":0}"#),
         Line(0, r#"{"op":"submit","nodes":4,"runtime":20,"submit":0}"#),
@@ -62,6 +65,7 @@ fn daemon_script() -> Vec<Step> {
         Get(200, "/healthz"),
         Get(200, "/statusz?incidents=1"),
         Get(200, "/metrics"),
+        Get(200, "/metrics?cluster=default"),
     ]
 }
 
@@ -233,8 +237,8 @@ fn serve_and_serve_fleet_answers_match_golden() {
         .with_slow_thresholds(Some(0), None)
         .with_event_mode(TimeMode::Virtual);
 
-    let mut daemon = Daemon::fresh(ServiceConfig::new(8, spec()).with_obs(obs.clone()));
-    record("serve", &mut daemon, &daemon_script(), &mut out);
+    let mut one = Fleet::new(FleetConfig::new(8, spec()).with_obs(obs.clone())).expect("fleet");
+    record("serve", &mut one, &one_tenant_script(), &mut out);
 
     let mut cfg = FleetConfig::new(8, spec()).with_obs(obs);
     cfg.cluster_label_cap = 2;
