@@ -22,9 +22,6 @@ pub struct LintConfig {
     /// limited to, keyed by rule name.  A rule without an entry runs on
     /// the whole scanned tree.
     pub scopes: BTreeMap<String, Vec<String>>,
-    /// `lock-across-blocking`'s call list; `None` keeps the built-in
-    /// [`crate::flowrules::DEFAULT_BLOCKING`].
-    pub blocking_calls: Option<Vec<String>>,
 }
 
 impl Default for LintConfig {
@@ -35,7 +32,6 @@ impl Default for LintConfig {
                 .map(String::from)
                 .to_vec(),
             scopes: BTreeMap::new(),
-            blocking_calls: None,
         }
     }
 }
@@ -81,9 +77,6 @@ impl LintConfig {
             match (section.as_str(), key) {
                 ("scan", "roots") => cfg.roots = values,
                 ("scan", "skip_dirs") => cfg.skip_dirs = values,
-                ("rules.lock-across-blocking", "blocking_calls") => {
-                    cfg.blocking_calls = Some(values)
-                }
                 (s, "scope") if s.starts_with("rules.") => {
                     cfg.scopes.insert(s["rules.".len()..].to_string(), values);
                 }
@@ -152,22 +145,31 @@ scope = ["crates/core/src/", "crates/dsearch/src/"]
         assert_eq!(cfg.skip_dirs, ["tests", "fixtures"]);
         assert!(cfg.applies("float-ordering", "crates/core/src/lib.rs"));
         assert!(!cfg.applies("float-ordering", "crates/cli/src/lib.rs"));
-        assert!(cfg.applies("double-lock", "anything/x.rs"), "unscoped");
+        assert!(cfg.applies("other-rule", "anything/x.rs"), "unscoped");
     }
 
     #[test]
     fn rule_list_knobs_parse_and_unknown_keys_still_fail() {
+        // `scope` is the one per-rule list; the retired lock rules'
+        // sections and their `blocking_calls` knob are errors now.
         let cfg = LintConfig::parse(
-            "[rules.lock-across-blocking]\n\
-             blocking_calls = [\"recv\", \"write_all\"]\n",
+            "[rules.float-ordering]\n\
+             scope = [\"crates/core/src/\", \"crates/obs/src/\"]\n",
         )
         .expect("parse");
-        assert_eq!(cfg.blocking_calls.unwrap(), ["recv", "write_all"]);
-        assert!(LintConfig::default().blocking_calls.is_none());
+        assert_eq!(
+            cfg.scopes["float-ordering"],
+            ["crates/core/src/", "crates/obs/src/"]
+        );
         assert!(
-            LintConfig::parse("[rules.double-lock]\nblocking_calls = []\n")
+            LintConfig::parse("[rules.float-ordering]\nblocking_calls = []\n")
                 .unwrap_err()
                 .contains("unknown key")
+        );
+        assert!(
+            LintConfig::parse("[rules.lock-across-blocking]\nblocking_calls = []\n")
+                .unwrap_err()
+                .contains("unknown section")
         );
     }
 

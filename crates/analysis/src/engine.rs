@@ -23,10 +23,7 @@
 
 use crate::config::LintConfig;
 use crate::lexer::{mask, tokenize, Comment, Token, TokenKind};
-use crate::parse::parse_file;
-use crate::rules::{rule_by_name, Ctx, RULES};
-use crate::summaries::Interp;
-use crate::workspace::ParsedFile;
+use crate::rules::{rule_by_name, RULES};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -148,47 +145,25 @@ pub fn lint_source(rel_path: &str, source: &str, cfg: &LintConfig) -> Vec<Diagno
     )
 }
 
-/// Lints a set of in-memory sources as one workspace: the call graph,
-/// the summaries and the lock-order graph span all of them.
+/// Lints a set of in-memory sources, in order.
 pub fn lint_sources(files: &[SourceFile], cfg: &LintConfig) -> Vec<Diagnostic> {
-    // Parse every file once.
-    let mut parsed = Vec::with_capacity(files.len());
-    let mut states = Vec::with_capacity(files.len());
+    let mut out = Vec::new();
     for f in files {
         let masked = mask(&f.source);
         let tokens = tokenize(&masked.text);
-        states.push(FileState::new(&f.rel, &masked.comments, &tokens));
-        let ast = parse_file(&tokens);
-        parsed.push(ParsedFile {
-            rel: f.rel.clone(),
-            tokens,
-            ast,
-        });
-    }
-    let interp = Interp::build(&parsed, cfg);
-    let lock_edges = crate::flowrules::lock_edges(&parsed, &interp);
-
-    let mut out = Vec::new();
-    for (pf, fs) in parsed.iter().zip(states) {
+        let fs = FileState::new(&f.rel, &masked.comments, &tokens);
         let mut diags = fs.supp_diags.clone();
-        let ctx = Ctx {
-            rel_path: &pf.rel,
-            tokens: &pf.tokens,
-            ast: &pf.ast,
-            interp: &interp,
-            lock_edges: &lock_edges,
-        };
-        for rule in RULES.iter().filter(|r| cfg.applies(r.name, &pf.rel)) {
-            for f in (rule.check)(&ctx) {
-                if fs.in_test(f.line) || fs.is_allowed(f.line, rule.name) {
+        for rule in RULES.iter().filter(|r| cfg.applies(r.name, &f.rel)) {
+            for found in (rule.check)(&tokens) {
+                if fs.in_test(found.line) || fs.is_allowed(found.line, rule.name) {
                     continue;
                 }
                 diags.push(Diagnostic {
-                    path: pf.rel.clone(),
-                    line: f.line,
-                    col: f.col,
+                    path: f.rel.clone(),
+                    line: found.line,
+                    col: found.col,
                     rule: rule.name.to_string(),
-                    message: f.message,
+                    message: found.message,
                 });
             }
         }
@@ -395,7 +370,6 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Vec<Diagnostic>, 
 }
 
 /// Lints explicit files (workspace-relative or absolute) under `cfg`.
-/// The call graph and the lock-order graph cover only the named files.
 pub fn lint_files(
     root: &Path,
     files: &[PathBuf],
@@ -466,19 +440,25 @@ mod tests {
 
     #[test]
     fn suppressions_only_silence_the_named_rule() {
+        // `double-lock` is a retired rule (the lock witness replaced
+        // it): naming it is an error and silences nothing.
         let d = diags(
             "// sbs-lint: allow(double-lock): single-threaded setup\nlet o = a.partial_cmp(&b);\n",
         );
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "float-ordering");
+        let rules: Vec<&str> = d.iter().map(|x| x.rule.as_str()).collect();
+        assert_eq!(rules, ["invalid-suppression", "float-ordering"], "{d:?}");
     }
 
     #[test]
     fn multi_rule_allows_work() {
+        // Each name in the list counts: the known one silences its
+        // finding, the unknown one is reported.
         let d = diags(
             "fn f() {\n// sbs-lint: allow(float-ordering, double-lock): test harness shim\nlet t = (a.partial_cmp(&b), m.lock(), m.lock());\n}\n",
         );
-        assert!(d.is_empty(), "{d:?}");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "invalid-suppression");
+        assert!(d[0].message.contains("allow(double-lock)"), "{d:?}");
     }
 
     #[test]

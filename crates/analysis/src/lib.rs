@@ -1,47 +1,35 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! `sbs-analysis` — the workspace checks clippy cannot express.
+//! `sbs-analysis` — the one workspace check clippy cannot express.
 //!
 //! The paper's headline result only reproduces when every scheduling
-//! decision is bit-deterministic, and the daemon's concurrency design
-//! rests on one rule: one shard lock per operation, never held across
-//! I/O.  The token-level determinism and robustness bans (HashMap,
-//! wall-clock reads, panics in the daemon, `unsafe`, dropped results,
-//! truncating casts) are clippy and rustc lints, configured in the
-//! workspace `clippy.toml` and `[workspace.lints]`.  This crate keeps
-//! the four rules that need more than a token or a type:
+//! decision is bit-deterministic.  The token-level determinism and
+//! robustness bans (HashMap, wall-clock reads, panics in the daemon,
+//! `unsafe`, dropped results, truncating casts) are clippy and rustc
+//! lints, configured in the workspace `clippy.toml` and
+//! `[workspace.lints]`.  This crate keeps one token rule:
 //!
-//! * `lock-across-blocking` — a lock guard live across a blocking call,
-//!   directly or through any resolved callee ([`flowrules`]);
-//! * `double-lock` — a lock re-acquired while its guard is live,
-//!   directly or inside a callee ([`flowrules`]);
-//! * `lock-ordering` — two locks taken in both orders somewhere in the
-//!   workspace ([`semrules`]);
-//! * `float-ordering` — `.partial_cmp(` on search keys ([`rules`]).
+//! * `float-ordering` — `.partial_cmp(` on search keys ([`rules`]): a
+//!   clippy `disallowed-methods` ban would also fire inside every
+//!   `#[derive(PartialOrd)]`.
+//!
+//! The daemon's lock discipline (one shard lock per operation, no I/O
+//! under it, the edge lock a leaf) is not checked here: the lock
+//! witness in `sbs_service::witness` checks it at run time in every
+//! debug build, tier-1 tests included.
 //!
 //! The pipeline: a small real Rust lexer ([`lexer`]) so nothing fires
-//! inside strings or comments, a tolerant parser ([`parse`]), a
-//! workspace index ([`workspace`]), a call graph ([`callgraph`]) with
-//! per-function effect summaries ([`summaries`]), and per-function
-//! CFGs ([`cfg`]) with a dataflow solver ([`dataflow`]).  Scoping comes
-//! from the workspace-root `lint.toml` ([`config`]); justified inline
-//! suppressions and the test-code exemption live in [`engine`].
+//! inside strings or comments, the rule over its tokens, scoping from
+//! the workspace-root `lint.toml` ([`config`]), and justified inline
+//! suppressions plus the test-code exemption ([`engine`]).
 //!
 //! Run it as `cargo run --release -p sbs-analysis`.
 
-pub mod callgraph;
-pub mod cfg;
 pub mod config;
-pub mod dataflow;
 pub mod engine;
-pub mod flowrules;
 pub mod lexer;
-pub mod parse;
 pub mod rules;
-pub mod semrules;
-pub mod summaries;
-pub mod workspace;
 
 pub use config::LintConfig;
 pub use engine::{lint_files, lint_source, lint_sources, lint_workspace, Diagnostic, SourceFile};

@@ -15,7 +15,7 @@ use sbs_analysis::{
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: sbs-analysis [--root DIR] [FILE...]
-  lints the workspace (or just FILEs) for the lock and float-ordering rules;
+  lints the workspace (or just FILEs) for float-ordering;
   DIR defaults to the nearest ancestor holding lint.toml
 ";
 

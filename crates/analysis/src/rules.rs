@@ -1,15 +1,11 @@
-//! The rule registry and the one token-level rule.
+//! The rule registry and its one rule.
 //!
-//! Every rule sees the same per-file [`Ctx`]: the masked token stream
-//! (so a token rule never fires inside a comment or string literal),
-//! the parse tree, the interprocedural layer and the lock-order edges.
-//! Scoping (which crates a rule polices) lives in `lint.toml`, not here
-//! — rules only know how to recognize a violation.
+//! A rule sees one file's masked token stream (so it never fires inside
+//! a comment or string literal).  Scoping (which crates a rule polices)
+//! lives in `lint.toml`, not here — rules only know how to recognize a
+//! violation.
 
-use crate::flowrules::LockEdge;
 use crate::lexer::{Token, TokenKind};
-use crate::parse::File;
-use crate::summaries::Interp;
 
 /// One rule violation at a source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,49 +18,20 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Everything a rule sees for one file.
-pub struct Ctx<'a> {
-    /// Workspace-relative path of the file under analysis.
-    pub rel_path: &'a str,
-    /// The file's masked token stream.
-    pub tokens: &'a [Token],
-    /// The file's parse tree.
-    pub ast: &'a File,
-    /// The call graph plus per-function effect summaries, built once
-    /// per lint run.
-    pub interp: &'a Interp<'a>,
-    /// Every nested lock acquisition in the linted files.
-    pub lock_edges: &'a [LockEdge],
-}
-
 /// A rule: its identity plus its checker.
 pub struct RuleDef {
     /// The name used in `lint.toml` sections and `allow(...)`.
     pub name: &'static str,
-    /// Scans one file (with workspace context) for violations.
-    pub check: fn(&Ctx) -> Vec<Finding>,
+    /// Scans one file's masked tokens for violations.
+    pub check: fn(&[Token]) -> Vec<Finding>,
 }
 
 /// Every rule the analyzer knows, in reporting order.  DESIGN.md
 /// "Static checks" says which invariant each one guards.
-pub const RULES: &[RuleDef] = &[
-    RuleDef {
-        name: "float-ordering",
-        check: check_float_ordering,
-    },
-    RuleDef {
-        name: "lock-ordering",
-        check: crate::semrules::check_lock_ordering,
-    },
-    RuleDef {
-        name: "lock-across-blocking",
-        check: crate::flowrules::check_lock_across_blocking,
-    },
-    RuleDef {
-        name: "double-lock",
-        check: crate::flowrules::check_double_lock,
-    },
-];
+pub const RULES: &[RuleDef] = &[RuleDef {
+    name: "float-ordering",
+    check: check_float_ordering,
+}];
 
 /// Looks a rule up by name.
 pub fn rule_by_name(name: &str) -> Option<&'static RuleDef> {
@@ -78,8 +45,7 @@ fn punct_at(tokens: &[Token], i: usize, b: u8) -> bool {
 /// `.partial_cmp(` — float keys must use a total order.  A token rule
 /// because a clippy `disallowed-methods` ban on `PartialOrd::partial_cmp`
 /// also fires inside every `#[derive(PartialOrd)]`.
-fn check_float_ordering(ctx: &Ctx) -> Vec<Finding> {
-    let tokens = ctx.tokens;
+fn check_float_ordering(tokens: &[Token]) -> Vec<Finding> {
     let mut out = Vec::new();
     for (i, t) in tokens.iter().enumerate().skip(1) {
         if t.kind == TokenKind::Ident

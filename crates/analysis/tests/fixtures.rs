@@ -1,7 +1,8 @@
-//! Fixture-based self-tests: every rule has a firing fixture and a
-//! suppressed fixture, plus lexer edge cases that must stay silent.
+//! Fixture-based self-tests: the float-ordering rule has a firing
+//! fixture and a suppressed fixture, plus lexer edge cases that must
+//! stay silent.
 //!
-//! Fixtures are linted with the default config (no scoping), so every
+//! Fixtures are linted with the default config (no scoping), so the
 //! rule applies to every fixture — exactly the worst case for false
 //! positives.
 //!
@@ -10,6 +11,9 @@
 //! `clippy-driver` with the workspace's `clippy.toml` and
 //! `[workspace.lints]`, so a config edit that stops a ban from firing
 //! fails here, not only in the CI clippy job.
+//!
+//! The lock rules' fixtures are the lock witness's now
+//! (`crates/service/tests/fixtures.rs`).
 
 use sbs_analysis::{lint_source, LintConfig};
 use std::path::{Path, PathBuf};
@@ -44,110 +48,6 @@ fn float_ordering_fires() {
 #[test]
 fn float_ordering_suppressed() {
     assert_silent("float_ordering_suppressed.rs");
-}
-
-#[test]
-fn lock_ordering_fires() {
-    // Both sides of the inverted pair are flagged, at the inner
-    // acquisition of each.
-    assert_eq!(
-        lint_fixture("lock_ordering_fires.rs"),
-        vec![
-            (12, "lock-ordering".to_string()),
-            (19, "lock-ordering".to_string()),
-        ]
-    );
-}
-
-#[test]
-fn lock_ordering_suppressed() {
-    assert_silent("lock_ordering_suppressed.rs");
-}
-
-// ----- flow-sensitive rules (CFG + dataflow) -------------------------
-
-#[test]
-fn lock_across_blocking_fires() {
-    assert_eq!(
-        lint_fixture("lock_across_blocking_fires.rs"),
-        vec![(12, "lock-across-blocking".to_string())]
-    );
-}
-
-#[test]
-fn lock_across_blocking_suppressed() {
-    assert_silent("lock_across_blocking_suppressed.rs");
-}
-
-#[test]
-fn double_lock_fires() {
-    assert_eq!(
-        lint_fixture("double_lock_fires.rs"),
-        vec![(11, "double-lock".to_string())]
-    );
-}
-
-#[test]
-fn double_lock_suppressed() {
-    assert_silent("double_lock_suppressed.rs");
-}
-
-#[test]
-fn guard_passed_to_fn_fires() {
-    // The guard for `state` is moved into `flush_under`, whose summary
-    // says it blocks (`out.flush()`); the finding lands on the passing
-    // call, not inside the callee.
-    assert_eq!(
-        lint_fixture("guard_passed_to_fn_fires.rs"),
-        vec![(18, "lock-across-blocking".to_string())]
-    );
-}
-
-#[test]
-fn guard_passed_to_fn_suppressed() {
-    assert_silent("guard_passed_to_fn_suppressed.rs");
-}
-
-#[test]
-fn interprocedural_layer_leaves_intraprocedural_verdicts_unchanged() {
-    // Differential check: the summary-aware lifts may only ADD findings
-    // where a resolved callee carries an effect. On the intraprocedural
-    // flow fixtures the verdicts must stay identical — same rule, same
-    // line, nothing extra, and the suppressed twins stay silent.
-    let cases: [(&str, u32, &str); 2] = [
-        ("lock_across_blocking_fires.rs", 12, "lock-across-blocking"),
-        ("double_lock_fires.rs", 11, "double-lock"),
-    ];
-    for (name, line, rule) in cases {
-        assert_eq!(
-            lint_fixture(name),
-            vec![(line, rule.to_string())],
-            "{name}: interprocedural layer changed the verdict"
-        );
-    }
-    for name in [
-        "lock_across_blocking_suppressed.rs",
-        "double_lock_suppressed.rs",
-    ] {
-        assert_silent(name);
-    }
-}
-
-#[test]
-fn flow_findings_carry_exact_positions() {
-    // The acceptance check for the seeded-bug drill: the firing
-    // fixture's diagnostic renders grep-style with the exact line:col
-    // of the blocking call, not of the acquisition.
-    let d = lint_source(
-        "lock_across_blocking_fires.rs",
-        &fixture("lock_across_blocking_fires.rs"),
-        &LintConfig::default(),
-    );
-    let first = d.first().expect("fixture fires").to_string();
-    assert!(
-        first.starts_with("lock_across_blocking_fires.rs:12:9"),
-        "unexpected rendering: {first}"
-    );
 }
 
 #[test]

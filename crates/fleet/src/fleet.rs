@@ -18,9 +18,11 @@
 //! Snapshots are per-cluster files plus an index manifest
 //! (`sbs-fleet-manifest/v1`); [`Fleet::new`] recovers every tenant
 //! listed in the manifest through the single-cluster snapshot path.  The
-//! manifest is rewritten whenever a request creates a tenant, so a
-//! tenant that auto-snapshots (`snapshot_every`) is recoverable before
-//! the next explicit save.
+//! cadence is the fleet's: every `snapshot_every` decisions a tenant's
+//! snapshot is rendered under its shard lock and written once the lock
+//! drops, before the operation answers.  The manifest is rewritten
+//! whenever a request creates a tenant, so a tenant written by the
+//! cadence is recoverable before the next explicit save.
 //!
 //! `sbs serve` is a fleet that normally has one tenant: requests without
 //! a `cluster` field go to `default`, which the first such request
@@ -56,13 +58,14 @@ use sbs_service::edge::op_event;
 use sbs_service::protocol::{error_response, parse_routed, CorrelationSource, Request, SubmitSpec};
 use sbs_service::server::{HttpReply, ServerHandler};
 use sbs_service::snapshot::write_atomic;
-use sbs_service::{Cluster, Edge, ServiceConfig};
+use sbs_service::witness::{self, Class, Guard};
+use sbs_service::{Cluster, Edge, ServiceConfig, Snapshot};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Schema tag stamped into every fleet snapshot manifest.
@@ -90,7 +93,9 @@ pub struct FleetConfig {
     /// Directory for per-cluster snapshots and the index manifest;
     /// `None` disables persistence.
     pub snapshot_dir: Option<PathBuf>,
-    /// Each tenant auto-snapshots every N decision points (0 = only on
+    /// The snapshot cadence: a tenant's snapshot is written once N
+    /// decision points have passed since its last one, after the
+    /// operation's shard lock drops and before it answers (0 = only on
     /// demand and at shutdown).
     pub snapshot_every: u64,
     /// Per-decision wall-clock deadline for search policies (anytime
@@ -192,12 +197,11 @@ struct Shard {
     tenants: BTreeMap<String, Tenant>,
 }
 
-/// Locks a shard, recovering from poisoning (scheduler state is
-/// transition-consistent; see the server's rationale).
-fn lock_shard(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-    shard
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Locks a shard (witness class `Shard`), recovering from poisoning
+/// (see [`witness::lock`]).
+#[cfg_attr(debug_assertions, track_caller)]
+fn lock_shard(shard: &Mutex<Shard>) -> Guard<'_, Shard> {
+    witness::lock(shard, Class::Shard)
 }
 
 /// One cluster's numbers — or, absorbed together, several clusters' —
@@ -340,15 +344,18 @@ impl Fleet {
         (h % self.shards.len().max(1) as u64) as usize
     }
 
-    fn shard_for(&self, cluster: &str) -> Option<MutexGuard<'_, Shard>> {
-        self.shards.get(self.shard_index(cluster)).map(lock_shard)
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn shard_for(&self, cluster: &str) -> Option<Guard<'_, Shard>> {
+        // Not `.map(lock_shard)`: through `map` the witness would
+        // record a site inside `core`, not the caller.
+        let shard = self.shards.get(self.shard_index(cluster))?;
+        Some(lock_shard(shard))
     }
 
     fn tenant_config(&self, cluster: &str) -> ServiceConfig {
         let mut c = ServiceConfig::new(self.cfg.capacity, self.cfg.spec.clone());
         c.excess_threshold = self.cfg.excess_threshold;
         c.deadline = self.cfg.deadline;
-        c.snapshot_every = self.cfg.snapshot_every;
         if let Some(dir) = &self.cfg.snapshot_dir {
             c.snapshot_path = Some(dir.join(format!("cluster-{cluster}.json")));
         }
@@ -472,7 +479,22 @@ impl Fleet {
         let out = f(self, tenant);
         tenant.cluster.set_correlation(0);
         self.publish_tenant(tenant);
+        let due = self.due_snapshot(&mut tenant.cluster);
+        drop(shard);
+        write_due(due);
         Ok(out)
+    }
+
+    /// The snapshot `c` owes under the cadence (`snapshot_every`
+    /// decisions since its last render), rendered in memory under the
+    /// caller's shard lock; the caller writes it with [`write_due`]
+    /// once the lock drops, before it answers.
+    fn due_snapshot(&self, c: &mut Cluster) -> Option<(Snapshot, PathBuf)> {
+        let every = self.cfg.snapshot_every;
+        if every == 0 || c.unsnapshotted() < every {
+            return None;
+        }
+        c.render_snapshot()
     }
 
     /// Dispatches one routed request at scheduler time `at`, minting a
@@ -562,20 +584,24 @@ impl Fleet {
 
     /// Advances every tenant to time `at` (departure replay).
     pub fn poll_all(&self, at: Time) {
+        let mut due = Vec::new();
         for shard in &self.shards {
             let mut s = lock_shard(shard);
             for t in s.tenants.values_mut() {
                 t.cluster.poll_to(at);
                 self.publish_tenant(t);
+                due.extend(self.due_snapshot(&mut t.cluster));
             }
         }
         self.latest_now.fetch_max(at, Ordering::AcqRel);
+        write_due(due);
     }
 
     /// Drains every tenant under request correlation id `corr`; returns
     /// summed `(completed, leftover)`.
     pub fn drain_all(&self, corr: u64) -> (usize, usize) {
         let (mut completed, mut leftover) = (0usize, 0usize);
+        let mut due = Vec::new();
         for shard in &self.shards {
             let mut s = lock_shard(shard);
             for t in s.tenants.values_mut() {
@@ -585,17 +611,18 @@ impl Fleet {
                 completed += c;
                 leftover += l;
                 self.publish_tenant(t);
+                due.extend(self.due_snapshot(&mut t.cluster));
             }
         }
+        write_due(due);
         (completed, leftover)
     }
 
-    /// Locks the fleet's edge, recovering from poisoning.  A leaf lock:
-    /// never taken with a shard lock held.
-    fn edge(&self) -> MutexGuard<'_, Edge> {
-        self.edge
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// Locks the fleet's edge (witness class `Edge`), recovering from
+    /// poisoning.  A leaf lock: never taken with a shard lock held.
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn edge(&self) -> Guard<'_, Edge> {
+        witness::lock(&self.edge, Class::Edge)
     }
 
     /// Pushes a self-scrape sample when scheduler time has crossed the
@@ -856,6 +883,18 @@ impl Fleet {
             .get(cluster)
             .map(|t| t.cluster.metrics_text())
             .ok_or_else(|| format!("unknown cluster {cluster:?}"))
+    }
+}
+
+/// Writes cadence snapshots rendered under a shard lock, once it has
+/// dropped.
+fn write_due(due: impl IntoIterator<Item = (Snapshot, PathBuf)>) {
+    for (snap, path) in due {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "proven best-effort path — a failed periodic snapshot must not fail the request; the next due decision retries"
+        )]
+        let _ = snap.save(&path);
     }
 }
 
@@ -1499,6 +1538,72 @@ mod tests {
         assert_eq!(labeled, 32);
         assert_eq!(other, (total - 32) as u64);
         assert!(text.contains(&format!("sbs_fleet_clusters {total}")));
+    }
+
+    /// One tenant's decisions since its last rendered snapshot, and its
+    /// state right now.
+    fn tenant_state(f: &Fleet, id: &str) -> (u64, Snapshot) {
+        let mut shard = lock_shard(&f.shards[f.shard_index(id)]);
+        let c = &mut shard.tenants.get_mut(id).expect("tenant").cluster;
+        (c.unsnapshotted(), c.snapshot())
+    }
+
+    #[test]
+    fn the_snapshot_cadence_writes_after_the_shard_lock_and_before_the_answer() {
+        let dir = std::env::temp_dir().join(format!("sbs-cadence-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cfg = FleetConfig::new(8, PolicySpec::FcfsBackfill).with_snapshot_dir(dir.clone());
+        cfg.snapshot_every = 4;
+        let f = Fleet::new(cfg).expect("fleet");
+        let file = dir.join("cluster-alpha.json");
+        admitted(&f, "alpha", 4, 0);
+        // Runs one operation and checks the file against the cadence:
+        // written exactly when the operation brought the tenant to 4
+        // decisions since the last write, and then equal to the state
+        // the operation answered from.  Counts the writes.
+        let step = |writes: &mut u32, op: &dyn Fn()| {
+            let (before, snap) = tenant_state(&f, "alpha");
+            let decided_before = snap.decisions;
+            op();
+            let (after, snap) = tenant_state(&f, "alpha");
+            let decided = snap.decisions - decided_before;
+            if before + decided >= 4 {
+                assert_eq!(after, 0, "the due snapshot was rendered");
+                assert_eq!(Snapshot::load(&file).expect("written"), snap);
+                *writes += 1;
+            } else {
+                assert_eq!(after, before + decided, "no write before it is due");
+                if let Ok(on_disk) = Snapshot::load(&file) {
+                    assert_eq!(on_disk.decisions, snap.decisions - after);
+                }
+            }
+        };
+        let (mut by_requests, mut by_departures) = (0, 0);
+        let mut t = 1;
+        for _ in 0..6 {
+            // Short jobs: a submit also replays the departures before it.
+            for _ in 0..5 {
+                step(&mut by_requests, &|| {
+                    let job = Request::Submit {
+                        nodes: 4,
+                        runtime: 7,
+                        requested: None,
+                        user: 0,
+                        submit: Some(t),
+                    };
+                    assert_eq!(f.handle_routed(Some("alpha"), job, t).0["ok"], true);
+                });
+                t += 3;
+            }
+            // The departure path: every job still queued or running ends.
+            t += 100;
+            step(&mut by_departures, &|| f.poll_all(t));
+        }
+        assert!(
+            by_requests > 0 && by_departures > 0,
+            "{by_requests} {by_departures}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -174,7 +174,6 @@ fn kill_and_restart_resumes_with_the_same_queue() {
     let w = staggered_workload(11);
     let mut cfg = ServiceConfig::new(w.capacity, PolicySpec::LxfBackfill);
     cfg.snapshot_path = Some(path.clone());
-    cfg.snapshot_every = 4;
     let mut first = Cluster::new(cfg.clone()).expect("fresh cluster");
     let killed_after = 60;
     for job in &w.jobs[..killed_after] {
@@ -188,7 +187,8 @@ fn kill_and_restart_resumes_with_the_same_queue() {
             )
             .expect("submit");
     }
-    first.save_snapshot().expect("snapshot").expect("path set");
+    let (snap, at) = first.render_snapshot().expect("path set");
+    snap.save(&at).expect("snapshot");
     let pre_kill = first.snapshot();
     let completed_before: Vec<JobId> = first.records().iter().map(|r| r.id).collect();
     assert_eq!(

@@ -31,6 +31,7 @@ use crate::edge::op_event;
 use crate::metrics::MetricsView;
 use crate::protocol::{error_response, Request, SubmitSpec};
 use crate::snapshot::{CompletedStats, RunningEntry, Snapshot, WaitingEntry};
+use crate::witness;
 use sbs_core::{PolicySpec, SearchPolicy};
 use sbs_obs::{
     DecisionTrace, Histogram, ObsConfig, RingBuffer, StatusSample, TimeMode, TraceMeta,
@@ -58,11 +59,10 @@ pub struct ServiceConfig {
     pub deadline: Option<Duration>,
     /// Wait beyond this threshold counts as excessive in the metrics.
     pub excess_threshold: Time,
-    /// Where to write snapshots; `None` disables persistence.
+    /// Where to write snapshots; `None` disables persistence.  When to
+    /// write is the caller's call (the fleet's `snapshot_every`); see
+    /// [`Cluster::unsnapshotted`].
     pub snapshot_path: Option<PathBuf>,
-    /// Auto-snapshot every N decision points (0 = only on demand and at
-    /// shutdown).
-    pub snapshot_every: u64,
     /// Append `sbs-trace/v1` JSONL decision traces here; `None` keeps
     /// telemetry in memory only.
     pub trace_log: Option<PathBuf>,
@@ -80,7 +80,6 @@ impl ServiceConfig {
             deadline: None,
             excess_threshold: 0,
             snapshot_path: None,
-            snapshot_every: 0,
             trace_log: None,
             obs: ObsConfig::default(),
         }
@@ -178,7 +177,7 @@ pub struct Cluster {
     completed_seen: usize,
     /// Decisions carried over from a recovered snapshot.
     base_decisions: u64,
-    /// Decisions since the last snapshot write.
+    /// Decisions since the last rendered snapshot.
     unsnapshotted: u64,
     draining: bool,
     /// Captured slow decisions, oldest evicted.
@@ -193,7 +192,9 @@ pub struct Cluster {
 impl Cluster {
     /// Builds the cluster; recovers from `cfg.snapshot_path` when a
     /// snapshot exists there.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn new(cfg: ServiceConfig) -> Result<Self, String> {
+        witness::assert_no_shard("Cluster::new");
         match cfg.snapshot_path.as_ref().filter(|p| p.exists()) {
             Some(path) => {
                 let snap = Snapshot::load(path)?;
@@ -218,6 +219,7 @@ impl Cluster {
             },
         );
         if let Some(path) = &cfg.trace_log {
+            witness::assert_no_shard("the trace sink's open");
             let opened = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -308,7 +310,8 @@ impl Cluster {
     }
 
     /// Folds freshly completed jobs into the metrics aggregates and
-    /// counts the decision toward the auto-snapshot cadence.
+    /// counts the decision toward the snapshot cadence.  It writes
+    /// nothing: the caller may hold a lock around the cluster.
     fn after_decision(&mut self) {
         let threshold = self.cfg.excess_threshold;
         // `completed_seen` only ever trails `records().len()`, but an
@@ -328,15 +331,6 @@ impl Cluster {
         self.completed_seen = self.core.records().len();
         self.unsnapshotted += 1;
         self.capture_incidents();
-        if self.cfg.snapshot_every > 0 && self.unsnapshotted >= self.cfg.snapshot_every {
-            // Best effort: an unwritable snapshot path must not take the
-            // scheduler down mid-decision.
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "proven best-effort path — a failed periodic snapshot must not abort the decision loop; the next interval retries"
-            )]
-            let _ = self.save_snapshot();
-        }
     }
 
     /// Scans fresh recorder-ring entries against the slow-decision
@@ -652,6 +646,12 @@ impl Cluster {
         }
     }
 
+    /// Decision points since the last [`Cluster::render_snapshot`]: the
+    /// fleet writes a snapshot once this reaches its `snapshot_every`.
+    pub fn unsnapshotted(&self) -> u64 {
+        self.unsnapshotted
+    }
+
     /// Renders a snapshot plus the path it should be written to,
     /// without touching the filesystem, or `None` when persistence is
     /// disabled.  Resets the dirty-operation counter, so the caller is
@@ -664,17 +664,6 @@ impl Cluster {
         let snap = self.snapshot();
         self.unsnapshotted = 0;
         Some((snap, path))
-    }
-
-    /// Writes a snapshot to the configured path, if any.  Returns the
-    /// path written.
-    pub fn save_snapshot(&mut self) -> Result<Option<PathBuf>, String> {
-        let Some((snap, path)) = self.render_snapshot() else {
-            return Ok(None);
-        };
-        snap.save(&path)
-            .map_err(|e| format!("snapshot write failed: {e}"))?;
-        Ok(Some(path))
     }
 
     /// Runs one tenant-scoped protocol request at scheduler time `at`

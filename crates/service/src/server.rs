@@ -35,12 +35,13 @@
 
 use crate::clock::Clock;
 use crate::protocol::error_response;
+use crate::witness::{self, Class, Guard};
 use sbs_workload::time::Time;
 use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Most simultaneous connections the readiness loop will hold open;
@@ -69,16 +70,11 @@ const IDLE_TICK_LIMIT: u64 = 30_000;
 /// departure replay each sweep starts with.
 const MAX_WAIT: Duration = Duration::from_millis(2);
 
-/// Locks the handler, recovering from mutex poisoning.
-///
-/// A poisoned lock means some thread panicked mid-request.  Scheduler
-/// state is transition-consistent (every mutation in `SchedulerCore`
-/// completes or panics before touching state), so the daemon must keep
-/// serving rather than cascade the panic into the accept loop.
-fn lock_handler<H>(handler: &Mutex<H>) -> MutexGuard<'_, H> {
-    handler
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Locks the handler (witness class `Handler`), recovering from
+/// poisoning (see [`witness::lock`]).
+#[cfg_attr(debug_assertions, track_caller)]
+fn lock_handler<H>(handler: &Mutex<H>) -> Guard<'_, H> {
+    witness::lock(handler, Class::Handler)
 }
 
 /// Process-wide SIGTERM latch (signal handlers cannot capture state).
@@ -163,6 +159,7 @@ mod sys {
         reason = "std has no readiness wait; poll(2) touches only the slice passed to it"
     )]
     pub fn wait_ready(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<()> {
+        crate::witness::assert_unlocked("wait_ready");
         let nfds = NfdsT::try_from(fds.len()).map_err(|_| Error::from(ErrorKind::InvalidInput))?;
         let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
         // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
@@ -216,6 +213,7 @@ mod sys {
         reason = "std has no readiness wait; poll(2) touches only the slice passed to it"
     )]
     pub fn wait_ready(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<()> {
+        crate::witness::assert_unlocked("wait_ready");
         std::thread::sleep(timeout);
         for fd in fds.iter_mut() {
             fd.revents = fd.events;

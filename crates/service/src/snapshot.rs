@@ -12,11 +12,13 @@
 //! wrote it.  Files are written through [`write_atomic`]: a crash
 //! mid-write leaves the previous snapshot intact.
 
+use crate::witness;
 use sbs_workload::job::{Job, JobId};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format version stamped into every snapshot.
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -123,18 +125,41 @@ fn job_from_value(v: &Value) -> Result<Job, String> {
 }
 
 /// Replaces `path` with `bytes` so that a crash leaves either the old
-/// file or the new one, never a torn mix: write a `.tmp` sibling, sync
+/// file or the new one, never a torn mix: write a temp sibling, sync
 /// it, rename it over `path`, then sync the directory so the rename
-/// itself survives a power failure.  Snapshots and the fleet manifest
-/// are both written through here.
+/// itself survives a power failure.  Each call has a temp name of its
+/// own (pid plus a counter), so concurrent writers of one path never
+/// share a temp file: the last rename wins whole.  Snapshots and the
+/// fleet manifest are both written through here.  Debug builds panic
+/// when the caller holds a shard lock (see [`crate::witness`]).
+#[cfg_attr(debug_assertions, track_caller)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one fsync site, behind the witness's no-shard assertion"
+)]
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+    static TEMPS: AtomicU64 = AtomicU64::new(0);
+    witness::assert_no_shard("write_atomic");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TEMPS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = std::path::PathBuf::from(tmp);
+    let replaced = std::fs::File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if replaced.is_err() {
+        // Unique names would pile up: a failed write takes its temp
+        // file with it.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "proven best-effort path — the write's own error is the one reported, and the temp file may never have been created"
+        )]
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path)?;
+    replaced?;
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d,
         _ => Path::new("."),
@@ -241,6 +266,7 @@ impl Snapshot {
     }
 
     /// Writes the snapshot to `path` atomically (see [`write_atomic`]).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         // Snapshot values are built from plain scheduler state and cannot
         // fail to serialize today; if that ever changes, surface it as an
@@ -252,8 +278,11 @@ impl Snapshot {
         write_atomic(path, text.as_bytes())
     }
 
-    /// Loads a snapshot from `path`.
+    /// Loads a snapshot from `path`.  Debug builds panic when the
+    /// caller holds a shard lock (see [`crate::witness`]).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn load(path: &Path) -> Result<Self, String> {
+        witness::assert_no_shard("Snapshot::load");
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let v: Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
         Self::from_value(&v)
@@ -318,12 +347,60 @@ mod tests {
         write_atomic(&path, b"first, and longer\n").expect("first write");
         write_atomic(&path, b"second\n").expect("second write");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "temp file left behind"
-        );
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["doc.json"], "temp file left behind");
         let missing = dir.join("no-such-dir").join("doc.json");
         assert!(write_atomic(&missing, b"x").is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_never_tear_or_fail() {
+        // Two threads replacing one file: with a shared temp name one
+        // writer's rename takes the other's temp file away (`ENOENT`)
+        // or publishes a file the other is still writing.
+        let dir = std::env::temp_dir().join(format!("sbs-atomic-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        let payload = |writer: usize, call: usize| {
+            format!("{writer} {call} {}\n", "x".repeat(64 << (call % 5)))
+        };
+        const CALLS: usize = 100;
+        // Both writers start each call together, and make every call
+        // even after a failed one, so neither waits alone.
+        let together = std::sync::Barrier::new(2);
+        let failed: Vec<String> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (path, together) = (&path, &together);
+                    s.spawn(move || {
+                        (0..CALLS)
+                            .filter_map(|i| {
+                                together.wait();
+                                let written = write_atomic(path, payload(w, i).as_bytes());
+                                written.err().map(|e| format!("writer {w}, call {i}: {e}"))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        assert!(failed.is_empty(), "{failed:?}");
+        let last = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            (0..2).any(|w| (0..CALLS).any(|i| payload(w, i) == last)),
+            "torn file: {} bytes",
+            last.len()
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(left.len(), 1, "temp files left behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 
