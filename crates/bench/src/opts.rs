@@ -3,7 +3,7 @@
 use sbs_workload::system::Month;
 
 /// Options shared by all experiments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Opts {
     /// Fraction of each month's span to simulate (1.0 = paper scale).
     pub scale: f64,

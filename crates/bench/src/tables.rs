@@ -311,6 +311,6 @@ mod tests {
 
     #[test]
     fn unknown_experiment_is_none() {
-        assert!(crate::run_experiment("nope", &Opts::quick()).is_none());
+        assert!(crate::experiment("nope").is_none());
     }
 }

@@ -3,8 +3,14 @@
 
 //! Implementation of the `sbs` command-line tool (kept in a library so
 //! the argument parser and runner are unit-testable).
+//!
+//! Every command is one row of `COMMANDS` and every flag one constant in
+//! `flags`, declared once: `sbs help`, the usage block printed after an
+//! error, the flag errors, validation and dispatch all read them.
 
+use flags::*;
 use sbs_backfill::PriorityOrder;
+use sbs_bench::{experiment, opts::Opts, EXPERIMENTS};
 use sbs_core::{Branching, PolicySpec, SearchAlgo, TargetBound};
 use sbs_metrics::table::{num, Table};
 use sbs_metrics::timeline::utilization_panel;
@@ -17,677 +23,428 @@ use sbs_workload::job::RuntimeKnowledge;
 use sbs_workload::swf;
 use sbs_workload::system::Month;
 use sbs_workload::time::{to_hours, DAY};
+use std::collections::BTreeMap;
+use std::str::FromStr;
 
-/// Usage text shown by `sbs` and on argument errors.
-pub const USAGE: &str = "\
-sbs — search-based job scheduling simulator
-
-USAGE:
-  sbs simulate (--month M | --trace FILE) [options]
-                          (alias: sbs sim)
-  sbs serve [options]     run the online scheduler daemon
-  sbs submit [options]    submit a job to a running daemon
-  sbs queue [options]     show a running daemon's queue
-  sbs incidents [opts]    list captured slow-decision incidents
-  sbs top [options]       poll /statusz into a terminal dashboard
-  sbs trace FILE [opts]   explore an sbs-trace/v1 JSONL decision log
-  sbs bench-perf          run the search hot-path perf matrix
-  sbs policies            list available policy names
-  sbs months              list the study months
-  sbs help                this text
-
-OPTIONS (simulate):
-  --month M           synthetic month (6/03 .. 3/04)
-  --trace FILE        replay a Standard Workload Format trace
-  --capacity N        machine size for --trace (default 128)
-  --policy NAME       scheduling policy (default dds-lxf-dynb)
-  --budget L          search node budget per decision (default 1000)
-  --load RHO          shrink inter-arrivals to offered load RHO
-  --scale F           simulate a fraction of the month's span
-  --knowledge K       actual | requested | predicted (default: actual
-                      for --month, requested for --trace)
-  --seed N            workload RNG seed
-  --timeline          print an ASCII utilization timeline
-  --json              machine-readable output
-  --trace-log FILE    write an sbs-trace/v1 JSONL decision log
-                      (identical runs produce byte-identical files)
-
-OPTIONS (serve):
-  Requests may name a \"cluster\" (tenant); without one they go to the
-  tenant \"default\", so a single-cluster client never names one.
-  --port P            TCP port (default 7070; 0 picks a free port)
-  --capacity N        per-cluster machine size in nodes (default 128)
-  --policy NAME       scheduling policy (default dds-lxf-dynb)
-  --budget L          search node budget per decision (default 1000)
-  --deadline-ms D     per-decision wall-clock search deadline
-  --snapshot-dir DIR  per-cluster snapshots + manifest (recovers on start)
-  --snapshot-every N  auto-snapshot every N decisions (default 16)
-  --virtual-clock     time advances only with submitted events (testing)
-  --trace-dir DIR     append one sbs-trace/v1 JSONL decision log per
-                      cluster, DIR/trace-<cluster>.jsonl
-  --event-log FILE    append an sbs-events/v1 JSONL operational journal
-  --slow-ms D         capture decisions at/over D ms wall time as
-                      incidents (also exposed at /statusz?incidents=1)
-  --slow-nodes-left N capture deadline-truncated decisions that left N+
-                      nodes unexplored
-  --shards N          shard locks in the tenant map (default 16)
-  --max-clusters N    tenant cap (default 4096)
-  --max-queue N       per-tenant queue-depth quota (default: unlimited)
-  --fair-slack PCT    per-tenant fairshare slack percent (default: off)
-
-OPTIONS (trace):
-  --collapsed OUT     also write a collapsed-stack span-weight file
-                      (flamegraph.pl / speedscope input)
-  --json              print the aggregates as JSON instead of tables
-  --last N            aggregate only the final N decisions
-  --since DECISION    aggregate only decisions with seq >= DECISION
-
-OPTIONS (bench-perf):
-  --quick             smoke mode: drop the 100K budget, 1 timing repeat
-  --repeats N         timed repeats per cell, fastest wins (default 3)
-  --out FILE          where to write the JSON document (default
-                      BENCH_search.json; \"-\" skips the file)
-  --check BASELINE    compare against a baseline document: fail if any
-                      cell's search outcome (nodes, leaves, best cost,
-                      ...) differs, or its nodes/sec regressed beyond
-                      the tolerance; BASELINE may not be the --out file
-  --tolerance F       allowed fractional slowdown for --check
-                      (default 0.5 — generous, CI machines vary)
-
-OPTIONS (submit / queue / incidents / top):
-  --host H            daemon host (default 127.0.0.1)
-  --port P            daemon port (default 7070)
-  --cluster C         (incidents) restrict to one cluster
-  --interval MS       (top) milliseconds between polls (default 2000)
-  --iterations N      (top) stop after N polls; 1 prints a single
-                      frame to stdout (default 0 = until interrupted)
-  --nodes N           (submit) node count
-  --runtime S         (submit) runtime in seconds
-  --requested S       (submit) requested runtime (default: runtime)
-  --user U            (submit) submitting user id
-  --at T              (submit) explicit submit time (virtual clock only)
-
-The daemon speaks newline-delimited JSON on its port and answers plain
-HTTP `GET /metrics`, `GET /healthz` and `GET /statusz` probes on the
-same port (`/statusz?incidents=1` inlines the captured incidents;
-`/metrics?cluster=ID` is one cluster's own exposition).
-";
-
-/// A parsed command line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// Run one simulation and report.
-    Simulate(SimulateArgs),
-    /// Run the online scheduler daemon.
-    Serve(ServeArgs),
-    /// Submit a job to a running daemon.
-    Submit(SubmitArgs),
-    /// Show a running daemon's queue.
-    Queue(ConnectArgs),
-    /// List a running daemon's captured slow-decision incidents.
-    Incidents(IncidentsArgs),
-    /// Poll a daemon's `/statusz` into a terminal dashboard.
-    Top(TopArgs),
-    /// Explore an `sbs-trace/v1` decision log offline.
-    Trace(TraceArgs),
-    /// Run the search hot-path performance matrix.
-    BenchPerf(BenchPerfArgs),
-    /// List policy names.
-    Policies,
-    /// List study months.
+/// What a flag's value must be.  `Int` and `Real` carry an interval such
+/// as `[1, 65535]` or `(0, inf)`: the parser checks values against it and
+/// the out-of-range error quotes it.  `Months` is a comma-separated list.
+#[derive(Debug)]
+enum Kind {
+    Switch,
+    Text,
+    Int(&'static str),
+    Real(&'static str),
+    Choice(&'static [&'static str]),
+    Policy,
+    Month,
     Months,
-    /// Print usage.
-    Help,
 }
 
-/// Arguments of `sbs serve`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    /// TCP port to listen on (0 = ephemeral).
-    pub port: u16,
-    /// Per-cluster machine size in nodes.
-    pub capacity: u32,
-    /// Policy name (see [`policy_by_name`]).
-    pub policy: String,
-    /// Search node budget.
-    pub budget: u64,
-    /// Per-decision wall-clock search deadline, in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Directory for per-cluster snapshots and the index manifest.
-    pub snapshot_dir: Option<String>,
-    /// Auto-snapshot cadence in decisions.
-    pub snapshot_every: u64,
-    /// Drive time from submitted events instead of the wall clock.
-    pub virtual_clock: bool,
-    /// Directory for per-cluster `sbs-trace/v1` JSONL decision logs.
-    pub trace_dir: Option<String>,
-    /// Append an `sbs-events/v1` JSONL operational journal here.
-    pub event_log: Option<String>,
-    /// Capture decisions at or beyond this wall time (ms) as incidents.
-    pub slow_ms: Option<u64>,
-    /// Capture decisions with this many `nodes_left_at_deadline`.
-    pub slow_nodes_left: Option<u64>,
-    /// Shard locks in the tenant map.
-    pub shards: usize,
-    /// Tenant cap.
-    pub max_clusters: usize,
-    /// Per-tenant queue-depth quota (0 = unlimited).
-    pub max_queue: usize,
-    /// Per-tenant fairshare slack percent (0 = fairshare off).
-    pub fair_slack: u64,
+/// One flag, declared once and listed by every command that takes it.
+#[derive(Debug)]
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the help; empty for a switch.
+    meta: &'static str,
+    kind: Kind,
+    /// The value an absent flag takes, if any.
+    default: Option<&'static str>,
+    help: &'static str,
 }
 
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            port: 7070,
-            capacity: 128,
-            policy: "dds-lxf-dynb".to_string(),
-            budget: 1_000,
-            deadline_ms: None,
-            snapshot_dir: None,
-            snapshot_every: 16,
-            virtual_clock: false,
-            trace_dir: None,
-            event_log: None,
-            slow_ms: None,
-            slow_nodes_left: None,
-            shards: 16,
-            max_clusters: 4096,
-            max_queue: 0,
-            fair_slack: 0,
+/// Every flag of every command.
+#[rustfmt::skip]
+mod flags {
+    use super::{Flag, Kind::*, HEADLINE};
+    const U32: &str = "[0, 4294967295]";
+    const U64: &str = "[0, inf)";
+
+    pub const MONTH: Flag = Flag { name: "--month", meta: "M", kind: Month, default: None, help: "synthetic month (6/03 .. 3/04)" };
+    pub const TRACE: Flag = Flag { name: "--trace", meta: "FILE", kind: Text, default: None, help: "replay a Standard Workload Format trace instead of a month" };
+    pub const CAPACITY: Flag = Flag { name: "--capacity", meta: "N", kind: Int("[1, 4294967295]"), default: Some("128"), help: "machine size in nodes: a replayed trace's, or each served cluster's" };
+    pub const POLICY: Flag = Flag { name: "--policy", meta: "NAME", kind: Policy, default: Some(HEADLINE), help: "scheduling policy, one of `sbs policies`" };
+    pub const BUDGET: Flag = Flag { name: "--budget", meta: "L", kind: Int(U64), default: Some("1000"), help: "search node budget per decision" };
+    pub const LOAD: Flag = Flag { name: "--load", meta: "RHO", kind: Real("(0, 1.5)"), default: None, help: "shrink inter-arrivals to offered load RHO" };
+    pub const SCALE: Flag = Flag { name: "--scale", meta: "F", kind: Real("(0, 1]"), default: None, help: "simulate this fraction of each month's span (default: all of it; 0.06 in quick mode)" };
+    pub const KNOWLEDGE: Flag = Flag { name: "--knowledge", meta: "K", kind: Choice(&["actual", "requested", "predicted"]), default: None, help: "the R* source (default: actual for a month, requested for a trace)" };
+    pub const SEED: Flag = Flag { name: "--seed", meta: "N", kind: Int(U64), default: None, help: "workload RNG seed" };
+    pub const TIMELINE: Flag = Flag { name: "--timeline", meta: "", kind: Switch, default: None, help: "print an ASCII utilization timeline" };
+    pub const JSON: Flag = Flag { name: "--json", meta: "", kind: Switch, default: None, help: "machine-readable JSON instead of tables" };
+    pub const TRACE_LOG: Flag = Flag { name: "--trace-log", meta: "FILE", kind: Text, default: None, help: "write an sbs-trace/v1 JSONL decision log (identical runs produce byte-identical files)" };
+
+    pub const PORT: Flag = Flag { name: "--port", meta: "P", kind: Int("[0, 65535]"), default: Some("7070"), help: "the daemon's TCP port (serving on 0 picks a free one)" };
+    pub const DEADLINE_MS: Flag = Flag { name: "--deadline-ms", meta: "D", kind: Int(U64), default: None, help: "per-decision wall-clock search deadline" };
+    pub const SNAPSHOT_DIR: Flag = Flag { name: "--snapshot-dir", meta: "DIR", kind: Text, default: None, help: "per-cluster snapshots + manifest (recovers on start)" };
+    pub const SNAPSHOT_EVERY: Flag = Flag { name: "--snapshot-every", meta: "N", kind: Int(U64), default: Some("16"), help: "auto-snapshot every N decisions" };
+    pub const VIRTUAL_CLOCK: Flag = Flag { name: "--virtual-clock", meta: "", kind: Switch, default: None, help: "time advances only with submitted events (testing)" };
+    pub const TRACE_DIR: Flag = Flag { name: "--trace-dir", meta: "DIR", kind: Text, default: None, help: "append one sbs-trace/v1 JSONL decision log per cluster, DIR/trace-<cluster>.jsonl" };
+    pub const EVENT_LOG: Flag = Flag { name: "--event-log", meta: "FILE", kind: Text, default: None, help: "append an sbs-events/v1 JSONL operational journal" };
+    pub const SLOW_MS: Flag = Flag { name: "--slow-ms", meta: "D", kind: Int(U64), default: None, help: "capture decisions at/over D ms wall time as incidents (also exposed at /statusz?incidents=1)" };
+    pub const SLOW_NODES_LEFT: Flag = Flag { name: "--slow-nodes-left", meta: "N", kind: Int(U64), default: None, help: "capture deadline-truncated decisions that left N+ nodes unexplored" };
+    pub const SHARDS: Flag = Flag { name: "--shards", meta: "N", kind: Int(U32), default: Some("16"), help: "shard locks in the tenant map" };
+    pub const MAX_CLUSTERS: Flag = Flag { name: "--max-clusters", meta: "N", kind: Int(U32), default: Some("4096"), help: "tenant cap" };
+    pub const MAX_QUEUE: Flag = Flag { name: "--max-queue", meta: "N", kind: Int(U32), default: Some("0"), help: "per-tenant queue-depth quota, 0 = unlimited" };
+    pub const FAIR_SLACK: Flag = Flag { name: "--fair-slack", meta: "PCT", kind: Int(U64), default: Some("0"), help: "per-tenant fairshare slack percent, 0 = off" };
+
+    pub const COLLAPSED: Flag = Flag { name: "--collapsed", meta: "OUT", kind: Text, default: None, help: "also write a collapsed-stack span-weight file (flamegraph.pl / speedscope input)" };
+    pub const LAST: Flag = Flag { name: "--last", meta: "N", kind: Int(U32), default: None, help: "aggregate only the final N decisions" };
+    pub const SINCE: Flag = Flag { name: "--since", meta: "DECISION", kind: Int(U64), default: None, help: "aggregate only decisions with seq >= DECISION" };
+
+    pub const QUICK: Flag = Flag { name: "--quick", meta: "", kind: Switch, default: None, help: "smoke mode: bench-perf drops the 100K budget and times each cell once; experiments run 6% spans at 1/4 budgets" };
+    pub const REPEATS: Flag = Flag { name: "--repeats", meta: "N", kind: Int("[1, 4294967295]"), default: None, help: "timed repeats per cell, fastest wins (default 3; 1 in quick mode)" };
+    pub const OUT: Flag = Flag { name: "--out", meta: "PATH", kind: Text, default: None, help: "bench-perf: where to write the JSON document (default BENCH_search.json; \"-\" skips the file); experiments: also write <id>.txt and <id>.json into this directory" };
+    pub const CHECK: Flag = Flag { name: "--check", meta: "BASELINE", kind: Text, default: None, help: "compare against a baseline document: fail if any cell's search outcome (nodes, leaves, best cost, ...) differs, or its nodes/sec regressed beyond the tolerance; BASELINE may not be the output file" };
+    pub const TOLERANCE: Flag = Flag { name: "--tolerance", meta: "F", kind: Real("[0, 1)"), default: Some("0.5"), help: "allowed fractional nodes/sec slowdown for the baseline check (generous: CI machines vary)" };
+    pub const BUDGET_SCALE: Flag = Flag { name: "--budget-scale", meta: "F", kind: Real("(0, inf)"), default: None, help: "scale the paper's node budgets by F (default 1; 0.25 in quick mode; at least 50 nodes)" };
+    pub const MONTHS: Flag = Flag { name: "--months", meta: "M,...", kind: Months, default: None, help: "the study months to run (default: all ten)" };
+
+    pub const HOST: Flag = Flag { name: "--host", meta: "H", kind: Text, default: Some("127.0.0.1"), help: "daemon host" };
+    pub const CLUSTER: Flag = Flag { name: "--cluster", meta: "C", kind: Text, default: None, help: "restrict to one cluster" };
+    pub const INTERVAL: Flag = Flag { name: "--interval", meta: "MS", kind: Int("[1, inf)"), default: Some("2000"), help: "milliseconds between polls" };
+    pub const ITERATIONS: Flag = Flag { name: "--iterations", meta: "N", kind: Int(U64), default: Some("0"), help: "stop after N polls, 0 = until interrupted; 1 prints a single frame to stdout" };
+    pub const NODES: Flag = Flag { name: "--nodes", meta: "N", kind: Int(U32), default: None, help: "node count (required)" };
+    pub const RUNTIME: Flag = Flag { name: "--runtime", meta: "S", kind: Int(U64), default: None, help: "runtime in seconds (required)" };
+    pub const REQUESTED: Flag = Flag { name: "--requested", meta: "S", kind: Int(U64), default: None, help: "requested runtime (default: the runtime)" };
+    pub const USER: Flag = Flag { name: "--user", meta: "U", kind: Int(U32), default: Some("0"), help: "submitting user id" };
+    pub const AT: Flag = Flag { name: "--at", meta: "T", kind: Int(U64), default: None, help: "explicit submit time (virtual clock only)" };
+}
+
+const SERVE: &str = "run the online scheduler daemon.  Requests may name a \"cluster\" \
+    (tenant); without one they go to the tenant \"default\", so a single-cluster client never \
+    names one.  The daemon speaks newline-delimited JSON on its port and answers plain HTTP \
+    `GET /metrics`, `GET /healthz` and `GET /statusz` probes on the same port \
+    (`/statusz?incidents=1` inlines the captured incidents; `/metrics?cluster=ID` is one \
+    cluster's own exposition).";
+
+/// One command: its help, the flags it takes and what runs it.
+#[derive(Debug)]
+struct Cmd {
+    name: &'static str,
+    aliases: &'static [&'static str],
+    /// The arguments that are not flags, as the help shows them; empty
+    /// when the command takes none.
+    operands: &'static str,
+    /// What the command does, first in its help block.
+    summary: &'static str,
+    flags: &'static [&'static Flag],
+    /// What no single flag can check: required flags, exclusive flags,
+    /// operands.
+    check: fn(&Args) -> Result<(), String>,
+    run: fn(&Args) -> Result<String, String>,
+}
+
+const NONE: Cmd = Cmd {
+    name: "",
+    aliases: &[],
+    operands: "",
+    summary: "",
+    flags: &[],
+    check: |_| Ok(()),
+    run: |_| Ok(String::new()),
+};
+
+/// Every command, in help order.
+#[rustfmt::skip]
+static COMMANDS: [Cmd; 12] = [
+    Cmd { name: "simulate", aliases: &["sim"], summary: "simulate a synthetic month or an SWF trace and report",
+          flags: &[&MONTH, &TRACE, &CAPACITY, &POLICY, &BUDGET, &LOAD, &SCALE, &KNOWLEDGE, &SEED, &TIMELINE, &JSON, &TRACE_LOG],
+          check: check_simulate, run: simulate_cmd, ..NONE },
+    Cmd { name: "serve", summary: SERVE,
+          flags: &[&PORT, &CAPACITY, &POLICY, &BUDGET, &DEADLINE_MS, &SNAPSHOT_DIR, &SNAPSHOT_EVERY, &VIRTUAL_CLOCK,
+                   &TRACE_DIR, &EVENT_LOG, &SLOW_MS, &SLOW_NODES_LEFT, &SHARDS, &MAX_CLUSTERS, &MAX_QUEUE, &FAIR_SLACK],
+          run: serve_cmd, ..NONE },
+    Cmd { name: "submit", summary: "submit a job to a running daemon",
+          flags: &[&HOST, &PORT, &NODES, &RUNTIME, &REQUESTED, &USER, &AT], check: check_submit, run: submit_cmd, ..NONE },
+    Cmd { name: "queue", summary: "show a running daemon's queue", flags: &[&HOST, &PORT],
+          run: |a| client_round_trip(a, r#"{"op":"queue"}"#), ..NONE },
+    Cmd { name: "incidents", summary: "list a running daemon's captured slow-decision incidents",
+          flags: &[&HOST, &PORT, &CLUSTER], run: incidents_cmd, ..NONE },
+    Cmd { name: "top", summary: "poll /statusz into a terminal dashboard", flags: &[&HOST, &PORT, &INTERVAL, &ITERATIONS],
+          run: top_cmd, ..NONE },
+    Cmd { name: "trace", operands: "FILE", summary: "explore an sbs-trace/v1 JSONL decision log",
+          flags: &[&COLLAPSED, &JSON, &LAST, &SINCE], check: check_trace, run: trace_cmd, ..NONE },
+    Cmd { name: "bench-perf", summary: "run the search hot-path perf matrix", flags: &[&QUICK, &REPEATS, &OUT, &CHECK, &TOLERANCE],
+          check: check_bench_perf, run: bench_perf_cmd, ..NONE },
+    Cmd { name: "experiments", operands: "ID...|all|list", summary: "regenerate the paper's tables and figures",
+          flags: &[&QUICK, &SCALE, &BUDGET_SCALE, &MONTHS, &OUT], check: check_experiments, run: experiments_cmd, ..NONE },
+    Cmd { name: "policies", summary: "list available policy names", run: policies_cmd, ..NONE },
+    Cmd { name: "months", summary: "list the study months", run: months_cmd, ..NONE },
+    Cmd { name: "help", aliases: &["--help", "-h"], summary: "this text", run: |_| Ok(usage(None)), ..NONE },
+];
+
+impl Flag {
+    /// Checks one value against the flag's kind and range.
+    fn check(&self, v: &str) -> Result<(), String> {
+        let name = self.name;
+        let within = |x: Option<f64>, range: &str| match x {
+            None => Err(format!("bad {name}")),
+            Some(x) if in_interval(x, range) => Ok(()),
+            Some(_) => Err(format!("{name} must be in {range}")),
+        };
+        match self.kind {
+            Kind::Switch | Kind::Text => Ok(()),
+            Kind::Int(range) => within(v.parse::<u64>().ok().map(|x| x as f64), range),
+            Kind::Real(range) => within(v.parse().ok(), range),
+            Kind::Choice(words) if words.contains(&v) => Ok(()),
+            Kind::Choice(words) => Err(format!("{name} must be one of {}", words.join(", "))),
+            Kind::Policy => policy_by_name(v, 0)
+                .map(drop)
+                .ok_or_else(|| format!("unknown policy {v:?} (try `sbs policies`)")),
+            Kind::Month => month(v).map(drop),
+            Kind::Months => v.split(',').try_for_each(|m| month(m).map(drop)),
         }
     }
 }
 
-/// Arguments of `sbs incidents`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct IncidentsArgs {
-    /// Where the daemon (or fleet) runs.
-    pub connect: ConnectArgs,
-    /// Restrict to one fleet cluster (fleets only).
-    pub cluster: Option<String>,
+/// Whether `x` lies in `range`, an interval such as `[0, 1)` or `(0, inf)`.
+fn in_interval(x: f64, range: &str) -> bool {
+    let inner = range.get(1..range.len() - 1).expect("a declared interval");
+    let (lo, hi) = inner.split_once(", ").expect("a declared interval");
+    let bound = |b: &str| b.parse::<f64>().expect("a declared interval bound");
+    let (lo, hi) = (bound(lo), bound(hi));
+    (x > lo || (x == lo && range.starts_with('['))) && (x < hi || (x == hi && range.ends_with(']')))
 }
 
-/// Arguments of `sbs top`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopArgs {
-    /// Where the daemon (or fleet) runs.
-    pub connect: ConnectArgs,
-    /// Milliseconds between polls.
-    pub interval_ms: u64,
-    /// Stop after this many polls (0 = run until interrupted).
-    pub iterations: u64,
+fn month(v: &str) -> Result<Month, String> {
+    Month::parse(v).ok_or_else(|| format!("unknown month {v:?}"))
 }
 
-impl Default for TopArgs {
-    fn default() -> Self {
-        TopArgs {
-            connect: ConnectArgs::default(),
-            interval_ms: 2_000,
-            iterations: 0,
-        }
+/// A command line parsed against its row of `COMMANDS`.
+#[derive(Debug)]
+pub struct Args {
+    cmd: &'static Cmd,
+    /// Every given or defaulted flag's checked value (`""` for a switch).
+    values: BTreeMap<&'static str, String>,
+    /// The arguments that are not flags, in order.
+    operands: Vec<String>,
+}
+
+impl Args {
+    /// Runs the command, returning its stdout text.
+    pub fn run(&self) -> Result<String, String> {
+        (self.cmd.run)(self)
+    }
+
+    fn text(&self, f: &Flag) -> Option<&str> {
+        self.values.get(f.name).map(String::as_str)
+    }
+
+    fn on(&self, f: &Flag) -> bool {
+        self.values.contains_key(f.name)
+    }
+
+    /// A numeric flag's value, when given or defaulted.
+    fn get<T: FromStr>(&self, f: &Flag) -> Option<T> {
+        let v = self.text(f)?;
+        Some(
+            v.parse()
+                .unwrap_or_else(|_| unreachable!("{} is checked", f.name)),
+        )
+    }
+
+    /// A numeric flag's value, which its default makes always present.
+    fn num<T: FromStr>(&self, f: &Flag) -> T {
+        self.get(f).expect("the flag has a default")
     }
 }
 
-/// Arguments of `sbs trace`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceArgs {
-    /// The `sbs-trace/v1` JSONL file to aggregate.
-    pub file: String,
-    /// Also write a collapsed-stack span-weight file here.
-    pub collapsed: Option<String>,
-    /// Print the aggregates as JSON instead of tables.
-    pub json: bool,
-    /// Keep only the final N decisions.
-    pub last: Option<usize>,
-    /// Keep only decisions with `seq >= since`.
-    pub since: Option<u64>,
-}
-
-/// Arguments of `sbs bench-perf`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchPerfArgs {
-    /// Smoke mode (drop the 100K budget, one repeat).
-    pub quick: bool,
-    /// Timed repeats per matrix cell; `None` = the mode's default.
-    pub repeats: Option<u32>,
-    /// Output path for the JSON document; `"-"` = don't write a file.
-    pub out: String,
-    /// Baseline document to `--check` nodes/sec against.
-    pub check: Option<String>,
-    /// Allowed fractional nodes/sec slowdown before `--check` fails.
-    pub tolerance: f64,
-}
-
-impl Default for BenchPerfArgs {
-    fn default() -> Self {
-        BenchPerfArgs {
-            quick: false,
-            repeats: None,
-            out: "BENCH_search.json".to_string(),
-            check: None,
-            tolerance: 0.5,
+/// Parses a command line (program name excluded); no arguments is `help`.
+pub fn parse_args(args: &[String]) -> Result<Args, String> {
+    let (name, rest) = match args.split_first() {
+        Some((name, rest)) => (name.as_str(), rest),
+        None => ("help", &[][..]),
+    };
+    let cmd = command(name).ok_or_else(|| format!("unknown command {name:?}"))?;
+    let defaults = cmd
+        .flags
+        .iter()
+        .filter_map(|f| Some((f.name, f.default?.to_string())));
+    let mut parsed = Args {
+        cmd,
+        values: defaults.collect(),
+        operands: Vec::new(),
+    };
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        if !cmd.operands.is_empty() && !arg.starts_with('-') {
+            parsed.operands.push(arg.clone());
+            continue;
         }
+        let Some(f) = cmd.flags.iter().find(|f| f.name == arg) else {
+            return Err(format!("unknown flag {arg:?}"));
+        };
+        let value = match f.kind {
+            Kind::Switch => String::new(),
+            _ => {
+                let v = rest
+                    .next()
+                    .ok_or_else(|| format!("{} needs a value", f.name))?;
+                f.check(v)?;
+                v.clone()
+            }
+        };
+        parsed.values.insert(f.name, value);
+    }
+    (cmd.check)(&parsed)?;
+    Ok(parsed)
+}
+
+fn command(name: &str) -> Option<&'static Cmd> {
+    COMMANDS
+        .iter()
+        .find(|c| c.name == name || c.aliases.contains(&name))
+}
+
+/// The usage printed after an error in `name`'s command line: that
+/// command's help block.  With no or an unknown command it is `sbs
+/// help`, every command's block.
+pub fn usage(name: Option<&str>) -> String {
+    match name.and_then(command) {
+        Some(cmd) => cmd.help(),
+        None => COMMANDS.iter().fold(
+            "sbs — search-based job scheduling simulator\n".to_string(),
+            |out, c| out + "\n" + &c.help(),
+        ),
     }
 }
 
-/// Connection coordinates for the client subcommands.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConnectArgs {
-    /// Daemon host.
-    pub host: String,
-    /// Daemon port.
-    pub port: u16,
-}
-
-impl Default for ConnectArgs {
-    fn default() -> Self {
-        ConnectArgs {
-            host: "127.0.0.1".to_string(),
-            port: 7070,
+impl Cmd {
+    /// The command's help block: synopsis and summary, then one entry
+    /// per flag.
+    fn help(&self) -> String {
+        let mut out = format!("sbs {} {}", self.name, self.operands)
+            .trim_end()
+            .to_string();
+        for alias in self.aliases {
+            out.push_str(&format!(" | sbs {alias}"));
         }
+        out.push('\n');
+        wrap(&mut out, "  ", self.summary);
+        for f in self.flags {
+            let choices = match f.kind {
+                Kind::Choice(words) => format!("{}: ", words.join(" | ")),
+                _ => String::new(),
+            };
+            let default = f
+                .default
+                .map_or(String::new(), |d| format!(" (default {d})"));
+            let lead = format!("  {} {}", f.name, f.meta);
+            wrap(
+                &mut out,
+                &format!("{lead:<22}"),
+                &format!("{choices}{}{default}", f.help),
+            );
+        }
+        out
     }
 }
 
-/// Arguments of `sbs submit`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitArgs {
-    /// Where the daemon runs.
-    pub connect: ConnectArgs,
-    /// Node count.
-    pub nodes: u32,
-    /// Runtime in seconds.
-    pub runtime: u64,
-    /// Requested runtime in seconds.
-    pub requested: Option<u64>,
-    /// Submitting user id.
-    pub user: u32,
-    /// Explicit submit time (virtual-clock daemons).
-    pub at: Option<u64>,
+/// Appends `text` word-wrapped to 78 columns, its first line after
+/// `lead` and the rest indented as far.
+fn wrap(out: &mut String, lead: &str, text: &str) {
+    let mut line = lead.to_string();
+    for word in text.split_whitespace() {
+        if line.len() + word.len() >= 78 {
+            out.push_str(line.trim_end());
+            out.push('\n');
+            line = " ".repeat(lead.len());
+        }
+        line.push_str(word);
+        line.push(' ');
+    }
+    out.push_str(line.trim_end());
+    out.push('\n');
 }
 
-/// Arguments of `sbs simulate`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulateArgs {
-    /// Synthetic month, or `None` when replaying a trace.
-    pub month: Option<Month>,
-    /// SWF trace path, or `None` when generating a month.
-    pub trace: Option<String>,
-    /// Machine size for traces.
-    pub capacity: u32,
-    /// Policy name (see [`policy_by_name`]).
-    pub policy: String,
-    /// Search node budget.
-    pub budget: u64,
-    /// Optional target offered load.
-    pub load: Option<f64>,
-    /// Span fraction.
-    pub scale: f64,
-    /// `R*` source.
-    pub knowledge: Knowledge,
-    /// Workload seed.
-    pub seed: Option<u64>,
-    /// Print the utilization timeline.
-    pub timeline: bool,
-    /// Emit JSON instead of tables.
-    pub json: bool,
-    /// Write an `sbs-trace/v1` JSONL decision log here.
-    pub trace_log: Option<String>,
+fn check_simulate(a: &Args) -> Result<(), String> {
+    match (a.on(&MONTH), a.on(&TRACE)) {
+        (false, false) => Err(format!("simulate needs {} or {}", MONTH.name, TRACE.name)),
+        (true, true) => Err(format!(
+            "{} and {} are mutually exclusive",
+            MONTH.name, TRACE.name
+        )),
+        _ => Ok(()),
+    }
 }
 
-/// The `--knowledge` choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Knowledge {
-    /// `R* = T`.
-    Actual,
-    /// `R* = R`.
-    Requested,
-    /// `R*` from the recent-user-average predictor.
-    Predicted,
-    /// Pick a sensible default for the workload source.
-    Default,
+fn check_submit(a: &Args) -> Result<(), String> {
+    match [&NODES, &RUNTIME].into_iter().find(|f| !a.on(f)) {
+        Some(f) => Err(format!("submit needs {}", f.name)),
+        None => Ok(()),
+    }
 }
 
-/// The policy names `sbs` accepts, with descriptions.
-pub const POLICY_NAMES: [(&str, &str); 12] = [
-    (
-        "fcfs-bf",
-        "FCFS-backfill (1 reservation) — the max-wait envelope",
-    ),
-    ("lxf-bf", "LXF-backfill — the average-slowdown envelope"),
-    ("sjf-bf", "SJF-backfill (starves long jobs; for comparison)"),
-    ("lxfw-bf", "LXF&W-backfill (small wait weight)"),
-    (
-        "selective-bf",
-        "Selective backfill (starvation-threshold reservations)",
-    ),
-    (
-        "conservative-bf",
-        "Conservative backfill (reservations for all)",
-    ),
-    ("dds-lxf-dynb", "the paper's headline search policy"),
-    ("dds-fcfs-dynb", "DDS with fcfs branching"),
-    ("lds-lxf-dynb", "LDS with lxf branching"),
-    ("lds-fcfs-dynb", "LDS with fcfs branching"),
-    (
-        "dds-lxf-dynb-hc",
-        "DDS + hill-climbing hybrid (30% local budget)",
-    ),
-    ("beam-lxf-dynb", "beam search (width 16) baseline"),
+fn check_trace(a: &Args) -> Result<(), String> {
+    match a.operands.len() {
+        0 => Err("trace needs a FILE argument".to_string()),
+        1 => Ok(()),
+        _ => Err("trace takes exactly one FILE".to_string()),
+    }
+}
+
+/// The file bench-perf writes when no other output is named.
+const BENCH_FILE: &str = "BENCH_search.json";
+
+fn check_bench_perf(a: &Args) -> Result<(), String> {
+    let out = a.text(&OUT).unwrap_or(BENCH_FILE);
+    match a.text(&CHECK) {
+        Some(check) if same_path(check, out) => Err(format!(
+            "{} {check} is also the {} file: the run would overwrite its baseline before \
+             comparing (pass {} - or another path)",
+            CHECK.name, OUT.name, OUT.name
+        )),
+        _ => Ok(()),
+    }
+}
+
+fn check_experiments(a: &Args) -> Result<(), String> {
+    let known = |id: &&String| matches!(id.as_str(), "all" | "list") || experiment(id).is_some();
+    match a.operands.iter().find(|id| !known(id)) {
+        Some(id) => Err(format!(
+            "unknown experiment {id:?} (try `sbs experiments list`)"
+        )),
+        None if a.operands.is_empty() => Err("experiments needs an id, all or list".to_string()),
+        None => Ok(()),
+    }
+}
+
+/// The headline policy, and the default of [`POLICY`].
+const HEADLINE: &str = "dds-lxf-dynb";
+
+/// Builds a policy's spec for a node budget.
+type Build = fn(u64) -> PolicySpec;
+
+/// Every policy `sbs` accepts: `(name, description, spec)`.
+#[rustfmt::skip]
+const POLICIES: [(&str, &str, Build); 12] = [
+    ("fcfs-bf", "FCFS-backfill (1 reservation) — the max-wait envelope", |_| PolicySpec::FcfsBackfill),
+    ("lxf-bf", "LXF-backfill — the average-slowdown envelope", |_| PolicySpec::LxfBackfill),
+    ("sjf-bf", "SJF-backfill (starves long jobs; for comparison)", |_| PolicySpec::SjfBackfill),
+    ("lxfw-bf", "LXF&W-backfill (small wait weight)", |_| PolicySpec::LxfwBackfill),
+    ("selective-bf", "Selective backfill (starvation-threshold reservations)", |_| PolicySpec::SelectiveBackfill),
+    ("conservative-bf", "Conservative backfill (reservations for all)",
+        |_| PolicySpec::BackfillWithReservations { order: PriorityOrder::Fcfs, reservations: usize::MAX }),
+    (HEADLINE, "the paper's headline search policy", |l| PolicySpec::search_dynb(SearchAlgo::Dds, Branching::Lxf, l)),
+    ("dds-fcfs-dynb", "DDS with fcfs branching", |l| PolicySpec::search_dynb(SearchAlgo::Dds, Branching::Fcfs, l)),
+    ("lds-lxf-dynb", "LDS with lxf branching", |l| PolicySpec::search_dynb(SearchAlgo::Lds, Branching::Lxf, l)),
+    ("lds-fcfs-dynb", "LDS with fcfs branching", |l| PolicySpec::search_dynb(SearchAlgo::Lds, Branching::Fcfs, l)),
+    ("dds-lxf-dynb-hc", "DDS + hill-climbing hybrid (30% local budget)", |l| PolicySpec::HybridSearch {
+        algo: SearchAlgo::Dds, branching: Branching::Lxf, bound: TargetBound::Dynamic, node_limit: l, local_frac: 0.3,
+    }),
+    ("beam-lxf-dynb", "beam search (width 16) baseline", |l| PolicySpec::search_dynb(SearchAlgo::Beam(16), Branching::Lxf, l)),
 ];
 
 /// Resolves a policy name to a buildable spec.
 pub fn policy_by_name(name: &str, budget: u64) -> Option<PolicySpec> {
-    let dynb = TargetBound::Dynamic;
-    Some(match name {
-        "fcfs-bf" => PolicySpec::FcfsBackfill,
-        "lxf-bf" => PolicySpec::LxfBackfill,
-        "sjf-bf" => PolicySpec::SjfBackfill,
-        "lxfw-bf" => PolicySpec::LxfwBackfill,
-        "selective-bf" => PolicySpec::SelectiveBackfill,
-        "conservative-bf" => PolicySpec::BackfillWithReservations {
-            order: PriorityOrder::Fcfs,
-            reservations: usize::MAX,
-        },
-        "dds-lxf-dynb" => PolicySpec::search_dynb(SearchAlgo::Dds, Branching::Lxf, budget),
-        "dds-fcfs-dynb" => PolicySpec::search_dynb(SearchAlgo::Dds, Branching::Fcfs, budget),
-        "lds-lxf-dynb" => PolicySpec::search_dynb(SearchAlgo::Lds, Branching::Lxf, budget),
-        "lds-fcfs-dynb" => PolicySpec::search_dynb(SearchAlgo::Lds, Branching::Fcfs, budget),
-        "dds-lxf-dynb-hc" => PolicySpec::HybridSearch {
-            algo: SearchAlgo::Dds,
-            branching: Branching::Lxf,
-            bound: dynb,
-            node_limit: budget,
-            local_frac: 0.3,
-        },
-        "beam-lxf-dynb" => PolicySpec::search_dynb(SearchAlgo::Beam(16), Branching::Lxf, budget),
-        _ => return None,
-    })
+    let (_, _, spec) = POLICIES.iter().find(|(n, ..)| *n == name)?;
+    Some(spec(budget))
 }
 
-/// Resolves `--policy NAME` into a buildable spec, or the usage error
-/// naming the unknown policy.
-pub fn resolve_spec(policy: &str, budget: u64) -> Result<PolicySpec, String> {
-    policy_by_name(policy, budget)
-        .ok_or_else(|| format!("unknown policy {policy:?} (try `sbs policies`)"))
-}
-
-/// A cursor over one subcommand's arguments.  It remembers the flag it
-/// last yielded, so every "needs a value" / "bad" / "unknown flag"
-/// message is spelled in one place.
-struct Flags<'a> {
-    rest: std::slice::Iter<'a, String>,
-    flag: &'a str,
-}
-
-impl<'a> Flags<'a> {
-    /// Moves to the next argument and returns it.
-    fn next_flag(&mut self) -> Option<&'a str> {
-        self.flag = self.rest.next()?;
-        Some(self.flag)
-    }
-
-    /// The current flag's value (the next argument).
-    fn value(&mut self) -> Result<String, String> {
-        self.rest
-            .next()
-            .cloned()
-            .ok_or_else(|| format!("{} needs a value", self.flag))
-    }
-
-    /// The current flag's value, parsed.
-    fn parsed<T: std::str::FromStr>(&mut self) -> Result<T, String> {
-        self.value()?
-            .parse()
-            .map_err(|_| format!("bad {}", self.flag))
-    }
-
-    /// The error for a flag no match arm took.
-    fn unknown(&self) -> String {
-        format!("unknown flag {:?}", self.flag)
-    }
-}
-
-impl ConnectArgs {
-    /// Takes the current flag if it is `--host` or `--port`.
-    fn take(&mut self, f: &mut Flags) -> Result<bool, String> {
-        match f.flag {
-            "--host" => self.host = f.value()?,
-            "--port" => self.port = f.parsed()?,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-}
-
-impl ServeArgs {
-    /// The journal and slow-decision configuration these flags ask for.
-    fn obs(&self) -> sbs_obs::ObsConfig {
-        let mut obs =
-            sbs_obs::ObsConfig::default().with_slow_thresholds(self.slow_ms, self.slow_nodes_left);
-        if let Some(path) = &self.event_log {
-            obs = obs.with_event_log(path.into(), sbs_obs::DEFAULT_EVENT_LOG_MAX_BYTES);
-        }
-        if self.virtual_clock {
-            // Virtual runs journal virtual timestamps only, keeping the
-            // event log byte-deterministic across identical runs.
-            obs = obs.with_event_mode(sbs_obs::TimeMode::Virtual);
-        }
-        obs
-    }
-}
-
-/// Parses a raw argument vector.
-pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let Some((sub, rest)) = args.split_first() else {
-        return Ok(Command::Help);
-    };
-    let mut f = Flags {
-        rest: rest.iter(),
-        flag: "",
-    };
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "policies" => Ok(Command::Policies),
-        "months" => Ok(Command::Months),
-        "simulate" | "sim" => {
-            let mut parsed = SimulateArgs {
-                month: None,
-                trace: None,
-                capacity: 128,
-                policy: "dds-lxf-dynb".to_string(),
-                budget: 1_000,
-                load: None,
-                scale: 1.0,
-                knowledge: Knowledge::Default,
-                seed: None,
-                timeline: false,
-                json: false,
-                trace_log: None,
-            };
-            while let Some(flag) = f.next_flag() {
-                match flag {
-                    "--month" => {
-                        let v = f.value()?;
-                        parsed.month =
-                            Some(Month::parse(&v).ok_or_else(|| format!("unknown month {v:?}"))?);
-                    }
-                    "--trace" => parsed.trace = Some(f.value()?),
-                    "--capacity" => parsed.capacity = f.parsed()?,
-                    "--policy" => parsed.policy = f.value()?,
-                    "--budget" => parsed.budget = f.parsed()?,
-                    "--load" => parsed.load = Some(f.parsed()?),
-                    "--scale" => parsed.scale = f.parsed()?,
-                    "--knowledge" => {
-                        parsed.knowledge = match f.value()?.as_str() {
-                            "actual" => Knowledge::Actual,
-                            "requested" => Knowledge::Requested,
-                            "predicted" => Knowledge::Predicted,
-                            other => return Err(format!("unknown knowledge {other:?}")),
-                        }
-                    }
-                    "--seed" => parsed.seed = Some(f.parsed()?),
-                    "--timeline" => parsed.timeline = true,
-                    "--json" => parsed.json = true,
-                    "--trace-log" => parsed.trace_log = Some(f.value()?),
-                    _ => return Err(f.unknown()),
-                }
-            }
-            if parsed.month.is_none() && parsed.trace.is_none() {
-                return Err("simulate needs --month or --trace".to_string());
-            }
-            if parsed.month.is_some() && parsed.trace.is_some() {
-                return Err("--month and --trace are mutually exclusive".to_string());
-            }
-            resolve_spec(&parsed.policy, parsed.budget)?;
-            Ok(Command::Simulate(parsed))
-        }
-        "serve" => {
-            let mut parsed = ServeArgs::default();
-            while let Some(flag) = f.next_flag() {
-                match flag {
-                    "--port" => parsed.port = f.parsed()?,
-                    "--capacity" => parsed.capacity = f.parsed()?,
-                    "--policy" => parsed.policy = f.value()?,
-                    "--budget" => parsed.budget = f.parsed()?,
-                    "--deadline-ms" => parsed.deadline_ms = Some(f.parsed()?),
-                    "--snapshot-dir" => parsed.snapshot_dir = Some(f.value()?),
-                    "--snapshot-every" => parsed.snapshot_every = f.parsed()?,
-                    "--virtual-clock" => parsed.virtual_clock = true,
-                    "--trace-dir" => parsed.trace_dir = Some(f.value()?),
-                    "--event-log" => parsed.event_log = Some(f.value()?),
-                    "--slow-ms" => parsed.slow_ms = Some(f.parsed()?),
-                    "--slow-nodes-left" => parsed.slow_nodes_left = Some(f.parsed()?),
-                    "--shards" => parsed.shards = f.parsed()?,
-                    "--max-clusters" => parsed.max_clusters = f.parsed()?,
-                    "--max-queue" => parsed.max_queue = f.parsed()?,
-                    "--fair-slack" => parsed.fair_slack = f.parsed()?,
-                    _ => return Err(f.unknown()),
-                }
-            }
-            resolve_spec(&parsed.policy, parsed.budget)?;
-            Ok(Command::Serve(parsed))
-        }
-        "trace" => {
-            let mut file = None;
-            let mut collapsed = None;
-            let mut json = false;
-            let mut last = None;
-            let mut since = None;
-            while let Some(flag) = f.next_flag() {
-                match flag {
-                    "--collapsed" => collapsed = Some(f.value()?),
-                    "--json" => json = true,
-                    "--last" => last = Some(f.parsed()?),
-                    "--since" => since = Some(f.parsed()?),
-                    other if other.starts_with('-') => return Err(f.unknown()),
-                    positional => {
-                        if file.replace(positional.to_string()).is_some() {
-                            return Err("trace takes exactly one FILE".to_string());
-                        }
-                    }
-                }
-            }
-            Ok(Command::Trace(TraceArgs {
-                file: file.ok_or("trace needs a FILE argument")?,
-                collapsed,
-                json,
-                last,
-                since,
-            }))
-        }
-        "submit" => {
-            let mut connect = ConnectArgs::default();
-            let mut nodes: Option<u32> = None;
-            let mut runtime: Option<u64> = None;
-            let mut requested = None;
-            let mut user = 0;
-            let mut at = None;
-            while let Some(flag) = f.next_flag() {
-                match flag {
-                    "--nodes" => nodes = Some(f.parsed()?),
-                    "--runtime" => runtime = Some(f.parsed()?),
-                    "--requested" => requested = Some(f.parsed()?),
-                    "--user" => user = f.parsed()?,
-                    "--at" => at = Some(f.parsed()?),
-                    _ if connect.take(&mut f)? => {}
-                    _ => return Err(f.unknown()),
-                }
-            }
-            Ok(Command::Submit(SubmitArgs {
-                connect,
-                nodes: nodes.ok_or("submit needs --nodes")?,
-                runtime: runtime.ok_or("submit needs --runtime")?,
-                requested,
-                user,
-                at,
-            }))
-        }
-        "queue" => {
-            let mut connect = ConnectArgs::default();
-            while f.next_flag().is_some() {
-                if !connect.take(&mut f)? {
-                    return Err(f.unknown());
-                }
-            }
-            Ok(Command::Queue(connect))
-        }
-        "incidents" => {
-            let mut parsed = IncidentsArgs::default();
-            while let Some(flag) = f.next_flag() {
-                match flag {
-                    "--cluster" => parsed.cluster = Some(f.value()?),
-                    _ if parsed.connect.take(&mut f)? => {}
-                    _ => return Err(f.unknown()),
-                }
-            }
-            Ok(Command::Incidents(parsed))
-        }
-        "top" => {
-            let mut parsed = TopArgs::default();
-            while let Some(flag) = f.next_flag() {
-                match flag {
-                    "--interval" => {
-                        parsed.interval_ms = f.parsed()?;
-                        if parsed.interval_ms == 0 {
-                            return Err("--interval must be positive".to_string());
-                        }
-                    }
-                    "--iterations" => parsed.iterations = f.parsed()?,
-                    _ if parsed.connect.take(&mut f)? => {}
-                    _ => return Err(f.unknown()),
-                }
-            }
-            Ok(Command::Top(parsed))
-        }
-        "bench-perf" => {
-            let mut parsed = BenchPerfArgs::default();
-            while let Some(flag) = f.next_flag() {
-                match flag {
-                    "--quick" => parsed.quick = true,
-                    "--repeats" => parsed.repeats = Some(f.parsed()?),
-                    "--out" => parsed.out = f.value()?,
-                    "--check" => parsed.check = Some(f.value()?),
-                    "--tolerance" => parsed.tolerance = f.parsed()?,
-                    _ => return Err(f.unknown()),
-                }
-            }
-            if !(0.0..1.0).contains(&parsed.tolerance) {
-                return Err("--tolerance must be in [0, 1)".to_string());
-            }
-            if let Some(check) = &parsed.check {
-                if same_path(check, &parsed.out) {
-                    return Err(format!(
-                        "--check {check} is also the --out file: the run would overwrite its \
-                         baseline before comparing (pass --out - or another path)"
-                    ));
-                }
-            }
-            Ok(Command::BenchPerf(parsed))
-        }
-        other => Err(format!("unknown command {other:?}")),
-    }
+/// The spec the [`POLICY`] and [`BUDGET`] flags name (checked by the parser).
+fn spec(a: &Args) -> PolicySpec {
+    let name = a.text(&POLICY).expect("the flag has a default");
+    policy_by_name(name, a.num(&BUDGET)).expect("checked by the parser")
 }
 
 /// Whether two command-line paths name the same file, up to `.`
@@ -702,112 +459,157 @@ fn same_path(a: &str, b: &str) -> bool {
     parts(a).eq(parts(b))
 }
 
-/// Executes a parsed command, returning its stdout text.
-pub fn run(cmd: Command) -> Result<String, String> {
-    match cmd {
-        Command::Help => Ok(USAGE.to_string()),
-        Command::Policies => {
-            let mut t = Table::new(["name", "description"]);
-            for (name, desc) in POLICY_NAMES {
-                t.row([name, desc]);
-            }
-            Ok(t.render())
-        }
-        Command::Months => {
-            let mut t = Table::new(["month", "jobs", "load", "runtime limit"]);
-            for m in Month::ALL {
-                let p = sbs_workload::MonthProfile::of(m);
-                t.row([
-                    m.label().to_string(),
-                    p.total_jobs.to_string(),
-                    format!("{:.0}%", p.load * 100.0),
-                    format!("{}h", m.runtime_limit() / 3_600),
-                ]);
-            }
-            Ok(t.render())
-        }
-        Command::Simulate(args) => simulate_cmd(args),
-        Command::Serve(args) => serve_cmd(args),
-        Command::Submit(args) => {
-            let mut req = format!(
-                r#"{{"op":"submit","nodes":{},"runtime":{}"#,
-                args.nodes, args.runtime
-            );
-            if let Some(r) = args.requested {
-                req.push_str(&format!(r#","requested":{r}"#));
-            }
-            if args.user != 0 {
-                req.push_str(&format!(r#","user":{}"#, args.user));
-            }
-            if let Some(t) = args.at {
-                req.push_str(&format!(r#","submit":{t}"#));
-            }
-            req.push('}');
-            client_round_trip(&args.connect, &req)
-        }
-        Command::Queue(connect) => client_round_trip(&connect, r#"{"op":"queue"}"#),
-        Command::Incidents(args) => {
-            let req = match &args.cluster {
-                Some(c) => format!(
-                    r#"{{"op":"incidents","cluster":{}}}"#,
-                    serde_json::Value::from(c.as_str())
-                ),
-                None => r#"{"op":"incidents"}"#.to_string(),
-            };
-            client_round_trip(&args.connect, &req)
-        }
-        Command::Top(args) => top_cmd(args),
-        Command::Trace(args) => trace_cmd(args),
-        Command::BenchPerf(args) => bench_perf_cmd(args),
+fn policies_cmd(_: &Args) -> Result<String, String> {
+    let mut t = Table::new(["name", "description"]);
+    for (name, desc, _) in POLICIES {
+        t.row([name, desc]);
     }
+    Ok(t.render())
+}
+
+fn months_cmd(_: &Args) -> Result<String, String> {
+    let mut t = Table::new(["month", "jobs", "load", "runtime limit"]);
+    for m in Month::ALL {
+        let p = sbs_workload::MonthProfile::of(m);
+        t.row([
+            m.label().to_string(),
+            p.total_jobs.to_string(),
+            format!("{:.0}%", p.load * 100.0),
+            format!("{}h", m.runtime_limit() / 3_600),
+        ]);
+    }
+    Ok(t.render())
+}
+
+fn submit_cmd(a: &Args) -> Result<String, String> {
+    let nodes: u32 = a.get(&NODES).expect("checked: required");
+    let runtime: u64 = a.get(&RUNTIME).expect("checked: required");
+    let mut req = format!(r#"{{"op":"submit","nodes":{nodes},"runtime":{runtime}"#);
+    if let Some(r) = a.get::<u64>(&REQUESTED) {
+        req.push_str(&format!(r#","requested":{r}"#));
+    }
+    let user: u32 = a.num(&USER);
+    if user != 0 {
+        req.push_str(&format!(r#","user":{user}"#));
+    }
+    if let Some(t) = a.get::<u64>(&AT) {
+        req.push_str(&format!(r#","submit":{t}"#));
+    }
+    req.push('}');
+    client_round_trip(a, &req)
+}
+
+fn incidents_cmd(a: &Args) -> Result<String, String> {
+    let req = match a.text(&CLUSTER) {
+        Some(c) => format!(
+            r#"{{"op":"incidents","cluster":{}}}"#,
+            serde_json::Value::from(c)
+        ),
+        None => r#"{"op":"incidents"}"#.to_string(),
+    };
+    client_round_trip(a, &req)
+}
+
+/// The experiment options the flags ask for: [`QUICK`] picks the base,
+/// and the other flags override it wherever they stand.
+fn experiment_opts(a: &Args) -> Opts {
+    let mut opts = if a.on(&QUICK) {
+        Opts::quick()
+    } else {
+        Opts::default()
+    };
+    opts.scale = a.get(&SCALE).unwrap_or(opts.scale);
+    opts.budget_scale = a.get(&BUDGET_SCALE).unwrap_or(opts.budget_scale);
+    if let Some(months) = a.text(&MONTHS) {
+        opts.months = months.split(',').filter_map(Month::parse).collect();
+    }
+    opts
+}
+
+/// Runs the named experiments (`all` is every one), printing each report
+/// as it finishes, or lists them.
+fn experiments_cmd(a: &Args) -> Result<String, String> {
+    if a.operands.iter().any(|id| id == "list") {
+        let mut t = Table::new(["id", "reproduces"]);
+        for (id, about, _) in EXPERIMENTS {
+            t.row([id, about]);
+        }
+        return Ok(t.render());
+    }
+    let opts = experiment_opts(a);
+    let out_dir = a.text(&OUT).map(std::path::Path::new);
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    }
+    let all = EXPERIMENTS.map(|(id, ..)| id.to_string());
+    let ids = a.operands.iter().flat_map(|id| match id.as_str() {
+        "all" => &all[..],
+        _ => std::slice::from_ref(id),
+    });
+    for id in ids {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the harness reports how long each experiment took; nothing reads it back"
+        )]
+        let started = std::time::Instant::now();
+        let report = experiment(id).expect("checked by the parser")(&opts);
+        let elapsed = started.elapsed();
+        println!("{}", report.render());
+        println!(
+            "[{id} completed in {:.1}s at scale {}]\n",
+            elapsed.as_secs_f64(),
+            opts.scale
+        );
+        if let Some(dir) = out_dir {
+            write(&dir.join(format!("{id}.txt")), &report.render())?;
+            let json = serde_json::to_string_pretty(&report.data).expect("serialize");
+            write(&dir.join(format!("{id}.json")), &json)?;
+        }
+    }
+    Ok(String::new())
 }
 
 /// Runs the pinned search-throughput matrix, writes `BENCH_search.json`
-/// and optionally checks it against a baseline (`--check`): identical
+/// and optionally checks it against a baseline ([`CHECK`]): identical
 /// search behaviour per cell, nodes/sec within the tolerance.  The
 /// baseline is read before the matrix runs, so a missing or malformed
 /// one fails at once.
-fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
+fn bench_perf_cmd(a: &Args) -> Result<String, String> {
     use sbs_bench::perf;
-    let baseline = match &args.check {
+    let baseline = match a.text(&CHECK) {
         Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let doc: serde_json::Value = serde_json::from_str(&text)
+            let doc: serde_json::Value = serde_json::from_str(&read(path)?)
                 .map_err(|e| format!("{path}: malformed baseline: {e}"))?;
             Some((path, doc))
         }
         None => None,
     };
-    let mut opts = if args.quick {
-        perf::PerfOpts::quick()
-    } else {
-        perf::PerfOpts::default()
+    let mut opts = match a.on(&QUICK) {
+        true => perf::PerfOpts::quick(),
+        false => perf::PerfOpts::default(),
     };
-    if let Some(r) = args.repeats {
-        opts.repeats = r.max(1);
+    if let Some(r) = a.get(&REPEATS) {
+        opts.repeats = r;
     }
+    let (out_path, tolerance) = (a.text(&OUT).unwrap_or(BENCH_FILE), a.num(&TOLERANCE));
     let report = perf::run_matrix(&opts);
     let doc = report.to_json();
     let mut out = report.render();
-    if args.out != "-" {
-        let text = format!(
-            "{}\n",
-            serde_json::to_string_pretty(&doc).expect("serialize")
-        );
-        std::fs::write(&args.out, text).map_err(|e| format!("{}: {e}", args.out))?;
-        out.push_str(&format!("\nwrote {}\n", args.out));
+    if out_path != "-" {
+        write(out_path.as_ref(), &pretty(&doc))?;
+        out.push_str(&format!("\nwrote {out_path}\n"));
     }
     if let Some((baseline_path, baseline)) = baseline {
-        match perf::check(&doc, &baseline, args.tolerance) {
+        match perf::check(&doc, &baseline, tolerance) {
             Ok(compared) => out.push_str(&format!(
                 "check vs {baseline_path}: ok, {compared} cells compared (search behaviour identical, nodes/sec tolerance {:.0}%)\n",
-                args.tolerance * 100.0
+                tolerance * 100.0
             )),
             Err(failures) => {
                 let mut msg = format!(
                     "{} check failure(s) vs {baseline_path} (nodes/sec tolerance {:.0}%):\n",
                     failures.len(),
-                    args.tolerance * 100.0
+                    tolerance * 100.0
                 );
                 for f in &failures {
                     msg.push_str(&format!("  {f}\n"));
@@ -819,13 +621,39 @@ fn bench_perf_cmd(args: BenchPerfArgs) -> Result<String, String> {
     Ok(out)
 }
 
+/// Connects to the daemon at [`HOST`] and [`PORT`].
+fn connect(a: &Args) -> Result<std::net::TcpStream, String> {
+    let addr = format!(
+        "{}:{}",
+        a.text(&HOST).unwrap_or_default(),
+        a.num::<u16>(&PORT)
+    );
+    std::net::TcpStream::connect(&addr).map_err(|e| format!("cannot reach daemon at {addr}: {e}"))
+}
+
+/// Reads a file; the error names it.
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Writes a file; the error names it.
+fn write(path: &std::path::Path, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// A JSON document as indented text with a final newline.
+fn pretty(doc: &serde_json::Value) -> String {
+    format!(
+        "{}\n",
+        serde_json::to_string_pretty(doc).expect("serialize")
+    )
+}
+
 /// Sends one protocol line to a running daemon and pretty-prints the
 /// JSON it answers with.
-fn client_round_trip(connect: &ConnectArgs, request: &str) -> Result<String, String> {
+fn client_round_trip(a: &Args, request: &str) -> Result<String, String> {
     use std::io::{BufRead, BufReader, Write};
-    let addr = format!("{}:{}", connect.host, connect.port);
-    let mut stream = std::net::TcpStream::connect(&addr)
-        .map_err(|e| format!("cannot reach daemon at {addr}: {e}"))?;
+    let mut stream = connect(a)?;
     writeln!(stream, "{request}").map_err(|e| e.to_string())?;
     let mut response = String::new();
     BufReader::new(stream)
@@ -833,33 +661,22 @@ fn client_round_trip(connect: &ConnectArgs, request: &str) -> Result<String, Str
         .map_err(|e| e.to_string())?;
     let v: serde_json::Value = serde_json::from_str(response.trim())
         .map_err(|e| format!("malformed daemon response: {e}"))?;
-    Ok(format!(
-        "{}\n",
-        serde_json::to_string_pretty(&v).expect("serialize")
-    ))
+    Ok(pretty(&v))
 }
 
-/// Issues a raw HTTP/1.0 GET against the daemon port and returns the
-/// response body (the daemon answers one request per connection).
-fn http_get_text(connect: &ConnectArgs, path: &str) -> Result<String, String> {
+/// Fetches the daemon's `/statusz` document with a raw HTTP/1.0 GET on
+/// its port (the daemon answers one request per connection).
+fn poll_statusz(a: &Args) -> Result<serde_json::Value, String> {
     use std::io::{Read as _, Write as _};
-    let addr = format!("{}:{}", connect.host, connect.port);
-    let mut stream = std::net::TcpStream::connect(&addr)
-        .map_err(|e| format!("cannot reach daemon at {addr}: {e}"))?;
-    write!(stream, "GET {path} HTTP/1.0\r\n\r\n").map_err(|e| e.to_string())?;
+    let mut stream = connect(a)?;
+    write!(stream, "GET /statusz HTTP/1.0\r\n\r\n").map_err(|e| e.to_string())?;
     let mut response = String::new();
     stream
         .read_to_string(&mut response)
         .map_err(|e| e.to_string())?;
     let body = response
         .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or(response);
-    Ok(body)
-}
-
-fn poll_statusz(connect: &ConnectArgs) -> Result<serde_json::Value, String> {
-    let body = http_get_text(connect, "/statusz")?;
+        .map_or(&response[..], |(_, b)| b);
     serde_json::from_str(body.trim()).map_err(|e| format!("malformed /statusz response: {e}"))
 }
 
@@ -942,13 +759,14 @@ pub fn render_top(doc: &serde_json::Value) -> String {
 /// Polls `/statusz` into a terminal dashboard. One iteration returns
 /// the frame as the command output (scripting and CI); continuous mode
 /// redraws the terminal in place every interval.
-fn top_cmd(args: TopArgs) -> Result<String, String> {
-    if args.iterations == 1 {
-        return Ok(render_top(&poll_statusz(&args.connect)?));
+fn top_cmd(a: &Args) -> Result<String, String> {
+    let iterations: u64 = a.num(&ITERATIONS);
+    if iterations == 1 {
+        return Ok(render_top(&poll_statusz(a)?));
     }
     let mut polled = 0u64;
     loop {
-        let frame = render_top(&poll_statusz(&args.connect)?);
+        let frame = render_top(&poll_statusz(a)?);
         // Home-then-clear so each poll repaints the same screen.
         print!("\x1b[H\x1b[2J{frame}");
         use std::io::Write as _;
@@ -958,30 +776,27 @@ fn top_cmd(args: TopArgs) -> Result<String, String> {
         )]
         let _ = std::io::stdout().flush();
         polled += 1;
-        if args.iterations != 0 && polled >= args.iterations {
+        if iterations != 0 && polled >= iterations {
             return Ok(String::new());
         }
-        std::thread::sleep(std::time::Duration::from_millis(args.interval_ms));
+        std::thread::sleep(std::time::Duration::from_millis(a.num(&INTERVAL)));
     }
 }
 
 /// Aggregates an `sbs-trace/v1` JSONL decision log into per-decision
 /// tables (or JSON), optionally writing the collapsed-stack span file.
-fn trace_cmd(args: TraceArgs) -> Result<String, String> {
+fn trace_cmd(a: &Args) -> Result<String, String> {
     use sbs_obs::TraceReport;
-    let text = std::fs::read_to_string(&args.file).map_err(|e| format!("{}: {e}", args.file))?;
-    let report = TraceReport::from_lines_filtered(&text, args.since, args.last)
-        .map_err(|e| format!("{}: {e}", args.file))?;
-    let mut out = if args.json {
-        format!(
-            "{}\n",
-            serde_json::to_string_pretty(&report.to_json()).expect("serialize")
-        )
+    let file = &a.operands[0];
+    let report = TraceReport::from_lines_filtered(&read(file)?, a.get(&SINCE), a.get(&LAST))
+        .map_err(|e| format!("{file}: {e}"))?;
+    let mut out = if a.on(&JSON) {
+        pretty(&report.to_json())
     } else {
         report.render()
     };
-    if let Some(path) = &args.collapsed {
-        std::fs::write(path, report.collapsed()).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = a.text(&COLLAPSED) {
+        write(path.as_ref(), &report.collapsed())?;
         out.push_str(&format!("wrote {path}\n"));
     }
     Ok(out)
@@ -989,34 +804,45 @@ fn trace_cmd(args: TraceArgs) -> Result<String, String> {
 
 /// Serves a fleet — normally of one tenant, `default` — on the daemon
 /// port until shutdown.
-fn serve_cmd(args: ServeArgs) -> Result<String, String> {
+fn serve_cmd(a: &Args) -> Result<String, String> {
     use sbs_fleet::{Fleet, FleetConfig, TenantQuota};
     use sbs_service::{Server, VirtualClock, WallClock};
-    let spec = resolve_spec(&args.policy, args.budget).expect("validated by parse_args");
+    let spec = spec(a);
     let label = format!("sbs serve: {}", spec.name());
-    let mut cfg = FleetConfig::new(args.capacity, spec)
-        .with_shards(args.shards)
-        .with_max_clusters(args.max_clusters)
+    let mut obs = sbs_obs::ObsConfig::default()
+        .with_slow_thresholds(a.get(&SLOW_MS), a.get(&SLOW_NODES_LEFT));
+    if let Some(path) = a.text(&EVENT_LOG) {
+        obs = obs.with_event_log(path.into(), sbs_obs::DEFAULT_EVENT_LOG_MAX_BYTES);
+    }
+    if a.on(&VIRTUAL_CLOCK) {
+        // Virtual runs journal virtual timestamps only, keeping the
+        // event log byte-deterministic across identical runs.
+        obs = obs.with_event_mode(sbs_obs::TimeMode::Virtual);
+    }
+    let mut cfg = FleetConfig::new(a.num(&CAPACITY), spec)
+        .with_shards(a.num(&SHARDS))
+        .with_max_clusters(a.num(&MAX_CLUSTERS))
         .with_quota(TenantQuota {
-            max_queue: args.max_queue,
-            fair_slack_percent: args.fair_slack,
+            max_queue: a.num(&MAX_QUEUE),
+            fair_slack_percent: a.num(&FAIR_SLACK),
             ..Default::default()
         })
-        .with_obs(args.obs());
-    cfg.snapshot_dir = args.snapshot_dir.map(Into::into);
-    cfg.snapshot_every = args.snapshot_every;
-    cfg.deadline = args.deadline_ms.map(std::time::Duration::from_millis);
-    cfg.trace_dir = args.trace_dir.map(Into::into);
+        .with_obs(obs);
+    cfg.snapshot_dir = a.text(&SNAPSHOT_DIR).map(Into::into);
+    cfg.snapshot_every = a.num(&SNAPSHOT_EVERY);
+    cfg.deadline = a.get(&DEADLINE_MS).map(std::time::Duration::from_millis);
+    cfg.trace_dir = a.text(&TRACE_DIR).map(Into::into);
     let fleet = Fleet::new(cfg)?;
-    let listener = std::net::TcpListener::bind(("127.0.0.1", args.port))
-        .map_err(|e| format!("cannot bind port {}: {e}", args.port))?;
+    let port: u16 = a.num(&PORT);
+    let listener = std::net::TcpListener::bind(("127.0.0.1", port))
+        .map_err(|e| format!("cannot bind port {port}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     eprintln!(
         "{label} ({} clusters recovered) listening on {addr}",
         fleet.cluster_count()
     );
     let origin = fleet.now();
-    let server = if args.virtual_clock {
+    let server = if a.on(&VIRTUAL_CLOCK) {
         Server::new(fleet, VirtualClock::starting_at(origin))
     } else {
         Server::new(fleet, WallClock::starting_at(origin))
@@ -1025,49 +851,51 @@ fn serve_cmd(args: ServeArgs) -> Result<String, String> {
     Ok(format!("daemon on {addr} stopped\n"))
 }
 
-fn load_workload(args: &SimulateArgs) -> Result<Workload, String> {
-    if let Some(path) = &args.trace {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut w = swf::parse(&text, args.capacity).map_err(|e| e.to_string())?;
+/// The month [`MONTH`] names, or `None` when a trace is replayed.
+fn sim_month(a: &Args) -> Option<Month> {
+    a.text(&MONTH).and_then(Month::parse)
+}
+
+fn load_workload(a: &Args) -> Result<Workload, String> {
+    if let Some(path) = a.text(&TRACE) {
+        let mut w = swf::parse(&read(path)?, a.num(&CAPACITY)).map_err(|e| e.to_string())?;
         // One-day warm-up for replays, when the trace is long enough.
         if w.window.1 - w.window.0 > 2 * DAY {
             w.window.0 = w.window.0.saturating_add(DAY);
         }
         Ok(w)
     } else {
-        let month = args.month.expect("validated by parse_args");
+        let month = sim_month(a).expect("checked: a month or a trace");
         let mut b = WorkloadBuilder::month(month);
-        if let Some(seed) = args.seed {
+        if let Some(seed) = a.get(&SEED) {
             b = b.seed(seed);
         }
-        if args.scale != 1.0 {
-            b = b.span_scale(args.scale);
+        if let Some(scale) = a.get(&SCALE) {
+            b = b.span_scale(scale);
         }
-        if let Some(rho) = args.load {
+        if let Some(rho) = a.get(&LOAD) {
             b = b.target_load(rho);
         }
         Ok(b.build())
     }
 }
 
-fn simulate_cmd(args: SimulateArgs) -> Result<String, String> {
-    let workload = load_workload(&args)?;
-    let spec = resolve_spec(&args.policy, args.budget).expect("validated");
-    let knowledge = match (args.knowledge, args.trace.is_some()) {
-        (Knowledge::Actual, _) => RuntimeKnowledge::Actual,
-        (Knowledge::Requested, _) => RuntimeKnowledge::Requested,
-        (Knowledge::Predicted, _) => RuntimeKnowledge::Requested,
-        (Knowledge::Default, true) => RuntimeKnowledge::Requested,
-        (Knowledge::Default, false) => RuntimeKnowledge::Actual,
-    };
+fn simulate_cmd(a: &Args) -> Result<String, String> {
+    let workload = load_workload(a)?;
+    let knowledge = a.text(&KNOWLEDGE);
     let cfg = SimConfig {
-        knowledge,
-        predictor: (args.knowledge == Knowledge::Predicted)
+        knowledge: match knowledge {
+            Some("actual") => RuntimeKnowledge::Actual,
+            Some(_) => RuntimeKnowledge::Requested,
+            None if a.on(&TRACE) => RuntimeKnowledge::Requested,
+            None => RuntimeKnowledge::Actual,
+        },
+        predictor: (knowledge == Some("predicted"))
             .then(|| PredictorSpec::RecentUserAverage.build()),
         ..Default::default()
     };
-    let policy = spec.build();
-    let result = if let Some(path) = &args.trace_log {
+    let policy = spec(a).build();
+    let result = if let Some(path) = a.text(&TRACE_LOG) {
         use sbs_obs::{TimeMode, TraceMeta, TraceRecorder};
         let mut recorder = TraceRecorder::new(
             TimeMode::Virtual,
@@ -1075,10 +903,10 @@ fn simulate_cmd(args: SimulateArgs) -> Result<String, String> {
                 mode: String::new(),
                 policy: policy.name(),
                 capacity: workload.capacity,
-                source: match (&args.month, &args.trace) {
+                source: match (sim_month(a), a.text(&TRACE)) {
                     (Some(m), _) => format!("month {}", m.label()),
                     (None, Some(t)) => format!("trace {t}"),
-                    (None, None) => unreachable!("validated by parse_args"),
+                    (None, None) => unreachable!("checked: a month or a trace"),
                 },
             },
         );
@@ -1098,8 +926,9 @@ fn simulate_cmd(args: SimulateArgs) -> Result<String, String> {
     let stats = WaitStats::over(&records);
     let p98 = percentile_wait(&records, 98.0);
     let excess = ExcessStats::over(&records, p98);
+    let ms_per_decision = result.policy_nanos as f64 / 1e6 / result.decisions.max(1) as f64;
 
-    if args.json {
+    if a.on(&JSON) {
         let json = serde_json::json!({
             "policy": result.policy,
             "jobs": stats.jobs,
@@ -1112,13 +941,9 @@ fn simulate_cmd(args: SimulateArgs) -> Result<String, String> {
             "p98_wait_h": to_hours(p98),
             "excess_vs_p98_total_h": excess.total_h,
             "decisions": result.decisions,
-            "policy_ms_per_decision":
-                result.policy_nanos as f64 / 1e6 / result.decisions.max(1) as f64,
+            "policy_ms_per_decision": ms_per_decision,
         });
-        return Ok(format!(
-            "{}\n",
-            serde_json::to_string_pretty(&json).expect("serialize")
-        ));
+        return Ok(pretty(&json));
     }
 
     let mut out = format!(
@@ -1138,15 +963,9 @@ fn simulate_cmd(args: SimulateArgs) -> Result<String, String> {
         &format!("{:.0}%", result.utilization * 100.0),
     ]);
     t.row(["decisions", &result.decisions.to_string()]);
-    t.row([
-        "sched overhead (ms/dec)",
-        &num(
-            result.policy_nanos as f64 / 1e6 / result.decisions.max(1) as f64,
-            3,
-        ),
-    ]);
+    t.row(["sched overhead (ms/dec)", &num(ms_per_decision, 3)]);
     out.push_str(&t.render());
-    if args.timeline {
+    if a.on(&TIMELINE) {
         out.push('\n');
         out.push_str(&utilization_panel(
             &result.policy,
@@ -1164,74 +983,128 @@ mod tests {
     use super::*;
     use serde_json::json;
 
-    fn parse(s: &str) -> Result<Command, String> {
+    fn parse(s: &str) -> Result<Args, String> {
         parse_args(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
-    /// Every subcommand's flags that take a value: `(subcommand, flags
-    /// whose value is kept as text, flags whose value is parsed)`.
-    const VALUE_FLAGS: [(&str, &str, &str); 8] = [
-        (
-            "simulate",
-            "--month --trace --policy --knowledge --trace-log",
-            "--capacity --budget --load --scale --seed",
-        ),
-        (
-            "serve",
-            "--policy --snapshot-dir --trace-dir --event-log",
-            "--port --capacity --budget --deadline-ms --snapshot-every --slow-ms --slow-nodes-left \
-             --shards --max-clusters --max-queue --fair-slack",
-        ),
-        (
-            "submit",
-            "--host",
-            "--port --nodes --runtime --requested --user --at",
-        ),
-        ("queue", "--host", "--port"),
-        ("incidents", "--host --cluster", "--port"),
-        ("top", "--host", "--port --interval --iterations"),
-        ("trace", "--collapsed", "--last --since"),
-        ("bench-perf", "--out --check", "--repeats --tolerance"),
+    fn parsed(s: &str) -> Args {
+        parse(s).unwrap_or_else(|e| panic!("{s}: {e}"))
+    }
+
+    /// One out-of-range value for every range-checked flag, with a
+    /// command line that takes it.
+    const OUT_OF_RANGE: [(&str, &Flag, &str); 10] = [
+        ("sim --month 9/03", &SCALE, "0"),
+        ("experiments fig3", &SCALE, "2"),
+        ("sim --month 9/03", &LOAD, "2"),
+        ("sim --trace t.swf", &CAPACITY, "0"),
+        ("serve", &CAPACITY, "0"),
+        ("experiments all", &BUDGET_SCALE, "-1"),
+        ("bench-perf", &REPEATS, "0"),
+        ("bench-perf", &TOLERANCE, "1"),
+        ("top", &INTERVAL, "0"),
+        ("serve", &PORT, "65536"),
     ];
 
     #[test]
     fn every_subcommand_spells_flag_errors_the_same_way() {
-        for (sub, text, numeric) in VALUE_FLAGS {
-            for flag in text.split_whitespace().chain(numeric.split_whitespace()) {
-                let err = parse(&format!("{sub} {flag}")).unwrap_err();
-                assert_eq!(err, format!("{flag} needs a value"), "{sub}");
-            }
-            for flag in numeric.split_whitespace() {
-                let err = parse(&format!("{sub} {flag} x")).unwrap_err();
-                assert_eq!(err, format!("bad {flag}"), "{sub}");
+        for cmd in &COMMANDS {
+            let sub = cmd.name;
+            for f in cmd.flags {
+                if let Some(d) = f.default {
+                    assert_eq!(f.check(d), Ok(()), "{sub} {}: its default", f.name);
+                }
+                if let Kind::Switch = f.kind {
+                    continue;
+                }
+                let err = parse(&format!("{sub} {}", f.name)).unwrap_err();
+                assert_eq!(err, format!("{} needs a value", f.name), "{sub}");
+                if let Kind::Int(_) | Kind::Real(_) = f.kind {
+                    let err = parse(&format!("{sub} {} x", f.name)).unwrap_err();
+                    assert_eq!(err, format!("bad {}", f.name), "{sub}");
+                }
             }
             let err = parse(&format!("{sub} --y")).unwrap_err();
             assert_eq!(err, "unknown flag \"--y\"", "{sub}");
+        }
+        // Out of range: a typed error naming the flag and its range, for
+        // every flag whose range is narrower than its type's.
+        for (line, f, value) in OUT_OF_RANGE {
+            let (Kind::Int(range) | Kind::Real(range)) = f.kind else {
+                panic!("{} has no range", f.name)
+            };
+            let err = parse(&format!("{line} {} {value}", f.name)).unwrap_err();
+            assert_eq!(err, format!("{} must be in {range}", f.name), "{line}");
+        }
+        for f in COMMANDS.iter().flat_map(|c| c.flags) {
+            if let Kind::Int(range) | Kind::Real(range) = f.kind {
+                let typed = ["[0, inf)", "[0, 4294967295]"].contains(&range);
+                let tested = OUT_OF_RANGE.iter().any(|(_, t, _)| t.name == f.name);
+                assert!(
+                    typed || tested,
+                    "{} {range} needs an out-of-range case",
+                    f.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn experiments_flags_do_not_depend_on_their_order() {
+        let opts = |line: &str| experiment_opts(&parsed(line));
+        let a = opts("experiments table2 --scale 0.5 --quick --months 7/03");
+        let b = opts("experiments table2 --quick --months 7/03 --scale 0.5");
+        assert_eq!(a, b);
+        assert_eq!(a.scale, 0.5, "--scale overrides the quick base");
+        assert_eq!(a.budget_scale, 0.25, "the quick base keeps its budgets");
+        assert_eq!(a.months, vec![Month::Jul03]);
+        assert_eq!(
+            opts("experiments all --budget-scale 2 --quick").budget_scale,
+            2.0
+        );
+        assert_eq!(opts("experiments all"), sbs_bench::opts::Opts::default());
+    }
+
+    #[test]
+    fn experiments_check_ids_and_months_at_parse_time() {
+        let err = parse("experiments all nope").expect_err("unknown id");
+        assert!(err.contains("unknown experiment \"nope\""), "{err}");
+        let err = parse("experiments fig3 --months 6/03,13/03").expect_err("bad month");
+        assert_eq!(err, "unknown month \"13/03\"");
+        assert!(parse("experiments").is_err(), "an id, all or list");
+        assert!(parse("experiments --quick").is_err(), "an id, all or list");
+        for line in [
+            "experiments list",
+            "experiments all --quick",
+            "experiments fig1d table2",
+        ] {
+            assert!(parse(line).is_ok(), "{line}");
+        }
+        let list = parsed("experiments list").run().expect("list");
+        for (id, about, _) in sbs_bench::EXPERIMENTS {
+            assert!(list.contains(id) && list.contains(about), "{list}");
         }
     }
 
     #[test]
     fn parses_serve_fleet_flags() {
         // The fleet's flags live on `serve`; `serve-fleet` is gone.
-        let cmd = parse(
+        let a = parsed(
             "serve --port 0 --capacity 64 --shards 8 --max-clusters 100 \
              --snapshot-dir /tmp/fleet --max-queue 32 --fair-slack 150 --virtual-clock",
-        )
-        .expect("parse");
-        let Command::Serve(a) = cmd else {
-            panic!("not serve")
-        };
-        assert_eq!(a.port, 0);
-        assert_eq!(a.capacity, 64);
-        assert_eq!(a.shards, 8);
-        assert_eq!(a.max_clusters, 100);
-        assert_eq!(a.snapshot_dir.as_deref(), Some("/tmp/fleet"));
-        assert_eq!(a.max_queue, 32);
-        assert_eq!(a.fair_slack, 150);
-        assert!(a.virtual_clock);
+        );
+        assert_eq!(a.cmd.name, "serve");
+        assert_eq!(a.num::<u16>(&PORT), 0);
+        assert_eq!(a.num::<u32>(&CAPACITY), 64);
+        assert_eq!(a.num::<usize>(&SHARDS), 8);
+        assert_eq!(a.num::<usize>(&MAX_CLUSTERS), 100);
+        assert_eq!(a.text(&SNAPSHOT_DIR), Some("/tmp/fleet"));
+        assert_eq!(a.num::<usize>(&MAX_QUEUE), 32);
+        assert_eq!(a.num::<u64>(&FAIR_SLACK), 150);
+        assert!(a.on(&VIRTUAL_CLOCK));
         let err = parse("serve-fleet --port 0").expect_err("no longer a command");
         assert_eq!(err, "unknown command \"serve-fleet\"");
-        assert!(!USAGE.contains("serve-fleet"), "{USAGE}");
+        assert!(!usage(None).contains("serve-fleet"));
         for gone in ["--snapshot state.json", "--trace-log t.jsonl"] {
             let err = parse(&format!("serve {gone}")).expect_err(gone);
             assert!(err.contains("unknown flag"), "{gone}: {err}");
@@ -1240,22 +1113,16 @@ mod tests {
 
     #[test]
     fn parses_observability_flags() {
-        let Command::Serve(s) =
-            parse("serve --port 0 --event-log events.jsonl --slow-ms 250 --slow-nodes-left 100")
-                .expect("parse")
-        else {
-            panic!("not serve")
-        };
-        assert_eq!(s.event_log.as_deref(), Some("events.jsonl"));
-        assert_eq!(s.slow_ms, Some(250));
-        assert_eq!(s.slow_nodes_left, Some(100));
+        let s =
+            parsed("serve --port 0 --event-log events.jsonl --slow-ms 250 --slow-nodes-left 100");
+        assert_eq!(s.text(&EVENT_LOG), Some("events.jsonl"));
+        assert_eq!(s.get(&SLOW_MS), Some(250u64));
+        assert_eq!(s.get(&SLOW_NODES_LEFT), Some(100u64));
 
-        let Command::Serve(f) = parse("serve --slow-ms 50").expect("parse") else {
-            panic!("not serve")
-        };
-        assert_eq!(f.event_log, None);
-        assert_eq!(f.slow_ms, Some(50));
-        assert_eq!(f.slow_nodes_left, None);
+        let f = parsed("serve --slow-ms 50");
+        assert_eq!(f.text(&EVENT_LOG), None);
+        assert_eq!(f.get(&SLOW_MS), Some(50u64));
+        assert_eq!(f.get::<u64>(&SLOW_NODES_LEFT), None);
 
         assert!(parse("serve --slow-ms many").is_err());
         assert!(parse("serve --event-log").is_err(), "needs a value");
@@ -1263,42 +1130,37 @@ mod tests {
 
     #[test]
     fn parses_incidents_and_top() {
+        let i = parsed("incidents");
+        assert_eq!(i.cmd.name, "incidents");
         assert_eq!(
-            parse("incidents").expect("defaults"),
-            Command::Incidents(IncidentsArgs::default())
+            (i.text(&HOST), i.num::<u16>(&PORT)),
+            (Some("127.0.0.1"), 7070)
         );
-        let Command::Incidents(i) =
-            parse("incidents --host h --port 9000 --cluster alpha").expect("parse")
-        else {
-            panic!("not incidents")
-        };
-        assert_eq!(i.connect.host, "h");
-        assert_eq!(i.connect.port, 9_000);
-        assert_eq!(i.cluster.as_deref(), Some("alpha"));
+        assert_eq!(i.text(&CLUSTER), None);
+        let i = parsed("incidents --host h --port 9000 --cluster alpha");
+        assert_eq!((i.text(&HOST), i.num::<u16>(&PORT)), (Some("h"), 9000));
+        assert_eq!(i.text(&CLUSTER), Some("alpha"));
 
+        let t = parsed("top");
+        assert_eq!(t.cmd.name, "top");
         assert_eq!(
-            parse("top").expect("defaults"),
-            Command::Top(TopArgs::default())
+            (t.num::<u64>(&INTERVAL), t.num::<u64>(&ITERATIONS)),
+            (2_000, 0),
+            "defaults"
         );
-        let Command::Top(t) =
-            parse("top --port 8080 --interval 500 --iterations 3").expect("parse")
-        else {
-            panic!("not top")
-        };
-        assert_eq!(t.connect.port, 8_080);
-        assert_eq!(t.interval_ms, 500);
-        assert_eq!(t.iterations, 3);
+        let t = parsed("top --port 8080 --interval 500 --iterations 3");
+        assert_eq!(t.num::<u16>(&PORT), 8_080);
+        assert_eq!(t.num::<u64>(&INTERVAL), 500);
+        assert_eq!(t.num::<u64>(&ITERATIONS), 3);
         assert!(parse("top --interval 0").is_err(), "interval is positive");
         assert!(parse("incidents --bogus").is_err());
     }
 
     #[test]
     fn parses_trace_window_flags() {
-        let Command::Trace(t) = parse("trace run.jsonl --last 5 --since 40").expect("parse") else {
-            panic!("not trace")
-        };
-        assert_eq!(t.last, Some(5));
-        assert_eq!(t.since, Some(40));
+        let t = parsed("trace run.jsonl --last 5 --since 40");
+        assert_eq!(t.get(&LAST), Some(5usize));
+        assert_eq!(t.get(&SINCE), Some(40u64));
         assert!(parse("trace run.jsonl --last five").is_err());
     }
 
@@ -1367,15 +1229,12 @@ mod tests {
 
     #[test]
     fn parses_month_simulation() {
-        let cmd =
-            parse("simulate --month 10/03 --policy lxf-bf --load 0.9 --scale 0.1").expect("parse");
-        let Command::Simulate(a) = cmd else {
-            panic!("not simulate")
-        };
-        assert_eq!(a.month, Some(Month::Oct03));
-        assert_eq!(a.policy, "lxf-bf");
-        assert_eq!(a.load, Some(0.9));
-        assert_eq!(a.scale, 0.1);
+        let a = parsed("simulate --month 10/03 --policy lxf-bf --load 0.9 --scale 0.1");
+        assert_eq!(a.cmd.name, "simulate");
+        assert_eq!(sim_month(&a), Some(Month::Oct03));
+        assert_eq!(a.text(&POLICY), Some("lxf-bf"));
+        assert_eq!(a.get(&LOAD), Some(0.9));
+        assert_eq!(a.get(&SCALE), Some(0.1));
     }
 
     #[test]
@@ -1388,7 +1247,7 @@ mod tests {
 
     #[test]
     fn every_listed_policy_resolves() {
-        for (name, _) in POLICY_NAMES {
+        for (name, ..) in POLICIES {
             assert!(policy_by_name(name, 100).is_some(), "{name}");
         }
         assert!(policy_by_name("bogus", 100).is_none());
@@ -1412,10 +1271,10 @@ mod tests {
         }
         let err = parse("loadgen --quick --threads 4").expect_err("no longer a command");
         assert_eq!(err, "unknown command \"loadgen\"");
-        assert!(!USAGE.contains("loadgen"), "{USAGE}");
-        let err = resolve_spec("port-lxf-dynb", 700).expect_err("no longer a policy");
-        assert!(err.contains("unknown policy"), "{err}");
-        assert!(resolve_spec("bogus", 100).is_err());
+        assert!(!usage(None).contains("loadgen"));
+        let err = parse("sim --month 9/03 --policy port-lxf-dynb").expect_err("no longer a policy");
+        assert_eq!(err, "unknown policy \"port-lxf-dynb\" (try `sbs policies`)");
+        assert!(parse("serve --policy bogus").is_err());
     }
 
     #[test]
@@ -1444,16 +1303,32 @@ mod tests {
 
     #[test]
     fn subcommands_render() {
-        assert!(run(Command::Policies).expect("ok").contains("dds-lxf-dynb"));
-        assert!(run(Command::Months).expect("ok").contains("6/03"));
-        assert!(run(Command::Help).expect("ok").contains("USAGE"));
+        let run = |line: &str| parsed(line).run().expect(line);
+        assert!(run("policies").contains("dds-lxf-dynb"));
+        assert!(run("months").contains("6/03"));
+        // Help lists every command and every flag it takes; the usage
+        // after an error is the failing command's block alone.
+        let help = run("help");
+        assert!(help.starts_with("sbs — "), "{help}");
+        assert_eq!(run(""), help, "no command is help");
+        assert_eq!(run("--help"), help);
+        for c in &COMMANDS {
+            assert!(help.contains(&format!("sbs {}", c.name)), "{}", c.name);
+            let block = usage(Some(c.name));
+            for f in c.flags {
+                assert!(block.contains(f.name), "{} {}", c.name, f.name);
+            }
+        }
+        let serve = usage(Some("serve"));
+        assert!(serve.contains("--snapshot-every N") && !serve.contains("--month"));
+        assert!(usage(Some("frobnicate")).contains("sbs experiments"));
     }
 
     #[test]
     fn simulate_runs_end_to_end() {
-        let cmd =
-            parse("simulate --month 9/03 --scale 0.03 --budget 200 --timeline").expect("parse");
-        let out = run(cmd).expect("simulate");
+        let out = parsed("simulate --month 9/03 --scale 0.03 --budget 200 --timeline")
+            .run()
+            .expect("simulate");
         assert!(out.contains("DDS/lxf/dynB"));
         assert!(out.contains("avg wait (h)"));
         assert!(out.contains("% busy"));
@@ -1461,8 +1336,9 @@ mod tests {
 
     #[test]
     fn simulate_json_output_is_valid() {
-        let cmd = parse("simulate --month 9/03 --scale 0.03 --budget 200 --json").expect("parse");
-        let out = run(cmd).expect("simulate");
+        let out = parsed("simulate --month 9/03 --scale 0.03 --budget 200 --json")
+            .run()
+            .expect("simulate");
         let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
         assert!(v["avg_wait_h"].is_number());
         assert_eq!(v["policy"], "DDS/lxf/dynB");
@@ -1470,41 +1346,40 @@ mod tests {
 
     #[test]
     fn simulate_predicted_knowledge() {
-        let cmd =
-            parse("simulate --month 9/03 --scale 0.03 --budget 200 --knowledge predicted --json")
-                .expect("parse");
-        let out = run(cmd).expect("simulate");
+        let out =
+            parsed("simulate --month 9/03 --scale 0.03 --budget 200 --knowledge predicted --json")
+                .run()
+                .expect("simulate");
         assert!(serde_json::from_str::<serde_json::Value>(&out).is_ok());
     }
 
     #[test]
     fn parses_daemon_subcommands() {
-        let Command::Serve(s) =
-            parse("serve --port 0 --policy fcfs-bf --capacity 64 --virtual-clock --deadline-ms 50")
-                .expect("parse")
-        else {
-            panic!("not serve")
-        };
-        assert_eq!(s.port, 0);
-        assert_eq!(s.capacity, 64);
-        assert!(s.virtual_clock);
-        assert_eq!(s.deadline_ms, Some(50));
-        assert_eq!(s.snapshot_every, 16, "auto-snapshot cadence default");
+        let s = parsed(
+            "serve --port 0 --policy fcfs-bf --capacity 64 --virtual-clock --deadline-ms 50",
+        );
+        assert_eq!(s.num::<u16>(&PORT), 0);
+        assert_eq!(s.num::<u32>(&CAPACITY), 64);
+        assert!(s.on(&VIRTUAL_CLOCK));
+        assert_eq!(s.get(&DEADLINE_MS), Some(50u64));
+        assert_eq!(
+            s.num::<u64>(&SNAPSHOT_EVERY),
+            16,
+            "auto-snapshot cadence default"
+        );
 
-        let Command::Submit(a) =
-            parse("submit --port 9999 --nodes 4 --runtime 3600 --user 2 --at 100").expect("parse")
-        else {
-            panic!("not submit")
-        };
-        assert_eq!(a.connect.port, 9999);
-        assert_eq!((a.nodes, a.runtime, a.user, a.at), (4, 3600, 2, Some(100)));
+        let a = parsed("submit --port 9999 --nodes 4 --runtime 3600 --user 2 --at 100");
+        assert_eq!(a.cmd.name, "submit");
+        assert_eq!(a.num::<u16>(&PORT), 9999);
+        let fields = (a.get(&NODES), a.get(&RUNTIME), a.num(&USER), a.get(&AT));
+        assert_eq!(fields, (Some(4u32), Some(3600u64), 2u32, Some(100u64)));
 
-        assert!(parse("submit --runtime 60").is_err(), "--nodes required");
+        let err = parse("submit --runtime 60").expect_err("--nodes required");
+        assert_eq!(err, "submit needs --nodes");
         assert!(parse("serve --policy nope").is_err());
-        let Command::Queue(c) = parse("queue --host 10.0.0.1").expect("parse") else {
-            panic!("not queue")
-        };
-        assert_eq!(c.host, "10.0.0.1");
+        let c = parsed("queue --host 10.0.0.1");
+        assert_eq!(c.cmd.name, "queue");
+        assert_eq!(c.text(&HOST), Some("10.0.0.1"));
     }
 
     #[test]
@@ -1519,25 +1394,19 @@ mod tests {
         let stop = server.shutdown_flag();
         let handle = std::thread::spawn(move || server.run(listener));
 
-        let connect = ConnectArgs {
-            host: "127.0.0.1".to_string(),
-            port,
-        };
-        let out = run(Command::Submit(SubmitArgs {
-            connect: connect.clone(),
-            nodes: 4,
-            runtime: 3600,
-            requested: None,
-            user: 1,
-            at: Some(10),
-        }))
+        let out = parsed(&format!(
+            "submit --port {port} --nodes 4 --runtime 3600 --user 1 --at 10"
+        ))
+        .run()
         .expect("submit");
         let v: serde_json::Value = serde_json::from_str(&out).expect("json");
         assert_eq!(v["ok"], true);
         assert_eq!(v["id"].as_u64(), Some(0));
         assert_eq!(v["started"], true);
 
-        let out = run(Command::Queue(connect)).expect("queue");
+        let out = parsed(&format!("queue --port {port}"))
+            .run()
+            .expect("queue");
         let v: serde_json::Value = serde_json::from_str(&out).expect("json");
         assert_eq!(v["now"].as_u64(), Some(10));
         assert_eq!(v["running"].as_array().map(Vec::len), Some(1));
@@ -1548,25 +1417,18 @@ mod tests {
 
     #[test]
     fn sim_alias_and_trace_flags_parse() {
-        let Command::Simulate(a) = parse("sim --month 9/03 --trace-log out.jsonl").expect("parse")
-        else {
-            panic!("not simulate")
-        };
-        assert_eq!(a.trace_log.as_deref(), Some("out.jsonl"));
+        let a = parsed("sim --month 9/03 --trace-log out.jsonl");
+        assert_eq!(a.cmd.name, "simulate");
+        assert_eq!(a.text(&TRACE_LOG), Some("out.jsonl"));
 
-        let Command::Serve(s) = parse("serve --trace-dir traces").expect("parse") else {
-            panic!("not serve")
-        };
-        assert_eq!(s.trace_dir.as_deref(), Some("traces"));
+        let s = parsed("serve --trace-dir traces");
+        assert_eq!(s.text(&TRACE_DIR), Some("traces"));
 
-        let Command::Trace(t) =
-            parse("trace run.jsonl --collapsed run.collapsed --json").expect("parse")
-        else {
-            panic!("not trace")
-        };
-        assert_eq!(t.file, "run.jsonl");
-        assert_eq!(t.collapsed.as_deref(), Some("run.collapsed"));
-        assert!(t.json);
+        let t = parsed("trace run.jsonl --collapsed run.collapsed --json");
+        assert_eq!(t.cmd.name, "trace");
+        assert_eq!(t.operands, ["run.jsonl"]);
+        assert_eq!(t.text(&COLLAPSED), Some("run.collapsed"));
+        assert!(t.on(&JSON));
 
         assert!(parse("trace").is_err(), "FILE is required");
         assert!(parse("trace a.jsonl b.jsonl").is_err(), "one FILE only");
@@ -1577,51 +1439,31 @@ mod tests {
     fn sim_trace_log_feeds_the_trace_explorer() {
         let log = std::env::temp_dir().join("sbs_cli_test_trace_log.jsonl");
         let collapsed = std::env::temp_dir().join("sbs_cli_test_trace_log.collapsed");
-        let cmd = parse(&format!(
-            "sim --month 9/03 --scale 0.03 --budget 200 --trace-log {}",
-            log.display()
+        let log_path = log.display();
+        parsed(&format!(
+            "sim --month 9/03 --scale 0.03 --budget 200 --trace-log {log_path}"
         ))
-        .expect("parse");
-        run(cmd).expect("traced simulate");
+        .run()
+        .expect("traced simulate");
         let text = std::fs::read_to_string(&log).expect("trace log written");
         assert!(text.starts_with("{\"capacity\""), "sorted-key meta line");
         assert!(text.contains("\"schema\":\"sbs-trace/v1\""));
         assert!(text.lines().count() > 1, "decision lines recorded");
 
-        let out = run(Command::Trace(TraceArgs {
-            file: log.display().to_string(),
-            collapsed: Some(collapsed.display().to_string()),
-            json: false,
-            last: None,
-            since: None,
-        }))
-        .expect("trace explorer");
+        let trace = |flags: &str| parsed(&format!("trace {log_path} {flags}")).run();
+        let out = trace(&format!("--collapsed {}", collapsed.display())).expect("trace explorer");
         assert!(out.contains("decisions"), "{out}");
         assert!(out.contains("depth"), "{out}");
         let stacks = std::fs::read_to_string(&collapsed).expect("collapsed file written");
         assert!(stacks.contains("decide;search"), "{stacks}");
 
-        let out = run(Command::Trace(TraceArgs {
-            file: log.display().to_string(),
-            collapsed: None,
-            json: true,
-            last: None,
-            since: None,
-        }))
-        .expect("trace --json");
+        let out = trace("--json").expect("trace --json");
         let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
         let total = v["decisions"].as_u64().unwrap_or(0);
         assert!(total > 0, "{out}");
 
         // --last restricts the aggregation window.
-        let out = run(Command::Trace(TraceArgs {
-            file: log.display().to_string(),
-            collapsed: None,
-            json: true,
-            last: Some(1),
-            since: None,
-        }))
-        .expect("trace --last");
+        let out = trace("--json --last 1").expect("trace --last");
         let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
         assert_eq!(v["decisions"].as_u64(), Some(1), "{out}");
 
@@ -1644,12 +1486,12 @@ mod tests {
             .build();
         let path = std::env::temp_dir().join("sbs_cli_test_trace.swf");
         std::fs::write(&path, swf::write(&w)).expect("write");
-        let cmd = parse(&format!(
+        let out = parsed(&format!(
             "simulate --trace {} --policy fcfs-bf --json",
             path.display()
         ))
-        .expect("parse");
-        let out = run(cmd).expect("simulate");
+        .run()
+        .expect("simulate");
         let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
         assert_eq!(v["policy"], "FCFS-backfill");
     }

@@ -1,21 +1,15 @@
-//! `sbs` — simulate scheduling policies on real or synthetic workloads.
-//!
-//! ```text
-//! sbs simulate --month 10/03 [--policy dds-lxf-dynb] [--load 0.9]
-//!              [--scale 0.25] [--budget 1000] [--knowledge actual|requested|predicted]
-//!              [--seed N] [--timeline] [--json]
-//! sbs simulate --trace path/to/trace.swf --capacity 128 [...]
-//! sbs policies                    # list available policies
-//! sbs months                      # list study months
-//! ```
-
-use sbs_cli::{parse_args, run, Command};
+//! `sbs` — one front end for the simulator (`simulate`), the online
+//! daemon (`serve`) and its clients (`submit`, `queue`, `incidents`,
+//! `top`), the decision-log explorer (`trace`), the search perf matrix
+//! (`bench-perf`), the paper's evaluation (`experiments`), and the
+//! `policies`, `months` and `help` listings.  `sbs help` shows every
+//! command and flag.  A usage error exits 2 and prints the failing
+//! command's help block; a run error exits 1.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
-        Ok(Command::Help) => print!("{}", sbs_cli::USAGE),
-        Ok(cmd) => match run(cmd) {
+    match sbs_cli::parse_args(&args) {
+        Ok(cmd) => match cmd.run() {
             Ok(output) => print!("{output}"),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -23,7 +17,8 @@ fn main() {
             }
         },
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", sbs_cli::USAGE);
+            let usage = sbs_cli::usage(args.first().map(String::as_str));
+            eprintln!("error: {e}\n\n{usage}");
             std::process::exit(2);
         }
     }
