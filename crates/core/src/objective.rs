@@ -80,18 +80,6 @@ impl ObjectiveCost {
             self.bsld_sum / n as f64
         }
     }
-
-    /// A **total** order consistent with the derived lexicographic
-    /// `PartialOrd` on all finite values: excess first, then
-    /// `f64::total_cmp` on the slowdown sum.  Search reducers (e.g. the
-    /// parallel root-split merge) must use this instead of
-    /// `partial_cmp(..).unwrap()` so a NaN produced by a buggy objective
-    /// mis-ranks deterministically instead of panicking mid-decision.
-    pub fn total_order(&self, other: &ObjectiveCost) -> std::cmp::Ordering {
-        self.excess
-            .cmp(&other.excess)
-            .then_with(|| self.bsld_sum.total_cmp(&other.bsld_sum))
-    }
 }
 
 /// Evaluates per-job contributions to the objective.

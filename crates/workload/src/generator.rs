@@ -489,9 +489,7 @@ fn largest_remainder(total: usize, weights: &[f64]) -> Vec<usize> {
     order.sort_by(|&a, &b| {
         let fa = raw[a] - raw[a].floor();
         let fb = raw[b] - raw[b].floor();
-        fb.partial_cmp(&fa)
-            .expect("finite remainders")
-            .then(a.cmp(&b))
+        fb.total_cmp(&fa).then(a.cmp(&b))
     });
     for &i in order.iter().take(total.saturating_sub(assigned)) {
         counts[i] += 1;
