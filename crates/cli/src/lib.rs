@@ -75,14 +75,13 @@ mod flags {
 
     pub const PORT: Flag = Flag { name: "--port", meta: "P", kind: Int("[0, 65535]"), default: Some("7070"), help: "the daemon's TCP port (serving on 0 picks a free one)" };
     pub const DEADLINE_MS: Flag = Flag { name: "--deadline-ms", meta: "D", kind: Int(U64), default: None, help: "per-decision wall-clock search deadline" };
-    pub const SNAPSHOT_DIR: Flag = Flag { name: "--snapshot-dir", meta: "DIR", kind: Text, default: None, help: "per-cluster snapshots + manifest (recovers on start)" };
+    pub const SNAPSHOT_DIR: Flag = Flag { name: "--snapshot-dir", meta: "DIR", kind: Text, default: None, help: "one snapshot per cluster (recovers every cluster there on start)" };
     pub const SNAPSHOT_EVERY: Flag = Flag { name: "--snapshot-every", meta: "N", kind: Int(U64), default: Some("16"), help: "auto-snapshot every N decisions" };
     pub const VIRTUAL_CLOCK: Flag = Flag { name: "--virtual-clock", meta: "", kind: Switch, default: None, help: "time advances only with submitted events (testing)" };
     pub const TRACE_DIR: Flag = Flag { name: "--trace-dir", meta: "DIR", kind: Text, default: None, help: "append one sbs-trace/v1 JSONL decision log per cluster, DIR/trace-<cluster>.jsonl" };
     pub const EVENT_LOG: Flag = Flag { name: "--event-log", meta: "FILE", kind: Text, default: None, help: "append an sbs-events/v1 JSONL operational journal" };
     pub const SLOW_MS: Flag = Flag { name: "--slow-ms", meta: "D", kind: Int(U64), default: None, help: "capture decisions at/over D ms wall time as incidents (also exposed at /statusz?incidents=1)" };
     pub const SLOW_NODES_LEFT: Flag = Flag { name: "--slow-nodes-left", meta: "N", kind: Int(U64), default: None, help: "capture deadline-truncated decisions that left N+ nodes unexplored" };
-    pub const SHARDS: Flag = Flag { name: "--shards", meta: "N", kind: Int(U32), default: Some("16"), help: "shard locks in the tenant map" };
     pub const MAX_CLUSTERS: Flag = Flag { name: "--max-clusters", meta: "N", kind: Int(U32), default: Some("4096"), help: "tenant cap" };
     pub const MAX_QUEUE: Flag = Flag { name: "--max-queue", meta: "N", kind: Int(U32), default: Some("0"), help: "per-tenant queue-depth quota, 0 = unlimited" };
     pub const FAIR_SLACK: Flag = Flag { name: "--fair-slack", meta: "PCT", kind: Int(U64), default: Some("0"), help: "per-tenant fairshare slack percent, 0 = off" };
@@ -152,7 +151,7 @@ static COMMANDS: [Cmd; 12] = [
           check: check_simulate, run: simulate_cmd, ..NONE },
     Cmd { name: "serve", summary: SERVE,
           flags: &[&PORT, &CAPACITY, &POLICY, &BUDGET, &DEADLINE_MS, &SNAPSHOT_DIR, &SNAPSHOT_EVERY, &VIRTUAL_CLOCK,
-                   &TRACE_DIR, &EVENT_LOG, &SLOW_MS, &SLOW_NODES_LEFT, &SHARDS, &MAX_CLUSTERS, &MAX_QUEUE, &FAIR_SLACK],
+                   &TRACE_DIR, &EVENT_LOG, &SLOW_MS, &SLOW_NODES_LEFT, &MAX_CLUSTERS, &MAX_QUEUE, &FAIR_SLACK],
           run: serve_cmd, ..NONE },
     Cmd { name: "submit", summary: "submit a job to a running daemon",
           flags: &[&HOST, &PORT, &NODES, &RUNTIME, &REQUESTED, &USER, &AT], check: check_submit, run: submit_cmd, ..NONE },
@@ -693,11 +692,25 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Search nodes per scheduler second and the deadline-hit fraction
+/// between the `prev` and `doc` frames, or over the daemon's lifetime
+/// when there is no earlier frame; 0 where nothing elapsed.
+fn top_rates(doc: &serde_json::Value, prev: Option<&serde_json::Value>) -> (f64, f64) {
+    let n = |d: &serde_json::Value, k: &str| d[k].as_u64().unwrap_or(0);
+    let delta = |k: &str| n(doc, k).saturating_sub(prev.map_or(0, |p| n(p, k)));
+    let per = |a: u64, b: u64| if b == 0 { 0.0 } else { a as f64 / b as f64 };
+    (
+        per(delta("search_nodes"), delta("now")),
+        per(delta("deadline_truncations"), delta("decisions")),
+    )
+}
+
 /// Renders one `sbs-fleet-statusz/v1` document as a dashboard frame:
-/// the header, then one table row per cluster.
-pub fn render_top(doc: &serde_json::Value) -> String {
+/// the header, then one table row per cluster.  Rates are over the
+/// time since `prev`, the frame before it (see [`top_rates`]).
+pub fn render_top(doc: &serde_json::Value, prev: Option<&serde_json::Value>) -> String {
     let n = |k: &str| doc[k].as_u64().unwrap_or(0);
-    let f = |k: &str| doc[k].as_f64().unwrap_or(0.0);
+    let (nodes_per_sec, deadline_hit) = top_rates(doc, prev);
     let rows = doc["per_cluster"].as_array().map_or(&[][..], Vec::as_slice);
     let free: u64 = rows.iter().filter_map(|r| r["free_nodes"].as_u64()).sum();
     let mut out = format!(
@@ -719,8 +732,8 @@ pub fn render_top(doc: &serde_json::Value) -> String {
     out.push_str(&format!(
         "search {} nodes   {:.0} nodes/sec   deadline-hit {:.1}%\n",
         n("search_nodes"),
-        f("search_nodes_per_sec"),
-        f("deadline_hit_rate") * 100.0,
+        nodes_per_sec,
+        deadline_hit * 100.0,
     ));
     let lat = &doc["submit_latency_ns"];
     out.push_str(&format!(
@@ -762,11 +775,14 @@ pub fn render_top(doc: &serde_json::Value) -> String {
 fn top_cmd(a: &Args) -> Result<String, String> {
     let iterations: u64 = a.num(&ITERATIONS);
     if iterations == 1 {
-        return Ok(render_top(&poll_statusz(a)?));
+        return Ok(render_top(&poll_statusz(a)?, None));
     }
     let mut polled = 0u64;
+    let mut prev = None;
     loop {
-        let frame = render_top(&poll_statusz(a)?);
+        let doc = poll_statusz(a)?;
+        let frame = render_top(&doc, prev.as_ref());
+        prev = Some(doc);
         // Home-then-clear so each poll repaints the same screen.
         print!("\x1b[H\x1b[2J{frame}");
         use std::io::Write as _;
@@ -812,7 +828,7 @@ fn serve_cmd(a: &Args) -> Result<String, String> {
     let mut obs = sbs_obs::ObsConfig::default()
         .with_slow_thresholds(a.get(&SLOW_MS), a.get(&SLOW_NODES_LEFT));
     if let Some(path) = a.text(&EVENT_LOG) {
-        obs = obs.with_event_log(path.into(), sbs_obs::DEFAULT_EVENT_LOG_MAX_BYTES);
+        obs = obs.with_event_log(path.into());
     }
     if a.on(&VIRTUAL_CLOCK) {
         // Virtual runs journal virtual timestamps only, keeping the
@@ -820,7 +836,6 @@ fn serve_cmd(a: &Args) -> Result<String, String> {
         obs = obs.with_event_mode(sbs_obs::TimeMode::Virtual);
     }
     let mut cfg = FleetConfig::new(a.num(&CAPACITY), spec)
-        .with_shards(a.num(&SHARDS))
         .with_max_clusters(a.num(&MAX_CLUSTERS))
         .with_quota(TenantQuota {
             max_queue: a.num(&MAX_QUEUE),
@@ -1090,13 +1105,12 @@ mod tests {
     fn parses_serve_fleet_flags() {
         // The fleet's flags live on `serve`; `serve-fleet` is gone.
         let a = parsed(
-            "serve --port 0 --capacity 64 --shards 8 --max-clusters 100 \
+            "serve --port 0 --capacity 64 --max-clusters 100 \
              --snapshot-dir /tmp/fleet --max-queue 32 --fair-slack 150 --virtual-clock",
         );
         assert_eq!(a.cmd.name, "serve");
         assert_eq!(a.num::<u16>(&PORT), 0);
         assert_eq!(a.num::<u32>(&CAPACITY), 64);
-        assert_eq!(a.num::<usize>(&SHARDS), 8);
         assert_eq!(a.num::<usize>(&MAX_CLUSTERS), 100);
         assert_eq!(a.text(&SNAPSHOT_DIR), Some("/tmp/fleet"));
         assert_eq!(a.num::<usize>(&MAX_QUEUE), 32);
@@ -1179,10 +1193,9 @@ mod tests {
                 "queue_depth": 3,
                 "running": 2,
                 "submitted": 11,
-                "decisions": 6,
+                "decisions": 8,
                 "search_nodes": 4_200,
-                "deadline_hit_rate": 0.25,
-                "search_nodes_per_sec": 1_000.0,
+                "deadline_truncations": 2,
                 "incidents_captured": 1,
             });
             if let serde_json::Value::Object(m) = &mut doc {
@@ -1192,7 +1205,7 @@ mod tests {
                 m.insert("events".into(), json!({"emitted": 4, "filtered": 9}));
                 m.insert("per_cluster".into(), serde_json::Value::Array(rows));
             }
-            render_top(&doc)
+            render_top(&doc, None)
         };
         let row = |id: &str, free: u64| {
             json!({
@@ -1211,6 +1224,9 @@ mod tests {
         assert!(frame.contains("policy=DDS/lxf/dynB"), "{frame}");
         assert!(frame.contains("free 96/128 nodes"), "{frame}");
         assert!(frame.contains("clusters=1"), "{frame}");
+        // One frame shows lifetime rates: 4200 nodes over 120 s, 2
+        // truncations in 8 decisions.
+        assert!(frame.contains("35 nodes/sec"), "{frame}");
         assert!(frame.contains("deadline-hit 25.0%"), "{frame}");
         assert!(frame.contains("p50 1.5us"), "{frame}");
         assert!(frame.contains("p99 2.0ms"), "{frame}");
@@ -1225,6 +1241,34 @@ mod tests {
         assert!(frame.contains("clusters=2"), "{frame}");
         assert!(frame.lines().any(|l| l.starts_with("alpha")), "{frame}");
         assert!(frame.lines().any(|l| l.starts_with("beta")), "{frame}");
+    }
+
+    #[test]
+    fn top_works_out_rates_from_two_successive_frames() {
+        let frame = |now: u64, decisions: u64, nodes: u64, truncations: u64| {
+            json!({
+                "now": now,
+                "decisions": decisions,
+                "search_nodes": nodes,
+                "deadline_truncations": truncations,
+            })
+        };
+        let (before, after) = (frame(100, 40, 20_000, 4), frame(160, 60, 80_000, 9));
+        // (80000 - 20000) / (160 - 100) and (9 - 4) / (60 - 40).
+        let text = render_top(&after, Some(&before));
+        assert!(
+            text.contains("1000 nodes/sec   deadline-hit 25.0%"),
+            "{text}"
+        );
+        // Alone, the later frame reads lifetime: 80000 / 160 and 9 / 60.
+        let text = render_top(&after, None);
+        assert!(
+            text.contains("500 nodes/sec   deadline-hit 15.0%"),
+            "{text}"
+        );
+        // No time or no decisions between frames: the rates read 0.
+        let text = render_top(&after, Some(&after));
+        assert!(text.contains("0 nodes/sec   deadline-hit 0.0%"), "{text}");
     }
 
     #[test]

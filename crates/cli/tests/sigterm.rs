@@ -5,7 +5,7 @@
 //! under test is a child.  `SIGTERM` interrupts the loop's readiness
 //! wait (`EINTR`); the daemon must persist its state and exit zero.
 //! `SIGKILL` gives it no say: what survives is what the auto-snapshot
-//! cadence and the manifest already put on disk.
+//! cadence already put on disk.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
@@ -146,13 +146,13 @@ fn sigkill_loses_nothing_the_snapshot_cadence_wrote() {
     submit_two(&addr);
     let before = request(&addr, r#"{"op":"queue"}"#);
 
-    // No shutdown path runs: the manifest written when the request
-    // created `default` and the per-decision snapshots are all there is.
+    // No shutdown path runs: the per-decision snapshots are all there
+    // is.
     let status = signal_and_wait(&mut daemon, "-KILL");
     assert!(!status.success(), "SIGKILL is not a clean exit: {status}");
 
     let (mut daemon, banner, addr) = spawn_serve(&["--snapshot-every", "1"], &dir);
-    // The manifest listed `default` before any request touched it.
+    // `default`'s snapshot file names it before any request touches it.
     assert!(banner.contains("(1 clusters recovered)"), "{banner}");
     let after = request(&addr, r#"{"op":"queue"}"#);
     for key in ["now", "queue", "running"] {

@@ -342,10 +342,6 @@ fn healthz_reports_draining_and_statusz_carries_the_status_fields() {
     assert!(f.statusz_value(true).get("incidents").is_some());
     let (v, _) = f.handle_routed(None, Request::Drain, 0);
     assert_eq!(v["ok"], true);
-    // Hour-long jobs crossed many 60s window boundaries.
-    ServerHandler::poll_to(&mut f, HOUR);
-    let s = f.statusz_value(false);
-    assert!(!s["windows"].as_array().unwrap().is_empty());
     let h = f.healthz_value();
     assert_eq!(h["ok"], false, "draining daemons are not ready");
     assert_eq!(h["draining"], true);
@@ -374,7 +370,7 @@ fn virtual_mode_event_journals_are_byte_identical_across_runs() {
         let cfg = FleetConfig::new(8, PolicySpec::dds_lxf_dynb(500)).with_obs(
             ObsConfig::default()
                 .with_event_mode(TimeMode::Virtual)
-                .with_event_log(path.clone(), 1 << 20),
+                .with_event_log(path.clone()),
         );
         let mut f = serve(cfg);
         for t in 0..4u64 {

@@ -1,7 +1,7 @@
 //! The sharded multi-tenant fleet daemon.
 //!
 //! A [`Fleet`] maps `cluster` ids onto independent [`Cluster`]s (one
-//! scheduler world per tenant) spread across N shard locks.  Routing
+//! scheduler world per tenant) spread across [`SHARDS`] shard locks.  Routing
 //! hashes the cluster id with FNV-1a — deterministic across runs, so a
 //! given tenant always lands on the same shard — and every operation
 //! acquires **exactly one** shard lock; cross-shard aggregates (pending
@@ -15,14 +15,14 @@
 //! cluster ids (lexicographic) get their own `cluster="..."` series and
 //! everything else aggregates into `cluster="_other"`.
 //!
-//! Snapshots are per-cluster files plus an index manifest
-//! (`sbs-fleet-manifest/v1`); [`Fleet::new`] recovers every tenant
-//! listed in the manifest through the single-cluster snapshot path.  The
-//! cadence is the fleet's: every `snapshot_every` decisions a tenant's
-//! snapshot is rendered under its shard lock and written once the lock
-//! drops, before the operation answers.  The manifest is rewritten
-//! whenever a request creates a tenant, so a tenant written by the
-//! cadence is recoverable before the next explicit save.
+//! Snapshots are per-cluster files, `cluster-<id>.json`, and those
+//! files are the one record of which tenants exist: [`Fleet::new`]
+//! recovers every tenant with a snapshot in the directory through the
+//! single-cluster snapshot path.  The cadence is the fleet's: every
+//! `snapshot_every` decisions a tenant's snapshot is rendered under its
+//! shard lock and written once the lock drops, before the operation
+//! answers, so a tenant is recoverable from its first cadence write on,
+//! whichever entry point created it.
 //!
 //! `sbs serve` is a fleet that normally has one tenant: requests without
 //! a `cluster` field go to `default`, which the first such request
@@ -35,41 +35,42 @@
 //! ([`sbs_service::CorrelationSource`]), hands it down to the tenant so
 //! every decision the request triggers carries it, echoes it back as
 //! `"corr"`, and journals the request into the one fleet-scoped
-//! `sbs-events/v1` journal.  Tenants are bare [`Cluster`]s — no journal,
-//! latency histogram or status window of their own — so a tenant's slow
+//! `sbs-events/v1` journal.  Tenants are bare [`Cluster`]s — no journal
+//! or latency histogram of their own — so a tenant's slow
 //! decision is captured as an incident, not journaled.  The fleet's
-//! [`Edge`] (journal, submit-latency histogram, status window) lives
-//! behind one mutex that is **only ever taken with no shard lock held**,
-//! preserving the no-lock-order-edge invariant.  `GET /healthz` reports
-//! readiness (no poisoned shard lock, not every tenant draining, not
-//! overloaded), `GET /statusz` serves a fleet-wide JSON aggregate,
-//! per-cluster rows under the same cardinality cap as `/metrics`, and
-//! (with `?incidents=1`) every tenant's captured slow decisions, and
+//! [`Edge`] (journal, submit-latency histogram) lives behind one mutex
+//! that is **only ever taken with no shard lock held**, preserving the
+//! no-lock-order-edge invariant.  `GET /healthz` reports readiness (no
+//! poisoned shard lock, not every tenant draining, not overloaded),
+//! `GET /statusz` serves fleet-wide cumulative counters (a reader such
+//! as `sbs top` works out rates from two of them), per-cluster rows
+//! under the same cardinality cap as `/metrics`, and (with
+//! `?incidents=1`) every tenant's captured slow decisions, and
 //! `GET /metrics?cluster=ID` serves one tenant's own exposition.
 
 use crate::quota::{FleetDemand, TenantQuota};
 use sbs_core::PolicySpec;
 use sbs_metrics::fairness::jain_index;
 use sbs_obs::expo::Exposition;
-use sbs_obs::status::quantiles_value;
 use sbs_obs::{Histogram, ObsConfig, StatusSample};
 use sbs_service::cluster::{drain_response, incidents_response};
 use sbs_service::edge::op_event;
 use sbs_service::protocol::{error_response, parse_routed, CorrelationSource, Request, SubmitSpec};
 use sbs_service::server::{HttpReply, ServerHandler};
-use sbs_service::snapshot::write_atomic;
 use sbs_service::witness::{self, Class, Guard};
 use sbs_service::{Cluster, Edge, ServiceConfig, Snapshot};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Schema tag stamped into every fleet snapshot manifest.
-pub const MANIFEST_SCHEMA: &str = "sbs-fleet-manifest/v1";
+/// Shard locks the tenant map is spread over.  `sbs serve` runs every
+/// request under its one handler lock, so more shards would buy it no
+/// concurrency; in-process callers share these sixteen.
+pub const SHARDS: usize = 16;
 
 /// Tenant a request with no `cluster` field goes to, so single-cluster
 /// clients never name one.
@@ -79,8 +80,6 @@ const DEFAULT_CLUSTER: &str = "default";
 /// policy, and default quota.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Number of shard locks the tenant map is spread over.
-    pub shards: usize,
     /// Per-cluster machine size in nodes.
     pub capacity: u32,
     /// The scheduling policy every tenant runs.
@@ -90,8 +89,8 @@ pub struct FleetConfig {
     pub max_clusters: usize,
     /// Admission quota applied to each tenant.
     pub quota: TenantQuota,
-    /// Directory for per-cluster snapshots and the index manifest;
-    /// `None` disables persistence.
+    /// Directory for per-cluster snapshots, which also record which
+    /// tenants exist; `None` disables persistence.
     pub snapshot_dir: Option<PathBuf>,
     /// The snapshot cadence: a tenant's snapshot is written once N
     /// decision points have passed since its last one, after the
@@ -107,8 +106,6 @@ pub struct FleetConfig {
     /// Most cluster ids that get their own `cluster="..."` metric
     /// label; the rest aggregate into `cluster="_other"`.
     pub cluster_label_cap: usize,
-    /// Wait beyond this threshold counts as excessive in the metrics.
-    pub excess_threshold: Time,
     /// The fleet-scoped event journal, and the slow-decision thresholds
     /// every tenant captures incidents under.
     pub obs: ObsConfig,
@@ -118,7 +115,6 @@ impl FleetConfig {
     /// A config with the workspace defaults.
     pub fn new(capacity: u32, spec: PolicySpec) -> Self {
         FleetConfig {
-            shards: 16,
             capacity,
             spec,
             max_clusters: 4096,
@@ -128,15 +124,8 @@ impl FleetConfig {
             deadline: None,
             trace_dir: None,
             cluster_label_cap: 32,
-            excess_threshold: 0,
             obs: ObsConfig::default(),
         }
-    }
-
-    /// Sets the shard count (clamped to at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Sets the per-tenant admission quota.
@@ -270,21 +259,19 @@ pub struct Fleet {
     tenant_count: AtomicU64,
     /// Correlation ids, minted once per routed request.
     corr: CorrelationSource,
-    /// The fleet's one serving edge: journal, submit-latency histogram
-    /// and status window.  Locked only with **no shard lock held** (the
+    /// The fleet's one serving edge: journal and submit-latency
+    /// histogram.  Locked only with **no shard lock held** (the
     /// protocol edge journals after dispatch returns), so it adds no
     /// lock-order edge.
     edge: Mutex<Edge>,
 }
 
 impl Fleet {
-    /// Builds a fleet; recovers every tenant listed in the snapshot
-    /// manifest when `cfg.snapshot_dir` holds one.
+    /// Builds a fleet; recovers every tenant with a `cluster-<id>.json`
+    /// snapshot in `cfg.snapshot_dir`.
     pub fn new(cfg: FleetConfig) -> Result<Self, String> {
-        let shards = (0..cfg.shards.max(1))
-            .map(|_| Mutex::new(Shard::default()))
-            .collect();
-        let edge = Edge::new(&cfg.obs, 0);
+        let shards = (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect();
+        let edge = Edge::new(&cfg.obs);
         let fleet = Fleet {
             policy: cfg.spec.name(),
             cfg,
@@ -303,14 +290,8 @@ impl Fleet {
         {
             std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         }
-        let manifest = fleet
-            .cfg
-            .snapshot_dir
-            .as_ref()
-            .map(|d| d.join("manifest.json"))
-            .filter(|p| p.exists());
-        if let Some(path) = manifest {
-            for id in read_manifest(&path)? {
+        if let Some(dir) = &fleet.cfg.snapshot_dir {
+            for id in snapshot_ids(dir)? {
                 fleet.recover_tenant(&id)?;
             }
         }
@@ -341,7 +322,7 @@ impl Fleet {
             h ^= u64::from(b);
             h = h.wrapping_mul(PRIME);
         }
-        (h % self.shards.len().max(1) as u64) as usize
+        (h % self.shards.len() as u64) as usize
     }
 
     #[cfg_attr(debug_assertions, track_caller)]
@@ -354,7 +335,6 @@ impl Fleet {
 
     fn tenant_config(&self, cluster: &str) -> ServiceConfig {
         let mut c = ServiceConfig::new(self.cfg.capacity, self.cfg.spec.clone());
-        c.excess_threshold = self.cfg.excess_threshold;
         c.deadline = self.cfg.deadline;
         if let Some(dir) = &self.cfg.snapshot_dir {
             c.snapshot_path = Some(dir.join(format!("cluster-{cluster}.json")));
@@ -371,18 +351,13 @@ impl Fleet {
         c
     }
 
-    /// Restores one manifest-listed tenant through the single-cluster
-    /// snapshot recovery path.
+    /// Restores one tenant from its snapshot file through the
+    /// single-cluster snapshot recovery path.
     fn recover_tenant(&self, cluster: &str) -> Result<(), String> {
-        sbs_service::protocol::validate_cluster_id(cluster)
-            .map_err(|e| format!("manifest entry {cluster:?}: {e}"))?;
         let recovered = Cluster::new(self.tenant_config(cluster))?;
         let Some(mut shard) = self.shard_for(cluster) else {
             return Err("internal: no shard for cluster".into());
         };
-        if shard.tenants.contains_key(cluster) {
-            return Ok(()); // duplicate manifest entry
-        }
         let mut tenant = Tenant::new(recovered, self.cfg.quota);
         self.tenant_count.fetch_add(1, Ordering::AcqRel);
         self.total_weight
@@ -564,8 +539,8 @@ impl Fleet {
                 (drain_response(done, left, self.now()), false)
             }
             Request::Snapshot => match self.save_snapshots() {
-                Ok(Some(path)) => (
-                    json!({ "ok": true, "path": path.display().to_string() }),
+                Ok(Some(dir)) => (
+                    json!({ "ok": true, "path": dir.display().to_string() }),
                     false,
                 ),
                 Ok(None) => (error_response("no snapshot directory configured"), false),
@@ -574,8 +549,8 @@ impl Fleet {
             Request::Shutdown => {
                 let saved = self.save_snapshots();
                 let mut v = json!({ "ok": true });
-                if let (Value::Object(map), Ok(Some(path))) = (&mut v, saved) {
-                    map.insert("manifest".into(), Value::from(path.display().to_string()));
+                if let (Value::Object(map), Ok(Some(dir))) = (&mut v, saved) {
+                    map.insert("path".into(), Value::from(dir.display().to_string()));
                 }
                 (v, true)
             }
@@ -623,16 +598,6 @@ impl Fleet {
     #[cfg_attr(debug_assertions, track_caller)]
     fn edge(&self) -> Guard<'_, Edge> {
         witness::lock(&self.edge, Class::Edge)
-    }
-
-    /// Pushes a self-scrape sample when scheduler time has crossed the
-    /// status-window boundary.
-    fn maybe_sample(&self, at: Time) {
-        if !self.edge().window.due(at) {
-            return;
-        }
-        let (_, total) = self.collect_stats();
-        self.edge().window.push(StatusSample { at, ..total.sample });
     }
 
     /// Every tenant's captured incidents (tagged with their cluster id)
@@ -689,24 +654,20 @@ impl Fleet {
             "shards_poisoned": poisoned,
             "clusters": self.cluster_count(),
             "now": Fleet::now(self),
-            "pending_node_seconds": self.total_pending.load(Ordering::Acquire),
         })
     }
 
-    /// Operational JSON for `GET /statusz`: fleet totals, windowed
-    /// rates, per-cluster rows under the metrics cardinality cap, and
-    /// (with `include_incidents`) every tenant's captured incidents.
+    /// Operational JSON for `GET /statusz`: fleet-wide cumulative
+    /// counters, per-cluster rows under the metrics cardinality cap,
+    /// and (with `include_incidents`) every tenant's captured incidents.
     pub fn statusz_value(&self, include_incidents: bool) -> Value {
         let (stats, total) = self.collect_stats();
-        let live = StatusSample {
-            at: Fleet::now(self),
-            ..total.sample
-        };
+        let live = total.sample;
         let mut rows = Vec::new();
         self.for_each_label(&stats, |id, st| rows.push(st.row(id)));
         let mut v = json!({
             "schema": "sbs-fleet-statusz/v1",
-            "now": live.at,
+            "now": Fleet::now(self),
             "policy": self.policy.as_str(),
             "capacity": self.cfg.capacity,
             "shards": self.shards.len() as u64,
@@ -717,24 +678,19 @@ impl Fleet {
             "rejected": live.rejected,
             "decisions": live.decisions,
             "search_nodes": live.search_nodes,
-            "pending_node_seconds": self.total_pending.load(Ordering::Acquire),
-            "decision_wall_ns": quantiles_value(total.decision_nanos.as_ref(), false),
+            "deadline_truncations": live.deadline_truncations,
             "incidents_captured": total.incidents,
             "per_cluster": Value::Array(rows),
         });
-        let rates = self.edge().status_into(&live, &mut v);
-        if let Value::Object(m) = &mut v {
-            m.insert("submitted_per_sec".into(), rates.submitted_per_sec.into());
-            if include_incidents {
-                m.insert("incidents".into(), Value::Array(self.all_incidents().0));
-            }
+        self.edge().status_into(&mut v);
+        if let (true, Value::Object(m)) = (include_incidents, &mut v) {
+            m.insert("incidents".into(), Value::Array(self.all_incidents().0));
         }
         v
     }
 
     /// One pass over every shard: per-cluster numbers keyed by id, and
-    /// their fleet-wide total (shared by `/metrics`, `/statusz` and the
-    /// status window).
+    /// their fleet-wide total (shared by `/metrics` and `/statusz`).
     fn collect_stats(&self) -> (BTreeMap<String, ClusterStat>, ClusterStat) {
         let mut stats: BTreeMap<String, ClusterStat> = BTreeMap::new();
         let mut total = ClusterStat::default();
@@ -833,8 +789,8 @@ impl Fleet {
         e.render()
     }
 
-    /// Writes every tenant's snapshot plus the index manifest.  Returns
-    /// the manifest path, or `None` when persistence is disabled.
+    /// Writes every tenant's snapshot.  Returns the snapshot directory,
+    /// or `None` when persistence is disabled.
     pub fn save_snapshots(&self) -> Result<Option<PathBuf>, String> {
         let Some(dir) = self.cfg.snapshot_dir.clone() else {
             return Ok(None);
@@ -854,23 +810,7 @@ impl Fleet {
             snap.save(&path)
                 .map_err(|e| format!("snapshot write failed: {e}"))?;
         }
-        self.save_manifest(&dir).map(Some)
-    }
-
-    /// Writes the index manifest listing every live tenant under `dir`;
-    /// returns its path.
-    fn save_manifest(&self, dir: &Path) -> Result<PathBuf, String> {
-        let mut ids: Vec<String> = Vec::new();
-        for shard in &self.shards {
-            ids.extend(lock_shard(shard).tenants.keys().cloned());
-        }
-        ids.sort();
-        let doc = json!({ "schema": MANIFEST_SCHEMA, "clusters": ids });
-        let mut text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        text.push('\n');
-        let path = dir.join("manifest.json");
-        write_atomic(&path, text.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(path)
+        Ok(Some(dir))
     }
 
     /// One tenant's own `/metrics` exposition (`GET /metrics?cluster=ID`).
@@ -959,59 +899,46 @@ fn emit_cluster(e: &mut Exposition, id: &str, st: &ClusterStat) {
     }
 }
 
-fn read_manifest(path: &Path) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let v: Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-    let schema = v.get("schema").and_then(Value::as_str).unwrap_or_default();
-    if schema != MANIFEST_SCHEMA {
-        return Err(format!(
-            "manifest schema {schema:?} not supported (expected {MANIFEST_SCHEMA})"
-        ));
-    }
-    let clusters = v
-        .get("clusters")
-        .and_then(Value::as_array)
-        .ok_or("manifest field \"clusters\" missing or not an array")?;
-    let mut ids = Vec::with_capacity(clusters.len());
-    for c in clusters {
-        match c.as_str() {
-            Some(s) => ids.push(s.to_string()),
-            None => return Err("manifest cluster entry is not a string".into()),
+/// The tenant ids with a `cluster-<id>.json` snapshot in `dir`, sorted;
+/// a write's leftover temp file (`cluster-<id>.json.<pid>.<n>.tmp`) is
+/// not one.  A file whose id is not a valid cluster id is an error.
+fn snapshot_ids(dir: &std::path::Path) -> Result<Vec<String>, String> {
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut ids = Vec::new();
+    for entry in entries {
+        let name = entry.map_err(|e| e.to_string())?.file_name();
+        let name = name.to_string_lossy();
+        if let Some(id) = name
+            .strip_prefix("cluster-")
+            .and_then(|n| n.strip_suffix(".json"))
+        {
+            sbs_service::protocol::validate_cluster_id(id)
+                .map_err(|e| format!("snapshot {name:?}: {e}"))?;
+            ids.push(id.to_string());
         }
     }
+    ids.sort();
     Ok(ids)
 }
 
 impl ServerHandler for Fleet {
     fn poll_to(&mut self, at: Time) {
         Fleet::poll_all(self, at);
-        self.maybe_sample(at);
     }
 
     fn handle_line(&mut self, line: &str, at: Time) -> (Value, bool) {
         match parse_routed(line) {
             Ok((cluster, req)) => {
                 let kind = op_event(&req);
-                let before = self.cluster_count();
                 let out = self.handle_routed(cluster.as_deref(), req, at);
                 // Journal after dispatch: every shard lock is released
                 // by now, so the edge stays a leaf lock.
-                let clusters = self.cluster_count();
-                if let (true, Some(dir)) = (clusters > before, &self.cfg.snapshot_dir) {
-                    // List the new tenant now: its own auto-snapshots
-                    // are recoverable only through the manifest.
-                    #[expect(
-                        clippy::let_underscore_must_use,
-                        reason = "proven best-effort path — the next tenant creation or save rewrites the manifest"
-                    )]
-                    let _ = self.save_manifest(dir);
-                }
                 self.edge().journal_request(
                     cluster.as_deref().unwrap_or("fleet"),
                     kind,
                     &out.0,
                     at,
-                    ("clusters", clusters),
+                    ("clusters", self.cluster_count()),
                 );
                 out
             }
@@ -1388,8 +1315,6 @@ mod tests {
         let line = r#"{"op":"submit","cluster":"alpha","nodes":2,"runtime":60}"#;
         ServerHandler::observe_request_ns(&mut f, line, 5_000);
         ServerHandler::observe_request_ns(&mut f, r#"{"op":"queue","cluster":"alpha"}"#, 7);
-        // Cross a window boundary so a sample lands in the ring.
-        ServerHandler::poll_to(&mut f, 61);
         let v = f.statusz_value(false);
         assert_eq!(v["schema"], "sbs-fleet-statusz/v1");
         assert_eq!(v["clusters"].as_u64(), Some(2));
@@ -1405,7 +1330,12 @@ mod tests {
             Some(1),
             "the queue line is not a submit"
         );
-        assert_eq!(v["windows"].as_array().map(Vec::len), Some(1));
+        // Counters only: a reader works out rates from two documents.
+        assert_eq!(v["decisions"].as_u64(), Some(3));
+        assert_eq!(v["deadline_truncations"].as_u64(), Some(0));
+        for gone in ["windows", "search_nodes_per_sec", "deadline_hit_rate"] {
+            assert!(v.get(gone).is_none(), "{gone}");
+        }
         assert!(v.get("incidents").is_none(), "incidents only on request");
         let v = f.statusz_value(true);
         assert!(v.get("incidents").is_some());
@@ -1603,6 +1533,26 @@ mod tests {
             by_requests > 0 && by_departures > 0,
             "{by_requests} {by_departures}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tenants_created_in_process_are_recovered_from_their_snapshots() {
+        let dir = std::env::temp_dir().join(format!("sbs-recover-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cfg = FleetConfig::new(8, PolicySpec::FcfsBackfill).with_snapshot_dir(dir.clone());
+        cfg.snapshot_every = 1;
+        {
+            let f = Fleet::new(cfg.clone()).expect("fleet");
+            admitted(&f, "a", 4, 0);
+        }
+        assert!(dir.join("cluster-a.json").exists());
+        // A write cut short leaves its temp file behind; it is no tenant.
+        std::fs::write(dir.join("cluster-b.json.7.0.tmp"), "{").expect("temp file");
+        let f = Fleet::new(cfg).expect("recovered fleet");
+        assert_eq!(f.cluster_count(), 1);
+        let (v, _) = f.handle_routed(Some("a"), Request::Queue, 0);
+        assert_eq!(v["running"].as_array().map(Vec::len), Some(1), "{v}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

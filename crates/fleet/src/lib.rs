@@ -16,9 +16,9 @@
 //! - **Bounded-cardinality metrics**: fleet-level families plus
 //!   per-cluster `cluster="..."` series capped at a configurable label
 //!   budget with an `_other` overflow bucket.
-//! - **Per-cluster persistence**: one snapshot file per tenant plus an
-//!   index manifest ([`MANIFEST_SCHEMA`]); [`Fleet::new`] recovers the
-//!   whole fleet from the manifest after a crash.
+//! - **Per-cluster persistence**: one snapshot file per tenant, and
+//!   the files are the record of which tenants exist; [`Fleet::new`]
+//!   recovers every tenant with a snapshot after a crash.
 //!
 //! The fleet is the one [`sbs_service::ServerHandler`]: the same
 //! event-driven readiness loop serves one tenant or a thousand.
@@ -35,7 +35,7 @@
 pub mod fleet;
 pub mod quota;
 
-pub use fleet::{Fleet, FleetConfig, MANIFEST_SCHEMA};
+pub use fleet::{Fleet, FleetConfig};
 pub use quota::{FleetDemand, QuotaDenied, TenantQuota};
 
 /// Tests of what `sbs serve` runs by default: one tenant, reached by

@@ -2,9 +2,10 @@
 //!
 //! Where `sbs-trace/v1` captures *every* decision for offline analysis,
 //! the event journal is the always-on operational log: severity-leveled,
-//! bounded (in-memory ring), rotating (on-disk JSONL), and cheap enough
-//! to leave attached in production.  Routine traffic emits at
-//! [`Severity::Debug`] and is filtered before any formatting happens, so
+//! counted, rotating (on-disk JSONL), and cheap enough to leave attached
+//! in production.  Routine traffic emits at [`Severity::Debug`], below
+//! the fixed [`MIN_SEVERITY`] floor, and is filtered before any
+//! formatting happens, so
 //! an "enabled but quiet" journal costs one branch per event site — the
 //! same contract the [`crate::Recorder`] gives the decision hot path.
 //!
@@ -14,7 +15,6 @@
 //! [`TimeMode::Wall`] — so two identical Virtual-mode runs produce
 //! byte-identical journals (pinned by a test below).
 
-use crate::ring::RingBuffer;
 use crate::sink::TimeMode;
 use serde_json::{Map, Value};
 use std::io::Write;
@@ -23,12 +23,13 @@ use std::path::PathBuf;
 /// Schema identifier stamped into every journal's meta line.
 pub const EVENT_SCHEMA: &str = "sbs-events/v1";
 
-/// Events the in-memory ring retains.
-const EVENT_RING_CAPACITY: usize = 256;
+/// The journal's severity floor: events below it are counted as
+/// filtered, never formatted.
+pub const MIN_SEVERITY: Severity = Severity::Info;
 
 /// Severity level of one journal event, ordered `Debug < Info < Warn <
-/// Error`.  Events below the journal's minimum severity are filtered
-/// before any allocation or formatting.
+/// Error`.  Events below [`MIN_SEVERITY`] are filtered before any
+/// allocation or formatting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Per-request chatter (submits, admissions); filtered by default.
@@ -52,17 +53,6 @@ impl Severity {
             Severity::Info => "info",
             Severity::Warn => "warn",
             Severity::Error => "error",
-        }
-    }
-
-    /// Parses the wire form; unknown strings map to `Info` (tolerant
-    /// reader, same policy as the trace decoder).
-    pub fn parse(s: &str) -> Severity {
-        match s {
-            "debug" => Severity::Debug,
-            "warn" => Severity::Warn,
-            "error" => Severity::Error,
-            _ => Severity::Info,
         }
     }
 }
@@ -151,51 +141,22 @@ impl Event {
         }
         Value::Object(m)
     }
-
-    /// Tolerant decoder for journal lines (missing fields default).
-    pub fn from_value(v: &Value) -> Event {
-        let get = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        let s = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string()
-        };
-        let mut detail = Vec::new();
-        if let Some(Value::Object(d)) = v.get("detail") {
-            for (k, dv) in d {
-                detail.push((k.clone(), dv.as_u64().unwrap_or(0)));
-            }
-        }
-        Event {
-            seq: get("seq"),
-            now: get("now"),
-            severity: Severity::parse(v.get("sev").and_then(Value::as_str).unwrap_or("info")),
-            corr: get("corr"),
-            scope: s("scope"),
-            kind: s("kind"),
-            detail,
-            wall_ns: get("wall_ns"),
-        }
-    }
 }
 
-/// Rotation threshold for the event log when none is given.
+/// Rotation threshold of the event log, in bytes.
 pub const DEFAULT_EVENT_LOG_MAX_BYTES: u64 = 4 << 20;
 
 /// What a serving edge is told about its journal and its slow-decision
-/// capture.  The single-cluster daemon and the fleet embed the same
-/// struct, so both are configured — and their journal built — one way.
+/// capture.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Emit operational events into the edge's `sbs-events/v1` journal.
     /// (A fleet has one journal, at the fleet edge; its tenants carry
     /// none, so a tenant's slow decision is an incident, not an event.)
     pub events: bool,
-    /// Rotating journal sink; `None` keeps events in the in-memory ring.
+    /// Rotating journal sink, cut at [`DEFAULT_EVENT_LOG_MAX_BYTES`];
+    /// `None` keeps only the journal's counters.
     pub event_log: Option<PathBuf>,
-    /// Rotation threshold for the event log, in bytes.
-    pub event_log_max_bytes: u64,
     /// Journal time mode: `Virtual` omits wall durations so two
     /// identical virtual-clock runs journal byte-identical files.
     pub event_mode: TimeMode,
@@ -213,7 +174,6 @@ impl Default for ObsConfig {
         ObsConfig {
             events: true,
             event_log: None,
-            event_log_max_bytes: DEFAULT_EVENT_LOG_MAX_BYTES,
             event_mode: TimeMode::Wall,
             slow_wall_ms: None,
             slow_nodes_left: None,
@@ -222,10 +182,10 @@ impl Default for ObsConfig {
 }
 
 impl ObsConfig {
-    /// Writes `sbs-events/v1` JSONL to `path`, rotating at `max_bytes`.
-    pub fn with_event_log(mut self, path: PathBuf, max_bytes: u64) -> Self {
+    /// Writes `sbs-events/v1` JSONL to `path`, rotating at
+    /// [`DEFAULT_EVENT_LOG_MAX_BYTES`].
+    pub fn with_event_log(mut self, path: PathBuf) -> Self {
         self.event_log = Some(path);
-        self.event_log_max_bytes = max_bytes;
         self
     }
 
@@ -243,15 +203,16 @@ impl ObsConfig {
         self
     }
 
-    /// Builds the edge's journal.  A bad journal path degrades to the
-    /// in-memory ring with a notice — it never stops the scheduler.
+    /// Builds the edge's journal.  A bad journal path degrades to a
+    /// journal without a sink, with a notice — it never stops the
+    /// scheduler.
     pub fn build_journal(&self) -> EventJournal {
         if !self.events {
             return EventJournal::disabled(self.event_mode);
         }
         let mut journal = EventJournal::new(self.event_mode);
         if let Some(path) = &self.event_log {
-            if let Err(e) = journal.open_rotating(path.clone(), self.event_log_max_bytes) {
+            if let Err(e) = journal.open_rotating(path.clone(), DEFAULT_EVENT_LOG_MAX_BYTES) {
                 eprintln!("event log {} unavailable: {e}", path.display());
             }
         }
@@ -259,21 +220,18 @@ impl ObsConfig {
     }
 }
 
-/// The bounded, rotating, severity-leveled event journal.
+/// The rotating, severity-leveled event journal.
 ///
-/// Always holds an in-memory ring of the most recent accepted events
-/// (for `/statusz` and `sbs incidents`-style introspection); optionally
-/// mirrors them to a JSONL sink with size-based rotation.  All writes
-/// are best-effort: a failing disk degrades telemetry, never the
-/// scheduler.
+/// Counts what it accepts and filters (for `/statusz`), and writes the
+/// accepted events to a JSONL sink with size-based rotation when one is
+/// attached.  All writes are best-effort: a failing disk degrades
+/// telemetry, never the scheduler.
 pub struct EventJournal {
     mode: TimeMode,
-    min_severity: Severity,
     enabled: bool,
-    seq: u64,
+    /// Events accepted so far; the last one's `seq`.
     emitted: u64,
     filtered: u64,
-    ring: RingBuffer<Event>,
     sink: Option<Box<dyn Write + Send>>,
     /// `(path, max_bytes)` when the sink is a rotating file.
     rotate: Option<(PathBuf, u64)>,
@@ -284,7 +242,6 @@ impl std::fmt::Debug for EventJournal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventJournal")
             .field("mode", &self.mode)
-            .field("min_severity", &self.min_severity)
             .field("enabled", &self.enabled)
             .field("emitted", &self.emitted)
             .field("filtered", &self.filtered)
@@ -293,17 +250,14 @@ impl std::fmt::Debug for EventJournal {
 }
 
 impl EventJournal {
-    /// An enabled journal (ring only, no sink) filtering below
-    /// [`Severity::Info`].
+    /// An enabled journal (no sink yet) filtering below
+    /// [`MIN_SEVERITY`].
     pub fn new(mode: TimeMode) -> EventJournal {
         EventJournal {
             mode,
-            min_severity: Severity::Info,
             enabled: true,
-            seq: 0,
             emitted: 0,
             filtered: 0,
-            ring: RingBuffer::new(EVENT_RING_CAPACITY),
             sink: None,
             rotate: None,
             written: 0,
@@ -320,16 +274,6 @@ impl EventJournal {
     /// Whether the journal accepts events at all.
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Lowers or raises the severity floor.
-    pub fn set_min_severity(&mut self, min: Severity) {
-        self.min_severity = min;
-    }
-
-    /// The current severity floor.
-    pub fn min_severity(&self) -> Severity {
-        self.min_severity
     }
 
     /// Attaches a JSONL sink and writes the schema meta line.
@@ -356,7 +300,7 @@ impl EventJournal {
         let mut m = Map::new();
         m.insert("schema".into(), EVENT_SCHEMA.into());
         m.insert("mode".into(), mode.into());
-        m.insert("min_severity".into(), self.min_severity.as_str().into());
+        m.insert("min_severity".into(), MIN_SEVERITY.as_str().into());
         let line = serde_json::to_string(&Value::Object(m)).unwrap_or_default();
         if let Some(w) = &mut self.sink {
             #[expect(
@@ -368,32 +312,30 @@ impl EventJournal {
         }
     }
 
-    /// Emits one event: assigns the sequence number, filters by
-    /// severity, appends to the ring, and mirrors to the sink (rotating
-    /// when the size cap is crossed).
+    /// Emits one event: filters by severity, assigns the sequence
+    /// number, and writes it to the sink (rotating when the size cap is
+    /// crossed).
     pub fn emit(&mut self, event: Event) {
-        if !self.enabled || event.severity < self.min_severity {
+        if !self.enabled || event.severity < MIN_SEVERITY {
             self.filtered += u64::from(self.enabled);
             return;
         }
-        self.seq += 1;
-        let mut event = event;
-        event.seq = self.seq;
-        if self.sink.is_some() {
+        self.emitted += 1;
+        if let Some(w) = &mut self.sink {
+            let event = Event {
+                seq: self.emitted,
+                ..event
+            };
             let include_wall = self.mode == TimeMode::Wall;
             let line = serde_json::to_string(&event.to_value(include_wall)).unwrap_or_default();
-            if let Some(w) = &mut self.sink {
-                #[expect(
-                    clippy::let_underscore_must_use,
-                    reason = "telemetry writes are best-effort by contract — a failing disk degrades the journal, never the scheduler"
-                )]
-                let _ = writeln!(w, "{line}");
-                self.written += line.len() as u64 + 1;
-            }
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "telemetry writes are best-effort by contract — a failing disk degrades the journal, never the scheduler"
+            )]
+            let _ = writeln!(w, "{line}");
+            self.written += line.len() as u64 + 1;
             self.maybe_rotate();
         }
-        self.ring.push(event);
-        self.emitted += 1;
     }
 
     /// Rotates `path` to `path.1` and reopens a fresh file once the
@@ -431,12 +373,7 @@ impl EventJournal {
         }
     }
 
-    /// Most recent accepted events, oldest first.
-    pub fn ring(&self) -> impl Iterator<Item = &Event> {
-        self.ring.iter()
-    }
-
-    /// Events accepted (ring + sink) so far.
+    /// Events accepted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
@@ -444,11 +381,6 @@ impl EventJournal {
     /// Events filtered below the severity floor.
     pub fn filtered(&self) -> u64 {
         self.filtered
-    }
-
-    /// The journal's time mode.
-    pub fn mode(&self) -> TimeMode {
-        self.mode
     }
 }
 
@@ -470,6 +402,22 @@ mod tests {
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
         }
+    }
+
+    /// Drives `j` with a sink attached; returns the event lines it
+    /// wrote (the meta line dropped).
+    fn sunk(mut j: EventJournal) -> (EventJournal, Vec<Value>) {
+        let buf = SharedBuf::default();
+        j.attach_sink(Box::new(buf.clone()));
+        drive(&mut j);
+        let bytes = buf.0.lock().expect("buf lock").clone();
+        let text = String::from_utf8(bytes).expect("utf8 journal");
+        let events = text
+            .lines()
+            .skip(1)
+            .map(|l| serde_json::from_str(l).expect("json"))
+            .collect();
+        (j, events)
     }
 
     fn drive(journal: &mut EventJournal) {
@@ -499,24 +447,22 @@ mod tests {
 
     #[test]
     fn severity_floor_filters_before_the_ring() {
-        let mut j = EventJournal::new(TimeMode::Virtual);
-        drive(&mut j);
+        let (j, events) = sunk(EventJournal::new(TimeMode::Virtual));
         assert_eq!(j.emitted(), 3, "the Debug event is filtered");
         assert_eq!(j.filtered(), 1);
-        let kinds: Vec<&str> = j.ring().map(|e| e.kind.as_str()).collect();
+        let kinds: Vec<_> = events.iter().filter_map(|e| e["kind"].as_str()).collect();
         assert_eq!(kinds, ["start", "slow_decision", "reject"]);
         // Sequence numbers are dense over accepted events.
-        let seqs: Vec<u64> = j.ring().map(|e| e.seq).collect();
+        let seqs: Vec<_> = events.iter().filter_map(|e| e["seq"].as_u64()).collect();
         assert_eq!(seqs, [1, 2, 3]);
     }
 
     #[test]
     fn disabled_journal_is_a_single_branch() {
-        let mut j = EventJournal::disabled(TimeMode::Virtual);
-        drive(&mut j);
+        let (j, events) = sunk(EventJournal::disabled(TimeMode::Virtual));
         assert_eq!(j.emitted(), 0);
         assert_eq!(j.filtered(), 0);
-        assert_eq!(j.ring().count(), 0);
+        assert!(events.is_empty(), "{events:?}");
     }
 
     #[test]
@@ -550,23 +496,28 @@ mod tests {
 
     #[test]
     fn events_round_trip_through_the_wire_form() {
-        let e = Event::new(Severity::Warn, "c07", "slow_decision")
-            .at(99)
-            .corr(41)
-            .detail("nodes_left", 7)
-            .wall(123);
-        let v = e.to_value(true);
-        let back = Event::from_value(&v);
-        assert_eq!(back.now, 99);
-        assert_eq!(back.corr, 41);
-        assert_eq!(back.severity, Severity::Warn);
-        assert_eq!(back.scope, "c07");
-        assert_eq!(back.detail, vec![("nodes_left".to_string(), 7)]);
-        assert_eq!(back.wall_ns, 123);
+        let buf = SharedBuf::default();
+        let mut j = EventJournal::new(TimeMode::Wall);
+        j.attach_sink(Box::new(buf.clone()));
+        j.emit(
+            Event::new(Severity::Warn, "c07", "slow_decision")
+                .at(99)
+                .corr(41)
+                .detail("nodes_left", 7)
+                .wall(123),
+        );
         // corr is omitted when zero so existing golden bytes never shift.
-        let quiet = Event::new(Severity::Info, "daemon", "start").to_value(false);
-        assert!(quiet.get("corr").is_none());
-        assert!(quiet.get("wall_ns").is_none());
+        j.emit(Event::new(Severity::Info, "daemon", "start"));
+        let text = String::from_utf8(buf.0.lock().expect("buf lock").clone()).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"min_severity":"info","mode":"wall","schema":"sbs-events/v1"}"#,
+                r#"{"corr":41,"detail":{"nodes_left":7},"kind":"slow_decision","now":99,"scope":"c07","seq":1,"sev":"warn","wall_ns":123}"#,
+                r#"{"kind":"start","now":0,"scope":"daemon","seq":2,"sev":"info"}"#,
+            ]
+        );
     }
 
     #[test]

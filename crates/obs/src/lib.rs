@@ -11,23 +11,23 @@
 //! Layers, bottom to top:
 //!
 //! - [`Histogram`]: fixed-bucket cumulative histogram over `u64` values.
-//! - [`RingBuffer`]: bounded in-memory window of recent decisions.
+//! - [`RingBuffer`]: bounded in-memory window (a cluster's incidents).
 //! - [`SpanStack`]: nested spans collapsing to flamegraph stacks whose
 //!   weights are deterministic node counts, not time.
 //! - [`DecisionTrace`] et al.: the schema-versioned (`sbs-trace/v1`)
 //!   per-decision record, JSONL-encodable.
 //! - [`Recorder`]: the zero-cost-when-disabled hook the scheduler core
 //!   calls once per decision; [`NullRecorder`] is the disabled impl.
-//! - [`TraceRecorder`]: the real sink — counters, histograms, ring
-//!   buffer, optional JSONL writer.
+//! - [`TraceRecorder`]: the real sink — counters, histograms, the last
+//!   decision, optional JSONL writer.
 //! - [`expo`]: Prometheus text exposition (render, parse, validate).
 //! - [`explore`]: offline aggregation of a JSONL log into tables and a
 //!   collapsed-stack file (`sbs trace`).
 //! - [`EventJournal`]: the severity-leveled `sbs-events/v1` operational
-//!   journal — bounded ring plus rotating JSONL sink, built from the
-//!   [`ObsConfig`] both serving edges embed.
-//! - [`status`]: the self-scrape [`StatusWindow`] behind `/statusz` —
-//!   one sample type, one rate computation, one quantile renderer.
+//!   journal — counters plus a rotating JSONL sink, built from the
+//!   [`ObsConfig`] a serving edge embeds.
+//! - [`status`]: the cumulative counters behind `/statusz` — one sample
+//!   type and one quantile renderer; readers work out rates themselves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +44,7 @@ pub mod status;
 
 pub use events::{
     Event, EventJournal, ObsConfig, Severity, DEFAULT_EVENT_LOG_MAX_BYTES, EVENT_SCHEMA,
+    MIN_SEVERITY,
 };
 pub use explore::TraceReport;
 pub use hist::Histogram;
@@ -51,7 +52,7 @@ pub use record::{BackfillTrace, DecisionTrace, PolicyTrace, SearchTrace, TraceMe
 pub use ring::RingBuffer;
 pub use sink::{TimeMode, TraceRecorder};
 pub use span::{render_collapsed, SpanStack};
-pub use status::{StatusSample, StatusWindow};
+pub use status::StatusSample;
 
 /// Per-decision telemetry hook.
 ///

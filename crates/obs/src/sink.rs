@@ -1,8 +1,7 @@
-//! The live recorder: counters, histograms, ring buffer, JSONL sink.
+//! The live recorder: counters, histograms, the last decision, JSONL sink.
 
 use crate::hist::Histogram;
 use crate::record::{DecisionTrace, TraceMeta};
-use crate::ring::RingBuffer;
 use crate::Recorder;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -17,19 +16,16 @@ pub enum TimeMode {
     Wall,
 }
 
-/// Default ring-buffer capacity (recent decisions kept in memory).
-pub const DEFAULT_RING_CAPACITY: usize = 256;
-
 /// The real [`Recorder`]: folds every decision into counters and
-/// fixed-bucket histograms, keeps a bounded ring of recent decisions,
-/// and optionally appends `sbs-trace/v1` JSONL lines to a sink.
+/// fixed-bucket histograms, keeps the last decision, and optionally
+/// appends `sbs-trace/v1` JSONL lines to a sink.
 pub struct TraceRecorder {
     mode: TimeMode,
     meta: TraceMeta,
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
     spans: BTreeMap<String, u64>,
-    ring: RingBuffer<DecisionTrace>,
+    last: Option<DecisionTrace>,
     sink: Option<Box<dyn Write + Send>>,
 }
 
@@ -57,7 +53,7 @@ impl TraceRecorder {
             counters: BTreeMap::new(),
             hists: BTreeMap::new(),
             spans: BTreeMap::new(),
-            ring: RingBuffer::new(DEFAULT_RING_CAPACITY),
+            last: None,
             sink: None,
         }
     }
@@ -100,9 +96,9 @@ impl TraceRecorder {
         self.spans.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// The bounded window of recent decisions.
-    pub fn ring(&self) -> &RingBuffer<DecisionTrace> {
-        &self.ring
+    /// The decision recorded last, `None` before the first.
+    pub fn last(&self) -> Option<&DecisionTrace> {
+        self.last.as_ref()
     }
 
     /// Flushes the sink, if any.
@@ -178,9 +174,6 @@ fn bounds_for(name: &str) -> Histogram {
         "sbs_search_best_iteration" => Histogram::new(&[0, 1, 2, 4, 8, 16, 32]),
         "sbs_decision_wall_nanos" => Histogram::exponential(1_000, 10, 7),
         "sbs_wait_seconds" => Histogram::new(&[60, 600, 3_600, 14_400, 43_200, 86_400, 259_200]),
-        "sbs_excess_wait_seconds" => {
-            Histogram::new(&[60, 600, 3_600, 14_400, 43_200, 86_400, 259_200])
-        }
         // node-count shaped families and anything unrecognized
         _ => Histogram::exponential(1, 10, 6),
     }
@@ -205,7 +198,7 @@ impl Recorder for TraceRecorder {
             )]
             let _ = writeln!(sink, "{line}");
         }
-        self.ring.push(decision.clone());
+        self.last = Some(decision.clone());
     }
 
     fn add(&mut self, name: &'static str, delta: u64) {
@@ -258,7 +251,7 @@ mod tests {
         assert_eq!(r.counter("sbs_search_deadline_truncations_total"), 2);
         assert_eq!(r.counter("sbs_search_deadline_nodes_left_total"), 84);
         assert_eq!(r.spans().collect::<Vec<_>>(), vec![("decide;search", 2000)]);
-        assert_eq!(r.ring().len(), 4);
+        assert_eq!(r.last().map(|d| d.seq), Some(4));
         // Virtual mode never touches the wall histogram.
         assert!(r.histograms().all(|(n, _)| n != "sbs_decision_wall_nanos"));
     }

@@ -10,8 +10,8 @@
 //! daemon-vs-batch parity suite).
 //!
 //! A cluster owns nothing of the *serving edge* — no event journal, no
-//! correlation source, no request-latency histogram, no status window
-//! (see [`crate::edge`]).  The fleet front end (`sbs-fleet`, which is
+//! correlation source, no request-latency histogram (see
+//! [`crate::edge`]).  The fleet front end (`sbs-fleet`, which is
 //! what `sbs serve` runs) stores bare clusters behind its one edge.
 //!
 //! ## Parity with the batch simulator
@@ -57,8 +57,6 @@ pub struct ServiceConfig {
     /// Per-decision wall-clock deadline for search policies (anytime
     /// search); ignored by heuristic policies.
     pub deadline: Option<Duration>,
-    /// Wait beyond this threshold counts as excessive in the metrics.
-    pub excess_threshold: Time,
     /// Where to write snapshots; `None` disables persistence.  When to
     /// write is the caller's call (the fleet's `snapshot_every`); see
     /// [`Cluster::unsnapshotted`].
@@ -78,7 +76,6 @@ impl ServiceConfig {
             spec,
             knowledge: RuntimeKnowledge::Actual,
             deadline: None,
-            excess_threshold: 0,
             snapshot_path: None,
             trace_log: None,
             obs: ObsConfig::default(),
@@ -185,8 +182,6 @@ pub struct Cluster {
     /// Incidents captured over the cluster's lifetime (ring evictions
     /// included).
     incidents_total: u64,
-    /// Highest recorder-ring `seq` already scanned for incidents.
-    incident_checked: u64,
 }
 
 impl Cluster {
@@ -289,7 +284,6 @@ impl Cluster {
             draining: false,
             incidents: RingBuffer::new(INCIDENT_RING_CAPACITY),
             incidents_total: 0,
-            incident_checked: 0,
         }
     }
 
@@ -309,11 +303,11 @@ impl Cluster {
         self.core.records()
     }
 
-    /// Folds freshly completed jobs into the metrics aggregates and
-    /// counts the decision toward the snapshot cadence.  It writes
-    /// nothing: the caller may hold a lock around the cluster.
+    /// Folds freshly completed jobs into the metrics aggregates, counts
+    /// the decision toward the snapshot cadence and checks it for an
+    /// incident.  It writes nothing: the caller may hold a lock around
+    /// the cluster.
     fn after_decision(&mut self) {
-        let threshold = self.cfg.excess_threshold;
         // `completed_seen` only ever trails `records().len()`, but an
         // out-of-range slice would abort the daemon; degrade to "no new
         // completions" instead.
@@ -323,19 +317,17 @@ impl Cluster {
             .get(self.completed_seen..)
             .unwrap_or(&[]);
         for r in fresh {
-            let (wait, excess) = (r.wait(), r.excess_wait(threshold));
-            self.completed.absorb(wait, excess);
-            sbs_obs::Recorder::observe(&mut self.recorder, "sbs_wait_seconds", wait);
-            sbs_obs::Recorder::observe(&mut self.recorder, "sbs_excess_wait_seconds", excess);
+            self.completed.absorb(r.wait());
+            sbs_obs::Recorder::observe(&mut self.recorder, "sbs_wait_seconds", r.wait());
         }
         self.completed_seen = self.core.records().len();
         self.unsnapshotted += 1;
-        self.capture_incidents();
+        self.capture_incident();
     }
 
-    /// Scans fresh recorder-ring entries against the slow-decision
-    /// thresholds and snapshots offenders into the incident ring.
-    fn capture_incidents(&mut self) {
+    /// Checks the decision just recorded against the slow-decision
+    /// thresholds and keeps it in the incident ring when it trips one.
+    fn capture_incident(&mut self) {
         let wall_limit = self
             .cfg
             .obs
@@ -345,36 +337,27 @@ impl Cluster {
         if wall_limit.is_none() && nodes_limit.is_none() {
             return;
         }
-        let already = self.incident_checked;
-        let mut checked = already;
-        let mut fresh: Vec<Incident> = Vec::new();
-        for d in self.recorder.ring().iter() {
-            if d.seq <= already {
-                continue;
-            }
-            checked = checked.max(d.seq);
-            let nodes_left = d
-                .policy
-                .as_ref()
-                .and_then(|p| p.search.as_ref())
-                .map(|s| s.nodes_left_at_deadline)
-                .unwrap_or(0);
-            let mut reasons = Vec::new();
-            if let Some(limit) = wall_limit.filter(|&l| d.wall_ns >= l) {
-                reasons.push(format!("wall_ns {} >= {limit}", d.wall_ns));
-            }
-            if let Some(limit) = nodes_limit.filter(|&l| nodes_left >= l) {
-                reasons.push(format!("nodes_left {nodes_left} >= {limit}"));
-            }
-            if !reasons.is_empty() {
-                fresh.push(Incident {
-                    reason: reasons.join("; "),
-                    decision: d.clone(),
-                });
-            }
+        let Some(d) = self.recorder.last() else {
+            return;
+        };
+        let nodes_left = d
+            .policy
+            .as_ref()
+            .and_then(|p| p.search.as_ref())
+            .map(|s| s.nodes_left_at_deadline)
+            .unwrap_or(0);
+        let mut reasons = Vec::new();
+        if let Some(limit) = wall_limit.filter(|&l| d.wall_ns >= l) {
+            reasons.push(format!("wall_ns {} >= {limit}", d.wall_ns));
         }
-        self.incident_checked = checked;
-        for incident in fresh {
+        if let Some(limit) = nodes_limit.filter(|&l| nodes_left >= l) {
+            reasons.push(format!("nodes_left {nodes_left} >= {limit}"));
+        }
+        if !reasons.is_empty() {
+            let incident = Incident {
+                reason: reasons.join("; "),
+                decision: d.clone(),
+            };
             self.incidents_total += 1;
             self.incidents.push(incident);
         }
@@ -384,13 +367,11 @@ impl Cluster {
     /// refuses nothing it counts: `rejected` is the fleet's to fill.)
     pub fn status_sample(&self) -> StatusSample {
         StatusSample {
-            at: self.core.now(),
             submitted: u64::from(self.next_id),
             rejected: 0,
             decisions: self.base_decisions + self.core.decisions(),
             queue_depth: self.core.queue().len() as u64,
             search_nodes: self.policy.search_nodes(),
-            completed: self.completed.count,
             deadline_truncations: self.policy.deadline_truncations(),
         }
     }

@@ -1,21 +1,21 @@
 //! The serving edge: what sits between the wire and the cluster(s).
 //!
 //! An [`Edge`] is the operator surface of one server — the
-//! `sbs-events/v1` journal, the request-latency histogram and the
-//! `/statusz` self-scrape window — plus the one request-kind → severity
-//! table and the one request-journaling function.  The fleet front end
+//! `sbs-events/v1` journal and the request-latency histogram — plus the
+//! one request-kind → severity table and the one request-journaling
+//! function.  The fleet front end
 //! (`sbs-fleet`) holds one, behind a leaf mutex, in front of all its
 //! tenants.  Request correlation ids come from a
 //! [`crate::CorrelationSource`] the fleet keeps beside its edge, so
 //! minting never takes the edge's lock.
 
 use crate::protocol::Request;
-use sbs_obs::status::{quantiles_value, Rates};
-use sbs_obs::{Event, EventJournal, Histogram, ObsConfig, Severity, StatusSample, StatusWindow};
+use sbs_obs::status::quantiles_value;
+use sbs_obs::{Event, EventJournal, Histogram, ObsConfig, Severity};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
 
-/// Journal, latency histogram and status window of one server.
+/// Journal and latency histogram of one server.
 #[derive(Debug)]
 pub struct Edge {
     /// The `sbs-events/v1` operational journal.
@@ -23,17 +23,14 @@ pub struct Edge {
     /// Wall nanoseconds per submit-shaped request, measured at the
     /// protocol edge.
     submit_wall: Histogram,
-    /// Self-scrape samples at status-window boundaries.
-    pub window: StatusWindow,
 }
 
 impl Edge {
-    /// An edge for a server whose scheduler time starts at `now`.
-    pub fn new(cfg: &ObsConfig, now: Time) -> Self {
+    /// An edge whose journal `cfg` configures.
+    pub fn new(cfg: &ObsConfig) -> Self {
         Edge {
             journal: cfg.build_journal(),
             submit_wall: Histogram::exponential(1_000, 10, 7),
-            window: StatusWindow::starting_at(now),
         }
     }
 
@@ -78,20 +75,13 @@ impl Edge {
         self.journal.emit(event);
     }
 
-    /// Writes the edge's share of a `/statusz` document into `doc` —
-    /// windowed rates up to the `live` counters, submit latency, journal
-    /// counters and the sample ring — and returns the rates.
-    pub fn status_into(&self, live: &StatusSample, doc: &mut Value) -> Rates {
-        let rates = self.window.rates(live);
+    /// Writes the edge's share of a `/statusz` document into `doc`:
+    /// submit latency and the journal's counters.
+    pub fn status_into(&self, doc: &mut Value) {
         if let Value::Object(m) = doc {
-            m.insert("deadline_hit_rate".into(), rates.deadline_hit_rate.into());
-            m.insert(
-                "search_nodes_per_sec".into(),
-                rates.search_nodes_per_sec.into(),
-            );
             m.insert(
                 "submit_latency_ns".into(),
-                quantiles_value(Some(&self.submit_wall), true),
+                quantiles_value(Some(&self.submit_wall)),
             );
             m.insert(
                 "events".into(),
@@ -100,9 +90,7 @@ impl Edge {
                     "filtered": self.journal.filtered(),
                 }),
             );
-            m.insert("windows".into(), self.window.to_value());
         }
-        rates
     }
 }
 

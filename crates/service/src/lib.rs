@@ -33,8 +33,7 @@
 //!   `SchedulerCore`, including the batch-parity event replay, snapshots
 //!   and the slow-decision incident ring;
 //! * [`edge`] — [`Edge`]: the operator surface of one server (event
-//!   journal, request-latency histogram, `/statusz` window, request
-//!   journaling);
+//!   journal, request-latency histogram, request journaling);
 //! * [`clock`] — wall and virtual time sources;
 //! * [`snapshot`] — crash-safe JSON state snapshots and recovery;
 //! * [`metrics`] — Prometheus exposition text;

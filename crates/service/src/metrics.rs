@@ -94,16 +94,6 @@ impl MetricsView {
             "Maximum wait of completed jobs",
             c.max_wait,
         );
-        e.gauge(
-            "sbs_excess_wait_seconds_mean",
-            "Mean excessive wait of completed jobs",
-            format!("{:.3}", self.mean(c.total_excess)),
-        );
-        e.gauge(
-            "sbs_excess_wait_seconds_max",
-            "Maximum excessive wait of completed jobs",
-            c.max_excess,
-        );
         e
     }
 
@@ -159,7 +149,6 @@ fn help_for(name: &str) -> &'static str {
         "sbs_search_nodes_to_best" => "Nodes expanded when the final incumbent was found",
         "sbs_search_best_iteration" => "Discrepancy iteration of the final incumbent",
         "sbs_wait_seconds" => "Wait of completed jobs",
-        "sbs_excess_wait_seconds" => "Excessive wait of completed jobs",
         _ => "Search telemetry",
     }
 }
@@ -172,8 +161,8 @@ mod tests {
 
     fn view() -> MetricsView {
         let mut completed = CompletedStats::default();
-        completed.absorb(100, 0);
-        completed.absorb(300, 40);
+        completed.absorb(100);
+        completed.absorb(300);
         MetricsView {
             now: 5_000,
             queue_depth: 3,
@@ -201,12 +190,10 @@ mod tests {
             "sbs_completed_jobs_total 2\n",
             "sbs_wait_seconds_mean 200.000\n",
             "sbs_wait_seconds_max 300\n",
-            "sbs_excess_wait_seconds_mean 20.000\n",
-            "sbs_excess_wait_seconds_max 40\n",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-        assert_eq!(text.matches("# TYPE").count(), 13);
+        assert_eq!(text.matches("# TYPE").count(), 11);
         // The monotone totals are true counters now, not gauges.
         for counter in [
             "sbs_decisions_total",

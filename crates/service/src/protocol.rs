@@ -9,8 +9,8 @@
 //! {"op":"queue"}                                        -> {"ok":true,"now":...,"queue":[...],"running":[...]}
 //! {"op":"metrics"}                                      -> {"ok":true,"text":"..."}
 //! {"op":"drain"}                                        -> {"ok":true,"completed":N}
-//! {"op":"snapshot"}                                     -> {"ok":true,"path":"..."}
-//! {"op":"shutdown"}                                     -> {"ok":true}
+//! {"op":"snapshot"}                                     -> {"ok":true,"path":"<snapshot dir>"}
+//! {"op":"shutdown"}                                     -> {"ok":true}, plus "path" as above when snapshots are on
 //! ```
 //!
 //! `submit` accepts optional `requested` (seconds, defaults to

@@ -32,20 +32,14 @@ pub struct CompletedStats {
     pub total_wait: u64,
     /// Largest single wait.
     pub max_wait: Time,
-    /// Summed excessive-wait seconds (wait beyond the daemon's target).
-    pub total_excess: u64,
-    /// Largest single excessive wait.
-    pub max_excess: Time,
 }
 
 impl CompletedStats {
     /// Folds one completed job in.
-    pub fn absorb(&mut self, wait: Time, excess: Time) {
+    pub fn absorb(&mut self, wait: Time) {
         self.count += 1;
         self.total_wait = self.total_wait.saturating_add(wait);
         self.max_wait = self.max_wait.max(wait);
-        self.total_excess = self.total_excess.saturating_add(excess);
-        self.max_excess = self.max_excess.max(excess);
     }
 }
 
@@ -129,8 +123,8 @@ fn job_from_value(v: &Value) -> Result<Job, String> {
 /// it, rename it over `path`, then sync the directory so the rename
 /// itself survives a power failure.  Each call has a temp name of its
 /// own (pid plus a counter), so concurrent writers of one path never
-/// share a temp file: the last rename wins whole.  Snapshots and the
-/// fleet manifest are both written through here.  Debug builds panic
+/// share a temp file: the last rename wins whole.  Every snapshot is
+/// written through here.  Debug builds panic
 /// when the caller holds a shard lock (see [`crate::witness`]).
 #[cfg_attr(debug_assertions, track_caller)]
 #[expect(
@@ -205,14 +199,14 @@ impl Snapshot {
                 "count": self.completed.count,
                 "total_wait": self.completed.total_wait,
                 "max_wait": self.completed.max_wait,
-                "total_excess": self.completed.total_excess,
-                "max_excess": self.completed.max_excess,
             }),
             "decisions": self.decisions,
         })
     }
 
-    /// Reconstructs a snapshot from its JSON form.
+    /// Reconstructs a snapshot from its JSON form.  Keys it does not
+    /// read are ignored, so the `completed.{total_excess,max_excess}`
+    /// of older snapshots still load.
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let version = field(v, "version")?;
         if version != SNAPSHOT_VERSION {
@@ -258,8 +252,6 @@ impl Snapshot {
                 count: field(c, "count")?,
                 total_wait: field(c, "total_wait")?,
                 max_wait: field(c, "max_wait")?,
-                total_excess: field(c, "total_excess")?,
-                max_excess: field(c, "max_excess")?,
             },
             decisions: field(v, "decisions")?,
         })
@@ -296,8 +288,8 @@ mod tests {
     fn sample() -> Snapshot {
         let job = |id: u32, submit: Time| Job::new(JobId(id), submit, 2, 600, 900).with_user(3);
         let mut completed = CompletedStats::default();
-        completed.absorb(100, 0);
-        completed.absorb(500, 200);
+        completed.absorb(100);
+        completed.absorb(500);
         Snapshot {
             now: 5_000,
             capacity: 128,
@@ -320,8 +312,16 @@ mod tests {
     #[test]
     fn value_round_trip_is_lossless() {
         let s = sample();
-        let back = Snapshot::from_value(&s.to_value()).expect("round trip");
+        let mut v = s.to_value();
+        let back = Snapshot::from_value(&v).expect("round trip");
         assert_eq!(back, s);
+        // A snapshot that still carries the retired excess keys loads.
+        if let Value::Object(m) = &mut v {
+            let older = json!({"count": 2, "total_wait": 600, "max_wait": 500,
+                               "total_excess": 200, "max_excess": 200});
+            m.insert("completed".into(), older);
+        }
+        assert_eq!(Snapshot::from_value(&v).expect("older snapshot"), s);
     }
 
     #[test]

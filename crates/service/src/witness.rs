@@ -34,8 +34,7 @@ pub enum Class {
     Handler,
     /// One of the fleet's shard locks.
     Shard,
-    /// The fleet's edge lock (journal, latency histogram, status
-    /// window): a leaf.
+    /// The fleet's edge lock (journal, latency histogram): a leaf.
     Edge,
 }
 

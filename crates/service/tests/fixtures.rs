@@ -101,7 +101,7 @@ fn lock_across_blocking_fires() {
 #[test]
 fn lock_across_blocking_suppressed() {
     // The named exceptions: the edge covers journal appends and the
-    // handler the manifest rewrite.  Buffered trace appends under a
+    // handler the `snapshot` and `shutdown` writes.  Buffered trace appends under a
     // shard are not asserted.
     let (s, handler) = (s(), Mutex::new(()));
     let path = scratch("exceptions.json");

@@ -75,10 +75,8 @@ fn deterministic_sample() -> (MetricsView, TraceRecorder) {
     let result = simulate_traced(&workload, policy, SimConfig::default(), &mut recorder);
     let mut completed = CompletedStats::default();
     for r in &result.records {
-        let (wait, excess) = (r.wait(), r.excess_wait(0));
-        completed.absorb(wait, excess);
-        recorder.observe("sbs_wait_seconds", wait);
-        recorder.observe("sbs_excess_wait_seconds", excess);
+        completed.absorb(r.wait());
+        recorder.observe("sbs_wait_seconds", r.wait());
     }
     let view = MetricsView {
         now: result.window.1,

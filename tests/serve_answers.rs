@@ -8,14 +8,13 @@
 //! plus `/healthz`, `/statusz?incidents=1` and `/metrics` is recorded
 //! into `tests/golden/serve_answers.txt`.  Only
 //! wall-derived values are masked (`wall_ns`, also where an incident's
-//! `reason` quotes it, the `decision_wall_ns` quantiles, `sbs_*_nanos*`
-//! and `sbs_policy_seconds_total` samples); submit latencies are fed as
-//! fixed numbers, so they are pinned too.
+//! `reason` quotes it, `sbs_*_nanos*` and `sbs_policy_seconds_total`
+//! samples); submit latencies are fed as fixed numbers, so they are
+//! pinned too.
 //!
 //! Each `incidents` read follows a `queue` on the same tenant at the
-//! same `at`, and each multi-decision step ends before the next 60 s
-//! status-window boundary, so the answers do not depend on *when*
-//! within a request departures replay or samples are taken.
+//! same `at`, so the answers do not depend on *when* within a request
+//! departures replay.
 //!
 //! To regenerate after an *intentional* protocol change:
 //!
@@ -144,14 +143,6 @@ fn mask_json(v: &mut Value) {
                     // An incident's trigger text quotes the measured time.
                     let limit = rest.split_once(' ').map_or("", |(_, tail)| tail);
                     *child = Value::from(format!("wall_ns <wall> {limit}"));
-                } else if key.ends_with("_wall_ns") {
-                    if let Value::Object(q) = child {
-                        for p in ["p50", "p99", "p999"] {
-                            if let Some(slot) = q.get_mut(p) {
-                                *slot = Value::from("<wall>");
-                            }
-                        }
-                    }
                 } else {
                     mask_json(child);
                 }
