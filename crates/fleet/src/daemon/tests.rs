@@ -88,7 +88,7 @@ fn drain_completes_everything() {
     let (completed, leftover) = d.drain();
     assert_eq!(completed, 5);
     assert_eq!(leftover, 0);
-    assert_eq!(d.metrics().completed.count, 5);
+    assert_eq!(d.tally().completed.count, 5);
 }
 
 #[test]
@@ -200,7 +200,7 @@ fn search_policies_report_expanded_nodes() {
     d.submit_at(0, 8, HOUR, None, 0).expect("submit");
     d.submit_at(1, 4, HOUR, None, 1).expect("submit");
     d.submit_at(2, 4, 2 * HOUR, None, 2).expect("submit");
-    assert!(d.metrics().search_nodes > 0);
+    assert!(d.tally().search_nodes > 0);
     let (completed, leftover) = d.drain();
     assert_eq!((completed, leftover), (3, 0));
 }

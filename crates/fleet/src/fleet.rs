@@ -51,10 +51,11 @@
 use crate::quota::{FleetDemand, TenantQuota};
 use sbs_core::PolicySpec;
 use sbs_metrics::fairness::jain_index;
-use sbs_obs::expo::Exposition;
-use sbs_obs::{Histogram, ObsConfig, StatusSample};
+use sbs_obs::expo::{Exposition, Sample};
+use sbs_obs::{Histogram, ObsConfig};
 use sbs_service::cluster::{drain_response, incidents_response};
 use sbs_service::edge::op_event;
+use sbs_service::metrics::{Family, Read, FAMILIES};
 use sbs_service::protocol::{error_response, parse_routed, CorrelationSource, Request, SubmitSpec};
 use sbs_service::server::{HttpReply, ServerHandler};
 use sbs_service::witness::{self, Class, Guard};
@@ -165,8 +166,6 @@ struct Tenant {
     quota: TenantQuota,
     /// Pending node-seconds as last published into the fleet total.
     pending: u64,
-    submitted: u64,
-    rejected: u64,
 }
 
 impl Tenant {
@@ -175,8 +174,6 @@ impl Tenant {
             cluster,
             quota,
             pending: 0,
-            submitted: 0,
-            rejected: 0,
         }
     }
 }
@@ -193,50 +190,63 @@ fn lock_shard(shard: &Mutex<Shard>) -> Guard<'_, Shard> {
     witness::lock(shard, Class::Shard)
 }
 
-/// One cluster's numbers — or, absorbed together, several clusters' —
-/// for the metrics exposition and the `/statusz` aggregate.
-#[derive(Default)]
-struct ClusterStat {
-    /// The cluster's counters, with the fleet's admission counts.
-    sample: StatusSample,
-    running: u64,
-    free_nodes: u64,
-    incidents: u64,
-    decision_nanos: Option<Histogram>,
+/// One tenant's value of one [`FAMILIES`] row a fleet view reads — or,
+/// absorbed together, several tenants'.
+#[derive(Clone)]
+enum Cell {
+    Int(u64),
+    Hist(Histogram),
 }
 
-impl ClusterStat {
-    /// Adds `other` in: counters sum, decision-time histograms merge.
-    fn absorb(&mut self, other: &ClusterStat) {
-        self.sample.absorb(&other.sample);
-        self.running += other.running;
-        self.free_nodes += other.free_nodes;
-        self.incidents += other.incidents;
-        if let Some(h) = &other.decision_nanos {
-            match &mut self.decision_nanos {
-                // Every cluster records with the same bounds, so the
-                // merge cannot be refused (it would skip, not mis-bin).
-                Some(merged) => {
-                    merged.merge_from(h);
-                }
-                None => self.decision_nanos = Some(h.clone()),
-            }
+impl Cell {
+    /// The value of `f` for one tenant.
+    fn read(f: &Family, c: &Cluster) -> Cell {
+        match f.read {
+            Read::Histogram(r) => Cell::Hist(r(c.tally()).clone()),
+            read => Cell::Int(read.int(c.tally(), c.core())),
         }
     }
 
-    /// One `per_cluster` row of the `/statusz` document.
-    fn row(&self, id: &str) -> Value {
-        json!({
-            "cluster": id,
-            "queue_depth": self.sample.queue_depth,
-            "running": self.running,
-            "free_nodes": self.free_nodes,
-            "submitted": self.sample.submitted,
-            "rejected": self.sample.rejected,
-            "decisions": self.sample.decisions,
-            "incidents": self.incidents,
-        })
+    /// The integer, 0 for a histogram (fleet totals carry counters only).
+    fn int(&self) -> u64 {
+        match self {
+            Cell::Int(v) => *v,
+            Cell::Hist(_) => 0,
+        }
     }
+
+    /// Adds `other` in: integers sum, histograms merge.
+    fn absorb(&mut self, other: &Cell) {
+        match (self, other) {
+            (Cell::Int(a), Cell::Int(b)) => *a += b,
+            // Every tenant's tally has the same bounds, so the merge
+            // cannot be refused (it would skip, not mis-bin).
+            (Cell::Hist(a), Cell::Hist(b)) => {
+                a.merge_from(b);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Each tenant's admitted-job count and its [`Cell`]s, in row order,
+/// keyed by cluster id.
+type Stats = BTreeMap<String, (u64, Vec<Cell>)>;
+
+/// The rows of [`FAMILIES`] a fleet view reads, in table order.
+fn fleet_rows(reads: impl Fn(&Family) -> bool) -> Vec<&'static Family> {
+    FAMILIES.iter().filter(|f| reads(f)).collect()
+}
+
+/// Sums every tenant's integer cells, row by row.
+fn totals(stats: &Stats, rows: usize) -> Vec<u64> {
+    let mut sums = vec![0u64; rows];
+    for (_, cells) in stats.values() {
+        for (sum, cell) in sums.iter_mut().zip(cells) {
+            *sum += cell.int();
+        }
+    }
+    sums
 }
 
 /// The multi-tenant fleet daemon.
@@ -499,19 +509,12 @@ impl Fleet {
         let answer = |out: Result<Value, String>| out.unwrap_or_else(|e| error_response(&e));
         match req {
             // Tenant-scoped ops are the cluster's own bodies; the fleet
-            // adds quota admission and its per-tenant counters.
+            // adds quota admission.
             req @ (Request::Submit { .. } | Request::SubmitBatch { .. }) => {
-                let offered = match &req {
-                    Request::SubmitBatch { jobs } => jobs.len() as u64,
-                    _ => 1,
-                };
                 let out = self.with_tenant(id, true, corr, |fleet, t| {
-                    let (v, admitted) = t
-                        .cluster
-                        .handle_admitted(req, at, |c, spec| fleet.admit(&t.quota, c, spec));
-                    t.submitted += admitted;
-                    t.rejected += offered - admitted;
-                    v
+                    t.cluster
+                        .handle_admitted(req, at, |c, spec| fleet.admit(&t.quota, c, spec))
+                        .0
                 });
                 (answer(out), false)
             }
@@ -611,7 +614,7 @@ impl Fleet {
                 let mut tagged = t.cluster.incidents_value();
                 tagged.iter_mut().for_each(|i| tag(i, id));
                 items.extend(tagged);
-                captured += t.cluster.incidents_total();
+                captured += t.cluster.tally().incidents;
             }
         }
         (items, captured)
@@ -661,10 +664,19 @@ impl Fleet {
     /// counters, per-cluster rows under the metrics cardinality cap,
     /// and (with `include_incidents`) every tenant's captured incidents.
     pub fn statusz_value(&self, include_incidents: bool) -> Value {
-        let (stats, total) = self.collect_stats();
-        let live = total.sample;
-        let mut rows = Vec::new();
-        self.for_each_label(&stats, |id, st| rows.push(st.row(id)));
+        let rows = fleet_rows(|f| f.total_key.is_some() || f.row_key.is_some());
+        let stats = self.collect_stats(&rows);
+        let mut per_cluster = Vec::new();
+        self.for_each_label(&stats, |id, cells| {
+            let mut row = serde_json::Map::new();
+            row.insert("cluster".into(), Value::from(id));
+            for (f, cell) in rows.iter().zip(cells) {
+                if let Some(key) = f.row_key {
+                    row.insert(key.into(), Value::from(cell.int()));
+                }
+            }
+            per_cluster.push(Value::Object(row));
+        });
         let mut v = json!({
             "schema": "sbs-fleet-statusz/v1",
             "now": Fleet::now(self),
@@ -672,16 +684,15 @@ impl Fleet {
             "capacity": self.cfg.capacity,
             "shards": self.shards.len() as u64,
             "clusters": stats.len() as u64,
-            "queue_depth": live.queue_depth,
-            "running": total.running,
-            "submitted": live.submitted,
-            "rejected": live.rejected,
-            "decisions": live.decisions,
-            "search_nodes": live.search_nodes,
-            "deadline_truncations": live.deadline_truncations,
-            "incidents_captured": total.incidents,
-            "per_cluster": Value::Array(rows),
+            "per_cluster": Value::Array(per_cluster),
         });
+        if let Value::Object(m) = &mut v {
+            for (f, total) in rows.iter().zip(totals(&stats, rows.len())) {
+                if let Some(key) = f.total_key {
+                    m.insert(key.into(), Value::from(total));
+                }
+            }
+        }
         self.edge().status_into(&mut v);
         if let (true, Value::Object(m)) = (include_incidents, &mut v) {
             m.insert("incidents".into(), Value::Array(self.all_incidents().0));
@@ -689,48 +700,34 @@ impl Fleet {
         v
     }
 
-    /// One pass over every shard: per-cluster numbers keyed by id, and
-    /// their fleet-wide total (shared by `/metrics` and `/statusz`).
-    fn collect_stats(&self) -> (BTreeMap<String, ClusterStat>, ClusterStat) {
-        let mut stats: BTreeMap<String, ClusterStat> = BTreeMap::new();
-        let mut total = ClusterStat::default();
+    /// One pass over every shard: each tenant's admitted-job count and
+    /// its values of `rows`, keyed by id (shared by `/metrics` and
+    /// `/statusz`).
+    fn collect_stats(&self, rows: &[&Family]) -> Stats {
+        let mut stats = Stats::new();
         for shard in &self.shards {
             let s = lock_shard(shard);
             for (id, t) in &s.tenants {
-                let m = t.cluster.metrics();
-                let stat = ClusterStat {
-                    sample: StatusSample {
-                        submitted: t.submitted,
-                        rejected: t.rejected,
-                        ..t.cluster.status_sample()
-                    },
-                    running: m.running_jobs as u64,
-                    free_nodes: u64::from(m.free_nodes),
-                    incidents: t.cluster.incidents_total(),
-                    decision_nanos: t.cluster.decision_wall().cloned(),
-                };
-                total.absorb(&stat);
-                stats.insert(id.clone(), stat);
+                let cells = rows.iter().map(|f| Cell::read(f, &t.cluster)).collect();
+                stats.insert(id.clone(), (t.cluster.tally().submitted, cells));
             }
         }
-        (stats, total)
+        stats
     }
 
-    /// Visits per-cluster numbers under the label cap: the first
+    /// Visits per-cluster cells under the label cap: the first
     /// `cluster_label_cap` ids (lexicographic, hence deterministic) as
     /// themselves, everything past the cap folded into one `_other`.
-    fn for_each_label(
-        &self,
-        stats: &BTreeMap<String, ClusterStat>,
-        mut visit: impl FnMut(&str, &ClusterStat),
-    ) {
+    fn for_each_label(&self, stats: &Stats, mut visit: impl FnMut(&str, &[Cell])) {
         let cap = self.cfg.cluster_label_cap.max(1);
-        let mut other: Option<ClusterStat> = None;
-        for (i, (id, st)) in stats.iter().enumerate() {
+        let mut other: Option<Vec<Cell>> = None;
+        for (i, (id, (_, cells))) in stats.iter().enumerate() {
             if i < cap {
-                visit(id, st);
+                visit(id, cells);
+            } else if let Some(folded) = &mut other {
+                folded.iter_mut().zip(cells).for_each(|(f, c)| f.absorb(c));
             } else {
-                other.get_or_insert_with(ClusterStat::default).absorb(st);
+                other = Some(cells.clone());
             }
         }
         if let Some(folded) = other {
@@ -741,51 +738,54 @@ impl Fleet {
     /// The fleet `/metrics` exposition: fleet-wide families plus
     /// per-cluster series under the cardinality cap.
     pub fn metrics_text(&self) -> String {
-        let (stats, total) = self.collect_stats();
+        let rows = fleet_rows(|f| f.cluster.is_some() || f.fleet.is_some());
+        let stats = self.collect_stats(&rows);
         let mut e = Exposition::new();
-        e.gauge(
+        e.push(
             "sbs_fleet_shards",
             "Shard locks the tenant map is spread over.",
-            self.shards.len(),
+            Vec::new(),
+            Sample::Gauge(self.shards.len().to_string()),
         );
-        e.gauge("sbs_fleet_clusters", "Live tenants.", stats.len());
-        e.counter(
-            "sbs_fleet_submitted_total",
-            "Jobs admitted across all tenants.",
-            total.sample.submitted,
+        e.push(
+            "sbs_fleet_clusters",
+            "Live tenants.",
+            Vec::new(),
+            Sample::Gauge(stats.len().to_string()),
         );
-        e.counter(
-            "sbs_fleet_rejected_total",
-            "Submissions refused by quota, fairshare, or the daemon.",
-            total.sample.rejected,
-        );
-        e.counter(
-            "sbs_fleet_decisions_total",
-            "Decision points executed across all tenants.",
-            total.sample.decisions,
-        );
-        e.gauge(
-            "sbs_fleet_queue_depth",
-            "Waiting jobs summed over all tenants.",
-            total.sample.queue_depth,
-        );
-        e.gauge(
-            "sbs_fleet_running_jobs",
-            "Running jobs summed over all tenants.",
-            total.running,
-        );
-        e.gauge(
+        for (f, total) in rows.iter().zip(totals(&stats, rows.len())) {
+            if let Some((name, help)) = f.fleet {
+                e.push(name, help, Vec::new(), f.read.with(total));
+            }
+        }
+        e.push(
             "sbs_fleet_pending_node_seconds",
             "Pending node-seconds summed over all tenants (fairshare input).",
-            self.total_pending.load(Ordering::Acquire),
+            Vec::new(),
+            Sample::Gauge(self.total_pending.load(Ordering::Acquire).to_string()),
         );
-        let shares: Vec<f64> = stats.values().map(|s| s.sample.submitted as f64).collect();
-        e.gauge(
+        let shares: Vec<f64> = stats.values().map(|(s, _)| *s as f64).collect();
+        e.push(
             "sbs_fleet_fairness_jain",
             "Jain index over per-tenant admitted-job counts (1 = even).",
-            format!("{:.6}", jain_index(&shares)),
+            Vec::new(),
+            Sample::Gauge(format!("{:.6}", jain_index(&shares))),
         );
-        self.for_each_label(&stats, |id, st| emit_cluster(&mut e, id, st));
+        self.for_each_label(&stats, |id, cells| {
+            for (f, cell) in rows.iter().zip(cells) {
+                let Some((name, help)) = f.cluster else {
+                    continue;
+                };
+                let sample = match cell {
+                    Cell::Int(v) => f.read.with(*v),
+                    // A tenant's histogram series appears with its
+                    // first observation.
+                    Cell::Hist(h) if h.count() > 0 => Sample::Histogram(h),
+                    Cell::Hist(_) => continue,
+                };
+                e.push(name, help, vec![("cluster".into(), id.into())], sample);
+            }
+        });
         e.render()
     }
 
@@ -854,49 +854,6 @@ fn tag_incidents(mut answer: Value, id: &str) -> Value {
         }
     }
     answer
-}
-
-/// Appends one cluster's labeled series to the exposition.
-fn emit_cluster(e: &mut Exposition, id: &str, st: &ClusterStat) {
-    let labels = |_: &str| vec![("cluster".to_string(), id.to_string())];
-    e.counter_with(
-        "sbs_cluster_submitted_total",
-        "Jobs admitted, per tenant (capped cardinality; overflow in _other).",
-        labels("c"),
-        st.sample.submitted,
-    );
-    e.counter_with(
-        "sbs_cluster_rejected_total",
-        "Submissions refused, per tenant.",
-        labels("c"),
-        st.sample.rejected,
-    );
-    e.counter_with(
-        "sbs_cluster_decisions_total",
-        "Decision points executed, per tenant.",
-        labels("c"),
-        st.sample.decisions,
-    );
-    e.gauge_with(
-        "sbs_cluster_queue_depth",
-        "Waiting jobs, per tenant.",
-        labels("c"),
-        st.sample.queue_depth,
-    );
-    e.gauge_with(
-        "sbs_cluster_running_jobs",
-        "Running jobs, per tenant.",
-        labels("c"),
-        st.running,
-    );
-    if let Some(h) = &st.decision_nanos {
-        e.histogram_with(
-            "sbs_cluster_decision_wall_nanos",
-            "Per-decision wall time, per tenant.",
-            labels("c"),
-            h,
-        );
-    }
 }
 
 /// The tenant ids with a `cluster-<id>.json` snapshot in `dir`, sorted;
@@ -1339,6 +1296,53 @@ mod tests {
         assert!(v.get("incidents").is_none(), "incidents only on request");
         let v = f.statusz_value(true);
         assert!(v.get("incidents").is_some());
+    }
+
+    #[test]
+    fn a_fleet_sample_is_the_sum_of_its_tenants() {
+        let f = fleet();
+        for (id, nodes, at) in [
+            ("a", 8, 0),
+            ("a", 4, 1),
+            ("b", 2, 1),
+            ("c", 8, 2),
+            ("c", 1, 3),
+        ] {
+            admitted(&f, id, nodes, at);
+        }
+        let (v, _) = f.handle_routed(Some("b"), submit(9, 4), 4);
+        assert_eq!(v["ok"], false, "9 nodes never fit on 8");
+        let v = f.statusz_value(false);
+        let rows = v["per_cluster"].as_array().expect("per-cluster rows");
+        assert_eq!(rows.len(), 3);
+        for key in [
+            "queue_depth",
+            "running",
+            "submitted",
+            "rejected",
+            "decisions",
+        ] {
+            let sum: u64 = rows.iter().filter_map(|r| r[key].as_u64()).sum();
+            assert_eq!(v[key].as_u64(), Some(sum), "{key}: {v}");
+        }
+        assert_eq!(v["rejected"].as_u64(), Some(1));
+        let text = f.metrics_text();
+        for (fleet, cluster) in [
+            ("sbs_fleet_submitted_total ", "sbs_cluster_submitted_total{"),
+            ("sbs_fleet_rejected_total ", "sbs_cluster_rejected_total{"),
+            ("sbs_fleet_decisions_total ", "sbs_cluster_decisions_total{"),
+            ("sbs_fleet_queue_depth ", "sbs_cluster_queue_depth{"),
+            ("sbs_fleet_running_jobs ", "sbs_cluster_running_jobs{"),
+        ] {
+            let value = |l: &str| l.rsplit(' ').next().and_then(|n| n.parse::<u64>().ok());
+            let total = text.lines().find(|l| l.starts_with(fleet)).and_then(value);
+            let sum: u64 = text
+                .lines()
+                .filter(|l| l.starts_with(cluster))
+                .filter_map(value)
+                .sum();
+            assert_eq!(total, Some(sum), "{fleet}: {text}");
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! the event journal is the always-on operational log: severity-leveled,
 //! counted, rotating (on-disk JSONL), and cheap enough to leave attached
 //! in production.  Routine traffic emits at [`Severity::Debug`], below
-//! the fixed [`MIN_SEVERITY`] floor, and is filtered before any
-//! formatting happens, so
+//! the fixed [`MIN_SEVERITY`] floor, and is filtered before the event
+//! is even built ([`EventJournal::admits`]), so
 //! an "enabled but quiet" journal costs one branch per event site — the
 //! same contract the [`crate::Recorder`] gives the decision hot path.
 //!
@@ -271,11 +271,6 @@ impl EventJournal {
         j
     }
 
-    /// Whether the journal accepts events at all.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Attaches a JSONL sink and writes the schema meta line.
     pub fn attach_sink(&mut self, sink: Box<dyn Write + Send>) {
         self.sink = Some(sink);
@@ -312,12 +307,22 @@ impl EventJournal {
         }
     }
 
+    /// Whether an event at `severity` would be journaled; one below the
+    /// floor is counted as filtered here, so a caller that builds its
+    /// event only on `true` formats nothing it drops.
+    pub fn admits(&mut self, severity: Severity) -> bool {
+        if !self.enabled || severity < MIN_SEVERITY {
+            self.filtered += u64::from(self.enabled);
+            return false;
+        }
+        true
+    }
+
     /// Emits one event: filters by severity, assigns the sequence
     /// number, and writes it to the sink (rotating when the size cap is
     /// crossed).
     pub fn emit(&mut self, event: Event) {
-        if !self.enabled || event.severity < MIN_SEVERITY {
-            self.filtered += u64::from(self.enabled);
+        if !self.admits(event.severity) {
             return;
         }
         self.emitted += 1;

@@ -328,8 +328,8 @@ mod tests {
                 wall_ns: 0,
                 corr: 0,
             };
-            r.record_decision(&d);
             lines.push(serde_json::to_string(&d.to_value(false)).expect("line"));
+            r.record_decision(d);
         }
         lines.join("\n") + "\n"
     }

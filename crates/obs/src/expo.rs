@@ -52,103 +52,56 @@ pub struct Exposition {
     families: Vec<Family>,
 }
 
+/// One sample's value, typed as the family it joins.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Sample<'a> {
+    /// A monotone counter value (the family name must end in `_total`).
+    Counter(String),
+    /// A point-in-time gauge value.
+    Gauge(String),
+    /// A cumulative histogram.
+    Histogram(&'a Histogram),
+}
+
 impl Exposition {
     /// An empty exposition.
     pub fn new() -> Self {
         Exposition::default()
     }
 
-    /// Appends a counter family (name must end in `_total`).
-    pub fn counter(&mut self, name: &str, help: &str, value: impl std::fmt::Display) {
-        self.counter_with(name, help, Vec::new(), value);
-    }
-
-    /// Appends one labeled counter sample; repeated calls with the same
-    /// family name add series to that family.
-    pub fn counter_with(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: Labels,
-        value: impl std::fmt::Display,
-    ) {
+    /// Appends one sample under `labels` to the family `name`, which its
+    /// first sample creates with `help`; families render in creation
+    /// order, each sample under its family.
+    pub fn push(&mut self, name: &str, help: &str, labels: Labels, sample: Sample<'_>) {
         debug_assert!(
-            name.ends_with("_total"),
+            !matches!(sample, Sample::Counter(_)) || name.ends_with("_total"),
             "counter {name} must end in _total"
         );
-        let sample = LabeledValue {
-            labels,
-            value: value.to_string(),
+        let at = match self.families.iter().position(|f| f.name == name) {
+            Some(at) => at,
+            None => {
+                self.families.push(Family {
+                    name: name.to_string(),
+                    help: help.to_string(),
+                    data: match sample {
+                        Sample::Counter(_) => FamilyData::Counter(Vec::new()),
+                        Sample::Gauge(_) => FamilyData::Gauge(Vec::new()),
+                        Sample::Histogram(_) => FamilyData::Histogram(Vec::new()),
+                    },
+                });
+                self.families.len() - 1
+            }
         };
-        if let Some(FamilyData::Counter(samples)) = self.find_family(name) {
-            samples.push(sample);
-            return;
+        match (&mut self.families[at].data, sample) {
+            (FamilyData::Counter(samples), Sample::Counter(value))
+            | (FamilyData::Gauge(samples), Sample::Gauge(value)) => {
+                samples.push(LabeledValue { labels, value });
+            }
+            (FamilyData::Histogram(series), Sample::Histogram(h)) => {
+                series.push((labels, h.clone()));
+            }
+            _ => debug_assert!(false, "family {name} changed type"),
         }
-        self.families.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            data: FamilyData::Counter(vec![sample]),
-        });
-    }
-
-    /// Appends a gauge family.
-    pub fn gauge(&mut self, name: &str, help: &str, value: impl std::fmt::Display) {
-        self.gauge_with(name, help, Vec::new(), value);
-    }
-
-    /// Appends one labeled gauge sample; repeated calls with the same
-    /// family name add series to that family.
-    pub fn gauge_with(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: Labels,
-        value: impl std::fmt::Display,
-    ) {
-        let sample = LabeledValue {
-            labels,
-            value: value.to_string(),
-        };
-        if let Some(FamilyData::Gauge(samples)) = self.find_family(name) {
-            samples.push(sample);
-            return;
-        }
-        self.families.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            data: FamilyData::Gauge(vec![sample]),
-        });
-    }
-
-    /// Appends a histogram family.
-    pub fn histogram(&mut self, name: &str, help: &str, hist: &Histogram) {
-        self.histogram_with(name, help, Vec::new(), hist);
-    }
-
-    /// Appends one labeled histogram series; repeated calls with the
-    /// same family name add label sets to that family.
-    pub fn histogram_with(&mut self, name: &str, help: &str, labels: Labels, hist: &Histogram) {
-        if let Some(FamilyData::Histogram(series)) = self.find_family(name) {
-            series.push((labels, hist.clone()));
-            return;
-        }
-        self.families.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            data: FamilyData::Histogram(vec![(labels, hist.clone())]),
-        });
-    }
-
-    fn find_family(&mut self, name: &str) -> Option<&mut FamilyData> {
-        self.families
-            .iter_mut()
-            .find(|f| f.name == name)
-            .map(|f| &mut f.data)
-    }
-
-    /// The families appended so far.
-    pub fn families(&self) -> &[Family] {
-        &self.families
     }
 
     /// Renders the exposition text (trailing newline included).
@@ -568,13 +521,28 @@ mod tests {
 
     fn sample_exposition() -> Exposition {
         let mut e = Exposition::new();
-        e.gauge("up", "Whether the scraper is happy.", 1);
-        e.counter("requests_total", "Requests served.", 42);
+        e.push(
+            "up",
+            "Whether the scraper is happy.",
+            vec![],
+            Sample::Gauge("1".into()),
+        );
+        e.push(
+            "requests_total",
+            "Requests served.",
+            vec![],
+            Sample::Counter("42".into()),
+        );
         let mut h = Histogram::new(&[1, 10, 100]);
         for v in [0, 5, 5, 50, 500] {
             h.observe(v);
         }
-        e.histogram("latency", "Latency distribution.", &h);
+        e.push(
+            "latency",
+            "Latency distribution.",
+            vec![],
+            Sample::Histogram(&h),
+        );
         e
     }
 
@@ -618,34 +586,35 @@ mod tests {
     #[test]
     fn labeled_families_group_and_roundtrip() {
         let mut e = Exposition::new();
-        e.counter_with(
+        let cluster = |id: &str| vec![("cluster".to_string(), id.to_string())];
+        e.push(
             "jobs_total",
             "Jobs per cluster.",
-            vec![("cluster".into(), "alpha".into())],
-            7,
+            cluster("alpha"),
+            Sample::Counter("7".into()),
         );
-        e.counter_with(
+        e.push(
             "jobs_total",
             "Jobs per cluster.",
-            vec![("cluster".into(), "beta".into())],
-            11,
+            cluster("beta"),
+            Sample::Counter("11".into()),
         );
         let mut ha = Histogram::new(&[1, 10]);
         ha.observe(5);
         let mut hb = Histogram::new(&[1, 10]);
         hb.observe(0);
         hb.observe(100);
-        e.histogram_with(
+        e.push(
             "lat",
             "Latency per cluster.",
-            vec![("cluster".into(), "alpha".into())],
-            &ha,
+            cluster("alpha"),
+            Sample::Histogram(&ha),
         );
-        e.histogram_with(
+        e.push(
             "lat",
             "Latency per cluster.",
-            vec![("cluster".into(), "beta".into())],
-            &hb,
+            cluster("beta"),
+            Sample::Histogram(&hb),
         );
         let text = e.render();
         // One HELP/TYPE header per family, samples distinguished by label.
@@ -672,7 +641,8 @@ mod tests {
     #[test]
     fn label_values_are_escaped() {
         let mut e = Exposition::new();
-        e.gauge_with("g", "x", vec![("cluster".into(), "a\"b\\c".into())], 1);
+        let labels = vec![("cluster".into(), "a\"b\\c".into())];
+        e.push("g", "x", labels, Sample::Gauge("1".into()));
         assert!(e.render().contains("g{cluster=\"a\\\"b\\\\c\"} 1\n"));
     }
 
@@ -682,10 +652,11 @@ mod tests {
         // characters (`}`, `,`, `=`) that a naive scanner trips over.
         let hostile = "a\"b\\c\nd}e,f=g";
         let mut e = Exposition::new();
-        e.gauge_with("g", "x", vec![("cluster".into(), hostile.into())], 1);
+        let labels = || vec![("cluster".to_string(), hostile.to_string())];
+        e.push("g", "x", labels(), Sample::Gauge("1".into()));
         let mut h = Histogram::new(&[1, 10]);
         h.observe(5);
-        e.histogram_with("lat", "y", vec![("cluster".into(), hostile.into())], &h);
+        e.push("lat", "y", labels(), Sample::Histogram(&h));
         let text = e.render();
         let families = validate(&text).expect("escaped exposition validates");
         assert_eq!(families[0].samples[0].labels[0].1, hostile);

@@ -18,16 +18,16 @@
 //!   per-decision record, JSONL-encodable.
 //! - [`Recorder`]: the zero-cost-when-disabled hook the scheduler core
 //!   calls once per decision; [`NullRecorder`] is the disabled impl.
-//! - [`TraceRecorder`]: the real sink — counters, histograms, the last
-//!   decision, optional JSONL writer.
+//! - [`Tally`]: every per-tenant count and distribution a served view
+//!   reports, in typed fields, folded once per decision.
+//! - [`TraceRecorder`]: the real sink — the tally, the last decision,
+//!   optional JSONL writer.
 //! - [`expo`]: Prometheus text exposition (render, parse, validate).
 //! - [`explore`]: offline aggregation of a JSONL log into tables and a
 //!   collapsed-stack file (`sbs trace`).
 //! - [`EventJournal`]: the severity-leveled `sbs-events/v1` operational
 //!   journal — counters plus a rotating JSONL sink, built from the
 //!   [`ObsConfig`] a serving edge embeds.
-//! - [`status`]: the cumulative counters behind `/statusz` — one sample
-//!   type and one quantile renderer; readers work out rates themselves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,7 @@ mod record;
 mod ring;
 mod sink;
 mod span;
-pub mod status;
+mod tally;
 
 pub use events::{
     Event, EventJournal, ObsConfig, Severity, DEFAULT_EVENT_LOG_MAX_BYTES, EVENT_SCHEMA,
@@ -52,7 +52,7 @@ pub use record::{BackfillTrace, DecisionTrace, PolicyTrace, SearchTrace, TraceMe
 pub use ring::RingBuffer;
 pub use sink::{TimeMode, TraceRecorder};
 pub use span::{render_collapsed, SpanStack};
-pub use status::StatusSample;
+pub use tally::{CompletedStats, Tally};
 
 /// Per-decision telemetry hook.
 ///
@@ -67,14 +67,8 @@ pub trait Recorder {
         false
     }
 
-    /// Folds one completed decision into the recorder.
-    fn record_decision(&mut self, _decision: &DecisionTrace) {}
-
-    /// Adds `delta` to the named monotone counter.
-    fn add(&mut self, _name: &'static str, _delta: u64) {}
-
-    /// Folds `value` into the named histogram.
-    fn observe(&mut self, _name: &'static str, _value: u64) {}
+    /// Folds one completed decision into the recorder, which keeps it.
+    fn record_decision(&mut self, _decision: DecisionTrace) {}
 }
 
 /// The disabled recorder: every method is a no-op and
@@ -91,8 +85,6 @@ mod tests {
     fn null_recorder_is_disabled() {
         let mut r = NullRecorder;
         assert!(!r.enabled());
-        r.add("x", 1);
-        r.observe("y", 2);
-        r.record_decision(&DecisionTrace::default());
+        r.record_decision(DecisionTrace::default());
     }
 }

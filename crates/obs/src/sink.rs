@@ -1,9 +1,8 @@
-//! The live recorder: counters, histograms, the last decision, JSONL sink.
+//! The live recorder: the tally, the last decision, JSONL sink.
 
-use crate::hist::Histogram;
 use crate::record::{DecisionTrace, TraceMeta};
+use crate::tally::Tally;
 use crate::Recorder;
-use std::collections::BTreeMap;
 use std::io::Write;
 
 /// How the recorder treats time.
@@ -16,15 +15,13 @@ pub enum TimeMode {
     Wall,
 }
 
-/// The real [`Recorder`]: folds every decision into counters and
-/// fixed-bucket histograms, keeps the last decision, and optionally
-/// appends `sbs-trace/v1` JSONL lines to a sink.
+/// The real [`Recorder`]: folds every decision into its [`Tally`],
+/// keeps the last decision, and optionally appends `sbs-trace/v1`
+/// JSONL lines to a sink.
 pub struct TraceRecorder {
     mode: TimeMode,
     meta: TraceMeta,
-    counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
-    spans: BTreeMap<String, u64>,
+    tally: Tally,
     last: Option<DecisionTrace>,
     sink: Option<Box<dyn Write + Send>>,
 }
@@ -33,7 +30,7 @@ impl std::fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRecorder")
             .field("mode", &self.mode)
-            .field("decisions", &self.counter("sbs_decisions_total"))
+            .field("decisions", &self.tally.decisions)
             .field("sink", &self.sink.is_some())
             .finish()
     }
@@ -50,9 +47,7 @@ impl TraceRecorder {
         TraceRecorder {
             mode,
             meta,
-            counters: BTreeMap::new(),
-            hists: BTreeMap::new(),
-            spans: BTreeMap::new(),
+            tally: Tally::default(),
             last: None,
             sink: None,
         }
@@ -66,34 +61,20 @@ impl TraceRecorder {
         Ok(())
     }
 
-    /// The recorder's time mode.
-    pub fn mode(&self) -> TimeMode {
-        self.mode
-    }
-
     /// The meta header this recorder stamps on its sink.
     pub fn meta(&self) -> &TraceMeta {
         &self.meta
     }
 
-    /// Current value of a counter (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// Everything folded so far.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
     }
 
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// All histograms, sorted by name.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.hists.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Merged span weights accumulated across all decisions.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.spans.iter().map(|(k, &v)| (k.as_str(), v))
+    /// The tally, for the counts its owner keeps beside the decisions
+    /// (completed jobs, admissions, incidents, a snapshot's seed).
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// The decision recorded last, `None` before the first.
@@ -108,75 +89,6 @@ impl TraceRecorder {
             None => Ok(()),
         }
     }
-
-    fn hist(&mut self, name: &'static str, value: u64) {
-        self.hists
-            .entry(name)
-            .or_insert_with(|| bounds_for(name))
-            .observe(value);
-    }
-
-    fn bump(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    fn fold(&mut self, d: &DecisionTrace) {
-        self.bump("sbs_decisions_total", 1);
-        self.bump("sbs_jobs_started_total", d.started.len() as u64);
-        self.hist("sbs_queue_depth_at_decision", u64::from(d.queue_depth));
-        if self.mode == TimeMode::Wall {
-            self.hist("sbs_decision_wall_nanos", d.wall_ns);
-        }
-        let Some(p) = &d.policy else { return };
-        for (path, weight) in &p.spans {
-            *self.spans.entry(path.clone()).or_insert(0) += weight;
-        }
-        if let Some(s) = &p.search {
-            self.bump("sbs_search_nodes_total", s.nodes);
-            self.bump("sbs_search_leaves_total", s.leaves);
-            self.bump("sbs_search_pruned_total", s.pruned);
-            self.bump("sbs_search_improvements_total", s.improvements);
-            self.bump("sbs_search_local_nodes_total", s.local_nodes);
-            if s.exhausted {
-                self.bump("sbs_search_exhausted_total", 1);
-            }
-            if s.budget_hit {
-                self.bump("sbs_search_budget_hits_total", 1);
-            }
-            if s.deadline_hit {
-                self.bump("sbs_search_deadline_truncations_total", 1);
-                self.bump(
-                    "sbs_search_deadline_nodes_left_total",
-                    s.nodes_left_at_deadline,
-                );
-            }
-            if s.fallback {
-                self.bump("sbs_search_fallbacks_total", 1);
-            }
-            self.hist("sbs_search_nodes_per_decision", s.nodes);
-            self.hist("sbs_search_nodes_to_best", s.nodes_to_best);
-            self.hist("sbs_search_best_iteration", u64::from(s.best_iteration));
-        }
-        if let Some(b) = &p.backfill {
-            self.bump("sbs_backfill_examined_total", u64::from(b.examined));
-            self.bump("sbs_backfill_started_total", u64::from(b.started));
-            self.bump("sbs_backfill_reserved_total", u64::from(b.reserved));
-            self.bump("sbs_backfill_blocked_total", u64::from(b.blocked));
-        }
-    }
-}
-
-/// Fixed bucket layouts per histogram family; stable across releases so
-/// dashboards and golden fixtures don't churn.
-fn bounds_for(name: &str) -> Histogram {
-    match name {
-        "sbs_queue_depth_at_decision" => Histogram::new(&[1, 2, 4, 8, 16, 32, 64, 128, 256]),
-        "sbs_search_best_iteration" => Histogram::new(&[0, 1, 2, 4, 8, 16, 32]),
-        "sbs_decision_wall_nanos" => Histogram::exponential(1_000, 10, 7),
-        "sbs_wait_seconds" => Histogram::new(&[60, 600, 3_600, 14_400, 43_200, 86_400, 259_200]),
-        // node-count shaped families and anything unrecognized
-        _ => Histogram::exponential(1, 10, 6),
-    }
 }
 
 impl Recorder for TraceRecorder {
@@ -184,8 +96,8 @@ impl Recorder for TraceRecorder {
         true
     }
 
-    fn record_decision(&mut self, decision: &DecisionTrace) {
-        self.fold(decision);
+    fn record_decision(&mut self, decision: DecisionTrace) {
+        self.tally.fold(&decision, self.mode);
         if let Some(sink) = &mut self.sink {
             let value = decision.to_value(self.mode == TimeMode::Wall);
             let line = serde_json::to_string(&value).unwrap_or_default();
@@ -198,15 +110,7 @@ impl Recorder for TraceRecorder {
             )]
             let _ = writeln!(sink, "{line}");
         }
-        self.last = Some(decision.clone());
-    }
-
-    fn add(&mut self, name: &'static str, delta: u64) {
-        self.bump(name, delta);
-    }
-
-    fn observe(&mut self, name: &'static str, value: u64) {
-        self.hist(name, value);
+        self.last = Some(decision);
     }
 }
 
@@ -228,8 +132,9 @@ mod tests {
                 search: Some(SearchTrace {
                     algo: "DDS".into(),
                     nodes: 500,
+                    local_nodes: 30,
                     deadline_hit: seq.is_multiple_of(2),
-                    nodes_left_at_deadline: if seq.is_multiple_of(2) { 42 } else { 0 },
+                    nodes_left_at_deadline: if seq == 2 { 42 } else { 0 },
                     ..Default::default()
                 }),
                 backfill: None,
@@ -244,16 +149,23 @@ mod tests {
     fn folds_counters_histograms_and_spans() {
         let mut r = TraceRecorder::new(TimeMode::Virtual, TraceMeta::default());
         for seq in 1..=4 {
-            r.record_decision(&decision(seq));
+            r.record_decision(decision(seq));
         }
-        assert_eq!(r.counter("sbs_decisions_total"), 4);
-        assert_eq!(r.counter("sbs_search_nodes_total"), 2000);
-        assert_eq!(r.counter("sbs_search_deadline_truncations_total"), 2);
-        assert_eq!(r.counter("sbs_search_deadline_nodes_left_total"), 84);
-        assert_eq!(r.spans().collect::<Vec<_>>(), vec![("decide;search", 2000)]);
+        let t = r.tally();
+        assert_eq!(t.decisions, 4);
+        assert_eq!(t.search_nodes, 2000 + 4 * 30, "tree plus hill-climb nodes");
+        assert_eq!(t.search_local_nodes, 4 * 30);
+        assert_eq!(t.search_nodes_per_decision.sum(), 2000, "tree nodes only");
+        // Seq 2 is cut with budget left; seq 4 is cut with none left.
+        assert_eq!(t.search_deadline_truncations, 1);
+        assert_eq!(t.search_deadline_nodes_left, 42);
         assert_eq!(r.last().map(|d| d.seq), Some(4));
-        // Virtual mode never touches the wall histogram.
-        assert!(r.histograms().all(|(n, _)| n != "sbs_decision_wall_nanos"));
+        // Virtual mode never folds wall time.
+        assert_eq!((t.decision_wall_nanos.count(), t.policy_nanos), (0, 0));
+        let mut wall = TraceRecorder::new(TimeMode::Wall, TraceMeta::default());
+        wall.record_decision(decision(1));
+        assert_eq!(wall.tally().decision_wall_nanos.count(), 1);
+        assert_eq!(wall.tally().policy_nanos, 999);
     }
 
     #[test]
@@ -272,7 +184,7 @@ mod tests {
             let handle = SharedBuf(buf.clone());
             r.attach_sink(Box::new(handle)).expect("attach");
             for seq in 1..=3 {
-                r.record_decision(&decision(seq));
+                r.record_decision(decision(seq));
             }
             r.flush().expect("flush");
             let bytes = buf.lock().expect("lock").clone();

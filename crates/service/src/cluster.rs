@@ -28,14 +28,13 @@
 //! [`sbs_sim::simulate`] (see the fleet crate's e2e tests).
 
 use crate::edge::op_event;
-use crate::metrics::MetricsView;
+use crate::metrics::tenant_text;
 use crate::protocol::{error_response, Request, SubmitSpec};
-use crate::snapshot::{CompletedStats, RunningEntry, Snapshot, WaitingEntry};
+use crate::snapshot::{RunningEntry, Snapshot, WaitingEntry};
 use crate::witness;
-use sbs_core::{PolicySpec, SearchPolicy};
+use sbs_core::PolicySpec;
 use sbs_obs::{
-    DecisionTrace, Histogram, ObsConfig, RingBuffer, StatusSample, TimeMode, TraceMeta,
-    TraceRecorder,
+    CompletedStats, DecisionTrace, ObsConfig, RingBuffer, Tally, TimeMode, TraceMeta, TraceRecorder,
 };
 use sbs_sim::{Policy, SchedulerCore};
 use sbs_workload::job::{Job, JobId, RuntimeKnowledge};
@@ -112,76 +111,33 @@ impl Incident {
     }
 }
 
-/// The built policy, kept concrete for search so the daemon can read
-/// [`SearchPolicy::totals`] for the metrics endpoint.
-enum DaemonPolicy {
-    Search(Box<SearchPolicy>),
-    Other(Box<dyn Policy + Send>),
-}
-
-impl DaemonPolicy {
-    fn build(spec: &PolicySpec, deadline: Option<Duration>) -> Self {
-        let mut policy = match spec.build_search() {
-            Some(search) => DaemonPolicy::Search(Box::new(match deadline {
-                Some(d) => search.with_deadline(d),
-                None => search,
-            })),
-            // Non-search policies decide instantly and ignore the
-            // deadline.
-            None => DaemonPolicy::Other(spec.build()),
-        };
-        // The daemon always records telemetry (it feeds /metrics), so
-        // policies trace from the first decision on.
-        policy.as_dyn().set_tracing(true);
-        policy
-    }
-
-    fn as_dyn(&mut self) -> &mut dyn Policy {
-        match self {
-            DaemonPolicy::Search(p) => p.as_mut(),
-            DaemonPolicy::Other(p) => p.as_mut(),
-        }
-    }
-
-    fn search_nodes(&self) -> u64 {
-        match self {
-            DaemonPolicy::Search(p) => p.totals().nodes,
-            DaemonPolicy::Other(_) => 0,
-        }
-    }
-
-    fn deadline_truncations(&self) -> u64 {
-        match self {
-            DaemonPolicy::Search(p) => p.totals().deadline_truncations,
-            DaemonPolicy::Other(_) => 0,
-        }
-    }
-
-    fn name(&mut self) -> String {
-        self.as_dyn().name()
-    }
+/// Builds the policy `spec` names, tracing from the first decision (the
+/// cluster always records: its recorder is its tally).  A search policy
+/// gets the per-decision `deadline`; the others decide instantly.
+fn build_policy(spec: &PolicySpec, deadline: Option<Duration>) -> Box<dyn Policy + Send> {
+    let mut policy: Box<dyn Policy + Send> = match (spec.build_search(), deadline) {
+        (Some(search), Some(d)) => Box::new(search.with_deadline(d)),
+        _ => spec.build(),
+    };
+    policy.set_tracing(true);
+    policy
 }
 
 /// One cluster's scheduler world (see the module docs).
 pub struct Cluster {
     core: SchedulerCore,
-    policy: DaemonPolicy,
+    policy: Box<dyn Policy + Send>,
+    /// The decision recorder, and through it the cluster's [`Tally`].
     recorder: TraceRecorder,
     cfg: ServiceConfig,
     next_id: u32,
-    completed: CompletedStats,
-    /// Records already folded into `completed`.
+    /// Records already folded into the tally.
     completed_seen: usize,
-    /// Decisions carried over from a recovered snapshot.
-    base_decisions: u64,
     /// Decisions since the last rendered snapshot.
     unsnapshotted: u64,
     draining: bool,
     /// Captured slow decisions, oldest evicted.
     incidents: RingBuffer<Incident>,
-    /// Incidents captured over the cluster's lifetime (ring evictions
-    /// included).
-    incidents_total: u64,
 }
 
 impl Cluster {
@@ -203,7 +159,7 @@ impl Cluster {
     /// trace sink when one is configured.  Sink failures are reported
     /// and telemetry degrades to in-memory aggregation — a bad trace
     /// path must not stop the scheduler.
-    fn build_recorder(cfg: &ServiceConfig, policy: &mut DaemonPolicy) -> TraceRecorder {
+    fn build_recorder(cfg: &ServiceConfig, policy: &dyn Policy) -> TraceRecorder {
         let mut recorder = TraceRecorder::new(
             TimeMode::Wall,
             TraceMeta {
@@ -261,29 +217,30 @@ impl Cluster {
         ))
     }
 
-    /// A cluster around `core`, carrying over what a snapshot records.
+    /// A cluster around `core`, carrying over what a snapshot records:
+    /// its completed-job aggregates and decision count seed the tally.
     fn around(
         core: SchedulerCore,
         cfg: ServiceConfig,
         next_id: u32,
         completed: CompletedStats,
-        base_decisions: u64,
+        decisions: u64,
     ) -> Self {
-        let mut policy = DaemonPolicy::build(&cfg.spec, cfg.deadline);
-        let recorder = Self::build_recorder(&cfg, &mut policy);
+        let policy = build_policy(&cfg.spec, cfg.deadline);
+        let mut recorder = Self::build_recorder(&cfg, policy.as_ref());
+        let tally = recorder.tally_mut();
+        tally.completed = completed;
+        tally.decisions = decisions;
         Cluster {
             core,
             policy,
             recorder,
             cfg,
             next_id,
-            completed,
             completed_seen: 0,
-            base_decisions,
             unsnapshotted: 0,
             draining: false,
             incidents: RingBuffer::new(INCIDENT_RING_CAPACITY),
-            incidents_total: 0,
         }
     }
 
@@ -303,7 +260,7 @@ impl Cluster {
         self.core.records()
     }
 
-    /// Folds freshly completed jobs into the metrics aggregates, counts
+    /// Folds freshly completed jobs into the tally, counts
     /// the decision toward the snapshot cadence and checks it for an
     /// incident.  It writes nothing: the caller may hold a lock around
     /// the cluster.
@@ -316,9 +273,9 @@ impl Cluster {
             .records()
             .get(self.completed_seen..)
             .unwrap_or(&[]);
+        let tally = self.recorder.tally_mut();
         for r in fresh {
-            self.completed.absorb(r.wait());
-            sbs_obs::Recorder::observe(&mut self.recorder, "sbs_wait_seconds", r.wait());
+            tally.complete(r.wait());
         }
         self.completed_seen = self.core.records().len();
         self.unsnapshotted += 1;
@@ -358,21 +315,8 @@ impl Cluster {
                 reason: reasons.join("; "),
                 decision: d.clone(),
             };
-            self.incidents_total += 1;
             self.incidents.push(incident);
-        }
-    }
-
-    /// The cumulative counters as they stand right now.  (A cluster
-    /// refuses nothing it counts: `rejected` is the fleet's to fill.)
-    pub fn status_sample(&self) -> StatusSample {
-        StatusSample {
-            submitted: u64::from(self.next_id),
-            rejected: 0,
-            decisions: self.base_decisions + self.core.decisions(),
-            queue_depth: self.core.queue().len() as u64,
-            search_nodes: self.policy.search_nodes(),
-            deadline_truncations: self.policy.deadline_truncations(),
+            self.recorder.tally_mut().incidents += 1;
         }
     }
 
@@ -386,7 +330,7 @@ impl Cluster {
             self.core.advance_to(d);
             self.core.complete_due();
             self.core
-                .decide_traced(self.policy.as_dyn(), None, &mut self.recorder);
+                .decide_traced(self.policy.as_mut(), None, &mut self.recorder);
             self.after_decision();
         }
     }
@@ -403,7 +347,7 @@ impl Cluster {
             self.core.advance_to(t);
             if self.core.complete_due() > 0 {
                 self.core
-                    .decide_traced(self.policy.as_dyn(), None, &mut self.recorder);
+                    .decide_traced(self.policy.as_mut(), None, &mut self.recorder);
                 self.after_decision();
             }
         }
@@ -440,7 +384,7 @@ impl Cluster {
         self.core.submit(job);
         let started = self
             .core
-            .decide_traced(self.policy.as_dyn(), None, &mut self.recorder)
+            .decide_traced(self.policy.as_mut(), None, &mut self.recorder)
             .contains(&id);
         self.after_decision();
         Ok((id, started))
@@ -477,7 +421,7 @@ impl Cluster {
                 self.core.advance_to(d);
                 self.core.complete_due();
                 self.core
-                    .decide_traced(self.policy.as_dyn(), None, &mut self.recorder);
+                    .decide_traced(self.policy.as_mut(), None, &mut self.recorder);
                 self.after_decision();
             } else if !self.core.queue().is_empty() {
                 // Nothing running but work waiting (possible after
@@ -486,7 +430,7 @@ impl Cluster {
                 // spinning.
                 let started =
                     self.core
-                        .decide_traced(self.policy.as_dyn(), None, &mut self.recorder);
+                        .decide_traced(self.policy.as_mut(), None, &mut self.recorder);
                 self.after_decision();
                 if started.is_empty() {
                     break;
@@ -538,36 +482,25 @@ impl Cluster {
         })
     }
 
-    /// A point-in-time metrics sample.
-    pub fn metrics(&self) -> MetricsView {
-        MetricsView {
-            now: self.core.now(),
-            queue_depth: self.core.queue().len(),
-            running_jobs: self.core.running().len(),
-            free_nodes: self.core.free_nodes(),
-            capacity: self.core.capacity(),
-            decisions: self.base_decisions + self.core.decisions(),
-            search_nodes: self.policy.search_nodes(),
-            policy_nanos: self.core.policy_nanos(),
-            completed: self.completed,
-        }
+    /// Every count this cluster has folded (decisions, search, completed
+    /// jobs, admissions, incidents): what its views report.
+    pub fn tally(&self) -> &Tally {
+        self.recorder.tally()
     }
 
-    /// The exposition text `/metrics` serves: typed counter/histogram
-    /// families joined with the recorder's aggregates.
+    /// The scheduler state machine: the machine as it stands now.
+    pub fn core(&self) -> &SchedulerCore {
+        &self.core
+    }
+
+    /// The exposition `/metrics?cluster=ID` serves.
     pub fn metrics_text(&self) -> String {
-        self.metrics().render_with(&self.recorder)
+        tenant_text(self.tally(), &self.core)
     }
 
     /// Flushes the trace sink, if one is attached.
     pub fn flush_traces(&mut self) -> std::io::Result<()> {
         self.recorder.flush()
-    }
-
-    /// Incidents captured over the cluster's lifetime, ring evictions
-    /// included.
-    pub fn incidents_total(&self) -> u64 {
-        self.incidents_total
     }
 
     /// The incident ring encoded for `incidents` answers and
@@ -579,14 +512,6 @@ impl Cluster {
             .iter()
             .map(|i| i.to_value(include_wall))
             .collect()
-    }
-
-    /// Per-decision wall time, `None` before the first decision.
-    pub fn decision_wall(&self) -> Option<&Histogram> {
-        self.recorder
-            .histograms()
-            .find(|(name, _)| *name == "sbs_decision_wall_nanos")
-            .map(|(_, h)| h)
     }
 
     /// Stamps `corr` as the correlation id for the operations that
@@ -622,8 +547,8 @@ impl Cluster {
                     pred_end: r.pred_end,
                 })
                 .collect(),
-            completed: self.completed,
-            decisions: self.base_decisions + self.core.decisions(),
+            completed: self.tally().completed,
+            decisions: self.tally().decisions,
         }
     }
 
@@ -682,6 +607,7 @@ impl Cluster {
                 };
                 let out = self.admit_one(&spec, at, &mut admit);
                 let admitted = u64::from(out.is_ok());
+                self.count_admissions(admitted, 1);
                 let mut v = job_answer(out);
                 if let Value::Object(map) = &mut v {
                     map.insert("now".into(), Value::from(self.core.now()));
@@ -696,6 +622,7 @@ impl Cluster {
                     accepted += u64::from(out.is_ok());
                     results.push(job_answer(out));
                 }
+                self.count_admissions(accepted, jobs.len() as u64);
                 let v = json!({
                     "ok": true,
                     "now": self.core.now(),
@@ -720,7 +647,7 @@ impl Cluster {
             }
             Request::Incidents => {
                 self.poll_to(at);
-                let v = incidents_response(self.incidents_value(), self.incidents_total);
+                let v = incidents_response(self.incidents_value(), self.tally().incidents);
                 (v, 0)
             }
             Request::Metrics | Request::Snapshot | Request::Shutdown => {
@@ -731,6 +658,14 @@ impl Cluster {
                 )
             }
         }
+    }
+
+    /// Counts `admitted` of `offered` jobs as submitted, the rest as
+    /// rejected.
+    fn count_admissions(&mut self, admitted: u64, offered: u64) {
+        let tally = self.recorder.tally_mut();
+        tally.submitted += admitted;
+        tally.rejected += offered - admitted;
     }
 
     /// Runs `admit`, then submits the job at its own time or `at`.

@@ -10,7 +10,6 @@
 //! minting never takes the edge's lock.
 
 use crate::protocol::Request;
-use sbs_obs::status::quantiles_value;
 use sbs_obs::{Event, EventJournal, Histogram, ObsConfig, Severity};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
@@ -57,12 +56,12 @@ impl Edge {
         at: Time,
         (gauge, level): (&str, u64),
     ) {
-        if !self.journal.enabled() {
+        let ok = response.get("ok") != Some(&Value::Bool(false));
+        let severity = if ok { severity } else { Severity::Error };
+        if !self.journal.admits(severity) {
             return;
         }
-        let ok = response.get("ok") != Some(&Value::Bool(false));
         let field = |key: &str| response.get(key).and_then(Value::as_u64);
-        let severity = if ok { severity } else { Severity::Error };
         let mut event = Event::new(severity, scope, kind)
             .at(at)
             .corr(field("corr").unwrap_or(0))
@@ -81,7 +80,7 @@ impl Edge {
         if let Value::Object(m) = doc {
             m.insert(
                 "submit_latency_ns".into(),
-                quantiles_value(Some(&self.submit_wall)),
+                quantiles_value(&self.submit_wall),
             );
             m.insert(
                 "events".into(),
@@ -92,6 +91,18 @@ impl Edge {
             );
         }
     }
+}
+
+/// A latency histogram as the status documents spell it: `p50`, `p99`,
+/// `p999` and `count`.
+fn quantiles_value(hist: &Histogram) -> Value {
+    let q = |q: f64| hist.quantile(q).unwrap_or(0);
+    json!({
+        "p50": q(0.50),
+        "p99": q(0.99),
+        "p999": q(0.999),
+        "count": hist.count(),
+    })
 }
 
 /// Journal event kind and base severity for one request type.

@@ -36,7 +36,8 @@
 //!   journal, request-latency histogram, request journaling);
 //! * [`clock`] — wall and virtual time sources;
 //! * [`snapshot`] — crash-safe JSON state snapshots and recovery;
-//! * [`metrics`] — Prometheus exposition text;
+//! * [`metrics`] — every per-tenant number the edge serves, declared
+//!   once, and the tenant's Prometheus exposition;
 //! * [`server`] — the event-driven TCP front end (JSON protocol and
 //!   `GET /metrics` on the same port; one readiness loop that blocks in
 //!   `poll(2)` over nonblocking sockets and services what is ready;
@@ -66,7 +67,6 @@ mod semrules;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use cluster::{Cluster, Daemon, Incident, ServiceConfig};
 pub use edge::Edge;
-pub use metrics::MetricsView;
 pub use protocol::{parse_routed, CorrelationSource, Request, SubmitSpec};
 pub use server::{HttpReply, Server, ServerHandler};
 pub use snapshot::{CompletedStats, Snapshot};

@@ -23,25 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Format version stamped into every snapshot.
 pub const SNAPSHOT_VERSION: u64 = 1;
 
-/// Aggregates over completed jobs (survives restarts via snapshots).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompletedStats {
-    /// Completed-job count.
-    pub count: u64,
-    /// Summed wait seconds.
-    pub total_wait: u64,
-    /// Largest single wait.
-    pub max_wait: Time,
-}
-
-impl CompletedStats {
-    /// Folds one completed job in.
-    pub fn absorb(&mut self, wait: Time) {
-        self.count += 1;
-        self.total_wait = self.total_wait.saturating_add(wait);
-        self.max_wait = self.max_wait.max(wait);
-    }
-}
+pub use sbs_obs::CompletedStats;
 
 /// A waiting job as snapshotted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -250,7 +250,7 @@ impl SchedulerCore {
         }
         if recorder.enabled() {
             let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
-            recorder.record_decision(&sbs_obs::DecisionTrace {
+            recorder.record_decision(sbs_obs::DecisionTrace {
                 seq: self.decisions,
                 now: self.now,
                 queue_depth: clamp(self.queue.len()),

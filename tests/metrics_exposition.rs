@@ -1,11 +1,13 @@
 //! Prometheus exposition roundtrip and golden-fixture tests.
 //!
-//! The `/metrics` text the daemon serves is rendered, parsed back, and
-//! cross-checked by `sbs_obs::expo::validate`: HELP/TYPE pairing per
-//! family, counter `_total` naming, histogram bucket monotonicity and
-//! cumulative counts, the `+Inf` bucket equalling `_count`, and no
-//! duplicate series.  A deterministic virtual-clock rendering is also
-//! pinned byte-for-byte against `tests/golden/metrics.txt`.
+//! A tenant's `/metrics` text is rendered by the function the daemon
+//! serves it with ([`tenant_text`]), from the tally its recorder folded,
+//! then parsed back and cross-checked by `sbs_obs::expo::validate`:
+//! HELP/TYPE pairing per family, counter `_total` naming, histogram
+//! bucket monotonicity and cumulative counts, the `+Inf` bucket
+//! equalling `_count`, and no duplicate series.  A deterministic
+//! virtual-clock rendering is also pinned byte-for-byte against
+//! `tests/golden/metrics.txt`.
 //!
 //! To regenerate after an *intentional* exposition change:
 //!
@@ -15,10 +17,11 @@
 
 use sbs_core::prelude::*;
 use sbs_obs::expo::validate;
-use sbs_obs::{Recorder as _, TimeMode, TraceMeta, TraceRecorder};
-use sbs_service::{CompletedStats, MetricsView};
+use sbs_obs::{TimeMode, TraceMeta, TraceRecorder};
+use sbs_service::metrics::tenant_text;
 use sbs_sim::engine::SimConfig;
 use sbs_sim::simulate_traced;
+use sbs_sim::SchedulerCore;
 use sbs_workload::generator::{random_workload, RandomWorkloadCfg};
 use std::path::PathBuf;
 
@@ -51,10 +54,11 @@ fn assert_matches_golden(name: &str, rendered: &str) {
     );
 }
 
-/// A deterministic recorder + view: a seeded workload simulated under
-/// the virtual clock, so every counter and histogram is a pure function
-/// of the workload and policy (no wall time anywhere).
-fn deterministic_sample() -> (MetricsView, TraceRecorder) {
+/// A seeded workload simulated under the virtual clock and rendered by
+/// the function a served tenant's `/metrics` calls: every counter and
+/// histogram is the recorder's fold, a pure function of the workload and
+/// policy (no wall time anywhere).
+fn deterministic_text() -> String {
     let workload = random_workload(
         RandomWorkloadCfg {
             jobs: 80,
@@ -73,31 +77,20 @@ fn deterministic_sample() -> (MetricsView, TraceRecorder) {
         },
     );
     let result = simulate_traced(&workload, policy, SimConfig::default(), &mut recorder);
-    let mut completed = CompletedStats::default();
     for r in &result.records {
-        completed.absorb(r.wait());
-        recorder.observe("sbs_wait_seconds", r.wait());
+        recorder.tally_mut().complete(r.wait());
     }
-    let view = MetricsView {
-        now: result.window.1,
-        queue_depth: 0,
-        running_jobs: 0,
-        free_nodes: result.capacity,
-        capacity: result.capacity,
-        decisions: result.decisions,
-        search_nodes: recorder.counter("sbs_search_nodes_total"),
-        policy_nanos: 0, // wall time is excluded from the deterministic fixture
-        completed,
-    };
-    (view, recorder)
+    // The machine as the run left it: empty, at the end of the window.
+    let mut idle = SchedulerCore::new(result.capacity, RuntimeKnowledge::Actual, (0, u64::MAX));
+    idle.advance_to(result.window.1);
+    tenant_text(recorder.tally(), &idle)
 }
 
 #[test]
 fn exposition_roundtrips_through_the_parser() {
-    let (view, recorder) = deterministic_sample();
-    let text = view.render_with(&recorder);
+    let text = deterministic_text();
     let families = validate(&text).expect("rendered exposition validates");
-    assert!(families.len() > 13, "recorder families joined the view's");
+    assert!(families.len() > 13, "recorder families joined the gauges");
     for f in &families {
         match f.kind.as_str() {
             "counter" => assert!(f.name.ends_with("_total"), "{} mistyped", f.name),
@@ -121,6 +114,5 @@ fn exposition_roundtrips_through_the_parser() {
 
 #[test]
 fn metrics_text_matches_golden() {
-    let (view, recorder) = deterministic_sample();
-    assert_matches_golden("metrics.txt", &view.render_with(&recorder));
+    assert_matches_golden("metrics.txt", &deterministic_text());
 }
