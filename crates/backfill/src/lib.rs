@@ -64,5 +64,5 @@ pub fn conservative_backfill() -> BackfillPolicy {
 
 /// Selective backfill whose starvation threshold is an xfactor of 2.
 pub fn selective_backfill() -> BackfillPolicy {
-    BackfillPolicy::selective(2.0)
+    BackfillPolicy::selective()
 }

@@ -32,9 +32,14 @@ pub struct BackfillPolicy {
 enum Reserve {
     /// The first `k` in priority order (`usize::MAX`: conservative).
     First(usize),
-    /// Every one whose xfactor has reached the threshold (selective).
-    Starved(f64),
+    /// Every one whose xfactor has reached [`SELECTIVE_THRESHOLD`]
+    /// (selective).
+    Starved,
 }
+
+/// Selective backfill's starvation threshold: the xfactor at which a
+/// blocked job earns a reservation.
+pub const SELECTIVE_THRESHOLD: f64 = 2.0;
 
 impl BackfillPolicy {
     /// Creates a backfill policy with the given priority order and
@@ -47,13 +52,9 @@ impl BackfillPolicy {
 
     /// Selective backfill: LXF order, so the most-starved jobs reserve
     /// first, and a reservation for every blocked job whose xfactor has
-    /// reached `threshold` (`> 1`).
-    pub fn selective(threshold: f64) -> Self {
-        assert!(
-            threshold > 1.0,
-            "threshold must exceed the minimum slowdown of 1"
-        );
-        Self::with_rule(PriorityOrder::Lxf, Reserve::Starved(threshold))
+    /// reached [`SELECTIVE_THRESHOLD`].
+    pub fn selective() -> Self {
+        Self::with_rule(PriorityOrder::Lxf, Reserve::Starved)
     }
 
     fn with_rule(order: PriorityOrder, rule: Reserve) -> Self {
@@ -78,7 +79,7 @@ impl Policy for BackfillPolicy {
             Reserve::First(1) => format!("{order}-backfill"),
             Reserve::First(usize::MAX) => format!("{order}-conservative-backfill"),
             Reserve::First(k) => format!("{order}-backfill/res{k}"),
-            Reserve::Starved(threshold) => format!("Selective-backfill(xf>{threshold})"),
+            Reserve::Starved => format!("Selective-backfill(xf>{SELECTIVE_THRESHOLD})"),
         }
     }
 
@@ -91,7 +92,7 @@ impl Policy for BackfillPolicy {
             let w = &ctx.queue[idx as usize];
             let may_reserve = match self.rule {
                 Reserve::First(k) => reserved < k,
-                Reserve::Starved(threshold) => w.xfactor(ctx.now) >= threshold,
+                Reserve::Starved => w.xfactor(ctx.now) >= SELECTIVE_THRESHOLD,
             };
             // The profile starts at `now`, so a job wider than the nodes
             // free there cannot start now; if it may not reserve either,
@@ -348,7 +349,7 @@ mod tests {
             let start = profile.earliest_start(w.job.nodes, w.r_star, ctx.now);
             let may_reserve = match policy.rule {
                 Reserve::First(k) => (reserved as usize) < k,
-                Reserve::Starved(threshold) => w.xfactor(ctx.now) >= threshold,
+                Reserve::Starved => w.xfactor(ctx.now) >= SELECTIVE_THRESHOLD,
             };
             if start == ctx.now {
                 profile.reserve(start, w.r_star, w.job.nodes);
@@ -412,9 +413,7 @@ mod tests {
                 PriorityOrder::Fcfs,
                 PriorityOrder::Lxf,
                 PriorityOrder::Sjf,
-                PriorityOrder::LxfW {
-                    weight: PriorityOrder::DEFAULT_LXFW_WEIGHT,
-                },
+                PriorityOrder::LxfW,
             ];
             let mut policies: Vec<BackfillPolicy> = orders
                 .iter()
@@ -446,12 +445,7 @@ mod tests {
                 fcfs_backfill(),
                 lxf_backfill(),
                 sjf_backfill(),
-                BackfillPolicy::new(
-                    PriorityOrder::LxfW {
-                        weight: PriorityOrder::DEFAULT_LXFW_WEIGHT,
-                    },
-                    1,
-                ),
+                BackfillPolicy::new(PriorityOrder::LxfW, 1),
                 BackfillPolicy::new(PriorityOrder::Fcfs, 4),
             ] {
                 let (w, r) = full_sim(policy, seed);

@@ -12,26 +12,23 @@ pub enum PriorityOrder {
     Lxf,
     /// Shortest (predicted) job first.
     Sjf,
-    /// LXF plus `weight` per hour of waiting — the paper's LXF&W-backfill
-    /// (a very small weight, their ref \[4\]).
-    LxfW {
-        /// Additional priority per hour waited.
-        weight: f64,
-    },
+    /// LXF plus [`LXFW_WEIGHT`] per hour of waiting — the paper's
+    /// LXF&W-backfill (a very small weight, their ref \[4\]).
+    LxfW,
 }
 
-impl PriorityOrder {
-    /// The conventional LXF&W weight used by this crate's constructors.
-    pub const DEFAULT_LXFW_WEIGHT: f64 = 0.02;
+/// LXF&W's additional priority per hour waited.
+pub const LXFW_WEIGHT: f64 = 0.02;
 
+impl PriorityOrder {
     /// The priority value of `job` at time `now` (higher = earlier).
     pub fn value(&self, job: &WaitingJob, now: Time) -> f64 {
         match *self {
             PriorityOrder::Fcfs => -(job.job.submit as f64),
             PriorityOrder::Lxf => job.xfactor(now),
             PriorityOrder::Sjf => -(job.r_star as f64),
-            PriorityOrder::LxfW { weight } => {
-                job.xfactor(now) + weight * job.wait(now) as f64 / HOUR as f64
+            PriorityOrder::LxfW => {
+                job.xfactor(now) + LXFW_WEIGHT * job.wait(now) as f64 / HOUR as f64
             }
         }
     }
@@ -58,7 +55,7 @@ impl PriorityOrder {
             PriorityOrder::Fcfs => "FCFS",
             PriorityOrder::Lxf => "LXF",
             PriorityOrder::Sjf => "SJF",
-            PriorityOrder::LxfW { .. } => "LXF&W",
+            PriorityOrder::LxfW => "LXF&W",
         }
     }
 }
@@ -128,9 +125,7 @@ mod tests {
         // it; LXF&W must agree and amplify.
         let q = [waiting(0, 100, 1, HOUR), waiting(1, 0, 1, HOUR)];
         let now = 2 * HOUR;
-        let lxfw = PriorityOrder::LxfW {
-            weight: PriorityOrder::DEFAULT_LXFW_WEIGHT,
-        };
+        let lxfw = PriorityOrder::LxfW;
         assert_eq!(lxfw.order(&q, now), vec![1, 0]);
         let d_lxf = PriorityOrder::Lxf.value(&q[1], now) - PriorityOrder::Lxf.value(&q[0], now);
         let d_lxfw = lxfw.value(&q[1], now) - lxfw.value(&q[0], now);
@@ -177,7 +172,7 @@ mod tests {
                 PriorityOrder::Fcfs,
                 PriorityOrder::Lxf,
                 PriorityOrder::Sjf,
-                PriorityOrder::LxfW { weight: PriorityOrder::DEFAULT_LXFW_WEIGHT },
+                PriorityOrder::LxfW,
             ] {
                 prop_assert_eq!(order.order(&queue, now), reference_order(order, &queue, now));
             }

@@ -62,7 +62,7 @@ mod flags {
 
     pub const MONTH: Flag = Flag { name: "--month", meta: "M", kind: Month, default: None, help: "synthetic month (6/03 .. 3/04)" };
     pub const TRACE: Flag = Flag { name: "--trace", meta: "FILE", kind: Text, default: None, help: "replay a Standard Workload Format trace instead of a month" };
-    pub const CAPACITY: Flag = Flag { name: "--capacity", meta: "N", kind: Int("[1, 4294967295]"), default: Some("128"), help: "machine size in nodes: a replayed trace's, or each served cluster's" };
+    pub const CAPACITY: Flag = Flag { name: "--capacity", meta: "N", kind: Int("[1, 4294967295]"), default: Some("128"), help: "machine size in nodes: each served cluster's, or a replayed trace's (else its MaxNodes/MaxProcs header)" };
     pub const POLICY: Flag = Flag { name: "--policy", meta: "NAME", kind: Policy, default: Some(HEADLINE), help: "scheduling policy, one of `sbs policies`" };
     pub const BUDGET: Flag = Flag { name: "--budget", meta: "L", kind: Int(U64), default: Some("1000"), help: "search node budget per decision" };
     pub const LOAD: Flag = Flag { name: "--load", meta: "RHO", kind: Real("(0, 1.5)"), default: None, help: "shrink inter-arrivals to offered load RHO" };
@@ -213,7 +213,7 @@ fn month(v: &str) -> Result<Month, String> {
 #[derive(Debug)]
 pub struct Args {
     cmd: &'static Cmd,
-    /// Every given or defaulted flag's checked value (`""` for a switch).
+    /// Every given flag's checked value (`""` for a switch).
     values: BTreeMap<&'static str, String>,
     /// The arguments that are not flags, in order.
     operands: Vec<String>,
@@ -225,10 +225,12 @@ impl Args {
         (self.cmd.run)(self)
     }
 
+    /// The flag's value, when given or defaulted.
     fn text(&self, f: &Flag) -> Option<&str> {
-        self.values.get(f.name).map(String::as_str)
+        self.values.get(f.name).map(String::as_str).or(f.default)
     }
 
+    /// True when the flag was given.
     fn on(&self, f: &Flag) -> bool {
         self.values.contains_key(f.name)
     }
@@ -255,13 +257,9 @@ pub fn parse_args(args: &[String]) -> Result<Args, String> {
         None => ("help", &[][..]),
     };
     let cmd = command(name).ok_or_else(|| format!("unknown command {name:?}"))?;
-    let defaults = cmd
-        .flags
-        .iter()
-        .filter_map(|f| Some((f.name, f.default?.to_string())));
     let mut parsed = Args {
         cmd,
-        values: defaults.collect(),
+        values: BTreeMap::new(),
         operands: Vec::new(),
     };
     let mut rest = rest.iter();
@@ -840,7 +838,6 @@ fn serve_cmd(a: &Args) -> Result<String, String> {
         .with_quota(TenantQuota {
             max_queue: a.num(&MAX_QUEUE),
             fair_slack_percent: a.num(&FAIR_SLACK),
-            ..Default::default()
         })
         .with_obs(obs);
     cfg.snapshot_dir = a.text(&SNAPSHOT_DIR).map(Into::into);
@@ -873,7 +870,13 @@ fn sim_month(a: &Args) -> Option<Month> {
 
 fn load_workload(a: &Args) -> Result<Workload, String> {
     if let Some(path) = a.text(&TRACE) {
-        let mut w = swf::parse(&read(path)?, a.num(&CAPACITY)).map_err(|e| e.to_string())?;
+        let text = read(path)?;
+        // A given --capacity wins over the trace's own header.
+        let capacity = match swf::header_capacity(&text) {
+            Some(nodes) if !a.on(&CAPACITY) => nodes,
+            _ => a.num(&CAPACITY),
+        };
+        let mut w = swf::parse(&text, capacity).map_err(|e| e.to_string())?;
         // One-day warm-up for replays, when the trace is long enough.
         if w.window.1 - w.window.0 > 2 * DAY {
             w.window.0 = w.window.0.saturating_add(DAY);
@@ -1521,6 +1524,32 @@ mod tests {
             reason = "proven best-effort path — temp-file cleanup"
         )]
         let _ = std::fs::remove_file(&collapsed);
+    }
+
+    #[test]
+    fn a_trace_replays_on_its_header_machine_size() {
+        let jobs = "1 0 -1 3600 200 -1 -1 200 7200 -1 1 1 -1 -1 -1 -1 -1 -1\n\
+                    2 10 -1 60 4 -1 -1 4 120 -1 1 1 -1 -1 -1 -1 -1 -1\n";
+        let path = std::env::temp_dir().join(format!("sbs_cli_header_{}.swf", std::process::id()));
+        let load = |text: &str, flags: &str| {
+            std::fs::write(&path, text).expect("write");
+            let w = load_workload(&parsed(&format!("sim --trace {} {flags}", path.display())))
+                .expect("load");
+            (w.capacity, w.jobs[0].nodes)
+        };
+        let headed = format!("; MaxNodes: 256\n{jobs}");
+        assert_eq!(
+            load(&headed, ""),
+            (256, 200),
+            "the header sizes the machine"
+        );
+        assert_eq!(
+            load(&headed, "--capacity 128"),
+            (128, 128),
+            "a given size wins"
+        );
+        assert_eq!(load(jobs, ""), (128, 128), "no header: the default");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

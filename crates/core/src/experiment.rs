@@ -219,17 +219,6 @@ pub fn run_matrix(scenarios: &[Scenario], specs: &[PolicySpec]) -> Vec<RunResult
         .collect()
 }
 
-/// Convenience: all ten months under `mk` against `specs`, in
-/// month-major order.  Deliberate API surface: the full-paper
-/// replication entry point for downstream experiment drivers.
-pub fn run_all_months(
-    mk: impl Fn(Month) -> Scenario + Sync,
-    specs: &[PolicySpec],
-) -> Vec<RunResult> {
-    let scenarios: Vec<Scenario> = Month::ALL.iter().map(|&m| mk(m)).collect();
-    run_matrix(&scenarios, specs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,9 +20,9 @@ pub enum PolicySpec {
     LxfBackfill,
     /// SJF-backfill (1 reservation) — the starvation-prone extreme.
     SjfBackfill,
-    /// LXF&W-backfill with the default wait weight.
+    /// LXF&W-backfill (wait weight `sbs_backfill::priority::LXFW_WEIGHT`).
     LxfwBackfill,
-    /// Selective backfill with the default starvation threshold.
+    /// Selective backfill (threshold `sbs_backfill::policy::SELECTIVE_THRESHOLD`).
     SelectiveBackfill,
     /// Priority backfill with an explicit reservation count (the
     /// reservation-count ablation).
@@ -129,12 +129,7 @@ impl PolicySpec {
             PolicySpec::FcfsBackfill => Box::new(sbs_backfill::fcfs_backfill()),
             PolicySpec::LxfBackfill => Box::new(sbs_backfill::lxf_backfill()),
             PolicySpec::SjfBackfill => Box::new(sbs_backfill::sjf_backfill()),
-            PolicySpec::LxfwBackfill => Box::new(BackfillPolicy::new(
-                PriorityOrder::LxfW {
-                    weight: PriorityOrder::DEFAULT_LXFW_WEIGHT,
-                },
-                1,
-            )),
+            PolicySpec::LxfwBackfill => Box::new(BackfillPolicy::new(PriorityOrder::LxfW, 1)),
             PolicySpec::SelectiveBackfill => Box::new(sbs_backfill::selective_backfill()),
             PolicySpec::BackfillWithReservations {
                 order,
@@ -149,16 +144,6 @@ impl PolicySpec {
     /// Display name of the policy this spec builds.
     pub fn name(&self) -> String {
         self.build().name()
-    }
-
-    /// The three policies of the paper's headline comparison
-    /// (Figures 3, 4 and 8): FCFS-backfill, LXF-backfill, DDS/lxf/dynB.
-    pub fn headline_trio(node_limit: u64) -> Vec<PolicySpec> {
-        vec![
-            PolicySpec::FcfsBackfill,
-            PolicySpec::LxfBackfill,
-            PolicySpec::dds_lxf_dynb(node_limit),
-        ]
     }
 }
 
@@ -184,15 +169,6 @@ mod tests {
             .name(),
             "FCFS-backfill/res4"
         );
-    }
-
-    #[test]
-    fn headline_trio_matches_figures() {
-        let names: Vec<String> = PolicySpec::headline_trio(1_000)
-            .iter()
-            .map(|s| s.name())
-            .collect();
-        assert_eq!(names, vec!["FCFS-backfill", "LXF-backfill", "DDS/lxf/dynB"]);
     }
 
     #[test]

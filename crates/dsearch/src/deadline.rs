@@ -34,11 +34,6 @@ impl DeadlineTimer {
         }
     }
 
-    /// A timer that never expires (searches without a deadline).
-    pub fn unarmed() -> Self {
-        DeadlineTimer { expires_at: None }
-    }
-
     /// True once the deadline has passed.  Costs a clock read; callers
     /// amortize it over many search nodes.
     #[expect(
@@ -65,9 +60,6 @@ mod tests {
 
     #[test]
     fn unarmed_timers_never_expire() {
-        let t = DeadlineTimer::unarmed();
-        assert!(!t.armed());
-        assert!(!t.expired());
         let t = DeadlineTimer::starting_now(None);
         assert!(!t.armed());
         assert!(!t.expired());

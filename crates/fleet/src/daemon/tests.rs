@@ -42,6 +42,28 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// An FCFS-backfill cluster whose decision log goes to `log`.
+fn logged_cluster(capacity: u32, log: &std::path::Path) -> Cluster {
+    let mut cfg = ServiceConfig::new(capacity, PolicySpec::FcfsBackfill);
+    cfg.trace_log = Some(log.to_path_buf());
+    Cluster::fresh(cfg)
+}
+
+/// Every decision in the log at `log` as `(time, started job ids)`.
+fn decisions(cluster: &mut Cluster, log: &std::path::Path) -> Vec<(u64, Vec<u64>)> {
+    cluster.flush_traces().expect("flush");
+    let text = std::fs::read_to_string(log).expect("decision log");
+    text.lines()
+        .skip(1) // the meta header
+        .map(|line| {
+            let d: Value = serde_json::from_str(line).expect("decision line");
+            let started = d["started"].as_array().expect("started");
+            let started = started.iter().filter_map(Value::as_u64).collect();
+            (d["now"].as_u64().expect("now"), started)
+        })
+        .collect()
+}
+
 #[test]
 fn submit_runs_one_decision_and_starts_fitting_jobs() {
     let mut d = cluster(8);
@@ -64,19 +86,27 @@ fn oversized_and_draining_submissions_are_rejected() {
 
 #[test]
 fn departures_between_submissions_replay_as_decision_points() {
-    let mut d = cluster(8);
+    let dir = scratch("departures");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let log = dir.join("trace.jsonl");
+    let mut d = logged_cluster(8, &log);
     d.submit_at(0, 8, HOUR, None, 0).expect("submit");
     d.submit_at(10, 8, HOUR, None, 0).expect("submit"); // waits
                                                         // Submitting long after both jobs' departures replays them.
     let (_, started) = d.submit_at(3 * HOUR, 8, HOUR, None, 0).expect("submit");
     assert!(started, "machine drained by then");
-    assert_eq!(d.records().len(), 2);
-    assert_eq!(d.records()[0].end, HOUR);
+    assert_eq!(d.tally().completed.count, 2);
     assert_eq!(
-        d.records()[1].start,
-        HOUR,
-        "queued job started at departure"
+        decisions(&mut d, &log),
+        [
+            (0, vec![0]),
+            (10, vec![]),
+            (HOUR, vec![1]), // the queued job starts at the departure
+            (2 * HOUR, vec![]),
+            (3 * HOUR, vec![2]),
+        ]
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -93,7 +123,10 @@ fn drain_completes_everything() {
 
 #[test]
 fn snapshot_round_trip_restores_the_same_world() {
-    let mut d = cluster(8);
+    let dir = scratch("round-trip");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (log, log2) = (dir.join("d.jsonl"), dir.join("d2.jsonl"));
+    let mut d = logged_cluster(8, &log);
     d.submit_at(0, 4, 2 * HOUR, Some(3 * HOUR), 1)
         .expect("submit");
     d.submit_at(50, 8, HOUR, None, 2).expect("submit"); // waits
@@ -101,7 +134,8 @@ fn snapshot_round_trip_restores_the_same_world() {
     assert_eq!(snap.waiting.len(), 1);
     assert_eq!(snap.running.len(), 1);
 
-    let cfg = ServiceConfig::new(8, PolicySpec::FcfsBackfill);
+    let mut cfg = ServiceConfig::new(8, PolicySpec::FcfsBackfill);
+    cfg.trace_log = Some(log2.clone());
     let mut d2 = Cluster::from_snapshot(cfg, &snap).expect("restore");
     assert_eq!(d2.now(), d.now());
     assert_eq!(d2.snapshot(), snap, "snapshot of the restore is identical");
@@ -110,10 +144,10 @@ fn snapshot_round_trip_restores_the_same_world() {
     let (a, _) = d.drain();
     let (b, _) = d2.drain();
     assert_eq!(a, b);
-    assert_eq!(
-        d.records().last().map(|r| (r.id, r.start, r.end)),
-        d2.records().last().map(|r| (r.id, r.start, r.end)),
-    );
+    let after_restore = decisions(&mut d, &log).split_off(2);
+    assert_eq!(after_restore, decisions(&mut d2, &log2));
+    assert_eq!(after_restore, [(2 * HOUR, vec![1]), (3 * HOUR, vec![])]);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! anywhere in the crate.
 //!
 //! Admission runs each submit through the tenant's [`TenantQuota`]
-//! (queue depth, pending node-seconds, weighted fairshare) before the
+//! (queue depth, fairshare) before the
 //! cluster sees it.  `/metrics` renders per-cluster families with a
 //! bounded label cardinality: the first [`FleetConfig::cluster_label_cap`]
 //! cluster ids (lexicographic) get their own `cluster="..."` series and
@@ -258,13 +258,10 @@ pub struct Fleet {
     /// Pending node-seconds summed over every tenant (fairshare input).
     /// Orderings: DESIGN.md, "Fleet atomics".
     total_pending: AtomicU64,
-    /// Sum of live tenants' quota weights (fairshare input).
-    /// Orderings: DESIGN.md, "Fleet atomics".
-    total_weight: AtomicU64,
     /// Latest scheduler time observed anywhere (steers virtual clocks).
     /// Orderings: DESIGN.md, "Fleet atomics".
     latest_now: AtomicU64,
-    /// Live tenant count (the cluster cap).
+    /// Live tenant count (the cluster cap, and the fairshare divisor).
     /// Orderings: DESIGN.md, "Fleet atomics".
     tenant_count: AtomicU64,
     /// Correlation ids, minted once per routed request.
@@ -287,7 +284,6 @@ impl Fleet {
             cfg,
             shards,
             total_pending: AtomicU64::new(0),
-            total_weight: AtomicU64::new(0),
             latest_now: AtomicU64::new(0),
             tenant_count: AtomicU64::new(0),
             corr: CorrelationSource::new(),
@@ -370,8 +366,6 @@ impl Fleet {
         };
         let mut tenant = Tenant::new(recovered, self.cfg.quota);
         self.tenant_count.fetch_add(1, Ordering::AcqRel);
-        self.total_weight
-            .fetch_add(self.cfg.quota.weight, Ordering::AcqRel);
         self.publish_tenant(&mut tenant);
         shard.tenants.insert(cluster.to_string(), tenant);
         Ok(())
@@ -401,7 +395,7 @@ impl Fleet {
         let add = u64::from(spec.nodes).saturating_mul(requested);
         let fleet = FleetDemand {
             total_pending: self.total_pending.load(Ordering::Acquire),
-            total_weight: self.total_weight.load(Ordering::Acquire),
+            tenants: self.tenant_count.load(Ordering::Acquire),
         };
         quota
             .admit(depth, pending, add, fleet)
@@ -451,8 +445,6 @@ impl Fleet {
                 return Err(format!("unknown cluster {cluster:?}"));
             };
             self.tenant_count.fetch_add(1, Ordering::AcqRel);
-            self.total_weight
-                .fetch_add(self.cfg.quota.weight, Ordering::AcqRel);
             shard
                 .tenants
                 .insert(cluster.to_string(), Tenant::new(created, self.cfg.quota));
@@ -1074,14 +1066,13 @@ mod tests {
     #[test]
     fn fairshare_caps_a_hog_once_the_fleet_has_demand() {
         let quota = TenantQuota {
-            weight: 1,
             fair_slack_percent: 150,
             ..Default::default()
         };
         let f = Fleet::new(FleetConfig::new(8, PolicySpec::FcfsBackfill).with_quota(quota))
             .expect("fleet");
         // Tenant "greedy" stacks waiting demand; tenant "modest" holds a
-        // little.  With two equal weights, greedy's entitlement is half
+        // little.  With two tenants, greedy's entitlement is half
         // the fleet's pending demand (×1.5 slack).
         admitted(&f, "modest", 8, 0);
         admitted(&f, "modest", 4, 0);
@@ -1474,12 +1465,12 @@ mod tests {
         assert!(text.contains(&format!("sbs_fleet_clusters {total}")));
     }
 
-    /// One tenant's decisions since its last rendered snapshot, and its
-    /// state right now.
-    fn tenant_state(f: &Fleet, id: &str) -> (u64, Snapshot) {
+    /// One tenant's decisions since its last rendered snapshot, its
+    /// state right now, and its decisions so far.
+    fn tenant_state(f: &Fleet, id: &str) -> (u64, Snapshot, u64) {
         let mut shard = lock_shard(&f.shards[f.shard_index(id)]);
         let c = &mut shard.tenants.get_mut(id).expect("tenant").cluster;
-        (c.unsnapshotted(), c.snapshot())
+        (c.unsnapshotted(), c.snapshot(), c.tally().decisions)
     }
 
     #[test]
@@ -1495,21 +1486,21 @@ mod tests {
         // written exactly when the operation brought the tenant to 4
         // decisions since the last write, and then equal to the state
         // the operation answered from.  Counts the writes.
+        let written = std::cell::RefCell::new(None);
         let step = |writes: &mut u32, op: &dyn Fn()| {
-            let (before, snap) = tenant_state(&f, "alpha");
-            let decided_before = snap.decisions;
+            let (before, _, decided_before) = tenant_state(&f, "alpha");
             op();
-            let (after, snap) = tenant_state(&f, "alpha");
-            let decided = snap.decisions - decided_before;
+            let (after, snap, decided) = tenant_state(&f, "alpha");
+            let decided = decided - decided_before;
             if before + decided >= 4 {
                 assert_eq!(after, 0, "the due snapshot was rendered");
                 assert_eq!(Snapshot::load(&file).expect("written"), snap);
+                *written.borrow_mut() = Some(snap);
                 *writes += 1;
             } else {
                 assert_eq!(after, before + decided, "no write before it is due");
-                if let Ok(on_disk) = Snapshot::load(&file) {
-                    assert_eq!(on_disk.decisions, snap.decisions - after);
-                }
+                let on_disk = Snapshot::load(&file).ok();
+                assert_eq!(on_disk, *written.borrow(), "the file is the last write");
             }
         };
         let (mut by_requests, mut by_departures) = (0, 0);

@@ -10,9 +10,9 @@
 //!
 //! On top of plain routing the fleet adds:
 //!
-//! - **Admission control** ([`TenantQuota`]): per-tenant queue-depth and
-//!   pending node-second caps, plus weighted fairshare against the
-//!   fleet-wide pending demand (integer-only, lock-free inputs).
+//! - **Admission control** ([`TenantQuota`]): a per-tenant queue-depth
+//!   cap, plus fairshare against an equal split of the fleet-wide
+//!   pending demand (integer-only, lock-free inputs).
 //! - **Bounded-cardinality metrics**: fleet-level families plus
 //!   per-cluster `cluster="..."` series capped at a configurable label
 //!   budget with an `_other` overflow bucket.

@@ -20,6 +20,7 @@ use sbs_workload::job::{JobId, RuntimeKnowledge};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 
 /// A small workload with *strictly increasing* submit times.
 ///
@@ -48,15 +49,41 @@ fn staggered_workload(seed: u64) -> Workload {
     w
 }
 
+/// Each job's start time as the decision logs at `paths` record it; a
+/// job started twice fails the test.
+fn logged_starts(paths: &[&Path]) -> BTreeMap<u32, u64> {
+    let mut starts = BTreeMap::new();
+    for path in paths {
+        let log = std::fs::read_to_string(path).expect("decision log");
+        // The first line is the log's meta header.
+        for line in log.lines().skip(1) {
+            let d: serde_json::Value = serde_json::from_str(line).expect("decision line");
+            for id in d["started"].as_array().expect("started ids") {
+                let id = u32::try_from(id.as_u64().expect("job id")).expect("u32 id");
+                let at = d["now"].as_u64().expect("decision time");
+                assert_eq!(starts.insert(id, at), None, "job {id} started twice");
+            }
+        }
+    }
+    starts
+}
+
 /// Replays `workload` through a fresh virtual-clock cluster and returns
-/// each job's start time.
+/// each job's start time as its decision log records it.
 fn cluster_starts(
     workload: &Workload,
     spec: PolicySpec,
     knowledge: RuntimeKnowledge,
 ) -> BTreeMap<u32, u64> {
+    let log = std::env::temp_dir().join(format!(
+        "sbs-cluster-parity-{}-{knowledge:?}-{}.jsonl",
+        spec.name().replace('/', "_"),
+        std::process::id()
+    ));
+    std::fs::remove_file(&log).ok();
     let mut cfg = ServiceConfig::new(workload.capacity, spec);
     cfg.knowledge = knowledge;
+    cfg.trace_log = Some(log.clone());
     let mut cluster = Cluster::fresh(cfg);
     for job in &workload.jobs {
         let (id, _) = cluster
@@ -70,14 +97,14 @@ fn cluster_starts(
             .expect("submit");
         assert_eq!(id, job.id, "the cluster assigns ids in submission order");
     }
-    let (_, leftover) = cluster.drain();
+    let (completed, leftover) = cluster.drain();
     assert_eq!(leftover, 0, "drain left jobs waiting");
-    assert_eq!(cluster.records().len(), workload.jobs.len());
-    cluster
-        .records()
-        .iter()
-        .map(|r| (r.id.0, r.start))
-        .collect()
+    assert_eq!(cluster.tally().completed.count, workload.jobs.len() as u64);
+    assert!(completed > 0, "drain completes the jobs still running");
+    cluster.flush_traces().expect("flush");
+    let starts = logged_starts(&[&log]);
+    std::fs::remove_file(&log).ok();
+    starts
 }
 
 /// Replays `workload` through a one-tenant fleet, one un-routed
@@ -103,15 +130,7 @@ fn fleet_starts(workload: &Workload, spec: PolicySpec, tag: &str) -> BTreeMap<u3
     let (v, _) = fleet.handle_routed(None, Request::Drain, 0);
     assert_eq!(v["leftover"].as_u64(), Some(0), "{v}");
     fleet.on_shutdown();
-    let log = std::fs::read_to_string(dir.join("trace-default.jsonl")).expect("decision log");
-    let mut starts = BTreeMap::new();
-    for line in log.lines().skip(1) {
-        let d: serde_json::Value = serde_json::from_str(line).expect("decision line");
-        for id in d["started"].as_array().expect("started ids") {
-            let id = u32::try_from(id.as_u64().expect("job id")).expect("u32 id");
-            starts.insert(id, d["now"].as_u64().expect("decision time"));
-        }
-    }
+    let starts = logged_starts(&[&dir.join("trace-default.jsonl")]);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(starts.len(), workload.jobs.len(), "every job started once");
     starts
@@ -169,11 +188,15 @@ fn kill_and_restart_resumes_with_the_same_queue() {
     let dir = std::env::temp_dir().join("sbs-service-restart-test");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("state.json");
-    std::fs::remove_file(&path).ok();
+    let (log_before, log_after) = (dir.join("before.jsonl"), dir.join("after.jsonl"));
+    for stale in [&path, &log_before, &log_after] {
+        std::fs::remove_file(stale).ok();
+    }
 
     let w = staggered_workload(11);
     let mut cfg = ServiceConfig::new(w.capacity, PolicySpec::LxfBackfill);
     cfg.snapshot_path = Some(path.clone());
+    cfg.trace_log = Some(log_before.clone());
     let mut first = Cluster::new(cfg.clone()).expect("fresh cluster");
     let killed_after = 60;
     for job in &w.jobs[..killed_after] {
@@ -190,15 +213,12 @@ fn kill_and_restart_resumes_with_the_same_queue() {
     let (snap, at) = first.render_snapshot().expect("path set");
     snap.save(&at).expect("snapshot");
     let pre_kill = first.snapshot();
-    let completed_before: Vec<JobId> = first.records().iter().map(|r| r.id).collect();
-    assert_eq!(
-        completed_before.len() as u64,
-        pre_kill.completed.count,
-        "snapshot accounts for every pre-kill completion"
-    );
+    let completed_before = first.tally().completed.count;
+    first.flush_traces().expect("flush");
     drop(first); // the "kill": no drain, no further writes
 
     // Restart from disk: Cluster::new finds the snapshot at the path.
+    cfg.trace_log = Some(log_after.clone());
     let mut second = Cluster::new(cfg).expect("recovered cluster");
     let resumed = second.snapshot();
     assert_eq!(resumed, pre_kill, "restart reproduces the exact state");
@@ -225,14 +245,22 @@ fn kill_and_restart_resumes_with_the_same_queue() {
     }
     let (_, leftover) = second.drain();
     assert_eq!(leftover, 0);
+    second.flush_traces().expect("flush");
 
-    // No job lost, none duplicated: pre-kill completions and post-restart
-    // completions partition the workload.
-    let mut all: Vec<JobId> = completed_before;
-    all.extend(second.records().iter().map(|r| r.id));
-    all.sort();
+    // No job lost, none duplicated: pre-kill and post-restart starts
+    // partition the workload, and so do the completions each process
+    // counted (the restarted tally counts from 0).
+    let started: Vec<JobId> = logged_starts(&[&log_before, &log_after])
+        .into_keys()
+        .map(JobId)
+        .collect();
     let expected: Vec<JobId> = (0..).take(w.jobs.len()).map(JobId).collect();
-    assert_eq!(all, expected, "every job completed exactly once");
+    assert_eq!(started, expected, "every job started exactly once");
+    assert_eq!(
+        completed_before + second.tally().completed.count,
+        w.jobs.len() as u64,
+        "every job completed exactly once"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,7 @@
 //! `/statusz` totals), and its `sbs_cluster_*{cluster="ID"}` series in
 //! the fleet exposition — for a search tenant, a tree-plus-hill-climb
 //! tenant and a backfill tenant, before and after each is restored from
-//! its snapshot.
+//! its snapshot.  A restored tenant's counts restart at 0.
 
 use sbs_core::{Branching, PolicySpec, SearchAlgo, TargetBound};
 use sbs_fleet::{Fleet, FleetConfig};
@@ -30,7 +30,7 @@ fn sample(text: &str, series: &str) -> u64 {
         .unwrap_or_else(|| panic!("no integer sample {series} in:\n{text}"))
 }
 
-fn submit(f: &Fleet, nodes: u32, runtime: u64, at: u64) {
+fn submit_to(f: &Fleet, cluster: Option<&str>, nodes: u32, runtime: u64, at: u64) {
     let req = Request::Submit {
         nodes,
         runtime,
@@ -38,8 +38,12 @@ fn submit(f: &Fleet, nodes: u32, runtime: u64, at: u64) {
         user: 0,
         submit: Some(at),
     };
-    let (v, _) = f.handle_routed(Some(ID), req, at);
+    let (v, _) = f.handle_routed(cluster, req, at);
     assert_eq!(v["ok"], true, "{v}");
+}
+
+fn submit(f: &Fleet, nodes: u32, runtime: u64, at: u64) {
+    submit_to(f, Some(ID), nodes, runtime, at);
 }
 
 /// Probes all three views at `at`, asserts they agree, and returns the
@@ -139,6 +143,11 @@ fn every_served_view_agrees_on_each_tenants_numbers() {
                 let (tree, local) = traced_nodes(&dir.join("traces").join("trace-t.jsonl"));
                 assert!(local > 0, "the hybrid climbed");
                 assert_eq!(nodes, tree + local, "nodes are tree plus hill-climb");
+                assert_eq!(
+                    sample(&before, "sbs_search_nodes_per_decision_sum"),
+                    nodes,
+                    "the per-decision histogram sums what the total counts"
+                );
             }
             _ => assert_eq!(nodes, 0),
         }
@@ -147,14 +156,63 @@ fn every_served_view_agrees_on_each_tenants_numbers() {
 
         let mut f = Fleet::new(cfg).expect("restored fleet");
         let after = agreeing_views(&mut f, 120);
+        assert!(decisions > 0);
         assert_eq!(
             sample(&after, "sbs_decisions_total"),
-            decisions,
-            "the snapshot seeds the decision count"
+            0,
+            "counts restart with the process"
         );
         submit(&f, 2, 30, 130);
         let later = agreeing_views(&mut f, 200);
-        assert!(sample(&later, "sbs_decisions_total") > decisions);
+        assert!(sample(&later, "sbs_decisions_total") > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Every `(series, value)` sample of a `_total` counter or a histogram
+/// `_count` in `text`.
+fn counts(text: &str) -> Vec<(&str, &str)> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter(|(series, _)| {
+            let name = series.split('{').next().unwrap_or_default();
+            name.ends_with("_total") || name.ends_with("_count")
+        })
+        .collect()
+}
+
+#[test]
+fn a_restored_tenant_serves_every_count_from_zero() {
+    let dir = temp_dir("restart");
+    let cfg = FleetConfig::new(8, PolicySpec::FcfsBackfill).with_snapshot_dir(dir.clone());
+    let mut f = Fleet::new(cfg.clone()).expect("fleet");
+    // Three short jobs complete, a wide one runs and a second waits.
+    for (i, at) in [0, 10, 20].into_iter().enumerate() {
+        submit_to(&f, None, 2, 50 + 10 * i as u64, at);
+    }
+    submit_to(&f, None, 8, 1_000, 200);
+    submit_to(&f, None, 4, 100, 210);
+    let served = f.http_get("/metrics?cluster=default", 210).body;
+    assert_eq!(sample(&served, "sbs_completed_jobs_total"), 3, "{served}");
+    f.save_snapshots().expect("snapshots");
+    drop(f);
+
+    let mut f = Fleet::new(cfg).expect("restored fleet");
+    let now = f.now();
+    let served = f.http_get("/metrics?cluster=default", now).body;
+    let counted = counts(&served);
+    assert!(counted.len() > 20, "{served}");
+    for (series, value) in counted {
+        let value: f64 = value.parse().expect("a number");
+        assert_eq!(value, 0.0, "{series} after a restart:\n{served}");
+    }
+    for at in [1_300, 1_310] {
+        submit_to(&f, None, 2, 60, at);
+    }
+    let served = f.http_get("/metrics?cluster=default", 2_000).body;
+    let completed = sample(&served, "sbs_completed_jobs_total");
+    assert_eq!(completed, 4, "the two restored jobs and two new ones");
+    assert_eq!(completed, sample(&served, "sbs_wait_seconds_count"));
+    std::fs::remove_dir_all(&dir).ok();
 }

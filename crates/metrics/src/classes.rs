@@ -2,12 +2,10 @@
 //!
 //! Figure 5 plots the average wait for a 5x5 grid of job classes —
 //! five actual-runtime ranges (up to 10 min, 1 h, 4 h, 8 h and beyond)
-//! by five node ranges (1, 2-8, 9-32, 33-64, 65-128).  Table 4 uses the
-//! coarser short/long split per node class.  This module computes both
-//! from job records.
+//! by five node ranges (1, 2-8, 9-32, 33-64, 65-128).  This module
+//! computes it from job records.
 
 use sbs_sim::JobRecord;
-use sbs_workload::profile::{class_of_nodes, NODE_CLASSES};
 use sbs_workload::time::{Time, HOUR, MINUTE};
 
 /// Upper bounds (inclusive) of Figure 5's runtime rows; the last row is
@@ -79,32 +77,6 @@ impl ClassGrid {
     }
 }
 
-/// Table 4's per-node-class job fractions: `[0] = T <= 1 h` and
-/// `[1] = T > 5 h`, each as a fraction of **all** records, indexed by
-/// [`NODE_CLASSES`].
-pub fn table4_fractions<'a>(records: impl IntoIterator<Item = &'a JobRecord>) -> [[f64; 5]; 2] {
-    let mut counts = [[0usize; 5]; 2];
-    let mut total = 0usize;
-    for r in records {
-        total += 1;
-        let class = class_of_nodes(r.nodes);
-        if r.runtime <= HOUR {
-            counts[0][class] += 1;
-        } else if r.runtime > 5 * HOUR {
-            counts[1][class] += 1;
-        }
-    }
-    let mut out = [[0.0f64; 5]; 2];
-    if total > 0 {
-        for band in 0..2 {
-            for class in 0..NODE_CLASSES.len() {
-                out[band][class] = counts[band][class] as f64 / total as f64;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,28 +130,8 @@ mod tests {
     }
 
     #[test]
-    fn table4_fraction_bands() {
-        let rs = [
-            record(0, 1, HOUR, 0),           // short, class 0
-            record(1, 1, 6 * HOUR, 0),       // long, class 0
-            record(2, 4, 3 * HOUR, 0),       // medium, class 2 (neither band)
-            record(3, 100, 5 * HOUR + 1, 0), // long, class 4
-        ];
-        let f = table4_fractions(&rs);
-        assert!((f[0][0] - 0.25).abs() < 1e-12);
-        assert!((f[1][0] - 0.25).abs() < 1e-12);
-        assert!((f[1][4] - 0.25).abs() < 1e-12);
-        let short_total: f64 = f[0].iter().sum();
-        let long_total: f64 = f[1].iter().sum();
-        assert!((short_total - 0.25).abs() < 1e-12);
-        assert!((long_total - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_records_are_safe() {
         let g = ClassGrid::over([]);
         assert_eq!(g.total(), 0);
-        let f = table4_fractions([]);
-        assert_eq!(f, [[0.0; 5]; 2]);
     }
 }

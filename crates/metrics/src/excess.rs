@@ -8,7 +8,7 @@
 //! FCFS-backfill itself has zero total `E^max_fcfs-bf`.
 
 use sbs_sim::JobRecord;
-use sbs_workload::time::{to_hours, Time};
+use sbs_workload::time::Time;
 use serde::{Deserialize, Serialize};
 
 /// Excessive-wait statistics w.r.t. one threshold (Figure 4(e)-(h)).
@@ -50,11 +50,6 @@ impl ExcessStats {
                 0.0
             },
         }
-    }
-
-    /// The threshold in hours (for reports).
-    pub fn threshold_h(&self) -> f64 {
-        to_hours(self.threshold)
     }
 }
 

@@ -20,7 +20,6 @@
 
 pub mod basic;
 pub mod classes;
-pub mod distribution;
 pub mod excess;
 pub mod fairness;
 pub mod table;

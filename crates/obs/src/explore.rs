@@ -2,7 +2,9 @@
 //! into per-decision tables and a collapsed-stack file (`sbs trace`).
 
 use crate::record::{DecisionTrace, TraceMeta};
+use crate::sink::TimeMode;
 use crate::span::render_collapsed;
+use crate::tally::Tally;
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 
@@ -14,28 +16,10 @@ const UTIL_BUCKETS: usize = 10;
 pub struct TraceReport {
     /// The log's meta header.
     pub meta: TraceMeta,
-    /// Decisions in the log.
-    pub decisions: u64,
-    /// Decisions carrying a search trace.
-    pub searched: u64,
-    /// Total jobs started.
-    pub started_jobs: u64,
-    /// Total search nodes expanded.
-    pub nodes: u64,
-    /// Total leaves evaluated.
-    pub leaves: u64,
-    /// Total prune-bound subtree cuts.
-    pub pruned: u64,
-    /// Decisions whose tree was fully enumerated.
-    pub exhausted: u64,
-    /// Decisions stopped by the node budget.
-    pub budget_hits: u64,
-    /// Decisions truncated by the wall-clock deadline.
-    pub deadline_hits: u64,
-    /// Budget left unspent across all deadline truncations.
-    pub deadline_nodes_left: u64,
-    /// Decisions that fell back to the greedy schedule.
-    pub fallbacks: u64,
+    /// The counts, folded exactly as a tenant's `/metrics` folds them
+    /// (search nodes are tree plus hill-climb nodes; a deadline
+    /// truncation is a deadline cut that left node budget unspent).
+    pub tally: Tally,
     /// Leaves per iteration bucket, summed over all decisions.
     pub leaf_iters: Vec<u64>,
     /// Improvements per iteration bucket (iteration that produced each
@@ -47,8 +31,6 @@ pub struct TraceReport {
     pub incumbent_at: [u64; UTIL_BUCKETS],
     /// Merged span weights, for the collapsed-stack output.
     pub spans: BTreeMap<String, u64>,
-    /// Backfill totals `(examined, started, reserved, blocked)`.
-    pub backfill: (u64, u64, u64, u64),
 }
 
 impl TraceReport {
@@ -109,30 +91,12 @@ impl TraceReport {
     }
 
     fn fold(&mut self, d: &DecisionTrace) {
-        self.decisions += 1;
-        self.started_jobs += d.started.len() as u64;
+        self.tally.fold(d, TimeMode::Virtual);
         let Some(p) = &d.policy else { return };
         for (path, weight) in &p.spans {
             *self.spans.entry(path.clone()).or_insert(0) += weight;
         }
         if let Some(s) = &p.search {
-            self.searched += 1;
-            self.nodes += s.nodes;
-            self.leaves += s.leaves;
-            self.pruned += s.pruned;
-            if s.exhausted {
-                self.exhausted += 1;
-            }
-            if s.budget_hit {
-                self.budget_hits += 1;
-            }
-            if s.deadline_hit {
-                self.deadline_hits += 1;
-                self.deadline_nodes_left += s.nodes_left_at_deadline;
-            }
-            if s.fallback {
-                self.fallbacks += 1;
-            }
             for (i, &count) in s.leaf_iters.iter().enumerate() {
                 if self.leaf_iters.len() <= i {
                     self.leaf_iters.resize(i + 1, 0);
@@ -149,40 +113,42 @@ impl TraceReport {
             }
             self.budget_util[decile(s.nodes, s.budget)] += 1;
         }
-        if let Some(b) = &p.backfill {
-            self.backfill.0 += u64::from(b.examined);
-            self.backfill.1 += u64::from(b.started);
-            self.backfill.2 += u64::from(b.reserved);
-            self.backfill.3 += u64::from(b.blocked);
-        }
+    }
+
+    /// Decisions carrying a search trace: each observes the per-decision
+    /// node histogram once.
+    fn searched(&self) -> u64 {
+        self.tally.search_nodes_per_decision.count()
     }
 
     /// Renders the human-readable report tables.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let m = &self.meta;
+        let (m, t) = (&self.meta, &self.tally);
         out.push_str(&format!(
             "trace: {} | mode {} | policy {} | capacity {}\n",
             m.source, m.mode, m.policy, m.capacity
         ));
         out.push_str(&format!(
             "decisions {} | searched {} | jobs started {}\n\n",
-            self.decisions, self.searched, self.started_jobs
+            t.decisions,
+            self.searched(),
+            t.jobs_started
         ));
 
-        if self.searched > 0 {
+        if self.searched() > 0 {
             out.push_str("search totals\n");
             out.push_str(&format!(
                 "  nodes {} | leaves {} | pruned {}\n",
-                self.nodes, self.leaves, self.pruned
+                t.search_nodes, t.search_leaves, t.search_pruned
             ));
             out.push_str(&format!(
                 "  exhausted {} | budget-hit {} | deadline-truncated {} (nodes left {}) | greedy fallback {}\n\n",
-                self.exhausted,
-                self.budget_hits,
-                self.deadline_hits,
-                self.deadline_nodes_left,
-                self.fallbacks
+                t.search_exhausted,
+                t.search_budget_hits,
+                t.search_deadline_truncations,
+                t.search_deadline_nodes_left,
+                t.search_fallbacks
             ));
 
             out.push_str("depth vs improvement (per discrepancy iteration)\n");
@@ -204,8 +170,9 @@ impl TraceReport {
             out.push('\n');
         }
 
-        if self.backfill != (0, 0, 0, 0) {
-            let (examined, started, reserved, blocked) = self.backfill;
+        let backfill = self.backfill();
+        if backfill != [0; 4] {
+            let [examined, started, reserved, blocked] = backfill;
             out.push_str("backfill outcomes\n");
             out.push_str(&format!(
                 "  examined {examined} | hole-filled/started {started} | reserved {reserved} | blocked {blocked}\n\n"
@@ -226,36 +193,49 @@ impl TraceReport {
         render_collapsed(self.spans.iter().map(|(p, &w)| (p.as_str(), w)))
     }
 
+    /// Backfill totals `[examined, started, reserved, blocked]`.
+    fn backfill(&self) -> [u64; 4] {
+        let t = &self.tally;
+        [
+            t.backfill_examined,
+            t.backfill_started,
+            t.backfill_reserved,
+            t.backfill_blocked,
+        ]
+    }
+
     /// Machine-readable aggregate (sorted keys, deterministic).
     pub fn to_json(&self) -> Value {
+        let t = &self.tally;
         let mut m = Map::new();
         m.insert("schema".into(), crate::record::TRACE_SCHEMA.into());
         m.insert("mode".into(), self.meta.mode.as_str().into());
         m.insert("policy".into(), self.meta.policy.as_str().into());
         m.insert("source".into(), self.meta.source.as_str().into());
-        m.insert("decisions".into(), self.decisions.into());
-        m.insert("searched".into(), self.searched.into());
-        m.insert("started_jobs".into(), self.started_jobs.into());
-        m.insert("nodes".into(), self.nodes.into());
-        m.insert("leaves".into(), self.leaves.into());
-        m.insert("pruned".into(), self.pruned.into());
-        m.insert("exhausted".into(), self.exhausted.into());
-        m.insert("budget_hits".into(), self.budget_hits.into());
-        m.insert("deadline_hits".into(), self.deadline_hits.into());
-        m.insert(
-            "deadline_nodes_left".into(),
-            self.deadline_nodes_left.into(),
-        );
-        m.insert("fallbacks".into(), self.fallbacks.into());
+        for (key, value) in [
+            ("decisions", t.decisions),
+            ("searched", self.searched()),
+            ("started_jobs", t.jobs_started),
+            ("nodes", t.search_nodes),
+            ("leaves", t.search_leaves),
+            ("pruned", t.search_pruned),
+            ("exhausted", t.search_exhausted),
+            ("budget_hits", t.search_budget_hits),
+            ("deadline_hits", t.search_deadline_truncations),
+            ("deadline_nodes_left", t.search_deadline_nodes_left),
+            ("fallbacks", t.search_fallbacks),
+        ] {
+            m.insert(key.into(), value.into());
+        }
         m.insert("leaf_iters".into(), self.leaf_iters.as_slice().into());
         m.insert("best_iters".into(), self.best_iters.as_slice().into());
         m.insert("budget_util".into(), self.budget_util.into());
         m.insert("incumbent_at".into(), self.incumbent_at.into());
-        let mut bf = Map::new();
-        bf.insert("examined".into(), self.backfill.0.into());
-        bf.insert("started".into(), self.backfill.1.into());
-        bf.insert("reserved".into(), self.backfill.2.into());
-        bf.insert("blocked".into(), self.backfill.3.into());
+        let bf = ["examined", "started", "reserved", "blocked"]
+            .into_iter()
+            .zip(self.backfill())
+            .map(|(key, value)| (key.to_string(), value.into()))
+            .collect();
         m.insert("backfill".into(), Value::Object(bf));
         Value::Object(m)
     }
@@ -337,13 +317,13 @@ mod tests {
     #[test]
     fn aggregates_a_log_end_to_end() {
         let report = TraceReport::from_lines(&log_text()).expect("parse");
-        assert_eq!(report.decisions, 3);
-        assert_eq!(report.searched, 3);
-        assert_eq!(report.nodes, 2700);
+        assert_eq!(report.tally.decisions, 3);
+        assert_eq!(report.searched(), 3);
+        assert_eq!(report.tally.search_nodes, 2700);
         assert_eq!(report.leaf_iters, vec![3, 87]);
         assert_eq!(report.best_iters, vec![0, 3]);
-        assert_eq!(report.deadline_hits, 1);
-        assert_eq!(report.deadline_nodes_left, 100);
+        assert_eq!(report.tally.search_deadline_truncations, 1);
+        assert_eq!(report.tally.search_deadline_nodes_left, 100);
         // 900/1000 and 450/900 both land in the 90% and 50% deciles.
         assert_eq!(report.budget_util[9], 3);
         assert_eq!(report.incumbent_at[5], 3);
@@ -360,17 +340,26 @@ mod tests {
     fn last_and_since_restrict_the_window() {
         let text = log_text();
         let last = TraceReport::from_lines_filtered(&text, None, Some(2)).expect("last");
-        assert_eq!(last.decisions, 2);
-        assert_eq!(last.nodes, 1800);
-        assert_eq!(last.deadline_hits, 1, "seq 3 is inside the window");
+        assert_eq!(last.tally.decisions, 2);
+        assert_eq!(last.tally.search_nodes, 1800);
+        assert_eq!(
+            last.tally.search_deadline_truncations, 1,
+            "seq 3 is inside the window"
+        );
         let since = TraceReport::from_lines_filtered(&text, Some(3), None).expect("since");
-        assert_eq!(since.decisions, 1);
-        assert_eq!(since.deadline_nodes_left, 100);
+        assert_eq!(since.tally.decisions, 1);
+        assert_eq!(since.tally.search_deadline_nodes_left, 100);
         let both = TraceReport::from_lines_filtered(&text, Some(2), Some(1)).expect("both");
-        assert_eq!(both.decisions, 1);
-        assert_eq!(both.deadline_hits, 1, "last applies after since");
+        assert_eq!(both.tally.decisions, 1);
+        assert_eq!(
+            both.tally.search_deadline_truncations, 1,
+            "last applies after since"
+        );
         let all = TraceReport::from_lines_filtered(&text, None, Some(100)).expect("wide");
-        assert_eq!(all.decisions, 3, "a window wider than the log is a no-op");
+        assert_eq!(
+            all.tally.decisions, 3,
+            "a window wider than the log is a no-op"
+        );
     }
 
     #[test]

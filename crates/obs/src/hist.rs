@@ -97,11 +97,6 @@ impl Histogram {
         &self.bounds
     }
 
-    /// Per-bucket (non-cumulative) counts; last slot is `+Inf`.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Cumulative counts aligned with [`Histogram::bounds`] plus a
     /// final `+Inf` entry equal to [`Histogram::count`].
     pub fn cumulative(&self) -> Vec<u64> {
@@ -136,7 +131,6 @@ mod tests {
         for v in [0, 1, 2, 10, 11, 100, 101, 5000] {
             h.observe(v);
         }
-        assert_eq!(h.bucket_counts(), &[2, 2, 2, 2]);
         assert_eq!(h.cumulative(), vec![2, 4, 6, 8]);
         assert_eq!(h.count(), 8);
         assert_eq!(h.sum(), 5225u128);
@@ -183,6 +177,6 @@ mod tests {
         let mut h2 = Histogram::exponential(1, 10, 6);
         assert_eq!(h2.bounds(), &[1, 10, 100, 1_000, 10_000, 100_000]);
         h2.observe(u64::MAX);
-        assert_eq!(h2.bucket_counts()[6], 1);
+        assert_eq!(h2.cumulative(), vec![0, 0, 0, 0, 0, 0, 1]);
     }
 }

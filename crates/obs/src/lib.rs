@@ -11,7 +11,6 @@
 //! Layers, bottom to top:
 //!
 //! - [`Histogram`]: fixed-bucket cumulative histogram over `u64` values.
-//! - [`RingBuffer`]: bounded in-memory window (a cluster's incidents).
 //! - [`SpanStack`]: nested spans collapsing to flamegraph stacks whose
 //!   weights are deterministic node counts, not time.
 //! - [`DecisionTrace`] et al.: the schema-versioned (`sbs-trace/v1`)
@@ -37,7 +36,6 @@ pub mod explore;
 pub mod expo;
 mod hist;
 mod record;
-mod ring;
 mod sink;
 mod span;
 mod tally;
@@ -49,7 +47,6 @@ pub use events::{
 pub use explore::TraceReport;
 pub use hist::Histogram;
 pub use record::{BackfillTrace, DecisionTrace, PolicyTrace, SearchTrace, TraceMeta, TRACE_SCHEMA};
-pub use ring::RingBuffer;
 pub use sink::{TimeMode, TraceRecorder};
 pub use span::{render_collapsed, SpanStack};
 pub use tally::{CompletedStats, Tally};

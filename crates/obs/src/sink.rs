@@ -72,7 +72,7 @@ impl TraceRecorder {
     }
 
     /// The tally, for the counts its owner keeps beside the decisions
-    /// (completed jobs, admissions, incidents, a snapshot's seed).
+    /// (completed jobs, admissions, incidents).
     pub fn tally_mut(&mut self) -> &mut Tally {
         &mut self.tally
     }
@@ -155,7 +155,12 @@ mod tests {
         assert_eq!(t.decisions, 4);
         assert_eq!(t.search_nodes, 2000 + 4 * 30, "tree plus hill-climb nodes");
         assert_eq!(t.search_local_nodes, 4 * 30);
-        assert_eq!(t.search_nodes_per_decision.sum(), 2000, "tree nodes only");
+        assert_eq!(
+            t.search_nodes_per_decision.sum(),
+            u128::from(t.search_nodes),
+            "the histogram sums what the total counts"
+        );
+        assert_eq!(t.search_nodes_per_decision.sum(), 2_120);
         // Seq 2 is cut with budget left; seq 4 is cut with none left.
         assert_eq!(t.search_deadline_truncations, 1);
         assert_eq!(t.search_deadline_nodes_left, 42);

@@ -5,8 +5,7 @@ use crate::hist::Histogram;
 use crate::record::DecisionTrace;
 use crate::sink::TimeMode;
 
-/// Aggregates over completed jobs (a snapshot carries them over a
-/// restart).
+/// Aggregates over completed jobs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompletedStats {
     /// Completed-job count.
@@ -29,7 +28,8 @@ impl CompletedStats {
 /// One tenant's counts and distributions.  [`crate::TraceRecorder`]
 /// folds every decision in ([`Tally::fold`]); the tenant folds its
 /// completed jobs in ([`Tally::complete`]) and counts its admissions and
-/// incidents.  A snapshot restores `decisions` and `completed`.
+/// incidents.  Nothing restores it: every count restarts with the
+/// process.
 #[expect(
     missing_docs,
     reason = "each field is documented once, by the HELP string of its family in sbs_service::metrics::FAMILIES"
@@ -130,7 +130,8 @@ impl Tally {
                 self.search_deadline_nodes_left += s.nodes_left_at_deadline;
             }
             self.search_fallbacks += u64::from(s.fallback);
-            self.search_nodes_per_decision.observe(s.nodes);
+            self.search_nodes_per_decision
+                .observe(s.nodes + s.local_nodes);
             self.search_nodes_to_best.observe(s.nodes_to_best);
             self.search_best_iteration
                 .observe(u64::from(s.best_iteration));

@@ -33,13 +33,12 @@ use crate::protocol::{error_response, Request, SubmitSpec};
 use crate::snapshot::{RunningEntry, Snapshot, WaitingEntry};
 use crate::witness;
 use sbs_core::PolicySpec;
-use sbs_obs::{
-    CompletedStats, DecisionTrace, ObsConfig, RingBuffer, Tally, TimeMode, TraceMeta, TraceRecorder,
-};
+use sbs_obs::{DecisionTrace, ObsConfig, Tally, TimeMode, TraceMeta, TraceRecorder};
 use sbs_sim::{Policy, SchedulerCore};
 use sbs_workload::job::{Job, JobId, RuntimeKnowledge};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -131,13 +130,12 @@ pub struct Cluster {
     recorder: TraceRecorder,
     cfg: ServiceConfig,
     next_id: u32,
-    /// Records already folded into the tally.
-    completed_seen: usize,
     /// Decisions since the last rendered snapshot.
     unsnapshotted: u64,
     draining: bool,
-    /// Captured slow decisions, oldest evicted.
-    incidents: RingBuffer<Incident>,
+    /// Captured slow decisions, oldest evicted beyond
+    /// [`INCIDENT_RING_CAPACITY`].
+    incidents: VecDeque<Incident>,
 }
 
 impl Cluster {
@@ -186,13 +184,14 @@ impl Cluster {
     /// A cluster starting from an empty machine at time 0.
     pub fn fresh(cfg: ServiceConfig) -> Self {
         let core = SchedulerCore::new(cfg.capacity, cfg.knowledge, (0, Time::MAX));
-        Self::around(core, cfg, 0, CompletedStats::default(), 0)
+        Self::around(core, cfg, 0)
     }
 
     /// Rebuilds the cluster's world from a snapshot: waiting jobs re-queue
     /// with their recorded `R*`, running jobs re-admit at their original
     /// start (so reservations resume *remaining*, not restarted), and the
-    /// id counter and completed-job aggregates carry over.
+    /// id counter carries over.  The tally does not: every served count
+    /// restarts at 0 with the process, as a Prometheus counter does.
     pub fn from_snapshot(cfg: ServiceConfig, snap: &Snapshot) -> Result<Self, String> {
         if snap.capacity != cfg.capacity {
             return Err(format!(
@@ -208,39 +207,22 @@ impl Cluster {
             core.restore_waiting(w.job, w.r_star);
         }
         core.advance_to(snap.now);
-        Ok(Self::around(
-            core,
-            cfg,
-            snap.next_id,
-            snap.completed,
-            snap.decisions,
-        ))
+        Ok(Self::around(core, cfg, snap.next_id))
     }
 
-    /// A cluster around `core`, carrying over what a snapshot records:
-    /// its completed-job aggregates and decision count seed the tally.
-    fn around(
-        core: SchedulerCore,
-        cfg: ServiceConfig,
-        next_id: u32,
-        completed: CompletedStats,
-        decisions: u64,
-    ) -> Self {
+    /// A cluster around `core` whose next job id is `next_id`.
+    fn around(core: SchedulerCore, cfg: ServiceConfig, next_id: u32) -> Self {
         let policy = build_policy(&cfg.spec, cfg.deadline);
-        let mut recorder = Self::build_recorder(&cfg, policy.as_ref());
-        let tally = recorder.tally_mut();
-        tally.completed = completed;
-        tally.decisions = decisions;
+        let recorder = Self::build_recorder(&cfg, policy.as_ref());
         Cluster {
             core,
             policy,
             recorder,
             cfg,
             next_id,
-            completed_seen: 0,
             unsnapshotted: 0,
             draining: false,
-            incidents: RingBuffer::new(INCIDENT_RING_CAPACITY),
+            incidents: VecDeque::with_capacity(INCIDENT_RING_CAPACITY),
         }
     }
 
@@ -254,30 +236,15 @@ impl Cluster {
         self.draining
     }
 
-    /// Completed-job records (the daemon-side analogue of
-    /// [`sbs_sim::SimResult::records`]).
-    pub fn records(&self) -> &[sbs_sim::JobRecord] {
-        self.core.records()
-    }
-
-    /// Folds freshly completed jobs into the tally, counts
-    /// the decision toward the snapshot cadence and checks it for an
-    /// incident.  It writes nothing: the caller may hold a lock around
-    /// the cluster.
+    /// Folds freshly completed jobs into the tally and drops their
+    /// records, counts the decision toward the snapshot cadence and
+    /// checks it for an incident.  It writes nothing: the caller may
+    /// hold a lock around the cluster.
     fn after_decision(&mut self) {
-        // `completed_seen` only ever trails `records().len()`, but an
-        // out-of-range slice would abort the daemon; degrade to "no new
-        // completions" instead.
-        let fresh = self
-            .core
-            .records()
-            .get(self.completed_seen..)
-            .unwrap_or(&[]);
         let tally = self.recorder.tally_mut();
-        for r in fresh {
+        for r in self.core.drain_records() {
             tally.complete(r.wait());
         }
-        self.completed_seen = self.core.records().len();
         self.unsnapshotted += 1;
         self.capture_incident();
     }
@@ -315,7 +282,10 @@ impl Cluster {
                 reason: reasons.join("; "),
                 decision: d.clone(),
             };
-            self.incidents.push(incident);
+            if self.incidents.len() == INCIDENT_RING_CAPACITY {
+                self.incidents.pop_front();
+            }
+            self.incidents.push_back(incident);
             self.recorder.tally_mut().incidents += 1;
         }
     }
@@ -415,11 +385,11 @@ impl Cluster {
     /// otherwise idle machine.
     pub fn drain(&mut self) -> (usize, usize) {
         self.draining = true;
-        let before = self.core.records().len();
+        let mut completed = 0;
         loop {
             if let Some(d) = self.core.next_departure() {
                 self.core.advance_to(d);
-                self.core.complete_due();
+                completed += self.core.complete_due();
                 self.core
                     .decide_traced(self.policy.as_mut(), None, &mut self.recorder);
                 self.after_decision();
@@ -439,7 +409,7 @@ impl Cluster {
                 break;
             }
         }
-        (self.core.records().len() - before, self.core.queue().len())
+        (completed, self.core.queue().len())
     }
 
     /// The queue and running set as a JSON value.
@@ -547,8 +517,6 @@ impl Cluster {
                     pred_end: r.pred_end,
                 })
                 .collect(),
-            completed: self.tally().completed,
-            decisions: self.tally().decisions,
         }
     }
 
@@ -715,5 +683,48 @@ impl std::fmt::Debug for Cluster {
             .field("next_id", &self.next_id)
             .field("draining", &self.draining)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn evicts_oldest_beyond_capacity() {
+        let mut cfg = ServiceConfig::new(4, PolicySpec::FcfsBackfill);
+        cfg.obs.slow_wall_ms = Some(0); // every decision is an incident
+        let mut c = Cluster::fresh(cfg);
+        assert!(c.incidents_value().is_empty());
+        let submits = INCIDENT_RING_CAPACITY as u64 + 5;
+        for at in 0..submits {
+            c.submit_at(at, 1, 1, None, 0).expect("submit");
+        }
+        assert_eq!(c.tally().incidents, c.tally().decisions);
+        let kept = c.incidents_value();
+        assert_eq!(kept.len(), INCIDENT_RING_CAPACITY);
+        let seq = |i: &Value| i["decision"]["seq"].as_u64();
+        let newest = c.tally().decisions;
+        assert_eq!(
+            seq(&kept[0]),
+            Some(newest + 1 - INCIDENT_RING_CAPACITY as u64)
+        );
+        assert_eq!(kept.last().and_then(seq), Some(newest), "oldest first");
+    }
+
+    #[test]
+    fn a_tenant_keeps_no_completed_record() {
+        let mut c = Cluster::fresh(ServiceConfig::new(8, PolicySpec::FcfsBackfill));
+        for at in 0..50_000u32 {
+            c.submit_at(u64::from(at) * 10, 1 + at % 4, 15, None, 0)
+                .expect("submit");
+            assert_eq!(c.core.drain_records().count(), 0, "after submit {at}");
+        }
+        let completed = c.tally().completed.count;
+        assert!(completed > 49_000, "{completed}");
+        let (drained, leftover) = c.drain();
+        assert_eq!((drained as u64, leftover), (50_000 - completed, 0));
+        assert_eq!(c.tally().completed.count, 50_000);
+        assert_eq!(c.core.drain_records().count(), 0);
     }
 }

@@ -69,4 +69,4 @@ pub use cluster::{Cluster, Daemon, Incident, ServiceConfig};
 pub use edge::Edge;
 pub use protocol::{parse_routed, CorrelationSource, Request, SubmitSpec};
 pub use server::{HttpReply, Server, ServerHandler};
-pub use snapshot::{CompletedStats, Snapshot};
+pub use snapshot::Snapshot;

@@ -4,8 +4,8 @@
 //! scheduling after a restart: the clock, the wait queue (with each
 //! job's already-derived `R*`), the running set (with original starts
 //! and predicted ends, so reservations resume *remaining*, not
-//! restarted), the id counter, and the completed-job accumulator behind
-//! the metrics endpoint.
+//! restarted) and the id counter: the schedule, and nothing the metrics
+//! endpoint counts.  Every served count restarts with the process.
 //!
 //! Rendering uses the workspace JSON layer's sorted object keys, so a
 //! snapshot of a given state is byte-identical no matter which code path
@@ -22,8 +22,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format version stamped into every snapshot.
 pub const SNAPSHOT_VERSION: u64 = 1;
-
-pub use sbs_obs::CompletedStats;
 
 /// A waiting job as snapshotted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,10 +58,6 @@ pub struct Snapshot {
     pub waiting: Vec<WaitingEntry>,
     /// Jobs running on the machine.
     pub running: Vec<RunningEntry>,
-    /// Completed-job aggregates.
-    pub completed: CompletedStats,
-    /// Decision points executed before the snapshot.
-    pub decisions: u64,
 }
 
 fn job_value(job: &Job) -> Value {
@@ -177,18 +171,12 @@ impl Snapshot {
             "policy": self.policy.as_str(),
             "waiting": Value::Array(waiting),
             "running": Value::Array(running),
-            "completed": json!({
-                "count": self.completed.count,
-                "total_wait": self.completed.total_wait,
-                "max_wait": self.completed.max_wait,
-            }),
-            "decisions": self.decisions,
         })
     }
 
     /// Reconstructs a snapshot from its JSON form.  Keys it does not
-    /// read are ignored, so the `completed.{total_excess,max_excess}`
-    /// of older snapshots still load.
+    /// read are ignored, so older snapshots, which also carry
+    /// `completed` and `decisions`, still load.
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let version = field(v, "version")?;
         if version != SNAPSHOT_VERSION {
@@ -216,9 +204,6 @@ impl Snapshot {
                 pred_end: field(r, "pred_end")?,
             });
         }
-        let c = v
-            .get("completed")
-            .ok_or("snapshot field \"completed\" missing")?;
         Ok(Snapshot {
             now: field(v, "now")?,
             capacity: field_u32(v, "capacity")?,
@@ -230,12 +215,6 @@ impl Snapshot {
                 .to_string(),
             waiting,
             running,
-            completed: CompletedStats {
-                count: field(c, "count")?,
-                total_wait: field(c, "total_wait")?,
-                max_wait: field(c, "max_wait")?,
-            },
-            decisions: field(v, "decisions")?,
         })
     }
 
@@ -269,9 +248,6 @@ mod tests {
 
     fn sample() -> Snapshot {
         let job = |id: u32, submit: Time| Job::new(JobId(id), submit, 2, 600, 900).with_user(3);
-        let mut completed = CompletedStats::default();
-        completed.absorb(100);
-        completed.absorb(500);
         Snapshot {
             now: 5_000,
             capacity: 128,
@@ -286,8 +262,6 @@ mod tests {
                 start: 4_100,
                 pred_end: 4_700,
             }],
-            completed,
-            decisions: 17,
         }
     }
 
@@ -297,11 +271,12 @@ mod tests {
         let mut v = s.to_value();
         let back = Snapshot::from_value(&v).expect("round trip");
         assert_eq!(back, s);
-        // A snapshot that still carries the retired excess keys loads.
+        // A snapshot that still carries the retired tally keys loads.
         if let Value::Object(m) = &mut v {
             let older = json!({"count": 2, "total_wait": 600, "max_wait": 500,
                                "total_excess": 200, "max_excess": 200});
             m.insert("completed".into(), older);
+            m.insert("decisions".into(), Value::from(17u64));
         }
         assert_eq!(Snapshot::from_value(&v).expect("older snapshot"), s);
     }

@@ -41,9 +41,6 @@ pub struct Cluster {
     /// The same jobs sorted by `(pred_end, id)`, so a decision's skyline
     /// is built in one pass without sorting.
     by_end: Vec<RunningJob>,
-    /// Busy node-seconds accumulated so far (for utilization reporting).
-    busy_node_seconds: u64,
-    last_advance: Time,
 }
 
 impl Cluster {
@@ -55,8 +52,6 @@ impl Cluster {
             free: capacity,
             running: Vec::new(),
             by_end: Vec::new(),
-            busy_node_seconds: 0,
-            last_advance: 0,
         }
     }
 
@@ -92,20 +87,6 @@ impl Cluster {
         self.running.push(r);
         let at = self.by_end.partition_point(|x| x.end_key() < r.end_key());
         self.by_end.insert(at, r);
-    }
-
-    /// Accounts busy node-time up to `now` (called by the engine before
-    /// any state change).
-    pub fn advance_to(&mut self, now: Time) {
-        debug_assert!(now >= self.last_advance, "time went backwards");
-        let busy = (self.capacity - self.free) as u64;
-        self.busy_node_seconds += busy.saturating_mul(now.saturating_sub(self.last_advance));
-        self.last_advance = now;
-    }
-
-    /// Busy node-seconds accumulated up to the last `advance_to`.
-    pub fn busy_node_seconds(&self) -> u64 {
-        self.busy_node_seconds
     }
 
     /// Starts `job` at `now` with predicted runtime `r_star`.
@@ -226,18 +207,6 @@ mod tests {
         c.start(job(1, 8, HOUR), 0, 2 * HOUR);
         let p = c.profile(0);
         assert_eq!(p.earliest_start(1, 10, 0), 2 * HOUR);
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut c = Cluster::new(10);
-        c.advance_to(0);
-        c.start(job(1, 10, 100), 0, 100);
-        c.advance_to(100);
-        assert_eq!(c.busy_node_seconds(), 1000);
-        c.finish(JobId(1));
-        c.advance_to(200);
-        assert_eq!(c.busy_node_seconds(), 1000);
     }
 
     proptest! {

@@ -107,9 +107,12 @@ impl SchedulerCore {
         self.cluster.running()
     }
 
-    /// Completed-job records so far, in completion order.
-    pub fn records(&self) -> &[JobRecord] {
-        &self.records
+    /// Hands out the completed-job records not yet taken, in completion
+    /// order, and forgets them: an online driver folds each one and keeps
+    /// no history.  A batch run never calls this, so [`Self::finish`]
+    /// returns every record.
+    pub fn drain_records(&mut self) -> std::vec::Drain<'_, JobRecord> {
+        self.records.drain(..)
     }
 
     /// Decision points executed so far.
@@ -127,14 +130,13 @@ impl SchedulerCore {
         self.departures.peek().map(|Reverse((t, _))| *t)
     }
 
-    /// Advances the clock to `t` (monotone; accounts busy node-time).
+    /// Advances the clock to `t` (monotone).
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `t` is in the past.
     pub fn advance_to(&mut self, t: Time) {
         debug_assert!(t >= self.now, "time went backwards: {t} < {}", self.now);
-        self.cluster.advance_to(t);
         self.now = t;
     }
 
@@ -337,8 +339,10 @@ mod tests {
         assert_eq!(core.next_departure(), Some(HOUR));
         core.advance_to(HOUR);
         assert_eq!(core.complete_due(), 1);
-        assert_eq!(core.records().len(), 1);
-        assert_eq!(core.records()[0].start, 0);
+        let records: Vec<JobRecord> = core.drain_records().collect();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].start, 0);
+        assert_eq!(core.drain_records().count(), 0, "taken records are gone");
         assert_eq!(core.free_nodes(), 8);
     }
 

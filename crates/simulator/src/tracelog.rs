@@ -8,7 +8,7 @@
 //! time-weighted average.
 
 use sbs_workload::job::JobId;
-use sbs_workload::time::{fmt_duration, Time};
+use sbs_workload::time::Time;
 use serde::{Deserialize, Serialize};
 
 /// What one decision point looked like.
@@ -70,32 +70,6 @@ impl DecisionLog {
             .filter(|r| r.free_nodes > 0 && r.queue_len > 0 && r.started.is_empty())
             .count()
     }
-
-    /// Renders the last `n` records as a compact text table.
-    pub fn render_tail(&self, n: usize) -> String {
-        let mut out = String::from("time         queue  running  free  started\n");
-        let skip = self.records.len().saturating_sub(n);
-        for r in &self.records[skip..] {
-            let started = if r.started.is_empty() {
-                "-".to_string()
-            } else {
-                r.started
-                    .iter()
-                    .map(|j| j.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            out.push_str(&format!(
-                "{:<12} {:>5} {:>8} {:>5}  {}\n",
-                fmt_duration(r.now),
-                r.queue_len,
-                r.running,
-                r.free_nodes,
-                started
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -126,16 +100,6 @@ mod tests {
         assert_eq!(log.productive(), 2);
         assert_eq!(log.peak_queue(), Some((200, 9)));
         assert_eq!(log.idle_blocked(), 1);
-    }
-
-    #[test]
-    fn render_tail_limits_rows() {
-        let log = DecisionLog {
-            records: (0..10).map(|i| record(i * 60, 1, 1, vec![])).collect(),
-        };
-        let text = log.render_tail(3);
-        assert_eq!(text.lines().count(), 4); // header + 3
-        assert!(text.contains("9m00s"));
     }
 
     #[test]

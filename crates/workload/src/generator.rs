@@ -106,14 +106,11 @@ impl Workload {
 /// generation pipeline.
 #[derive(Debug, Clone)]
 pub struct WorkloadBuilder {
-    profile: MonthProfile,
+    profile: &'static MonthProfile,
     capacity: u32,
     seed: u64,
     target_load: Option<f64>,
-    warmup: Time,
-    cooldown: Time,
     span_scale: f64,
-    diurnal: bool,
 }
 
 impl WorkloadBuilder {
@@ -122,24 +119,12 @@ impl WorkloadBuilder {
     /// from the month.
     pub fn month(month: Month) -> Self {
         WorkloadBuilder {
-            profile: MonthProfile::of(month).clone(),
+            profile: MonthProfile::of(month),
             capacity: 128,
             seed: 0x5b5_0000 + month.index() as u64,
             target_load: None,
-            warmup: WEEK,
-            cooldown: WEEK,
             span_scale: 1.0,
-            diurnal: false,
         }
-    }
-
-    /// Starts a builder from an arbitrary profile (e.g. a
-    /// [`MonthProfile::scaled`] test profile).
-    pub fn profile(profile: MonthProfile) -> Self {
-        let month = profile.month;
-        let mut b = Self::month(month);
-        b.profile = profile;
-        b
     }
 
     /// Overrides the RNG seed (every distinct seed gives an independent
@@ -166,61 +151,32 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Overrides the warm-up window length.
-    pub fn warmup(mut self, t: Time) -> Self {
-        self.warmup = t;
-        self
-    }
-
-    /// Overrides the cool-down window length.
-    pub fn cooldown(mut self, t: Time) -> Self {
-        self.cooldown = t;
-        self
-    }
-
-    /// Enables a diurnal/weekly arrival pattern: submissions peak in
-    /// working hours and dip at night and on weekends (production traces
-    /// show a 2-4x day/night swing).  The total job count and offered
-    /// load are unchanged — only the arrival *times* are modulated, via
-    /// rejection sampling against the intensity profile.
-    pub fn diurnal(mut self, enabled: bool) -> Self {
-        self.diurnal = enabled;
-        self
-    }
-
     /// Shrinks the simulated *time span* to a fraction of the month
     /// (jobs, warm-up and cool-down shrink proportionally; the arrival
     /// rate, job mix and offered load are preserved).  This is the right
     /// way to build fast test workloads that keep the month's contention
-    /// character — unlike [`MonthProfile::scaled`], which keeps the span
-    /// and therefore dilutes the load.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "scaled spans are at most the unscaled ones (frac <= 1)"
-    )]
+    /// character.
     pub fn span_scale(mut self, frac: f64) -> Self {
         assert!(frac > 0.0 && frac <= 1.0, "span fraction must be in (0, 1]");
         self.span_scale = frac;
-        self.warmup = (self.warmup as f64 * frac).round() as Time;
-        self.cooldown = (self.cooldown as f64 * frac).round() as Time;
         self
     }
 
     /// Generates the trace.
     pub fn build(&self) -> Workload {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let p = &self.profile;
+        let p = self.profile;
         #[expect(
             clippy::cast_possible_truncation,
-            reason = "a scaled month is at most a month of seconds"
+            reason = "a scaled month or week is at most an unscaled one (frac <= 1)"
         )]
-        let month_secs = ((p.month.seconds() as f64) * self.span_scale).round() as Time;
+        let scaled = |t: Time| (t as f64 * self.span_scale).round() as Time;
+        let month_secs = scaled(p.month.seconds());
+        // The paper's one-week warm-up and cool-down, both scaled with the span.
+        let edge = scaled(WEEK);
         let monthly_jobs = ((p.total_jobs as f64) * self.span_scale).round().max(1.0);
         let limit = p.month.runtime_limit();
-        let span = self
-            .warmup
-            .saturating_add(month_secs)
-            .saturating_add(self.cooldown);
+        let span = edge.saturating_add(month_secs).saturating_add(edge);
 
         // Total job count over the whole span at the month's arrival rate.
         #[expect(
@@ -255,17 +211,10 @@ impl WorkloadBuilder {
             templates.extend(self.range_templates(&mut rng, r, n_jobs, target, limit));
         }
 
-        // -- 5. arrivals: order statistics over the span, optionally
-        //       modulated by the diurnal/weekly intensity profile -------
+        // -- 5. arrivals: order statistics over the span ------------------
         templates.shuffle(&mut rng);
         let mut arrivals: Vec<Time> = (0..templates.len())
-            .map(|_| {
-                if self.diurnal {
-                    sample_diurnal_arrival(&mut rng, span)
-                } else {
-                    rng.gen_range(0..span)
-                }
-            })
+            .map(|_| rng.gen_range(0..span))
             .collect();
         arrivals.sort_unstable();
 
@@ -279,10 +228,7 @@ impl WorkloadBuilder {
             reason = "compression scales arrival times by at most a small factor"
         )]
         let scale = |t: Time| (t as f64 * compress).round() as Time;
-        let window = (
-            scale(self.warmup),
-            scale(self.warmup.saturating_add(month_secs)),
-        );
+        let window = (scale(edge), scale(edge.saturating_add(month_secs)));
 
         // User population: a Zipf-like distribution (a few heavy users
         // dominate, as in real traces); user ids start at 1.
@@ -433,31 +379,6 @@ fn sample_nodes<R: Rng + ?Sized>(rng: &mut R, lo: u32, hi: u32) -> u32 {
         *candidates.choose(rng).expect("non-empty candidate set")
     } else {
         rng.gen_range(lo..=hi)
-    }
-}
-
-/// Relative arrival intensity at a time offset: a working-hours bulge
-/// (peak ~14:00, trough ~04:00) damped 40% on the weekend.  Scaled to a
-/// maximum of 1 so it can drive rejection sampling.
-pub fn diurnal_intensity(t: Time) -> f64 {
-    use crate::time::{DAY, HOUR};
-    let day_phase = (t % DAY) as f64 / DAY as f64; // 0 at midnight
-                                                   // Cosine with peak at 14:00.
-    let daily = 0.625 + 0.375 * (std::f64::consts::TAU * (day_phase - 14.0 / 24.0)).cos();
-    let weekday = (t / DAY) % 7; // day 0 = a Monday, by convention
-    let weekly = if weekday >= 5 { 0.6 } else { 1.0 };
-    debug_assert!(t % DAY < 24 * HOUR);
-    daily * weekly
-}
-
-/// Rejection-samples an arrival time in `[0, span)` from the diurnal
-/// intensity profile.
-fn sample_diurnal_arrival<R: Rng + ?Sized>(rng: &mut R, span: Time) -> Time {
-    loop {
-        let t = rng.gen_range(0..span);
-        if rng.gen::<f64>() <= diurnal_intensity(t) {
-            return t;
-        }
     }
 }
 
@@ -710,50 +631,6 @@ mod tests {
         let n = scaled.in_window().count() as f64;
         let target = MonthProfile::of(Month::Oct03).total_jobs as f64 * 0.1;
         assert!((n - target).abs() / target < 0.15, "{n} vs {target}");
-    }
-
-    #[test]
-    fn diurnal_arrivals_follow_the_intensity_profile() {
-        use crate::time::{DAY, HOUR};
-        let flat = WorkloadBuilder::month(Month::Oct03).build();
-        let wavy = WorkloadBuilder::month(Month::Oct03).diurnal(true).build();
-        assert_eq!(flat.jobs.len(), wavy.jobs.len(), "same total job count");
-        // Count arrivals in the afternoon peak (12:00-16:00) vs the
-        // night trough (02:00-06:00).
-        let count_band = |w: &Workload, lo: Time, hi: Time| {
-            w.jobs
-                .iter()
-                .filter(|j| (j.submit % DAY) >= lo && (j.submit % DAY) < hi)
-                .count() as f64
-        };
-        let wavy_ratio = count_band(&wavy, 12 * HOUR, 16 * HOUR)
-            / count_band(&wavy, 2 * HOUR, 6 * HOUR).max(1.0);
-        let flat_ratio = count_band(&flat, 12 * HOUR, 16 * HOUR)
-            / count_band(&flat, 2 * HOUR, 6 * HOUR).max(1.0);
-        assert!(wavy_ratio > 2.0, "diurnal day/night ratio {wavy_ratio:.2}");
-        assert!(
-            flat_ratio < 1.5,
-            "flat arrivals should be even: {flat_ratio:.2}"
-        );
-        // Load is essentially unchanged.
-        assert!((wavy.offered_load() - flat.offered_load()).abs() < 0.1);
-    }
-
-    #[test]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "17 minutes of seconds fits usize"
-    )]
-    fn diurnal_intensity_is_a_valid_rejection_envelope() {
-        use crate::time::{DAY, MINUTE};
-        for t in (0..14 * DAY).step_by((17 * MINUTE) as usize) {
-            let v = diurnal_intensity(t);
-            assert!((0.0..=1.0).contains(&v), "intensity {v} at t={t}");
-        }
-        // Peak is mid-afternoon on a weekday, trough at night.
-        assert!(diurnal_intensity(14 * 3600) > diurnal_intensity(4 * 3600) * 3.0);
-        // Weekend damping (days 5 and 6 of the week).
-        assert!(diurnal_intensity(5 * DAY + 14 * 3600) < diurnal_intensity(14 * 3600));
     }
 
     #[test]

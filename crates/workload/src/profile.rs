@@ -143,27 +143,6 @@ impl MonthProfile {
             .map(|r| self.ranges[r].jobs_pct)
             .sum()
     }
-
-    /// A copy of this profile with a fraction `frac` of the jobs.
-    ///
-    /// Note: the month's *span* and demand target are unchanged, so the
-    /// realized load of a generated trace drops well below
-    /// [`Self::load`] (runtime calibration clamps at the class bounds).
-    /// For fast workloads that preserve the month's contention, use
-    /// [`crate::WorkloadBuilder::span_scale`] instead.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "a scaled job count is at most the unscaled one (frac <= 1)"
-    )]
-    pub fn scaled(&self, frac: f64) -> MonthProfile {
-        assert!(
-            frac > 0.0 && frac <= 1.0,
-            "scale fraction must be in (0, 1]"
-        );
-        let mut p = self.clone();
-        p.total_jobs = ((self.total_jobs as f64 * frac).round() as u32).max(1);
-        p
-    }
 }
 
 macro_rules! month_profile {
@@ -349,13 +328,5 @@ mod tests {
         assert!((total_long - 32.7).abs() < 0.05);
         assert_eq!(p.runtime_mix[0].long_pct, 23.1);
         assert_eq!(p.runtime_mix[3].short_pct, 20.5);
-    }
-
-    #[test]
-    fn scaled_profile_preserves_mix() {
-        let p = MonthProfile::of(Month::Jun03).scaled(0.1);
-        assert_eq!(p.total_jobs, 219);
-        assert_eq!(p.load, 0.82);
-        assert_eq!(p.ranges, MonthProfile::of(Month::Jun03).ranges);
     }
 }
