@@ -72,7 +72,7 @@ pub fn branch_and_bound(opts: &Opts) -> Report {
             num(leaves_per_decision, 1),
         ]);
         data.push(json!({
-            "month": month.label(), "L": l, "prune": prune,
+            "month": month.label(), "L": *l, "prune": *prune,
             "avg_wait_h": r.stats.avg_wait_h,
             "max_wait_h": r.stats.max_wait_h,
             "avg_bounded_slowdown": r.stats.avg_bounded_slowdown,
@@ -126,7 +126,7 @@ pub fn reservations(opts: &Opts) -> Report {
             num(r.stats.avg_bounded_slowdown, 2),
         ]);
         data.push(json!({
-            "month": month.label(), "reservations": k,
+            "month": month.label(), "reservations": *k,
             "avg_wait_h": r.stats.avg_wait_h,
             "max_wait_h": r.stats.max_wait_h,
             "avg_bounded_slowdown": r.stats.avg_bounded_slowdown,
@@ -207,11 +207,11 @@ pub fn fairshare(opts: &Opts) -> Report {
             num(*jain, 3),
         ]);
         data.push(json!({
-            "month": month.label(), "objective": objective,
+            "month": month.label(), "objective": *objective,
             "avg_wait_h": stats.avg_wait_h,
             "max_wait_h": stats.max_wait_h,
             "avg_bounded_slowdown": stats.avg_bounded_slowdown,
-            "jain_user_bsld": jain,
+            "jain_user_bsld": *jain,
         }));
     }
     Report::new(
@@ -291,7 +291,7 @@ pub fn prediction(opts: &Opts) -> Report {
             num(err, 2),
         ]);
         data.push(json!({
-            "month": month.label(), "policy": r.policy, "mode": mode,
+            "month": month.label(), "policy": r.policy.as_str(), "mode": *mode,
             "avg_wait_h": r.stats.avg_wait_h,
             "max_wait_h": r.stats.max_wait_h,
             "avg_bounded_slowdown": r.stats.avg_bounded_slowdown,
@@ -425,7 +425,7 @@ pub fn hybrid_local(opts: &Opts) -> Report {
             num(leaves, 1),
         ]);
         data.push(json!({
-            "month": month.label(), "local_frac": frac,
+            "month": month.label(), "local_frac": *frac,
             "avg_wait_h": r.stats.avg_wait_h,
             "max_wait_h": r.stats.max_wait_h,
             "avg_bounded_slowdown": r.stats.avg_bounded_slowdown,

@@ -65,7 +65,7 @@ fn results_json(rows: &[(Month, Vec<RunResult>)]) -> serde_json::Value {
             let e = r.excess(fcfs_max);
             out.push(json!({
                 "month": month.label(),
-                "policy": r.policy,
+                "policy": r.policy.as_str(),
                 "jobs": r.stats.jobs,
                 "avg_wait_h": r.stats.avg_wait_h,
                 "max_wait_h": r.stats.max_wait_h,
@@ -241,7 +241,7 @@ pub fn fig5(opts: &Opts) -> Report {
         }
         text.push_str(&format!("({})\n{}\n", r.policy, t.render()));
         data.push(json!({
-            "policy": r.policy,
+            "policy": r.policy.as_str(),
             "avg_wait_h": grid.avg_wait_h,
             "counts": grid.counts,
         }));
@@ -305,7 +305,7 @@ pub fn fig6(opts: &Opts) -> Report {
             num(r.stats.avg_bounded_slowdown, 2),
         ]);
         data.push(json!({
-            "policy": r.policy,
+            "policy": r.policy.as_str(),
             "L": l_label,
             "excess_total_h": e.total_h,
             "max_wait_h": r.stats.max_wait_h,

@@ -366,7 +366,7 @@ impl PerfReport {
                 json!({
                     "id": c.id(),
                     "month": c.month.label(),
-                    "algo": c.algo,
+                    "algo": c.algo.as_str(),
                     "branching": c.branching.label(),
                     "budget": c.budget,
                     "nodes": c.outcome.stats.nodes,

@@ -182,9 +182,9 @@ pub fn table3(opts: &Opts) -> Report {
         data.push(json!({
             "month": month.label(),
             "jobs_paper": profile.total_jobs,
-            "jobs_ours": n_jobs,
+            "jobs_ours": *n_jobs,
             "load_paper": profile.load,
-            "load_ours": load,
+            "load_ours": *load,
             "job_pct_ours": job_pct.to_vec(),
             "demand_pct_ours": demand_pct.to_vec(),
         }));

@@ -95,7 +95,7 @@ fn departures_between_submissions_replay_as_decision_points() {
                                                         // Submitting long after both jobs' departures replays them.
     let (_, started) = d.submit_at(3 * HOUR, 8, HOUR, None, 0).expect("submit");
     assert!(started, "machine drained by then");
-    assert_eq!(d.tally().completed.count, 2);
+    assert_eq!(d.tally().wait_seconds.count(), 2);
     assert_eq!(
         decisions(&mut d, &log),
         [
@@ -118,7 +118,7 @@ fn drain_completes_everything() {
     let (completed, leftover) = d.drain();
     assert_eq!(completed, 5);
     assert_eq!(leftover, 0);
-    assert_eq!(d.tally().completed.count, 5);
+    assert_eq!(d.tally().wait_seconds.count(), 5);
 }
 
 #[test]

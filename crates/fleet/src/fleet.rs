@@ -62,6 +62,7 @@ use sbs_service::witness::{self, Class, Guard};
 use sbs_service::{Cluster, Edge, ServiceConfig, Snapshot};
 use sbs_workload::time::Time;
 use serde_json::{json, Value};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -406,6 +407,12 @@ impl Fleet {
     /// creating the tenant first when `create` is set (submissions and
     /// un-routed reads create tenants; routed reads on unknown clusters
     /// are typed errors).
+    ///
+    /// A hit takes the shard lock once and runs `f` under it.  Only a
+    /// miss drops the lock: `Cluster::new` replays any on-disk snapshot,
+    /// and file I/O under the shard lock would stall every tenant on the
+    /// shard, so the tenant is built unlocked and the insert re-checks
+    /// under the lock in case a concurrent submit created it meanwhile.
     fn with_tenant<R>(
         &self,
         cluster: &str,
@@ -413,53 +420,58 @@ impl Fleet {
         corr: u64,
         f: impl FnOnce(&Fleet, &mut Tenant) -> R,
     ) -> Result<R, String> {
-        // Cluster::new replays any on-disk snapshot, and file I/O under
-        // the shard lock would stall every tenant on the shard — so the
-        // existence check, the (lock-free) construction, and the insert
-        // are three steps, with the insert re-checked under the lock in
-        // case a concurrent submit created the tenant meanwhile.
-        let needs_create = {
-            let Some(shard) = self.shard_for(cluster) else {
-                return Err("internal: no shard for cluster".into());
-            };
-            !shard.tenants.contains_key(cluster)
-        };
-        let mut fresh = None;
-        if needs_create {
-            if !create {
-                return Err(format!("unknown cluster {cluster:?}"));
-            }
-            if self.tenant_count.load(Ordering::Acquire) >= self.cfg.max_clusters as u64 {
-                return Err(format!(
-                    "cluster cap reached ({} tenants); {cluster:?} not admitted",
-                    self.cfg.max_clusters
-                ));
-            }
-            fresh = Some(Cluster::new(self.tenant_config(cluster))?);
-        }
-        let Some(mut shard) = self.shard_for(cluster) else {
+        let Some(lock) = self.shards.get(self.shard_index(cluster)) else {
             return Err("internal: no shard for cluster".into());
         };
-        if !shard.tenants.contains_key(cluster) {
-            let Some(created) = fresh.take() else {
-                return Err(format!("unknown cluster {cluster:?}"));
-            };
-            self.tenant_count.fetch_add(1, Ordering::AcqRel);
-            shard
-                .tenants
-                .insert(cluster.to_string(), Tenant::new(created, self.cfg.quota));
+        let mut shard = lock_shard(lock);
+        if let Some(tenant) = shard.tenants.get_mut(cluster) {
+            let (out, due) = self.run_on(tenant, corr, f);
+            drop(shard);
+            write_due(due);
+            return Ok(out);
         }
-        let Some(tenant) = shard.tenants.get_mut(cluster) else {
-            return Err("internal: tenant vanished under its shard lock".into());
+        drop(shard);
+        if !create {
+            return Err(format!("unknown cluster {cluster:?}"));
+        }
+        if self.tenant_count.load(Ordering::Acquire) >= self.cfg.max_clusters as u64 {
+            return Err(format!(
+                "cluster cap reached ({} tenants); {cluster:?} not admitted",
+                self.cfg.max_clusters
+            ));
+        }
+        let fresh = Cluster::new(self.tenant_config(cluster))?;
+        let mut shard = lock_shard(lock);
+        let tenant = match shard.tenants.entry(cluster.to_string()) {
+            Entry::Vacant(slot) => {
+                self.tenant_count.fetch_add(1, Ordering::AcqRel);
+                slot.insert(Tenant::new(fresh, self.cfg.quota))
+            }
+            // Lost the race: `fresh` is dropped after the lock is.
+            Entry::Occupied(slot) => slot.into_mut(),
         };
-        tenant.cluster.set_correlation(corr);
-        let out = f(self, tenant);
-        tenant.cluster.set_correlation(0);
-        self.publish_tenant(tenant);
-        let due = self.due_snapshot(&mut tenant.cluster);
+        let (out, due) = self.run_on(tenant, corr, f);
         drop(shard);
         write_due(due);
         Ok(out)
+    }
+
+    /// Runs `f` on `t` (whose shard lock the caller holds) under
+    /// correlation id `corr`, re-publishes its demand, and returns the
+    /// answer with any snapshot the cadence now owes, for the caller to
+    /// write once the lock drops.
+    fn run_on<R>(
+        &self,
+        t: &mut Tenant,
+        corr: u64,
+        f: impl FnOnce(&Fleet, &mut Tenant) -> R,
+    ) -> (R, Option<(Snapshot, PathBuf)>) {
+        t.cluster.set_correlation(corr);
+        let out = f(self, t);
+        t.cluster.set_correlation(0);
+        self.publish_tenant(t);
+        let due = self.due_snapshot(&mut t.cluster);
+        (out, due)
     }
 
     /// The snapshot `c` owes under the cadence (`snapshot_every`
@@ -1024,6 +1036,34 @@ mod tests {
             );
         }
         assert_eq!(f.cluster_count(), 0, "reads never create tenants");
+    }
+
+    #[test]
+    fn concurrent_first_submits_create_one_tenant() {
+        // Eight submits race to create the same brand-new tenant: each
+        // misses, builds a cluster unlocked, and all but one lose the
+        // re-checked insert, yet every job lands in the one tenant.
+        let f = fleet();
+        let start = std::sync::Barrier::new(8);
+        let ids: Vec<u64> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let (v, _) = f.handle_routed(Some("fresh"), submit(1, 0), 0);
+                        assert_eq!(v["ok"], true, "{v}");
+                        v["id"].as_u64().expect("admitted id")
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("racer"))
+                .collect()
+        });
+        assert_eq!(f.cluster_count(), 1);
+        let distinct: std::collections::BTreeSet<u64> = ids.into_iter().collect();
+        assert_eq!(distinct.len(), 8, "{distinct:?}");
     }
 
     #[test]

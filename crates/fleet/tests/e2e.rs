@@ -99,7 +99,10 @@ fn cluster_starts(
     }
     let (completed, leftover) = cluster.drain();
     assert_eq!(leftover, 0, "drain left jobs waiting");
-    assert_eq!(cluster.tally().completed.count, workload.jobs.len() as u64);
+    assert_eq!(
+        cluster.tally().wait_seconds.count(),
+        workload.jobs.len() as u64
+    );
     assert!(completed > 0, "drain completes the jobs still running");
     cluster.flush_traces().expect("flush");
     let starts = logged_starts(&[&log]);
@@ -213,7 +216,7 @@ fn kill_and_restart_resumes_with_the_same_queue() {
     let (snap, at) = first.render_snapshot().expect("path set");
     snap.save(&at).expect("snapshot");
     let pre_kill = first.snapshot();
-    let completed_before = first.tally().completed.count;
+    let completed_before = first.tally().wait_seconds.count();
     first.flush_traces().expect("flush");
     drop(first); // the "kill": no drain, no further writes
 
@@ -257,7 +260,7 @@ fn kill_and_restart_resumes_with_the_same_queue() {
     let expected: Vec<JobId> = (0..).take(w.jobs.len()).map(JobId).collect();
     assert_eq!(started, expected, "every job started exactly once");
     assert_eq!(
-        completed_before + second.tally().completed.count,
+        completed_before + second.tally().wait_seconds.count(),
         w.jobs.len() as u64,
         "every job completed exactly once"
     );

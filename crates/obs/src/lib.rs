@@ -49,7 +49,7 @@ pub use hist::Histogram;
 pub use record::{BackfillTrace, DecisionTrace, PolicyTrace, SearchTrace, TraceMeta, TRACE_SCHEMA};
 pub use sink::{TimeMode, TraceRecorder};
 pub use span::{render_collapsed, SpanStack};
-pub use tally::{CompletedStats, Tally};
+pub use tally::Tally;
 
 /// Per-decision telemetry hook.
 ///

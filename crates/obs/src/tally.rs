@@ -5,26 +5,6 @@ use crate::hist::Histogram;
 use crate::record::DecisionTrace;
 use crate::sink::TimeMode;
 
-/// Aggregates over completed jobs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompletedStats {
-    /// Completed-job count.
-    pub count: u64,
-    /// Summed wait seconds.
-    pub total_wait: u64,
-    /// Largest single wait.
-    pub max_wait: u64,
-}
-
-impl CompletedStats {
-    /// Folds one completed job in.
-    pub fn absorb(&mut self, wait: u64) {
-        self.count += 1;
-        self.total_wait = self.total_wait.saturating_add(wait);
-        self.max_wait = self.max_wait.max(wait);
-    }
-}
-
 /// One tenant's counts and distributions.  [`crate::TraceRecorder`]
 /// folds every decision in ([`Tally::fold`]); the tenant folds its
 /// completed jobs in ([`Tally::complete`]) and counts its admissions and
@@ -53,7 +33,7 @@ pub struct Tally {
     pub backfill_started: u64,
     pub backfill_reserved: u64,
     pub backfill_blocked: u64,
-    pub completed: CompletedStats,
+    pub max_wait: u64,
     pub submitted: u64,
     pub rejected: u64,
     pub incidents: u64,
@@ -88,7 +68,7 @@ impl Default for Tally {
             backfill_started: 0,
             backfill_reserved: 0,
             backfill_blocked: 0,
-            completed: CompletedStats::default(),
+            max_wait: 0,
             submitted: 0,
             rejected: 0,
             incidents: 0,
@@ -146,7 +126,7 @@ impl Tally {
 
     /// Folds one completed job's wait in.
     pub fn complete(&mut self, wait: u64) {
-        self.completed.absorb(wait);
+        self.max_wait = self.max_wait.max(wait);
         self.wait_seconds.observe(wait);
     }
 }

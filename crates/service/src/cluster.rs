@@ -366,17 +366,11 @@ impl Cluster {
         self.core.cancel(id).is_some()
     }
 
-    /// Waiting-queue demand: `(jobs, node_seconds)` summed over the
-    /// queue (each job's nodes × requested runtime).  The fleet front
-    /// end reads this for quota and fairshare admission checks.
+    /// Waiting-queue demand: `(jobs, node_seconds)`, each job counting
+    /// its nodes × requested runtime.  The fleet front end reads this
+    /// for quota and fairshare admission checks.
     pub fn queue_demand(&self) -> (usize, u64) {
-        let node_seconds = self
-            .core
-            .queue()
-            .iter()
-            .map(|w| u64::from(w.job.nodes).saturating_mul(w.job.requested))
-            .sum();
-        (self.core.queue().len(), node_seconds)
+        (self.core.queue().len(), self.core.queued_node_seconds())
     }
 
     /// Stops admissions and fast-forwards the departure calendar until
@@ -720,11 +714,11 @@ mod tests {
                 .expect("submit");
             assert_eq!(c.core.drain_records().count(), 0, "after submit {at}");
         }
-        let completed = c.tally().completed.count;
+        let completed = c.tally().wait_seconds.count();
         assert!(completed > 49_000, "{completed}");
         let (drained, leftover) = c.drain();
         assert_eq!((drained as u64, leftover), (50_000 - completed, 0));
-        assert_eq!(c.tally().completed.count, 50_000);
+        assert_eq!(c.tally().wait_seconds.count(), 50_000);
         assert_eq!(c.core.drain_records().count(), 0);
     }
 }

@@ -196,17 +196,18 @@ pub static FAMILIES: &[Family] = &[
         "sbs_policy_seconds_total",
         "Wall-clock seconds spent inside the policy",
     ),
-    Family::counter(|t, _| t.completed.count).tenant("sbs_completed_jobs_total", "Jobs completed"),
+    Family::counter(|t, _| t.wait_seconds.count())
+        .tenant("sbs_completed_jobs_total", "Jobs completed"),
     Family::new(Read::Decimal(|t| {
-        let c = t.completed;
-        if c.count == 0 {
+        let w = &t.wait_seconds;
+        if w.count() == 0 {
             0.0
         } else {
-            c.total_wait as f64 / c.count as f64
+            w.sum() as f64 / w.count() as f64
         }
     }))
     .tenant("sbs_wait_seconds_mean", "Mean wait of completed jobs"),
-    Family::gauge(|t, _| t.completed.max_wait)
+    Family::gauge(|t, _| t.max_wait)
         .tenant("sbs_wait_seconds_max", "Maximum wait of completed jobs"),
     Family::counter(|t, _| t.backfill_blocked).tenant(
         "sbs_backfill_blocked_total",

@@ -32,6 +32,9 @@ use std::collections::BinaryHeap;
 pub struct SchedulerCore {
     cluster: Cluster,
     queue: Vec<WaitingJob>,
+    /// Σ nodes × requested runtime over `queue`, kept at each queue edit
+    /// (wrapping, so it is exactly the sum whenever that fits in a u64).
+    queued_node_seconds: u64,
     /// Departures as (actual end, job id); ids make ties deterministic.
     departures: BinaryHeap<Reverse<(Time, u32)>>,
     records: Vec<JobRecord>,
@@ -55,6 +58,7 @@ impl SchedulerCore {
         SchedulerCore {
             cluster: Cluster::new(capacity),
             queue: Vec::new(),
+            queued_node_seconds: 0,
             departures: BinaryHeap::new(),
             records: Vec::new(),
             window,
@@ -100,6 +104,13 @@ impl SchedulerCore {
     /// The wait queue, in submission order.
     pub fn queue(&self) -> &[WaitingJob] {
         &self.queue
+    }
+
+    /// Waiting demand in node-seconds: each queued job's nodes ×
+    /// requested runtime, summed.  O(1): the sum is kept as the queue
+    /// changes.
+    pub fn queued_node_seconds(&self) -> u64 {
+        self.queued_node_seconds
     }
 
     /// The running set.
@@ -179,14 +190,27 @@ impl SchedulerCore {
             Some(predictor) => predictor.predict(&job).clamp(1, job.requested),
             None => job.r_star(self.knowledge),
         };
-        self.queue.push(WaitingJob { job, r_star });
+        self.enqueue(WaitingJob { job, r_star });
     }
 
     /// Removes a waiting job from the queue.  Returns the job if it was
     /// queued; running or unknown jobs are untouched (`None`).
     pub fn cancel(&mut self, id: JobId) -> Option<Job> {
         let idx = self.queue.iter().position(|w| w.job.id == id)?;
-        Some(self.queue.remove(idx).job)
+        Some(self.dequeue(idx).job)
+    }
+
+    /// Appends `w` to the queue, adding its demand.
+    fn enqueue(&mut self, w: WaitingJob) {
+        self.queued_node_seconds = self.queued_node_seconds.wrapping_add(demand(&w.job));
+        self.queue.push(w);
+    }
+
+    /// Removes the queue entry at `idx`, subtracting its demand.
+    fn dequeue(&mut self, idx: usize) -> WaitingJob {
+        let w = self.queue.remove(idx);
+        self.queued_node_seconds = self.queued_node_seconds.wrapping_sub(demand(&w.job));
+        w
     }
 
     /// Runs one decision point: snapshots the context, calls the policy,
@@ -273,7 +297,7 @@ impl SchedulerCore {
                 .iter()
                 .position(|w| w.job.id == id)
                 .unwrap_or_else(|| panic!("policy started non-queued job {id}"));
-            let w = self.queue.remove(idx);
+            let w = self.dequeue(idx);
             self.cluster.start(w.job, self.now, w.r_star); // panics if over-committed
             self.departures
                 .push(Reverse((self.now + w.job.runtime, w.job.id.0)));
@@ -285,7 +309,7 @@ impl SchedulerCore {
     /// is preserved rather than re-derived, so a restart cannot change
     /// what the scheduler believes about it).
     pub fn restore_waiting(&mut self, job: Job, r_star: Time) {
-        self.queue.push(WaitingJob { job, r_star });
+        self.enqueue(WaitingJob { job, r_star });
     }
 
     /// Recovery: re-admits a job that was running when the snapshot was
@@ -305,6 +329,11 @@ impl SchedulerCore {
     pub fn finish(self) -> (Vec<JobRecord>, u64, u64) {
         (self.records, self.decisions, self.policy_nanos)
     }
+}
+
+/// One job's demand: nodes × requested runtime, in node-seconds.
+fn demand(job: &Job) -> u64 {
+    u64::from(job.nodes).saturating_mul(job.requested)
 }
 
 impl std::fmt::Debug for SchedulerCore {
@@ -373,6 +402,68 @@ mod tests {
         assert_eq!(core.complete_due(), 1);
         let started = core.decide(&mut StrictFcfs, None);
         assert_eq!(started, vec![JobId(8)]);
+    }
+
+    /// Starts every queued job that fits, in queue order: unlike strict
+    /// FCFS it takes jobs out of the middle of the queue.
+    struct FirstFit;
+    impl Policy for FirstFit {
+        fn name(&self) -> String {
+            "first-fit".into()
+        }
+        fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<JobId> {
+            let mut free = ctx.free_nodes;
+            let mut starts = Vec::new();
+            for w in ctx.queue {
+                if w.job.nodes <= free {
+                    free -= w.job.nodes;
+                    starts.push(w.job.id);
+                }
+            }
+            starts
+        }
+    }
+
+    proptest::proptest! {
+        /// Under random submit / cancel / decide / restore sequences the
+        /// kept demand equals the sum recomputed over the queue after
+        /// every step.
+        #[test]
+        fn queued_node_seconds_tracks_the_queue(
+            ops in proptest::collection::vec((0u8..4, 0u32..64, 1u32..17, 1u64..5), 1..80),
+        ) {
+            let mut core = SchedulerCore::new(16, RuntimeKnowledge::Actual, (0, Time::MAX));
+            let mut next_id = 0;
+            for (kind, pick, nodes, hours) in ops {
+                let fresh = Job::new(JobId(next_id), core.now(), nodes, hours * HOUR, 2 * hours * HOUR);
+                match kind {
+                    0 => {
+                        core.submit(fresh);
+                        next_id += 1;
+                    }
+                    1 => {
+                        core.cancel(JobId(pick % (next_id + 1)));
+                    }
+                    2 => {
+                        if let Some(t) = core.next_departure() {
+                            core.advance_to(t);
+                            core.complete_due();
+                        }
+                        core.decide(&mut FirstFit, None);
+                    }
+                    _ => {
+                        core.restore_waiting(fresh, hours * HOUR);
+                        next_id += 1;
+                    }
+                }
+                let recomputed: u64 = core
+                    .queue()
+                    .iter()
+                    .map(|w| u64::from(w.job.nodes) * w.job.requested)
+                    .sum();
+                proptest::prop_assert_eq!(core.queued_node_seconds(), recomputed);
+            }
+        }
     }
 
     #[test]

@@ -72,17 +72,6 @@ pub fn header_capacity(text: &str) -> Option<u32> {
     max_procs
 }
 
-/// Parses SWF text, inferring the machine size from the `; MaxNodes:` /
-/// `; MaxProcs:` header ([`header_capacity`]).  Errors when the header
-/// carries no machine size — pass one explicitly via [`parse`] then.
-pub fn parse_auto(text: &str) -> Result<Workload, SwfError> {
-    let capacity = header_capacity(text).ok_or_else(|| SwfError {
-        line: 0,
-        message: "no MaxNodes/MaxProcs header; machine size must be given explicitly".into(),
-    })?;
-    parse(text, capacity)
-}
-
 /// Parses SWF text into a [`Workload`] for a machine of `capacity` nodes.
 ///
 /// Jobs requesting more than `capacity` nodes are clamped to `capacity`
@@ -259,7 +248,7 @@ mod tests {
                     ;\n\
                     1 100 -1 3600 4 -1 -1 4 7200 -1 -1 -1 -1 -1 -1 -1 -1 -1\n";
         assert_eq!(header_capacity(text), Some(128));
-        let w = parse_auto(text).expect("parse with inferred capacity");
+        let w = parse(text, 128).expect("parse with the header's capacity");
         assert_eq!(w.capacity, 128);
         assert_eq!(w.jobs.len(), 1);
     }
@@ -280,8 +269,6 @@ mod tests {
         let text = "1 100 -1 60 1 -1 -1 1 60 -1 -1 -1 -1 -1 -1 -1 -1 -1\n\
                     ; MaxProcs: 4\n";
         assert_eq!(header_capacity(text), None);
-        let err = parse_auto(text).unwrap_err();
-        assert!(err.message.contains("MaxNodes/MaxProcs"));
     }
 
     #[test]
@@ -306,9 +293,7 @@ mod tests {
         );
         // Nothing usable at all: no capacity.
         assert_eq!(header_capacity("; MaxNodes: ?\n; MaxProcs:\n"), None);
-        let err = parse_auto("; MaxProcs: zero\n").unwrap_err();
-        assert_eq!(err.line, 0);
-        assert!(err.message.contains("explicitly"), "{}", err.message);
+        assert_eq!(header_capacity("; MaxProcs: zero\n"), None);
     }
 
     #[test]
@@ -335,10 +320,9 @@ mod tests {
 
     #[test]
     fn headerless_trace_parses_with_explicit_capacity() {
-        // The documented fallback when parse_auto refuses: give the
-        // machine size explicitly via parse().
+        // No header names a machine size: the caller gives one to parse().
         let text = "1 100 -1 60 1 -1 -1 1 60 -1 -1 -1 -1 -1 -1 -1 -1 -1\n";
-        assert!(parse_auto(text).is_err());
+        assert_eq!(header_capacity(text), None);
         let w = parse(text, 32).expect("explicit capacity");
         assert_eq!(w.capacity, 32);
         assert_eq!(w.jobs.len(), 1);
@@ -347,7 +331,9 @@ mod tests {
     #[test]
     fn auto_round_trip_preserves_capacity() {
         let w = random_workload(RandomWorkloadCfg::default(), 9);
-        let parsed = parse_auto(&write(&w)).expect("written headers suffice");
+        let text = write(&w);
+        let capacity = header_capacity(&text).expect("written headers name the machine");
+        let parsed = parse(&text, capacity).expect("parse");
         assert_eq!(parsed.capacity, w.capacity);
         assert_eq!(parsed.jobs.len(), w.jobs.len());
     }

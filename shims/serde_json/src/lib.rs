@@ -182,19 +182,21 @@ fn write_escaped(out: &mut String, s: &str) {
 ///
 /// Object keys must be string literals and values plain expressions
 /// (nest with an inner `json!` call) — the full upstream token grammar is
-/// not reproduced.
+/// not reproduced.  Every value is taken by value and moved in, so an
+/// owned `Value`, `String` or `Vec` is not copied; a caller that keeps
+/// its value passes `.clone()` or a `&str`.
 #[macro_export]
 macro_rules! json {
     (null) => { $crate::Value::Null };
     ([ $($value:expr),* $(,)? ]) => {
-        $crate::Value::Array(vec![ $( $crate::Value::from(&$value) ),* ])
+        $crate::Value::Array(vec![ $( $crate::Value::from($value) ),* ])
     };
     ({ $($key:literal : $value:expr),* $(,)? }) => {{
         let mut map = $crate::Map::new();
-        $( map.insert(($key).to_string(), $crate::Value::from(&$value)); )*
+        $( map.insert(($key).to_string(), $crate::Value::from($value)); )*
         $crate::Value::Object(map)
     }};
-    ($other:expr) => { $crate::Value::from(&$other) };
+    ($other:expr) => { $crate::Value::from($other) };
 }
 
 /// Alias so `serde_json::map::Map`-style paths resolve.
@@ -222,6 +224,29 @@ mod tests {
         assert!(v["pi"].is_number());
         assert_eq!(v["items"][1].as_i64(), Some(2));
         assert!(v["none"].is_null());
+    }
+
+    #[test]
+    fn json_macro_moves_its_values() {
+        // Each arm must move an owned value in, not deep-copy it: the
+        // array's buffer is the same allocation after the macro.
+        fn fresh() -> (Value, *const Value) {
+            let items = vec![Value::from(1u64), Value::from("two")];
+            let ptr = items.as_ptr();
+            (Value::Array(items), ptr)
+        }
+        fn buffer(v: &Value) -> *const Value {
+            match v {
+                Value::Array(items) => items.as_ptr(),
+                other => panic!("not an array: {other:?}"),
+            }
+        }
+        let (v, ptr) = fresh();
+        assert_eq!(buffer(&json!(v)), ptr, "bare arm copied");
+        let (v, ptr) = fresh();
+        assert_eq!(buffer(&json!([v])[0]), ptr, "array arm copied");
+        let (v, ptr) = fresh();
+        assert_eq!(buffer(&json!({ "k": v })["k"]), ptr, "object arm copied");
     }
 
     #[test]

@@ -288,15 +288,6 @@ impl From<&str> for Value {
     }
 }
 
-/// References to any convertible (sized) value convert by cloning; this
-/// is what lets `json!` borrow its value expressions instead of moving
-/// them, matching upstream's serialize-by-reference behavior.
-impl<T: Clone + Into<Value>> From<&T> for Value {
-    fn from(v: &T) -> Value {
-        v.clone().into()
-    }
-}
-
 impl<T: Into<Value>, const N: usize> From<[T; N]> for Value {
     fn from(items: [T; N]) -> Value {
         Value::Array(items.into_iter().map(Into::into).collect())
