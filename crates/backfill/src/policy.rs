@@ -1,7 +1,7 @@
 //! The generic priority-backfill engine.
 
 use crate::priority::PriorityOrder;
-use sbs_obs::{BackfillTrace, PolicyTrace, SpanStack};
+use sbs_obs::{BackfillTrace, PolicyTrace};
 use sbs_sim::policy::{Policy, SchedContext};
 use sbs_workload::job::JobId;
 
@@ -115,23 +115,10 @@ impl Policy for BackfillPolicy {
             }
         }
         if self.tracing {
-            let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
-            let examined = clamp(ctx.queue.len());
-            let mut spans = SpanStack::new();
-            spans.enter("decide");
-            spans.enter("backfill");
-            spans.exit(u64::from(examined));
-            spans.exit(0);
-            self.last_trace = Some(PolicyTrace {
-                search: None,
-                backfill: Some(BackfillTrace {
-                    examined,
-                    started: clamp(starts.len()),
-                    reserved: clamp(reserved),
-                    blocked,
-                }),
-                spans: spans.finish(),
-            });
+            self.last_trace = Some(PolicyTrace::Backfill(BackfillTrace {
+                reserved: u32::try_from(reserved).unwrap_or(u32::MAX),
+                blocked,
+            }));
         }
         starts
     }
@@ -324,12 +311,13 @@ mod tests {
         p.set_tracing(true);
         let _ = p.decide(&ctx(50, 8, 2, &q, &run));
         let t = p.take_trace().expect("trace recorded");
-        let bf = t.backfill.expect("backfill counters");
         assert_eq!(
-            (bf.examined, bf.started, bf.reserved, bf.blocked),
-            (2, 1, 1, 0)
+            t,
+            PolicyTrace::Backfill(BackfillTrace {
+                reserved: 1,
+                blocked: 0
+            })
         );
-        assert_eq!(t.spans, vec![("decide;backfill".to_string(), 2)]);
         assert!(p.take_trace().is_none(), "take_trace drains the slot");
     }
 
@@ -361,17 +349,7 @@ mod tests {
                 blocked += 1;
             }
         }
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "a queue longer than u32::MAX jobs cannot be held in memory"
-        )]
-        let trace = BackfillTrace {
-            examined: ctx.queue.len() as u32,
-            started: starts.len() as u32,
-            reserved,
-            blocked,
-        };
-        (starts, trace)
+        (starts, BackfillTrace { reserved, blocked })
     }
 
     proptest! {
@@ -425,8 +403,7 @@ mod tests {
                 p.set_tracing(true);
                 let got = p.decide(&c);
                 prop_assert_eq!(&got, &want, "{}", p.name());
-                let trace = p.take_trace().and_then(|t| t.backfill);
-                prop_assert_eq!(trace, Some(want_trace), "{}", p.name());
+                prop_assert_eq!(p.take_trace(), Some(PolicyTrace::Backfill(want_trace)), "{}", p.name());
             }
         }
     }

@@ -1526,6 +1526,62 @@ mod tests {
         let _ = std::fs::remove_file(&collapsed);
     }
 
+    /// `sbs trace`'s three answers (text, `--json`, `--collapsed`) for
+    /// two runs of 1/04 at scale 0.02 and L = 12, as
+    /// `tests/golden/trace_v1/` pins them: read from the committed logs,
+    /// written when a decision line still repeated `capacity`, `spans`,
+    /// the search's `algo`/`branching`/`best_depth` and the backfill
+    /// pass's `examined`/`started`, and from the logs this build writes
+    /// for the same runs.
+    #[test]
+    fn trace_answers_match_golden_for_old_and_new_logs() {
+        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/trace_v1");
+        let tmp = std::env::temp_dir();
+        let collapsed = tmp.join(format!("sbs_cli_trace_v1_{}.collapsed", std::process::id()));
+        for policy in ["dds-lxf-dynb-hc", "fcfs-bf"] {
+            let golden = |ext: &str| {
+                std::fs::read_to_string(dir.join(format!("{policy}.{ext}"))).expect("golden file")
+            };
+            let old = dir.join(format!("{policy}.jsonl"));
+            let new = tmp.join(format!(
+                "sbs_cli_trace_v1_{policy}_{}.jsonl",
+                std::process::id()
+            ));
+            parsed(&format!(
+                "sim --month 1/04 --scale 0.02 --budget 12 --policy {policy} --trace-log {}",
+                new.display()
+            ))
+            .run()
+            .expect("traced simulate");
+            let size = |p: &std::path::Path| std::fs::metadata(p).expect("log").len();
+            assert!(size(&new) < size(&old), "{policy}: lines shrink");
+            for log in [&old, &new] {
+                let trace = |flags: &str| {
+                    parsed(&format!("trace {} {flags}", log.display()))
+                        .run()
+                        .expect("trace")
+                };
+                let at = log.display();
+                assert_eq!(trace(""), golden("txt"), "{at}");
+                assert_eq!(trace("--json"), golden("json"), "{at}");
+                trace(&format!("--collapsed {}", collapsed.display()));
+                let stacks = std::fs::read_to_string(&collapsed).expect("collapsed file");
+                assert_eq!(stacks, golden("collapsed"), "{at}");
+            }
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "proven best-effort path — temp-file cleanup"
+            )]
+            let _ = std::fs::remove_file(&new);
+        }
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "proven best-effort path — temp-file cleanup"
+        )]
+        let _ = std::fs::remove_file(&collapsed);
+    }
+
     #[test]
     fn a_trace_replays_on_its_header_machine_size() {
         let jobs = "1 0 -1 3600 200 -1 -1 200 7200 -1 1 1 -1 -1 -1 -1 -1 -1\n\

@@ -10,7 +10,7 @@ use crate::objective::{HierarchicalObjective, Objective, TargetBound};
 use crate::schedule::ScheduleProblem;
 use sbs_backfill::PriorityOrder;
 use sbs_dsearch::{beam, dds, greedy, hill_climb, lds, random_sampling, SearchConfig};
-use sbs_obs::{PolicyTrace, SearchTrace, SpanStack};
+use sbs_obs::{PolicyTrace, SearchTrace};
 use sbs_sim::policy::{Policy, SchedContext};
 use sbs_workload::job::JobId;
 use std::sync::Arc;
@@ -119,9 +119,6 @@ pub struct SearchPolicy {
     totals: SearchTotals,
     tracing: bool,
     last_trace: Option<PolicyTrace>,
-    /// Correlation id handed down by the engine before each decision
-    /// (`0` in batch simulation, so offline traces are unchanged).
-    corr: u64,
 }
 
 impl SearchPolicy {
@@ -145,7 +142,6 @@ impl SearchPolicy {
             totals: SearchTotals::default(),
             tracing: false,
             last_trace: None,
-            corr: 0,
         }
     }
 
@@ -250,10 +246,7 @@ impl Policy for SearchPolicy {
             }
             SearchAlgo::Beam(w) => beam(&mut problem, w as usize, cfg),
         };
-        let mut stats = outcome.stats;
-        // The search itself never sees request ids; the policy stamps
-        // the one it was handed so the trace links back to the request.
-        stats.trace_id = self.corr;
+        let stats = outcome.stats;
         self.totals.decisions += 1;
         self.totals.nodes += stats.nodes;
         self.totals.leaves += stats.leaves;
@@ -302,49 +295,28 @@ impl Policy for SearchPolicy {
         };
 
         if self.tracing {
-            let mut spans = SpanStack::new();
-            spans.enter("decide");
-            spans.enter("search");
-            if local_nodes > 0 {
-                spans.enter("local");
-                spans.exit(local_nodes);
-            }
-            spans.exit(stats.nodes);
-            if fallback {
-                spans.enter("fallback");
-                spans.exit(path.len() as u64);
-            }
-            spans.exit(0);
             let mut leaf_iters = stats.leaf_iters.to_vec();
             while leaf_iters.last() == Some(&0) {
                 leaf_iters.pop();
             }
-            self.last_trace = Some(PolicyTrace {
-                search: Some(SearchTrace {
-                    algo: self.algo.label(),
-                    branching: self.branching.label().to_string(),
-                    omega,
-                    budget: tree_budget,
-                    nodes: stats.nodes,
-                    leaves: stats.leaves,
-                    iterations: stats.iterations,
-                    improvements: stats.improvements,
-                    nodes_to_best: stats.nodes_to_best,
-                    best_iteration: stats.best_iteration,
-                    best_depth: stats.best_depth,
-                    exhausted: stats.exhausted,
-                    budget_hit: stats.budget_hit,
-                    deadline_hit: stats.deadline_hit,
-                    nodes_left_at_deadline: stats.nodes_left_at_deadline,
-                    pruned: stats.pruned,
-                    fallback,
-                    local_nodes,
-                    leaf_iters,
-                    trace_id: stats.trace_id,
-                }),
-                backfill: None,
-                spans: spans.finish(),
-            });
+            self.last_trace = Some(PolicyTrace::Search(SearchTrace {
+                omega,
+                budget: tree_budget,
+                nodes: stats.nodes,
+                leaves: stats.leaves,
+                iterations: stats.iterations,
+                improvements: stats.improvements,
+                nodes_to_best: stats.nodes_to_best,
+                best_iteration: stats.best_iteration,
+                exhausted: stats.exhausted,
+                budget_hit: stats.budget_hit,
+                deadline_hit: stats.deadline_hit,
+                nodes_left_at_deadline: stats.nodes_left_at_deadline,
+                pruned: stats.pruned,
+                fallback,
+                local_nodes,
+                leaf_iters,
+            }));
         }
         problem.starts_now(&path)
     }
@@ -358,10 +330,6 @@ impl Policy for SearchPolicy {
 
     fn take_trace(&mut self) -> Option<PolicyTrace> {
         self.last_trace.take()
-    }
-
-    fn set_correlation(&mut self, corr: u64) {
-        self.corr = corr;
     }
 }
 
@@ -551,9 +519,9 @@ mod tests {
         let _ = p.decide(&ctx);
         let trace = p.take_trace().expect("trace recorded while tracing");
         assert!(p.take_trace().is_none(), "take_trace drains");
-        let search = trace.search.expect("search policies record a search");
-        assert_eq!(search.algo, "DDS");
-        assert_eq!(search.branching, "lxf");
+        let PolicyTrace::Search(search) = trace else {
+            panic!("search policies record a search: {trace:?}");
+        };
         assert_eq!(search.budget, 10_000);
         assert!(search.nodes > 0 && search.leaves > 0);
         assert!(search.improvements >= 1);
@@ -561,10 +529,6 @@ mod tests {
         assert!(!search.fallback);
         assert_eq!(search.local_nodes, 0);
         assert_eq!(search.leaf_iters.iter().sum::<u64>(), search.leaves);
-        assert_eq!(
-            trace.spans,
-            vec![("decide;search".to_string(), search.nodes)]
-        );
     }
 
     #[test]
@@ -580,18 +544,11 @@ mod tests {
             running: &[],
         };
         let _ = p.decide(&ctx);
-        let trace = p.take_trace().expect("trace");
-        let search = trace.search.expect("search");
+        let Some(PolicyTrace::Search(search)) = p.take_trace() else {
+            panic!("a search trace");
+        };
         assert!(search.fallback);
         assert!(search.budget_hit);
-        assert!(
-            trace
-                .spans
-                .iter()
-                .any(|(path, _)| path == "decide;fallback"),
-            "fallback span recorded: {:?}",
-            trace.spans
-        );
     }
 
     #[test]

@@ -225,12 +225,6 @@ pub struct SearchStats {
     /// iteration equals the discrepancy parameter, so this is the
     /// discrepancy-depth histogram of evaluated leaves.
     pub leaf_iters: [u64; LEAF_ITER_BUCKETS],
-    /// Correlation id of the request this search ran under (`0` when
-    /// the search was not request-scoped, e.g. offline simulation).
-    /// Searches never read or generate ids themselves — the owning
-    /// policy stamps the id it was handed, which is what lets one
-    /// daemon request be followed fleet → shard → decision → search.
-    pub trace_id: u64,
 }
 
 /// Result of a search: the best leaf found (cost and root-to-leaf branch

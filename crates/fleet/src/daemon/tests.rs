@@ -313,14 +313,10 @@ fn handle_mints_dense_correlation_ids_and_stamps_decisions() {
             .expect("one")["decision"]
             .clone()
     };
-    // The second submit's decision carries its request id end to end.
+    // The second submit's decision carries its request id, once.
     let last = last_decision(&f);
     assert_eq!(last["corr"].as_u64(), Some(2), "{last}");
-    assert_eq!(
-        last["search"]["trace_id"].as_u64(),
-        Some(2),
-        "policy stamped the request id: {last}"
-    );
+    assert!(last["search"].get("trace_id").is_none(), "{last}");
     // Decisions not triggered by a request stay unscoped.
     ServerHandler::poll_to(&mut f, 2 * HOUR);
     let last = last_decision(&f);
@@ -408,8 +404,8 @@ fn virtual_mode_event_journals_are_byte_identical_across_runs() {
         );
         let mut f = serve(cfg);
         for t in 0..4u64 {
-            // Accepted submits journal at Debug, below the Info floor;
-            // refused ones at Error.
+            // Accepted submits are counted, not written; refused ones
+            // are written at Error.
             let line = format!(r#"{{"op":"submit","nodes":4,"runtime":3600,"submit":{t}}}"#);
             assert_eq!(f.handle_line(&line, t).0["ok"], true);
             let line = format!(r#"{{"op":"submit","nodes":9,"runtime":3600,"submit":{t}}}"#);

@@ -888,23 +888,25 @@ impl ServerHandler for Fleet {
     }
 
     fn handle_line(&mut self, line: &str, at: Time) -> (Value, bool) {
-        match parse_routed(line) {
+        let (scope, kind, out) = match parse_routed(line) {
             Ok((cluster, req)) => {
                 let kind = op_event(&req);
                 let out = self.handle_routed(cluster.as_deref(), req, at);
-                // Journal after dispatch: every shard lock is released
-                // by now, so the edge stays a leaf lock.
-                self.edge().journal_request(
-                    cluster.as_deref().unwrap_or("fleet"),
-                    kind,
-                    &out.0,
-                    at,
-                    ("clusters", self.cluster_count()),
-                );
-                out
+                (cluster, kind, out)
             }
-            Err(e) => (error_response(&e), false),
-        }
+            // A malformed line is a failed request of its own kind.
+            Err(e) => (None, ("invalid", false), (error_response(&e), false)),
+        };
+        // Journal after dispatch: every shard lock is released by now,
+        // so the edge stays a leaf lock.
+        self.edge().journal_request(
+            scope.as_deref().unwrap_or("fleet"),
+            kind,
+            &out.0,
+            at,
+            ("clusters", self.cluster_count()),
+        );
+        out
     }
 
     fn now(&self) -> Time {
@@ -1447,18 +1449,65 @@ mod tests {
         let line = r#"{"op":"submit","cluster":"alpha","nodes":2,"runtime":3600,"submit":0}"#;
         let (v, _) = f.handle_line(line, 0);
         assert_eq!(v["ok"], true);
-        // Submits journal at Debug, below the default Info floor.
+        // A successful submit is counted, not written.
         let (emitted, filtered) = journal_counts(&f);
         assert_eq!((emitted, filtered), (0, 1));
         let (v, _) = f.handle_line(r#"{"op":"drain"}"#, 0);
         assert_eq!(v["ok"], true);
         let (emitted, _) = journal_counts(&f);
-        assert_eq!(emitted, 1, "drain journals at Info");
-        // Failed requests escalate to Error regardless of kind.
+        assert_eq!(emitted, 1, "a lifecycle op is written at Info");
+        // Failed requests are written at Error, whatever their kind.
         let (v, _) = f.handle_line(r#"{"op":"queue","cluster":"ghost"}"#, 0);
         assert_eq!(v["ok"], false);
         let (emitted, _) = journal_counts(&f);
         assert_eq!(emitted, 2);
+    }
+
+    #[test]
+    fn every_handled_line_is_journaled_or_counted() {
+        let dir = std::env::temp_dir().join(format!("sbs-fleet-invalid-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let log = dir.join("events.jsonl");
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a journal left by an earlier run may or may not exist"
+        )]
+        let _ = std::fs::remove_file(&log);
+        let mut f = Fleet::new(
+            FleetConfig::new(8, PolicySpec::FcfsBackfill).with_obs(
+                ObsConfig::default()
+                    .with_event_mode(TimeMode::Virtual)
+                    .with_event_log(log.clone()),
+            ),
+        )
+        .expect("fleet");
+        let lines = [
+            r#"{"op":"submit","nodes":2,"runtime":3600,"submit":0}"#,
+            "not json",
+            r#"{"op":"bogus"}"#,
+            r#"{"op":"submit","nodes":99,"runtime":3600,"submit":0}"#,
+            r#"{"op":"queue"}"#,
+        ];
+        for line in lines {
+            let (_, stop) = f.handle_line(line, 0);
+            assert!(!stop, "{line}");
+        }
+        let (emitted, filtered) = journal_counts(&f);
+        assert_eq!(emitted + filtered, lines.len() as u64);
+        assert_eq!((emitted, filtered), (3, 2));
+        f.edge().journal.flush();
+        let text = std::fs::read_to_string(&log).expect("journal");
+        let invalid: Vec<&str> = text.lines().filter(|l| l.contains("invalid")).collect();
+        assert_eq!(invalid.len(), 2, "{text}");
+        for event in invalid {
+            assert!(event.contains(r#""scope":"fleet""#), "{event}");
+            assert!(event.contains(r#""sev":"error""#), "{event}");
+        }
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "test cleanup is best-effort"
+        )]
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

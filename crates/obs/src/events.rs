@@ -1,47 +1,38 @@
 //! The `sbs-events/v1` operational event journal.
 //!
 //! Where `sbs-trace/v1` captures *every* decision for offline analysis,
-//! the event journal is the always-on operational log: severity-leveled,
-//! counted, rotating (on-disk JSONL), and cheap enough to leave attached
-//! in production.  Routine traffic emits at [`Severity::Debug`], below
-//! the fixed [`MIN_SEVERITY`] floor, and is filtered before the event
-//! is even built ([`EventJournal::admits`]), so
-//! an "enabled but quiet" journal costs one branch per event site — the
-//! same contract the [`crate::Recorder`] gives the decision hot path.
+//! the event journal is the always-on operational log: counted,
+//! appending, rotating (on-disk JSONL), and cheap enough to leave
+//! attached in production.  It writes by one rule, which the serving
+//! edge applies: a request is written if and only if it is a lifecycle
+//! op (`drain`, `snapshot`, `shutdown`, at [`Severity::Info`]) or its
+//! answer is `ok:false` (at [`Severity::Error`]).  Every other request
+//! is counted as filtered before its event is even built
+//! ([`EventJournal::admits`]), so routine traffic costs one branch per
+//! request — the same contract the [`crate::Recorder`] gives the
+//! decision hot path.
 //!
 //! Determinism: like the trace sink, the journal never reads a clock.
-//! Timestamps are injected scheduler time, sequence numbers are assigned
-//! in emission order, and wall durations are serialized only in
-//! [`TimeMode::Wall`] — so two identical Virtual-mode runs produce
-//! byte-identical journals (pinned by a test below).
+//! Timestamps are injected scheduler time and sequence numbers are
+//! assigned in emission order, so two identical Virtual-mode runs
+//! produce byte-identical journals (pinned by a test below).
 
 use crate::sink::TimeMode;
 use serde_json::{Map, Value};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Schema identifier stamped into every journal's meta line.
 pub const EVENT_SCHEMA: &str = "sbs-events/v1";
 
-/// The journal's severity floor: events below it are counted as
-/// filtered, never formatted.
-pub const MIN_SEVERITY: Severity = Severity::Info;
-
-/// Severity level of one journal event, ordered `Debug < Info < Warn <
-/// Error`.  Events below [`MIN_SEVERITY`] are filtered before any
-/// allocation or formatting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+/// Severity of one journal event: what kind of request wrote it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Severity {
-    /// Per-request chatter (submits, admissions); filtered by default.
-    Debug,
-    /// Lifecycle landmarks: startup, drain, snapshot, shutdown.
+    /// A lifecycle landmark: drain, snapshot, shutdown.
     #[default]
     Info,
-    /// Degradation worth an operator's glance: slow decisions,
-    /// journal rotation, quota pressure.
-    Warn,
-    /// Failed operations: malformed requests, rejected submits,
-    /// snapshot write failures.
+    /// A failed request: malformed, rejected, or naming an unknown
+    /// cluster.
     Error,
 }
 
@@ -49,9 +40,7 @@ impl Severity {
     /// Wire form (lowercase).
     pub fn as_str(self) -> &'static str {
         match self {
-            Severity::Debug => "debug",
             Severity::Info => "info",
-            Severity::Warn => "warn",
             Severity::Error => "error",
         }
     }
@@ -77,9 +66,6 @@ pub struct Event {
     pub kind: String,
     /// Numeric payload, serialized as a sorted-key object.
     pub detail: Vec<(String, u64)>,
-    /// Wall duration attached to the event, if any; serialized only in
-    /// [`TimeMode::Wall`] so Virtual-mode journals stay deterministic.
-    pub wall_ns: u64,
 }
 
 impl Event {
@@ -111,15 +97,9 @@ impl Event {
         self
     }
 
-    /// Attaches a wall duration (only serialized in Wall mode).
-    pub fn wall(mut self, wall_ns: u64) -> Event {
-        self.wall_ns = wall_ns;
-        self
-    }
-
-    /// Serializes to the JSONL value (sorted keys; `wall_ns` only when
-    /// `include_wall`, `corr` only when nonzero).
-    pub fn to_value(&self, include_wall: bool) -> Value {
+    /// Serializes to the JSONL value (sorted keys; `corr` only when
+    /// nonzero).
+    pub fn to_value(&self) -> Value {
         let mut m = Map::new();
         m.insert("seq".into(), self.seq.into());
         m.insert("now".into(), self.now.into());
@@ -136,9 +116,6 @@ impl Event {
             }
             m.insert("detail".into(), Value::Object(d));
         }
-        if include_wall && self.wall_ns != 0 {
-            m.insert("wall_ns".into(), self.wall_ns.into());
-        }
         Value::Object(m)
     }
 }
@@ -154,11 +131,12 @@ pub struct ObsConfig {
     /// (A fleet has one journal, at the fleet edge; its tenants carry
     /// none, so a tenant's slow decision is an incident, not an event.)
     pub events: bool,
-    /// Rotating journal sink, cut at [`DEFAULT_EVENT_LOG_MAX_BYTES`];
-    /// `None` keeps only the journal's counters.
+    /// Appending, rotating journal sink, cut at
+    /// [`DEFAULT_EVENT_LOG_MAX_BYTES`]; `None` keeps only the journal's
+    /// counters.
     pub event_log: Option<PathBuf>,
-    /// Journal time mode: `Virtual` omits wall durations so two
-    /// identical virtual-clock runs journal byte-identical files.
+    /// Journal time mode, stated in the meta line: which clock the
+    /// events' `now` reads.
     pub event_mode: TimeMode,
     /// A decision whose wall time reaches this many milliseconds is
     /// captured as a slow-decision incident (`Some(0)` captures every
@@ -182,7 +160,7 @@ impl Default for ObsConfig {
 }
 
 impl ObsConfig {
-    /// Writes `sbs-events/v1` JSONL to `path`, rotating at
+    /// Appends `sbs-events/v1` JSONL to `path`, rotating at
     /// [`DEFAULT_EVENT_LOG_MAX_BYTES`].
     pub fn with_event_log(mut self, path: PathBuf) -> Self {
         self.event_log = Some(path);
@@ -190,7 +168,7 @@ impl ObsConfig {
     }
 
     /// Sets the journal time mode (virtual-clock daemons pass
-    /// [`TimeMode::Virtual`] to keep journal bytes deterministic).
+    /// [`TimeMode::Virtual`]).
     pub fn with_event_mode(mut self, mode: TimeMode) -> Self {
         self.event_mode = mode;
         self
@@ -220,21 +198,22 @@ impl ObsConfig {
     }
 }
 
-/// The rotating, severity-leveled event journal.
+/// The appending, rotating event journal.
 ///
-/// Counts what it accepts and filters (for `/statusz`), and writes the
-/// accepted events to a JSONL sink with size-based rotation when one is
-/// attached.  All writes are best-effort: a failing disk degrades
+/// Counts what it writes and what it filters (for `/statusz`), and
+/// writes the events to a JSONL sink with size-based rotation when one
+/// is attached.  All writes are best-effort: a failing disk degrades
 /// telemetry, never the scheduler.
 pub struct EventJournal {
     mode: TimeMode,
     enabled: bool,
-    /// Events accepted so far; the last one's `seq`.
+    /// Events journaled so far; the last one's `seq`.
     emitted: u64,
     filtered: u64,
     sink: Option<Box<dyn Write + Send>>,
     /// `(path, max_bytes)` when the sink is a rotating file.
     rotate: Option<(PathBuf, u64)>,
+    /// Bytes in the sink's file, the ones before it was opened included.
     written: u64,
 }
 
@@ -250,8 +229,7 @@ impl std::fmt::Debug for EventJournal {
 }
 
 impl EventJournal {
-    /// An enabled journal (no sink yet) filtering below
-    /// [`MIN_SEVERITY`].
+    /// An enabled journal with no sink yet.
     pub fn new(mode: TimeMode) -> EventJournal {
         EventJournal {
             mode,
@@ -278,12 +256,15 @@ impl EventJournal {
         self.write_meta();
     }
 
-    /// Opens `path` (truncating — each run owns its journal; rotation
-    /// keeps history) as a rotating sink capped at `max_bytes` per file.
+    /// Opens `path` for append as a rotating sink capped at `max_bytes`
+    /// per file, and writes this run's meta line.  A restart keeps the
+    /// journal of the run before it (the one that explains a crash);
+    /// the bytes already there count toward the cap.
     pub fn open_rotating(&mut self, path: PathBuf, max_bytes: u64) -> std::io::Result<()> {
-        let file = std::fs::File::create(&path)?;
+        let (file, len) = open_append(&path)?;
         self.rotate = Some((path, max_bytes.max(1024)));
         self.attach_sink(Box::new(std::io::BufWriter::new(file)));
+        self.written += len;
         Ok(())
     }
 
@@ -295,9 +276,12 @@ impl EventJournal {
         let mut m = Map::new();
         m.insert("schema".into(), EVENT_SCHEMA.into());
         m.insert("mode".into(), mode.into());
-        m.insert("min_severity".into(), MIN_SEVERITY.as_str().into());
-        let line = serde_json::to_string(&Value::Object(m)).unwrap_or_default();
+        self.write_line(&Value::Object(m));
+    }
+
+    fn write_line(&mut self, value: &Value) {
         if let Some(w) = &mut self.sink {
+            let line = serde_json::to_string(value).unwrap_or_default();
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "telemetry writes are best-effort by contract — a failing disk degrades the journal, never the scheduler"
@@ -307,38 +291,28 @@ impl EventJournal {
         }
     }
 
-    /// Whether an event at `severity` would be journaled; one below the
-    /// floor is counted as filtered here, so a caller that builds its
-    /// event only on `true` formats nothing it drops.
-    pub fn admits(&mut self, severity: Severity) -> bool {
-        if !self.enabled || severity < MIN_SEVERITY {
-            self.filtered += u64::from(self.enabled);
-            return false;
-        }
-        true
+    /// Whether a request's event is to be written: `write` is the
+    /// edge's rule (a lifecycle op, or a failed request).  A request
+    /// not written is counted as filtered here, so a caller that builds
+    /// its event only on `true` formats nothing it drops.
+    pub fn admits(&mut self, write: bool) -> bool {
+        self.filtered += u64::from(self.enabled && !write);
+        self.enabled && write
     }
 
-    /// Emits one event: filters by severity, assigns the sequence
-    /// number, and writes it to the sink (rotating when the size cap is
-    /// crossed).
+    /// Emits one event: assigns the sequence number and writes it to
+    /// the sink (rotating when the size cap is crossed).
     pub fn emit(&mut self, event: Event) {
-        if !self.admits(event.severity) {
+        if !self.enabled {
             return;
         }
         self.emitted += 1;
-        if let Some(w) = &mut self.sink {
+        if self.sink.is_some() {
             let event = Event {
                 seq: self.emitted,
                 ..event
             };
-            let include_wall = self.mode == TimeMode::Wall;
-            let line = serde_json::to_string(&event.to_value(include_wall)).unwrap_or_default();
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "telemetry writes are best-effort by contract — a failing disk degrades the journal, never the scheduler"
-            )]
-            let _ = writeln!(w, "{line}");
-            self.written += line.len() as u64 + 1;
+            self.write_line(&event.to_value());
             self.maybe_rotate();
         }
     }
@@ -362,8 +336,9 @@ impl EventJournal {
             reason = "telemetry rotation is best-effort — losing the history file is preferable to losing the daemon"
         )]
         let _ = std::fs::rename(&path, &rotated);
-        if let Ok(file) = std::fs::File::create(&path) {
+        if let Ok((file, len)) = open_append(&path) {
             self.attach_sink(Box::new(std::io::BufWriter::new(file)));
+            self.written += len;
         }
     }
 
@@ -378,15 +353,26 @@ impl EventJournal {
         }
     }
 
-    /// Events accepted so far.
+    /// Events journaled so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
 
-    /// Events filtered below the severity floor.
+    /// Requests counted but not written.
     pub fn filtered(&self) -> u64 {
         self.filtered
     }
+}
+
+/// Opens `path` for append, creating it; returns the file and its
+/// current length.
+fn open_append(path: &Path) -> std::io::Result<(std::fs::File, u64)> {
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    let len = file.metadata()?.len();
+    Ok((file, len))
 }
 
 #[cfg(test)]
@@ -425,41 +411,34 @@ mod tests {
         (j, events)
     }
 
+    /// A lifecycle event, a routine request the rule filters, and a
+    /// failed request.
     fn drive(journal: &mut EventJournal) {
         journal.emit(
-            Event::new(Severity::Info, "daemon", "start")
+            Event::new(Severity::Info, "daemon", "drain")
                 .at(0)
-                .detail("capacity", 128),
+                .detail("clusters", 1),
         );
-        journal.emit(
-            Event::new(Severity::Debug, "daemon", "submit")
-                .at(5)
-                .corr(1),
-        );
-        journal.emit(
-            Event::new(Severity::Warn, "daemon", "slow_decision")
-                .at(9)
-                .corr(2)
-                .detail("nodes_left", 400)
-                .wall(7_000_000),
-        );
-        journal.emit(
-            Event::new(Severity::Error, "daemon", "reject")
-                .at(12)
-                .corr(3),
-        );
+        assert!(!journal.admits(false), "a routine submit is not written");
+        if journal.admits(true) {
+            journal.emit(
+                Event::new(Severity::Error, "daemon", "reject")
+                    .at(12)
+                    .corr(3),
+            );
+        }
     }
 
     #[test]
-    fn severity_floor_filters_before_the_ring() {
+    fn skipped_requests_are_counted_not_written() {
         let (j, events) = sunk(EventJournal::new(TimeMode::Virtual));
-        assert_eq!(j.emitted(), 3, "the Debug event is filtered");
-        assert_eq!(j.filtered(), 1);
+        assert_eq!(j.emitted(), 2);
+        assert_eq!(j.filtered(), 1, "the routine request is counted");
         let kinds: Vec<_> = events.iter().filter_map(|e| e["kind"].as_str()).collect();
-        assert_eq!(kinds, ["start", "slow_decision", "reject"]);
-        // Sequence numbers are dense over accepted events.
+        assert_eq!(kinds, ["drain", "reject"]);
+        // Sequence numbers are dense over written events.
         let seqs: Vec<_> = events.iter().filter_map(|e| e["seq"].as_u64()).collect();
-        assert_eq!(seqs, [1, 2, 3]);
+        assert_eq!(seqs, [1, 2]);
     }
 
     #[test]
@@ -485,18 +464,7 @@ mod tests {
         let b = render();
         assert_eq!(a, b, "identical runs must serialize identical journals");
         let head = a.lines().next().expect("meta line");
-        assert!(head.contains("\"schema\":\"sbs-events/v1\""), "{head}");
-        assert!(head.contains("\"mode\":\"virtual\""), "{head}");
-        // Virtual mode omits wall durations entirely.
-        assert!(!a.contains("wall_ns"), "{a}");
-        // Wall mode serializes them.
-        let buf = SharedBuf::default();
-        let mut j = EventJournal::new(TimeMode::Wall);
-        j.attach_sink(Box::new(buf.clone()));
-        drive(&mut j);
-        j.flush();
-        let wall = String::from_utf8(buf.0.lock().expect("buf lock").clone()).expect("utf8");
-        assert!(wall.contains("\"wall_ns\":7000000"), "{wall}");
+        assert_eq!(head, r#"{"mode":"virtual","schema":"sbs-events/v1"}"#);
     }
 
     #[test]
@@ -505,30 +473,40 @@ mod tests {
         let mut j = EventJournal::new(TimeMode::Wall);
         j.attach_sink(Box::new(buf.clone()));
         j.emit(
-            Event::new(Severity::Warn, "c07", "slow_decision")
+            Event::new(Severity::Error, "c07", "cancel")
                 .at(99)
                 .corr(41)
-                .detail("nodes_left", 7)
-                .wall(123),
+                .detail("clusters", 7),
         );
         // corr is omitted when zero so existing golden bytes never shift.
-        j.emit(Event::new(Severity::Info, "daemon", "start"));
+        j.emit(Event::new(Severity::Info, "fleet", "shutdown"));
         let text = String::from_utf8(buf.0.lock().expect("buf lock").clone()).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines,
             [
-                r#"{"min_severity":"info","mode":"wall","schema":"sbs-events/v1"}"#,
-                r#"{"corr":41,"detail":{"nodes_left":7},"kind":"slow_decision","now":99,"scope":"c07","seq":1,"sev":"warn","wall_ns":123}"#,
-                r#"{"kind":"start","now":0,"scope":"daemon","seq":2,"sev":"info"}"#,
+                r#"{"mode":"wall","schema":"sbs-events/v1"}"#,
+                r#"{"corr":41,"detail":{"clusters":7},"kind":"cancel","now":99,"scope":"c07","seq":1,"sev":"error"}"#,
+                r#"{"kind":"shutdown","now":0,"scope":"fleet","seq":2,"sev":"info"}"#,
             ]
         );
     }
 
+    /// A fresh directory for one file-backed test.
+    fn fresh_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sbs-events-{name}-{}", std::process::id()));
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a leftover from an earlier run may or may not exist"
+        )]
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
     #[test]
     fn rotation_renames_and_reopens_at_the_size_cap() {
-        let dir = std::env::temp_dir().join(format!("sbs-events-rot-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = fresh_dir("rot");
         let path = dir.join("events.jsonl");
         let mut j = EventJournal::new(TimeMode::Virtual);
         j.open_rotating(path.clone(), 1024).expect("open");
@@ -549,6 +527,54 @@ mod tests {
                 .unwrap_or_default()
                 .contains(EVENT_SCHEMA),
             "fresh file restates the meta line: {head}"
+        );
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "test cleanup is best-effort"
+        )]
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reopened_journal_appends_and_counts_the_bytes_already_there() {
+        let dir = fresh_dir("append");
+        let path = dir.join("events.jsonl");
+        let run = |kind: &str, events: u64| {
+            let mut j = EventJournal::new(TimeMode::Virtual);
+            j.open_rotating(path.clone(), 1024).expect("open");
+            for i in 0..events {
+                j.emit(Event::new(Severity::Info, "fleet", kind).at(i));
+            }
+            j.flush();
+        };
+        run("first", 3);
+        run("second", 3);
+        let text = std::fs::read_to_string(&path).expect("read journal");
+        let kinds: Vec<&str> = text
+            .lines()
+            .map(|l| {
+                if l.contains(EVENT_SCHEMA) {
+                    "meta"
+                } else if l.contains("first") {
+                    "first"
+                } else {
+                    "second"
+                }
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["meta", "first", "first", "first", "meta", "second", "second", "second"],
+            "both runs' events survive, each after its own meta line"
+        );
+        // Rotation still fires at the cap, counting the earlier run's
+        // bytes: a third run crosses 1 KiB well before 1 KiB of its own.
+        let before = text.len() as u64;
+        let per_event = before / 8 + 1;
+        run("third", (1024 - before) / per_event + 2);
+        assert!(
+            dir.join("events.jsonl.1").exists(),
+            "the cap counts what the file held when it was opened"
         );
         #[expect(
             clippy::let_underscore_must_use,

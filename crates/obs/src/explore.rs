@@ -1,12 +1,15 @@
 //! Offline trace exploration: aggregate a `sbs-trace/v1` JSONL log
 //! into per-decision tables and a collapsed-stack file (`sbs trace`).
+//!
+//! The span weights are derived from each decision's own fields (see
+//! [`crate::span`]), so the collapsed output is byte-identical across
+//! runs.
 
-use crate::record::{DecisionTrace, TraceMeta};
+use crate::record::{DecisionTrace, PolicyTrace, TraceMeta, TRACE_SCHEMA};
 use crate::sink::TimeMode;
-use crate::span::render_collapsed;
+use crate::span::Spans;
 use crate::tally::Tally;
 use serde_json::{Map, Value};
-use std::collections::BTreeMap;
 
 /// Number of budget-utilization deciles in the report.
 const UTIL_BUCKETS: usize = 10;
@@ -29,8 +32,9 @@ pub struct TraceReport {
     pub budget_util: [u64; UTIL_BUCKETS],
     /// Decisions per time-to-incumbent decile (nodes_to_best/nodes).
     pub incumbent_at: [u64; UTIL_BUCKETS],
-    /// Merged span weights, for the collapsed-stack output.
-    pub spans: BTreeMap<String, u64>,
+    /// Span weights summed over all decisions, for the collapsed-stack
+    /// output.
+    pub spans: Spans,
 }
 
 impl TraceReport {
@@ -46,45 +50,51 @@ impl TraceReport {
     /// the log: `since` keeps only decisions with `seq >= since`, and
     /// `last` keeps only the final `last` of those.  This is how
     /// `sbs trace --last/--since` keeps a long-running daemon's
-    /// append-mode log explorable — with `--last` alone, the skipped
-    /// prefix is never even parsed.
+    /// append-mode log explorable: the log is read from its end, so
+    /// with `--last` the lines before the window are never parsed.
+    ///
+    /// An appended log holds one segment per run, each opened by its own
+    /// meta line; a later meta line must name the first one's schema,
+    /// and counts as no decision.
     pub fn from_lines_filtered(
         text: &str,
         since: Option<u64>,
         last: Option<usize>,
     ) -> Result<Self, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let head = lines.next().ok_or("empty trace log")?;
+        let lines: Vec<(usize, &str)> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty())
+            .collect();
+        let (&(_, head), body) = lines.split_first().ok_or("empty trace log")?;
         let head_value: Value =
             serde_json::from_str(head).map_err(|e| format!("meta line: {e}"))?;
-        let meta = TraceMeta::from_value(&head_value)?;
         let mut report = TraceReport {
-            meta,
+            meta: TraceMeta::from_value(&head_value)?,
             ..Default::default()
         };
-        let mut body: Vec<(usize, &str)> = lines.enumerate().collect();
-        if let Some(last) = last {
-            // Seq filtering needs each line parsed, so the cheap
-            // count-based slice only applies when `since` is absent.
-            if since.is_none() && body.len() > last {
-                body = body.split_off(body.len() - last);
-            }
-        }
         let mut kept: Vec<DecisionTrace> = Vec::new();
-        for (i, line) in body {
+        for &(i, line) in body.iter().rev() {
+            if last.is_some_and(|n| kept.len() >= n) {
+                break;
+            }
             let v: Value =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 2))?;
+                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+            if let Some(schema) = v.get("schema") {
+                if schema.as_str() != Some(TRACE_SCHEMA) {
+                    return Err(format!(
+                        "line {}: schema {schema} differs from the first line's {TRACE_SCHEMA:?}",
+                        i + 1
+                    ));
+                }
+                continue;
+            }
             let d = DecisionTrace::from_value(&v);
             if since.is_none_or(|s| d.seq >= s) {
                 kept.push(d);
             }
         }
-        if let Some(last) = last {
-            if kept.len() > last {
-                kept.drain(..kept.len() - last);
-            }
-        }
-        for d in &kept {
+        for d in kept.iter().rev() {
             report.fold(d);
         }
         Ok(report)
@@ -92,11 +102,8 @@ impl TraceReport {
 
     fn fold(&mut self, d: &DecisionTrace) {
         self.tally.fold(d, TimeMode::Virtual);
-        let Some(p) = &d.policy else { return };
-        for (path, weight) in &p.spans {
-            *self.spans.entry(path.clone()).or_insert(0) += weight;
-        }
-        if let Some(s) = &p.search {
+        self.spans.record(d);
+        if let Some(PolicyTrace::Search(s)) = &d.policy {
             for (i, &count) in s.leaf_iters.iter().enumerate() {
                 if self.leaf_iters.len() <= i {
                     self.leaf_iters.resize(i + 1, 0);
@@ -181,16 +188,17 @@ impl TraceReport {
 
         if !self.spans.is_empty() {
             out.push_str("span weights (deterministic node counts)\n");
-            for (path, weight) in &self.spans {
+            for (path, weight) in self.spans.iter() {
                 out.push_str(&format!("  {path} {weight}\n"));
             }
         }
         out
     }
 
-    /// Renders the merged collapsed-stack file (flamegraph input).
+    /// Renders the collapsed-stack file (flamegraph input): one
+    /// `path weight` line per span, sorted by path.
     pub fn collapsed(&self) -> String {
-        render_collapsed(self.spans.iter().map(|(p, &w)| (p.as_str(), w)))
+        self.spans.collapsed()
     }
 
     /// Backfill totals `[examined, started, reserved, blocked]`.
@@ -208,7 +216,7 @@ impl TraceReport {
     pub fn to_json(&self) -> Value {
         let t = &self.tally;
         let mut m = Map::new();
-        m.insert("schema".into(), crate::record::TRACE_SCHEMA.into());
+        m.insert("schema".into(), TRACE_SCHEMA.into());
         m.insert("mode".into(), self.meta.mode.as_str().into());
         m.insert("policy".into(), self.meta.policy.as_str().into());
         m.insert("source".into(), self.meta.source.as_str().into());
@@ -263,7 +271,7 @@ fn decile_table(buckets: &[u64; UTIL_BUCKETS]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{PolicyTrace, SearchTrace};
+    use crate::record::{BackfillTrace, SearchTrace};
     use crate::sink::{TimeMode, TraceRecorder};
     use crate::Recorder;
 
@@ -285,26 +293,19 @@ mod tests {
                 queue_depth: 2,
                 running: 1,
                 free_nodes: 32,
-                capacity: 128,
                 started: vec![u32::try_from(seq).unwrap_or(0)],
-                policy: Some(PolicyTrace {
-                    search: Some(SearchTrace {
-                        algo: "DDS".into(),
-                        branching: "lxf".into(),
-                        budget: 1000,
-                        nodes: 900,
-                        leaves: 30,
-                        improvements: 2,
-                        nodes_to_best: 450,
-                        best_iteration: 1,
-                        leaf_iters: vec![1, 29],
-                        deadline_hit: seq == 3,
-                        nodes_left_at_deadline: if seq == 3 { 100 } else { 0 },
-                        ..Default::default()
-                    }),
-                    backfill: None,
-                    spans: vec![("decide;search".into(), 900)],
-                }),
+                policy: Some(PolicyTrace::Search(SearchTrace {
+                    budget: 1000,
+                    nodes: 900,
+                    leaves: 30,
+                    improvements: 2,
+                    nodes_to_best: 450,
+                    best_iteration: 1,
+                    leaf_iters: vec![1, 29],
+                    deadline_hit: seq == 3,
+                    nodes_left_at_deadline: if seq == 3 { 100 } else { 0 },
+                    ..Default::default()
+                })),
                 wall_ns: 0,
                 corr: 0,
             };
@@ -360,6 +361,63 @@ mod tests {
             all.tally.decisions, 3,
             "a window wider than the log is a no-op"
         );
+    }
+
+    #[test]
+    fn spans_are_derived_from_the_decision_fields() {
+        let meta = serde_json::to_string(&TraceMeta::default().to_value()).expect("meta");
+        let decision = |queue_depth, policy| DecisionTrace {
+            queue_depth,
+            policy: Some(policy),
+            ..Default::default()
+        };
+        let search = |nodes, local_nodes, fallback| {
+            PolicyTrace::Search(SearchTrace {
+                nodes,
+                local_nodes,
+                fallback,
+                ..Default::default()
+            })
+        };
+        let decisions = [
+            decision(4, search(40, 3, false)),
+            decision(6, search(5, 0, true)),
+            decision(0, search(0, 0, false)),
+            decision(7, PolicyTrace::Backfill(BackfillTrace::default())),
+            decision(0, PolicyTrace::Backfill(BackfillTrace::default())),
+        ];
+        let mut text = meta + "\n";
+        for d in &decisions {
+            text += &serde_json::to_string(&d.to_value(false)).expect("line");
+            text.push('\n');
+        }
+        let report = TraceReport::from_lines(&text).expect("parse");
+        // A fallback places every queued job; a pass examines every
+        // queued job; zero weights add no line.
+        assert_eq!(
+            report.collapsed(),
+            "decide;backfill 7\ndecide;fallback 6\ndecide;search 45\ndecide;search;local 3\n"
+        );
+        assert_eq!(report.tally.backfill_examined, 7);
+    }
+
+    #[test]
+    fn a_two_segment_log_reports_the_sum_of_its_segments() {
+        // A daemon's trace sink appends, and each run opens its segment
+        // with a meta line.
+        let one = log_text();
+        let two = format!("{one}{one}");
+        let single = TraceReport::from_lines(&one).expect("one segment");
+        let double = TraceReport::from_lines(&two).expect("two segments");
+        assert_eq!(double.tally.decisions, 2 * single.tally.decisions);
+        assert_eq!(double.tally.search_nodes, 2 * single.tally.search_nodes);
+        assert_eq!(double.collapsed(), "decide;search 5400\n");
+        // `--last` counts decisions, not meta lines.
+        let last = TraceReport::from_lines_filtered(&two, None, Some(4)).expect("last");
+        assert_eq!(last.tally.decisions, 4);
+        let foreign = format!("{one}{{\"schema\":\"other/v9\"}}\n");
+        let err = TraceReport::from_lines(&foreign).expect_err("foreign segment");
+        assert!(err.contains("line 5"), "{err}");
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! Layers, bottom to top:
 //!
 //! - [`Histogram`]: fixed-bucket cumulative histogram over `u64` values.
-//! - [`SpanStack`]: nested spans collapsing to flamegraph stacks whose
-//!   weights are deterministic node counts, not time.
 //! - [`DecisionTrace`] et al.: the schema-versioned (`sbs-trace/v1`)
-//!   per-decision record, JSONL-encodable.
+//!   per-decision record, JSONL-encodable; each fact it holds is stored
+//!   once, and what follows from it is left to the reader.
 //! - [`Recorder`]: the zero-cost-when-disabled hook the scheduler core
 //!   calls once per decision; [`NullRecorder`] is the disabled impl.
 //! - [`Tally`]: every per-tenant count and distribution a served view
@@ -23,10 +22,12 @@
 //!   optional JSONL writer.
 //! - [`expo`]: Prometheus text exposition (render, parse, validate).
 //! - [`explore`]: offline aggregation of a JSONL log into tables and a
-//!   collapsed-stack file (`sbs trace`).
-//! - [`EventJournal`]: the severity-leveled `sbs-events/v1` operational
-//!   journal — counters plus a rotating JSONL sink, built from the
-//!   [`ObsConfig`] a serving edge embeds.
+//!   collapsed-stack file (`sbs trace`) whose span weights it derives
+//!   from the decisions' deterministic counts.
+//! - [`EventJournal`]: the `sbs-events/v1` operational journal, which
+//!   writes the lifecycle ops and the failed requests and counts the
+//!   rest — counters plus an appending, rotating JSONL sink, built from
+//!   the [`ObsConfig`] a serving edge embeds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,13 +43,12 @@ mod tally;
 
 pub use events::{
     Event, EventJournal, ObsConfig, Severity, DEFAULT_EVENT_LOG_MAX_BYTES, EVENT_SCHEMA,
-    MIN_SEVERITY,
 };
 pub use explore::TraceReport;
 pub use hist::Histogram;
 pub use record::{BackfillTrace, DecisionTrace, PolicyTrace, SearchTrace, TraceMeta, TRACE_SCHEMA};
 pub use sink::{TimeMode, TraceRecorder};
-pub use span::{render_collapsed, SpanStack};
+pub use span::Spans;
 pub use tally::Tally;
 
 /// Per-decision telemetry hook.

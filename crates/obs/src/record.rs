@@ -53,13 +53,12 @@ impl TraceMeta {
     }
 }
 
-/// Telemetry from one tree-search invocation inside a decision.
+/// Telemetry from one tree-search invocation inside a decision.  The
+/// algorithm and branching order are the meta line's `policy`, and the
+/// final incumbent's depth is the decision's `queue_depth` (0 after a
+/// greedy fallback), so neither is repeated here.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchTrace {
-    /// Algorithm label (`"DDS"`, `"LDS"`, `"beam(w)"`, ...).
-    pub algo: String,
-    /// Branching-order label (`"fcfs"` or `"lxf"`).
-    pub branching: String,
     /// Resolved scheduling horizon omega (seconds).
     pub omega: u64,
     /// Node budget granted to the tree search.
@@ -76,8 +75,6 @@ pub struct SearchTrace {
     pub nodes_to_best: u64,
     /// Iteration during which the final incumbent was found.
     pub best_iteration: u32,
-    /// Depth of the final incumbent leaf.
-    pub best_depth: u32,
     /// Whether the tree was fully enumerated.
     pub exhausted: bool,
     /// Whether the node budget stopped the search.
@@ -95,17 +92,11 @@ pub struct SearchTrace {
     /// Leaves per iteration bucket (bucket = discrepancy count for LDS,
     /// mandated discrepancy depth for DDS); trailing zeros trimmed.
     pub leaf_iters: Vec<u64>,
-    /// Request correlation id this search ran under (`0` = none, e.g.
-    /// offline simulation).  Serialized only when nonzero so existing
-    /// golden trace bytes never shift.
-    pub trace_id: u64,
 }
 
 impl SearchTrace {
     fn to_value(&self) -> Value {
         let mut m = Map::new();
-        m.insert("algo".into(), self.algo.as_str().into());
-        m.insert("branching".into(), self.branching.as_str().into());
         m.insert("omega".into(), self.omega.into());
         m.insert("budget".into(), self.budget.into());
         m.insert("nodes".into(), self.nodes.into());
@@ -114,7 +105,6 @@ impl SearchTrace {
         m.insert("improvements".into(), self.improvements.into());
         m.insert("nodes_to_best".into(), self.nodes_to_best.into());
         m.insert("best_iteration".into(), self.best_iteration.into());
-        m.insert("best_depth".into(), self.best_depth.into());
         m.insert("exhausted".into(), self.exhausted.into());
         m.insert("budget_hit".into(), self.budget_hit.into());
         m.insert("deadline_hit".into(), self.deadline_hit.into());
@@ -126,16 +116,11 @@ impl SearchTrace {
         m.insert("fallback".into(), self.fallback.into());
         m.insert("local_nodes".into(), self.local_nodes.into());
         m.insert("leaf_iters".into(), self.leaf_iters.as_slice().into());
-        if self.trace_id != 0 {
-            m.insert("trace_id".into(), self.trace_id.into());
-        }
         Value::Object(m)
     }
 
     fn from_value(v: &Value) -> Self {
         SearchTrace {
-            algo: v["algo"].as_str().unwrap_or_default().to_string(),
-            branching: v["branching"].as_str().unwrap_or_default().to_string(),
             omega: v["omega"].as_u64().unwrap_or(0),
             budget: v["budget"].as_u64().unwrap_or(0),
             nodes: v["nodes"].as_u64().unwrap_or(0),
@@ -144,7 +129,6 @@ impl SearchTrace {
             improvements: v["improvements"].as_u64().unwrap_or(0),
             nodes_to_best: v["nodes_to_best"].as_u64().unwrap_or(0),
             best_iteration: narrow(&v["best_iteration"]),
-            best_depth: narrow(&v["best_depth"]),
             exhausted: v["exhausted"].as_bool().unwrap_or(false),
             budget_hit: v["budget_hit"].as_bool().unwrap_or(false),
             deadline_hit: v["deadline_hit"].as_bool().unwrap_or(false),
@@ -156,18 +140,16 @@ impl SearchTrace {
                 .as_array()
                 .map(|a| a.iter().map(|x| x.as_u64().unwrap_or(0)).collect())
                 .unwrap_or_default(),
-            trace_id: v["trace_id"].as_u64().unwrap_or(0),
         }
     }
 }
 
-/// Telemetry from one backfill pass inside a decision.
+/// Telemetry from one backfill pass inside a decision.  Every queued
+/// job is examined (the decision's `queue_depth`) and the ones started
+/// are the decision's `started`, so only the other two outcomes are
+/// stored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackfillTrace {
-    /// Queue entries examined in priority order.
-    pub examined: u32,
-    /// Jobs started immediately (hole fills included).
-    pub started: u32,
     /// Jobs granted a future reservation.
     pub reserved: u32,
     /// Jobs skipped with no reservation (blocked).
@@ -177,8 +159,6 @@ pub struct BackfillTrace {
 impl BackfillTrace {
     fn to_value(self) -> Value {
         let mut m = Map::new();
-        m.insert("examined".into(), self.examined.into());
-        m.insert("started".into(), self.started.into());
         m.insert("reserved".into(), self.reserved.into());
         m.insert("blocked".into(), self.blocked.into());
         Value::Object(m)
@@ -186,27 +166,24 @@ impl BackfillTrace {
 
     fn from_value(v: &Value) -> Self {
         BackfillTrace {
-            examined: narrow(&v["examined"]),
-            started: narrow(&v["started"]),
             reserved: narrow(&v["reserved"]),
             blocked: narrow(&v["blocked"]),
         }
     }
 }
 
-/// What the policy itself observed during one `decide()` call.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PolicyTrace {
-    /// Tree-search telemetry (search policies only).
-    pub search: Option<SearchTrace>,
-    /// Backfill telemetry (backfill policies only).
-    pub backfill: Option<BackfillTrace>,
-    /// Collapsed-stack spans: `(path, weight)` where weight is a
-    /// deterministic node count.
-    pub spans: Vec<(String, u64)>,
+/// What the policy itself observed during one `decide()` call: a
+/// search policy's tree search, or a backfill policy's pass.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PolicyTrace {
+    /// Tree-search telemetry, serialized under `search`.
+    Search(SearchTrace),
+    /// Backfill telemetry, serialized under `backfill`.
+    Backfill(BackfillTrace),
 }
 
 /// One scheduler decision point, the unit record of `sbs-trace/v1`.
+/// The machine's capacity is the meta line's.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionTrace {
     /// 1-based decision sequence number.
@@ -219,8 +196,6 @@ pub struct DecisionTrace {
     pub running: u32,
     /// Free nodes before the decision.
     pub free_nodes: u32,
-    /// Cluster capacity.
-    pub capacity: u32,
     /// Job ids started by this decision.
     pub started: Vec<u32>,
     /// Policy-internal telemetry, when the policy produces any.
@@ -235,6 +210,14 @@ pub struct DecisionTrace {
 }
 
 impl DecisionTrace {
+    /// The tree search's telemetry, when a search policy decided.
+    pub fn search(&self) -> Option<&SearchTrace> {
+        match &self.policy {
+            Some(PolicyTrace::Search(s)) => Some(s),
+            _ => None,
+        }
+    }
+
     /// Encodes one JSONL line.  `include_wall` must be `false` in
     /// virtual mode so the bytes stay run-to-run identical.
     pub fn to_value(&self, include_wall: bool) -> Value {
@@ -244,25 +227,13 @@ impl DecisionTrace {
         m.insert("queue_depth".into(), self.queue_depth.into());
         m.insert("running".into(), self.running.into());
         m.insert("free_nodes".into(), self.free_nodes.into());
-        m.insert("capacity".into(), self.capacity.into());
         m.insert("started".into(), self.started.as_slice().into());
         if let Some(p) = &self.policy {
-            if let Some(s) = &p.search {
-                m.insert("search".into(), s.to_value());
-            }
-            if let Some(b) = &p.backfill {
-                m.insert("backfill".into(), b.to_value());
-            }
-            if !p.spans.is_empty() {
-                let spans: Vec<Value> = p
-                    .spans
-                    .iter()
-                    .map(|(path, weight)| {
-                        Value::Array(vec![path.as_str().into(), (*weight).into()])
-                    })
-                    .collect();
-                m.insert("spans".into(), Value::Array(spans));
-            }
+            let (key, value) = match p {
+                PolicyTrace::Search(s) => ("search", s.to_value()),
+                PolicyTrace::Backfill(b) => ("backfill", b.to_value()),
+            };
+            m.insert(key.into(), value);
         }
         if include_wall {
             m.insert("wall_ns".into(), self.wall_ns.into());
@@ -273,34 +244,13 @@ impl DecisionTrace {
         Value::Object(m)
     }
 
-    /// Decodes one JSONL line (tolerant: missing fields default).
+    /// Decodes one JSONL line (tolerant: missing fields default, and
+    /// the keys older lines also carried are ignored).
     pub fn from_value(v: &Value) -> Self {
-        let search = match &v["search"] {
-            Value::Object(_) => Some(SearchTrace::from_value(&v["search"])),
+        let policy = match (&v["search"], &v["backfill"]) {
+            (s @ Value::Object(_), _) => Some(PolicyTrace::Search(SearchTrace::from_value(s))),
+            (_, b @ Value::Object(_)) => Some(PolicyTrace::Backfill(BackfillTrace::from_value(b))),
             _ => None,
-        };
-        let backfill = match &v["backfill"] {
-            Value::Object(_) => Some(BackfillTrace::from_value(&v["backfill"])),
-            _ => None,
-        };
-        let spans: Vec<(String, u64)> = v["spans"]
-            .as_array()
-            .map(|a| {
-                a.iter()
-                    .filter_map(|pair| {
-                        Some((pair[0].as_str()?.to_string(), pair[1].as_u64().unwrap_or(0)))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let policy = if search.is_some() || backfill.is_some() || !spans.is_empty() {
-            Some(PolicyTrace {
-                search,
-                backfill,
-                spans,
-            })
-        } else {
-            None
         };
         DecisionTrace {
             seq: v["seq"].as_u64().unwrap_or(0),
@@ -308,7 +258,6 @@ impl DecisionTrace {
             queue_depth: narrow(&v["queue_depth"]),
             running: narrow(&v["running"]),
             free_nodes: narrow(&v["free_nodes"]),
-            capacity: narrow(&v["capacity"]),
             started: v["started"]
                 .as_array()
                 .map(|a| a.iter().filter_map(|x| x.as_u64()).map(clamp32).collect())
@@ -339,39 +288,25 @@ mod tests {
             queue_depth: 4,
             running: 2,
             free_nodes: 96,
-            capacity: 128,
             started: vec![11, 12],
-            policy: Some(PolicyTrace {
-                search: Some(SearchTrace {
-                    algo: "DDS".into(),
-                    branching: "lxf".into(),
-                    omega: 7200,
-                    budget: 1000,
-                    nodes: 940,
-                    leaves: 31,
-                    iterations: 5,
-                    improvements: 3,
-                    nodes_to_best: 512,
-                    best_iteration: 2,
-                    best_depth: 4,
-                    exhausted: false,
-                    budget_hit: true,
-                    deadline_hit: true,
-                    nodes_left_at_deadline: 60,
-                    pruned: 17,
-                    fallback: false,
-                    local_nodes: 12,
-                    leaf_iters: vec![1, 8, 22],
-                    trace_id: 41,
-                }),
-                backfill: Some(BackfillTrace {
-                    examined: 4,
-                    started: 2,
-                    reserved: 1,
-                    blocked: 1,
-                }),
-                spans: vec![("decide;search".into(), 940)],
-            }),
+            policy: Some(PolicyTrace::Search(SearchTrace {
+                omega: 7200,
+                budget: 1000,
+                nodes: 940,
+                leaves: 31,
+                iterations: 5,
+                improvements: 3,
+                nodes_to_best: 512,
+                best_iteration: 2,
+                exhausted: false,
+                budget_hit: true,
+                deadline_hit: true,
+                nodes_left_at_deadline: 60,
+                pruned: 17,
+                fallback: false,
+                local_nodes: 12,
+                leaf_iters: vec![1, 8, 22],
+            })),
             wall_ns: 123_456,
             corr: 41,
         }
@@ -379,10 +314,39 @@ mod tests {
 
     #[test]
     fn decision_round_trips_through_json() {
-        let d = sample();
-        let line = serde_json::to_string(&d.to_value(true)).expect("render");
-        let back = DecisionTrace::from_value(&serde_json::from_str(&line).expect("parse"));
-        assert_eq!(back, d);
+        let backfill = DecisionTrace {
+            policy: Some(PolicyTrace::Backfill(BackfillTrace {
+                reserved: 1,
+                blocked: 1,
+            })),
+            ..sample()
+        };
+        for d in [sample(), backfill] {
+            let line = serde_json::to_string(&d.to_value(true)).expect("render");
+            let back = DecisionTrace::from_value(&serde_json::from_str(&line).expect("parse"));
+            assert_eq!(back, d);
+        }
+    }
+
+    #[test]
+    fn older_lines_decode_without_their_repeated_keys() {
+        // A line as older recorders wrote it: capacity, spans, the
+        // search's algo/branching/best_depth/trace_id and the backfill
+        // pass's examined/started restate facts kept elsewhere.
+        let old = r#"{"backfill":{"blocked":3,"examined":5,"reserved":1,"started":1},"capacity":128,"free_nodes":8,"now":60,"queue_depth":5,"running":2,"seq":3,"spans":[["decide;backfill",5]],"started":[9]}"#;
+        let d = DecisionTrace::from_value(&serde_json::from_str(old).expect("parse"));
+        assert_eq!(
+            d.policy,
+            Some(PolicyTrace::Backfill(BackfillTrace {
+                reserved: 1,
+                blocked: 3
+            }))
+        );
+        let line = serde_json::to_string(&d.to_value(false)).expect("render");
+        assert_eq!(
+            line,
+            r#"{"backfill":{"blocked":3,"reserved":1},"free_nodes":8,"now":60,"queue_depth":5,"running":2,"seq":3,"started":[9]}"#
+        );
     }
 
     #[test]

@@ -126,20 +126,14 @@ mod tests {
             queue_depth: 3,
             running: 1,
             free_nodes: 64,
-            capacity: 128,
             started: vec![u32::try_from(seq).unwrap_or(u32::MAX)],
-            policy: Some(PolicyTrace {
-                search: Some(SearchTrace {
-                    algo: "DDS".into(),
-                    nodes: 500,
-                    local_nodes: 30,
-                    deadline_hit: seq.is_multiple_of(2),
-                    nodes_left_at_deadline: if seq == 2 { 42 } else { 0 },
-                    ..Default::default()
-                }),
-                backfill: None,
-                spans: vec![("decide;search".into(), 500)],
-            }),
+            policy: Some(PolicyTrace::Search(SearchTrace {
+                nodes: 500,
+                local_nodes: 30,
+                deadline_hit: seq.is_multiple_of(2),
+                nodes_left_at_deadline: if seq == 2 { 42 } else { 0 },
+                ..Default::default()
+            })),
             wall_ns: 999,
             corr: 0,
         }

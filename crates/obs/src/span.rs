@@ -1,97 +1,112 @@
-//! Nested spans that collapse to flamegraph stacks.
+//! Flamegraph spans derived from each decision's own fields.
 //!
-//! Weights are *deterministic units supplied by the caller* — search
-//! node counts in this workspace, never elapsed time — so the collapsed
-//! output is byte-identical across runs.  The rendered format is the
-//! standard collapsed-stack line (`root;child weight`) consumed by
-//! `flamegraph.pl` and compatible tooling.
+//! A decision line carries no span list: every weight is a
+//! deterministic count the line already states (never time), so the
+//! collapsed output (`root;child weight`, the input of `flamegraph.pl`)
+//! is byte-identical across runs:
+//!
+//! - `decide;search`: the tree search's `nodes`;
+//! - `decide;search;local`: its hill-climb `local_nodes`;
+//! - `decide;fallback`: `queue_depth` after a greedy fallback, which
+//!   places every queued job;
+//! - `decide;backfill`: `queue_depth`, the jobs a pass examines.
 
-/// A stack of named spans; exiting a span records its full
-/// semicolon-joined path with a self-weight.
-#[derive(Debug, Default, Clone)]
-pub struct SpanStack {
-    stack: Vec<&'static str>,
-    recorded: Vec<(String, u64)>,
-}
+use crate::record::{DecisionTrace, PolicyTrace};
+use std::collections::BTreeMap;
 
-impl SpanStack {
-    /// An empty stack.
-    pub fn new() -> Self {
-        SpanStack::default()
-    }
+/// Span weights summed over decisions, keyed by full path.
+#[derive(Debug, Clone, Default)]
+pub struct Spans(BTreeMap<&'static str, u64>);
 
-    /// Opens a nested span named `name` (e.g. `"decide"`, then
-    /// `"search"` inside it).
-    pub fn enter(&mut self, name: &'static str) {
-        self.stack.push(name);
-    }
-
-    /// Closes the innermost span, attributing `self_weight` units to its
-    /// full path.  Zero-weight exits close the span without recording a
-    /// line.
-    pub fn exit(&mut self, self_weight: u64) {
-        let path = self.stack.join(";");
-        self.stack.pop();
-        if self_weight > 0 && !path.is_empty() {
-            self.recorded.push((path, self_weight));
+impl Spans {
+    /// Adds the spans derived from one decision.
+    pub fn record(&mut self, d: &DecisionTrace) {
+        let depth = u64::from(d.queue_depth);
+        match &d.policy {
+            Some(PolicyTrace::Search(s)) => {
+                self.add("decide;search", s.nodes);
+                self.add("decide;search;local", s.local_nodes);
+                if s.fallback {
+                    self.add("decide;fallback", depth);
+                }
+            }
+            Some(PolicyTrace::Backfill(_)) => self.add("decide;backfill", depth),
+            None => {}
         }
     }
 
-    /// Consumes the stack, returning the recorded `(path, weight)`
-    /// pairs in exit order.  Any still-open spans are discarded.
-    pub fn finish(self) -> Vec<(String, u64)> {
-        self.recorded
+    /// Adds `weight` to the span at `path`; a zero weight adds no line.
+    fn add(&mut self, path: &'static str, weight: u64) {
+        if weight > 0 {
+            *self.0.entry(path).or_insert(0) += weight;
+        }
     }
-}
 
-/// Renders `(path, weight)` pairs as collapsed-stack lines, merging
-/// duplicate paths and sorting for deterministic output.
-pub fn render_collapsed<'a, I>(spans: I) -> String
-where
-    I: IntoIterator<Item = (&'a str, u64)>,
-{
-    let mut merged = std::collections::BTreeMap::<&str, u64>::new();
-    for (path, weight) in spans {
-        *merged.entry(path).or_insert(0) += weight;
+    /// True when no decision has added a weight.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
-    let mut out = String::new();
-    for (path, weight) in merged {
-        out.push_str(path);
-        out.push(' ');
-        out.push_str(&weight.to_string());
-        out.push('\n');
+
+    /// The `(path, weight)` pairs, sorted by path.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.0.iter().map(|(&path, &weight)| (path, weight))
     }
-    out
+
+    /// Renders the collapsed-stack file: one `path weight` line per
+    /// span, sorted by path.
+    pub fn collapsed(&self) -> String {
+        self.iter()
+            .map(|(path, weight)| format!("{path} {weight}\n"))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{BackfillTrace, SearchTrace};
+
+    fn search(queue_depth: u32, nodes: u64, local_nodes: u64, fallback: bool) -> DecisionTrace {
+        DecisionTrace {
+            queue_depth,
+            policy: Some(PolicyTrace::Search(SearchTrace {
+                nodes,
+                local_nodes,
+                fallback,
+                ..Default::default()
+            })),
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn exit_records_the_full_path() {
-        let mut s = SpanStack::new();
-        s.enter("decide");
-        s.enter("search");
-        s.enter("local");
-        s.exit(3);
-        s.exit(40);
-        s.exit(0); // decide itself: no self-weight, no line
+        let mut s = Spans::default();
+        // decide itself carries no self-weight, so it has no line.
+        s.record(&search(4, 40, 3, false));
         assert_eq!(
-            s.finish(),
-            vec![
-                ("decide;search;local".to_string(), 3),
-                ("decide;search".to_string(), 40),
-            ]
+            s.iter().collect::<Vec<_>>(),
+            vec![("decide;search", 40), ("decide;search;local", 3)]
         );
+        let mut b = Spans::default();
+        b.record(&DecisionTrace {
+            queue_depth: 7,
+            policy: Some(PolicyTrace::Backfill(BackfillTrace::default())),
+            ..Default::default()
+        });
+        assert_eq!(b.iter().collect::<Vec<_>>(), vec![("decide;backfill", 7)]);
     }
 
     #[test]
     fn collapsed_rendering_merges_and_sorts() {
-        let spans = [("a;b", 2), ("a", 1), ("a;b", 3)];
+        let mut s = Spans::default();
+        s.record(&search(6, 5, 0, true));
+        s.record(&search(0, 0, 0, false));
+        s.record(&search(2, 10, 1, false));
         assert_eq!(
-            render_collapsed(spans.iter().map(|&(p, w)| (p, w))),
-            "a 1\na;b 5\n"
+            s.collapsed(),
+            "decide;fallback 6\ndecide;search 15\ndecide;search;local 1\n"
         );
+        assert!(Spans::default().collapsed().is_empty());
     }
 }

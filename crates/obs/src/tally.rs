@@ -2,7 +2,7 @@
 //! fields, folded once per decision from its [`DecisionTrace`].
 
 use crate::hist::Histogram;
-use crate::record::DecisionTrace;
+use crate::record::{DecisionTrace, PolicyTrace};
 use crate::sink::TimeMode;
 
 /// One tenant's counts and distributions.  [`crate::TraceRecorder`]
@@ -94,33 +94,37 @@ impl Tally {
             self.policy_nanos += d.wall_ns;
             self.decision_wall_nanos.observe(d.wall_ns);
         }
-        let Some(p) = &d.policy else { return };
-        if let Some(s) = &p.search {
-            // Tree and hill-climb nodes: the whole budget L the search
-            // spent.
-            self.search_nodes += s.nodes + s.local_nodes;
-            self.search_leaves += s.leaves;
-            self.search_pruned += s.pruned;
-            self.search_improvements += s.improvements;
-            self.search_local_nodes += s.local_nodes;
-            self.search_exhausted += u64::from(s.exhausted);
-            self.search_budget_hits += u64::from(s.budget_hit);
-            if s.deadline_hit {
-                self.search_deadline_truncations += u64::from(s.nodes_left_at_deadline > 0);
-                self.search_deadline_nodes_left += s.nodes_left_at_deadline;
+        match &d.policy {
+            Some(PolicyTrace::Search(s)) => {
+                // Tree and hill-climb nodes: the whole budget L the
+                // search spent.
+                self.search_nodes += s.nodes + s.local_nodes;
+                self.search_leaves += s.leaves;
+                self.search_pruned += s.pruned;
+                self.search_improvements += s.improvements;
+                self.search_local_nodes += s.local_nodes;
+                self.search_exhausted += u64::from(s.exhausted);
+                self.search_budget_hits += u64::from(s.budget_hit);
+                if s.deadline_hit {
+                    self.search_deadline_truncations += u64::from(s.nodes_left_at_deadline > 0);
+                    self.search_deadline_nodes_left += s.nodes_left_at_deadline;
+                }
+                self.search_fallbacks += u64::from(s.fallback);
+                self.search_nodes_per_decision
+                    .observe(s.nodes + s.local_nodes);
+                self.search_nodes_to_best.observe(s.nodes_to_best);
+                self.search_best_iteration
+                    .observe(u64::from(s.best_iteration));
             }
-            self.search_fallbacks += u64::from(s.fallback);
-            self.search_nodes_per_decision
-                .observe(s.nodes + s.local_nodes);
-            self.search_nodes_to_best.observe(s.nodes_to_best);
-            self.search_best_iteration
-                .observe(u64::from(s.best_iteration));
-        }
-        if let Some(b) = &p.backfill {
-            self.backfill_examined += u64::from(b.examined);
-            self.backfill_started += u64::from(b.started);
-            self.backfill_reserved += u64::from(b.reserved);
-            self.backfill_blocked += u64::from(b.blocked);
+            Some(PolicyTrace::Backfill(b)) => {
+                // A pass examines every queued job, and the jobs it
+                // starts are the decision's.
+                self.backfill_examined += u64::from(d.queue_depth);
+                self.backfill_started += d.started.len() as u64;
+                self.backfill_reserved += u64::from(b.reserved);
+                self.backfill_blocked += u64::from(b.blocked);
+            }
+            None => {}
         }
     }
 

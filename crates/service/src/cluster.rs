@@ -264,12 +264,7 @@ impl Cluster {
         let Some(d) = self.recorder.last() else {
             return;
         };
-        let nodes_left = d
-            .policy
-            .as_ref()
-            .and_then(|p| p.search.as_ref())
-            .map(|s| s.nodes_left_at_deadline)
-            .unwrap_or(0);
+        let nodes_left = d.search().map_or(0, |s| s.nodes_left_at_deadline);
         let mut reasons = Vec::new();
         if let Some(limit) = wall_limit.filter(|&l| d.wall_ns >= l) {
             reasons.push(format!("wall_ns {} >= {limit}", d.wall_ns));

@@ -2,8 +2,8 @@
 //!
 //! An [`Edge`] is the operator surface of one server — the
 //! `sbs-events/v1` journal and the request-latency histogram — plus the
-//! one request-kind → severity table and the one request-journaling
-//! function.  The fleet front end
+//! one request-kind table and the one request-journaling function,
+//! which holds the journal's rule.  The fleet front end
 //! (`sbs-fleet`) holds one, behind a leaf mutex, in front of all its
 //! tenants.  Request correlation ids come from a
 //! [`crate::CorrelationSource`] the fleet keeps beside its edge, so
@@ -44,33 +44,30 @@ impl Edge {
         }
     }
 
-    /// Journals one request outcome: `kind` at its base severity, or at
-    /// `Error` when the response says `"ok": false`.  `scope` names who
-    /// answered, `gauge` is the one load figure the scope reports with
-    /// every request.
+    /// Journals one request outcome by the journal's one rule: a
+    /// request is written if and only if it is a `lifecycle` op (at
+    /// `Info`) or its response says `"ok": false` (at `Error`); any
+    /// other is counted as filtered.  `scope` names who answered,
+    /// `gauge` is the one load figure the scope reports with every
+    /// request.
     pub fn journal_request(
         &mut self,
         scope: &str,
-        (kind, severity): (&str, Severity),
+        (kind, lifecycle): (&str, bool),
         response: &Value,
         at: Time,
         (gauge, level): (&str, u64),
     ) {
         let ok = response.get("ok") != Some(&Value::Bool(false));
-        let severity = if ok { severity } else { Severity::Error };
-        if !self.journal.admits(severity) {
+        if !self.journal.admits(lifecycle || !ok) {
             return;
         }
-        let field = |key: &str| response.get(key).and_then(Value::as_u64);
-        let mut event = Event::new(severity, scope, kind)
+        let severity = if ok { Severity::Info } else { Severity::Error };
+        let corr = response.get("corr").and_then(Value::as_u64).unwrap_or(0);
+        let event = Event::new(severity, scope, kind)
             .at(at)
-            .corr(field("corr").unwrap_or(0))
+            .corr(corr)
             .detail(gauge, level);
-        for key in ["id", "accepted"] {
-            if let Some(n) = field(key) {
-                event = event.detail(key, n);
-            }
-        }
         self.journal.emit(event);
     }
 
@@ -105,17 +102,18 @@ fn quantiles_value(hist: &Histogram) -> Value {
     })
 }
 
-/// Journal event kind and base severity for one request type.
-pub fn op_event(req: &Request) -> (&'static str, Severity) {
+/// Journal event kind for one request type, and whether it is a
+/// lifecycle op (journaled even when it succeeds).
+pub fn op_event(req: &Request) -> (&'static str, bool) {
     match req {
-        Request::Submit { .. } => ("submit", Severity::Debug),
-        Request::SubmitBatch { .. } => ("submit_batch", Severity::Debug),
-        Request::Cancel { .. } => ("cancel", Severity::Debug),
-        Request::Queue => ("queue", Severity::Debug),
-        Request::Metrics => ("metrics", Severity::Debug),
-        Request::Incidents => ("incidents", Severity::Debug),
-        Request::Drain => ("drain", Severity::Info),
-        Request::Snapshot => ("snapshot", Severity::Info),
-        Request::Shutdown => ("shutdown", Severity::Info),
+        Request::Submit { .. } => ("submit", false),
+        Request::SubmitBatch { .. } => ("submit_batch", false),
+        Request::Cancel { .. } => ("cancel", false),
+        Request::Queue => ("queue", false),
+        Request::Metrics => ("metrics", false),
+        Request::Incidents => ("incidents", false),
+        Request::Drain => ("drain", true),
+        Request::Snapshot => ("snapshot", true),
+        Request::Shutdown => ("shutdown", true),
     }
 }

@@ -71,10 +71,10 @@ impl SchedulerCore {
         }
     }
 
-    /// Sets the correlation id stamped onto subsequent decision traces
-    /// and handed to the policy before each `decide` call.  The daemon
-    /// calls this once per protocol request; batch simulation leaves it
-    /// 0, which keeps virtual-mode trace bytes unchanged.
+    /// Sets the correlation id stamped onto subsequent decision traces.
+    /// The daemon calls this once per protocol request; batch
+    /// simulation leaves it 0, which keeps virtual-mode trace bytes
+    /// unchanged.
     pub fn set_correlation(&mut self, corr: u64) {
         self.corr = corr;
     }
@@ -245,7 +245,6 @@ impl SchedulerCore {
         recorder: &mut dyn sbs_obs::Recorder,
     ) -> Vec<JobId> {
         self.decisions += 1;
-        policy.set_correlation(self.corr);
         let ctx = SchedContext {
             now: self.now,
             capacity: self.cluster.capacity(),
@@ -282,7 +281,6 @@ impl SchedulerCore {
                 queue_depth: clamp(self.queue.len()),
                 running: clamp(self.cluster.running().len()),
                 free_nodes: self.cluster.free_nodes(),
-                capacity: self.cluster.capacity(),
                 started: starts.iter().map(|id| id.0).collect(),
                 policy: policy.take_trace(),
                 // The recorder drops this in virtual mode; see

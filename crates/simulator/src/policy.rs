@@ -95,13 +95,6 @@ pub trait Policy {
     fn take_trace(&mut self) -> Option<sbs_obs::PolicyTrace> {
         None
     }
-
-    /// Hands the policy the correlation id of the request driving the
-    /// next `decide` call (`0` = not request-scoped).  The engine calls
-    /// this before every decision; policies with internal telemetry
-    /// stamp it into their traces so one daemon request can be followed
-    /// end to end.  Policies without telemetry ignore it.
-    fn set_correlation(&mut self, _corr: u64) {}
 }
 
 /// Blanket impl so `&mut P` can be passed where a policy is expected.
@@ -118,9 +111,6 @@ impl<P: Policy + ?Sized> Policy for &mut P {
     fn take_trace(&mut self) -> Option<sbs_obs::PolicyTrace> {
         (**self).take_trace()
     }
-    fn set_correlation(&mut self, corr: u64) {
-        (**self).set_correlation(corr)
-    }
 }
 
 /// Blanket impl for boxed policies (trait objects).
@@ -136,9 +126,6 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
     }
     fn take_trace(&mut self) -> Option<sbs_obs::PolicyTrace> {
         (**self).take_trace()
-    }
-    fn set_correlation(&mut self, corr: u64) {
-        (**self).set_correlation(corr)
     }
 }
 

@@ -99,7 +99,7 @@ fn identical_runs_write_byte_identical_trace_logs() {
     assert!(!a.contains("wall_ns"), "virtual logs must omit wall time");
     assert!(a.lines().count() > 1, "decisions were recorded");
     assert!(
-        a.lines().skip(1).any(|l| l.contains("\"algo\":\"DDS\"")),
+        a.lines().skip(1).any(|l| l.contains("\"search\":{")),
         "search telemetry is inlined in decision lines"
     );
 }
