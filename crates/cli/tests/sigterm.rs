@@ -1,4 +1,4 @@
-//! `SIGTERM` and `SIGKILL` against a real `sbs serve` process.
+//! `SIGTERM`, `SIGKILL` and restarts against a real `sbs serve` process.
 //!
 //! The signal latch is process-wide and a signal goes to a whole
 //! process, so these tests have a binary of their own and the daemon
@@ -163,5 +163,46 @@ fn sigkill_loses_nothing_the_snapshot_cadence_wrote() {
     let v = request(&addr, r#"{"op":"shutdown"}"#);
     assert_eq!(v["ok"], true, "{v}");
     assert!(daemon.0.wait().expect("wait").success());
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
+fn a_restart_on_the_same_trace_dir_mints_fresh_correlation_ids() {
+    let dir = std::env::temp_dir().join(format!("sbs-corr-{}", std::process::id()));
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort cleanup of a prior run's fixture"
+    )]
+    let _ = std::fs::remove_dir_all(&dir);
+    let traces = dir.join("traces");
+    let traces_flag = traces.to_str().expect("UTF-8 temp path");
+    let mut answered = Vec::new();
+    for run in 0..2 {
+        let (mut daemon, _, addr) = spawn_serve(&["--trace-dir", traces_flag], &dir);
+        for i in 0..3 {
+            let at = 10 + 10 * (3 * run + i);
+            let v = request(
+                &addr,
+                &format!(r#"{{"op":"submit","nodes":1,"runtime":3600,"submit":{at}}}"#),
+            );
+            answered.push(v["corr"].as_u64().expect("corr"));
+        }
+        let v = request(&addr, r#"{"op":"shutdown"}"#);
+        assert_eq!(v["ok"], true, "{v}");
+        assert!(daemon.0.wait().expect("wait").success());
+    }
+    let mut distinct = answered.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 6, "{answered:?}");
+    // The appended decision log names each request once.
+    let log = std::fs::read_to_string(traces.join("trace-default.jsonl")).expect("trace log");
+    let mut logged: Vec<u64> = log
+        .lines()
+        .map(|l| serde_json::from_str::<serde_json::Value>(l).expect("JSONL"))
+        .filter_map(|v| v["corr"].as_u64())
+        .collect();
+    logged.sort_unstable();
+    assert_eq!(logged, distinct, "{log}");
     std::fs::remove_dir_all(&dir).expect("clean up");
 }

@@ -52,7 +52,7 @@ use crate::quota::{FleetDemand, TenantQuota};
 use sbs_core::PolicySpec;
 use sbs_metrics::fairness::jain_index;
 use sbs_obs::expo::{Exposition, Sample};
-use sbs_obs::{Histogram, ObsConfig};
+use sbs_obs::{last_corr, Histogram, ObsConfig};
 use sbs_service::cluster::{drain_response, incidents_response};
 use sbs_service::edge::op_event;
 use sbs_service::metrics::{Family, Read, FAMILIES};
@@ -279,6 +279,8 @@ impl Fleet {
     /// snapshot in `cfg.snapshot_dir`.
     pub fn new(cfg: FleetConfig) -> Result<Self, String> {
         let shards = (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect();
+        // Read before the edge and the tenants append their meta lines.
+        let corr = CorrelationSource::after(last_logged_corr(&cfg)?);
         let edge = Edge::new(&cfg.obs);
         let fleet = Fleet {
             policy: cfg.spec.name(),
@@ -287,7 +289,7 @@ impl Fleet {
             total_pending: AtomicU64::new(0),
             latest_now: AtomicU64::new(0),
             tenant_count: AtomicU64::new(0),
-            corr: CorrelationSource::new(),
+            corr,
             edge: Mutex::new(edge),
         };
         // Tenants write snapshots and traces from their first decision.
@@ -880,6 +882,30 @@ fn snapshot_ids(dir: &std::path::Path) -> Result<Vec<String>, String> {
     }
     ids.sort();
     Ok(ids)
+}
+
+/// The largest correlation id the logs this fleet appends to already
+/// hold: the event journal (and its rotated predecessor) and every
+/// tenant's decision trace.  Correlation ids only label requests in
+/// those logs; no scheduling state reads them.
+fn last_logged_corr(cfg: &FleetConfig) -> Result<u64, String> {
+    let mut logs = Vec::new();
+    if let Some(path) = &cfg.obs.event_log {
+        let mut rotated = path.clone().into_os_string();
+        rotated.push(".1");
+        logs.extend([path.clone(), rotated.into()]);
+    }
+    if let Some(dir) = cfg.trace_dir.as_ref().filter(|d| d.is_dir()) {
+        let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        for entry in entries {
+            let path = entry.map_err(|e| format!("{}: {e}", dir.display()))?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("trace-") && name.ends_with(".jsonl") {
+                logs.push(path);
+            }
+        }
+    }
+    Ok(logs.iter().map(|p| last_corr(p)).max().unwrap_or(0))
 }
 
 impl ServerHandler for Fleet {

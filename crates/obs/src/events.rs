@@ -375,6 +375,37 @@ fn open_append(path: &Path) -> std::io::Result<(std::fs::File, u64)> {
     Ok((file, len))
 }
 
+/// How much of a log's end [`last_corr`] reads: a few hundred lines of
+/// either log.
+const CORR_TAIL_BYTES: u64 = 64 << 10;
+
+/// The largest `corr` among the last lines of an appended JSONL log —
+/// an `sbs-events/v1` journal or an `sbs-trace/v1` decision log — so a
+/// restarted front end can mint past it.  0 when the file is missing,
+/// unreadable or names no `corr` there.  Ids are minted in increasing
+/// order, so the newest lines hold the largest.
+pub fn last_corr(path: &Path) -> u64 {
+    use std::io::{Read, Seek, SeekFrom};
+    let Ok(mut file) = std::fs::File::open(path) else {
+        return 0;
+    };
+    let from = file
+        .metadata()
+        .map_or(0, |m| m.len().saturating_sub(CORR_TAIL_BYTES));
+    let mut tail = Vec::new();
+    if file.seek(SeekFrom::Start(from)).is_err() || file.read_to_end(&mut tail).is_err() {
+        return 0;
+    }
+    let text = String::from_utf8_lossy(&tail);
+    text.lines()
+        // A tail that starts mid-file starts mid-line.
+        .skip(usize::from(from > 0))
+        .filter_map(|line| serde_json::from_str::<Value>(line).ok())
+        .filter_map(|v| v.get("corr").and_then(Value::as_u64))
+        .max()
+        .unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,6 +607,33 @@ mod tests {
             dir.join("events.jsonl.1").exists(),
             "the cap counts what the file held when it was opened"
         );
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "test cleanup is best-effort"
+        )]
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn last_corr_reads_the_newest_ids_of_a_long_log() {
+        let dir = fresh_dir("last-corr");
+        let path = dir.join("events.jsonl");
+        assert_eq!(last_corr(&path), 0, "a missing log holds no id");
+        let mut j = EventJournal::new(TimeMode::Virtual);
+        j.open_rotating(path.clone(), u64::MAX).expect("open");
+        // Far more than the tail that is read, then a line without one.
+        for corr in 1..=5_000 {
+            j.emit(Event::new(Severity::Error, "fleet", "invalid").corr(corr));
+        }
+        j.emit(Event::new(Severity::Info, "fleet", "drain"));
+        j.flush();
+        assert!(std::fs::metadata(&path).expect("log").len() > CORR_TAIL_BYTES);
+        assert_eq!(last_corr(&path), 5_000);
+        // A fresh run's meta line alone adds nothing.
+        EventJournal::new(TimeMode::Virtual)
+            .open_rotating(path.clone(), u64::MAX)
+            .expect("reopen");
+        assert_eq!(last_corr(&path), 5_000);
         #[expect(
             clippy::let_underscore_must_use,
             reason = "test cleanup is best-effort"

@@ -42,7 +42,7 @@ mod span;
 mod tally;
 
 pub use events::{
-    Event, EventJournal, ObsConfig, Severity, DEFAULT_EVENT_LOG_MAX_BYTES, EVENT_SCHEMA,
+    last_corr, Event, EventJournal, ObsConfig, Severity, DEFAULT_EVENT_LOG_MAX_BYTES, EVENT_SCHEMA,
 };
 pub use explore::TraceReport;
 pub use hist::Histogram;

@@ -29,9 +29,21 @@
 //! Any request may carry a `"cluster"` routing field (extracted by
 //! [`parse_routed`]); a request without one goes to the `default`
 //! tenant.  Batches are capped at [`MAX_BATCH`] jobs per request.
+//!
+//! A line is read in one pass by `serde_json`'s pull [`Reader`], the
+//! same grammar `serde_json::from_str` builds its trees on, so a line
+//! that does not parse gets that parser's error text and byte offset.
+//! The pass builds no `Value`: each field the protocol knows lands in
+//! its own slot, a later duplicate key overwrites an earlier one, and
+//! every other value is skipped with its syntax and depth still
+//! checked.  Only once the whole line has parsed, trailing bytes
+//! included, are the slots checked: `cluster` first, then `op`, then
+//! the op's own fields in a fixed order.  A line that is not an object
+//! has none of the fields, so it answers `missing field "op"`.
 
 use sbs_workload::time::Time;
-use serde_json::Value;
+use serde_json::{Item, Reader, Value};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest number of jobs one `submit_batch` request may carry.
@@ -64,6 +76,12 @@ impl CorrelationSource {
     /// A fresh source; the first minted id is 1.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A source that resumes past `last`, the largest id a log of an
+    /// earlier run holds: the first minted id is `last + 1`.
+    pub fn after(last: u64) -> Self {
+        CorrelationSource(AtomicU64::new(last))
     }
 
     /// Returns the next nonzero correlation id.
@@ -127,113 +145,273 @@ pub enum Request {
     Shutdown,
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(f) => f
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} must be a non-negative integer")),
+/// What a request field held, as the checks read it: absent or `null`,
+/// a non-negative integer, or anything else.
+#[derive(Debug, Clone, Copy, Default)]
+enum Num {
+    #[default]
+    Absent,
+    U64(u64),
+    Other,
+}
+
+impl Num {
+    fn read(r: &mut Reader<'_>) -> Result<Num, serde_json::Error> {
+        Ok(match r.item()? {
+            Item::Null => Num::Absent,
+            Item::Number(n) => n.as_u64().map_or(Num::Other, Num::U64),
+            other => {
+                r.skip_rest(other)?;
+                Num::Other
+            }
+        })
+    }
+
+    fn get(self, key: &str) -> Result<Option<u64>, String> {
+        match self {
+            Num::Absent => Ok(None),
+            Num::U64(n) => Ok(Some(n)),
+            Num::Other => Err(format!("field {key:?} must be a non-negative integer")),
+        }
+    }
+
+    fn require(self, key: &str) -> Result<u64, String> {
+        self.get(key)?
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// [`Num::get`] for a time field, bounded by [`MAX_SECONDS`].
+    fn seconds(self, key: &str) -> Result<Option<Time>, String> {
+        match self.get(key)? {
+            Some(t) if t > MAX_SECONDS => Err(format!(
+                "field {key:?} must be at most {MAX_SECONDS} seconds (2^40)"
+            )),
+            t => Ok(t),
+        }
     }
 }
 
-fn require_u64(v: &Value, key: &str) -> Result<u64, String> {
-    get_u64(v, key)?.ok_or_else(|| format!("missing field {key:?}"))
+/// A string field: absent or `null`, a string, or anything else.
+#[derive(Debug, Default)]
+enum Text<'a> {
+    #[default]
+    Absent,
+    Str(Cow<'a, str>),
+    Other,
 }
 
-/// [`get_u64`] for a time field, bounded by [`MAX_SECONDS`].
-fn get_seconds(v: &Value, key: &str) -> Result<Option<Time>, String> {
-    match get_u64(v, key)? {
-        Some(t) if t > MAX_SECONDS => Err(format!(
-            "field {key:?} must be at most {MAX_SECONDS} seconds (2^40)"
-        )),
-        t => Ok(t),
+impl<'a> Text<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Text<'a>, serde_json::Error> {
+        Ok(match r.item()? {
+            Item::Null => Text::Absent,
+            Item::Str(s) => Text::Str(s),
+            other => {
+                r.skip_rest(other)?;
+                Text::Other
+            }
+        })
     }
 }
 
-/// Parses the submit-shaped fields of `v` into a [`SubmitSpec`].
-fn parse_submit_spec(v: &Value) -> Result<SubmitSpec, String> {
-    let nodes = u32::try_from(require_u64(v, "nodes")?)
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or("\"nodes\" must be in 1..=2^32-1")?;
-    let runtime = get_seconds(v, "runtime")?.ok_or("missing field \"runtime\"")?;
-    if runtime == 0 {
-        return Err("\"runtime\" must be positive".into());
-    }
-    Ok(SubmitSpec {
-        nodes,
-        runtime,
-        requested: get_seconds(v, "requested")?,
-        user: u32::try_from(get_u64(v, "user")?.unwrap_or(0)).unwrap_or(u32::MAX),
-        submit: get_seconds(v, "submit")?,
-    })
+/// The submit-shaped fields of one object: a `submit` request, or one
+/// `submit_batch` job.
+#[derive(Debug, Default)]
+struct SpecFields {
+    nodes: Num,
+    runtime: Num,
+    requested: Num,
+    user: Num,
+    submit: Num,
 }
 
-fn parse_value(v: &Value) -> Result<Request, String> {
-    let op = v
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or("missing field \"op\"")?;
-    match op {
-        "submit" => {
-            let spec = parse_submit_spec(v)?;
-            Ok(Request::Submit {
-                nodes: spec.nodes,
-                runtime: spec.runtime,
-                requested: spec.requested,
-                user: spec.user,
-                submit: spec.submit,
-            })
+impl SpecFields {
+    fn slot(&mut self, key: &str) -> Option<&mut Num> {
+        match key {
+            "nodes" => Some(&mut self.nodes),
+            "runtime" => Some(&mut self.runtime),
+            "requested" => Some(&mut self.requested),
+            "user" => Some(&mut self.user),
+            "submit" => Some(&mut self.submit),
+            _ => None,
         }
-        "submit_batch" => {
-            let jobs = v
-                .get("jobs")
-                .and_then(Value::as_array)
-                .ok_or("missing field \"jobs\" (array)")?;
-            if jobs.is_empty() {
-                return Err("\"jobs\" must not be empty".into());
+    }
+
+    /// Reads one `jobs` element; one that is not an object has none of
+    /// the fields.
+    fn read(r: &mut Reader<'_>) -> Result<SpecFields, serde_json::Error> {
+        let mut spec = SpecFields::default();
+        match r.item()? {
+            Item::Object(mut obj) => {
+                while let Some(key) = r.key(&mut obj)? {
+                    match spec.slot(&key) {
+                        Some(slot) => *slot = Num::read(r)?,
+                        None => r.skip()?,
+                    }
+                }
             }
-            if jobs.len() > MAX_BATCH {
-                return Err(format!(
-                    "\"jobs\" holds {} entries; the batch cap is {MAX_BATCH}",
-                    jobs.len()
-                ));
-            }
-            let mut specs = Vec::with_capacity(jobs.len());
-            for (i, j) in jobs.iter().enumerate() {
-                specs.push(parse_submit_spec(j).map_err(|e| format!("jobs[{i}]: {e}"))?);
-            }
-            Ok(Request::SubmitBatch { jobs: specs })
+            other => r.skip_rest(other)?,
         }
-        "cancel" => {
-            let id = u32::try_from(require_u64(v, "id")?).map_err(|_| "\"id\" out of range")?;
-            Ok(Request::Cancel { id })
+        Ok(spec)
+    }
+
+    /// Checks the fields in a fixed order: the first failing one names
+    /// the error.
+    fn parse(&self) -> Result<SubmitSpec, String> {
+        let nodes = u32::try_from(self.nodes.require("nodes")?)
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or("\"nodes\" must be in 1..=2^32-1")?;
+        let runtime = self
+            .runtime
+            .seconds("runtime")?
+            .ok_or("missing field \"runtime\"")?;
+        if runtime == 0 {
+            return Err("\"runtime\" must be positive".into());
         }
-        "queue" => Ok(Request::Queue),
-        "metrics" => Ok(Request::Metrics),
-        "drain" => Ok(Request::Drain),
-        "snapshot" => Ok(Request::Snapshot),
-        "incidents" => Ok(Request::Incidents),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!("unknown op {other:?}")),
+        Ok(SubmitSpec {
+            nodes,
+            runtime,
+            requested: self.requested.seconds("requested")?,
+            user: u32::try_from(self.user.get("user")?.unwrap_or(0)).unwrap_or(u32::MAX),
+            submit: self.submit.seconds("submit")?,
+        })
+    }
+}
+
+/// A `jobs` array: its length, and the fields of its first
+/// [`MAX_BATCH`] elements (a longer batch is refused by its length).
+#[derive(Debug, Default)]
+struct Jobs {
+    len: usize,
+    specs: Vec<SpecFields>,
+}
+
+impl Jobs {
+    /// `None` when the value is not an array.
+    fn read(r: &mut Reader<'_>) -> Result<Option<Jobs>, serde_json::Error> {
+        let mut arr = match r.item()? {
+            Item::Array(arr) => arr,
+            other => {
+                r.skip_rest(other)?;
+                return Ok(None);
+            }
+        };
+        let mut jobs = Jobs::default();
+        while r.element(&mut arr)? {
+            if jobs.len < MAX_BATCH {
+                jobs.specs.push(SpecFields::read(r)?);
+            } else {
+                r.skip()?;
+            }
+            jobs.len += 1;
+        }
+        Ok(Some(jobs))
+    }
+}
+
+/// Every field a request line may carry, read in one pass.  A later
+/// duplicate key overwrites an earlier one.
+#[derive(Debug, Default)]
+struct Fields<'a> {
+    op: Text<'a>,
+    cluster: Text<'a>,
+    id: Num,
+    jobs: Option<Jobs>,
+    spec: SpecFields,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads the line's one value, and checks that nothing follows it.
+    /// A line that is not an object has none of the fields.
+    fn read(line: &'a str) -> Result<Fields<'a>, serde_json::Error> {
+        let mut r = Reader::new(line);
+        let mut f = Fields::default();
+        match r.item()? {
+            Item::Object(mut obj) => {
+                while let Some(key) = r.key(&mut obj)? {
+                    match &*key {
+                        "op" => f.op = Text::read(&mut r)?,
+                        "cluster" => f.cluster = Text::read(&mut r)?,
+                        "id" => f.id = Num::read(&mut r)?,
+                        "jobs" => f.jobs = Jobs::read(&mut r)?,
+                        other => match f.spec.slot(other) {
+                            Some(slot) => *slot = Num::read(&mut r)?,
+                            None => r.skip()?,
+                        },
+                    }
+                }
+            }
+            other => r.skip_rest(other)?,
+        }
+        r.finish()?;
+        Ok(f)
+    }
+
+    fn request(self) -> Result<Request, String> {
+        let Text::Str(op) = self.op else {
+            return Err("missing field \"op\"".into());
+        };
+        match &*op {
+            "submit" => {
+                let spec = self.spec.parse()?;
+                Ok(Request::Submit {
+                    nodes: spec.nodes,
+                    runtime: spec.runtime,
+                    requested: spec.requested,
+                    user: spec.user,
+                    submit: spec.submit,
+                })
+            }
+            "submit_batch" => {
+                let jobs = self.jobs.ok_or("missing field \"jobs\" (array)")?;
+                if jobs.len == 0 {
+                    return Err("\"jobs\" must not be empty".into());
+                }
+                if jobs.len > MAX_BATCH {
+                    return Err(format!(
+                        "\"jobs\" holds {} entries; the batch cap is {MAX_BATCH}",
+                        jobs.len
+                    ));
+                }
+                let mut specs = Vec::with_capacity(jobs.len);
+                for (i, j) in jobs.specs.iter().enumerate() {
+                    specs.push(j.parse().map_err(|e| format!("jobs[{i}]: {e}"))?);
+                }
+                Ok(Request::SubmitBatch { jobs: specs })
+            }
+            "cancel" => {
+                let id =
+                    u32::try_from(self.id.require("id")?).map_err(|_| "\"id\" out of range")?;
+                Ok(Request::Cancel { id })
+            }
+            "queue" => Ok(Request::Queue),
+            "metrics" => Ok(Request::Metrics),
+            "drain" => Ok(Request::Drain),
+            "snapshot" => Ok(Request::Snapshot),
+            "incidents" => Ok(Request::Incidents),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(format!("unknown op {other:?}")),
+        }
     }
 }
 
 /// Parses one request line plus its optional `"cluster"` routing field.
 ///
-/// The fleet picks a tenant by the routing field before dispatch.
+/// The fleet picks a tenant by the routing field before dispatch.  The
+/// whole line is read first, so a syntax error anywhere in it wins over
+/// a field error; then `cluster` is checked, then `op`, then the op's
+/// own fields.
 pub fn parse_routed(line: &str) -> Result<(Option<String>, Request), String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-    let cluster = match v.get("cluster") {
-        None | Some(Value::Null) => None,
-        Some(Value::String(s)) => {
-            validate_cluster_id(s)?;
-            Some(s.clone())
+    let mut f = Fields::read(line).map_err(|e| e.to_string())?;
+    let cluster = match std::mem::take(&mut f.cluster) {
+        Text::Absent => None,
+        Text::Str(s) => {
+            validate_cluster_id(&s)?;
+            Some(s.into_owned())
         }
-        Some(_) => return Err("field \"cluster\" must be a string".into()),
+        Text::Other => return Err("field \"cluster\" must be a string".into()),
     };
-    Ok((cluster, parse_value(&v)?))
+    Ok((cluster, f.request()?))
 }
 
 /// Checks that a cluster id is usable as a routing key and a metrics
@@ -260,163 +438,4 @@ pub fn error_response(message: &str) -> Value {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The request a line carries, its routing field set aside.
-    fn parse_request(line: &str) -> Result<Request, String> {
-        parse_routed(line).map(|(_, req)| req)
-    }
-
-    #[test]
-    fn submit_accepts_minimal_and_full_forms() {
-        let r = parse_request(r#"{"op":"submit","nodes":4,"runtime":3600}"#).unwrap();
-        assert_eq!(
-            r,
-            Request::Submit {
-                nodes: 4,
-                runtime: 3600,
-                requested: None,
-                user: 0,
-                submit: None
-            }
-        );
-        let r = parse_request(
-            r#"{"op":"submit","nodes":1,"runtime":60,"requested":120,"user":7,"submit":500}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            r,
-            Request::Submit {
-                nodes: 1,
-                runtime: 60,
-                requested: Some(120),
-                user: 7,
-                submit: Some(500)
-            }
-        );
-    }
-
-    #[test]
-    fn malformed_requests_are_described() {
-        for (line, needle) in [
-            ("{", "JSON"),
-            (r#"{"nodes":1}"#, "op"),
-            (r#"{"op":"warp"}"#, "unknown op"),
-            (r#"{"op":"submit","runtime":60}"#, "nodes"),
-            (r#"{"op":"submit","nodes":0,"runtime":60}"#, "nodes"),
-            (r#"{"op":"submit","nodes":1,"runtime":0}"#, "runtime"),
-            (r#"{"op":"submit","nodes":1,"runtime":-5}"#, "runtime"),
-            (r#"{"op":"cancel"}"#, "id"),
-        ] {
-            let err = parse_request(line).unwrap_err();
-            assert!(err.contains(needle), "{line}: {err}");
-        }
-    }
-
-    #[test]
-    fn time_fields_beyond_the_bound_are_rejected_by_name() {
-        // Used to be acknowledged: the job started and its predicted end
-        // wrapped to before its start.
-        for field in ["runtime", "requested", "submit"] {
-            for bad in [MAX_SECONDS + 1, 18_446_744_073_709_551_000, u64::MAX] {
-                let line = format!(r#"{{"op":"submit","nodes":4,"runtime":60,"{field}":{bad}}}"#);
-                let err = parse_request(&line).unwrap_err();
-                assert!(err.contains(&format!("{field:?}")), "{line}: {err}");
-                assert!(err.contains("at most"), "{line}: {err}");
-                let batch = format!(
-                    r#"{{"op":"submit_batch","jobs":[{{"nodes":4,"runtime":60,"{field}":{bad}}}]}}"#
-                );
-                let err = parse_request(&batch).unwrap_err();
-                assert!(
-                    err.contains("jobs[0]") && err.contains(field),
-                    "{batch}: {err}"
-                );
-            }
-        }
-        let at_bound = format!(
-            r#"{{"op":"submit","nodes":1,"runtime":{MAX_SECONDS},"requested":{MAX_SECONDS},"submit":{MAX_SECONDS}}}"#
-        );
-        assert!(matches!(
-            parse_request(&at_bound),
-            Ok(Request::Submit {
-                runtime: MAX_SECONDS,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn simple_ops_parse() {
-        assert_eq!(parse_request(r#"{"op":"queue"}"#).unwrap(), Request::Queue);
-        assert_eq!(parse_request(r#"{"op":"drain"}"#).unwrap(), Request::Drain);
-        assert_eq!(
-            parse_request(r#"{"op":"incidents"}"#).unwrap(),
-            Request::Incidents
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"shutdown"}"#).unwrap(),
-            Request::Shutdown
-        );
-    }
-
-    #[test]
-    fn correlation_ids_are_dense_and_nonzero() {
-        let src = CorrelationSource::new();
-        assert_eq!(src.mint(), 1);
-        assert_eq!(src.mint(), 2);
-        assert_eq!(src.mint(), 3);
-    }
-
-    #[test]
-    fn submit_batch_parses_and_enforces_the_cap() {
-        let r = parse_request(
-            r#"{"op":"submit_batch","jobs":[{"nodes":4,"runtime":60},{"nodes":1,"runtime":30,"user":2}]}"#,
-        )
-        .unwrap();
-        match r {
-            Request::SubmitBatch { jobs } => {
-                assert_eq!(jobs.len(), 2);
-                assert_eq!(jobs[0].nodes, 4);
-                assert_eq!(jobs[1].user, 2);
-            }
-            other => panic!("expected SubmitBatch, got {other:?}"),
-        }
-        // Per-entry errors carry the offending index.
-        let err = parse_request(
-            r#"{"op":"submit_batch","jobs":[{"nodes":1,"runtime":60},{"nodes":0,"runtime":60}]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("jobs[1]"), "{err}");
-        // Empty and oversized batches are rejected.
-        assert!(parse_request(r#"{"op":"submit_batch","jobs":[]}"#).is_err());
-        let huge = format!(
-            r#"{{"op":"submit_batch","jobs":[{}]}}"#,
-            vec![r#"{"nodes":1,"runtime":1}"#; MAX_BATCH + 1].join(",")
-        );
-        let err = parse_request(&huge).unwrap_err();
-        assert!(err.contains("batch cap"), "{err}");
-    }
-
-    #[test]
-    fn cluster_routing_is_extracted_and_validated() {
-        let (cluster, r) =
-            parse_routed(r#"{"op":"submit","cluster":"alpha-1","nodes":2,"runtime":60}"#).unwrap();
-        assert_eq!(cluster.as_deref(), Some("alpha-1"));
-        assert!(matches!(r, Request::Submit { nodes: 2, .. }));
-        // No cluster field -> unrouted.
-        let (cluster, _) = parse_routed(r#"{"op":"queue"}"#).unwrap();
-        assert_eq!(cluster, None);
-        // Bad cluster ids are typed errors, not routing surprises.
-        for line in [
-            r#"{"op":"queue","cluster":7}"#,
-            r#"{"op":"queue","cluster":""}"#,
-            r#"{"op":"queue","cluster":"has space"}"#,
-            r#"{"op":"queue","cluster":"quo\"te"}"#,
-        ] {
-            assert!(parse_routed(line).is_err(), "{line} should be rejected");
-        }
-        let long = format!(r#"{{"op":"queue","cluster":"{}"}}"#, "x".repeat(65));
-        assert!(parse_routed(&long).is_err());
-    }
-}
+mod tests;

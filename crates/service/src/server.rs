@@ -622,14 +622,17 @@ fn read_once(conn: &mut Conn, scratch: &mut [u8]) -> bool {
     }
 }
 
-/// Serializes `response` onto a connection's write queue.
+/// Serializes `response` straight onto a connection's write queue.
 fn queue_response(outbuf: &mut Vec<u8>, response: &Value) {
     // Serializing a response value cannot fail today, but a daemon never
     // bets its life on "cannot": fall back to a hand-built error line.
-    let rendered = serde_json::to_string(response).unwrap_or_else(|_| {
-        r#"{"ok":false,"error":"internal: response serialization failed"}"#.to_string()
-    });
-    outbuf.extend_from_slice(rendered.as_bytes());
+    let start = outbuf.len();
+    if serde_json::to_writer(outbuf, response).is_err() {
+        outbuf.truncate(start);
+        outbuf.extend_from_slice(
+            br#"{"ok":false,"error":"internal: response serialization failed"}"#,
+        );
+    }
     outbuf.push(b'\n');
 }
 
