@@ -2,7 +2,9 @@
 //! study months under the three headline policies (FCFS-backfill,
 //! LXF-backfill, DDS/lxf/dynB) and the other backfill variants
 //! (conservative, selective, four reservations) is compared
-//! byte-for-byte against a committed golden file.
+//! byte-for-byte against a committed golden file, and so are the
+//! backfill variants' per-decision outcome counts (jobs started,
+//! reserved and blocked, as a recording `TraceRecorder` tallies them).
 //!
 //! The simulator is deterministic end to end (seeded workloads, ordered
 //! tie-breaks, no wall-clock in the decision path), so any byte of
@@ -21,6 +23,8 @@
 
 use sbs_core::experiment::{run_on, Scenario};
 use sbs_core::prelude::*;
+use sbs_obs::{TimeMode, TraceMeta, TraceRecorder};
+use sbs_sim::simulate_traced;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -99,6 +103,77 @@ fn render_monthly_table() -> String {
     out
 }
 
+/// Every backfill pass's outcome counts over the ten study months: the
+/// decisions a recording [`TraceRecorder`] folded, and the jobs those
+/// passes started, reserved and left blocked.  These are the counts a
+/// backfill decision reports beside its starts, so a change to how a
+/// pass reaches them (not only to which jobs it starts) shows here.
+fn render_backfill_outcomes() -> String {
+    let mut out = String::new();
+    writeln!(
+        out,
+        "# Backfill outcome counts over the ten study months (high-load, span\n\
+         # scale {SCALE}).  Regenerate with:\n\
+         #   SBS_BLESS=1 cargo test -p sbs-core --test golden_traces"
+    )
+    .expect("write to string");
+    writeln!(
+        out,
+        "{:<6} {:<28} {:>9} {:>9} {:>9} {:>9}",
+        "month", "policy", "decisions", "started", "reserved", "blocked"
+    )
+    .expect("write to string");
+    let specs = [
+        PolicySpec::FcfsBackfill,
+        PolicySpec::LxfBackfill,
+        PolicySpec::BackfillWithReservations {
+            order: PriorityOrder::Fcfs,
+            reservations: usize::MAX,
+        },
+        PolicySpec::SelectiveBackfill,
+        PolicySpec::BackfillWithReservations {
+            order: PriorityOrder::Fcfs,
+            reservations: 4,
+        },
+    ];
+    for month in Month::ALL {
+        let scenario = Scenario::high_load(month).with_scale(SCALE);
+        let workload = scenario.workload();
+        for spec in &specs {
+            let policy = spec.build();
+            let name = policy.name();
+            let mut recorder = TraceRecorder::new(
+                TimeMode::Virtual,
+                TraceMeta {
+                    mode: String::new(),
+                    policy: name.clone(),
+                    capacity: workload.capacity,
+                    source: "golden_traces".into(),
+                },
+            );
+            let cfg = SimConfig {
+                knowledge: scenario.knowledge,
+                predictor: scenario.predictor.as_ref().map(|p| p.build()),
+                ..Default::default()
+            };
+            let _ = simulate_traced(&workload, policy, cfg, &mut recorder);
+            let t = recorder.tally();
+            writeln!(
+                out,
+                "{:<6} {:<28} {:>9} {:>9} {:>9} {:>9}",
+                month.label(),
+                name,
+                t.decisions,
+                t.backfill_started,
+                t.backfill_reserved,
+                t.backfill_blocked
+            )
+            .expect("write to string");
+        }
+    }
+    out
+}
+
 /// Compares `rendered` against the committed golden file, or rewrites
 /// the file when `SBS_BLESS` is set.
 fn assert_matches_golden(name: &str, rendered: &str) {
@@ -140,4 +215,9 @@ fn assert_matches_golden(name: &str, rendered: &str) {
 #[test]
 fn monthly_metric_tables_match_golden() {
     assert_matches_golden("monthly_metrics.txt", &render_monthly_table());
+}
+
+#[test]
+fn backfill_outcome_counts_match_golden() {
+    assert_matches_golden("backfill_outcomes.txt", &render_backfill_outcomes());
 }
