@@ -70,20 +70,45 @@ impl BackfillPolicy {
     pub fn order(&self) -> PriorityOrder {
         self.order
     }
-}
 
-impl Policy for BackfillPolicy {
-    fn name(&self) -> String {
-        let order = self.order.label();
-        match self.rule {
-            Reserve::First(1) => format!("{order}-backfill"),
-            Reserve::First(usize::MAX) => format!("{order}-conservative-backfill"),
-            Reserve::First(k) => format!("{order}-backfill/res{k}"),
-            Reserve::Starved => format!("Selective-backfill(xf>{SELECTIVE_THRESHOLD})"),
+    /// A forced decision's outcome (no starts, and the reserved and
+    /// blocked counts), or `None` when some queued job fits in the nodes
+    /// free now.
+    ///
+    /// When every queued job is wider than `ctx.free_nodes`, no job can
+    /// start: the profile starts at `now` with exactly those nodes free
+    /// (overdue predicted ends are clamped past `now`), and each commit
+    /// only takes nodes away.  So the full pass would start nothing,
+    /// reserve the jobs its rule picks and block the rest, and the
+    /// profile it edits is dropped on return.  Those counts follow from
+    /// the queue alone, with no profile, priority order or fit.
+    fn forced(&self, ctx: &SchedContext<'_>) -> Option<(Vec<JobId>, usize, u32)> {
+        let all_wider = ctx.queue.iter().all(|w| {
+            // The full pass's `fit` panics on such a job; so does this.
+            assert!(w.job.nodes <= ctx.capacity, "request exceeds machine size");
+            w.job.nodes > ctx.free_nodes
+        });
+        if !all_wider {
+            return None;
         }
+        debug_assert_eq!(ctx.profile().free_at(ctx.now), ctx.free_nodes);
+        let queued = ctx.queue.len();
+        let reserved = match self.rule {
+            Reserve::First(k) => k.min(queued),
+            Reserve::Starved => ctx
+                .queue
+                .iter()
+                .filter(|w| w.xfactor(ctx.now) >= SELECTIVE_THRESHOLD)
+                .count(),
+        };
+        let blocked = u32::try_from(queued - reserved).unwrap_or(u32::MAX);
+        Some((Vec::new(), reserved, blocked))
     }
 
-    fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<JobId> {
+    /// The full pass: every queued job, in priority order, fitted
+    /// against the profile.  Returns the starts and the reserved and
+    /// blocked counts.
+    fn pass(&self, ctx: &SchedContext<'_>) -> (Vec<JobId>, usize, u32) {
         let mut profile = ctx.profile();
         let mut starts = Vec::new();
         let mut reserved = 0usize;
@@ -114,6 +139,23 @@ impl Policy for BackfillPolicy {
                 blocked += 1;
             }
         }
+        (starts, reserved, blocked)
+    }
+}
+
+impl Policy for BackfillPolicy {
+    fn name(&self) -> String {
+        let order = self.order.label();
+        match self.rule {
+            Reserve::First(1) => format!("{order}-backfill"),
+            Reserve::First(usize::MAX) => format!("{order}-conservative-backfill"),
+            Reserve::First(k) => format!("{order}-backfill/res{k}"),
+            Reserve::Starved => format!("Selective-backfill(xf>{SELECTIVE_THRESHOLD})"),
+        }
+    }
+
+    fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<JobId> {
+        let (starts, reserved, blocked) = self.forced(ctx).unwrap_or_else(|| self.pass(ctx));
         if self.tracing {
             self.last_trace = Some(PolicyTrace::Backfill(BackfillTrace {
                 reserved: u32::try_from(reserved).unwrap_or(u32::MAX),
@@ -355,9 +397,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Every order under every reservation rule (1, 2, 4 and
-        /// unbounded reservations, and selective) starts the same jobs in
-        /// the same order, with the same counters, as the reference loop.
+        /// Every variant matches the reference loop on random contexts.
         /// Running sets include overdue predictions; queued jobs are up
         /// to machine-wide, so many are wider than the free nodes.
         #[test]
@@ -387,24 +427,82 @@ mod tests {
                 })
                 .collect();
             let c = ctx(now, capacity, capacity - busy, &queue, &running_jobs);
-            let orders = [
-                PriorityOrder::Fcfs,
-                PriorityOrder::Lxf,
-                PriorityOrder::Sjf,
-                PriorityOrder::LxfW,
-            ];
-            let mut policies: Vec<BackfillPolicy> = orders
-                .iter()
-                .flat_map(|&o| [1, 2, 4, usize::MAX].map(|k| BackfillPolicy::new(o, k)))
-                .collect();
-            policies.push(crate::selective_backfill());
-            for mut p in policies {
-                let (want, want_trace) = reference_decide(&p, &c);
-                p.set_tracing(true);
-                let got = p.decide(&c);
-                prop_assert_eq!(&got, &want, "{}", p.name());
-                prop_assert_eq!(p.take_trace(), Some(PolicyTrace::Backfill(want_trace)), "{}", p.name());
+            every_variant_matches_the_reference(&c);
+        }
+
+        /// Forced contexts, where every queued job is wider than the
+        /// free nodes, so no ordering can start one now: the empty
+        /// queue, a full machine, and selective queues mixing starved
+        /// and fresh jobs.  Every variant answers them without a pass,
+        /// and must still start and count what the reference loop does.
+        #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "test queues hold at most forty jobs")]
+        fn decide_matches_the_reference_loop_when_forced(
+            capacity in 8u32..129,
+            running_raw in proptest::collection::vec((1u32..129, 0u64..8_000), 0..6),
+            fill in 0u32..2,
+            queue_raw in proptest::collection::vec((0u64..12_000, 0u32..129, 1u64..12_000), 0..41),
+        ) {
+            let now: Time = 100_000;
+            let mut running_jobs = Vec::new();
+            let mut busy = 0;
+            for (i, &(raw, end)) in running_raw.iter().enumerate() {
+                let nodes = 1 + raw % capacity;
+                if busy + nodes <= capacity {
+                    busy += nodes;
+                    // Ends below `now` are overdue predictions.
+                    let pred_end = now - 1_000 + end;
+                    running_jobs.push(running(1_000 + i as u32, nodes, now - 10_000, pred_end));
+                }
             }
+            if fill == 1 && busy < capacity {
+                running_jobs.push(running(2_000, capacity - busy, now - 10_000, now + 3_000));
+                busy = capacity;
+            }
+            let free = capacity - busy;
+            // Widths in `free + 1..=capacity`; an idle machine has none.
+            let queue: Vec<WaitingJob> = if free == capacity {
+                Vec::new()
+            } else {
+                queue_raw
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(back, raw, r_star))| {
+                        waiting(i as u32, now - back, free + 1 + raw % (capacity - free), r_star)
+                    })
+                    .collect()
+            };
+            let c = ctx(now, capacity, free, &queue, &running_jobs);
+            every_variant_matches_the_reference(&c);
+        }
+    }
+
+    /// Every order under every reservation rule (1, 2, 4 and unbounded
+    /// reservations, and selective) starts the same jobs in the same
+    /// order, with the same counters, as [`reference_decide`] on `c`.
+    fn every_variant_matches_the_reference(c: &SchedContext<'_>) {
+        let orders = [
+            PriorityOrder::Fcfs,
+            PriorityOrder::Lxf,
+            PriorityOrder::Sjf,
+            PriorityOrder::LxfW,
+        ];
+        let mut policies: Vec<BackfillPolicy> = orders
+            .iter()
+            .flat_map(|&o| [1, 2, 4, usize::MAX].map(|k| BackfillPolicy::new(o, k)))
+            .collect();
+        policies.push(crate::selective_backfill());
+        for mut p in policies {
+            let (want, want_trace) = reference_decide(&p, c);
+            p.set_tracing(true);
+            let got = p.decide(c);
+            prop_assert_eq!(&got, &want, "{}", p.name());
+            prop_assert_eq!(
+                p.take_trace(),
+                Some(PolicyTrace::Backfill(want_trace)),
+                "{}",
+                p.name()
+            );
         }
     }
 

@@ -45,6 +45,13 @@ fn malformed_requests_are_described() {
         (r#"{"op":"submit","nodes":1,"runtime":0}"#, "runtime"),
         (r#"{"op":"submit","nodes":1,"runtime":-5}"#, "runtime"),
         (r#"{"op":"cancel"}"#, "id"),
+        // `\u` takes four hex digits and no sign, in a value or a key.
+        (r#"{"op":"q\u+075eue"}"#, "byte 10: bad \\u escape"),
+        (r#"{"op":"queue","o\u+070":1}"#, "byte 18: bad \\u escape"),
+        (
+            r#"{"op":"queue","cluster":"\u-041"}"#,
+            "byte 27: bad \\u escape",
+        ),
     ] {
         let err = parse_request(line).unwrap_err();
         assert!(err.contains(needle), "{line}: {err}");

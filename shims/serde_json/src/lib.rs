@@ -519,6 +519,10 @@ mod tests {
             ),
             ("\"\\u12\"", "JSON error at byte 3: truncated \\u escape"),
             ("\"\\u12zz\"", "JSON error at byte 3: bad \\u escape"),
+            // A sign is not a hex digit.
+            ("\"\\u+041\"", "JSON error at byte 3: bad \\u escape"),
+            ("\"\\u-041\"", "JSON error at byte 3: bad \\u escape"),
+            ("\"\\ud83d\\u+c00\"", "JSON error at byte 9: bad \\u escape"),
             ("\"\\u1", "JSON error at byte 3: truncated \\u escape"),
             ("007", "JSON error at byte 3: leading zero"),
             ("-", "JSON error at byte 1: expected digit"),

@@ -305,13 +305,18 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Four ASCII hex digits, exactly: no sign, as JSON spells them.
     fn hex4(&mut self) -> Result<u32, Error> {
         let chunk = self
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(chunk).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
+        let v = chunk.iter().try_fold(0u32, |v, &b| {
+            char::from(b)
+                .to_digit(16)
+                .map(|d| v << 4 | d)
+                .ok_or_else(|| self.err("bad \\u escape"))
+        })?;
         self.pos += 4;
         Ok(v)
     }
