@@ -7,7 +7,7 @@ use crate::opts::Opts;
 use crate::report::Report;
 use rayon::prelude::*;
 use sbs_backfill::PriorityOrder;
-use sbs_core::experiment::{run, run_on, RunResult, Scenario};
+use sbs_core::experiment::{run_on, RunResult, Scenario};
 use sbs_core::{Branching, PolicySpec, SearchAlgo, TargetBound};
 use sbs_metrics::table::{num, Table};
 use sbs_workload::job::RuntimeKnowledge;
@@ -217,158 +217,6 @@ pub fn fairshare(opts: &Opts) -> Report {
     Report::new(
         "ablate-fairshare",
         format!("fairshare-weighted objective vs the paper's; DDS/lxf/dynB, rho=0.9, L={l}"),
-        t.render(),
-        json!(data),
-    )
-}
-
-/// `ablate-predict`: runtime prediction as the `R*` source (paper
-/// Section 7 future work) — DDS/lxf/dynB and FCFS-backfill under
-/// `R* = R` (user requests), `R* = recent-user-average prediction` and
-/// the cheating upper bound `R* = T`.
-pub fn prediction(opts: &Opts) -> Report {
-    use sbs_sim::prediction::PredictorSpec;
-    let l = opts.budget(4_000);
-    #[derive(Clone, Copy)]
-    enum Mode {
-        Requested,
-        Predicted,
-        Actual,
-    }
-    let modes = [Mode::Requested, Mode::Predicted, Mode::Actual];
-    let mode_label = |m: &Mode| match m {
-        Mode::Requested => "R*=R",
-        Mode::Predicted => "R*=pred",
-        Mode::Actual => "R*=T",
-    };
-    let mut t = Table::new([
-        "month",
-        "policy",
-        "R* source",
-        "avg wait (h)",
-        "max wait (h)",
-        "avg bsld",
-        "mean |R*-T|/T",
-    ]);
-    let mut data = Vec::new();
-    let runs: Vec<(Month, &'static str, RunResult)> = opts
-        .months
-        .par_iter()
-        .flat_map(|&month| {
-            modes
-                .into_par_iter()
-                .flat_map_iter(move |mode| {
-                    [PolicySpec::FcfsBackfill, PolicySpec::dds_lxf_dynb(l)]
-                        .into_iter()
-                        .map(move |spec| (mode, spec))
-                })
-                .map(move |(mode, spec)| {
-                    let mut scenario = high_load_scenario(opts, month);
-                    match mode {
-                        Mode::Requested => {
-                            scenario = scenario.with_knowledge(RuntimeKnowledge::Requested);
-                        }
-                        Mode::Predicted => {
-                            scenario = scenario.with_predictor(PredictorSpec::RecentUserAverage);
-                        }
-                        Mode::Actual => {}
-                    }
-                    (month, mode_label(&mode), run(&scenario, &spec))
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    for (month, mode, r) in &runs {
-        let err = r.records.iter().map(|x| x.prediction_error()).sum::<f64>()
-            / r.records.len().max(1) as f64;
-        t.row([
-            month.label().to_string(),
-            r.policy.clone(),
-            mode.to_string(),
-            num(r.stats.avg_wait_h, 2),
-            num(r.stats.max_wait_h, 1),
-            num(r.stats.avg_bounded_slowdown, 2),
-            num(err, 2),
-        ]);
-        data.push(json!({
-            "month": month.label(), "policy": r.policy.as_str(), "mode": *mode,
-            "avg_wait_h": r.stats.avg_wait_h,
-            "max_wait_h": r.stats.max_wait_h,
-            "avg_bounded_slowdown": r.stats.avg_bounded_slowdown,
-            "mean_relative_rstar_error": err,
-        }));
-    }
-    Report::new(
-        "ablate-predict",
-        format!("runtime prediction as the R* source; rho=0.9, L={l}"),
-        t.render(),
-        json!(data),
-    )
-}
-
-/// `ablate-random`: is systematic (discrepancy) search worth it?  DDS
-/// and LDS vs uniformly random leaf sampling and beam search at the same
-/// node budget and objective.
-pub fn random_vs_systematic(opts: &Opts) -> Report {
-    let l = opts.budget(2_000);
-    let algos = [
-        SearchAlgo::Dds,
-        SearchAlgo::Lds,
-        SearchAlgo::Random,
-        SearchAlgo::Beam(16),
-    ];
-    let mut t = Table::new([
-        "month",
-        "algorithm",
-        "avg wait (h)",
-        "max wait (h)",
-        "avg bsld",
-        "leaves/decision",
-    ]);
-    let mut data = Vec::new();
-    let runs: Vec<(Month, SearchAlgo, RunResult)> = opts
-        .months
-        .par_iter()
-        .flat_map(|&month| {
-            let scenario = high_load_scenario(opts, month);
-            let workload = scenario.workload();
-            algos
-                .into_par_iter()
-                .map(|algo| {
-                    let spec = PolicySpec::Search {
-                        algo,
-                        branching: Branching::Lxf,
-                        bound: TargetBound::Dynamic,
-                        node_limit: l,
-                        prune: false,
-                    };
-                    (month, algo, run_on(&workload, &scenario, &spec))
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    for (month, algo, r) in &runs {
-        let totals = r.search.expect("search policy");
-        let leaves = totals.leaves as f64 / totals.decisions.max(1) as f64;
-        t.row([
-            month.label().to_string(),
-            algo.label(),
-            num(r.stats.avg_wait_h, 2),
-            num(r.stats.max_wait_h, 1),
-            num(r.stats.avg_bounded_slowdown, 2),
-            num(leaves, 1),
-        ]);
-        data.push(json!({
-            "month": month.label(), "algorithm": algo.label(),
-            "avg_wait_h": r.stats.avg_wait_h,
-            "max_wait_h": r.stats.max_wait_h,
-            "avg_bounded_slowdown": r.stats.avg_bounded_slowdown,
-            "leaves_per_decision": leaves,
-        }));
-    }
-    Report::new(
-        "ablate-random",
-        format!("systematic vs random/beam search at equal budgets; lxf/dynB, rho=0.9, L={l}"),
         t.render(),
         json!(data),
     )

@@ -29,7 +29,7 @@ pub type Experiment = fn(&Opts) -> Report;
 
 /// Every experiment, in DESIGN.md order: `(id, what it reproduces, run)`.
 #[rustfmt::skip]
-pub const EXPERIMENTS: [(&str, &str, Experiment); 17] = [
+pub const EXPERIMENTS: [(&str, &str, Experiment); 15] = [
     ("fig1d", "Fig. 1(d): search tree size vs waiting jobs", |_| tables::fig1d()),
     ("table2", "Table 2: capacity and job limits on IA-64", |_| tables::table2()),
     ("table3", "Table 3: monthly job mix, paper vs generated", tables::table3),
@@ -44,8 +44,6 @@ pub const EXPERIMENTS: [(&str, &str, Experiment); 17] = [
     ("ablate-bnb", "branch-and-bound pruning vs plain DDS", ablations::branch_and_bound),
     ("ablate-res", "FCFS-backfill with 1, 2 and 4 reservations", ablations::reservations),
     ("ablate-hybrid", "DDS vs the complete + local hybrid", ablations::hybrid_local),
-    ("ablate-random", "systematic vs random and beam search", ablations::random_vs_systematic),
-    ("ablate-predict", "runtime prediction as the R* source", ablations::prediction),
     ("ablate-fairshare", "fairshare-weighted objective vs the paper's", ablations::fairshare),
 ];
 

@@ -197,7 +197,7 @@ pub struct CellResult {
     /// Cell month.
     pub month: Month,
     /// Algorithm label (`DDS` or `LDS`).
-    pub algo: String,
+    pub algo: &'static str,
     /// Branching heuristic.
     pub branching: Branching,
     /// Node budget `L`.
@@ -277,7 +277,6 @@ pub fn run_cell(
         let out = match algo {
             SearchAlgo::Lds => lds(&mut problem, cfg),
             SearchAlgo::Dds => dds(&mut problem, cfg),
-            _ => unreachable!("the perf matrix pins LDS and DDS only"),
         };
         (out, t0.elapsed().as_nanos())
     });
@@ -366,7 +365,7 @@ impl PerfReport {
                 json!({
                     "id": c.id(),
                     "month": c.month.label(),
-                    "algo": c.algo.as_str(),
+                    "algo": c.algo,
                     "branching": c.branching.label(),
                     "budget": c.budget,
                     "nodes": c.outcome.stats.nodes,

@@ -16,7 +16,6 @@ use sbs_metrics::table::{num, Table};
 use sbs_metrics::timeline::utilization_panel;
 use sbs_metrics::{percentile_wait, ExcessStats, WaitStats};
 use sbs_sim::engine::{simulate, SimConfig};
-use sbs_sim::prediction::PredictorSpec;
 use sbs_sim::JobRecord;
 use sbs_workload::generator::{Workload, WorkloadBuilder};
 use sbs_workload::job::RuntimeKnowledge;
@@ -67,7 +66,7 @@ mod flags {
     pub const BUDGET: Flag = Flag { name: "--budget", meta: "L", kind: Int(U64), default: Some("1000"), help: "search node budget per decision" };
     pub const LOAD: Flag = Flag { name: "--load", meta: "RHO", kind: Real("(0, 1.5)"), default: None, help: "shrink inter-arrivals to offered load RHO" };
     pub const SCALE: Flag = Flag { name: "--scale", meta: "F", kind: Real("(0, 1]"), default: None, help: "simulate this fraction of each month's span (default: all of it; 0.06 in quick mode)" };
-    pub const KNOWLEDGE: Flag = Flag { name: "--knowledge", meta: "K", kind: Choice(&["actual", "requested", "predicted"]), default: None, help: "the R* source (default: actual for a month, requested for a trace)" };
+    pub const KNOWLEDGE: Flag = Flag { name: "--knowledge", meta: "K", kind: Choice(&["actual", "requested"]), default: None, help: "the R* source (default: actual for a month, requested for a trace)" };
     pub const SEED: Flag = Flag { name: "--seed", meta: "N", kind: Int(U64), default: None, help: "workload RNG seed" };
     pub const TIMELINE: Flag = Flag { name: "--timeline", meta: "", kind: Switch, default: None, help: "print an ASCII utilization timeline" };
     pub const JSON: Flag = Flag { name: "--json", meta: "", kind: Switch, default: None, help: "machine-readable JSON instead of tables" };
@@ -414,7 +413,7 @@ type Build = fn(u64) -> PolicySpec;
 
 /// Every policy `sbs` accepts: `(name, description, spec)`.
 #[rustfmt::skip]
-const POLICIES: [(&str, &str, Build); 12] = [
+const POLICIES: [(&str, &str, Build); 11] = [
     ("fcfs-bf", "FCFS-backfill (1 reservation) — the max-wait envelope", |_| PolicySpec::FcfsBackfill),
     ("lxf-bf", "LXF-backfill — the average-slowdown envelope", |_| PolicySpec::LxfBackfill),
     ("sjf-bf", "SJF-backfill (starves long jobs; for comparison)", |_| PolicySpec::SjfBackfill),
@@ -429,7 +428,6 @@ const POLICIES: [(&str, &str, Build); 12] = [
     ("dds-lxf-dynb-hc", "DDS + hill-climbing hybrid (30% local budget)", |l| PolicySpec::HybridSearch {
         algo: SearchAlgo::Dds, branching: Branching::Lxf, bound: TargetBound::Dynamic, node_limit: l, local_frac: 0.3,
     }),
-    ("beam-lxf-dynb", "beam search (width 16) baseline", |l| PolicySpec::search_dynb(SearchAlgo::Beam(16), Branching::Lxf, l)),
 ];
 
 /// Resolves a policy name to a buildable spec.
@@ -900,16 +898,13 @@ fn load_workload(a: &Args) -> Result<Workload, String> {
 
 fn simulate_cmd(a: &Args) -> Result<String, String> {
     let workload = load_workload(a)?;
-    let knowledge = a.text(&KNOWLEDGE);
     let cfg = SimConfig {
-        knowledge: match knowledge {
+        knowledge: match a.text(&KNOWLEDGE) {
             Some("actual") => RuntimeKnowledge::Actual,
             Some(_) => RuntimeKnowledge::Requested,
             None if a.on(&TRACE) => RuntimeKnowledge::Requested,
             None => RuntimeKnowledge::Actual,
         },
-        predictor: (knowledge == Some("predicted"))
-            .then(|| PredictorSpec::RecentUserAverage.build()),
         ..Default::default()
     };
     let policy = spec(a).build();
@@ -1089,6 +1084,13 @@ mod tests {
         assert!(err.contains("unknown experiment \"nope\""), "{err}");
         let err = parse("experiments fig3 --months 6/03,13/03").expect_err("bad month");
         assert_eq!(err, "unknown month \"13/03\"");
+        for gone in ["ablate-random", "ablate-predict"] {
+            let err = parse(&format!("experiments {gone}")).expect_err(gone);
+            assert!(
+                err.contains(&format!("unknown experiment {gone:?}")),
+                "{err}"
+            );
+        }
         assert!(parse("experiments").is_err(), "an id, all or list");
         assert!(parse("experiments --quick").is_err(), "an id, all or list");
         for line in [
@@ -1288,6 +1290,12 @@ mod tests {
     fn rejects_missing_source_and_unknown_policy() {
         assert!(parse("simulate").is_err());
         assert!(parse("simulate --month 10/03 --policy nope").is_err());
+        let err =
+            parse("simulate --month 10/03 --policy beam-lxf-dynb").expect_err("no longer a policy");
+        assert_eq!(err, "unknown policy \"beam-lxf-dynb\" (try `sbs policies`)");
+        let err =
+            parse("simulate --month 10/03 --knowledge predicted").expect_err("no longer a choice");
+        assert_eq!(err, "--knowledge must be one of actual, requested");
         assert!(parse("simulate --month 10/03 --trace x.swf").is_err());
         assert!(parse("frobnicate").is_err());
     }
@@ -1389,15 +1397,6 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
         assert!(v["avg_wait_h"].is_number());
         assert_eq!(v["policy"], "DDS/lxf/dynB");
-    }
-
-    #[test]
-    fn simulate_predicted_knowledge() {
-        let out =
-            parsed("simulate --month 9/03 --scale 0.03 --budget 200 --knowledge predicted --json")
-                .run()
-                .expect("simulate");
-        assert!(serde_json::from_str::<serde_json::Value>(&out).is_ok());
     }
 
     #[test]

@@ -195,14 +195,21 @@ fn a_restart_on_the_same_trace_dir_mints_fresh_correlation_ids() {
     distinct.sort_unstable();
     distinct.dedup();
     assert_eq!(distinct.len(), 6, "{answered:?}");
-    // The appended decision log names each request once.
+    // The appended decision log names each request once, and numbers
+    // its decisions on from the first run's last.
     let log = std::fs::read_to_string(traces.join("trace-default.jsonl")).expect("trace log");
-    let mut logged: Vec<u64> = log
+    let lines: Vec<serde_json::Value> = log
         .lines()
-        .map(|l| serde_json::from_str::<serde_json::Value>(l).expect("JSONL"))
-        .filter_map(|v| v["corr"].as_u64())
+        .map(|l| serde_json::from_str(l).expect("JSONL"))
         .collect();
+    let mut logged: Vec<u64> = lines.iter().filter_map(|v| v["corr"].as_u64()).collect();
     logged.sort_unstable();
     assert_eq!(logged, distinct, "{log}");
+    let seqs: Vec<u64> = lines.iter().filter_map(|v| v["seq"].as_u64()).collect();
+    assert_eq!(seqs.len(), 6, "{log}");
+    assert!(
+        seqs.windows(2).all(|w| w[0] < w[1]),
+        "seq restarted: {seqs:?}"
+    );
     std::fs::remove_dir_all(&dir).expect("clean up");
 }

@@ -12,7 +12,6 @@ use crate::spec::PolicySpec;
 use rayon::prelude::*;
 use sbs_metrics::{percentile_wait, ExcessStats, WaitStats};
 use sbs_sim::engine::{simulate, SimConfig};
-use sbs_sim::prediction::PredictorSpec;
 use sbs_sim::JobRecord;
 use sbs_workload::generator::{Workload, WorkloadBuilder};
 use sbs_workload::job::RuntimeKnowledge;
@@ -57,9 +56,6 @@ pub struct Scenario {
     /// workloads, so policies compared within a scenario see the same
     /// trace.
     pub seed: u64,
-    /// Optional online runtime predictor supplying `R*` (overrides
-    /// `knowledge`; the paper's Section 7 future work).
-    pub predictor: Option<PredictorSpec>,
 }
 
 impl Scenario {
@@ -71,7 +67,6 @@ impl Scenario {
             knowledge: RuntimeKnowledge::Actual,
             scale: 1.0,
             seed: 0x5b5_0000 + month.index() as u64,
-            predictor: None,
         }
     }
 
@@ -98,12 +93,6 @@ impl Scenario {
     /// Overrides the workload seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables online runtime prediction as the `R*` source.
-    pub fn with_predictor(mut self, predictor: PredictorSpec) -> Self {
-        self.predictor = Some(predictor);
         self
     }
 
@@ -182,7 +171,6 @@ pub fn run(scenario: &Scenario, spec: &PolicySpec) -> RunResult {
 pub fn run_on(workload: &Workload, scenario: &Scenario, spec: &PolicySpec) -> RunResult {
     let cfg = SimConfig {
         knowledge: scenario.knowledge,
-        predictor: scenario.predictor.as_ref().map(|p| p.build()),
         ..Default::default()
     };
     let (result, search) = match spec.build_search() {

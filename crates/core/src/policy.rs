@@ -9,37 +9,28 @@
 use crate::objective::{HierarchicalObjective, Objective, TargetBound};
 use crate::schedule::ScheduleProblem;
 use sbs_backfill::PriorityOrder;
-use sbs_dsearch::{beam, dds, greedy, hill_climb, lds, random_sampling, SearchConfig};
+use sbs_dsearch::{dds, greedy, hill_climb, lds, SearchConfig};
 use sbs_obs::{PolicyTrace, SearchTrace};
 use sbs_sim::policy::{Policy, SchedContext};
 use sbs_workload::job::JobId;
 use std::sync::Arc;
 
-/// Which search algorithm explores the ordering tree.
-///
-/// The paper's policies use the two complete discrepancy searches; the
-/// incomplete `Random` and `Beam` baselines exist for the
-/// `ablate-random` comparison ("is systematic search worth it?").
+/// Which search algorithm explores the ordering tree: one of the
+/// paper's two complete discrepancy searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchAlgo {
     /// Limited discrepancy search (exactly-k iterations).
     Lds,
     /// Depth-bounded discrepancy search.
     Dds,
-    /// Uniformly random leaf sampling (incomplete baseline).
-    Random,
-    /// Width-bounded beam search (incomplete baseline).
-    Beam(u32),
 }
 
 impl SearchAlgo {
-    /// Paper-style label (`LDS`/`DDS`; `RND`/`BEAMw` for the baselines).
-    pub fn label(&self) -> String {
+    /// Paper-style label (`LDS`/`DDS`).
+    pub fn label(&self) -> &'static str {
         match self {
-            SearchAlgo::Lds => "LDS".into(),
-            SearchAlgo::Dds => "DDS".into(),
-            SearchAlgo::Random => "RND".into(),
-            SearchAlgo::Beam(w) => format!("BEAM{w}"),
+            SearchAlgo::Lds => "LDS",
+            SearchAlgo::Dds => "DDS",
         }
     }
 }
@@ -238,13 +229,6 @@ impl Policy for SearchPolicy {
         let outcome = match self.algo {
             SearchAlgo::Lds => lds(&mut problem, cfg),
             SearchAlgo::Dds => dds(&mut problem, cfg),
-            SearchAlgo::Random => {
-                // Deterministic per-decision seed: mix the decision index
-                // so repeated runs of a workload are identical.
-                let seed = 0x5eed ^ (self.totals.decisions.wrapping_mul(0x9e37_79b9));
-                random_sampling(&mut problem, cfg, seed)
-            }
-            SearchAlgo::Beam(w) => beam(&mut problem, w as usize, cfg),
         };
         let stats = outcome.stats;
         self.totals.decisions += 1;

@@ -32,7 +32,6 @@
 //! an ablation), and the closed-form tree-size arithmetic of Figure 1(d)
 //! ([`tree`]).
 
-pub mod beam;
 pub mod dds;
 pub mod deadline;
 pub mod dfs;
@@ -40,10 +39,8 @@ pub mod lds;
 pub mod local;
 pub mod permutation;
 pub mod problem;
-pub mod random;
 pub mod tree;
 
-pub use beam::beam;
 pub use dds::dds;
 pub use dfs::{dfs, greedy};
 pub use lds::{lds, lds_original};
@@ -52,4 +49,3 @@ pub use problem::{
     Budget, SearchConfig, SearchOutcome, SearchProblem, SearchStats, DEADLINE_CHECK_INTERVAL,
     LEAF_ITER_BUCKETS,
 };
-pub use random::random_sampling;

@@ -52,7 +52,7 @@ use crate::quota::{FleetDemand, TenantQuota};
 use sbs_core::PolicySpec;
 use sbs_metrics::fairness::jain_index;
 use sbs_obs::expo::{Exposition, Sample};
-use sbs_obs::{last_corr, Histogram, ObsConfig};
+use sbs_obs::{tail_max, Histogram, ObsConfig};
 use sbs_service::cluster::{drain_response, incidents_response};
 use sbs_service::edge::op_event;
 use sbs_service::metrics::{Family, Read, FAMILIES};
@@ -905,7 +905,7 @@ fn last_logged_corr(cfg: &FleetConfig) -> Result<u64, String> {
             }
         }
     }
-    Ok(logs.iter().map(|p| last_corr(p)).max().unwrap_or(0))
+    Ok(logs.iter().map(|p| tail_max(p, "corr")).max().unwrap_or(0))
 }
 
 impl ServerHandler for Fleet {

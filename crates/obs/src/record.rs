@@ -67,7 +67,7 @@ pub struct SearchTrace {
     pub nodes: u64,
     /// Leaves evaluated.
     pub leaves: u64,
-    /// Iterations (discrepancy levels / beam levels / samples) completed.
+    /// Iterations (discrepancy levels) completed.
     pub iterations: u32,
     /// Incumbent improvements observed.
     pub improvements: u64,

@@ -24,6 +24,9 @@ pub struct TraceRecorder {
     tally: Tally,
     last: Option<DecisionTrace>,
     sink: Option<Box<dyn Write + Send>>,
+    /// Added to each decision's `seq`: the largest `seq` of the log this
+    /// run appends to (see [`Self::resume_seq_after`]).
+    seq_base: u64,
 }
 
 impl std::fmt::Debug for TraceRecorder {
@@ -50,7 +53,16 @@ impl TraceRecorder {
             tally: Tally::default(),
             last: None,
             sink: None,
+            seq_base: 0,
         }
+    }
+
+    /// Numbers this run's decisions after `last`, the largest `seq` the
+    /// log it appends to already holds ([`crate::tail_max`]), so `seq`
+    /// keeps rising across restarts.  The tally still counts this run's
+    /// decisions alone.
+    pub fn resume_seq_after(&mut self, last: u64) {
+        self.seq_base = last;
     }
 
     /// Attaches a JSONL sink and writes the meta line immediately.
@@ -96,7 +108,9 @@ impl Recorder for TraceRecorder {
         true
     }
 
-    fn record_decision(&mut self, decision: DecisionTrace) {
+    fn record_decision(&mut self, mut decision: DecisionTrace) {
+        // A corrupt log tail may hold any u64.
+        decision.seq = decision.seq.saturating_add(self.seq_base);
         self.tally.fold(&decision, self.mode);
         if let Some(sink) = &mut self.sink {
             let value = decision.to_value(self.mode == TimeMode::Wall);
@@ -165,6 +179,18 @@ mod tests {
         wall.record_decision(decision(1));
         assert_eq!(wall.tally().decision_wall_nanos.count(), 1);
         assert_eq!(wall.tally().policy_nanos, 999);
+    }
+
+    #[test]
+    fn a_resumed_recorder_numbers_past_the_log() {
+        let mut r = TraceRecorder::new(TimeMode::Virtual, TraceMeta::default());
+        r.resume_seq_after(41);
+        r.record_decision(decision(1));
+        assert_eq!(r.last().map(|d| d.seq), Some(42));
+        r.resume_seq_after(u64::MAX - 1);
+        r.record_decision(decision(2));
+        assert_eq!(r.last().map(|d| d.seq), Some(u64::MAX), "saturates");
+        assert_eq!(r.tally().decisions, 2, "the tally counts this run alone");
     }
 
     #[test]

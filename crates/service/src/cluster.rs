@@ -33,7 +33,7 @@ use crate::protocol::{error_response, Request, SubmitSpec};
 use crate::snapshot::{RunningEntry, Snapshot, WaitingEntry};
 use crate::witness;
 use sbs_core::PolicySpec;
-use sbs_obs::{DecisionTrace, ObsConfig, Tally, TimeMode, TraceMeta, TraceRecorder};
+use sbs_obs::{tail_max, DecisionTrace, ObsConfig, Tally, TimeMode, TraceMeta, TraceRecorder};
 use sbs_sim::{Policy, SchedulerCore};
 use sbs_workload::job::{Job, JobId, RuntimeKnowledge};
 use sbs_workload::time::Time;
@@ -154,7 +154,8 @@ impl Cluster {
     }
 
     /// Builds the cluster's wall-clock recorder, attaching the JSONL
-    /// trace sink when one is configured.  Sink failures are reported
+    /// trace sink when one is configured; decision `seq` resumes past
+    /// the largest the log already holds.  Sink failures are reported
     /// and telemetry degrades to in-memory aggregation — a bad trace
     /// path must not stop the scheduler.
     fn build_recorder(cfg: &ServiceConfig, policy: &dyn Policy) -> TraceRecorder {
@@ -169,6 +170,7 @@ impl Cluster {
         );
         if let Some(path) = &cfg.trace_log {
             witness::assert_no_shard("the trace sink's open");
+            recorder.resume_seq_after(tail_max(path, "seq"));
             let opened = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)

@@ -20,7 +20,6 @@
 
 use crate::cluster::Cluster;
 use crate::policy::{Policy, SchedContext, WaitingJob};
-use crate::prediction::RuntimePredictor;
 use crate::record::JobRecord;
 use crate::tracelog::{DecisionLog, DecisionRecord};
 use sbs_workload::job::{Job, JobId, RuntimeKnowledge};
@@ -43,7 +42,6 @@ pub struct SchedulerCore {
     policy_nanos: u64,
     now: Time,
     knowledge: RuntimeKnowledge,
-    predictor: Option<Box<dyn RuntimePredictor>>,
     /// Correlation id of the request driving the next decision (`0` =
     /// not request-scoped; batch simulation never sets it).
     corr: u64,
@@ -66,7 +64,6 @@ impl SchedulerCore {
             policy_nanos: 0,
             now: 0,
             knowledge,
-            predictor: None,
             corr: 0,
         }
     }
@@ -77,13 +74,6 @@ impl SchedulerCore {
     /// unchanged.
     pub fn set_correlation(&mut self, corr: u64) {
         self.corr = corr;
-    }
-
-    /// Installs an online runtime predictor; it then *overrides*
-    /// `knowledge` as the source of `R*` and observes every completion.
-    pub fn with_predictor(mut self, predictor: Option<Box<dyn RuntimePredictor>>) -> Self {
-        self.predictor = predictor;
-        self
     }
 
     /// Current scheduler time.
@@ -152,7 +142,7 @@ impl SchedulerCore {
     }
 
     /// Completes every job whose departure time equals the current time,
-    /// freeing nodes, feeding the predictor and appending records.
+    /// freeing nodes and appending records.
     /// Returns how many jobs finished.
     pub fn complete_due(&mut self) -> usize {
         let mut finished = 0;
@@ -162,9 +152,6 @@ impl SchedulerCore {
             }
             self.departures.pop();
             let done = self.cluster.finish(JobId(id));
-            if let Some(predictor) = self.predictor.as_mut() {
-                predictor.observe(&done.job);
-            }
             let (w0, w1) = self.window;
             self.records.push(JobRecord {
                 id: done.job.id,
@@ -183,13 +170,10 @@ impl SchedulerCore {
         finished
     }
 
-    /// Enqueues `job`, deriving `R*` from the predictor or the knowledge
-    /// mode.  The job's `submit` field is trusted as its submission time.
+    /// Enqueues `job`, deriving `R*` from the knowledge mode.  The job's
+    /// `submit` field is trusted as its submission time.
     pub fn submit(&mut self, job: Job) {
-        let r_star = match self.predictor.as_mut() {
-            Some(predictor) => predictor.predict(&job).clamp(1, job.requested),
-            None => job.r_star(self.knowledge),
-        };
+        let r_star = job.r_star(self.knowledge);
         self.enqueue(WaitingJob { job, r_star });
     }
 

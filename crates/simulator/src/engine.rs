@@ -16,7 +16,6 @@
 
 use crate::core::SchedulerCore;
 use crate::policy::Policy;
-use crate::prediction::RuntimePredictor;
 use crate::record::JobRecord;
 use crate::tracelog::DecisionLog;
 use sbs_workload::generator::Workload;
@@ -24,14 +23,11 @@ use sbs_workload::job::RuntimeKnowledge;
 use sbs_workload::time::Time;
 
 /// Simulation options.
+#[derive(Debug)]
 pub struct SimConfig {
     /// Runtime knowledge mode: `R* = T` (paper default) or `R* = R`
     /// (Section 6.4).
     pub knowledge: RuntimeKnowledge,
-    /// Optional online runtime predictor; when present it *overrides*
-    /// `knowledge` as the source of `R*` (the paper's Section 7 future
-    /// work).  It is fed every completion.
-    pub predictor: Option<Box<dyn RuntimePredictor>>,
     /// Record one [`DecisionRecord`] per decision point in
     /// [`SimResult::decision_log`] (off by default; costs memory
     /// proportional to the number of events).
@@ -42,18 +38,8 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             knowledge: RuntimeKnowledge::Actual,
-            predictor: None,
             log_decisions: false,
         }
-    }
-}
-
-impl std::fmt::Debug for SimConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimConfig")
-            .field("knowledge", &self.knowledge)
-            .field("predictor", &self.predictor.as_ref().map(|p| p.name()))
-            .finish()
     }
 }
 
@@ -119,8 +105,7 @@ pub fn simulate_traced(
 ) -> SimResult {
     let (w0, w1) = workload.window;
     policy.set_tracing(recorder.enabled());
-    let mut core = SchedulerCore::new(workload.capacity, cfg.knowledge, workload.window)
-        .with_predictor(cfg.predictor);
+    let mut core = SchedulerCore::new(workload.capacity, cfg.knowledge, workload.window);
     let mut next_arrival = 0usize;
     let mut decision_log = cfg.log_decisions.then(DecisionLog::default);
     let mut queue_area: u128 = 0;

@@ -35,7 +35,6 @@ pub mod cluster;
 pub mod core;
 pub mod engine;
 pub mod policy;
-pub mod prediction;
 pub mod record;
 pub mod tracelog;
 

@@ -22,8 +22,8 @@ pub struct JobRecord {
     pub runtime: Time,
     /// Requested runtime `R`.
     pub requested: Time,
-    /// The runtime the scheduler planned with (`R*`): actual, requested,
-    /// or a predictor's output depending on the run's configuration.
+    /// The runtime the scheduler planned with (`R*`): actual or
+    /// requested, depending on the run's configuration.
     pub r_star: Time,
     /// Submitting user (0 = unknown).
     pub user: u32,
@@ -53,12 +53,6 @@ impl JobRecord {
     /// per-job *normalized excessive wait* of Section 4.
     pub fn excess_wait(&self, threshold: Time) -> Time {
         self.wait().saturating_sub(threshold)
-    }
-
-    /// Relative error of the scheduler's runtime knowledge for this job:
-    /// `|R* - T| / T` (0 under perfect knowledge).
-    pub fn prediction_error(&self) -> f64 {
-        self.r_star.abs_diff(self.runtime) as f64 / self.runtime as f64
     }
 }
 

@@ -1,16 +1,12 @@
-//! The paper's future-work extensions, live: per-user fairness and
-//! online runtime prediction.
+//! The paper's per-user fairness extension, live.
 //!
 //! 1. Runs DDS/lxf/dynB on a high-load month and shows the per-user
 //!    service breakdown (heavy users vs light users) plus Jain's
 //!    fairness index;
-//! 2. re-runs with the fairshare-weighted objective and compares;
-//! 3. re-runs with `R*` supplied by the recent-user-average runtime
-//!    predictor instead of user requests, showing how prediction error
-//!    changes and what it does to the schedule.
+//! 2. re-runs with the fairshare-weighted objective and compares.
 //!
 //! ```text
-//! cargo run --release --example fairness_and_prediction
+//! cargo run --release --example fairness
 //! ```
 
 use sbs_core::prelude::*;
@@ -18,7 +14,6 @@ use sbs_core::FairshareObjective;
 use sbs_metrics::fairness::{per_user, slowdown_fairness, usage_shares};
 use sbs_metrics::table::{num, Table};
 use sbs_metrics::timeline::utilization_panel;
-use sbs_sim::prediction::RecentUserAverage;
 use std::sync::Arc;
 
 fn main() {
@@ -68,41 +63,6 @@ fn main() {
         slowdown_fairness(&fair_records),
         slowdown_fairness(&base_records)
     );
-
-    // --- 3. online runtime prediction as the R* source ------------------
-    let mut table = Table::new(["R* source", "avg wait (h)", "max wait (h)", "mean |R*-T|/T"]);
-    let runs = [
-        (
-            "requested (R*=R)",
-            SimConfig {
-                knowledge: RuntimeKnowledge::Requested,
-                ..Default::default()
-            },
-        ),
-        (
-            "predicted (recent-2-avg)",
-            SimConfig {
-                knowledge: RuntimeKnowledge::Requested,
-                predictor: Some(Box::new(RecentUserAverage::default())),
-                ..Default::default()
-            },
-        ),
-        ("actual (R*=T)", SimConfig::default()),
-    ];
-    for (label, cfg) in runs {
-        let r = simulate(&workload, SearchPolicy::dds_lxf_dynb(1_000), cfg);
-        let records: Vec<_> = r.in_window().copied().collect();
-        let stats = WaitStats::over(&records);
-        let err =
-            records.iter().map(|x| x.prediction_error()).sum::<f64>() / records.len().max(1) as f64;
-        table.row([
-            label.to_string(),
-            num(stats.avg_wait_h, 2),
-            num(stats.max_wait_h, 1),
-            num(err, 2),
-        ]);
-    }
-    println!("{}", table.render());
 
     // --- machine occupancy at a glance ----------------------------------
     println!("== machine occupancy over the window ==\n");

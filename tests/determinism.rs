@@ -4,8 +4,8 @@
 //!
 //! Two identical `simulate()` runs must be *byte-identical* — same
 //! per-job start times, same rendered metric tables.  This is what the
-//! BTreeMap conversions (fairshare weights, per-user accumulators,
-//! predictor history) and the `total_cmp` sorts buy: no run-to-run
+//! BTreeMap conversions (fairshare weights, per-user accumulators) and
+//! the `total_cmp` sorts buy: no run-to-run
 //! drift from `HashMap` iteration order or NaN-unsafe comparators.
 
 use sbs_core::prelude::*;

@@ -153,7 +153,6 @@ fn render_backfill_outcomes() -> String {
             );
             let cfg = SimConfig {
                 knowledge: scenario.knowledge,
-                predictor: scenario.predictor.as_ref().map(|p| p.build()),
                 ..Default::default()
             };
             let _ = simulate_traced(&workload, policy, cfg, &mut recorder);

@@ -39,8 +39,6 @@ fn all_specs() -> Vec<PolicySpec> {
             node_limit: 500,
             local_frac: 0.3,
         },
-        PolicySpec::search_dynb(SearchAlgo::Random, Branching::Lxf, 500),
-        PolicySpec::search_dynb(SearchAlgo::Beam(8), Branching::Lxf, 500),
     ]
 }
 
@@ -146,42 +144,6 @@ fn search_totals_accumulate_within_budget() {
     // Per decision, node usage can never exceed the budget.
     assert!(t.nodes <= t.decisions * 300);
     assert!(t.leaves > 0);
-}
-
-#[test]
-fn online_prediction_runs_end_to_end() {
-    use sbs_sim::prediction::PredictorSpec;
-    let scenario = Scenario::high_load(Month::Oct03)
-        .with_scale(0.05)
-        .with_predictor(PredictorSpec::RecentUserAverage);
-    let workload = scenario.workload();
-    for spec in [PolicySpec::FcfsBackfill, PolicySpec::dds_lxf_dynb(400)] {
-        let r = run_on(&workload, &scenario, &spec);
-        assert_eq!(r.records.len(), workload.in_window().count());
-        // Predictions must be within the request bound for every job.
-        for rec in &r.records {
-            assert!(
-                rec.r_star >= 1 && rec.r_star <= rec.requested,
-                "{}: R*={} outside [1, {}]",
-                rec.id,
-                rec.r_star,
-                rec.requested
-            );
-        }
-        // Prediction should beat the raw requests on average accuracy.
-        let pred_err: f64 =
-            r.records.iter().map(|x| x.prediction_error()).sum::<f64>() / r.records.len() as f64;
-        let req_err: f64 = r
-            .records
-            .iter()
-            .map(|x| x.requested.abs_diff(x.runtime) as f64 / x.runtime as f64)
-            .sum::<f64>()
-            / r.records.len() as f64;
-        assert!(
-            pred_err < req_err,
-            "prediction error {pred_err:.2} should beat request error {req_err:.2}"
-        );
-    }
 }
 
 #[test]
